@@ -8,8 +8,13 @@ refinement step and stop early once that difference falls below
 ``2^-(bits-8)``; reaching the refinement cap first raises
 `NonconvergenceError`.
 
-Node tables are cached per precision and are immutable once built, so
-repeated integrations share the (comparatively expensive) table setup.
+All four rules (1D and tensor 2D, tanh-sinh and Gauss-Legendre) run through
+one refinement driver, `_refine`, over a per-rule ladder of successive sums.
+
+Node tables are cached per precision, so repeated integrations share the
+(comparatively expensive) table setup.  Tanh-sinh levels are built on
+demand, when refinement first reaches them, and appended to the cached
+table; a level never changes once built.
 """
 
 from dataclasses import dataclass, field
@@ -96,6 +101,54 @@ def _target(bits):
     return ldexp(1, -(bits - 8))
 
 
+def _interval(domain):
+    """(a, b, half-width, midpoint) of a 1D domain at the ambient precision."""
+    a = _endpoint_value(domain[0])
+    b = _endpoint_value(domain[1])
+    return a, b, (b - a) / 2, (a + b) / 2
+
+
+def _eval_checked(f, integrand, *xs):
+    y = f(*xs)
+    if not isfinite(y):
+        at = ", ".join(mp.nstr(x, 12) for x in xs)
+        where = f"x={at}" if len(xs) == 1 else f"({at})"
+        raise DomainError(f"integrand {integrand.id!r} returned non-finite value at {where}")
+    return y
+
+
+def _refine(ladder, p, rule, cap):
+    """The refinement driver shared by every rule.
+
+    `ladder` is a generator of (step, T_k, evaluations so far).  It is run at
+    the guarded width of p until |T_k - T_{k-1}| <= 2^-(p.bits - 8); running
+    out of steps first raises `NonconvergenceError`, naming `rule` and `cap`.
+    """
+    tau = _target(p.bits)
+    prev = est = None
+    with workprec(p.guarded):
+        for step, T, evals in ladder:
+            if prev is not None:
+                est = abs(T - prev)
+                if est <= tau:
+                    break
+            prev = T
+        else:
+            raise NonconvergenceError(
+                f"{rule} did not reach 2^-{p.bits - 8} by {cap}"
+                f" (last difference {mp.nstr(est, 8)})",
+                value=T,
+                error_estimate=est,
+                evaluations=evals,
+            )
+    return QuadResult(
+        value=HPReal.from_raw(T, p),
+        error_estimate=HPReal.from_raw(est, p),
+        evaluations=evals,
+        level_or_order=step,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Tanh-sinh node tables.
 #
@@ -107,18 +160,22 @@ def _target(bits):
 # catastrophically rounded one.
 #
 # Tables are cumulative: level k holds only the nodes new at step 2^-k, so
-# the trapezoid sums refine incrementally.  Truncation: nodes are generated
-# until the canonical weight h*omega drops below 2^-(bits+32).
+# the trapezoid sums refine incrementally.  Levels are built on demand: a
+# ladder asks for level k only when it reaches it, and new levels are
+# appended to the cached list; a built level never changes.  Each level
+# depends only on its own step, so a table built lazily holds the same nodes
+# as one built eagerly.  Truncation: nodes are generated until the canonical
+# weight h*omega drops below 2^-(bits+32).
 # ---------------------------------------------------------------------------
 
 _TS_TABLES = {}  # bits -> list per level of tuple[(t, s, delta, omega), ...]
 
 
 def _ts_levels(bits, up_to_level):
-    levels = _TS_TABLES.get(bits)
-    if levels is None:
-        levels = [()]  # level 0 contributes only the center node
-        _TS_TABLES[bits] = levels
+    # level 0 contributes only the center node
+    levels = _TS_TABLES.setdefault(bits, [()])
+    if len(levels) > up_to_level:
+        return levels
     gen_bits = bits + GUARD_BITS + 16
     threshold = ldexp(1, -(bits + 32))
     with workprec(gen_bits):
@@ -162,7 +219,7 @@ def tanh_sinh_nodes(level, p):
     """
     if level < 0:
         raise ValueError("level must be >= 0")
-    levels = _ts_levels(p.bits, max(level, 1) if level else 0)
+    levels = _ts_levels(p.bits, level)
     with workprec(p.bits):
         h = ldexp(1, -level)
         center = (mpf(0), +(h * pi / 2))
@@ -178,55 +235,27 @@ def tanh_sinh_nodes(level, p):
         return neg + [center] + pos
 
 
-def _eval_checked(f, x, integrand):
-    y = f(x)
-    if not isfinite(y):
-        raise DomainError(
-            f"integrand {integrand.id!r} returned non-finite value at x={mp.nstr(x, 12)}"
-        )
-    return y
-
-
-def _integrate_ts(integrand, max_level, bits, tau):
-    a = _endpoint_value(integrand.domain[0])
-    b = _endpoint_value(integrand.domain[1])
-    halfw = (b - a) / 2
-    mid = (a + b) / 2
+def _ts_ladder(integrand, max_level, bits):
+    a, b, halfw, mid = _interval(integrand.domain)
     f = integrand.evaluator
-    levels = _ts_levels(bits, max_level)
-
-    S = (pi / 2) * _eval_checked(f, mid, integrand)
+    S = (pi / 2) * _eval_checked(f, integrand, mid)
     evals = 1
-    prev = None
-    est = None
     for lev in range(1, max_level + 1):
-        for _t, s, delta, omega in levels[lev]:
+        for _t, s, delta, omega in _ts_levels(bits, lev)[lev]:
             xm = a + halfw * delta
             xp = b - halfw * delta
             if integrand.singular_left and xm == a:
                 fm = mpf(0)  # weight already below truncation noise
             else:
-                fm = _eval_checked(f, xm, integrand)
+                fm = _eval_checked(f, integrand, xm)
                 evals += 1
             if integrand.singular_right and xp == b:
                 fp = mpf(0)
             else:
-                fp = _eval_checked(f, xp, integrand)
+                fp = _eval_checked(f, integrand, xp)
                 evals += 1
             S += omega * (fm + fp)
-        T = ldexp(halfw * S, -lev)
-        if prev is not None:
-            est = abs(T - prev)
-            if est <= tau:
-                return T, est, evals, lev
-        prev = T
-    raise NonconvergenceError(
-        f"tanh-sinh on {integrand.id!r} did not reach 2^-{bits - 8} by level {max_level}"
-        f" (last difference {mp.nstr(est, 8)})",
-        value=T,
-        error_estimate=est,
-        evaluations=evals,
-    )
+        yield lev, ldexp(halfw * S, -lev), evals
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +314,7 @@ def gauss_legendre_nodes(order, p):
         return neg + center + pos
 
 
-def _gl_ladder(cap):
+def _gl_orders(cap):
     # the error estimate needs at least two rungs
     orders = []
     n = 8
@@ -297,45 +326,23 @@ def _gl_ladder(cap):
     return orders
 
 
-def _gl_sum_1d(integrand, order, bits, a, b, halfw, mid):
+def _gl_ladder(integrand, order_cap, bits):
+    _a, _b, halfw, mid = _interval(integrand.domain)
     f = integrand.evaluator
-    S = mpf(0)
     evals = 0
-    for x, w in _gl_halfline(order, bits):
-        if x == 0:
-            S += w * _eval_checked(f, mid, integrand)
-            evals += 1
-        else:
-            S += w * (
-                _eval_checked(f, mid + halfw * x, integrand)
-                + _eval_checked(f, mid - halfw * x, integrand)
-            )
-            evals += 2
-    return halfw * S, evals
-
-
-def _integrate_gl(integrand, order_cap, bits, tau):
-    a = _endpoint_value(integrand.domain[0])
-    b = _endpoint_value(integrand.domain[1])
-    halfw = (b - a) / 2
-    mid = (a + b) / 2
-    prev = None
-    est = None
-    evals = 0
-    for order in _gl_ladder(order_cap):
-        T, n = _gl_sum_1d(integrand, order, bits, a, b, halfw, mid)
-        evals += n
-        if prev is not None:
-            est = abs(T - prev)
-            if est <= tau:
-                return T, est, evals, order
-        prev = T
-    raise NonconvergenceError(
-        f"Gauss-Legendre on {integrand.id!r} did not converge by order {order_cap}",
-        value=T,
-        error_estimate=est,
-        evaluations=evals,
-    )
+    for order in _gl_orders(order_cap):
+        S = mpf(0)
+        for x, w in _gl_halfline(order, bits):
+            if x == 0:
+                S += w * _eval_checked(f, integrand, mid)
+                evals += 1
+            else:
+                S += w * (
+                    _eval_checked(f, integrand, mid + halfw * x)
+                    + _eval_checked(f, integrand, mid - halfw * x)
+                )
+                evals += 2
+        yield order, halfw * S, evals
 
 
 def integrate(f, s, p):
@@ -346,25 +353,15 @@ def integrate(f, s, p):
     """
     if f.dimension != 1:
         raise ValueError(f"integrate() needs a 1D integrand, got dimension {f.dimension}")
-    bits = p.guarded
-    tau = _target(p.bits)
-    with workprec(bits):
-        if isinstance(s, TanhSinh):
-            value, est, evals, step = _integrate_ts(f, s.max_level, bits, tau)
-        elif isinstance(s, GaussLegendre):
-            if f.singular_left or f.singular_right:
-                raise DomainError(
-                    f"Gauss-Legendre refuses singular integrand {f.id!r}; use tanh-sinh"
-                )
-            value, est, evals, step = _integrate_gl(f, s.order, bits, tau)
-        else:
-            raise ValueError(f"scheme {s!r} does not apply to a 1D integrand")
-    return QuadResult(
-        value=HPReal.from_raw(value, p),
-        error_estimate=HPReal.from_raw(abs(est), p),
-        evaluations=evals,
-        level_or_order=step,
-    )
+    if isinstance(s, TanhSinh):
+        ladder = _ts_ladder(f, s.max_level, p.guarded)
+        return _refine(ladder, p, f"tanh-sinh on {f.id!r}", f"level {s.max_level}")
+    if isinstance(s, GaussLegendre):
+        if f.singular_left or f.singular_right:
+            raise DomainError(f"Gauss-Legendre refuses singular integrand {f.id!r}; use tanh-sinh")
+        ladder = _gl_ladder(f, s.order, p.guarded)
+        return _refine(ladder, p, f"Gauss-Legendre on {f.id!r}", f"order {s.order}")
+    raise ValueError(f"scheme {s!r} does not apply to a 1D integrand")
 
 
 # ---------------------------------------------------------------------------
@@ -372,105 +369,61 @@ def integrate(f, s, p):
 # ---------------------------------------------------------------------------
 
 
-def _materialize_1d(axis_dom, nodes_pos, center_w, bits):
-    a = _endpoint_value(axis_dom[0])
-    b = _endpoint_value(axis_dom[1])
-    halfw = (b - a) / 2
-    mid = (a + b) / 2
-    pts = [(mid, center_w)]
+def _tensor_sum(integrand, ptsx, ptsy):
+    """sum_x wx * sum_y wy * f(x, y) over (point, weight) lists, and its evaluations."""
+    f = integrand.evaluator
+    S = mpf(0)
+    for x, wx in ptsx:
+        row = mpf(0)
+        for y, wy in ptsy:
+            row += wy * _eval_checked(f, integrand, x, y)
+        S += wx * row
+    return S, len(ptsx) * len(ptsy)
+
+
+def _ts_axis(domain, nodes_pos):
+    a, b, halfw, mid = _interval(domain)
+    pts = [(mid, pi / 2)]
     for _t, s, delta, omega in nodes_pos:
         pts.append((a + halfw * delta, omega))
         pts.append((b - halfw * delta, omega))
     return pts, halfw
 
 
-def _tensor_ts(integrand, max_level, bits, tau):
-    f = integrand.evaluator
-    levels = _ts_levels(bits, max_level)
-    domx, domy = integrand.domain
-    prev = None
-    est = None
-    evals = 0
-    for lev in range(2, max_level + 1):
-        cumulative = [n for l in range(1, lev + 1) for n in levels[l]]
-        ptsx, halfx = _materialize_1d(domx, cumulative, pi / 2, bits)
-        ptsy, halfy = _materialize_1d(domy, cumulative, pi / 2, bits)
-        S = mpf(0)
-        for x, wx in ptsx:
-            row = mpf(0)
-            for y, wy in ptsy:
-                row += wy * _eval_checked_2d(f, x, y, integrand)
-                evals += 1
-            S += wx * row
-        T = ldexp(halfx * halfy * S, -2 * lev)
-        if prev is not None:
-            est = abs(T - prev)
-            if est <= tau:
-                return T, est, evals, lev
-        prev = T
-    raise NonconvergenceError(
-        f"2D tanh-sinh on {integrand.id!r} did not converge by level {max_level}",
-        value=T,
-        error_estimate=est,
-        evaluations=evals,
-    )
-
-
-def _eval_checked_2d(f, x, y, integrand):
-    v = f(x, y)
-    if not isfinite(v):
-        raise DomainError(
-            f"integrand {integrand.id!r} returned non-finite value at "
-            f"({mp.nstr(x, 12)}, {mp.nstr(y, 12)})"
-        )
-    return v
-
-
-def _tensor_gl(integrand, order_cap, bits, tau):
-    f = integrand.evaluator
-    domx, domy = integrand.domain
-    ax, bx = (_endpoint_value(e) for e in domx)
-    ay, by = (_endpoint_value(e) for e in domy)
-    halfx, midx = (bx - ax) / 2, (ax + bx) / 2
-    halfy, midy = (by - ay) / 2, (ay + by) / 2
-    prev = None
-    est = None
-    evals = 0
-    for order in _gl_ladder(order_cap):
-        half = _gl_halfline(order, bits)
-        xs, wxs = _axis_points(half, midx, halfx)
-        ys, wys = _axis_points(half, midy, halfy)
-        S = mpf(0)
-        for x, wx in zip(xs, wxs):
-            row = mpf(0)
-            for y, wy in zip(ys, wys):
-                row += wy * _eval_checked_2d(f, x, y, integrand)
-                evals += 1
-            S += wx * row
-        T = halfx * halfy * S
-        if prev is not None:
-            est = abs(T - prev)
-            if est <= tau:
-                return T, est, evals, order
-        prev = T
-    raise NonconvergenceError(
-        f"2D Gauss-Legendre on {integrand.id!r} did not converge by order {order_cap}",
-        value=T,
-        error_estimate=est,
-        evaluations=evals,
-    )
-
-
-def _axis_points(half_nodes, mid, halfw):
-    pts, ws = [], []
+def _gl_axis(domain, half_nodes):
+    _a, _b, halfw, mid = _interval(domain)
+    pts = []
     for x, w in half_nodes:
         if x == 0:
-            pts.append(mid)
-            ws.append(w)
+            pts.append((mid, w))
         else:
-            pts.extend((mid + halfw * x, mid - halfw * x))
-            ws.extend((w, w))
-    return pts, ws
+            pts.extend(((mid + halfw * x, w), (mid - halfw * x, w)))
+    return pts, halfw
+
+
+def _tensor_ts_ladder(integrand, max_level, bits):
+    domx, domy = integrand.domain
+    evals = 0
+    for lev in range(2, max_level + 1):
+        levels = _ts_levels(bits, lev)
+        cumulative = [n for l in range(1, lev + 1) for n in levels[l]]
+        ptsx, halfx = _ts_axis(domx, cumulative)
+        ptsy, halfy = _ts_axis(domy, cumulative)
+        S, n = _tensor_sum(integrand, ptsx, ptsy)
+        evals += n
+        yield lev, ldexp(halfx * halfy * S, -2 * lev), evals
+
+
+def _tensor_gl_ladder(integrand, order_cap, bits):
+    domx, domy = integrand.domain
+    evals = 0
+    for order in _gl_orders(order_cap):
+        half = _gl_halfline(order, bits)
+        ptsx, halfx = _gl_axis(domx, half)
+        ptsy, halfy = _gl_axis(domy, half)
+        S, n = _tensor_sum(integrand, ptsx, ptsy)
+        evals += n
+        yield order, halfx * halfy * S, evals
 
 
 def integrate_2d(f, s, p):
@@ -481,18 +434,10 @@ def integrate_2d(f, s, p):
         raise ValueError("2D integration requires a Tensor2D scheme")
     if f.singular_left or f.singular_right:
         raise DomainError(f"2D tensor rule requires a smooth integrand, got flags on {f.id!r}")
-    bits = p.guarded
-    tau = _target(p.bits)
-    with workprec(bits):
-        if isinstance(s.inner, TanhSinh):
-            value, est, evals, step = _tensor_ts(f, s.inner.max_level, bits, tau)
-        elif isinstance(s.inner, GaussLegendre):
-            value, est, evals, step = _tensor_gl(f, s.inner.order, bits, tau)
-        else:
-            raise ValueError(f"unsupported inner scheme {s.inner!r}")
-    return QuadResult(
-        value=HPReal.from_raw(value, p),
-        error_estimate=HPReal.from_raw(abs(est), p),
-        evaluations=evals,
-        level_or_order=step,
-    )
+    if isinstance(s.inner, TanhSinh):
+        ladder = _tensor_ts_ladder(f, s.inner.max_level, p.guarded)
+        return _refine(ladder, p, f"2D tanh-sinh on {f.id!r}", f"level {s.inner.max_level}")
+    if isinstance(s.inner, GaussLegendre):
+        ladder = _tensor_gl_ladder(f, s.inner.order, p.guarded)
+        return _refine(ladder, p, f"2D Gauss-Legendre on {f.id!r}", f"order {s.inner.order}")
+    raise ValueError(f"unsupported inner scheme {s.inner!r}")

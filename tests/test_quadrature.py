@@ -14,6 +14,7 @@ from hpcert import (
     gauss_legendre_nodes,
     integrate,
     integrate_2d,
+    quadrature,
     tanh_sinh_nodes,
 )
 from oracle_values import A1, LOGSINE, assert_close
@@ -70,6 +71,27 @@ def test_nodes_weight_sum_is_interval_length(level, p64):
 
 def test_nodes_grow_with_level(p64):
     assert len(tanh_sinh_nodes(5, p64)) < len(tanh_sinh_nodes(6, p64))
+
+
+def test_ts_table_built_only_to_the_converged_level(monkeypatch, p128):
+    monkeypatch.setattr(quadrature, "_TS_TABLES", {})
+    f = Integrand(id="lazy", dimension=1, evaluator=lambda x: 1 / (1 + x), domain=(0, 1))
+    r = integrate(f, TanhSinh(12), p128)
+    assert r.level_or_order < 12
+    assert len(quadrature._TS_TABLES[p128.guarded]) == r.level_or_order + 1
+
+
+def test_ts_table_extended_lazily_matches_eager_build(monkeypatch):
+    monkeypatch.setattr(quadrature, "_TS_TABLES", {})
+    bits = 96
+    quadrature._ts_levels(bits, 2)
+    with workprec(53):  # levels are generated at their own width, not the caller's
+        for lev in range(3, 8):
+            quadrature._ts_levels(bits, lev)
+    lazy = quadrature._TS_TABLES.pop(bits)
+    eager = quadrature._ts_levels(bits, 7)
+    assert len(lazy) == len(eager) == 8
+    assert lazy == eager
 
 
 # --- 1D integration ---------------------------------------------------------
@@ -224,3 +246,60 @@ def test_2d_tanh_sinh_inner(p64):
     f = Integrand(id="xpy", dimension=2, evaluator=lambda x, y: x + y, domain=((0, 1), (0, 1)))
     r = integrate_2d(f, Tensor2D(TanhSinh(6)), p64)
     assert abs(r.value.value - 1) < ldexp(1, -50)
+
+
+# --- golden results, one integrand per refinement path ------------------------
+#
+# Mantissa/exponent pairs of the value and error estimate, evaluation counts
+# and the step reached, pinned so that a change to the refinement loop or to
+# the node tables that moves a single bit shows here.
+
+GOLDEN = {
+    "ts1d": (
+        lambda x: x * x / (1 + x),
+        TanhSinh(12),
+        (262898319060176249625027356193081514685, -130),
+        (5, -160),
+        285,
+        5,
+    ),
+    "gl1d": (
+        lambda x: 1 / (1 + x),
+        GaussLegendre(256),
+        (235865763225513294137944142764154484399, -128),
+        (1, -160),
+        120,
+        64,
+    ),
+    "gl2d": (
+        lambda x, y: 1 / (1 + x * y),
+        Tensor2D(GaussLegendre(64)),
+        (1896479859329717027, -61),
+        (567, -94),
+        1344,
+        32,
+    ),
+    "ts2d": (
+        lambda x, y: 1 / (1 + x + y),
+        Tensor2D(TanhSinh(8)),
+        (9652224595068196277, -64),
+        (45753, -95),
+        21955,
+        4,
+    ),
+}
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN))
+def test_golden_results(path, p64, p128):
+    fn, scheme, value, est, evals, step = GOLDEN[path]
+    if isinstance(scheme, Tensor2D):
+        f = Integrand(id=path, dimension=2, evaluator=fn, domain=((0, 1), (0, 1)))
+        r = integrate_2d(f, scheme, p64)
+    else:
+        f = Integrand(id=path, dimension=1, evaluator=fn, domain=(0, 1))
+        r = integrate(f, scheme, p128)
+    assert r.value.value.man_exp == value
+    assert r.error_estimate.value.man_exp == est
+    assert r.evaluations == evals
+    assert r.level_or_order == step
