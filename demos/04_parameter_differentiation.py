@@ -5,38 +5,38 @@ Two parameter families evaluate the integrals I2 and I3:
     F(a) = int_0^1 ln(1+a^2 x^2)/(1+x) dx      F(1) = I2
     H(a) = int_0^1 arctan(a x)/(1+x) dx        H(1) = I3
 
-Their closed derivatives are certified against central finite differences,
-and integrating the closed derivative over [0,1] reconstructs the endpoint
-value.  This is the numerical shadow of the derivation that produces the
-closed forms in the first place.
+Four catalog checks certify the derivation: the closed derivatives against
+central finite differences, and the integral of each closed derivative over
+[0,1] against the directly computed endpoint value.  This is the numerical
+shadow of the derivation that produces the closed forms in the first place.
 """
 
-from fractions import Fraction
+import sys
 
-from mpmath import nstr
+from mpmath import mpf, nstr, workprec
 
-from hpcert import ParamFunction, Precision, check_param_derivative, closed_derivative, eval_param
+from hpcert import Precision, run_catalog
+from hpcert.identities import get_integrand
 
 p = Precision(256)
 
-print("F and H are nondecreasing in the parameter:")
-for name in ("F", "H"):
-    row = []
-    for k in (0, 2, 5, 8, 10):
-        v = eval_param(ParamFunction(name, Fraction(k, 10)), p)
-        row.append(f"{name}({k/10:.1f})={nstr(v.value, 8)}")
-    print("  " + "   ".join(row))
-
-print("\nClosed derivatives at the endpoint:")
-print("  F'(1) =", nstr(closed_derivative(ParamFunction("F", 1), p).value, 30), " (= (3/2)ln2 - pi/4)")
-print("  H'(1) =", nstr(closed_derivative(ParamFunction("H", 1), p).value, 30), " (= pi/8 - ln2/4)")
+print("Closed derivatives at the endpoint:")
+with workprec(p.bits):
+    for integrand_id, label, closed in (
+        ("f_prime_closed", "F'(1)", "(3/2)ln2 - pi/4"),
+        ("h_prime_closed", "H'(1)", "pi/8 - ln2/4"),
+    ):
+        value = get_integrand(integrand_id).evaluator(mpf(1))
+        print(f"  {label} = {nstr(value, 30)}  (= {closed})")
 
 print("\nCertifying against central finite differences (h = 2^-85) and")
 print("reconstructing the endpoint from the derivative:")
-for name in ("F", "H"):
-    results = check_param_derivative(
-        ParamFunction(name, 1), [Fraction(3, 10), Fraction(7, 10), Fraction(1)], p
+ids = ["app2_F_derivative", "app2_F_reconstruct", "app3_H_derivative", "app3_H_reconstruct"]
+results = run_catalog(p, ids=ids)
+for r in results:
+    status = "PASS" if r.passed else "FAIL"
+    print(
+        f"  {status}  {r.id:<20} |error| = {nstr(r.abs_error.value, 3):<10}"
+        f" tol = {nstr(r.tolerance.value, 3):<10} {r.description}"
     )
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"  {status}  {r.id:<28} |error| = {nstr(r.abs_error.value, 3)}")
+sys.exit(0 if all(r.passed for r in results) else 1)

@@ -54,11 +54,7 @@ from .series import (
 from .identities import (
     CheckResult,
     IdentityCheck,
-    ParamFunction,
     catalog,
-    check_param_derivative,
-    closed_derivative,
-    eval_param,
     run_catalog,
     run_check,
 )

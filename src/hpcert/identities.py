@@ -1,9 +1,9 @@
 """The check catalog: one entry per certified identity, plus the runner.
 
-Each `IdentityCheck` pairs a left-hand pipeline (quadrature, accelerated
-series, or a rational combination of both) with a right-hand side that is
-either an exact `ClosedForm` over the seven-constant basis, a reference to
-another check's pipeline, or zero for route-against-route comparisons.
+Each `IdentityCheck` compares two sides.  A side is a pipeline (quadrature,
+accelerated series, or a rational combination of both), an exact
+`ClosedForm` over the seven-constant basis (zero for route-against-route
+comparisons), or a reference to another check's left-hand side.
 `run_check` evaluates both sides at the requested precision and applies the
 check's tolerance policy; `run_catalog` executes a filtered selection in
 catalog order, optionally on a process pool.
@@ -18,7 +18,7 @@ the integral sign, and the supporting log-sine and dilogarithm facts.
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from mpmath import atan, cos, ldexp, log, log1p, mp, mpf, sin, workprec
 
@@ -62,6 +62,10 @@ LI2_CF = ClosedForm({PI_SQ: F(1, 12)})
 CATALAN_CF = ClosedForm({CATALAN: F(1)})
 LN2_CF = ClosedForm({LN2: F(1)})
 ZERO_CF = ClosedForm.zero()
+# Eq. (7) as an exact rational identity: A ln2 + B/2 + C = -sigma.  The two
+# forms are equal coefficient by coefficient, so they evaluate to the same mpf.
+ASSEMBLY_CF = cf_add(cf_add(cf_mul_ln2(A_CF), cf_scale(B_CF, F(1, 2))), C_CF)
+NEG_SIGMA_CF = cf_scale(SIGMA_CF, F(-1))
 
 DEFAULT_TS = TanhSinh(12)
 DEFAULT_TENSOR = Tensor2D(GaussLegendre(256))
@@ -279,28 +283,11 @@ for _x0 in EQ06_GRID:
 
 
 # ---------------------------------------------------------------------------
-# Parameter functions F(alpha), H(alpha) and their closed derivatives.
+# Parameter families for differentiation under the integral sign:
+#
+#   F(a) = int_0^1 ln(1+a^2 x^2)/(1+x) dx   (F(1) is the I2 integral)
+#   H(a) = int_0^1 arctan(a x)/(1+x) dx     (H(1) is the I3 integral)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ParamFunction:
-    """One of the two parameter-differentiation families, pinned to an alpha.
-
-    F(a) = int_0^1 ln(1+a^2 x^2)/(1+x) dx   (F(1) is the I2 integral)
-    H(a) = int_0^1 arctan(a x)/(1+x) dx     (H(1) is the I3 integral)
-    """
-
-    name: str
-    alpha: Fraction
-
-    def __post_init__(self):
-        if self.name not in ("F", "H"):
-            raise ValueError("name must be 'F' or 'H'")
-        a = Fraction(self.alpha)
-        if not 0 <= a <= 1:
-            raise ValueError("alpha must lie in [0, 1]")
-        object.__setattr__(self, "alpha", a)
 
 
 def _param_integrand(name, alpha_value, tag):
@@ -318,108 +305,10 @@ def _param_integrand(name, alpha_value, tag):
     return Integrand(id=f"{name}_at_{tag}", dimension=1, evaluator=f, domain=(0, 1))
 
 
-def eval_param(pf, p, scheme=None):
-    """Evaluate F(alpha) or H(alpha) by quadrature at precision p."""
-    a = pf.alpha
-    with workprec(p.guarded):
-        av = mpf(a.numerator) / a.denominator
-    q = integrate(_param_integrand(pf.name, av, str(a)), scheme or DEFAULT_TS, p)
-    return q.value
-
-
-def _param_value_raw(name, alpha_mpf, tag, p):
-    q = integrate(_param_integrand(name, alpha_mpf, tag), DEFAULT_TS, p)
-    return q.value.value, q.evaluations
-
-
-def closed_derivative(pf, p):
-    """The closed-form derivative F'(alpha) or H'(alpha) at precision p."""
-    a = pf.alpha
-    with workprec(p.guarded):
-        av = mpf(a.numerator) / a.denominator
-        v = _f_prime_closed(av) if pf.name == "F" else _h_prime_closed(av)
-    return HPReal.from_raw(v, p)
-
-
 def _fd_step(p):
     # balances O(h^2) truncation against O(2^-p / h) quadrature noise,
     # leaving ~2p/3 matching bits; the pass tolerance is 2^-(p/2) for slack
     return ldexp(1, -(p.bits // 3))
-
-
-def _derivative_pair(name, alpha_frac, quad_p, h):
-    """(closed derivative, central finite difference, evaluations) at alpha.
-
-    `quad_p` is the precision handed to the quadratures; callers pass the
-    guarded precision so the difference quotient does not amplify boundary
-    rounding.
-    """
-    g = quad_p.guarded
-    with workprec(g):
-        a = mpf(alpha_frac.numerator) / alpha_frac.denominator
-        closed = _f_prime_closed(a) if name == "F" else _h_prime_closed(a)
-        up, n1 = _param_value_raw(name, a + h, f"{alpha_frac}+h", quad_p)
-        dn, n2 = _param_value_raw(name, a - h, f"{alpha_frac}-h", quad_p)
-        fd = (up - dn) / (2 * h)
-    return closed, fd, n1 + n2
-
-
-def check_param_derivative(pf, alphas, p, h=None):
-    """Certify the closed derivative at each alpha, then the reconstruction.
-
-    Per alpha: compare against the central finite difference with step h
-    (default 2^-(bits/3)) at tolerance 2^-(bits/2).  Finally integrate the
-    closed derivative over [0, 1] and compare with the directly evaluated
-    endpoint value F(1) (resp. H(1)) at 1e-35.
-    """
-    name = pf.name
-    results = []
-    pg = Precision(p.guarded)
-    tol_fd = ldexp(1, -(p.bits // 2))
-    if h is None:
-        h = _fd_step(p)
-    for alpha in alphas:
-        af = Fraction(alpha)
-        if not 0 < af <= 1:
-            raise ValueError("finite-difference alphas must lie in (0, 1]")
-        t0 = time.perf_counter()
-        closed, fd, evals = _derivative_pair(name, af, pg, h)
-        with workprec(p.guarded):
-            err = abs(closed - fd)
-        results.append(
-            _result(
-                f"{name}_prime_at_{af.numerator}_{af.denominator}",
-                f"closed {name}'({af}) vs central finite difference",
-                "Appendix 2" if name == "F" else "Appendix 3",
-                closed,
-                fd,
-                err,
-                tol_fd,
-                evals,
-                t0,
-                p,
-            )
-        )
-    t0 = time.perf_counter()
-    q = integrate(get_integrand(f"{name.lower()}_prime_closed"), DEFAULT_TS, pg)
-    endpoint = eval_param(ParamFunction(name, F(1)), pg)
-    with workprec(p.guarded):
-        err = abs(q.value.value - endpoint.value)
-    results.append(
-        _result(
-            f"{name}_reconstruct_endpoint",
-            f"integral of closed {name}' over [0,1] vs directly computed {name}(1)",
-            "Appendix 2" if name == "F" else "Appendix 3",
-            q.value.value,
-            endpoint.value,
-            err,
-            mpf(10) ** -35,
-            q.evaluations,
-            t0,
-            p,
-        )
-    )
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -475,16 +364,17 @@ class Pipe:
     evals: int
 
 
+Side = Union[ClosedForm, Reference, Callable]
+
+
 @dataclass(frozen=True)
 class IdentityCheck:
     id: str
     description: str
     ref: str
-    lhs: Callable
-    rhs: Union[ClosedForm, Reference, Callable]
+    lhs: Side
+    rhs: Side
     tolerance_policy: TolerancePolicy
-    # set only for the exact rational assembly check
-    exact_forms: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -540,9 +430,18 @@ class CheckContext:
             if check_id not in self._by_id:
                 raise CatalogError(f"referenced check {check_id!r} is not in the catalog")
             with workprec(self.pg.bits):
-                hit = self._by_id[check_id].lhs(self)
+                hit = _side_pipe(self._by_id[check_id].lhs, self)
             self._lhs[check_id] = hit
         return hit
+
+
+def _side_pipe(side, ctx):
+    """Evaluate one side of a check: a closed form, a reference or a pipeline."""
+    if isinstance(side, ClosedForm):
+        return Pipe(ctx.closed(side), mpf(0), 0)
+    if isinstance(side, Reference):
+        return ctx.lhs_pipe(side.check_id)
+    return side(ctx)
 
 
 def _quad_pipe(integrand_id, scheme=None):
@@ -616,12 +515,17 @@ def _funceq_pipe(ctx):
     return Pipe(dev, est, full.evaluations + half.evaluations + cosh_.evaluations)
 
 
-def _middle_pipe(ctx):
-    left = ctx.integrate("middle_alpha")
-    right = ctx.integrate("middle_t")
-    dev = abs(left.value.value - right.value.value / 2)
-    est = left.error_estimate.value + right.error_estimate.value / 2
-    return Pipe(dev, est, left.evaluations + right.evaluations)
+def _gap_pipe(a_id, b_id, w=1):
+    """|int a - w int b| with estimate e_a + w e_b; w is 1/2 or 1, so w*x is exact."""
+
+    def run(ctx):
+        a = ctx.integrate(a_id)
+        b = ctx.integrate(b_id)
+        dev = abs(a.value.value - w * b.value.value)
+        est = a.error_estimate.value + w * b.error_estimate.value
+        return Pipe(dev, est, a.evaluations + b.evaluations)
+
+    return run
 
 
 def _li2_pipe(ctx):
@@ -633,35 +537,27 @@ def _li2_pipe(ctx):
 
 
 def _param_grid_pipe(name):
+    """Max |closed derivative - central finite difference| over a in {0.3, 0.7, 1}."""
+    derivative = _f_prime_closed if name == "F" else _h_prime_closed
+
     def run(ctx):
-        # step size keyed to the *reporting* precision; quadrature runs guarded
+        # step size keyed to the *reporting* precision; the quadratures are
+        # handed the guarded precision so the difference quotient does not
+        # amplify boundary rounding
         h = _fd_step(ctx.p)
         dev, evals = mpf(0), 0
         for af in (F(3, 10), F(7, 10), F(1)):
-            closed, fd, n = _derivative_pair(name, af, ctx.pg, h)
+            with workprec(ctx.pg.guarded):
+                a = mpf(af.numerator) / af.denominator
+                closed = derivative(a)
+                up = integrate(_param_integrand(name, a + h, f"{af}+h"), DEFAULT_TS, ctx.pg)
+                dn = integrate(_param_integrand(name, a - h, f"{af}-h"), DEFAULT_TS, ctx.pg)
+                fd = (up.value.value - dn.value.value) / (2 * h)
             dev = max(dev, abs(closed - fd))
-            evals += n
+            evals += up.evaluations + dn.evaluations
         return Pipe(dev, mpf(0), evals)
 
     return run
-
-
-def _reconstruct_pipe(name, endpoint_integrand):
-    def run(ctx):
-        q = ctx.integrate(f"{name.lower()}_prime_closed")
-        endpoint = ctx.integrate(endpoint_integrand)
-        dev = abs(q.value.value - endpoint.value.value)
-        est = q.error_estimate.value + endpoint.error_estimate.value
-        return Pipe(dev, est, q.evaluations + endpoint.evaluations)
-
-    return run
-
-
-def _assembly_forms():
-    """LHS/RHS of the exact rational identity  A ln2 + B/2 + C = -sigma."""
-    lhs = cf_add(cf_add(cf_mul_ln2(A_CF), cf_scale(B_CF, F(1, 2))), C_CF)
-    rhs = cf_scale(SIGMA_CF, F(-1))
-    return lhs, rhs
 
 
 _CATALOG_CACHE = None
@@ -718,10 +614,9 @@ def catalog():
             id="eq07_assembly",
             description="exact rational identity: A ln2 + B/2 + C equals -sigma, coefficient by coefficient",
             ref="Eq. (7)",
-            lhs=lambda ctx: Pipe(ctx.closed(_assembly_forms()[0]), mpf(0), 0),
-            rhs=lambda ctx: Pipe(ctx.closed(_assembly_forms()[1]), mpf(0), 0),
+            lhs=ASSEMBLY_CF,
+            rhs=NEG_SIGMA_CF,
             tolerance_policy=Exact(),
-            exact_forms=_assembly_forms,
         ),
         IdentityCheck(
             id="eq08_A",
@@ -805,7 +700,7 @@ def catalog():
             id="app2_middle",
             description="int ln(1+a^2)/(a(1+a^2)) da equals half of int ln(1+t)/(t(1+t)) dt",
             ref="Appendix 2",
-            lhs=_middle_pipe,
+            lhs=_gap_pipe("middle_alpha", "middle_t", 0.5),
             rhs=ZERO_CF,
             tolerance_policy=Tol(-40),
         ),
@@ -883,7 +778,7 @@ def catalog():
             id="app2_F_reconstruct",
             description="int_0^1 F' da reproduces F(1) = I2",
             ref="Appendix 2",
-            lhs=_reconstruct_pipe("F", "i2_integrand"),
+            lhs=_gap_pipe("f_prime_closed", "i2_integrand"),
             rhs=ZERO_CF,
             tolerance_policy=Tol(-35),
         ),
@@ -899,7 +794,7 @@ def catalog():
             id="app3_H_reconstruct",
             description="int_0^1 H' da reproduces H(1) = I3",
             ref="Appendix 3",
-            lhs=_reconstruct_pipe("H", "i3_integrand"),
+            lhs=_gap_pipe("h_prime_closed", "i3_integrand"),
             rhs=ZERO_CF,
             tolerance_policy=Tol(-35),
         ),
@@ -951,42 +846,9 @@ def run_check(check, p, ctx=None, tolerance_exponent_override=None):
     """Evaluate one check at precision p and apply its tolerance policy."""
     ctx = ctx or CheckContext(p)
     t0 = time.perf_counter()
-
-    if check.exact_forms is not None:
-        lhs_cf, rhs_cf = check.exact_forms()
-        diff = cf_add(lhs_cf, cf_scale(rhs_cf, F(-1)))
-        with workprec(p.guarded):
-            lhs_v = ctx.closed(lhs_cf)
-            rhs_v = ctx.closed(rhs_cf)
-            err = mpf(0) if diff.is_zero() else abs(ctx.closed(diff))
-        tol = (
-            mpf(10) ** tolerance_exponent_override
-            if tolerance_exponent_override is not None
-            else mpf(0)
-        )
-        passed = diff.is_zero() if tolerance_exponent_override is None else err <= tol
-        elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
-        return CheckResult(
-            id=check.id,
-            description=check.description,
-            ref=check.ref,
-            lhs_value=HPReal.from_raw(lhs_v, p),
-            rhs_value=HPReal.from_raw(rhs_v, p),
-            abs_error=HPReal.from_raw(err, p),
-            tolerance=HPReal.from_raw(tol, p),
-            passed=passed,
-            evaluations=0,
-            elapsed_ms=elapsed_ms,
-        )
-
     with workprec(p.guarded):
-        lhs = check.lhs(ctx)
-        if isinstance(check.rhs, ClosedForm):
-            rhs = Pipe(ctx.closed(check.rhs), mpf(0), 0)
-        elif isinstance(check.rhs, Reference):
-            rhs = ctx.lhs_pipe(check.rhs.check_id)
-        else:
-            rhs = check.rhs(ctx)
+        lhs = _side_pipe(check.lhs, ctx)
+        rhs = _side_pipe(check.rhs, ctx)
         err = abs(lhs.value - rhs.value)
         est = lhs.est + rhs.est
         if tolerance_exponent_override is not None:

@@ -58,10 +58,6 @@ class HPReal:
         with workprec(precision.bits):
             return cls(+x, precision)
 
-    def round_to(self, precision):
-        """Re-round to a (typically lower) precision; error grows monotonically."""
-        return HPReal.from_raw(self.value, precision)
-
     def __float__(self):
         return float(self.value)
 

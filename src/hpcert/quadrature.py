@@ -315,14 +315,15 @@ def gauss_legendre_nodes(order, p):
 
 
 def _gl_orders(cap):
-    # the error estimate needs at least two rungs
+    # the error estimate needs at least two rungs; below order 16 they are
+    # cap // 2 and cap, and cap 2 starts from the 1-point (midpoint) rule
     orders = []
     n = 8
     while n <= cap:
         orders.append(n)
         n *= 2
     if len(orders) < 2:
-        orders = sorted({max(MIN_ORDER, cap // 2), cap})
+        orders = [cap // 2, cap]
     return orders
 
 

@@ -80,6 +80,21 @@ def harmonic_tail_fraction(n):
     return total
 
 
+def _paired_alternating(first, last):
+    """sum_{k=first}^{last} (-1)^(k-first)/k at the ambient precision, first odd.
+
+    Terms pair up as 1/k - 1/(k+1) = 1/(k(k+1)), which avoids cancellation.
+    """
+    s = mpf(0)
+    k = first
+    while k + 1 <= last:
+        s += mpf(1) / (k * (k + 1))
+        k += 2
+    if k <= last:  # odd leftover term
+        s += mpf(1) / k
+    return s
+
+
 def tail_integrand(n):
     """The integral route's integrand x^(2n)/(1+x) on [0, 1]."""
     e = 2 * n
@@ -104,14 +119,7 @@ def tail(n, route, p, scheme=None):
     if route is TailRoute.ALT_TAIL:
         m = 2 * n + ALT_TAIL_EXTRA_TERMS
         with workprec(g):
-            # terms pair up as 1/k - 1/(k+1) = 1/(k(k+1)), k odd
-            s = mpf(0)
-            k = 2 * n + 1
-            while k + 1 <= m:
-                s += mpf(1) / (k * (k + 1))
-                k += 2
-            if k <= m:  # odd leftover term
-                s += mpf(1) / k
+            s = _paired_alternating(2 * n + 1, m)
             bound = mpf(1) / (m + 1)
         return TailTerm(n, HPReal.from_raw(s, p), route, HPReal.from_raw(bound, p))
     if route is TailRoute.INTEGRAL:
@@ -225,13 +233,7 @@ def ln2_direct_partial(terms, p):
     """
     g = p.guarded
     with workprec(g):
-        s = mpf(0)
-        k = 1
-        while k + 1 <= terms:
-            s += mpf(1) / (k * (k + 1))
-            k += 2
-        if k <= terms:
-            s += mpf(1) / k
+        s = _paired_alternating(1, terms)
         bound = mpf(1) / (terms + 1)
     return SeriesResult(HPReal.from_raw(s, p), terms, HPReal.from_raw(bound, p))
 

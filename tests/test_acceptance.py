@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import ldexp, mpf, workprec
@@ -25,11 +26,15 @@ from hpcert import (
     sigma_series,
     tail,
 )
+from hpcert.cli import Report, render_json
 from hpcert.identities import DEFAULT_TENSOR, DEFAULT_TS, SIGMA_CF, _fd_step, get_integrand
 from hpcert.numeric import BasisConstant, constant_value
 
 P256 = Precision(256)
 P128 = Precision(128)
+
+REFERENCE_256 = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "cat256.json"
+REFERENCE_FIELDS = ("lhs", "rhs", "abs_error", "tolerance", "passed", "evaluations")
 
 QUADRATURE_CHECK_IDS = [
     "eq06_inner",
@@ -277,3 +282,16 @@ def test_criterion_8_property_suites(cat256, cat128):
         f"doubling worst={worst} (<=2^-120), GL exactness<=order 20: {gl_ok}, "
         f"CRZ-vs-Euler diff={accel_diff}",
     )
+
+
+def test_reports_match_the_recorded_reference(cat256):
+    # the benchmark checks its runs against the same file; pinning it here
+    # catches a digit change before a benchmark run does
+    results, _ = cat256
+    report = Report("-", P256.bits, "-", checks=list(results.values()))
+    rendered = json.loads(render_json(report, no_timestamp=True))["checks"]
+    reference = json.loads(REFERENCE_256.read_text(encoding="utf-8"))["checks"]
+    assert [c["id"] for c in rendered] == [c["id"] for c in reference]
+    for got, want in zip(rendered, reference):
+        for key in REFERENCE_FIELDS:
+            assert got[key] == want[key], f"{got['id']}.{key}: {got[key]} != {want[key]}"

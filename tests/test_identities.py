@@ -4,21 +4,26 @@ import pytest
 from mpmath import ldexp, mpf, workprec
 
 from hpcert import (
+    BasisConstant,
     CatalogError,
     ClosedForm,
-    ParamFunction,
     Precision,
     catalog,
-    check_param_derivative,
-    closed_derivative,
-    eval_param,
+    cf_add,
     run_catalog,
     run_check,
 )
 from hpcert.identities import (
+    DEFAULT_TS,
+    SIGMA_CF,
     CheckContext,
+    Exact,
     IdentityCheck,
     Tol,
+    _f_prime_closed,
+    _fd_step,
+    _h_prime_closed,
+    _param_integrand,
     _quad_pipe,
     get_integrand,
 )
@@ -76,10 +81,11 @@ def test_catalog_contents():
 
 def test_catalog_rhs_stays_in_basis():
     for c in catalog():
-        if isinstance(c.rhs, ClosedForm):
-            assert all(coeff != 0 for _, coeff in c.rhs.items)
-            # constructing the form already rejects foreign tags; spot-check
-            assert len(c.rhs.items) <= 7
+        for side in (c.lhs, c.rhs):
+            if isinstance(side, ClosedForm):
+                assert all(coeff != 0 for _, coeff in side.items)
+                # constructing the form already rejects foreign tags; spot-check
+                assert len(side.items) <= 7
 
 
 def test_run_check_eq08(p128):
@@ -122,6 +128,29 @@ def test_eq07_exact_assembly(p64):
     assert r.passed
     assert r.abs_error.value == 0
     assert r.tolerance.value == 0
+
+
+def test_eq07_tolerance_override_keeps_zero_error(p64):
+    r = run_check(by_id("eq07_assembly"), p64, tolerance_exponent_override=-10)
+    assert r.passed
+    assert r.abs_error.value == 0
+
+
+def test_exact_tolerance_rejects_unequal_closed_forms(p64):
+    nudged = cf_add(SIGMA_CF, ClosedForm({BasisConstant.ONE: Fraction(1, 10**15)}))
+    check = IdentityCheck(
+        id="unequal",
+        description="two closed forms that differ by 1e-15",
+        ref="-",
+        lhs=SIGMA_CF,
+        rhs=nudged,
+        tolerance_policy=Exact(),
+    )
+    r = run_check(check, p64)
+    assert not r.passed
+    assert r.abs_error.value > 0
+    assert r.tolerance.value == 0
+    assert r.evaluations == 0
 
 
 def test_sigma_triple_route(p128):
@@ -173,47 +202,46 @@ def test_monotone_refinement_under_level_raise(p128):
     assert rs[0].level_or_order == rs[1].level_or_order
 
 
-# --- parameter functions ----------------------------------------------------
+# --- parameter families F(a), H(a) -----------------------------------------
 
 
-def test_param_validation():
-    with pytest.raises(ValueError):
-        ParamFunction("G", Fraction(1, 2))
-    with pytest.raises(ValueError):
-        ParamFunction("F", Fraction(3, 2))
+def param_value(name, alpha, p):
+    """F(alpha) or H(alpha) by the catalog's tanh-sinh rule at precision p."""
+    with workprec(p.guarded):
+        a = mpf(alpha.numerator) / alpha.denominator
+    return integrate(_param_integrand(name, a, str(alpha)), DEFAULT_TS, p).value.value
 
 
 def test_param_endpoints_zero(p128):
-    assert eval_param(ParamFunction("F", 0), p128).value == 0
-    assert eval_param(ParamFunction("H", 0), p128).value == 0
+    assert param_value("F", Fraction(0), p128) == 0
+    assert param_value("H", Fraction(0), p128) == 0
 
 
 def test_param_f1_h1_frozen(p256):
-    assert_close(eval_param(ParamFunction("F", 1), p256).value, I2, mpf(10) ** -40)
-    assert_close(eval_param(ParamFunction("H", 1), p256).value, I3, mpf(10) ** -40)
+    assert_close(param_value("F", Fraction(1), p256), I2, mpf(10) ** -40)
+    assert_close(param_value("H", Fraction(1), p256), I3, mpf(10) ** -40)
 
 
 def test_closed_derivative_at_one(p128):
-    assert_close(closed_derivative(ParamFunction("F", 1), p128).value, F_PRIME_1, mpf(10) ** -30)
-    assert_close(closed_derivative(ParamFunction("H", 1), p128).value, H_PRIME_1, mpf(10) ** -30)
+    with workprec(p128.guarded):
+        assert_close(_f_prime_closed(mpf(1)), F_PRIME_1, mpf(10) ** -30)
+        assert_close(_h_prime_closed(mpf(1)), H_PRIME_1, mpf(10) ** -30)
 
 
-def test_check_param_derivative_h_midpoint(p128):
-    rs = check_param_derivative(ParamFunction("H", 1), [Fraction(1, 2)], p128)
-    assert [r.id for r in rs] == ["H_prime_at_1_2", "H_reconstruct_endpoint"]
-    assert all(r.passed for r in rs)
-    fd = rs[0]
-    assert fd.abs_error.value <= ldexp(1, -(128 // 2))
-
-
-def test_check_param_derivative_rejects_zero(p128):
-    with pytest.raises(ValueError):
-        check_param_derivative(ParamFunction("F", 1), [Fraction(0)], p128)
+def test_h_prime_midpoint_matches_finite_difference(p128):
+    # a = 1/2 lies off the catalog's grid {0.3, 0.7, 1}
+    pg = Precision(p128.guarded)
+    h = _fd_step(p128)
+    with workprec(pg.guarded):
+        a = mpf(1) / 2
+        up = integrate(_param_integrand("H", a + h, "1/2+h"), DEFAULT_TS, pg).value.value
+        dn = integrate(_param_integrand("H", a - h, "1/2-h"), DEFAULT_TS, pg).value.value
+        dev = abs(_h_prime_closed(a) - (up - dn) / (2 * h))
+    assert dev <= ldexp(1, -(128 // 2))
+    assert run_check(by_id("app3_H_reconstruct"), p128).passed
 
 
 def test_param_monotone_on_grid(p128):
     for name in ("F", "H"):
-        values = [
-            eval_param(ParamFunction(name, Fraction(k, 10)), p128).value for k in range(11)
-        ]
+        values = [param_value(name, Fraction(k, 10), p128) for k in range(11)]
         assert all(b >= a for a, b in zip(values, values[1:]))

@@ -210,6 +210,13 @@ def test_gl_nodes_symmetric(p128):
             assert nodes[i][1] == nodes[11 - i][1]
 
 
+def test_gl_order_2_integrates_x(p128):
+    # the 2-point rule is exact on x; its ladder still needs a coarser rung
+    f = Integrand(id="x", dimension=1, evaluator=lambda x: x, domain=(0, 1))
+    r = integrate(f, GaussLegendre(2), p128)
+    assert abs(r.value.value - mpf(1) / 2) <= ldexp(1, -(p128.bits - 8))
+
+
 # --- 2D tensor rule ---------------------------------------------------------
 
 
@@ -223,6 +230,12 @@ def test_2d_xy_quarter(p64):
     f = Integrand(id="xy", dimension=2, evaluator=lambda x, y: x * y, domain=((0, 1), (0, 1)))
     r = integrate_2d(f, Tensor2D(GaussLegendre(32)), p64)
     assert abs(r.value.value - mpf(1) / 4) < ldexp(1, -50)
+
+
+def test_2d_gl_order_2_xy_quarter(p128):
+    f = Integrand(id="xy", dimension=2, evaluator=lambda x, y: x * y, domain=((0, 1), (0, 1)))
+    r = integrate_2d(f, Tensor2D(GaussLegendre(2)), p128)
+    assert abs(r.value.value - mpf(1) / 4) <= ldexp(1, -(p128.bits - 8))
 
 
 def test_2d_separable_matches_1d_product(p64):
