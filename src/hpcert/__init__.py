@@ -46,7 +46,6 @@ from .series import (
     TailRoute,
     TailTerm,
     ln1pt_over_t,
-    sigma_partial,
     sigma_series,
     sum_alternating,
     tail,

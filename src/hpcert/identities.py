@@ -1,12 +1,13 @@
 """The check catalog: one entry per certified identity, plus the runner.
 
-Each `IdentityCheck` compares two sides.  A side is a pipeline (quadrature,
-accelerated series, or a rational combination of both), an exact
-`ClosedForm` over the seven-constant basis (zero for route-against-route
-comparisons), or a reference to another check's left-hand side.
-`run_check` evaluates both sides at the requested precision and applies the
-check's tolerance policy; `run_catalog` executes a filtered selection in
-catalog order, optionally on a process pool.
+Each `IdentityCheck` compares two sides.  A side is either a pipeline
+(quadrature, accelerated series, or a rational combination of both) or an
+exact `ClosedForm` over the seven-constant basis (zero for route-against-route
+comparisons).  Every quadrature a pipeline needs goes through
+`CheckContext.integrate`, which picks the catalog's rule and memoises the
+result per run.  `run_check` evaluates both sides at the requested precision
+and applies the check's tolerance policy; `run_catalog` executes a filtered
+selection in catalog order, optionally on a process pool.
 
 The catalog order follows the derivation it certifies, so a rendered report
 reads as a walkthrough: the series value, its reduction to a double
@@ -350,13 +351,6 @@ class Exact:
 TolerancePolicy = Union[Tol, TolExact, TolHalfBits, QuadEstimate, Exact]
 
 
-@dataclass(frozen=True)
-class Reference:
-    """RHS marker: compare against another check's LHS pipeline value."""
-
-    check_id: str
-
-
 @dataclass
 class Pipe:
     value: mpf
@@ -364,7 +358,7 @@ class Pipe:
     evals: int
 
 
-Side = Union[ClosedForm, Reference, Callable]
+Side = Union[ClosedForm, Callable]
 
 
 @dataclass(frozen=True)
@@ -404,49 +398,32 @@ class CheckContext:
         self.p = p
         self.pg = Precision(p.guarded)
         self._quad = {}
-        self._lhs = {}
-        self._by_id = None
 
-    def integrate(self, integrand_id, scheme=None):
-        scheme = scheme or (
-            DEFAULT_TENSOR if get_integrand(integrand_id).dimension == 2 else DEFAULT_TS
-        )
-        key = (integrand_id, scheme)
-        hit = self._quad.get(key)
+    def integrate(self, f):
+        """Integrate `f` by the catalog's rule for its dimension, memoised on `f`."""
+        hit = self._quad.get(f)
         if hit is None:
-            f = get_integrand(integrand_id)
-            hit = integrate_2d(f, scheme, self.pg) if f.dimension == 2 else integrate(f, scheme, self.pg)
-            self._quad[key] = hit
+            if f.dimension == 2:
+                hit = integrate_2d(f, DEFAULT_TENSOR, self.pg)
+            else:
+                hit = integrate(f, DEFAULT_TS, self.pg)
+            self._quad[f] = hit
         return hit
 
     def closed(self, cf):
         return eval_closed_form(cf, self.pg).value
 
-    def lhs_pipe(self, check_id):
-        hit = self._lhs.get(check_id)
-        if hit is None:
-            if self._by_id is None:
-                self._by_id = {c.id: c for c in catalog()}
-            if check_id not in self._by_id:
-                raise CatalogError(f"referenced check {check_id!r} is not in the catalog")
-            with workprec(self.pg.bits):
-                hit = _side_pipe(self._by_id[check_id].lhs, self)
-            self._lhs[check_id] = hit
-        return hit
-
 
 def _side_pipe(side, ctx):
-    """Evaluate one side of a check: a closed form, a reference or a pipeline."""
+    """Evaluate one side of a check: a closed form or a pipeline."""
     if isinstance(side, ClosedForm):
         return Pipe(ctx.closed(side), mpf(0), 0)
-    if isinstance(side, Reference):
-        return ctx.lhs_pipe(side.check_id)
     return side(ctx)
 
 
-def _quad_pipe(integrand_id, scheme=None):
+def _quad_pipe(integrand_id):
     def run(ctx):
-        q = ctx.integrate(integrand_id, scheme)
+        q = ctx.integrate(get_integrand(integrand_id))
         return Pipe(q.value.value, q.error_estimate.value, q.evaluations)
 
     return run
@@ -482,7 +459,7 @@ def _eq04_pipe(ctx):
     dev, est, evals = mpf(0), mpf(0), 0
     for n in (1, 2, 3, 5, 10, 20):
         harm = series.tail(n, series.TailRoute.HARMONIC, ctx.pg)
-        q = integrate(series.tail_integrand(n), DEFAULT_TS, ctx.pg)
+        q = ctx.integrate(series.tail_integrand(n))
         dev = max(dev, abs(harm.value.value - q.value.value))
         est = max(est, q.error_estimate.value)
         evals += q.evaluations
@@ -493,7 +470,7 @@ def _eq06_pipe(ctx):
     ln2 = _ln2_here()
     dev, est, evals = mpf(0), mpf(0), 0
     for x0 in EQ06_GRID:
-        q = ctx.integrate(f"eq06_inner_{x0.numerator}_{x0.denominator}")
+        q = ctx.integrate(get_integrand(f"eq06_inner_{x0.numerator}_{x0.denominator}"))
         x = mpf(x0.numerator) / x0.denominator
         x2 = x * x
         closed = x2 / (1 + x2) * ln2 + log1p(x2) / (2 * (1 + x2)) - x * atan(x) / (1 + x2)
@@ -504,9 +481,9 @@ def _eq06_pipe(ctx):
 
 
 def _funceq_pipe(ctx):
-    full = ctx.integrate("log_sin_full")
-    half = ctx.integrate("log_sin_half")
-    cosh_ = ctx.integrate("log_cos_half")
+    full, half, cosh_ = (
+        ctx.integrate(get_integrand(i)) for i in ("log_sin_full", "log_sin_half", "log_cos_half")
+    )
     dev = max(
         abs(full.value.value - 2 * half.value.value),
         abs(cosh_.value.value - half.value.value),
@@ -519,8 +496,8 @@ def _gap_pipe(a_id, b_id, w=1):
     """|int a - w int b| with estimate e_a + w e_b; w is 1/2 or 1, so w*x is exact."""
 
     def run(ctx):
-        a = ctx.integrate(a_id)
-        b = ctx.integrate(b_id)
+        a = ctx.integrate(get_integrand(a_id))
+        b = ctx.integrate(get_integrand(b_id))
         dev = abs(a.value.value - w * b.value.value)
         est = a.error_estimate.value + w * b.error_estimate.value
         return Pipe(dev, est, a.evaluations + b.evaluations)
@@ -530,7 +507,7 @@ def _gap_pipe(a_id, b_id, w=1):
 
 def _li2_pipe(ctx):
     s = series.ln1pt_over_t(ctx.pg).value
-    q = ctx.integrate("ln1p_t_over_t")
+    q = ctx.integrate(get_integrand("ln1p_t_over_t"))
     cf = ctx.closed(LI2_CF)
     dev = max(abs(s - q.value.value), abs(s - cf), abs(q.value.value - cf))
     return Pipe(dev, q.error_estimate.value, q.evaluations)
@@ -550,8 +527,8 @@ def _param_grid_pipe(name):
             with workprec(ctx.pg.guarded):
                 a = mpf(af.numerator) / af.denominator
                 closed = derivative(a)
-                up = integrate(_param_integrand(name, a + h, f"{af}+h"), DEFAULT_TS, ctx.pg)
-                dn = integrate(_param_integrand(name, a - h, f"{af}-h"), DEFAULT_TS, ctx.pg)
+                up = ctx.integrate(_param_integrand(name, a + h, f"{af}+h"))
+                dn = ctx.integrate(_param_integrand(name, a - h, f"{af}-h"))
                 fd = (up.value.value - dn.value.value) / (2 * h)
             dev = max(dev, abs(closed - fd))
             evals += up.evaluations + dn.evaluations
@@ -560,250 +537,245 @@ def _param_grid_pipe(name):
     return run
 
 
-_CATALOG_CACHE = None
+CATALOG = (
+    IdentityCheck(
+        id="eq01_sigma_series",
+        description="accelerated series sum (-1)^n a_n^2 equals G/2 + pi^2/48 - (7/8)(ln2)^2 - (pi/8)ln2",
+        ref="Eq. (1)",
+        lhs=_sigma_series_pipe,
+        rhs=SIGMA_CF,
+        tolerance_policy=Tol(-20),
+    ),
+    IdentityCheck(
+        id="eq03_ln2",
+        description=f"alternating harmonic partial sum of {LN2_DIRECT_TERMS} terms brackets ln2 within 1/(N+1)",
+        ref="Eq. (3)",
+        lhs=_eq03_pipe,
+        rhs=LN2_CF,
+        tolerance_policy=TolExact(F(1, LN2_DIRECT_TERMS + 1)),
+    ),
+    IdentityCheck(
+        id="eq04_tail_routes",
+        description="harmonic-tail route vs integral route for a_n, n in {1,2,3,5,10,20}",
+        ref="Eqs. (2)-(4)",
+        lhs=_eq04_pipe,
+        rhs=ZERO_CF,
+        tolerance_policy=QuadEstimate(),
+    ),
+    IdentityCheck(
+        id="eq05_sigma_2d",
+        description="double integral of -x^2 y^2/((1+x^2 y^2)(1+x)(1+y)) equals the series value",
+        ref="Eq. (5)",
+        lhs=_quad_pipe("sigma_double"),
+        rhs=_sigma_series_pipe,
+        tolerance_policy=Tol(-20),
+    ),
+    IdentityCheck(
+        id="eq06_inner",
+        description="inner integral of u^2/((1+u^2)(u+x)) over [0,x] vs its closed form on a grid of x",
+        ref="Eq. (6)",
+        lhs=_eq06_pipe,
+        rhs=ZERO_CF,
+        tolerance_policy=Tol(-40),
+    ),
+    IdentityCheck(
+        id="eq07_assembly",
+        description="exact rational identity: A ln2 + B/2 + C equals -sigma, coefficient by coefficient",
+        ref="Eq. (7)",
+        lhs=ASSEMBLY_CF,
+        rhs=NEG_SIGMA_CF,
+        tolerance_policy=Exact(),
+    ),
+    IdentityCheck(
+        id="eq08_A",
+        description="int x^2/((1+x^2)(1+x)) = (3/4)ln2 - pi/8",
+        ref="Eq. (8)",
+        lhs=_quad_pipe("a_integrand"),
+        rhs=A_CF,
+        tolerance_policy=Tol(-40),
+    ),
+    IdentityCheck(
+        id="eq09_B_split",
+        description="B integral equals (I2 + I1 - int x ln(1+x^2)/(1+x^2))/2, all by quadrature",
+        ref="Eq. (9)",
+        lhs=_quad_pipe("b_integrand"),
+        rhs=_combo_pipe(
+            [
+                (F(1, 2), _quad_pipe("i2_integrand")),
+                (F(1, 2), _quad_pipe("i1_integrand")),
+                (F(-1, 2), _quad_pipe("x_ln_1px2_over_1px2")),
+            ]
+        ),
+        tolerance_policy=Tol(-40),
+    ),
+    IdentityCheck(
+        id="eq10",
+        description="int x ln(1+x^2)/(1+x^2) = (ln2)^2/4",
+        ref="Eq. (10)",
+        lhs=_quad_pipe("x_ln_1px2_over_1px2"),
+        rhs=EQ10_CF,
+        tolerance_policy=Tol(-40),
+    ),
+    IdentityCheck(
+        id="app1_I1",
+        description="I1 = int ln(1+x^2)/(1+x^2) = (pi/2)ln2 - G",
+        ref="Eq. (11) / Appendix 1",
+        lhs=_quad_pipe("i1_integrand"),
+        rhs=I1_CF,
+        tolerance_policy=Tol(-40),
+    ),
+    IdentityCheck(
+        id="app1_I1_substitution",
+        description="int (ln(1+x^2) - ln x)/(1+x^2) = (pi/2)ln2  (the I1 + G form)",
+        ref="Appendix 1",
+        lhs=_quad_pipe("i1_minus_ln_x"),
+        rhs=ClosedForm({PI_LN2: F(1, 2)}),
+        tolerance_policy=Tol(-40),
+    ),
+    IdentityCheck(
+        id="app1_catalan_integral",
+        description="-int ln x/(1+x^2) = G, the integral representation behind I1",
+        ref="Appendix 1",
+        lhs=_quad_pipe("neg_ln_x_over_1px2"),
+        rhs=CATALAN_CF,
+        tolerance_policy=Tol(-40),
+    ),
+    IdentityCheck(
+        id="app1_logsine",
+        description="int_0^{pi/2} ln sin = -(pi/2)ln2 despite the endpoint singularity",
+        ref="Appendix 1",
+        lhs=_quad_pipe("log_sin_half"),
+        rhs=LOGSINE_CF,
+        tolerance_policy=Tol(-40),
+    ),
+    IdentityCheck(
+        id="app1_logsine_funceq",
+        description="functional equation: int_0^pi ln sin = 2 int_0^{pi/2} ln sin and cos/sin symmetry",
+        ref="Appendix 1",
+        lhs=_funceq_pipe,
+        rhs=ZERO_CF,
+        tolerance_policy=Tol(-40),
+    ),
+    IdentityCheck(
+        id="app2_I2",
+        description="I2 = int ln(1+x^2)/(1+x) = (3/4)(ln2)^2 - pi^2/48",
+        ref="Eq. (12) / Appendix 2",
+        lhs=_quad_pipe("i2_integrand"),
+        rhs=I2_CF,
+        tolerance_policy=Tol(-40),
+    ),
+    IdentityCheck(
+        id="app2_middle",
+        description="int ln(1+a^2)/(a(1+a^2)) da equals half of int ln(1+t)/(t(1+t)) dt",
+        ref="Appendix 2",
+        lhs=_gap_pipe("middle_alpha", "middle_t", 0.5),
+        rhs=ZERO_CF,
+        tolerance_policy=Tol(-40),
+    ),
+    IdentityCheck(
+        id="app2_li2",
+        description="sum (-1)^(n-1)/n^2, int ln(1+t)/t, and pi^2/12 agree pairwise",
+        ref="Appendix 2",
+        lhs=_li2_pipe,
+        rhs=ZERO_CF,
+        tolerance_policy=Tol(-40),
+    ),
+    IdentityCheck(
+        id="eq13_B",
+        description="B = ((ln2)^2/2 - pi^2/48 + (pi/2)ln2 - G)/2",
+        ref="Eq. (13)",
+        lhs=_quad_pipe("b_integrand"),
+        rhs=B_CF,
+        tolerance_policy=Tol(-40),
+    ),
+    IdentityCheck(
+        id="eq14_C_split",
+        description="C integral equals (I3 - int x arctan x/(1+x^2) - int arctan x/(1+x^2))/2",
+        ref="Eq. (14)",
+        lhs=_quad_pipe("c_integrand"),
+        rhs=_combo_pipe(
+            [
+                (F(1, 2), _quad_pipe("i3_integrand")),
+                (F(-1, 2), _quad_pipe("eq17_integrand")),
+                (F(-1, 2), _quad_pipe("eq16_integrand")),
+            ]
+        ),
+        tolerance_policy=Tol(-40),
+    ),
+    IdentityCheck(
+        id="app3_I3",
+        description="I3 = int arctan x/(1+x) = (pi/8)ln2",
+        ref="Eq. (15) / Appendix 3",
+        lhs=_quad_pipe("i3_integrand"),
+        rhs=I3_CF,
+        tolerance_policy=Tol(-40),
+    ),
+    IdentityCheck(
+        id="eq16",
+        description="int arctan x/(1+x^2) = pi^2/32",
+        ref="Eq. (16)",
+        lhs=_quad_pipe("eq16_integrand"),
+        rhs=EQ16_CF,
+        tolerance_policy=Tol(-40),
+    ),
+    IdentityCheck(
+        id="eq17",
+        description="int x arctan x/(1+x^2) = G/2 - (pi/8)ln2",
+        ref="Eq. (17)",
+        lhs=_quad_pipe("eq17_integrand"),
+        rhs=EQ17_CF,
+        tolerance_policy=Tol(-40),
+    ),
+    IdentityCheck(
+        id="eq18_C",
+        description="C = ((pi/4)ln2 - pi^2/32 - G/2)/2",
+        ref="Eq. (18)",
+        lhs=_quad_pipe("c_integrand"),
+        rhs=C_CF,
+        tolerance_policy=Tol(-40),
+    ),
+    IdentityCheck(
+        id="app2_F_derivative",
+        description="closed F'(a) vs central finite differences at a in {0.3, 0.7, 1}",
+        ref="Appendix 2",
+        lhs=_param_grid_pipe("F"),
+        rhs=ZERO_CF,
+        tolerance_policy=TolHalfBits(),
+    ),
+    IdentityCheck(
+        id="app2_F_reconstruct",
+        description="int_0^1 F' da reproduces F(1) = I2",
+        ref="Appendix 2",
+        lhs=_gap_pipe("f_prime_closed", "i2_integrand"),
+        rhs=ZERO_CF,
+        tolerance_policy=Tol(-35),
+    ),
+    IdentityCheck(
+        id="app3_H_derivative",
+        description="closed H'(a) vs central finite differences at a in {0.3, 0.7, 1}",
+        ref="Appendix 3",
+        lhs=_param_grid_pipe("H"),
+        rhs=ZERO_CF,
+        tolerance_policy=TolHalfBits(),
+    ),
+    IdentityCheck(
+        id="app3_H_reconstruct",
+        description="int_0^1 H' da reproduces H(1) = I3",
+        ref="Appendix 3",
+        lhs=_gap_pipe("h_prime_closed", "i3_integrand"),
+        rhs=ZERO_CF,
+        tolerance_policy=Tol(-35),
+    ),
+)
+
+_BY_ID = {c.id: c for c in CATALOG}
+if len(_BY_ID) != len(CATALOG):
+    raise CatalogError("catalog ids are not unique")
 
 
 def catalog():
     """The full ordered check catalog."""
-    global _CATALOG_CACHE
-    if _CATALOG_CACHE is not None:
-        return _CATALOG_CACHE
-
-    checks = [
-        IdentityCheck(
-            id="eq01_sigma_series",
-            description="accelerated series sum (-1)^n a_n^2 equals G/2 + pi^2/48 - (7/8)(ln2)^2 - (pi/8)ln2",
-            ref="Eq. (1)",
-            lhs=_sigma_series_pipe,
-            rhs=SIGMA_CF,
-            tolerance_policy=Tol(-20),
-        ),
-        IdentityCheck(
-            id="eq03_ln2",
-            description=f"alternating harmonic partial sum of {LN2_DIRECT_TERMS} terms brackets ln2 within 1/(N+1)",
-            ref="Eq. (3)",
-            lhs=_eq03_pipe,
-            rhs=LN2_CF,
-            tolerance_policy=TolExact(F(1, LN2_DIRECT_TERMS + 1)),
-        ),
-        IdentityCheck(
-            id="eq04_tail_routes",
-            description="harmonic-tail route vs integral route for a_n, n in {1,2,3,5,10,20}",
-            ref="Eqs. (2)-(4)",
-            lhs=_eq04_pipe,
-            rhs=ZERO_CF,
-            tolerance_policy=QuadEstimate(),
-        ),
-        IdentityCheck(
-            id="eq05_sigma_2d",
-            description="double integral of -x^2 y^2/((1+x^2 y^2)(1+x)(1+y)) equals the series value",
-            ref="Eq. (5)",
-            lhs=_quad_pipe("sigma_double", DEFAULT_TENSOR),
-            rhs=Reference("eq01_sigma_series"),
-            tolerance_policy=Tol(-20),
-        ),
-        IdentityCheck(
-            id="eq06_inner",
-            description="inner integral of u^2/((1+u^2)(u+x)) over [0,x] vs its closed form on a grid of x",
-            ref="Eq. (6)",
-            lhs=_eq06_pipe,
-            rhs=ZERO_CF,
-            tolerance_policy=Tol(-40),
-        ),
-        IdentityCheck(
-            id="eq07_assembly",
-            description="exact rational identity: A ln2 + B/2 + C equals -sigma, coefficient by coefficient",
-            ref="Eq. (7)",
-            lhs=ASSEMBLY_CF,
-            rhs=NEG_SIGMA_CF,
-            tolerance_policy=Exact(),
-        ),
-        IdentityCheck(
-            id="eq08_A",
-            description="int x^2/((1+x^2)(1+x)) = (3/4)ln2 - pi/8",
-            ref="Eq. (8)",
-            lhs=_quad_pipe("a_integrand"),
-            rhs=A_CF,
-            tolerance_policy=Tol(-40),
-        ),
-        IdentityCheck(
-            id="eq09_B_split",
-            description="B integral equals (I2 + I1 - int x ln(1+x^2)/(1+x^2))/2, all by quadrature",
-            ref="Eq. (9)",
-            lhs=_quad_pipe("b_integrand"),
-            rhs=_combo_pipe(
-                [
-                    (F(1, 2), _quad_pipe("i2_integrand")),
-                    (F(1, 2), _quad_pipe("i1_integrand")),
-                    (F(-1, 2), _quad_pipe("x_ln_1px2_over_1px2")),
-                ]
-            ),
-            tolerance_policy=Tol(-40),
-        ),
-        IdentityCheck(
-            id="eq10",
-            description="int x ln(1+x^2)/(1+x^2) = (ln2)^2/4",
-            ref="Eq. (10)",
-            lhs=_quad_pipe("x_ln_1px2_over_1px2"),
-            rhs=EQ10_CF,
-            tolerance_policy=Tol(-40),
-        ),
-        IdentityCheck(
-            id="app1_I1",
-            description="I1 = int ln(1+x^2)/(1+x^2) = (pi/2)ln2 - G",
-            ref="Eq. (11) / Appendix 1",
-            lhs=_quad_pipe("i1_integrand"),
-            rhs=I1_CF,
-            tolerance_policy=Tol(-40),
-        ),
-        IdentityCheck(
-            id="app1_I1_substitution",
-            description="int (ln(1+x^2) - ln x)/(1+x^2) = (pi/2)ln2  (the I1 + G form)",
-            ref="Appendix 1",
-            lhs=_quad_pipe("i1_minus_ln_x"),
-            rhs=ClosedForm({PI_LN2: F(1, 2)}),
-            tolerance_policy=Tol(-40),
-        ),
-        IdentityCheck(
-            id="app1_catalan_integral",
-            description="-int ln x/(1+x^2) = G, the integral representation behind I1",
-            ref="Appendix 1",
-            lhs=_quad_pipe("neg_ln_x_over_1px2"),
-            rhs=CATALAN_CF,
-            tolerance_policy=Tol(-40),
-        ),
-        IdentityCheck(
-            id="app1_logsine",
-            description="int_0^{pi/2} ln sin = -(pi/2)ln2 despite the endpoint singularity",
-            ref="Appendix 1",
-            lhs=_quad_pipe("log_sin_half"),
-            rhs=LOGSINE_CF,
-            tolerance_policy=Tol(-40),
-        ),
-        IdentityCheck(
-            id="app1_logsine_funceq",
-            description="functional equation: int_0^pi ln sin = 2 int_0^{pi/2} ln sin and cos/sin symmetry",
-            ref="Appendix 1",
-            lhs=_funceq_pipe,
-            rhs=ZERO_CF,
-            tolerance_policy=Tol(-40),
-        ),
-        IdentityCheck(
-            id="app2_I2",
-            description="I2 = int ln(1+x^2)/(1+x) = (3/4)(ln2)^2 - pi^2/48",
-            ref="Eq. (12) / Appendix 2",
-            lhs=_quad_pipe("i2_integrand"),
-            rhs=I2_CF,
-            tolerance_policy=Tol(-40),
-        ),
-        IdentityCheck(
-            id="app2_middle",
-            description="int ln(1+a^2)/(a(1+a^2)) da equals half of int ln(1+t)/(t(1+t)) dt",
-            ref="Appendix 2",
-            lhs=_gap_pipe("middle_alpha", "middle_t", 0.5),
-            rhs=ZERO_CF,
-            tolerance_policy=Tol(-40),
-        ),
-        IdentityCheck(
-            id="app2_li2",
-            description="sum (-1)^(n-1)/n^2, int ln(1+t)/t, and pi^2/12 agree pairwise",
-            ref="Appendix 2",
-            lhs=_li2_pipe,
-            rhs=ZERO_CF,
-            tolerance_policy=Tol(-40),
-        ),
-        IdentityCheck(
-            id="eq13_B",
-            description="B = ((ln2)^2/2 - pi^2/48 + (pi/2)ln2 - G)/2",
-            ref="Eq. (13)",
-            lhs=_quad_pipe("b_integrand"),
-            rhs=B_CF,
-            tolerance_policy=Tol(-40),
-        ),
-        IdentityCheck(
-            id="eq14_C_split",
-            description="C integral equals (I3 - int x arctan x/(1+x^2) - int arctan x/(1+x^2))/2",
-            ref="Eq. (14)",
-            lhs=_quad_pipe("c_integrand"),
-            rhs=_combo_pipe(
-                [
-                    (F(1, 2), _quad_pipe("i3_integrand")),
-                    (F(-1, 2), _quad_pipe("eq17_integrand")),
-                    (F(-1, 2), _quad_pipe("eq16_integrand")),
-                ]
-            ),
-            tolerance_policy=Tol(-40),
-        ),
-        IdentityCheck(
-            id="app3_I3",
-            description="I3 = int arctan x/(1+x) = (pi/8)ln2",
-            ref="Eq. (15) / Appendix 3",
-            lhs=_quad_pipe("i3_integrand"),
-            rhs=I3_CF,
-            tolerance_policy=Tol(-40),
-        ),
-        IdentityCheck(
-            id="eq16",
-            description="int arctan x/(1+x^2) = pi^2/32",
-            ref="Eq. (16)",
-            lhs=_quad_pipe("eq16_integrand"),
-            rhs=EQ16_CF,
-            tolerance_policy=Tol(-40),
-        ),
-        IdentityCheck(
-            id="eq17",
-            description="int x arctan x/(1+x^2) = G/2 - (pi/8)ln2",
-            ref="Eq. (17)",
-            lhs=_quad_pipe("eq17_integrand"),
-            rhs=EQ17_CF,
-            tolerance_policy=Tol(-40),
-        ),
-        IdentityCheck(
-            id="eq18_C",
-            description="C = ((pi/4)ln2 - pi^2/32 - G/2)/2",
-            ref="Eq. (18)",
-            lhs=_quad_pipe("c_integrand"),
-            rhs=C_CF,
-            tolerance_policy=Tol(-40),
-        ),
-        IdentityCheck(
-            id="app2_F_derivative",
-            description="closed F'(a) vs central finite differences at a in {0.3, 0.7, 1}",
-            ref="Appendix 2",
-            lhs=_param_grid_pipe("F"),
-            rhs=ZERO_CF,
-            tolerance_policy=TolHalfBits(),
-        ),
-        IdentityCheck(
-            id="app2_F_reconstruct",
-            description="int_0^1 F' da reproduces F(1) = I2",
-            ref="Appendix 2",
-            lhs=_gap_pipe("f_prime_closed", "i2_integrand"),
-            rhs=ZERO_CF,
-            tolerance_policy=Tol(-35),
-        ),
-        IdentityCheck(
-            id="app3_H_derivative",
-            description="closed H'(a) vs central finite differences at a in {0.3, 0.7, 1}",
-            ref="Appendix 3",
-            lhs=_param_grid_pipe("H"),
-            rhs=ZERO_CF,
-            tolerance_policy=TolHalfBits(),
-        ),
-        IdentityCheck(
-            id="app3_H_reconstruct",
-            description="int_0^1 H' da reproduces H(1) = I3",
-            ref="Appendix 3",
-            lhs=_gap_pipe("h_prime_closed", "i3_integrand"),
-            rhs=ZERO_CF,
-            tolerance_policy=Tol(-35),
-        ),
-    ]
-    ids = [c.id for c in checks]
-    if len(ids) != len(set(ids)):
-        raise CatalogError("catalog ids are not unique")
-    _CATALOG_CACHE = checks
-    return checks
+    return CATALOG
 
 
 # ---------------------------------------------------------------------------
@@ -826,53 +798,37 @@ def _resolve_tolerance(policy, p, est):
     raise ValueError(f"unknown tolerance policy {policy!r}")
 
 
-def _result(cid, description, ref, lhs, rhs, err, tol, evals, t0, p):
-    elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
-    return CheckResult(
-        id=cid,
-        description=description,
-        ref=ref,
-        lhs_value=HPReal.from_raw(lhs, p),
-        rhs_value=HPReal.from_raw(rhs, p),
-        abs_error=HPReal.from_raw(err, p),
-        tolerance=HPReal.from_raw(tol, p),
-        passed=bool(err <= tol),
-        evaluations=evals,
-        elapsed_ms=elapsed_ms,
-    )
-
-
 def run_check(check, p, ctx=None, tolerance_exponent_override=None):
     """Evaluate one check at precision p and apply its tolerance policy."""
     ctx = ctx or CheckContext(p)
+    policy = check.tolerance_policy
+    if tolerance_exponent_override is not None:
+        policy = Tol(tolerance_exponent_override)
     t0 = time.perf_counter()
     with workprec(p.guarded):
         lhs = _side_pipe(check.lhs, ctx)
         rhs = _side_pipe(check.rhs, ctx)
         err = abs(lhs.value - rhs.value)
-        est = lhs.est + rhs.est
-        if tolerance_exponent_override is not None:
-            tol = mpf(10) ** tolerance_exponent_override
-        else:
-            tol = _resolve_tolerance(check.tolerance_policy, p, est)
-    return _result(
-        check.id,
-        check.description,
-        check.ref,
-        lhs.value,
-        rhs.value,
-        err,
-        tol,
-        lhs.evals + rhs.evals,
-        t0,
-        p,
+        tol = _resolve_tolerance(policy, p, lhs.est + rhs.est)
+    elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
+    return CheckResult(
+        id=check.id,
+        description=check.description,
+        ref=check.ref,
+        lhs_value=HPReal.from_raw(lhs.value, p),
+        rhs_value=HPReal.from_raw(rhs.value, p),
+        abs_error=HPReal.from_raw(err, p),
+        tolerance=HPReal.from_raw(tol, p),
+        passed=bool(err <= tol),
+        evaluations=lhs.evals + rhs.evals,
+        elapsed_ms=elapsed_ms,
     )
 
 
 def _run_by_id(check_id, bits, tolerance_exponent_override):
-    p = Precision(bits)
-    by_id = {c.id: c for c in catalog()}
-    return run_check(by_id[check_id], p, tolerance_exponent_override=tolerance_exponent_override)
+    return run_check(
+        _BY_ID[check_id], Precision(bits), tolerance_exponent_override=tolerance_exponent_override
+    )
 
 
 def run_catalog(p, ids=None, jobs=1, tolerance_exponent_override=None):
@@ -882,13 +838,13 @@ def run_catalog(p, ids=None, jobs=1, tolerance_exponent_override=None):
     its own caches); results are still aggregated in catalog order, so the
     report is deterministic either way.
     """
-    checks = catalog()
+    checks = CATALOG
     if ids is not None:
         wanted = set(ids)
-        unknown = wanted - {c.id for c in checks}
+        unknown = wanted - _BY_ID.keys()
         if unknown:
             raise CatalogError(f"unknown check ids: {sorted(unknown)}")
-        checks = [c for c in checks if c.id in wanted]
+        checks = [c for c in CATALOG if c.id in wanted]
     if jobs > 1 and len(checks) > 1:
         import concurrent.futures
 

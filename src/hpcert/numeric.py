@@ -90,32 +90,19 @@ class BasisConstant(Enum):
 # ---------------------------------------------------------------------------
 
 
-def _arccot_fixed(m, bits):
-    # arccot(m) * 2^bits by the alternating inverse-odd-power series.
-    one = 1 << bits
-    term = one // m
+def _inv_odd_power_fixed(m, bits, alternating):
+    # 2^bits * sum_k s^k / ((2k+1) m^(2k+1)): arccot(m) with s = -1 when
+    # alternating, atanh(1/m) with s = +1 otherwise.
+    s = -1 if alternating else 1
+    term = (1 << bits) // m
     total = term
     m2 = m * m
     n = 3
-    sign = -1
+    sign = s
     while term:
         term //= m2
         total += sign * (term // n)
-        sign = -sign
-        n += 2
-    return total
-
-
-def _atanh_inv_fixed(m, bits):
-    # atanh(1/m) * 2^bits; all terms positive.
-    one = 1 << bits
-    term = one // m
-    total = term
-    m2 = m * m
-    n = 3
-    while term:
-        term //= m2
-        total += term // n
+        sign *= s
         n += 2
     return total
 
@@ -128,13 +115,13 @@ def _fixed_to_mpf(total, bits, out_bits):
 def _pi_raw(bits):
     # Machin's formula; floor-division noise stays below the 16 extra bits.
     fb = bits + 16
-    total = 4 * (4 * _arccot_fixed(5, fb) - _arccot_fixed(239, fb))
+    total = 4 * (4 * _inv_odd_power_fixed(5, fb, True) - _inv_odd_power_fixed(239, fb, True))
     return _fixed_to_mpf(total, fb, bits)
 
 
 def _ln2_raw(bits):
     fb = bits + 16
-    total = 2 * _atanh_inv_fixed(3, fb)
+    total = 2 * _inv_odd_power_fixed(3, fb, False)
     return _fixed_to_mpf(total, fb, bits)
 
 

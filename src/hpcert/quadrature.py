@@ -214,12 +214,13 @@ def tanh_sinh_nodes(level, p):
     """Abscissa/weight pairs on [-1, 1] for the given refinement level.
 
     Level 0 is the single center node t = 0; level k >= 1 is the full grid
-    of step 2^-k, truncated where the weights underflow 2^-(bits+32).  The
-    list is symmetric about 0 and all weights are positive.
+    of step 2^-k, rounded to p.bits from the table `integrate` uses at p
+    (keyed at p.guarded).  The list is symmetric about 0 and all weights are
+    positive.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
-    levels = _ts_levels(p.bits, level)
+    levels = _ts_levels(p.guarded, level)
     with workprec(p.bits):
         h = ldexp(1, -level)
         center = (mpf(0), +(h * pi / 2))

@@ -80,6 +80,13 @@ def harmonic_tail_fraction(n):
     return total
 
 
+def _harmonic_tails(ns, g):
+    """a_n = ln2 - (1/(n+1) + ... + 1/(2n)) for each n in ns, at g working bits."""
+    ln2 = constant_value(BasisConstant.LN2, g)
+    with workprec(g):
+        return [ln2 - mpf(f.numerator) / f.denominator for f in map(harmonic_tail_fraction, ns)]
+
+
 def _paired_alternating(first, last):
     """sum_{k=first}^{last} (-1)^(k-first)/k at the ambient precision, first odd.
 
@@ -112,10 +119,7 @@ def tail(n, route, p, scheme=None):
         raise ValueError("tail index must be >= 1")
     g = p.guarded
     if route is TailRoute.HARMONIC:
-        frac = harmonic_tail_fraction(n)
-        with workprec(g):
-            v = constant_value(BasisConstant.LN2, g) - mpf(frac.numerator) / frac.denominator
-        return TailTerm(n, HPReal.from_raw(v, p), route)
+        return TailTerm(n, HPReal.from_raw(_harmonic_tails([n], g)[0], p), route)
     if route is TailRoute.ALT_TAIL:
         m = 2 * n + ALT_TAIL_EXTRA_TERMS
         with workprec(g):
@@ -128,45 +132,9 @@ def tail(n, route, p, scheme=None):
     raise ValueError(f"unknown tail route {route!r}")
 
 
-def _tail_values(count, g):
-    """a_1 .. a_count at g working bits, via the exact harmonic route."""
-    ln2 = constant_value(BasisConstant.LN2, g)
-    out = []
-    with workprec(g):
-        for n in range(1, count + 1):
-            frac = harmonic_tail_fraction(n)
-            out.append(ln2 - mpf(frac.numerator) / frac.denominator)
-    return out
-
-
-def sigma_partial(N, p):
-    """Partial sum  sum_{n=1}^{N} (-1)^n a_n^2  with its remainder bound.
-
-    Consecutive partials bracket the full sum; the bound is a_{N+1}^2.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    g = p.guarded
-    vals = _tail_values(N + 1, g)
-    with workprec(g):
-        s = mpf(0)
-        sign = -1
-        for n in range(1, N + 1):
-            s += sign * vals[n - 1] ** 2
-            sign = -sign
-        bound = vals[N] ** 2
-    return SeriesResult(HPReal.from_raw(s, p), N, HPReal.from_raw(bound, p))
-
-
 def _scan_coefficients(coeff, count):
-    """Evaluate and check positivity + (non-strict) monotone decrease.
-
-    Coefficient callbacks may return either raw mpf values or HPReal.
-    """
-    vals = []
-    for k in range(count):
-        v = coeff(k)
-        vals.append(v.value if isinstance(v, HPReal) else v)
+    """Evaluate and check positivity + (non-strict) monotone decrease."""
+    vals = [coeff(k) for k in range(count)]
     for k, v in enumerate(vals):
         if not v > 0:
             raise PreconditionError(f"coefficient {k} is not positive ({v})")
@@ -216,7 +184,7 @@ def sigma_series(p, method=None):
     """
     method = method or Crz(30)
     g = p.guarded
-    vals = _tail_values(method.terms + 1, g)
+    vals = _harmonic_tails(range(1, method.terms + 2), g)
     with workprec(g):
         sq = [v * v for v in vals]  # sq[k] = a_{k+1}^2
     result = sum_alternating(lambda k: sq[k], method, p)

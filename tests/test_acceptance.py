@@ -15,6 +15,7 @@ import pytest
 from mpmath import ldexp, mpf, workprec
 
 from hpcert import (
+    __version__,
     Crz,
     Euler,
     Precision,
@@ -26,7 +27,7 @@ from hpcert import (
     sigma_series,
     tail,
 )
-from hpcert.cli import Report, render_json
+from hpcert.cli import EPOCH_TIMESTAMP, Report, render_json
 from hpcert.identities import DEFAULT_TENSOR, DEFAULT_TS, SIGMA_CF, _fd_step, get_integrand
 from hpcert.numeric import BasisConstant, constant_value
 
@@ -288,10 +289,15 @@ def test_reports_match_the_recorded_reference(cat256):
     # the benchmark checks its runs against the same file; pinning it here
     # catches a digit change before a benchmark run does
     results, _ = cat256
-    report = Report("-", P256.bits, "-", checks=list(results.values()))
-    rendered = json.loads(render_json(report, no_timestamp=True))["checks"]
+    checks = list(results.values())
+    passed = sum(r.passed for r in checks)
+    report = Report(__version__, P256.bits, EPOCH_TIMESTAMP, checks, passed, len(checks) - passed)
+    rendered_bytes = render_json(report, no_timestamp=True)
+    rendered = json.loads(rendered_bytes)["checks"]
     reference = json.loads(REFERENCE_256.read_text(encoding="utf-8"))["checks"]
     assert [c["id"] for c in rendered] == [c["id"] for c in reference]
     for got, want in zip(rendered, reference):
         for key in REFERENCE_FIELDS:
             assert got[key] == want[key], f"{got['id']}.{key}: {got[key]} != {want[key]}"
+    # descriptions, references, order and the header as well
+    assert rendered_bytes == REFERENCE_256.read_bytes()

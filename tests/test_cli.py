@@ -167,6 +167,16 @@ def test_jobs_process_pool(capsys):
     assert [l.split()[1] for l in lines] == ["eq10", "eq16"]
 
 
+def test_jobs_2_matches_jobs_1_byte_for_byte(capsys):
+    # eq05's right side recomputes eq01's series inside its own worker
+    args = ["--filter", "eq0[15]*", "--precision-bits", "128", "--format", "json", "--no-timestamp"]
+    code1, serial, _ = run_cli(capsys, *args)
+    code2, pooled, _ = run_cli(capsys, *args, "--jobs", "2")
+    assert code1 == code2 == EXIT_OK
+    assert [c["id"] for c in json.loads(serial)["checks"]] == ["eq01_sigma_series", "eq05_sigma_2d"]
+    assert pooled == serial
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == EXIT_OK

@@ -13,6 +13,7 @@ from hpcert import (
     run_catalog,
     run_check,
 )
+from hpcert import identities
 from hpcert.identities import (
     DEFAULT_TS,
     SIGMA_CF,
@@ -115,12 +116,31 @@ def test_run_check_eq13_eq18_frozen(p128):
     assert_close(c.lhs_value.value, C_VALUE, mpf(10) ** -35)
 
 
-def test_eq05_reference_resolution(p128):
+def test_eq05_rhs_is_the_series_value(p128):
     ctx = CheckContext(p128)
+    series_r = run_check(by_id("eq01_sigma_series"), p128, ctx=ctx)
     r = run_check(by_id("eq05_sigma_2d"), p128, ctx=ctx)
     assert r.passed
     assert_close(r.lhs_value.value, SIGMA, mpf(10) ** -25)
     assert abs(r.lhs_value.value - r.rhs_value.value) <= mpf(10) ** -20
+    # the right side is eq01's 30-term accelerated series, recomputed
+    assert r.rhs_value.value == series_r.lhs_value.value
+    assert r.evaluations == ctx.integrate(get_integrand("sigma_double")).evaluations + 30
+
+
+def test_ctx_integrate_memoises_on_the_integrand(monkeypatch, p64):
+    calls = []
+
+    def counting(f, scheme, p):
+        calls.append((f.id, scheme))
+        return integrate(f, scheme, p)
+
+    monkeypatch.setattr(identities, "integrate", counting)
+    ctx = CheckContext(p64)
+    f = get_integrand("a_integrand")
+    first = ctx.integrate(f)
+    assert ctx.integrate(f) is first
+    assert calls == [("a_integrand", DEFAULT_TS)]
 
 
 def test_eq07_exact_assembly(p64):

@@ -81,6 +81,13 @@ def test_ts_table_built_only_to_the_converged_level(monkeypatch, p128):
     assert len(quadrature._TS_TABLES[p128.guarded]) == r.level_or_order + 1
 
 
+def test_tanh_sinh_nodes_share_the_integrate_table(monkeypatch, p128):
+    monkeypatch.setattr(quadrature, "_TS_TABLES", {})
+    tanh_sinh_nodes(6, p128)
+    integrate(const_one(), TanhSinh(), p128)
+    assert list(quadrature._TS_TABLES) == [p128.guarded]
+
+
 def test_ts_table_extended_lazily_matches_eager_build(monkeypatch):
     monkeypatch.setattr(quadrature, "_TS_TABLES", {})
     bits = 96

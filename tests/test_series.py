@@ -12,7 +12,6 @@ from hpcert import (
     Precision,
     TailRoute,
     ln1pt_over_t,
-    sigma_partial,
     sigma_series,
     sum_alternating,
     tail,
@@ -66,22 +65,22 @@ def test_tail_rejects_bad_n(p64):
 
 
 def test_sigma_partial_frozen(p128):
-    r1 = sigma_partial(1, p128)
+    r1 = sigma_series(p128, Direct(1))
     assert_close(r1.value.value, SIGMA_PARTIAL_1, mpf(10) ** -35)
     with workprec(300):
         assert abs(r1.error_bound.value - oracle(A2) ** 2) <= mpf(10) ** -30
-    r2 = sigma_partial(2, p128)
+    r2 = sigma_series(p128, Direct(2))
     assert_close(r2.value.value, SIGMA_PARTIAL_2, mpf(10) ** -35)
 
 
 def test_sigma_partials_bracket_full_sum(p128):
     full = sigma_series(p128, Crz(40)).value.value
-    partials = [sigma_partial(N, p128).value.value for N in range(1, 51)]
+    partials = [sigma_series(p128, Direct(N)).value.value for N in range(1, 51)]
     for N in range(1, 50):
         lo, hi = sorted((partials[N - 1], partials[N]))
         assert lo < full < hi
     for N in range(1, 51):
-        r = sigma_partial(N, p128)
+        r = sigma_series(p128, Direct(N))
         assert abs(r.value.value - full) <= r.error_bound.value
 
 
