@@ -69,7 +69,7 @@ ASSEMBLY_CF = cf_add(cf_add(cf_mul_ln2(A_CF), cf_scale(B_CF, F(1, 2))), C_CF)
 NEG_SIGMA_CF = cf_scale(SIGMA_CF, F(-1))
 
 DEFAULT_TS = TanhSinh(12)
-DEFAULT_TENSOR = Tensor2D(GaussLegendre(256))
+DEFAULT_TENSOR = Tensor2D(GaussLegendre(512))
 
 LN2_DIRECT_TERMS = 100_000
 

@@ -17,11 +17,11 @@ demand, when refinement first reaches them, and appended to the cached
 table; a level never changes once built.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
 from mpmath import exp, isfinite, ldexp, mp, mpf, pi, workprec
 
 from .errors import DomainError, NonconvergenceError
@@ -260,19 +260,44 @@ def _ts_ladder(integrand, max_level, bits):
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Legendre nodes: float64 seeds from numpy, polished by Newton steps on
-# the recurrence-evaluated Legendre polynomial at working precision.
+# Gauss-Legendre nodes: each positive root of P_n is seeded in float64 by
+# Newton on the three-term recurrence from the asymptotic guess
+# cos(pi (k - 1/4) / (n + 1/2)), then polished by Newton on P_n and P_n'
+# evaluated in integers scaled by 2^w, doubling w each step up to W.
+#
+# Error bound: the recurrence is stable on |x| <= 1, so P_n and P_{n-1} carry
+# at most ~n^2 units of 2^-W, and so does the Newton correction, as
+# |P_n'| >= 1 at every root.  Newton stops once its correction at width W is
+# below 4 n^2 units, leaving x good to ~4 n^2 2^-W.  As 1 - x^2 >= ~(2.4/n)^2,
+# the weight 2 (1 - x^2) / (n P_{n-1} - n x P_n)^2 from that last evaluation
+# is good to ~4 n^4 2^-W = 2^-(gen_bits + 30 - 2 bit_length(n)) relative,
+# before the one rounding to gen_bits.
 # ---------------------------------------------------------------------------
 
 _GL_TABLES = {}  # (order, bits) -> tuple[(x, w), ...] for x >= 0
 
 
-def _legendre_pair(n, x):
-    p0, p1 = mpf(1), x
+def _gl_seed(n, k):
+    # dx < 1e-12 leaves an error below float resolution up to MAX_ORDER
+    x = math.cos(math.pi * (k - 0.25) / (n + 0.5))
+    while True:
+        p0, p1 = 1.0, x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dx = p1 * (1 - x * x) / (n * (p0 - x * p1))
+        x -= dx
+        if abs(dx) < 1e-12:
+            return x
+
+
+def _gl_newton(n, X, w):
+    """(P_n / P_n', (1 - x^2) P_n', 1 - x^2) at x = X / 2^w, scaled by 2^w."""
+    p0, p1 = 1 << w, X
     for k in range(2, n + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    dp = n * (x * p1 - p0) / (x * x - 1)
-    return p1, dp
+        p0, p1 = p1, ((X * p1 >> w) * (2 * k - 1) - (k - 1) * p0) // k
+    q = n * (p0 - (X * p1 >> w))
+    one_m = (1 << w) - (X * X >> w)
+    return p1 * one_m // q, q, one_m
 
 
 def _gl_halfline(order, bits):
@@ -281,24 +306,22 @@ def _gl_halfline(order, bits):
     if cached is not None:
         return cached
     gen_bits = bits + 16
-    with workprec(gen_bits):
-        seeds = np.polynomial.legendre.leggauss(order)[0]
-        out = []
-        for x0 in seeds:
-            if x0 < -1e-12:
-                continue
-            x = mpf(0) if abs(x0) < 1e-12 else mpf(float(x0))
-            for _ in range(12):
-                pn, dp = _legendre_pair(order, x)
-                dx = pn / dp
-                x -= dx
-                if abs(dx) <= ldexp(1, -(gen_bits - 4)):
-                    break
-            pn, dp = _legendre_pair(order, x)
-            w = 2 / ((1 - x * x) * dp * dp)
-            out.append((x, w))
-        out.sort(key=lambda nw: nw[0])
-        table = tuple(out)
+    W = gen_bits + 32 + 2 * order.bit_length()
+    # an odd rule's center seed 0 stays exactly 0: P_n(0) = 0 in integers too
+    seeds = [0.0] * (order % 2) + [_gl_seed(order, k) for k in range(order // 2, 0, -1)]
+    out = []
+    for x in seeds:
+        w, X = 53, int(math.ldexp(x, 53))
+        while True:
+            X <<= min(w, W - w)
+            w = min(2 * w, W)
+            D, q, one_m = _gl_newton(order, X, w)
+            if w == W and abs(D) < 4 * order * order:
+                break
+            X -= D
+        with workprec(gen_bits):
+            out.append((ldexp(mpf(X), -W), ldexp(mpf((one_m << 2 * W + 1) // (q * q)), -W)))
+    table = tuple(out)
     _GL_TABLES[key] = table
     return table
 
@@ -307,25 +330,18 @@ def gauss_legendre_nodes(order, p):
     """Full symmetric node/weight list of the n-point rule on [-1, 1]."""
     if not MIN_ORDER <= order <= MAX_ORDER:
         raise ValueError(f"order must lie in [{MIN_ORDER}, {MAX_ORDER}]")
-    half = _gl_halfline(order, p.bits + GUARD_BITS)
+    half = _gl_halfline(order, p.guarded)
     with workprec(p.bits):
         pos = [(+x, +w) for x, w in half if x != 0]
-        center = [(mpf(0), +w) for x, w in half if x == 0]
         neg = [(-x, w) for x, w in reversed(pos)]
-        return neg + center + pos
+        return neg + [(mpf(0), +w) for x, w in half if x == 0] + pos
 
 
 def _gl_orders(cap):
     # the error estimate needs at least two rungs; below order 16 they are
     # cap // 2 and cap, and cap 2 starts from the 1-point (midpoint) rule
-    orders = []
-    n = 8
-    while n <= cap:
-        orders.append(n)
-        n *= 2
-    if len(orders) < 2:
-        orders = [cap // 2, cap]
-    return orders
+    orders = [8 << i for i in range((cap // 8).bit_length())]
+    return orders if len(orders) > 1 else [cap // 2, cap]
 
 
 def _gl_ladder(integrand, order_cap, bits):

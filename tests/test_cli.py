@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from mpmath import mpf, workprec
 
 from hpcert import NonconvergenceError
 from hpcert.cli import EXIT_CHECK_FAILED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TOP_KEYS = ["tool_version", "precision_bits", "started_at", "checks", "passed_count", "failed_count"]
 CHECK_KEYS = [
@@ -181,3 +187,17 @@ def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == EXIT_OK
     assert "--precision-bits" in out
+
+
+def test_cli_import_leaves_numpy_out():
+    # a cold process pays for what the CLI imports; numpy is not needed
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hpcert.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,7 +1,8 @@
 from fractions import Fraction
 
 import pytest
-from mpmath import ldexp, log, mpf, sin, workprec
+from mpmath import ldexp, log, mp, mpf, sin, workprec
+from mpmath.calculus.quadrature import GaussLegendre as MpmathGaussLegendre
 
 from hpcert import (
     DomainError,
@@ -9,6 +10,7 @@ from hpcert import (
     Integrand,
     NonconvergenceError,
     PiMultiple,
+    Precision,
     TanhSinh,
     Tensor2D,
     gauss_legendre_nodes,
@@ -197,7 +199,7 @@ def test_domain_error_on_nonfinite(p64):
 # --- Gauss-Legendre degree exactness ----------------------------------------
 
 
-@pytest.mark.parametrize("order", [2, 5, 8, 13, 20])
+@pytest.mark.parametrize("order", [2, 5, 8, 13, 20, 64])
 def test_gl_degree_exactness(order, p128):
     nodes = gauss_legendre_nodes(order, p128)
     with workprec(200):
@@ -215,6 +217,41 @@ def test_gl_nodes_symmetric(p128):
         for i in range(6):
             assert nodes[i][0] == -nodes[11 - i][0]
             assert nodes[i][1] == nodes[11 - i][1]
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+def test_gl_nodes_match_mpmath(bits, degree):
+    # mpmath's own Gauss-Legendre rule of degree d has 3 * 2^(d-1) nodes
+    p = Precision(bits)
+    order = 3 * 2 ** (degree - 1)
+    nodes = gauss_legendre_nodes(order, p)
+    with workprec(bits + 40):
+        ref = sorted(MpmathGaussLegendre(mp).calc_nodes(degree, bits + 40))
+        assert len(nodes) == len(ref) == order
+        for (x, w), (rx, rw) in zip(nodes, ref):
+            assert abs(x - rx) <= ldexp(1, -bits)
+            assert abs(w - rw) <= ldexp(1, -bits)
+
+
+def test_gl_order_1_is_the_center_node():
+    assert quadrature._gl_halfline(1, 160) == ((0, 2),)
+
+
+def test_gl_order_3_rule_and_ladder(p128):
+    # the 3-point rule is exact on x^2; its ladder is the midpoint rule, then
+    # order 3, which certifies an integrand both rungs integrate exactly
+    assert quadrature._gl_orders(3) == [1, 3]
+    nodes = gauss_legendre_nodes(3, p128)
+    with workprec(128):
+        assert nodes[1] == (0, mpf(8) / 9)
+    with workprec(200):
+        assert abs(sum(w * x * x for x, w in nodes) - mpf(2) / 3) <= ldexp(1, -126)
+    f = Integrand(id="x", dimension=1, evaluator=lambda x: x, domain=(0, 1))
+    r = integrate(f, GaussLegendre(3), p128)
+    assert r.value.value == mpf(1) / 2
+    assert r.level_or_order == 3
+    assert r.evaluations == 4
 
 
 def test_gl_order_2_integrates_x(p128):
