@@ -104,6 +104,8 @@ _register(
         evaluator=lambda x, y: -(x * x * y * y)
         / ((1 + x * x * y * y) * (1 + x) * (1 + y)),
         domain=((0, 1), (0, 1)),
+        # h(t) = -t^2/(1+t^2) at t = T/2^W, scaled by 2^W and floored: within 2 units
+        product=(lambda x: 1 / (1 + x), lambda T, W: -((T2 := T * T >> W) << W) // ((1 << W) + T2)),
     )
 )
 _register(

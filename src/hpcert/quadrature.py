@@ -2,14 +2,15 @@
 
 Two rules are provided.  Tanh-sinh (double-exponential) handles integrable
 logarithmic endpoint singularities and is the default for every 1D check;
-Gauss-Legendre is the building block for smooth integrands and the 2D tensor
-rule.  Both report ``error_estimate = |T_k - T_{k-1}|`` for the final
-refinement step and stop early once that difference falls below
-``2^-(bits-8)``; reaching the refinement cap first raises
-`NonconvergenceError`.
+Gauss-Legendre is the building block for smooth integrands and the only
+inner rule of the 2D tensor rule.  Both report ``error_estimate =
+|T_k - T_{k-1}|`` for the final refinement step and stop early once that
+difference falls below ``2^-(bits-8)``; reaching the refinement cap first
+raises `NonconvergenceError`.
 
-All four rules (1D and tensor 2D, tanh-sinh and Gauss-Legendre) run through
-one refinement driver, `_refine`, over a per-rule ladder of successive sums.
+All three rules (1D tanh-sinh and Gauss-Legendre, 2D tensor Gauss-Legendre)
+run through one refinement driver, `_refine`; a 2D integrand that declares a
+product form has its rungs summed in fixed-point integers (`_product_sum`).
 
 Node tables are cached per precision, so repeated integrations share the
 (comparatively expensive) table setup.  Tanh-sinh levels are built on
@@ -20,7 +21,7 @@ table; a level never changes once built.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Optional
 
 from mpmath import exp, isfinite, ldexp, mp, mpf, pi, workprec
 
@@ -64,6 +65,7 @@ class Integrand:
     domain: tuple
     singular_left: bool = False
     singular_right: bool = False
+    product: Optional[tuple] = None  # 2D only: (g, h) with f = g(x) g(y) h(xy)
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,7 @@ class GaussLegendre:
 
 @dataclass(frozen=True)
 class Tensor2D:
-    inner: object = field(default_factory=TanhSinh)
+    inner: object = field(default_factory=GaussLegendre)
 
 
 @dataclass(frozen=True)
@@ -339,9 +341,9 @@ def gauss_legendre_nodes(order, p):
 
 def _gl_orders(cap):
     # the error estimate needs at least two rungs; below order 16 they are
-    # cap // 2 and cap, and cap 2 starts from the 1-point (midpoint) rule
+    # cap - 1 and cap, and cap 2 starts from the 1-point (midpoint) rule
     orders = [8 << i for i in range((cap // 8).bit_length())]
-    return orders if len(orders) > 1 else [cap // 2, cap]
+    return orders if len(orders) > 1 else [cap - 1, cap]
 
 
 def _gl_ladder(integrand, order_cap, bits):
@@ -383,7 +385,14 @@ def integrate(f, s, p):
 
 
 # ---------------------------------------------------------------------------
-# 2D tensor rule over a rectangle (in practice: the closed unit square).
+# 2D tensor Gauss-Legendre rule over a rectangle (in practice: the unit square).
+#
+# A declared product (g, h) gives h(T, W) = h(T / 2^W) 2^W in integers, and
+# `_product_sum` sums a rung at W = prec + 8 + bit_length(n): A_i = w_i g(x_i) 2^W
+# and U_i = x_i 2^W are truncated once per node, then sum_i A_i sum_j A_j
+# h(U_i U_j >> W) is exact.  For nodes in [-1, 1], |g| <= 1 (sum |A| <= 2) and h
+# within 8 units with |h|, |h'| <= 1, each h is within 3 + 8 units and the sum
+# within 4n + 44, i.e. (n + 11) 2^-W <= 2^-(prec + 4) after the factor 1/4.
 # ---------------------------------------------------------------------------
 
 
@@ -399,13 +408,17 @@ def _tensor_sum(integrand, ptsx, ptsy):
     return S, len(ptsx) * len(ptsy)
 
 
-def _ts_axis(domain, nodes_pos):
-    a, b, halfw, mid = _interval(domain)
-    pts = [(mid, pi / 2)]
-    for _t, s, delta, omega in nodes_pos:
-        pts.append((a + halfw * delta, omega))
-        pts.append((b - halfw * delta, omega))
-    return pts, halfw
+def _product_sum(integrand, ptsx, ptsy):
+    """`_tensor_sum` of an integrand with a product form, in fixed-point integers."""
+    g, h = integrand.product
+    W = mp.prec + 8 + max(len(ptsx), len(ptsy)).bit_length()
+
+    def axis(pts):
+        return [(int(ldexp(w * _eval_checked(g, integrand, x), W)), int(ldexp(x, W))) for x, w in pts]
+
+    ay = axis(ptsy)
+    S = sum(A * sum(B * h(U * V >> W, W) for B, V in ay) for A, U in axis(ptsx))
+    return ldexp(mpf(S), -3 * W), len(ptsx) * len(ptsy)
 
 
 def _gl_axis(domain, half_nodes):
@@ -419,27 +432,15 @@ def _gl_axis(domain, half_nodes):
     return pts, halfw
 
 
-def _tensor_ts_ladder(integrand, max_level, bits):
-    domx, domy = integrand.domain
-    evals = 0
-    for lev in range(2, max_level + 1):
-        levels = _ts_levels(bits, lev)
-        cumulative = [n for l in range(1, lev + 1) for n in levels[l]]
-        ptsx, halfx = _ts_axis(domx, cumulative)
-        ptsy, halfy = _ts_axis(domy, cumulative)
-        S, n = _tensor_sum(integrand, ptsx, ptsy)
-        evals += n
-        yield lev, ldexp(halfx * halfy * S, -2 * lev), evals
-
-
 def _tensor_gl_ladder(integrand, order_cap, bits):
     domx, domy = integrand.domain
+    tensor_sum = _product_sum if integrand.product else _tensor_sum
     evals = 0
     for order in _gl_orders(order_cap):
         half = _gl_halfline(order, bits)
         ptsx, halfx = _gl_axis(domx, half)
         ptsy, halfy = _gl_axis(domy, half)
-        S, n = _tensor_sum(integrand, ptsx, ptsy)
+        S, n = tensor_sum(integrand, ptsx, ptsy)
         evals += n
         yield order, halfx * halfy * S, evals
 
@@ -452,9 +453,6 @@ def integrate_2d(f, s, p):
         raise ValueError("2D integration requires a Tensor2D scheme")
     if f.singular_left or f.singular_right:
         raise DomainError(f"2D tensor rule requires a smooth integrand, got flags on {f.id!r}")
-    if isinstance(s.inner, TanhSinh):
-        ladder = _tensor_ts_ladder(f, s.inner.max_level, p.guarded)
-        return _refine(ladder, p, f"2D tanh-sinh on {f.id!r}", f"level {s.inner.max_level}")
     if isinstance(s.inner, GaussLegendre):
         ladder = _tensor_gl_ladder(f, s.inner.order, p.guarded)
         return _refine(ladder, p, f"2D Gauss-Legendre on {f.id!r}", f"order {s.inner.order}")

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
 
-from mpmath import mpf, workprec
+from mpmath import ldexp, mp, mpf, workprec
 
 from . import accel
 from .errors import PreconditionError
@@ -91,15 +91,15 @@ def _paired_alternating(first, last):
     """sum_{k=first}^{last} (-1)^(k-first)/k at the ambient precision, first odd.
 
     Terms pair up as 1/k - 1/(k+1) = 1/(k(k+1)), which avoids cancellation.
+    Each is floored at W = prec + 2 bit_length(last) + 8 bits, so the at most
+    last/2 + 1 terms leave the sum within 2^-(prec + 8) of the exact one.
     """
-    s = mpf(0)
-    k = first
-    while k + 1 <= last:
-        s += mpf(1) / (k * (k + 1))
-        k += 2
-    if k <= last:  # odd leftover term
-        s += mpf(1) / k
-    return s
+    W = mp.prec + 2 * last.bit_length() + 8
+    one = 1 << W
+    s = sum(one // (k * (k + 1)) for k in range(first, last, 2))
+    if (last - first) % 2 == 0:  # odd leftover term
+        s += one // last
+    return ldexp(mpf(s), -W)
 
 
 def tail_integrand(n):

@@ -10,11 +10,13 @@ from hpcert import (
     Precision,
     catalog,
     cf_add,
+    eval_closed_form,
     run_catalog,
     run_check,
 )
 from hpcert import identities
 from hpcert.identities import (
+    DEFAULT_TENSOR,
     DEFAULT_TS,
     SIGMA_CF,
     CheckContext,
@@ -28,7 +30,7 @@ from hpcert.identities import (
     _quad_pipe,
     get_integrand,
 )
-from hpcert.quadrature import TanhSinh, integrate
+from hpcert.quadrature import TanhSinh, integrate, integrate_2d
 from oracle_values import (
     A_VALUE,
     B_VALUE,
@@ -126,6 +128,14 @@ def test_eq05_rhs_is_the_series_value(p128):
     # the right side is eq01's 30-term accelerated series, recomputed
     assert r.rhs_value.value == series_r.lhs_value.value
     assert r.evaluations == ctx.integrate(get_integrand("sigma_double")).evaluations + 30
+
+
+def test_eq05_double_integral_at_1024_bits():
+    # certifies the 2D integral itself far beyond eq05's 30-term series check
+    p = Precision(1024)
+    r = integrate_2d(get_integrand("sigma_double"), DEFAULT_TENSOR, p)
+    with workprec(1024):
+        assert abs(r.value.value - eval_closed_form(SIGMA_CF, p).value) <= ldexp(1, -1000)
 
 
 def test_ctx_integrate_memoises_on_the_integrand(monkeypatch, p64):

@@ -19,6 +19,7 @@ from hpcert import (
     quadrature,
     tanh_sinh_nodes,
 )
+from hpcert.identities import get_integrand
 from oracle_values import A1, LOGSINE, assert_close
 
 
@@ -239,9 +240,9 @@ def test_gl_order_1_is_the_center_node():
 
 
 def test_gl_order_3_rule_and_ladder(p128):
-    # the 3-point rule is exact on x^2; its ladder is the midpoint rule, then
+    # the 3-point rule is exact on x^2; its ladder is the 2-point rule, then
     # order 3, which certifies an integrand both rungs integrate exactly
-    assert quadrature._gl_orders(3) == [1, 3]
+    assert quadrature._gl_orders(3) == [2, 3]
     nodes = gauss_legendre_nodes(3, p128)
     with workprec(128):
         assert nodes[1] == (0, mpf(8) / 9)
@@ -251,7 +252,16 @@ def test_gl_order_3_rule_and_ladder(p128):
     r = integrate(f, GaussLegendre(3), p128)
     assert r.value.value == mpf(1) / 2
     assert r.level_or_order == 3
-    assert r.evaluations == 4
+    assert r.evaluations == 5
+
+
+def test_gl_order_3_integrates_x2(p128):
+    # both rungs of cap 3 are exact on x^2, so the ladder certifies 1/3
+    f = Integrand(id="x2", dimension=1, evaluator=lambda x: x * x, domain=(0, 1))
+    r = integrate(f, GaussLegendre(3), p128)
+    assert r.level_or_order == 3
+    with workprec(p128.bits):
+        assert abs(r.value.value - mpf(1) / 3) <= ldexp(1, -(p128.bits - 8))
 
 
 def test_gl_order_2_integrates_x(p128):
@@ -299,10 +309,42 @@ def test_2d_separable_matches_1d_product(p64):
         assert abs(r2.value.value - prod) <= ldexp(1, -56)
 
 
-def test_2d_tanh_sinh_inner(p64):
+def test_2d_tanh_sinh_inner_is_refused(p64):
     f = Integrand(id="xpy", dimension=2, evaluator=lambda x, y: x + y, domain=((0, 1), (0, 1)))
-    r = integrate_2d(f, Tensor2D(TanhSinh(6)), p64)
-    assert abs(r.value.value - 1) < ldexp(1, -50)
+    with pytest.raises(ValueError, match="unsupported inner scheme"):
+        integrate_2d(f, Tensor2D(TanhSinh(6)), p64)
+    assert Tensor2D().inner == GaussLegendre()
+
+
+# --- the fixed-point kernel of a declared product form -----------------------
+
+
+SIGMA = get_integrand("sigma_double")
+
+
+@pytest.mark.parametrize("bits", [64, 320])
+def test_sigma_product_form_matches_evaluator(bits):
+    # f(x, y) = g(x) g(y) h(xy), with h in integers scaled by 2^W
+    g, h = SIGMA.product
+    W = bits + 8
+    with workprec(bits):
+        pts = [mpf(0), mpf(1) / 7, mpf(1) / 3, mpf(1) / 2, mpf("0.9"), mpf(1)]
+        for x in pts:
+            for y in pts:
+                H = ldexp(h(int(ldexp(x * y, W)), W), -W)
+                assert abs(g(x) * g(y) * H - SIGMA.evaluator(x, y)) <= ldexp(1, -(bits - 2))
+
+
+@pytest.mark.parametrize("bits, order", [(320, 8), (320, 16), (320, 64), (320, 128), (576, 256)])
+def test_product_sum_matches_the_cell_by_cell_sum(bits, order):
+    # the integer rung is within 2^-(bits + 4) of the exact sum of its rounded
+    # inputs; the mpf reference drifts by about 2^-(bits + 2) at these orders
+    with workprec(bits):
+        pts, _ = quadrature._gl_axis((0, 1), quadrature._gl_halfline(order, bits))
+        ref, n_ref = quadrature._tensor_sum(SIGMA, pts, pts)
+        got, n_got = quadrature._product_sum(SIGMA, pts, pts)
+        assert n_got == n_ref == order * order
+        assert abs(got - ref) <= ldexp(1, -bits)
 
 
 # --- golden results, one integrand per refinement path ------------------------
@@ -335,14 +377,6 @@ GOLDEN = {
         (567, -94),
         1344,
         32,
-    ),
-    "ts2d": (
-        lambda x, y: 1 / (1 + x + y),
-        Tensor2D(TanhSinh(8)),
-        (9652224595068196277, -64),
-        (45753, -95),
-        21955,
-        4,
     ),
 }
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from hpcert import (
     tail,
     ulp,
 )
-from hpcert.series import harmonic_tail_fraction, ln1pt_integrand, ln2_direct_partial
+from hpcert.series import _paired_alternating, harmonic_tail_fraction, ln1pt_integrand, ln2_direct_partial
 from hpcert.quadrature import TanhSinh, integrate
 from oracle_values import A1, A2, LN2, PI2_12, SIGMA, SIGMA_PARTIAL_1, SIGMA_PARTIAL_2, assert_close, oracle
 
@@ -154,6 +155,18 @@ def test_ln2_direct_partial_brackets(p128):
     ln2 = const_ln2(p128).value
     assert abs(r.value.value - ln2) <= r.error_bound.value
     assert r.value.value < ln2  # even term count: partial sits below the limit
+
+
+@pytest.mark.parametrize("first, last", [(1, 1000), (1, 1001), (41, 20040)])
+def test_paired_alternating_matches_the_exact_sum(first, last):
+    # within 2^-(bits + 8) of the exact sum before its one rounding to bits
+    L = math.lcm(*range(first, last + 1))
+    exact = Fraction(sum((-1) ** (k - first) * (L // k) for k in range(first, last + 1)), L)
+    for bits in (128, 320):
+        with workprec(bits):
+            man, exp = _paired_alternating(first, last).man_exp
+        got = man * Fraction(2) ** exp
+        assert abs(got - exact) <= Fraction(1, 2 ** (bits + 8)) + exact / 2**bits
 
 
 def test_ln1pt_over_t_series_and_quadrature(p128):
