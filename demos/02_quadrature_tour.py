@@ -15,7 +15,6 @@ from hpcert import (
     PiMultiple,
     Precision,
     TanhSinh,
-    Tensor2D,
     integrate,
     integrate_2d,
     tanh_sinh_nodes,
@@ -30,7 +29,6 @@ for level in (2, 4, 6, 8):
 print("\nSmooth integrand x^2/((1+x^2)(1+x)) on [0,1]:")
 f = Integrand(
     id="demo_smooth",
-    dimension=1,
     evaluator=lambda x: x * x / ((1 + x * x) * (1 + x)),
     domain=(0, 1),
 )
@@ -42,7 +40,6 @@ print(f"  error estimate {nstr(r.error_estimate.value, 3)} after level {r.level_
 print("\nln(sin t) on [0, pi/2] -- integrable singularity at t=0, flagged singular_left:")
 g = Integrand(
     id="demo_logsine",
-    dimension=1,
     evaluator=lambda t: log(sin(t)),
     domain=(0, PiMultiple(Fraction(1, 2))),
     singular_left=True,
@@ -52,13 +49,8 @@ print(f"  value {nstr(r.value.value, 35)}   (closed form is -(pi/2)ln2)")
 print(f"  error estimate {nstr(r.error_estimate.value, 3)} after level {r.level_or_order}")
 
 print("\nGauss-Legendre tensor rule on a smooth 2D integrand:")
-h = Integrand(
-    id="demo_2d",
-    dimension=2,
-    evaluator=lambda x, y: 1 / (1 + x * y),
-    domain=((0, 1), (0, 1)),
-)
-r = integrate_2d(h, Tensor2D(GaussLegendre(128)), p)
+h = Integrand(id="demo_2d", evaluator=lambda x, y: 1 / (1 + x * y), domain=((0, 1), (0, 1)))
+r = integrate_2d(h, GaussLegendre(128), p)
 print(f"  int int 1/(1+xy) = {nstr(r.value.value, 35)}   (equals pi^2/12)")
 print(f"  final order {r.level_or_order}, {r.evaluations} evaluations")
 

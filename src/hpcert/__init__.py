@@ -31,7 +31,6 @@ from .quadrature import (
     PiMultiple,
     QuadResult,
     TanhSinh,
-    Tensor2D,
     gauss_legendre_nodes,
     integrate,
     integrate_2d,

@@ -36,17 +36,6 @@ class _UsageError(Exception):
 
 
 @dataclass
-class RunConfig:
-    precision_bits: int = 256
-    filter: str = "*"
-    format: str = "text"
-    tolerance_exponent: int | None = None
-    jobs: int = 1
-    list_only: bool = False
-    no_timestamp: bool = False
-
-
-@dataclass
 class Report:
     tool_version: str
     precision_bits: int
@@ -60,26 +49,22 @@ def _selected_ids(pattern):
     return [c.id for c in catalog() if fnmatch.fnmatchcase(c.id, pattern)]
 
 
-def build_report(config):
-    """Run the selected checks and assemble the report."""
-    ids = _selected_ids(config.filter)
+def build_report(precision_bits, filter, tolerance_exponent, jobs, no_timestamp):
+    """Run the checks whose ids match the glob `filter` and assemble the report."""
+    ids = _selected_ids(filter)
     if not ids:
-        raise _UsageError(f"filter {config.filter!r} matches no checks")
-    started = (
-        EPOCH_TIMESTAMP
-        if config.no_timestamp
-        else time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    )
+        raise _UsageError(f"filter {filter!r} matches no checks")
+    started = EPOCH_TIMESTAMP if no_timestamp else time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     results = run_catalog(
-        Precision(config.precision_bits),
+        Precision(precision_bits),
         ids=ids,
-        jobs=config.jobs,
-        tolerance_exponent_override=config.tolerance_exponent,
+        jobs=jobs,
+        tolerance_exponent_override=tolerance_exponent,
     )
     passed = sum(1 for r in results if r.passed)
     return Report(
         tool_version=__version__,
-        precision_bits=config.precision_bits,
+        precision_bits=precision_bits,
         started_at=started,
         checks=results,
         passed_count=passed,
@@ -197,24 +182,14 @@ def main(argv=None):
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
 
-    config = RunConfig(
-        precision_bits=ns.precision_bits,
-        filter=ns.filter,
-        format=ns.format,
-        tolerance_exponent=ns.tolerance_exponent,
-        jobs=ns.jobs,
-        list_only=ns.list_only,
-        no_timestamp=ns.no_timestamp,
-    )
-
-    if config.list_only:
+    if ns.list_only:
         for c in catalog():
-            if fnmatch.fnmatchcase(c.id, config.filter):
+            if fnmatch.fnmatchcase(c.id, ns.filter):
                 print(f"{c.id:<24} {c.ref:<22} {c.description}")
         return EXIT_OK
 
     try:
-        report = build_report(config)
+        report = build_report(ns.precision_bits, ns.filter, ns.tolerance_exponent, ns.jobs, ns.no_timestamp)
     except _UsageError as exc:
         print(f"verify: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -225,11 +200,11 @@ def main(argv=None):
         print(f"verify: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
-    if config.format == "json":
-        sys.stdout.buffer.write(render_json(report, no_timestamp=config.no_timestamp))
+    if ns.format == "json":
+        sys.stdout.buffer.write(render_json(report, no_timestamp=ns.no_timestamp))
         sys.stdout.buffer.flush()
     else:
-        sys.stdout.write(render_text(report, no_timestamp=config.no_timestamp))
+        sys.stdout.write(render_text(report, no_timestamp=ns.no_timestamp))
     return EXIT_OK if report.failed_count == 0 else EXIT_CHECK_FAILED
 
 

@@ -36,7 +36,7 @@ from .numeric import (
     constant_value,
     eval_closed_form,
 )
-from .quadrature import GaussLegendre, Integrand, PiMultiple, TanhSinh, Tensor2D, integrate, integrate_2d
+from .quadrature import GaussLegendre, Integrand, PiMultiple, TanhSinh, integrate, integrate_2d
 
 ONE = BasisConstant.ONE
 LN2 = BasisConstant.LN2
@@ -69,7 +69,7 @@ ASSEMBLY_CF = cf_add(cf_add(cf_mul_ln2(A_CF), cf_scale(B_CF, F(1, 2))), C_CF)
 NEG_SIGMA_CF = cf_scale(SIGMA_CF, F(-1))
 
 DEFAULT_TS = TanhSinh(12)
-DEFAULT_TENSOR = Tensor2D(GaussLegendre(512))
+DEFAULT_TENSOR = GaussLegendre(512)
 
 LN2_DIRECT_TERMS = 100_000
 
@@ -100,7 +100,6 @@ def _ln2_here():
 _register(
     Integrand(
         id="sigma_double",
-        dimension=2,
         evaluator=lambda x, y: -(x * x * y * y)
         / ((1 + x * x * y * y) * (1 + x) * (1 + y)),
         domain=((0, 1), (0, 1)),
@@ -111,7 +110,6 @@ _register(
 _register(
     Integrand(
         id="a_integrand",
-        dimension=1,
         evaluator=lambda x: x * x / ((1 + x * x) * (1 + x)),
         domain=(0, 1),
     )
@@ -119,7 +117,6 @@ _register(
 _register(
     Integrand(
         id="b_integrand",
-        dimension=1,
         evaluator=lambda x: log1p(x * x) / ((1 + x * x) * (1 + x)),
         domain=(0, 1),
     )
@@ -127,7 +124,6 @@ _register(
 _register(
     Integrand(
         id="c_integrand",
-        dimension=1,
         evaluator=lambda x: -x * atan(x) / ((1 + x * x) * (1 + x)),
         domain=(0, 1),
     )
@@ -135,7 +131,6 @@ _register(
 _register(
     Integrand(
         id="x_ln_1px2_over_1px2",
-        dimension=1,
         evaluator=lambda x: x * log1p(x * x) / (1 + x * x),
         domain=(0, 1),
     )
@@ -143,7 +138,6 @@ _register(
 _register(
     Integrand(
         id="i1_integrand",
-        dimension=1,
         evaluator=lambda x: log1p(x * x) / (1 + x * x),
         domain=(0, 1),
     )
@@ -151,7 +145,6 @@ _register(
 _register(
     Integrand(
         id="i1_minus_ln_x",
-        dimension=1,
         evaluator=lambda x: (log1p(x * x) - log(x)) / (1 + x * x),
         domain=(0, 1),
         singular_left=True,
@@ -160,7 +153,6 @@ _register(
 _register(
     Integrand(
         id="neg_ln_x_over_1px2",
-        dimension=1,
         evaluator=lambda x: -log(x) / (1 + x * x),
         domain=(0, 1),
         singular_left=True,
@@ -169,7 +161,6 @@ _register(
 _register(
     Integrand(
         id="log_sin_half",
-        dimension=1,
         evaluator=lambda t: log(sin(t)),
         domain=(0, PiMultiple(F(1, 2))),
         singular_left=True,
@@ -178,7 +169,6 @@ _register(
 _register(
     Integrand(
         id="log_sin_full",
-        dimension=1,
         evaluator=lambda t: log(sin(t)),
         domain=(0, PiMultiple(F(1))),
         singular_left=True,
@@ -188,7 +178,6 @@ _register(
 _register(
     Integrand(
         id="log_cos_half",
-        dimension=1,
         evaluator=lambda t: log(cos(t)),
         domain=(0, PiMultiple(F(1, 2))),
         singular_right=True,
@@ -197,7 +186,6 @@ _register(
 _register(
     Integrand(
         id="i2_integrand",
-        dimension=1,
         evaluator=lambda x: log1p(x * x) / (1 + x),
         domain=(0, 1),
     )
@@ -205,7 +193,6 @@ _register(
 _register(
     Integrand(
         id="i3_integrand",
-        dimension=1,
         evaluator=lambda x: atan(x) / (1 + x),
         domain=(0, 1),
     )
@@ -213,7 +200,6 @@ _register(
 _register(
     Integrand(
         id="eq16_integrand",
-        dimension=1,
         evaluator=lambda x: atan(x) / (1 + x * x),
         domain=(0, 1),
     )
@@ -221,7 +207,6 @@ _register(
 _register(
     Integrand(
         id="eq17_integrand",
-        dimension=1,
         evaluator=lambda x: x * atan(x) / (1 + x * x),
         domain=(0, 1),
     )
@@ -242,8 +227,8 @@ def _middle_t(t):
     return log1p(t) / (t * (1 + t))
 
 
-_register(Integrand(id="middle_alpha", dimension=1, evaluator=_middle_alpha, domain=(0, 1)))
-_register(Integrand(id="middle_t", dimension=1, evaluator=_middle_t, domain=(0, 1)))
+_register(Integrand(id="middle_alpha", evaluator=_middle_alpha, domain=(0, 1)))
+_register(Integrand(id="middle_t", evaluator=_middle_t, domain=(0, 1)))
 _register(series.ln1pt_integrand())
 
 
@@ -267,8 +252,8 @@ def _h_prime_closed(a):
     return -_ln2_here() / (1 + a2) + log1p(a2) / (2 * (1 + a2)) + atan(a) / (a * (1 + a2))
 
 
-_register(Integrand(id="f_prime_closed", dimension=1, evaluator=_f_prime_closed, domain=(0, 1)))
-_register(Integrand(id="h_prime_closed", dimension=1, evaluator=_h_prime_closed, domain=(0, 1)))
+_register(Integrand(id="f_prime_closed", evaluator=_f_prime_closed, domain=(0, 1)))
+_register(Integrand(id="h_prime_closed", evaluator=_h_prime_closed, domain=(0, 1)))
 
 EQ06_GRID = (F(1, 4), F(1, 2), F(3, 4), F(1))
 
@@ -276,7 +261,6 @@ for _x0 in EQ06_GRID:
     _register(
         Integrand(
             id=f"eq06_inner_{_x0.numerator}_{_x0.denominator}",
-            dimension=1,
             evaluator=(lambda x0n: lambda u: u * u / ((1 + u * u) * (u + x0n)))(
                 mpf(_x0.numerator) / _x0.denominator
             ),
@@ -305,7 +289,7 @@ def _param_integrand(name, alpha_value, tag):
         def f(x):
             return atan(alpha_value * x) / (1 + x)
 
-    return Integrand(id=f"{name}_at_{tag}", dimension=1, evaluator=f, domain=(0, 1))
+    return Integrand(id=f"{name}_at_{tag}", evaluator=f, domain=(0, 1))
 
 
 def _fd_step(p):
@@ -340,17 +324,10 @@ class TolHalfBits:
 
 @dataclass(frozen=True)
 class QuadEstimate:
-    """Tolerance = factor * (sum of the pipelines' own error estimates)."""
-
-    factor: int = 8
+    """Tolerance = 8 * (sum of the pipelines' own error estimates)."""
 
 
-@dataclass(frozen=True)
-class Exact:
-    """Zero tolerance: the comparison must hold as exact rational identity."""
-
-
-TolerancePolicy = Union[Tol, TolExact, TolHalfBits, QuadEstimate, Exact]
+TolerancePolicy = Union[Tol, TolExact, TolHalfBits, QuadEstimate]
 
 
 @dataclass
@@ -586,7 +563,7 @@ CATALOG = (
         ref="Eq. (7)",
         lhs=ASSEMBLY_CF,
         rhs=NEG_SIGMA_CF,
-        tolerance_policy=Exact(),
+        tolerance_policy=TolExact(F(0)),
     ),
     IdentityCheck(
         id="eq08_A",
@@ -794,9 +771,7 @@ def _resolve_tolerance(policy, p, est):
     if isinstance(policy, TolHalfBits):
         return ldexp(1, -(p.bits // 2))
     if isinstance(policy, QuadEstimate):
-        return policy.factor * est
-    if isinstance(policy, Exact):
-        return mpf(0)
+        return 8 * est
     raise ValueError(f"unknown tolerance policy {policy!r}")
 
 

@@ -58,9 +58,6 @@ class HPReal:
         with workprec(precision.bits):
             return cls(+x, precision)
 
-    def __float__(self):
-        return float(self.value)
-
     def __str__(self):
         return mp.nstr(self.value, self.precision.decimal_digits)
 
@@ -205,19 +202,16 @@ class ClosedForm:
     items: tuple
 
     def __init__(self, coefficients=()):
-        if isinstance(coefficients, ClosedForm):
-            items = coefficients.items
-        else:
-            mapping = dict(coefficients)
-            for tag in mapping:
-                if not isinstance(tag, BasisConstant):
-                    raise BasisError(f"{tag!r} is not a basis constant")
-            items = tuple(
-                sorted(
-                    ((tag, Fraction(v)) for tag, v in mapping.items() if Fraction(v) != 0),
-                    key=lambda kv: _TAG_ORDER[kv[0]],
-                )
+        mapping = dict(coefficients)
+        for tag in mapping:
+            if not isinstance(tag, BasisConstant):
+                raise BasisError(f"{tag!r} is not a basis constant")
+        items = tuple(
+            sorted(
+                ((tag, Fraction(v)) for tag, v in mapping.items() if Fraction(v) != 0),
+                key=lambda kv: _TAG_ORDER[kv[0]],
             )
+        )
         object.__setattr__(self, "items", items)
 
     @classmethod
@@ -233,12 +227,6 @@ class ClosedForm:
             if t is tag:
                 return v
         return Fraction(0)
-
-    def is_zero(self):
-        return not self.items
-
-    def __add__(self, other):
-        return cf_add(self, other)
 
     def __str__(self):
         if not self.items:

@@ -19,7 +19,7 @@ table; a level never changes once built.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -60,12 +60,15 @@ class Integrand:
     """
 
     id: str
-    dimension: int
     evaluator: Callable
-    domain: tuple
+    domain: tuple  # (a, b) in 1D, ((a, b), (c, d)) in 2D
     singular_left: bool = False
     singular_right: bool = False
     product: Optional[tuple] = None  # 2D only: (g, h) with f = g(x) g(y) h(xy)
+
+    @property
+    def dimension(self):
+        return 2 if isinstance(self.domain[0], tuple) else 1
 
 
 @dataclass(frozen=True)
@@ -84,11 +87,6 @@ class GaussLegendre:
     def __post_init__(self):
         if not MIN_ORDER <= self.order <= MAX_ORDER:
             raise ValueError(f"order must lie in [{MIN_ORDER}, {MAX_ORDER}]")
-
-
-@dataclass(frozen=True)
-class Tensor2D:
-    inner: object = field(default_factory=GaussLegendre)
 
 
 @dataclass(frozen=True)
@@ -155,11 +153,11 @@ def _refine(ladder, p, rule, cap):
 # Tanh-sinh node tables.
 #
 # Transformation x = tanh((pi/2) sinh t) on the trapezoid grid t = k*2^-level.
-# Each positive-t node is stored as (t, s, delta, omega) with s = tanh(u),
-# delta = 1 - s computed stably as 2q/(1+q) for q = e^(-2u), and
-# omega = (pi/2) cosh(t) / cosh(u)^2.  Keeping delta separate is what lets a
-# singular evaluator see the true distance to the endpoint instead of a
-# catastrophically rounded one.
+# Each positive-t node is stored as (delta, omega) with delta = 1 - tanh(u)
+# computed stably as 2q/(1+q) for q = e^(-2u), and
+# omega = (pi/2) cosh(t) / cosh(u)^2.  Keeping delta rather than the abscissa
+# is what lets a singular evaluator see the true distance to the endpoint
+# instead of a catastrophically rounded one; delta falls strictly with t.
 #
 # Tables are cumulative: level k holds only the nodes new at step 2^-k, so
 # the trapezoid sums refine incrementally.  Levels are built on demand: a
@@ -170,7 +168,11 @@ def _refine(ladder, p, rule, cap):
 # weight h*omega drops below 2^-(bits+32).
 # ---------------------------------------------------------------------------
 
-_TS_TABLES = {}  # bits -> list per level of tuple[(t, s, delta, omega), ...]
+_TS_TABLES = {}  # bits -> list per level of tuple[(delta, omega), ...]
+
+
+def _ts_gen_bits(bits):
+    return bits + GUARD_BITS + 16
 
 
 def _ts_levels(bits, up_to_level):
@@ -178,36 +180,26 @@ def _ts_levels(bits, up_to_level):
     levels = _TS_TABLES.setdefault(bits, [()])
     if len(levels) > up_to_level:
         return levels
-    gen_bits = bits + GUARD_BITS + 16
     threshold = ldexp(1, -(bits + 32))
-    with workprec(gen_bits):
+    with workprec(_ts_gen_bits(bits)):
         piq = pi / 2
         while len(levels) <= up_to_level:
             lev = len(levels)
             h = ldexp(1, -lev)
+            # level 1 takes every multiple of 1/2; deeper levels add the odd
+            # multiples of their step
+            k, step = 1, 1 if lev == 1 else 2
             new = []
-            k = 1
             while True:
-                # level 1 takes every multiple of 1/2; deeper levels add the
-                # odd multiples of their step
-                if lev > 1 and k % 2 == 0:
-                    k += 1
-                    continue
-                # t = k*2^-lev is an exact dyadic; kept (as a float) so that
-                # assembled grids can be ordered even where the rounded
-                # abscissae collide at +-1
-                t = k * h
-                et = exp(t)
+                et = exp(k * h)
                 ch = (et + 1 / et) / 2
                 sh = (et - 1 / et) / 2
                 q = exp(-2 * piq * sh)
-                delta = 2 * q / (1 + q)
-                s = 1 - delta
                 omega = piq * ch * 4 * q / ((1 + q) * (1 + q))
                 if h * omega < threshold:
                     break
-                new.append((float(t), s, delta, omega))
-                k += 1
+                new.append((2 * q / (1 + q), omega))
+                k += step
             levels.append(tuple(new))
     return levels
 
@@ -223,18 +215,17 @@ def tanh_sinh_nodes(level, p):
     if level < 0:
         raise ValueError("level must be >= 0")
     levels = _ts_levels(p.guarded, level)
+    # descending delta is ascending t, a total order even where the rounded
+    # abscissae collide at +-1
+    nodes = [n for lev in levels[1 : level + 1] for n in lev]
+    nodes.sort(key=lambda n: n[0], reverse=True)
+    with workprec(_ts_gen_bits(p.guarded)):
+        xs = [1 - delta for delta, _ in nodes]
     with workprec(p.bits):
         h = ldexp(1, -level)
         center = (mpf(0), +(h * pi / 2))
-        if level == 0:
-            return [center]
-        tagged = []
-        for lev in range(1, level + 1):
-            for t, s, delta, omega in levels[lev]:
-                tagged.append((t, +s, +(h * omega)))
-        tagged.sort(key=lambda tsw: tsw[0])  # exact dyadic t: total order
-        pos = [(s, w) for _, s, w in tagged]
-        neg = [(-s, w) for s, w in reversed(pos)]
+        pos = [(+x, +(h * omega)) for x, (_, omega) in zip(xs, nodes)]
+        neg = [(-x, w) for x, w in reversed(pos)]
         return neg + [center] + pos
 
 
@@ -244,7 +235,7 @@ def _ts_ladder(integrand, max_level, bits):
     S = (pi / 2) * _eval_checked(f, integrand, mid)
     evals = 1
     for lev in range(1, max_level + 1):
-        for _t, s, delta, omega in _ts_levels(bits, lev)[lev]:
+        for delta, omega in _ts_levels(bits, lev)[lev]:
             xm = a + halfw * delta
             xp = b - halfw * delta
             if integrand.singular_left and xm == a:
@@ -446,14 +437,12 @@ def _tensor_gl_ladder(integrand, order_cap, bits):
 
 
 def integrate_2d(f, s, p):
-    """Integrate a 2D integrand with a tensor-product scheme at precision p."""
+    """Integrate a 2D integrand with the tensor product of the GaussLegendre rule s."""
     if f.dimension != 2:
         raise ValueError(f"integrate_2d() needs a 2D integrand, got dimension {f.dimension}")
-    if not isinstance(s, Tensor2D):
-        raise ValueError("2D integration requires a Tensor2D scheme")
+    if not isinstance(s, GaussLegendre):
+        raise ValueError(f"the 2D tensor rule is Gauss-Legendre only, got {s!r}")
     if f.singular_left or f.singular_right:
         raise DomainError(f"2D tensor rule requires a smooth integrand, got flags on {f.id!r}")
-    if isinstance(s.inner, GaussLegendre):
-        ladder = _tensor_gl_ladder(f, s.inner.order, p.guarded)
-        return _refine(ladder, p, f"2D Gauss-Legendre on {f.id!r}", f"order {s.inner.order}")
-    raise ValueError(f"unsupported inner scheme {s.inner!r}")
+    ladder = _tensor_gl_ladder(f, s.order, p.guarded)
+    return _refine(ladder, p, f"2D Gauss-Legendre on {f.id!r}", f"order {s.order}")

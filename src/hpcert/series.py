@@ -105,15 +105,10 @@ def _paired_alternating(first, last):
 def tail_integrand(n):
     """The integral route's integrand x^(2n)/(1+x) on [0, 1]."""
     e = 2 * n
-    return Integrand(
-        id=f"tail_integral_n{n}",
-        dimension=1,
-        evaluator=lambda x: x**e / (1 + x),
-        domain=(0, 1),
-    )
+    return Integrand(id=f"tail_integral_n{n}", evaluator=lambda x: x**e / (1 + x), domain=(0, 1))
 
 
-def tail(n, route, p, scheme=None):
+def tail(n, route, p):
     """Compute a_n by the requested route at precision p."""
     if n < 1:
         raise ValueError("tail index must be >= 1")
@@ -127,7 +122,7 @@ def tail(n, route, p, scheme=None):
             bound = mpf(1) / (m + 1)
         return TailTerm(n, HPReal.from_raw(s, p), route, HPReal.from_raw(bound, p))
     if route is TailRoute.INTEGRAL:
-        q = integrate(tail_integrand(n), scheme or TanhSinh(), p)
+        q = integrate(tail_integrand(n), TanhSinh(), p)
         return TailTerm(n, q.value, route, q.error_estimate)
     raise ValueError(f"unknown tail route {route!r}")
 
@@ -175,14 +170,13 @@ def sum_alternating(coeffs, m, p):
     raise ValueError(f"unknown acceleration method {m!r}")
 
 
-def sigma_series(p, method=None):
+def sigma_series(p, method):
     """The full alternating tail-square sum  sum_{n>=1} (-1)^n a_n^2.
 
     a_{k+1}^2 is a moment sequence (a_n is itself a moment integral of
     x^(2n)/(1+x)), so CRZ converges geometrically; 30 terms already give
     ~28 correct digits.  Returns the (negative) sum itself.
     """
-    method = method or Crz(30)
     g = p.guarded
     vals = _harmonic_tails(range(1, method.terms + 2), g)
     with workprec(g):
@@ -206,13 +200,13 @@ def ln2_direct_partial(terms, p):
     return SeriesResult(HPReal.from_raw(s, p), terms, HPReal.from_raw(bound, p))
 
 
-def ln1pt_over_t(p, terms=None):
+def ln1pt_over_t(p):
     """The dilogarithm-at-minus-one value  sum (-1)^(n-1)/n^2  = int_0^1 ln(1+t)/t dt.
 
     Accelerated series route; the quadrature route is exposed separately via
     `ln1pt_integrand` so the two can be cross-checked.
     """
-    n = terms or accel.crz_terms_for_bits(p.guarded + 16)
+    n = accel.crz_terms_for_bits(p.guarded + 16)
     result = sum_alternating(lambda k: mpf(1) / (k + 1) ** 2, Crz(n), p)
     return result.value
 
@@ -226,4 +220,4 @@ def ln1pt_integrand():
             return mpf(1)
         return log1p(t) / t
 
-    return Integrand(id="ln1p_t_over_t", dimension=1, evaluator=f, domain=(0, 1))
+    return Integrand(id="ln1p_t_over_t", evaluator=f, domain=(0, 1))

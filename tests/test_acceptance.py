@@ -5,6 +5,7 @@ they also appear in captured output on failure).
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -34,7 +35,8 @@ from hpcert.numeric import BasisConstant, constant_value
 P256 = Precision(256)
 P128 = Precision(128)
 
-REFERENCE_256 = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "cat256.json"
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE_256 = ROOT / "perfbench" / "reference" / "cat256.json"
 REFERENCE_FIELDS = ("lhs", "rhs", "abs_error", "tolerance", "passed", "evaluations")
 
 QUADRATURE_CHECK_IDS = [
@@ -135,10 +137,12 @@ def test_criterion_3_integral_catalog(cat256):
         "json",
         "--no-timestamp",
     ]
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     t0 = time.perf_counter()
-    proc = subprocess.run(proc_cmd, capture_output=True, text=True)
+    proc = subprocess.run(proc_cmd, capture_output=True, env={**os.environ, "PYTHONPATH": path})
     wall = time.perf_counter() - t0
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == REFERENCE_256.read_bytes()
     doc = json.loads(proc.stdout)
     with workprec(300):
         bad = [

@@ -97,10 +97,9 @@ def test_json_sigma_lhs_digits(capsys):
 
 
 def test_json_round_trip(capsys):
-    from hpcert.cli import RunConfig, build_report, render_json
+    from hpcert.cli import build_report, render_json
 
-    config = RunConfig(precision_bits=128, filter="eq1[06]*", no_timestamp=True)
-    report = build_report(config)
+    report = build_report(128, "eq1[06]*", tolerance_exponent=None, jobs=1, no_timestamp=True)
     doc = json.loads(render_json(report, no_timestamp=True))
     assert doc["tool_version"] == report.tool_version
     assert doc["precision_bits"] == report.precision_bits

@@ -20,9 +20,9 @@ from hpcert.identities import (
     DEFAULT_TS,
     SIGMA_CF,
     CheckContext,
-    Exact,
     IdentityCheck,
     Tol,
+    TolExact,
     _f_prime_closed,
     _fd_step,
     _h_prime_closed,
@@ -174,7 +174,7 @@ def test_exact_tolerance_rejects_unequal_closed_forms(p64):
         ref="-",
         lhs=SIGMA_CF,
         rhs=nudged,
-        tolerance_policy=Exact(),
+        tolerance_policy=TolExact(Fraction(0)),
     )
     r = run_check(check, p64)
     assert not r.passed

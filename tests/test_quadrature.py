@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -12,19 +13,18 @@ from hpcert import (
     PiMultiple,
     Precision,
     TanhSinh,
-    Tensor2D,
     gauss_legendre_nodes,
     integrate,
     integrate_2d,
     quadrature,
     tanh_sinh_nodes,
 )
-from hpcert.identities import get_integrand
+from hpcert.identities import _REGISTRY, get_integrand
 from oracle_values import A1, LOGSINE, assert_close
 
 
 def const_one():
-    return Integrand(id="one", dimension=1, evaluator=lambda x: mpf(1), domain=(0, 1))
+    return Integrand(id="one", evaluator=lambda x: mpf(1), domain=(0, 1))
 
 
 def test_scheme_validation():
@@ -78,7 +78,7 @@ def test_nodes_grow_with_level(p64):
 
 def test_ts_table_built_only_to_the_converged_level(monkeypatch, p128):
     monkeypatch.setattr(quadrature, "_TS_TABLES", {})
-    f = Integrand(id="lazy", dimension=1, evaluator=lambda x: 1 / (1 + x), domain=(0, 1))
+    f = Integrand(id="lazy", evaluator=lambda x: 1 / (1 + x), domain=(0, 1))
     r = integrate(f, TanhSinh(12), p128)
     assert r.level_or_order < 12
     assert len(quadrature._TS_TABLES[p128.guarded]) == r.level_or_order + 1
@@ -104,6 +104,23 @@ def test_ts_table_extended_lazily_matches_eager_build(monkeypatch):
     assert lazy == eager
 
 
+# SHA-256 of the exact sign, mantissa and exponent of every node and weight at
+# levels 0-8 and 64/128/256 bits: a change to the table or to how the nodes
+# are assembled that moves a single bit shows here.
+TS_NODES_SHA256 = "98244a325e18e580f1c82548ab2ecf77e6e13c160e8b391e0349105ab0a74f08"
+
+
+def test_tanh_sinh_nodes_are_pinned():
+    h = hashlib.sha256()
+    for bits in (64, 128, 256):
+        for level in range(9):
+            for x, w in tanh_sinh_nodes(level, Precision(bits)):
+                for v in (x, w):
+                    sign, man, e, _bc = v._mpf_
+                    h.update(f"{sign},{int(man)},{e};".encode())
+    assert h.hexdigest() == TS_NODES_SHA256
+
+
 # --- 1D integration ---------------------------------------------------------
 
 
@@ -117,7 +134,7 @@ def test_constant_integrand(scheme, p128):
 
 def test_x2_over_1px_value(p256):
     # equals ln2 - 1/2; the antiderivative x^2/2 - x + ln(1+x) is the oracle
-    f = Integrand(id="x2_over_1px", dimension=1, evaluator=lambda x: x * x / (1 + x), domain=(0, 1))
+    f = Integrand(id="x2_over_1px", evaluator=lambda x: x * x / (1 + x), domain=(0, 1))
     r = integrate(f, TanhSinh(), p256)
     assert_close(r.value.value, A1, mpf(10) ** -60)
 
@@ -125,7 +142,6 @@ def test_x2_over_1px_value(p256):
 def test_logsine_left_singular(p256):
     f = Integrand(
         id="logsine_test",
-        dimension=1,
         evaluator=lambda t: log(sin(t)),
         domain=(0, PiMultiple(Fraction(1, 2))),
         singular_left=True,
@@ -136,7 +152,7 @@ def test_logsine_left_singular(p256):
 
 
 def test_determinism(p128):
-    f = Integrand(id="det", dimension=1, evaluator=lambda x: 1 / (1 + x), domain=(0, 1))
+    f = Integrand(id="det", evaluator=lambda x: 1 / (1 + x), domain=(0, 1))
     r1 = integrate(f, TanhSinh(), p128)
     r2 = integrate(f, TanhSinh(), p128)
     assert r1.value.value == r2.value.value
@@ -164,25 +180,34 @@ def test_tanh_sinh_error_decays_quadratically(p256):
 
 
 def test_gl_refuses_singular(p64):
-    f = Integrand(
-        id="sing", dimension=1, evaluator=lambda x: log(x), domain=(0, 1), singular_left=True
-    )
+    f = Integrand(id="sing", evaluator=lambda x: log(x), domain=(0, 1), singular_left=True)
     with pytest.raises(DomainError):
         integrate(f, GaussLegendre(32), p64)
 
 
 def test_dimension_mismatch(p64):
-    f2 = Integrand(id="2d", dimension=2, evaluator=lambda x, y: x * y, domain=((0, 1), (0, 1)))
+    f2 = Integrand(id="2d", evaluator=lambda x, y: x * y, domain=((0, 1), (0, 1)))
     with pytest.raises(ValueError):
         integrate(f2, TanhSinh(), p64)
     with pytest.raises(ValueError):
-        integrate_2d(const_one(), Tensor2D(GaussLegendre(16)), p64)
+        integrate_2d(const_one(), GaussLegendre(16), p64)
+
+
+def test_dimension_follows_the_domain():
+    for f in _REGISTRY.values():
+        if f.id == "sigma_double":
+            assert f.dimension == 2
+            assert all(len(axis) == 2 for axis in f.domain)
+        else:
+            assert f.dimension == 1
+            assert len(f.domain) == 2 and not any(isinstance(e, tuple) for e in f.domain)
+    assert isinstance(get_integrand("log_sin_full").domain[1], PiMultiple)
+    assert get_integrand("log_sin_full").dimension == 1
 
 
 def test_nonconvergence_on_nonintegrable(p64):
     f = Integrand(
         id="one_over_x",
-        dimension=1,
         evaluator=lambda x: 1 / x,
         domain=(0, 1),
         singular_left=True,
@@ -192,7 +217,7 @@ def test_nonconvergence_on_nonintegrable(p64):
 
 
 def test_domain_error_on_nonfinite(p64):
-    f = Integrand(id="inf", dimension=1, evaluator=lambda x: mpf("inf"), domain=(0, 1))
+    f = Integrand(id="inf", evaluator=lambda x: mpf("inf"), domain=(0, 1))
     with pytest.raises(DomainError):
         integrate(f, TanhSinh(), p64)
 
@@ -248,7 +273,7 @@ def test_gl_order_3_rule_and_ladder(p128):
         assert nodes[1] == (0, mpf(8) / 9)
     with workprec(200):
         assert abs(sum(w * x * x for x, w in nodes) - mpf(2) / 3) <= ldexp(1, -126)
-    f = Integrand(id="x", dimension=1, evaluator=lambda x: x, domain=(0, 1))
+    f = Integrand(id="x", evaluator=lambda x: x, domain=(0, 1))
     r = integrate(f, GaussLegendre(3), p128)
     assert r.value.value == mpf(1) / 2
     assert r.level_or_order == 3
@@ -257,7 +282,7 @@ def test_gl_order_3_rule_and_ladder(p128):
 
 def test_gl_order_3_integrates_x2(p128):
     # both rungs of cap 3 are exact on x^2, so the ladder certifies 1/3
-    f = Integrand(id="x2", dimension=1, evaluator=lambda x: x * x, domain=(0, 1))
+    f = Integrand(id="x2", evaluator=lambda x: x * x, domain=(0, 1))
     r = integrate(f, GaussLegendre(3), p128)
     assert r.level_or_order == 3
     with workprec(p128.bits):
@@ -266,7 +291,7 @@ def test_gl_order_3_integrates_x2(p128):
 
 def test_gl_order_2_integrates_x(p128):
     # the 2-point rule is exact on x; its ladder still needs a coarser rung
-    f = Integrand(id="x", dimension=1, evaluator=lambda x: x, domain=(0, 1))
+    f = Integrand(id="x", evaluator=lambda x: x, domain=(0, 1))
     r = integrate(f, GaussLegendre(2), p128)
     assert abs(r.value.value - mpf(1) / 2) <= ldexp(1, -(p128.bits - 8))
 
@@ -275,45 +300,43 @@ def test_gl_order_2_integrates_x(p128):
 
 
 def test_2d_constant(p64):
-    f = Integrand(id="c2", dimension=2, evaluator=lambda x, y: mpf(1), domain=((0, 1), (0, 1)))
-    r = integrate_2d(f, Tensor2D(GaussLegendre(32)), p64)
+    f = Integrand(id="c2", evaluator=lambda x, y: mpf(1), domain=((0, 1), (0, 1)))
+    r = integrate_2d(f, GaussLegendre(32), p64)
     assert abs(r.value.value - 1) < ldexp(1, -50)
 
 
 def test_2d_xy_quarter(p64):
-    f = Integrand(id="xy", dimension=2, evaluator=lambda x, y: x * y, domain=((0, 1), (0, 1)))
-    r = integrate_2d(f, Tensor2D(GaussLegendre(32)), p64)
+    f = Integrand(id="xy", evaluator=lambda x, y: x * y, domain=((0, 1), (0, 1)))
+    r = integrate_2d(f, GaussLegendre(32), p64)
     assert abs(r.value.value - mpf(1) / 4) < ldexp(1, -50)
 
 
 def test_2d_gl_order_2_xy_quarter(p128):
-    f = Integrand(id="xy", dimension=2, evaluator=lambda x, y: x * y, domain=((0, 1), (0, 1)))
-    r = integrate_2d(f, Tensor2D(GaussLegendre(2)), p128)
+    f = Integrand(id="xy", evaluator=lambda x, y: x * y, domain=((0, 1), (0, 1)))
+    r = integrate_2d(f, GaussLegendre(2), p128)
     assert abs(r.value.value - mpf(1) / 4) <= ldexp(1, -(p128.bits - 8))
 
 
 def test_2d_separable_matches_1d_product(p64):
-    fx = Integrand(id="fx", dimension=1, evaluator=lambda x: x * x / (1 + x), domain=(0, 1))
-    fy = Integrand(id="fy", dimension=1, evaluator=lambda y: 1 / (1 + y * y), domain=(0, 1))
+    fx = Integrand(id="fx", evaluator=lambda x: x * x / (1 + x), domain=(0, 1))
+    fy = Integrand(id="fy", evaluator=lambda y: 1 / (1 + y * y), domain=(0, 1))
     f2 = Integrand(
         id="fxy",
-        dimension=2,
         evaluator=lambda x, y: (x * x / (1 + x)) * (1 / (1 + y * y)),
         domain=((0, 1), (0, 1)),
     )
     rx = integrate(fx, GaussLegendre(64), p64)
     ry = integrate(fy, GaussLegendre(64), p64)
-    r2 = integrate_2d(f2, Tensor2D(GaussLegendre(64)), p64)
+    r2 = integrate_2d(f2, GaussLegendre(64), p64)
     with workprec(128):
         prod = rx.value.value * ry.value.value
         assert abs(r2.value.value - prod) <= ldexp(1, -56)
 
 
 def test_2d_tanh_sinh_inner_is_refused(p64):
-    f = Integrand(id="xpy", dimension=2, evaluator=lambda x, y: x + y, domain=((0, 1), (0, 1)))
-    with pytest.raises(ValueError, match="unsupported inner scheme"):
-        integrate_2d(f, Tensor2D(TanhSinh(6)), p64)
-    assert Tensor2D().inner == GaussLegendre()
+    f = Integrand(id="xpy", evaluator=lambda x, y: x + y, domain=((0, 1), (0, 1)))
+    with pytest.raises(ValueError, match="Gauss-Legendre only"):
+        integrate_2d(f, TanhSinh(6), p64)
 
 
 # --- the fixed-point kernel of a declared product form -----------------------
@@ -372,7 +395,7 @@ GOLDEN = {
     ),
     "gl2d": (
         lambda x, y: 1 / (1 + x * y),
-        Tensor2D(GaussLegendre(64)),
+        GaussLegendre(64),
         (1896479859329717027, -61),
         (567, -94),
         1344,
@@ -384,11 +407,11 @@ GOLDEN = {
 @pytest.mark.parametrize("path", sorted(GOLDEN))
 def test_golden_results(path, p64, p128):
     fn, scheme, value, est, evals, step = GOLDEN[path]
-    if isinstance(scheme, Tensor2D):
-        f = Integrand(id=path, dimension=2, evaluator=fn, domain=((0, 1), (0, 1)))
+    if path.endswith("2d"):
+        f = Integrand(id=path, evaluator=fn, domain=((0, 1), (0, 1)))
         r = integrate_2d(f, scheme, p64)
     else:
-        f = Integrand(id=path, dimension=1, evaluator=fn, domain=(0, 1))
+        f = Integrand(id=path, evaluator=fn, domain=(0, 1))
         r = integrate(f, scheme, p128)
     assert r.value.value.man_exp == value
     assert r.error_estimate.value.man_exp == est
