@@ -97,6 +97,24 @@ def _ln2_here():
     return constant_value(LN2, mp.prec)
 
 
+# Most 1D integrands share ln(1+x^2), arctan x or ln x at the same tanh-sinh
+# abscissae.  A hit is the mpf the same call made at the same width, so the
+# memo is bit for bit the same as calling mpmath directly.
+_SHARED = {}  # (function, x, mp.prec) -> function(x)
+
+
+def _log1p_sq(x):
+    return log1p(x * x)
+
+
+def _shared(fn, x):
+    key = (fn, x._mpf_, mp.prec)
+    hit = _SHARED.get(key)
+    if hit is None:
+        hit = _SHARED[key] = fn(x)
+    return hit
+
+
 _register(
     Integrand(
         id="sigma_double",
@@ -117,35 +135,35 @@ _register(
 _register(
     Integrand(
         id="b_integrand",
-        evaluator=lambda x: log1p(x * x) / ((1 + x * x) * (1 + x)),
+        evaluator=lambda x: _shared(_log1p_sq, x) / ((1 + x * x) * (1 + x)),
         domain=(0, 1),
     )
 )
 _register(
     Integrand(
         id="c_integrand",
-        evaluator=lambda x: -x * atan(x) / ((1 + x * x) * (1 + x)),
+        evaluator=lambda x: -x * _shared(atan, x) / ((1 + x * x) * (1 + x)),
         domain=(0, 1),
     )
 )
 _register(
     Integrand(
         id="x_ln_1px2_over_1px2",
-        evaluator=lambda x: x * log1p(x * x) / (1 + x * x),
+        evaluator=lambda x: x * _shared(_log1p_sq, x) / (1 + x * x),
         domain=(0, 1),
     )
 )
 _register(
     Integrand(
         id="i1_integrand",
-        evaluator=lambda x: log1p(x * x) / (1 + x * x),
+        evaluator=lambda x: _shared(_log1p_sq, x) / (1 + x * x),
         domain=(0, 1),
     )
 )
 _register(
     Integrand(
         id="i1_minus_ln_x",
-        evaluator=lambda x: (log1p(x * x) - log(x)) / (1 + x * x),
+        evaluator=lambda x: (_shared(_log1p_sq, x) - _shared(log, x)) / (1 + x * x),
         domain=(0, 1),
         singular_left=True,
     )
@@ -153,7 +171,7 @@ _register(
 _register(
     Integrand(
         id="neg_ln_x_over_1px2",
-        evaluator=lambda x: -log(x) / (1 + x * x),
+        evaluator=lambda x: -_shared(log, x) / (1 + x * x),
         domain=(0, 1),
         singular_left=True,
     )
@@ -186,28 +204,28 @@ _register(
 _register(
     Integrand(
         id="i2_integrand",
-        evaluator=lambda x: log1p(x * x) / (1 + x),
+        evaluator=lambda x: _shared(_log1p_sq, x) / (1 + x),
         domain=(0, 1),
     )
 )
 _register(
     Integrand(
         id="i3_integrand",
-        evaluator=lambda x: atan(x) / (1 + x),
+        evaluator=lambda x: _shared(atan, x) / (1 + x),
         domain=(0, 1),
     )
 )
 _register(
     Integrand(
         id="eq16_integrand",
-        evaluator=lambda x: atan(x) / (1 + x * x),
+        evaluator=lambda x: _shared(atan, x) / (1 + x * x),
         domain=(0, 1),
     )
 )
 _register(
     Integrand(
         id="eq17_integrand",
-        evaluator=lambda x: x * atan(x) / (1 + x * x),
+        evaluator=lambda x: x * _shared(atan, x) / (1 + x * x),
         domain=(0, 1),
     )
 )
@@ -217,7 +235,7 @@ def _middle_alpha(a):
     # ln(1+a^2)/(a(1+a^2)) with removable zero at a = 0
     if a == 0:
         return mpf(0)
-    return log1p(a * a) / (a * (1 + a * a))
+    return _shared(_log1p_sq, a) / (a * (1 + a * a))
 
 
 def _middle_t(t):
@@ -239,8 +257,8 @@ def _f_prime_closed(a):
     a2 = a * a
     return (
         2 * a * _ln2_here() / (1 + a2)
-        + log1p(a2) / (a * (1 + a2))
-        - 2 * atan(a) / (1 + a2)
+        + _shared(_log1p_sq, a) / (a * (1 + a2))
+        - 2 * _shared(atan, a) / (1 + a2)
     )
 
 
@@ -249,7 +267,11 @@ def _h_prime_closed(a):
     if a == 0:
         return 1 - _ln2_here()
     a2 = a * a
-    return -_ln2_here() / (1 + a2) + log1p(a2) / (2 * (1 + a2)) + atan(a) / (a * (1 + a2))
+    return (
+        -_ln2_here() / (1 + a2)
+        + _shared(_log1p_sq, a) / (2 * (1 + a2))
+        + _shared(atan, a) / (a * (1 + a2))
+    )
 
 
 _register(Integrand(id="f_prime_closed", evaluator=_f_prime_closed, domain=(0, 1)))
@@ -778,6 +800,8 @@ def _resolve_tolerance(policy, p, est):
 def run_check(check, p, ctx=None, tolerance_exponent_override=None):
     """Evaluate one check at precision p and apply its tolerance policy."""
     ctx = ctx or CheckContext(p)
+    if ctx.p != p:
+        raise ValueError(f"context precision {ctx.p.bits} differs from the check's {p.bits}")
     policy = check.tolerance_policy
     if tolerance_exponent_override is not None:
         policy = Tol(tolerance_exponent_override)
@@ -825,7 +849,8 @@ def run_catalog(p, ids=None, jobs=1, tolerance_exponent_override=None):
     if jobs > 1 and len(checks) > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        # fork starts every worker at the first submit, so start no idle ones
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(checks))) as pool:
             futures = {
                 c.id: pool.submit(_run_by_id, c.id, p.bits, tolerance_exponent_override)
                 for c in checks

@@ -165,7 +165,9 @@ def _refine(ladder, p, rule, cap):
 # appended to the cached list; a built level never changes.  Each level
 # depends only on its own step, so a table built lazily holds the same nodes
 # as one built eagerly.  Truncation: nodes are generated until the canonical
-# weight h*omega drops below 2^-(bits+32).
+# weight h*omega drops below 2^-(bits+32).  Each domain's abscissae at a level
+# are computed once and cached beside the table, since most catalog integrals
+# share [0, 1].
 # ---------------------------------------------------------------------------
 
 _TS_TABLES = {}  # bits -> list per level of tuple[(delta, omega), ...]
@@ -229,15 +231,27 @@ def tanh_sinh_nodes(level, p):
         return neg + [center] + pos
 
 
+_TS_ABSCISSAE = {}  # (domain, bits, level) -> tuple[(a + halfw delta, b - halfw delta, omega), ...]
+
+
+def _ts_abscissae(domain, bits, lev):
+    nodes = _ts_levels(bits, lev)[lev]  # read first, so the table grows exactly as before
+    key = (domain, bits, lev)
+    hit = _TS_ABSCISSAE.get(key)
+    if hit is None:
+        with workprec(bits):  # the width `_refine` runs the ladder at: a hit is its very mpf
+            a, b, halfw, _ = _interval(domain)
+            hit = _TS_ABSCISSAE[key] = tuple((a + halfw * d, b - halfw * d, w) for d, w in nodes)
+    return hit
+
+
 def _ts_ladder(integrand, max_level, bits):
     a, b, halfw, mid = _interval(integrand.domain)
     f = integrand.evaluator
     S = (pi / 2) * _eval_checked(f, integrand, mid)
     evals = 1
     for lev in range(1, max_level + 1):
-        for delta, omega in _ts_levels(bits, lev)[lev]:
-            xm = a + halfw * delta
-            xp = b - halfw * delta
+        for xm, xp, omega in _ts_abscissae(integrand.domain, bits, lev):
             if integrand.singular_left and xm == a:
                 fm = mpf(0)  # weight already below truncation noise
             else:

@@ -28,7 +28,7 @@ from hpcert import (
     sigma_series,
     tail,
 )
-from hpcert.cli import EPOCH_TIMESTAMP, Report, render_json
+from hpcert.cli import EPOCH_TIMESTAMP, Report, build_report, render_json
 from hpcert.identities import DEFAULT_TENSOR, DEFAULT_TS, SIGMA_CF, _fd_step, get_integrand
 from hpcert.numeric import BasisConstant, constant_value
 
@@ -37,6 +37,7 @@ P128 = Precision(128)
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_256 = ROOT / "perfbench" / "reference" / "cat256.json"
+REFERENCE_APP_256 = ROOT / "perfbench" / "reference" / "app256.json"
 REFERENCE_FIELDS = ("lhs", "rhs", "abs_error", "tolerance", "passed", "evaluations")
 
 QUADRATURE_CHECK_IDS = [
@@ -305,3 +306,11 @@ def test_reports_match_the_recorded_reference(cat256):
             assert got[key] == want[key], f"{got['id']}.{key}: {got[key]} != {want[key]}"
     # descriptions, references, order and the header as well
     assert rendered_bytes == REFERENCE_256.read_bytes()
+
+
+def test_appendix_report_after_a_warm_catalog_matches_its_reference(cat256):
+    # the tanh-sinh abscissae and the ln(1+x^2) / arctan x / ln x memo are
+    # process-wide; after the cat256 fixture has filled them, a fresh run of
+    # the app* selection must still print the recorded report byte for byte
+    report = build_report(256, "app*", None, 1, True)
+    assert render_json(report, no_timestamp=True) == REFERENCE_APP_256.read_bytes()

@@ -1,7 +1,10 @@
+import concurrent.futures
 from fractions import Fraction
 
 import pytest
-from mpmath import ldexp, mpf, workprec
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import atan, ldexp, log, log1p, mpf, workprec
 
 from hpcert import (
     BasisConstant,
@@ -215,6 +218,42 @@ def test_run_catalog_selection_and_order(p128):
         run_catalog(p128, ids=["nope"])
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline, forks nothing."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_run_catalog_pool_has_no_more_workers_than_checks(monkeypatch, p64):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    ids = ["eq01_sigma_series", "eq07_assembly"]
+    pooled = run_catalog(p64, ids=ids, jobs=64)
+    assert _RecordingPool.sizes == [2]
+    assert [r.id for r in pooled] == ids
+    run_catalog(p64, ids=ids, jobs=1)
+    assert _RecordingPool.sizes == [2]
+
+
+def test_run_check_refuses_a_context_at_another_precision(p64, p128):
+    with pytest.raises(ValueError, match="precision"):
+        run_check(by_id("eq07_assembly"), p128, ctx=CheckContext(p64))
+
+
 def test_tolerance_override(p128):
     r = run_check(by_id("eq03_ln2"), p128, tolerance_exponent_override=-10)
     assert not r.passed
@@ -275,3 +314,36 @@ def test_param_monotone_on_grid(p128):
     for name in ("F", "H"):
         values = [param_value(name, Fraction(k, 10), p128) for k in range(11)]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+# --- the shared ln(1+x^2) / arctan x / ln x memo ------------------------------
+
+SHARED_DIRECT = [
+    (identities._log1p_sq, lambda x: log1p(x * x)),
+    (atan, atan),
+    (log, log),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mantissa=st.integers(min_value=1, max_value=2**400),
+    exponent=st.integers(min_value=-520, max_value=8),
+    bits=st.sampled_from([64, 192, 320, 576]),
+)
+def test_shared_memo_is_bit_identical_to_direct_calls(mantissa, exponent, bits):
+    with workprec(bits):
+        x = ldexp(mpf(mantissa), exponent)
+        for fn, direct in SHARED_DIRECT:
+            want = direct(x)._mpf_
+            assert identities._shared(fn, x)._mpf_ == want  # a miss
+            assert identities._shared(fn, x)._mpf_ == want  # a hit
+
+
+def test_shared_memo_never_crosses_precisions(monkeypatch):
+    monkeypatch.setattr(identities, "_SHARED", {})
+    x = mpf(3) / 8  # exact at every width, so only the width tells the calls apart
+    for fn, direct in SHARED_DIRECT:
+        for bits in (128, 256, 128):
+            with workprec(bits):
+                assert identities._shared(fn, x)._mpf_ == direct(x)._mpf_

@@ -121,6 +121,24 @@ def test_tanh_sinh_nodes_are_pinned():
     assert h.hexdigest() == TS_NODES_SHA256
 
 
+DOMAINS_1D = sorted({f.domain for f in _REGISTRY.values() if f.dimension == 1}, key=repr)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_cached_abscissae_equal_a_fresh_computation(bits):
+    # every registered 1D domain (the PiMultiple ones and eq06's (0, x0)
+    # among them) at the table key and width the catalog integrates at
+    key = Precision(bits).guarded
+    assert {(0, PiMultiple(Fraction(1, 2))), (0, Fraction(1, 4))} <= set(DOMAINS_1D)
+    with workprec(key):
+        for domain in DOMAINS_1D:
+            a, b, halfw, _ = quadrature._interval(domain)
+            for lev in range(1, 9):
+                cached = quadrature._ts_abscissae(domain, key, lev)
+                fresh = [(a + halfw * d, b - halfw * d, w) for d, w in quadrature._TS_TABLES[key][lev]]
+                assert [[v._mpf_ for v in n] for n in cached] == [[v._mpf_ for v in n] for n in fresh]
+
+
 # --- 1D integration ---------------------------------------------------------
 
 
