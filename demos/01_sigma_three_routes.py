@@ -22,24 +22,24 @@ p = Precision(256)
 print("A few raw partial sums first -- the series itself crawls:")
 for n in (1, 2, 10, 50):
     r = sigma_series(p, Direct(n))
-    print(f"  N={n:3d}   {nstr(r.value.value, 12):>16}   remainder bound {nstr(r.error_bound.value, 3)}")
+    print(f"  N={n:3d}   {nstr(r.value, 12):>16}   remainder bound {nstr(r.error_bound, 3)}")
 
 print("\nRoute 1: CRZ-accelerated summation, 30 terms")
 t0 = time.perf_counter()
-s_series = sigma_series(p, Crz(30)).value.value
+s_series = sigma_series(p, Crz(30)).value
 print(f"  {nstr(s_series, 40)}   ({time.perf_counter() - t0:.3f}s)")
 
 print("\nRoute 2: tensor Gauss-Legendre on -x^2 y^2/((1+x^2 y^2)(1+x)(1+y)) over the unit square")
 t0 = time.perf_counter()
 q = integrate_2d(get_integrand("sigma_double"), DEFAULT_TENSOR, p)
-print(f"  {nstr(q.value.value, 40)}   ({time.perf_counter() - t0:.3f}s, {q.evaluations} evaluations)")
+print(f"  {nstr(q.value, 40)}   ({time.perf_counter() - t0:.3f}s, {q.evaluations} evaluations)")
 
 print("\nRoute 3: the closed form over the constant basis")
-s_closed = eval_closed_form(SIGMA_CF, p).value
+s_closed = eval_closed_form(SIGMA_CF, p)
 print(f"  {nstr(s_closed, 40)}")
 
 with workprec(300):
     print("\nPairwise differences:")
     print("  series  vs closed:", nstr(abs(s_series - s_closed), 3))
-    print("  double  vs closed:", nstr(abs(q.value.value - s_closed), 3))
-    print("  series  vs double:", nstr(abs(s_series - q.value.value), 3))
+    print("  double  vs closed:", nstr(abs(q.value - s_closed), 3))
+    print("  series  vs double:", nstr(abs(s_series - q.value), 3))

@@ -33,8 +33,8 @@ f = Integrand(
     domain=(0, 1),
 )
 r = integrate(f, TanhSinh(), p)
-print(f"  value {nstr(r.value.value, 35)}")
-print(f"  error estimate {nstr(r.error_estimate.value, 3)} after level {r.level_or_order}, "
+print(f"  value {nstr(r.value, 35)}")
+print(f"  error estimate {nstr(r.error_estimate, 3)} after level {r.level_or_order}, "
       f"{r.evaluations} evaluations")
 
 print("\nln(sin t) on [0, pi/2] -- integrable singularity at t=0, flagged singular_left:")
@@ -45,18 +45,18 @@ g = Integrand(
     singular_left=True,
 )
 r = integrate(g, TanhSinh(), p)
-print(f"  value {nstr(r.value.value, 35)}   (closed form is -(pi/2)ln2)")
-print(f"  error estimate {nstr(r.error_estimate.value, 3)} after level {r.level_or_order}")
+print(f"  value {nstr(r.value, 35)}   (closed form is -(pi/2)ln2)")
+print(f"  error estimate {nstr(r.error_estimate, 3)} after level {r.level_or_order}")
 
 print("\nGauss-Legendre tensor rule on a smooth 2D integrand:")
 h = Integrand(id="demo_2d", evaluator=lambda x, y: 1 / (1 + x * y), domain=((0, 1), (0, 1)))
 r = integrate_2d(h, GaussLegendre(128), p)
-print(f"  int int 1/(1+xy) = {nstr(r.value.value, 35)}   (equals pi^2/12)")
+print(f"  int int 1/(1+xy) = {nstr(r.value, 35)}   (equals pi^2/12)")
 print(f"  final order {r.level_or_order}, {r.evaluations} evaluations")
 
 with workprec(200):
     from hpcert import eval_closed_form
     from hpcert.identities import LI2_CF
 
-    truth = eval_closed_form(LI2_CF, p).value
-    print(f"  against closed form: off by {nstr(abs(r.value.value - truth), 3)}")
+    truth = eval_closed_form(LI2_CF, p)
+    print(f"  against closed form: off by {nstr(abs(r.value - truth), 3)}")

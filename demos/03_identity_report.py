@@ -25,9 +25,9 @@ elapsed = time.perf_counter() - t0
 width = max(len(r.id) for r in results)
 for r in results:
     status = "PASS" if r.passed else "FAIL"
-    print(f"  {status}  {r.id:<{width}}  |error| = {nstr(r.abs_error.value, 3)}")
+    print(f"  {status}  {r.id:<{width}}  |error| = {nstr(r.abs_error, 3)}")
 
 passed = sum(r.passed for r in results)
 print(f"\n{passed}/{len(results)} passed in {elapsed:.2f}s")
 print("worst absolute error:",
-      nstr(max(r.abs_error.value for r in results), 3))
+      nstr(max(r.abs_error for r in results), 3))

@@ -36,7 +36,7 @@ results = run_catalog(p, ids=ids)
 for r in results:
     status = "PASS" if r.passed else "FAIL"
     print(
-        f"  {status}  {r.id:<20} |error| = {nstr(r.abs_error.value, 3):<10}"
-        f" tol = {nstr(r.tolerance.value, 3):<10} {r.description}"
+        f"  {status}  {r.id:<20} |error| = {nstr(r.abs_error, 3):<10}"
+        f" tol = {nstr(r.tolerance, 3):<10} {r.description}"
     )
 sys.exit(0 if all(r.passed for r in results) else 1)

@@ -14,7 +14,6 @@ from .errors import (
 from .numeric import (
     BasisConstant,
     ClosedForm,
-    HPReal,
     Precision,
     cf_add,
     cf_mul_ln2,

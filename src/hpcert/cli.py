@@ -20,7 +20,7 @@ from mpmath import nstr
 
 from . import __version__
 from .errors import VerificationError
-from .identities import catalog, run_catalog
+from .identities import catalog, precision_floor, run_catalog
 from .numeric import Precision
 
 EXIT_OK = 0
@@ -45,19 +45,22 @@ class Report:
     failed_count: int = 0
 
 
-def _selected_ids(pattern):
-    return [c.id for c in catalog() if fnmatch.fnmatchcase(c.id, pattern)]
+def _selected(pattern):
+    return [c for c in catalog() if fnmatch.fnmatchcase(c.id, pattern)]
 
 
 def build_report(precision_bits, filter, tolerance_exponent, jobs, no_timestamp):
     """Run the checks whose ids match the glob `filter` and assemble the report."""
-    ids = _selected_ids(filter)
-    if not ids:
+    checks = _selected(filter)
+    if not checks:
         raise _UsageError(f"filter {filter!r} matches no checks")
+    floor = precision_floor(checks, tolerance_exponent)
+    if precision_bits < floor:
+        raise _UsageError(f"precision {precision_bits} bits is below {floor}, the tolerance floor")
     started = EPOCH_TIMESTAMP if no_timestamp else time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     results = run_catalog(
         Precision(precision_bits),
-        ids=ids,
+        ids=[c.id for c in checks],
         jobs=jobs,
         tolerance_exponent_override=tolerance_exponent,
     )
@@ -72,10 +75,6 @@ def build_report(precision_bits, filter, tolerance_exponent, jobs, no_timestamp)
     )
 
 
-def _decimal(hp, digits):
-    return nstr(hp.value, digits)
-
-
 def render_json(report, no_timestamp=False):
     """UTF-8 JSON bytes with a fixed key order and decimal-string numerics."""
     digits = Precision(report.precision_bits).decimal_digits
@@ -86,10 +85,10 @@ def render_json(report, no_timestamp=False):
                 "id": r.id,
                 "description": r.description,
                 "paper_ref": r.ref,
-                "lhs": _decimal(r.lhs_value, digits),
-                "rhs": _decimal(r.rhs_value, digits),
-                "abs_error": _decimal(r.abs_error, digits),
-                "tolerance": _decimal(r.tolerance, digits),
+                "lhs": nstr(r.lhs_value, digits),
+                "rhs": nstr(r.rhs_value, digits),
+                "abs_error": nstr(r.abs_error, digits),
+                "tolerance": nstr(r.tolerance, digits),
                 "passed": r.passed,
                 "evaluations": r.evaluations,
                 "elapsed_ms": 0 if no_timestamp else r.elapsed_ms,
@@ -114,8 +113,8 @@ def render_text(report, no_timestamp=False):
     width = max(len(r.id) for r in report.checks)
     for r in report.checks:
         status = "PASS" if r.passed else "FAIL"
-        err = nstr(r.abs_error.value, 3)
-        tol = nstr(r.tolerance.value, 3)
+        err = nstr(r.abs_error, 3)
+        tol = nstr(r.tolerance, 3)
         ms = "     -" if no_timestamp else f"{r.elapsed_ms:6d}"
         lines.append(
             f"{status}  {r.id:<{width}}  err={err:<12} tol={tol:<12} "
@@ -127,12 +126,9 @@ def render_text(report, no_timestamp=False):
 
 def _positive_bits(text):
     try:
-        bits = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if bits < 64:
-        raise argparse.ArgumentTypeError("precision must be at least 64 bits")
-    return bits
+        return Precision(int(text)).bits
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _positive_int(text):
@@ -183,9 +179,8 @@ def main(argv=None):
         return int(exc.code or 0)
 
     if ns.list_only:
-        for c in catalog():
-            if fnmatch.fnmatchcase(c.id, ns.filter):
-                print(f"{c.id:<24} {c.ref:<22} {c.description}")
+        for c in _selected(ns.filter):
+            print(f"{c.id:<24} {c.ref:<22} {c.description}")
         return EXIT_OK
 
     try:

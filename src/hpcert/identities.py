@@ -16,6 +16,7 @@ their sub-integrals, the two appendix evaluations by differentiation under
 the integral sign, and the supporting log-sine and dilogarithm facts.
 """
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,15 +27,16 @@ from mpmath import atan, cos, ldexp, log, log1p, mp, mpf, sin, workprec
 from . import series
 from .errors import CatalogError
 from .numeric import (
+    GUARD_BITS,
     BasisConstant,
     ClosedForm,
-    HPReal,
     Precision,
     cf_add,
     cf_mul_ln2,
     cf_scale,
     constant_value,
     eval_closed_form,
+    round_to,
 )
 from .quadrature import GaussLegendre, Integrand, PiMultiple, TanhSinh, integrate, integrate_2d
 
@@ -377,10 +379,10 @@ class CheckResult:
     id: str
     description: str
     ref: str
-    lhs_value: HPReal
-    rhs_value: HPReal
-    abs_error: HPReal
-    tolerance: HPReal
+    lhs_value: mpf
+    rhs_value: mpf
+    abs_error: mpf
+    tolerance: mpf
     passed: bool
     evaluations: int
     elapsed_ms: int
@@ -411,21 +413,18 @@ class CheckContext:
             self._quad[f] = hit
         return hit
 
-    def closed(self, cf):
-        return eval_closed_form(cf, self.pg).value
-
 
 def _side_pipe(side, ctx):
     """Evaluate one side of a check: a closed form or a pipeline."""
     if isinstance(side, ClosedForm):
-        return Pipe(ctx.closed(side), mpf(0), 0)
+        return Pipe(eval_closed_form(side, ctx.pg), mpf(0), 0)
     return side(ctx)
 
 
 def _quad_pipe(integrand_id):
     def run(ctx):
         q = ctx.integrate(get_integrand(integrand_id))
-        return Pipe(q.value.value, q.error_estimate.value, q.evaluations)
+        return Pipe(q.value, q.error_estimate, q.evaluations)
 
     return run
 
@@ -448,12 +447,12 @@ def _combo_pipe(weighted):
 
 def _sigma_series_pipe(ctx):
     r = series.sigma_series(ctx.pg, series.Crz(30))
-    return Pipe(r.value.value, mpf(0), r.terms_used)
+    return Pipe(r.value, mpf(0), r.terms_used)
 
 
 def _eq03_pipe(ctx):
     r = series.ln2_direct_partial(LN2_DIRECT_TERMS, ctx.pg)
-    return Pipe(r.value.value, r.error_bound.value, r.terms_used)
+    return Pipe(r.value, r.error_bound, r.terms_used)
 
 
 def _eq04_pipe(ctx):
@@ -461,8 +460,8 @@ def _eq04_pipe(ctx):
     for n in (1, 2, 3, 5, 10, 20):
         harm = series.tail(n, series.TailRoute.HARMONIC, ctx.pg)
         q = ctx.integrate(series.tail_integrand(n))
-        dev = max(dev, abs(harm.value.value - q.value.value))
-        est = max(est, q.error_estimate.value)
+        dev = max(dev, abs(harm.value - q.value))
+        est = max(est, q.error_estimate)
         evals += q.evaluations
     return Pipe(dev, est, evals)
 
@@ -475,8 +474,8 @@ def _eq06_pipe(ctx):
         x = mpf(x0.numerator) / x0.denominator
         x2 = x * x
         closed = x2 / (1 + x2) * ln2 + log1p(x2) / (2 * (1 + x2)) - x * atan(x) / (1 + x2)
-        dev = max(dev, abs(q.value.value - closed))
-        est = max(est, q.error_estimate.value)
+        dev = max(dev, abs(q.value - closed))
+        est = max(est, q.error_estimate)
         evals += q.evaluations
     return Pipe(dev, est, evals)
 
@@ -485,11 +484,8 @@ def _funceq_pipe(ctx):
     full, half, cosh_ = (
         ctx.integrate(get_integrand(i)) for i in ("log_sin_full", "log_sin_half", "log_cos_half")
     )
-    dev = max(
-        abs(full.value.value - 2 * half.value.value),
-        abs(cosh_.value.value - half.value.value),
-    )
-    est = full.error_estimate.value + 2 * half.error_estimate.value + cosh_.error_estimate.value
+    dev = max(abs(full.value - 2 * half.value), abs(cosh_.value - half.value))
+    est = full.error_estimate + 2 * half.error_estimate + cosh_.error_estimate
     return Pipe(dev, est, full.evaluations + half.evaluations + cosh_.evaluations)
 
 
@@ -499,19 +495,19 @@ def _gap_pipe(a_id, b_id, w=1):
     def run(ctx):
         a = ctx.integrate(get_integrand(a_id))
         b = ctx.integrate(get_integrand(b_id))
-        dev = abs(a.value.value - w * b.value.value)
-        est = a.error_estimate.value + w * b.error_estimate.value
+        dev = abs(a.value - w * b.value)
+        est = a.error_estimate + w * b.error_estimate
         return Pipe(dev, est, a.evaluations + b.evaluations)
 
     return run
 
 
 def _li2_pipe(ctx):
-    s = series.ln1pt_over_t(ctx.pg).value
+    s = series.ln1pt_over_t(ctx.pg)
     q = ctx.integrate(get_integrand("ln1p_t_over_t"))
-    cf = ctx.closed(LI2_CF)
-    dev = max(abs(s - q.value.value), abs(s - cf), abs(q.value.value - cf))
-    return Pipe(dev, q.error_estimate.value, q.evaluations)
+    cf = eval_closed_form(LI2_CF, ctx.pg)
+    dev = max(abs(s - q.value), abs(s - cf), abs(q.value - cf))
+    return Pipe(dev, q.error_estimate, q.evaluations)
 
 
 def _param_grid_pipe(name):
@@ -530,7 +526,7 @@ def _param_grid_pipe(name):
                 closed = derivative(a)
                 up = ctx.integrate(_param_integrand(name, a + h, f"{af}+h"))
                 dn = ctx.integrate(_param_integrand(name, a - h, f"{af}-h"))
-                fd = (up.value.value - dn.value.value) / (2 * h)
+                fd = (up.value - dn.value) / (2 * h)
             dev = max(dev, abs(closed - fd))
             evals += up.evaluations + dn.evaluations
         return Pipe(dev, mpf(0), evals)
@@ -779,6 +775,25 @@ def catalog():
     return CATALOG
 
 
+_SERIES_PIPES = (_sigma_series_pipe, _eq03_pipe)  # the pipelines that integrate nothing
+
+
+def precision_floor(checks, tolerance_exponent_override=None):
+    """Least bits at which the checks' quadratures can meet their tightest `Tol`.
+
+    Quadratures stop at 2^-(bits + GUARD_BITS - 8), coarser than 10^E below
+    ceil(-E log2 10) - (GUARD_BITS - 8) bits; closed forms and series have no floor.
+    """
+    override = tolerance_exponent_override
+    exponents = []
+    for c in checks:
+        policy = c.tolerance_policy if override is None else Tol(override)
+        quad = any(callable(s) and s not in _SERIES_PIPES for s in (c.lhs, c.rhs))
+        if quad and isinstance(policy, Tol):
+            exponents.append(policy.exponent)
+    return math.ceil(-min(exponents, default=0) * math.log2(10)) - (GUARD_BITS - 8)
+
+
 # ---------------------------------------------------------------------------
 # Execution.
 # ---------------------------------------------------------------------------
@@ -816,10 +831,10 @@ def run_check(check, p, ctx=None, tolerance_exponent_override=None):
         id=check.id,
         description=check.description,
         ref=check.ref,
-        lhs_value=HPReal.from_raw(lhs.value, p),
-        rhs_value=HPReal.from_raw(rhs.value, p),
-        abs_error=HPReal.from_raw(err, p),
-        tolerance=HPReal.from_raw(tol, p),
+        lhs_value=round_to(lhs.value, p),
+        rhs_value=round_to(rhs.value, p),
+        abs_error=round_to(err, p),
+        tolerance=round_to(tol, p),
         passed=bool(err <= tol),
         evaluations=lhs.evals + rhs.evals,
         elapsed_ms=elapsed_ms,

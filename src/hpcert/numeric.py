@@ -1,12 +1,13 @@
 """Extended-precision values, fundamental constants, and closed forms.
 
-Everything the verifier certifies against lives here: `HPReal` (a value
-pinned to an explicit mantissa size), the seven-constant basis
+Everything the verifier certifies against lives here: `Precision` (an
+explicit mantissa size), the seven-constant basis
 {1, ln2, (ln2)^2, pi, pi*ln2, pi^2, G}, and `ClosedForm` -- an exact
 rational-coefficient combination over that basis.
 
-Internal computation runs at ``bits + GUARD_BITS`` and results are rounded
-once at the boundary, which keeps every constant within 4 ulp of the true
+Internal computation runs at ``bits + GUARD_BITS``.  Every public value is a
+plain `mpf` that `round_to` checks for finiteness and rounds once to
+``bits`` at the boundary, which keeps every constant within 4 ulp of the true
 value without per-operation error analysis.
 """
 
@@ -15,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 import math
 
-from mpmath import mp, mpf, isfinite, ldexp, mag, workprec
+from mpmath import mpf, isfinite, ldexp, mag, workprec
 
 from .accel import crz_sum, crz_terms_for_bits
 from .errors import BasisError, DomainError
@@ -43,23 +44,12 @@ class Precision:
         return int(math.ceil(self.bits * math.log10(2)))
 
 
-@dataclass(frozen=True)
-class HPReal:
-    """A finite real value together with the precision it was rounded to."""
-
-    value: mpf
-    precision: Precision
-
-    @classmethod
-    def from_raw(cls, x, precision):
-        """Round an ambient-precision value to `precision` bits."""
-        if not isfinite(x):
-            raise DomainError(f"non-finite value {x!r} cannot cross the module boundary")
-        with workprec(precision.bits):
-            return cls(+x, precision)
-
-    def __str__(self):
-        return mp.nstr(self.value, self.precision.decimal_digits)
+def round_to(x, p):
+    """Round a finite ambient-precision value once to p.bits."""
+    if not isfinite(x):
+        raise DomainError(f"non-finite value {x!r} cannot cross the module boundary")
+    with workprec(p.bits):
+        return +x
 
 
 def ulp(x, bits):
@@ -170,7 +160,7 @@ def constant_value(tag, bits):
 
 def const_pi(p):
     """pi to within 4 ulp at p bits."""
-    return HPReal.from_raw(constant_value(BasisConstant.PI, p.guarded), p)
+    return round_to(constant_value(BasisConstant.PI, p.guarded), p)
 
 
 def const_ln2(p):
@@ -180,12 +170,12 @@ def const_ln2(p):
     that series converges far too slowly to be a computation route and is
     instead certified separately as a catalog check.
     """
-    return HPReal.from_raw(constant_value(BasisConstant.LN2, p.guarded), p)
+    return round_to(constant_value(BasisConstant.LN2, p.guarded), p)
 
 
 def const_catalan(p):
     """Catalan's constant G to within 4 ulp at p bits."""
-    return HPReal.from_raw(constant_value(BasisConstant.CATALAN, p.guarded), p)
+    return round_to(constant_value(BasisConstant.CATALAN, p.guarded), p)
 
 
 # ---------------------------------------------------------------------------
@@ -277,4 +267,4 @@ def eval_closed_form(cf, p):
         for tag, coeff in cf.items:
             c = constant_value(tag, g)
             total += mpf(coeff.numerator) / coeff.denominator * c
-    return HPReal.from_raw(total, p)
+    return round_to(total, p)

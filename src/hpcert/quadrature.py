@@ -26,7 +26,7 @@ from typing import Callable, Optional
 from mpmath import exp, isfinite, ldexp, mp, mpf, pi, workprec
 
 from .errors import DomainError, NonconvergenceError
-from .numeric import GUARD_BITS, HPReal
+from .numeric import GUARD_BITS, round_to
 
 MIN_LEVEL, MAX_LEVEL = 3, 15
 MIN_ORDER, MAX_ORDER = 2, 4096
@@ -91,8 +91,8 @@ class GaussLegendre:
 
 @dataclass(frozen=True)
 class QuadResult:
-    value: HPReal
-    error_estimate: HPReal
+    value: mpf
+    error_estimate: mpf
     evaluations: int
     level_or_order: int
 
@@ -142,8 +142,8 @@ def _refine(ladder, p, rule, cap):
                 evaluations=evals,
             )
     return QuadResult(
-        value=HPReal.from_raw(T, p),
-        error_estimate=HPReal.from_raw(est, p),
+        value=round_to(T, p),
+        error_estimate=round_to(est, p),
         evaluations=evals,
         level_or_order=step,
     )

@@ -20,7 +20,7 @@ from mpmath import ldexp, mp, mpf, workprec
 
 from . import accel
 from .errors import PreconditionError
-from .numeric import BasisConstant, HPReal, constant_value
+from .numeric import BasisConstant, constant_value, round_to
 from .quadrature import Integrand, TanhSinh, integrate
 
 
@@ -33,11 +33,12 @@ class TailRoute(Enum):
 @dataclass(frozen=True)
 class TailTerm:
     n: int
-    value: HPReal
+    value: mpf
     route: TailRoute
-    # absolute bound on |value - a_n| where the route has one (None for
-    # HARMONIC, whose only error is the final rounding)
-    error_bound: Optional[HPReal] = None
+    # ALT_TAIL: the absolute bound 1/(M+1) on |value - a_n|; INTEGRAL: the
+    # quadrature's |T_k - T_{k-1}| estimate, not a bound; HARMONIC: None, as
+    # its only error is the final rounding
+    error_bound: Optional[mpf] = None
 
 
 @dataclass(frozen=True)
@@ -60,9 +61,9 @@ AccelMethod = Union[Direct, Euler, Crz]
 
 @dataclass(frozen=True)
 class SeriesResult:
-    value: HPReal
+    value: mpf
     terms_used: int
-    error_bound: Optional[HPReal] = None
+    error_bound: Optional[mpf] = None
 
 
 # Truncation point of the explicit alternating-tail route.  This route exists
@@ -114,13 +115,13 @@ def tail(n, route, p):
         raise ValueError("tail index must be >= 1")
     g = p.guarded
     if route is TailRoute.HARMONIC:
-        return TailTerm(n, HPReal.from_raw(_harmonic_tails([n], g)[0], p), route)
+        return TailTerm(n, round_to(_harmonic_tails([n], g)[0], p), route)
     if route is TailRoute.ALT_TAIL:
         m = 2 * n + ALT_TAIL_EXTRA_TERMS
         with workprec(g):
             s = _paired_alternating(2 * n + 1, m)
             bound = mpf(1) / (m + 1)
-        return TailTerm(n, HPReal.from_raw(s, p), route, HPReal.from_raw(bound, p))
+        return TailTerm(n, round_to(s, p), route, round_to(bound, p))
     if route is TailRoute.INTEGRAL:
         q = integrate(tail_integrand(n), TanhSinh(), p)
         return TailTerm(n, q.value, route, q.error_estimate)
@@ -155,18 +156,18 @@ def sum_alternating(coeffs, m, p):
         with workprec(g):
             vals = _scan_coefficients(coeffs, terms + 1)
             s, bound = accel.direct_sum(lambda k: vals[k], terms)
-        return SeriesResult(HPReal.from_raw(s, p), terms, HPReal.from_raw(bound, p))
+        return SeriesResult(round_to(s, p), terms, round_to(bound, p))
     if isinstance(m, Euler):
         # the difference table cancels ~1 bit per column; widen the guard
         with workprec(g + terms):
             vals = _scan_coefficients(coeffs, terms)
             s = accel.euler_sum(lambda k: vals[k], terms)
-        return SeriesResult(HPReal.from_raw(s, p), terms)
+        return SeriesResult(round_to(s, p), terms)
     if isinstance(m, Crz):
         with workprec(g + 16):
             vals = _scan_coefficients(coeffs, terms)
             s = accel.crz_sum(lambda k: vals[k], terms)
-        return SeriesResult(HPReal.from_raw(s, p), terms)
+        return SeriesResult(round_to(s, p), terms)
     raise ValueError(f"unknown acceleration method {m!r}")
 
 
@@ -182,9 +183,8 @@ def sigma_series(p, method):
     with workprec(g):
         sq = [v * v for v in vals]  # sq[k] = a_{k+1}^2
     result = sum_alternating(lambda k: sq[k], method, p)
-    with workprec(g):
-        v = -result.value.value
-    return SeriesResult(HPReal.from_raw(v, p), result.terms_used, result.error_bound)
+    with workprec(p.bits):  # exact: the value is already rounded to p.bits
+        return SeriesResult(-result.value, result.terms_used, result.error_bound)
 
 
 def ln2_direct_partial(terms, p):
@@ -197,7 +197,7 @@ def ln2_direct_partial(terms, p):
     with workprec(g):
         s = _paired_alternating(1, terms)
         bound = mpf(1) / (terms + 1)
-    return SeriesResult(HPReal.from_raw(s, p), terms, HPReal.from_raw(bound, p))
+    return SeriesResult(round_to(s, p), terms, round_to(bound, p))
 
 
 def ln1pt_over_t(p):
@@ -207,8 +207,7 @@ def ln1pt_over_t(p):
     `ln1pt_integrand` so the two can be cross-checked.
     """
     n = accel.crz_terms_for_bits(p.guarded + 16)
-    result = sum_alternating(lambda k: mpf(1) / (k + 1) ** 2, Crz(n), p)
-    return result.value
+    return sum_alternating(lambda k: mpf(1) / (k + 1) ** 2, Crz(n), p).value
 
 
 def ln1pt_integrand():

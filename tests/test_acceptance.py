@@ -102,7 +102,7 @@ def test_criterion_1_sigma_series_closed_form():
     elapsed = time.perf_counter() - t0
     closed = eval_closed_form(SIGMA_CF, P256)
     with workprec(300):
-        err = abs(s.value.value - closed.value)
+        err = abs(s.value - closed)
     ok = err <= mpf(10) ** -20 and elapsed < 1.0
     report(
         1,
@@ -114,9 +114,9 @@ def test_criterion_1_sigma_series_closed_form():
 
 def test_criterion_2_sigma_triple_route():
     t0 = time.perf_counter()
-    s_series = sigma_series(P256, Crz(30)).value.value
-    s_double = integrate_2d(get_integrand("sigma_double"), DEFAULT_TENSOR, P256).value.value
-    s_closed = eval_closed_form(SIGMA_CF, P256).value
+    s_series = sigma_series(P256, Crz(30)).value
+    s_double = integrate_2d(get_integrand("sigma_double"), DEFAULT_TENSOR, P256).value
+    s_closed = eval_closed_form(SIGMA_CF, P256)
     elapsed = time.perf_counter() - t0
     with workprec(300):
         worst = max(
@@ -173,13 +173,13 @@ def test_criterion_4_logsine_suite(cat256):
     ok = (
         s.passed
         and fe.passed
-        and s.abs_error.value <= tol
-        and fe.abs_error.value <= tol
+        and s.abs_error <= tol
+        and fe.abs_error <= tol
     )
     report(
         4,
         ok,
-        f"log-sine err={s.abs_error.value}, functional-equation dev={fe.abs_error.value}",
+        f"log-sine err={s.abs_error}, functional-equation dev={fe.abs_error}",
     )
 
 
@@ -189,13 +189,13 @@ def test_criterion_5_tail_identity():
         harm = tail(n, TailRoute.HARMONIC, P256)
         quad = tail(n, TailRoute.INTEGRAL, P256)
         with workprec(300):
-            diff = abs(harm.value.value - quad.value.value)
+            diff = abs(harm.value - quad.value)
             worst = max(worst, diff)
-        assert diff <= 8 * quad.error_bound.value + ldexp(1, -250)
+        assert diff <= 8 * quad.error_bound + ldexp(1, -250)
     bounds_ok = True
     with workprec(300):
         for n in range(1, 65):
-            a_n = tail(n, TailRoute.HARMONIC, P256).value.value
+            a_n = tail(n, TailRoute.HARMONIC, P256).value
             lo = Fraction(1, 2 * n + 1) - Fraction(1, 2 * n + 2)
             hi = Fraction(1, 2 * n + 1)
             if not (mpf(lo.numerator) / lo.denominator < a_n < mpf(hi.numerator) / hi.denominator):
@@ -217,24 +217,24 @@ def test_criterion_6_parameter_differentiation(cat256):
         h_ok
         and dF.passed
         and dH.passed
-        and dF.abs_error.value <= tol_fd
-        and dH.abs_error.value <= tol_fd
-        and dF.tolerance.value == tol_fd
-        and rF.abs_error.value <= tol_rec
-        and rH.abs_error.value <= tol_rec
+        and dF.abs_error <= tol_fd
+        and dH.abs_error <= tol_fd
+        and dF.tolerance == tol_fd
+        and rF.abs_error <= tol_rec
+        and rH.abs_error <= tol_rec
     )
     report(
         6,
         ok,
-        f"h=2^-85, F'/H' fd dev={max(dF.abs_error.value, dH.abs_error.value)}, "
-        f"reconstruction dev={max(rF.abs_error.value, rH.abs_error.value)}",
+        f"h=2^-85, F'/H' fd dev={max(dF.abs_error, dH.abs_error)}, "
+        f"reconstruction dev={max(rF.abs_error, rH.abs_error)}",
     )
 
 
 def test_criterion_7_exact_assembly(cat256):
     results, _ = cat256
     r = results["eq07_assembly"]
-    ok = r.passed and r.abs_error.value == 0 and r.tolerance.value == 0
+    ok = r.passed and r.abs_error == 0 and r.tolerance == 0
     report(7, ok, "A*ln2 + B/2 + C = -sigma holds as exact rational identity")
 
 
@@ -259,8 +259,8 @@ def test_criterion_8_property_suites(cat256, cat128):
             continue
         with workprec(300):
             d = max(
-                abs(r128.lhs_value.value - r256.lhs_value.value),
-                abs(r128.rhs_value.value - r256.rhs_value.value),
+                abs(r128.lhs_value - r256.lhs_value),
+                abs(r128.rhs_value - r256.rhs_value),
             )
             worst = max(worst, d)
         if d > agree:
@@ -276,8 +276,8 @@ def test_criterion_8_property_suites(cat256, cat128):
                 if abs(total - exact) > (order + k + 1) * ldexp(1, -120):
                     gl_ok = False
     # (c) CRZ vs Euler on sigma at matched budgets
-    crz = sigma_series(P256, Crz(60)).value.value
-    eul = sigma_series(P256, Euler(60)).value.value
+    crz = sigma_series(P256, Crz(60)).value
+    eul = sigma_series(P256, Euler(60)).value
     with workprec(300):
         accel_diff = abs(crz - eul)
     accel_ok = accel_diff <= mpf(10) ** -15

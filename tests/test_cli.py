@@ -54,6 +54,36 @@ def test_precision_below_minimum_is_usage_error(capsys):
     assert "64" in err
 
 
+def test_precision_below_the_tolerance_floor_is_usage_error(capsys):
+    # the quadratures stop at 2^-(bits + 24); 10^-40 needs bits >= 133 - 24
+    code, out, err = run_cli(capsys, "--precision-bits", "108")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "109" in err
+
+
+def test_full_catalog_passes_at_the_tolerance_floor(capsys):
+    code, out, _ = run_cli(capsys, "--precision-bits", "109", "--no-timestamp")
+    assert code == EXIT_OK
+    assert sum(line.startswith("PASS") for line in out.splitlines()) == 27
+    assert out.strip().endswith("27 passed, 0 failed")
+
+
+def test_tolerance_override_sets_the_floor(capsys):
+    args = ["--filter", "eq06*", "--tolerance-exponent", "-20", "--precision-bits", "64"]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == EXIT_OK
+    assert out.strip().endswith("1 passed, 0 failed")
+
+
+def test_series_only_checks_have_no_precision_floor(capsys):
+    # eq01 integrates nothing, so a tolerance it cannot meet is a real FAIL, not a refusal
+    args = ["--filter", "eq01*", "--tolerance-exponent", "-40", "--precision-bits", "64"]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == EXIT_CHECK_FAILED
+    assert "FAIL  eq01_sigma_series" in out
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "--frobnicate")
     assert code == EXIT_USAGE
@@ -111,7 +141,7 @@ def test_json_round_trip(capsys):
         assert got["passed"] == want.passed
         assert got["evaluations"] == want.evaluations
         with workprec(200):
-            assert abs(mpf(got["lhs"]) - want.lhs_value.value) <= mpf(10) ** -37
+            assert abs(mpf(got["lhs"]) - want.lhs_value) <= mpf(10) ** -37
 
 
 def test_render_json_empty_checks_is_valid():

@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         "01_sigma_three_routes.py",
         "02_quadrature_tour.py",
+        "03_identity_report.py",
         "04_parameter_differentiation.py",
     ],
 )

@@ -97,8 +97,8 @@ def test_catalog_rhs_stays_in_basis():
 def test_run_check_eq08(p128):
     r = run_check(by_id("eq08_A"), p128)
     assert r.passed
-    assert_close(r.lhs_value.value, A_VALUE, mpf(10) ** -35)
-    assert r.abs_error.value <= mpf(10) ** -40
+    assert_close(r.lhs_value, A_VALUE, mpf(10) ** -35)
+    assert r.abs_error <= mpf(10) ** -40
     assert r.evaluations > 0
     assert r.elapsed_ms >= 0
 
@@ -108,8 +108,8 @@ def test_run_check_app1_I1_and_eq16(p128):
     i1 = run_check(by_id("app1_I1"), p128, ctx=ctx)
     e16 = run_check(by_id("eq16"), p128, ctx=ctx)
     assert i1.passed and e16.passed
-    assert_close(i1.lhs_value.value, "0.17282745097458205019574093418642286289514247590297", mpf(10) ** -35)
-    assert_close(e16.lhs_value.value, EQ16, mpf(10) ** -35)
+    assert_close(i1.lhs_value, "0.17282745097458205019574093418642286289514247590297", mpf(10) ** -35)
+    assert_close(e16.lhs_value, EQ16, mpf(10) ** -35)
 
 
 def test_run_check_eq13_eq18_frozen(p128):
@@ -117,8 +117,8 @@ def test_run_check_eq13_eq18_frozen(p128):
     b = run_check(by_id("eq13_B"), p128, ctx=ctx)
     c = run_check(by_id("eq18_C"), p128, ctx=ctx)
     assert b.passed and c.passed
-    assert_close(b.lhs_value.value, B_VALUE, mpf(10) ** -35)
-    assert_close(c.lhs_value.value, C_VALUE, mpf(10) ** -35)
+    assert_close(b.lhs_value, B_VALUE, mpf(10) ** -35)
+    assert_close(c.lhs_value, C_VALUE, mpf(10) ** -35)
 
 
 def test_eq05_rhs_is_the_series_value(p128):
@@ -126,10 +126,10 @@ def test_eq05_rhs_is_the_series_value(p128):
     series_r = run_check(by_id("eq01_sigma_series"), p128, ctx=ctx)
     r = run_check(by_id("eq05_sigma_2d"), p128, ctx=ctx)
     assert r.passed
-    assert_close(r.lhs_value.value, SIGMA, mpf(10) ** -25)
-    assert abs(r.lhs_value.value - r.rhs_value.value) <= mpf(10) ** -20
+    assert_close(r.lhs_value, SIGMA, mpf(10) ** -25)
+    assert abs(r.lhs_value - r.rhs_value) <= mpf(10) ** -20
     # the right side is eq01's 30-term accelerated series, recomputed
-    assert r.rhs_value.value == series_r.lhs_value.value
+    assert r.rhs_value == series_r.lhs_value
     assert r.evaluations == ctx.integrate(get_integrand("sigma_double")).evaluations + 30
 
 
@@ -138,7 +138,7 @@ def test_eq05_double_integral_at_1024_bits():
     p = Precision(1024)
     r = integrate_2d(get_integrand("sigma_double"), DEFAULT_TENSOR, p)
     with workprec(1024):
-        assert abs(r.value.value - eval_closed_form(SIGMA_CF, p).value) <= ldexp(1, -1000)
+        assert abs(r.value - eval_closed_form(SIGMA_CF, p)) <= ldexp(1, -1000)
 
 
 def test_ctx_integrate_memoises_on_the_integrand(monkeypatch, p64):
@@ -159,14 +159,14 @@ def test_ctx_integrate_memoises_on_the_integrand(monkeypatch, p64):
 def test_eq07_exact_assembly(p64):
     r = run_check(by_id("eq07_assembly"), p64)
     assert r.passed
-    assert r.abs_error.value == 0
-    assert r.tolerance.value == 0
+    assert r.abs_error == 0
+    assert r.tolerance == 0
 
 
 def test_eq07_tolerance_override_keeps_zero_error(p64):
     r = run_check(by_id("eq07_assembly"), p64, tolerance_exponent_override=-10)
     assert r.passed
-    assert r.abs_error.value == 0
+    assert r.abs_error == 0
 
 
 def test_exact_tolerance_rejects_unequal_closed_forms(p64):
@@ -181,8 +181,8 @@ def test_exact_tolerance_rejects_unequal_closed_forms(p64):
     )
     r = run_check(check, p64)
     assert not r.passed
-    assert r.abs_error.value > 0
-    assert r.tolerance.value == 0
+    assert r.abs_error > 0
+    assert r.tolerance == 0
     assert r.evaluations == 0
 
 
@@ -190,10 +190,10 @@ def test_sigma_triple_route(p128):
     ctx = CheckContext(p128)
     series_r = run_check(by_id("eq01_sigma_series"), p128, ctx=ctx)
     double_r = run_check(by_id("eq05_sigma_2d"), p128, ctx=ctx)
-    closed = series_r.rhs_value.value
-    assert abs(series_r.lhs_value.value - closed) <= mpf(10) ** -20
-    assert abs(double_r.lhs_value.value - closed) <= mpf(10) ** -20
-    assert abs(series_r.lhs_value.value - double_r.lhs_value.value) <= mpf(10) ** -20
+    closed = series_r.rhs_value
+    assert abs(series_r.lhs_value - closed) <= mpf(10) ** -20
+    assert abs(double_r.lhs_value - closed) <= mpf(10) ** -20
+    assert abs(series_r.lhs_value - double_r.lhs_value) <= mpf(10) ** -20
 
 
 def test_catalog_error_on_unregistered():
@@ -258,7 +258,7 @@ def test_tolerance_override(p128):
     r = run_check(by_id("eq03_ln2"), p128, tolerance_exponent_override=-10)
     assert not r.passed
     with workprec(200):
-        assert abs(r.tolerance.value - mpf(10) ** -10) <= ldexp(1, -150)
+        assert abs(r.tolerance - mpf(10) ** -10) <= ldexp(1, -150)
 
 
 def test_monotone_refinement_under_level_raise(p128):
@@ -267,7 +267,7 @@ def test_monotone_refinement_under_level_raise(p128):
     for cap in (11, 12):
         q = integrate(get_integrand("a_integrand"), TanhSinh(cap), Precision(p128.guarded))
         rs.append(q)
-    assert rs[0].value.value == rs[1].value.value
+    assert rs[0].value == rs[1].value
     assert rs[0].level_or_order == rs[1].level_or_order
 
 
@@ -278,7 +278,7 @@ def param_value(name, alpha, p):
     """F(alpha) or H(alpha) by the catalog's tanh-sinh rule at precision p."""
     with workprec(p.guarded):
         a = mpf(alpha.numerator) / alpha.denominator
-    return integrate(_param_integrand(name, a, str(alpha)), DEFAULT_TS, p).value.value
+    return integrate(_param_integrand(name, a, str(alpha)), DEFAULT_TS, p).value
 
 
 def test_param_endpoints_zero(p128):
@@ -303,8 +303,8 @@ def test_h_prime_midpoint_matches_finite_difference(p128):
     h = _fd_step(p128)
     with workprec(pg.guarded):
         a = mpf(1) / 2
-        up = integrate(_param_integrand("H", a + h, "1/2+h"), DEFAULT_TS, pg).value.value
-        dn = integrate(_param_integrand("H", a - h, "1/2-h"), DEFAULT_TS, pg).value.value
+        up = integrate(_param_integrand("H", a + h, "1/2+h"), DEFAULT_TS, pg).value
+        dn = integrate(_param_integrand("H", a - h, "1/2-h"), DEFAULT_TS, pg).value
         dev = abs(_h_prime_closed(a) - (up - dn) / (2 * h))
     assert dev <= ldexp(1, -(128 // 2))
     assert run_check(by_id("app3_H_reconstruct"), p128).passed

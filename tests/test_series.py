@@ -30,8 +30,8 @@ def test_harmonic_tail_fraction():
 
 
 def test_tail_harmonic_frozen(p128):
-    assert_close(tail(1, TailRoute.HARMONIC, p128).value.value, A1, mpf(10) ** -35)
-    assert_close(tail(2, TailRoute.HARMONIC, p128).value.value, A2, mpf(10) ** -35)
+    assert_close(tail(1, TailRoute.HARMONIC, p128).value, A1, mpf(10) ** -35)
+    assert_close(tail(2, TailRoute.HARMONIC, p128).value, A2, mpf(10) ** -35)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 20])
@@ -39,8 +39,8 @@ def test_tail_routes_agree(n, p128):
     harm = tail(n, TailRoute.HARMONIC, p128)
     quad = tail(n, TailRoute.INTEGRAL, p128)
     alt = tail(n, TailRoute.ALT_TAIL, p128)
-    assert abs(harm.value.value - quad.value.value) <= 8 * quad.error_bound.value + ldexp(1, -120)
-    assert abs(harm.value.value - alt.value.value) <= alt.error_bound.value
+    assert abs(harm.value - quad.value) <= 8 * quad.error_bound + ldexp(1, -120)
+    assert abs(harm.value - alt.value) <= alt.error_bound
     assert quad.route is TailRoute.INTEGRAL and alt.route is TailRoute.ALT_TAIL
 
 
@@ -49,14 +49,14 @@ def test_tail_rational_bounds_up_to_64(p256):
     # 256-bit comparison is decisive
     with workprec(300):
         for n in range(1, 65):
-            a_n = tail(n, TailRoute.HARMONIC, p256).value.value
+            a_n = tail(n, TailRoute.HARMONIC, p256).value
             lo = Fraction(1, 2 * n + 1) - Fraction(1, 2 * n + 2)
             hi = Fraction(1, 2 * n + 1)
             assert mpf(lo.numerator) / lo.denominator < a_n < mpf(hi.numerator) / hi.denominator
 
 
 def test_tail_strictly_decreasing(p128):
-    values = [tail(n, TailRoute.HARMONIC, p128).value.value for n in range(1, 30)]
+    values = [tail(n, TailRoute.HARMONIC, p128).value for n in range(1, 30)]
     assert all(a > b > 0 for a, b in zip(values, values[1:]))
 
 
@@ -67,28 +67,28 @@ def test_tail_rejects_bad_n(p64):
 
 def test_sigma_partial_frozen(p128):
     r1 = sigma_series(p128, Direct(1))
-    assert_close(r1.value.value, SIGMA_PARTIAL_1, mpf(10) ** -35)
+    assert_close(r1.value, SIGMA_PARTIAL_1, mpf(10) ** -35)
     with workprec(300):
-        assert abs(r1.error_bound.value - oracle(A2) ** 2) <= mpf(10) ** -30
+        assert abs(r1.error_bound - oracle(A2) ** 2) <= mpf(10) ** -30
     r2 = sigma_series(p128, Direct(2))
-    assert_close(r2.value.value, SIGMA_PARTIAL_2, mpf(10) ** -35)
+    assert_close(r2.value, SIGMA_PARTIAL_2, mpf(10) ** -35)
 
 
 def test_sigma_partials_bracket_full_sum(p128):
-    full = sigma_series(p128, Crz(40)).value.value
-    partials = [sigma_series(p128, Direct(N)).value.value for N in range(1, 51)]
+    full = sigma_series(p128, Crz(40)).value
+    partials = [sigma_series(p128, Direct(N)).value for N in range(1, 51)]
     for N in range(1, 50):
         lo, hi = sorted((partials[N - 1], partials[N]))
         assert lo < full < hi
     for N in range(1, 51):
         r = sigma_series(p128, Direct(N))
-        assert abs(r.value.value - full) <= r.error_bound.value
+        assert abs(r.value - full) <= r.error_bound
 
 
 def test_sum_alternating_direct_first_term(p64):
     r = sum_alternating(lambda k: mpf(1) / 2**k, Direct(1), p64)
-    assert r.value.value == 1
-    assert r.error_bound.value == mpf(1) / 2
+    assert r.value == 1
+    assert r.error_bound == mpf(1) / 2
 
 
 def test_sum_alternating_rejects_increasing(p64):
@@ -100,30 +100,30 @@ def test_sum_alternating_rejects_increasing(p64):
 
 def test_crz_pi2_over_12(p128):
     r = sum_alternating(lambda k: mpf(1) / (k + 1) ** 2, Crz(20), p128)
-    assert_close(r.value.value, PI2_12, mpf(10) ** -15)
+    assert_close(r.value, PI2_12, mpf(10) ** -15)
 
 
 def test_crz_ln2(p128):
     r = sum_alternating(lambda k: mpf(1) / (k + 1), Crz(40), p128)
-    assert_close(r.value.value, LN2, mpf(10) ** -30)
+    assert_close(r.value, LN2, mpf(10) ** -30)
 
 
 @pytest.mark.parametrize("n", [10, 20, 30])
 def test_crz_self_consistency(n, p128):
     coeff = lambda k: mpf(1) / (k + 1) ** 2
-    a = sum_alternating(coeff, Crz(n), p128).value.value
-    b = sum_alternating(coeff, Crz(n + 5), p128).value.value
+    a = sum_alternating(coeff, Crz(n), p128).value
+    b = sum_alternating(coeff, Crz(n + 5), p128).value
     assert abs(a - b) <= mpf("5.8") ** -n * coeff(0)
 
 
 def test_sigma_crz_matches_frozen(p256):
     r = sigma_series(p256, Crz(30))
-    assert_close(r.value.value, SIGMA, mpf(10) ** -20)
+    assert_close(r.value, SIGMA, mpf(10) ** -20)
 
 
 def test_sigma_euler_vs_crz_matched_budget(p256):
-    crz = sigma_series(p256, Crz(60)).value.value
-    eul = sigma_series(p256, Euler(60)).value.value
+    crz = sigma_series(p256, Crz(60)).value
+    eul = sigma_series(p256, Euler(60)).value
     assert abs(crz - eul) <= mpf(10) ** -15
 
 
@@ -140,21 +140,21 @@ def test_accelerators_on_random_moment_sequences(p64):
         direct = sum_alternating(coeff, Direct(300), p)
         with workprec(200):
             exact = sum(w / (1 + t) for t, w in pts)
-            assert abs(crz.value.value - exact) <= mpf(10) ** -12
-            assert abs(eul.value.value - exact) <= mpf(10) ** -12
+            assert abs(crz.value - exact) <= mpf(10) ** -12
+            assert abs(eul.value - exact) <= mpf(10) ** -12
             # the partial sum is rounded to 128 bits, so allow that on top
             # of the alternating remainder bound
-            slack = direct.error_bound.value + ulp(direct.value.value, 128)
-            assert abs(direct.value.value - exact) <= slack
+            slack = direct.error_bound + ulp(direct.value, 128)
+            assert abs(direct.value - exact) <= slack
 
 
 def test_ln2_direct_partial_brackets(p128):
     from hpcert import const_ln2
 
     r = ln2_direct_partial(100_000, p128)
-    ln2 = const_ln2(p128).value
-    assert abs(r.value.value - ln2) <= r.error_bound.value
-    assert r.value.value < ln2  # even term count: partial sits below the limit
+    ln2 = const_ln2(p128)
+    assert abs(r.value - ln2) <= r.error_bound
+    assert r.value < ln2  # even term count: partial sits below the limit
 
 
 @pytest.mark.parametrize("first, last", [(1, 1000), (1, 1001), (41, 20040)])
@@ -171,11 +171,11 @@ def test_paired_alternating_matches_the_exact_sum(first, last):
 
 def test_ln1pt_over_t_series_and_quadrature(p128):
     v = ln1pt_over_t(p128)
-    assert abs(v.value - oracle(PI2_12)) <= 4 * ulp(v.value, 128)
+    assert abs(v - oracle(PI2_12)) <= 4 * ulp(v, 128)
     q = integrate(ln1pt_integrand(), TanhSinh(), p128)
-    assert abs(q.value.value - v.value) <= 8 * q.error_estimate.value + ldexp(1, -124)
+    assert abs(q.value - v) <= 8 * q.error_estimate + ldexp(1, -124)
 
 
 def test_ln1pt_first_term_is_one(p64):
     r = sum_alternating(lambda k: mpf(1) / (k + 1) ** 2, Direct(1), p64)
-    assert r.value.value == 1
+    assert r.value == 1
