@@ -14,8 +14,8 @@ import time
 
 from mpmath import nstr, workprec
 
-from hpcert import Crz, Direct, Precision, eval_closed_form, integrate_2d, sigma_series
-from hpcert.identities import DEFAULT_TENSOR, SIGMA_CF, get_integrand
+from hpcert import Crz, Direct, GaussLegendre, Precision, eval_closed_form, integrate_2d, sigma_series
+from hpcert.identities import SIGMA_CF, get_integrand
 
 p = Precision(256)
 
@@ -31,7 +31,7 @@ print(f"  {nstr(s_series, 40)}   ({time.perf_counter() - t0:.3f}s)")
 
 print("\nRoute 2: tensor Gauss-Legendre on -x^2 y^2/((1+x^2 y^2)(1+x)(1+y)) over the unit square")
 t0 = time.perf_counter()
-q = integrate_2d(get_integrand("sigma_double"), DEFAULT_TENSOR, p)
+q = integrate_2d(get_integrand("sigma_double"), GaussLegendre(), p)
 print(f"  {nstr(q.value, 40)}   ({time.perf_counter() - t0:.3f}s, {q.evaluations} evaluations)")
 
 print("\nRoute 3: the closed form over the constant basis")

@@ -50,7 +50,7 @@ print(f"  error estimate {nstr(r.error_estimate, 3)} after level {r.level_or_ord
 
 print("\nGauss-Legendre tensor rule on a smooth 2D integrand:")
 h = Integrand(id="demo_2d", evaluator=lambda x, y: 1 / (1 + x * y), domain=((0, 1), (0, 1)))
-r = integrate_2d(h, GaussLegendre(128), p)
+r = integrate_2d(h, GaussLegendre(), p)
 print(f"  int int 1/(1+xy) = {nstr(r.value, 35)}   (equals pi^2/12)")
 print(f"  final order {r.level_or_order}, {r.evaluations} evaluations")
 

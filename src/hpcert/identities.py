@@ -24,7 +24,7 @@ from typing import Callable, Union
 
 from mpmath import atan, cos, ldexp, log, log1p, mp, mpf, sin, workprec
 
-from . import series
+from . import quadrature, series
 from .errors import CatalogError
 from .numeric import (
     GUARD_BITS,
@@ -69,9 +69,6 @@ ZERO_CF = ClosedForm.zero()
 # forms are equal coefficient by coefficient, so they evaluate to the same mpf.
 ASSEMBLY_CF = cf_add(cf_add(cf_mul_ln2(A_CF), cf_scale(B_CF, F(1, 2))), C_CF)
 NEG_SIGMA_CF = cf_scale(SIGMA_CF, F(-1))
-
-DEFAULT_TS = TanhSinh(12)
-DEFAULT_TENSOR = GaussLegendre(512)
 
 LN2_DIRECT_TERMS = 100_000
 
@@ -407,9 +404,9 @@ class CheckContext:
         hit = self._quad.get(f)
         if hit is None:
             if f.dimension == 2:
-                hit = integrate_2d(f, DEFAULT_TENSOR, self.pg)
+                hit = integrate_2d(f, GaussLegendre(), self.pg)
             else:
-                hit = integrate(f, DEFAULT_TS, self.pg)
+                hit = integrate(f, TanhSinh(), self.pg)
             self._quad[f] = hit
         return hit
 
@@ -781,8 +778,8 @@ _SERIES_PIPES = (_sigma_series_pipe, _eq03_pipe)  # the pipelines that integrate
 def precision_floor(checks, tolerance_exponent_override=None):
     """Least bits at which the checks' quadratures can meet their tightest `Tol`.
 
-    Quadratures stop at 2^-(bits + GUARD_BITS - 8), coarser than 10^E below
-    ceil(-E log2 10) - (GUARD_BITS - 8) bits; closed forms and series have no floor.
+    Quadratures stop at 2^-(bits + GUARD_BITS - STOP_MARGIN), coarser than 10^E below
+    ceil(-E log2 10) - (GUARD_BITS - STOP_MARGIN) bits; closed forms and series have no floor.
     """
     override = tolerance_exponent_override
     exponents = []
@@ -791,7 +788,8 @@ def precision_floor(checks, tolerance_exponent_override=None):
         quad = any(callable(s) and s not in _SERIES_PIPES for s in (c.lhs, c.rhs))
         if quad and isinstance(policy, Tol):
             exponents.append(policy.exponent)
-    return math.ceil(-min(exponents, default=0) * math.log2(10)) - (GUARD_BITS - 8)
+    bits = math.ceil(-min(exponents, default=0) * math.log2(10))
+    return bits - (GUARD_BITS - quadrature.STOP_MARGIN)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ logarithmic endpoint singularities and is the default for every 1D check;
 Gauss-Legendre is the building block for smooth integrands and the only
 inner rule of the 2D tensor rule.  Both report ``error_estimate =
 |T_k - T_{k-1}|`` for the final refinement step and stop early once that
-difference falls below ``2^-(bits-8)``; reaching the refinement cap first
-raises `NonconvergenceError`.
+difference falls below ``2^-(bits - STOP_MARGIN)``; reaching the refinement
+cap, a function of the ladder's width, first raises `NonconvergenceError`.
 
 All three rules (1D tanh-sinh and Gauss-Legendre, 2D tensor Gauss-Legendre)
 run through one refinement driver, `_refine`; a 2D integrand that declares a
@@ -28,8 +28,9 @@ from mpmath import exp, isfinite, ldexp, mp, mpf, pi, workprec
 from .errors import DomainError, NonconvergenceError
 from .numeric import GUARD_BITS, round_to
 
-MIN_LEVEL, MAX_LEVEL = 3, 15
+MAX_LEVEL = 15
 MIN_ORDER, MAX_ORDER = 2, 4096
+STOP_MARGIN = 8  # a ladder stops once |T_k - T_{k-1}| <= 2^-(bits - STOP_MARGIN)
 
 
 @dataclass(frozen=True)
@@ -73,20 +74,12 @@ class Integrand:
 
 @dataclass(frozen=True)
 class TanhSinh:
-    max_level: int = 12
-
-    def __post_init__(self):
-        if not MIN_LEVEL <= self.max_level <= MAX_LEVEL:
-            raise ValueError(f"max_level must lie in [{MIN_LEVEL}, {MAX_LEVEL}]")
+    """Tanh-sinh levels 1, 2, ... up to `ts_level_cap` of the ladder width."""
 
 
 @dataclass(frozen=True)
 class GaussLegendre:
-    order: int = 256
-
-    def __post_init__(self):
-        if not MIN_ORDER <= self.order <= MAX_ORDER:
-            raise ValueError(f"order must lie in [{MIN_ORDER}, {MAX_ORDER}]")
+    """Gauss-Legendre orders 8, 16, ... up to `gl_order_cap` of the ladder width."""
 
 
 @dataclass(frozen=True)
@@ -97,8 +90,25 @@ class QuadResult:
     level_or_order: int
 
 
-def _target(bits):
-    return ldexp(1, -(bits - 8))
+# Each rule's refinement cap is a function of the ladder width, p.guarded.  A
+# catalog report of p bits runs its ladders at p + 64 and reaches at deepest:
+#   report bits   109   128   256   512  1024  2048
+#   width         173   192   320   576  1088  2112
+#   level           6     6     7     8     9    10   (cap 11 11 12 13 14 15)
+#   eq05 order     64   128   128   256   512  1024   (cap 256 ... 4096)
+
+
+def ts_level_cap(bits):
+    """The deepest tanh-sinh level a ladder at width `bits` may reach."""
+    return min(bits.bit_length() + 3, MAX_LEVEL)
+
+
+def gl_order_cap(bits):
+    """The highest Gauss-Legendre order a ladder at width `bits` may reach."""
+    order = 8
+    while order < bits and order < MAX_ORDER:
+        order *= 2
+    return order
 
 
 def _interval(domain):
@@ -120,11 +130,11 @@ def _eval_checked(f, integrand, *xs):
 def _refine(ladder, p, rule, cap):
     """The refinement driver shared by every rule.
 
-    `ladder` is a generator of (step, T_k, evaluations so far).  It is run at
-    the guarded width of p until |T_k - T_{k-1}| <= 2^-(p.bits - 8); running
+    `ladder` is a generator of (step, T_k, evaluations so far), run at the
+    guarded width of p until |T_k - T_{k-1}| <= 2^-(p.bits - STOP_MARGIN); running
     out of steps first raises `NonconvergenceError`, naming `rule` and `cap`.
     """
-    tau = _target(p.bits)
+    tau = ldexp(1, -(p.bits - STOP_MARGIN))
     prev = est = None
     with workprec(p.guarded):
         for step, T, evals in ladder:
@@ -135,7 +145,7 @@ def _refine(ladder, p, rule, cap):
             prev = T
         else:
             raise NonconvergenceError(
-                f"{rule} did not reach 2^-{p.bits - 8} by {cap}"
+                f"{rule} did not reach 2^-{p.bits - STOP_MARGIN} by {cap}"
                 f" (last difference {mp.nstr(est, 8)})",
                 value=T,
                 error_estimate=est,
@@ -209,13 +219,13 @@ def _ts_levels(bits, up_to_level):
 def tanh_sinh_nodes(level, p):
     """Abscissa/weight pairs on [-1, 1] for the given refinement level.
 
-    Level 0 is the single center node t = 0; level k >= 1 is the full grid
-    of step 2^-k, rounded to p.bits from the table `integrate` uses at p
-    (keyed at p.guarded).  The list is symmetric about 0 and all weights are
-    positive.
+    Level 0 is the single center node t = 0; level k in [1, MAX_LEVEL] is the
+    full grid of step 2^-k, rounded to p.bits from the table `integrate` uses
+    at p (keyed at p.guarded).  The list is symmetric about 0 and all weights
+    are positive.
     """
-    if level < 0:
-        raise ValueError("level must be >= 0")
+    if not 0 <= level <= MAX_LEVEL:
+        raise ValueError(f"level must lie in [0, {MAX_LEVEL}]")
     levels = _ts_levels(p.guarded, level)
     # descending delta is ascending t, a total order even where the rounded
     # abscissae collide at +-1
@@ -245,12 +255,12 @@ def _ts_abscissae(domain, bits, lev):
     return hit
 
 
-def _ts_ladder(integrand, max_level, bits):
+def _ts_ladder(integrand, cap, bits):
     a, b, halfw, mid = _interval(integrand.domain)
     f = integrand.evaluator
     S = (pi / 2) * _eval_checked(f, integrand, mid)
     evals = 1
-    for lev in range(1, max_level + 1):
+    for lev in range(1, cap + 1):
         for xm, xp, omega in _ts_abscissae(integrand.domain, bits, lev):
             if integrand.singular_left and xm == a:
                 fm = mpf(0)  # weight already below truncation noise
@@ -345,28 +355,28 @@ def gauss_legendre_nodes(order, p):
 
 
 def _gl_orders(cap):
-    # the error estimate needs at least two rungs; below order 16 they are
-    # cap - 1 and cap, and cap 2 starts from the 1-point (midpoint) rule
-    orders = [8 << i for i in range((cap // 8).bit_length())]
-    return orders if len(orders) > 1 else [cap - 1, cap]
+    """A ladder's rungs 8, 16, ..., cap: all even, so `_gl_axis` pairs every node."""
+    return [8 << i for i in range((cap // 8).bit_length())]
 
 
-def _gl_ladder(integrand, order_cap, bits):
-    _a, _b, halfw, mid = _interval(integrand.domain)
+def _gl_axis(domain, half_nodes):
+    """An even rule's points mid + halfw x, mid - halfw x, pair by pair, with their weights."""
+    _a, _b, halfw, mid = _interval(domain)
+    pts = []
+    for x, w in half_nodes:
+        pts.extend(((mid + halfw * x, w), (mid - halfw * x, w)))
+    return pts, halfw
+
+
+def _gl_ladder(integrand, cap, bits):
     f = integrand.evaluator
     evals = 0
-    for order in _gl_orders(order_cap):
+    for order in _gl_orders(cap):
+        pts, halfw = _gl_axis(integrand.domain, _gl_halfline(order, bits))
         S = mpf(0)
-        for x, w in _gl_halfline(order, bits):
-            if x == 0:
-                S += w * _eval_checked(f, integrand, mid)
-                evals += 1
-            else:
-                S += w * (
-                    _eval_checked(f, integrand, mid + halfw * x)
-                    + _eval_checked(f, integrand, mid - halfw * x)
-                )
-                evals += 2
+        for (xp, w), (xm, _) in zip(pts[::2], pts[1::2]):
+            S += w * (_eval_checked(f, integrand, xp) + _eval_checked(f, integrand, xm))
+        evals += len(pts)
         yield order, halfw * S, evals
 
 
@@ -374,18 +384,19 @@ def integrate(f, s, p):
     """Integrate a 1D integrand with the given scheme at precision p.
 
     Arithmetic runs at the guarded width; the refinement loop stops once
-    the level/order difference reaches 2^-(p.bits - 8).
+    the level/order difference reaches 2^-(p.bits - STOP_MARGIN).
     """
     if f.dimension != 1:
         raise ValueError(f"integrate() needs a 1D integrand, got dimension {f.dimension}")
     if isinstance(s, TanhSinh):
-        ladder = _ts_ladder(f, s.max_level, p.guarded)
-        return _refine(ladder, p, f"tanh-sinh on {f.id!r}", f"level {s.max_level}")
+        cap = ts_level_cap(p.guarded)
+        return _refine(_ts_ladder(f, cap, p.guarded), p, f"tanh-sinh on {f.id!r}", f"level {cap}")
     if isinstance(s, GaussLegendre):
         if f.singular_left or f.singular_right:
             raise DomainError(f"Gauss-Legendre refuses singular integrand {f.id!r}; use tanh-sinh")
-        ladder = _gl_ladder(f, s.order, p.guarded)
-        return _refine(ladder, p, f"Gauss-Legendre on {f.id!r}", f"order {s.order}")
+        cap = gl_order_cap(p.guarded)
+        ladder = _gl_ladder(f, cap, p.guarded)
+        return _refine(ladder, p, f"Gauss-Legendre on {f.id!r}", f"order {cap}")
     raise ValueError(f"scheme {s!r} does not apply to a 1D integrand")
 
 
@@ -426,22 +437,11 @@ def _product_sum(integrand, ptsx, ptsy):
     return ldexp(mpf(S), -3 * W), len(ptsx) * len(ptsy)
 
 
-def _gl_axis(domain, half_nodes):
-    _a, _b, halfw, mid = _interval(domain)
-    pts = []
-    for x, w in half_nodes:
-        if x == 0:
-            pts.append((mid, w))
-        else:
-            pts.extend(((mid + halfw * x, w), (mid - halfw * x, w)))
-    return pts, halfw
-
-
-def _tensor_gl_ladder(integrand, order_cap, bits):
+def _tensor_gl_ladder(integrand, cap, bits):
     domx, domy = integrand.domain
     tensor_sum = _product_sum if integrand.product else _tensor_sum
     evals = 0
-    for order in _gl_orders(order_cap):
+    for order in _gl_orders(cap):
         half = _gl_halfline(order, bits)
         ptsx, halfx = _gl_axis(domx, half)
         ptsy, halfy = _gl_axis(domy, half)
@@ -451,12 +451,13 @@ def _tensor_gl_ladder(integrand, order_cap, bits):
 
 
 def integrate_2d(f, s, p):
-    """Integrate a 2D integrand with the tensor product of the GaussLegendre rule s."""
+    """Integrate a 2D integrand with the tensor product of the Gauss-Legendre rule."""
     if f.dimension != 2:
         raise ValueError(f"integrate_2d() needs a 2D integrand, got dimension {f.dimension}")
     if not isinstance(s, GaussLegendre):
         raise ValueError(f"the 2D tensor rule is Gauss-Legendre only, got {s!r}")
     if f.singular_left or f.singular_right:
         raise DomainError(f"2D tensor rule requires a smooth integrand, got flags on {f.id!r}")
-    ladder = _tensor_gl_ladder(f, s.order, p.guarded)
-    return _refine(ladder, p, f"2D Gauss-Legendre on {f.id!r}", f"order {s.order}")
+    cap = gl_order_cap(p.guarded)
+    ladder = _tensor_gl_ladder(f, cap, p.guarded)
+    return _refine(ladder, p, f"2D Gauss-Legendre on {f.id!r}", f"order {cap}")

@@ -29,8 +29,9 @@ from hpcert import (
     tail,
 )
 from hpcert.cli import EPOCH_TIMESTAMP, Report, build_report, render_json
-from hpcert.identities import DEFAULT_TENSOR, DEFAULT_TS, SIGMA_CF, _fd_step, get_integrand
+from hpcert.identities import SIGMA_CF, CheckContext, _fd_step, get_integrand
 from hpcert.numeric import BasisConstant, constant_value
+from hpcert.quadrature import GaussLegendre
 
 P256 = Precision(256)
 P128 = Precision(128)
@@ -115,7 +116,7 @@ def test_criterion_1_sigma_series_closed_form():
 def test_criterion_2_sigma_triple_route():
     t0 = time.perf_counter()
     s_series = sigma_series(P256, Crz(30)).value
-    s_double = integrate_2d(get_integrand("sigma_double"), DEFAULT_TENSOR, P256).value
+    s_double = integrate_2d(get_integrand("sigma_double"), GaussLegendre(), P256).value
     s_closed = eval_closed_form(SIGMA_CF, P256)
     elapsed = time.perf_counter() - t0
     with workprec(300):
@@ -152,16 +153,20 @@ def test_criterion_3_integral_catalog(cat256):
             if c["id"] in QUADRATURE_CHECK_IDS
             and (not c["passed"] or mpf(c["abs_error"]) > mpf(10) ** -40)
         ]
-    # the two awkward singular integrands must converge within the level cap
+    # the two awkward singular integrands must converge by level 12
+    ctx = CheckContext(P256)
+    levels = {
+        i: ctx.integrate(get_integrand(i)).level_or_order for i in ("log_sin_half", "i1_minus_ln_x")
+    }
     levels_ok = all(
         results[cid].passed for cid in ("app1_logsine", "app1_I1_substitution")
-    ) and DEFAULT_TS.max_level <= 12
+    ) and max(levels.values()) <= 12
     ok = len(QUADRATURE_CHECK_IDS) >= 15 and not bad and levels_ok and wall < 10.0
     report(
         3,
         ok,
         f"{len(QUADRATURE_CHECK_IDS)} quadrature checks <=1e-40 (bad={bad}), "
-        f"max_level={DEFAULT_TS.max_level}, cold full-suite wall={wall:.2f}s",
+        f"levels reached {levels}, cold full-suite wall={wall:.2f}s",
     )
 
 

@@ -38,8 +38,8 @@ def _boundary_values(p):
     out = {}
     for name, q in (
         ("integrate TS", integrate(smooth, TanhSinh(), p)),
-        ("integrate GL", integrate(smooth, GaussLegendre(16), p)),
-        ("integrate_2d", integrate_2d(square, GaussLegendre(16), p)),
+        ("integrate GL", integrate(smooth, GaussLegendre(), p)),
+        ("integrate_2d", integrate_2d(square, GaussLegendre(), p)),
     ):
         out[f"{name} value"] = q.value
         out[f"{name} error_estimate"] = q.error_estimate

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from mpmath import mpf, workprec
 
 from hpcert import NonconvergenceError
@@ -64,6 +65,16 @@ def test_precision_below_the_tolerance_floor_is_usage_error(capsys):
 
 def test_full_catalog_passes_at_the_tolerance_floor(capsys):
     code, out, _ = run_cli(capsys, "--precision-bits", "109", "--no-timestamp")
+    assert code == EXIT_OK
+    assert sum(line.startswith("PASS") for line in out.splitlines()) == 27
+    assert out.strip().endswith("27 passed, 0 failed")
+
+
+@pytest.mark.slow
+def test_full_catalog_passes_at_2048_bits(capsys):
+    # the refinement caps grow with the precision: eq05 needs Gauss-Legendre
+    # order 1024 here, beyond a fixed cap of 512 (a few minutes; pytest -m slow)
+    code, out, _ = run_cli(capsys, "--precision-bits", "2048", "--no-timestamp")
     assert code == EXIT_OK
     assert sum(line.startswith("PASS") for line in out.splitlines()) == 27
     assert out.strip().endswith("27 passed, 0 failed")

@@ -17,10 +17,8 @@ from hpcert import (
     run_catalog,
     run_check,
 )
-from hpcert import identities
+from hpcert import identities, quadrature
 from hpcert.identities import (
-    DEFAULT_TENSOR,
-    DEFAULT_TS,
     SIGMA_CF,
     CheckContext,
     IdentityCheck,
@@ -33,7 +31,7 @@ from hpcert.identities import (
     _quad_pipe,
     get_integrand,
 )
-from hpcert.quadrature import TanhSinh, integrate, integrate_2d
+from hpcert.quadrature import GaussLegendre, TanhSinh, integrate, integrate_2d
 from oracle_values import (
     A_VALUE,
     B_VALUE,
@@ -136,7 +134,7 @@ def test_eq05_rhs_is_the_series_value(p128):
 def test_eq05_double_integral_at_1024_bits():
     # certifies the 2D integral itself far beyond eq05's 30-term series check
     p = Precision(1024)
-    r = integrate_2d(get_integrand("sigma_double"), DEFAULT_TENSOR, p)
+    r = integrate_2d(get_integrand("sigma_double"), GaussLegendre(), p)
     with workprec(1024):
         assert abs(r.value - eval_closed_form(SIGMA_CF, p)) <= ldexp(1, -1000)
 
@@ -153,7 +151,7 @@ def test_ctx_integrate_memoises_on_the_integrand(monkeypatch, p64):
     f = get_integrand("a_integrand")
     first = ctx.integrate(f)
     assert ctx.integrate(f) is first
-    assert calls == [("a_integrand", DEFAULT_TS)]
+    assert calls == [("a_integrand", TanhSinh())]
 
 
 def test_eq07_exact_assembly(p64):
@@ -262,11 +260,15 @@ def test_tolerance_override(p128):
 
 
 def test_monotone_refinement_under_level_raise(p128):
-    # once converged, a higher level cap must not change the result at all
+    # once converged, a higher level cap must not change the result at all;
+    # 11 is the cap `integrate` derives at this width
+    f = get_integrand("a_integrand")
+    pg = Precision(p128.guarded)
+    assert quadrature.ts_level_cap(pg.guarded) == 11
     rs = []
     for cap in (11, 12):
-        q = integrate(get_integrand("a_integrand"), TanhSinh(cap), Precision(p128.guarded))
-        rs.append(q)
+        ladder = quadrature._ts_ladder(f, cap, pg.guarded)
+        rs.append(quadrature._refine(ladder, pg, f.id, f"level {cap}"))
     assert rs[0].value == rs[1].value
     assert rs[0].level_or_order == rs[1].level_or_order
 
@@ -278,7 +280,7 @@ def param_value(name, alpha, p):
     """F(alpha) or H(alpha) by the catalog's tanh-sinh rule at precision p."""
     with workprec(p.guarded):
         a = mpf(alpha.numerator) / alpha.denominator
-    return integrate(_param_integrand(name, a, str(alpha)), DEFAULT_TS, p).value
+    return integrate(_param_integrand(name, a, str(alpha)), TanhSinh(), p).value
 
 
 def test_param_endpoints_zero(p128):
@@ -303,8 +305,8 @@ def test_h_prime_midpoint_matches_finite_difference(p128):
     h = _fd_step(p128)
     with workprec(pg.guarded):
         a = mpf(1) / 2
-        up = integrate(_param_integrand("H", a + h, "1/2+h"), DEFAULT_TS, pg).value
-        dn = integrate(_param_integrand("H", a - h, "1/2-h"), DEFAULT_TS, pg).value
+        up = integrate(_param_integrand("H", a + h, "1/2+h"), TanhSinh(), pg).value
+        dn = integrate(_param_integrand("H", a - h, "1/2-h"), TanhSinh(), pg).value
         dev = abs(_h_prime_closed(a) - (up - dn) / (2 * h))
     assert dev <= ldexp(1, -(128 // 2))
     assert run_check(by_id("app3_H_reconstruct"), p128).passed

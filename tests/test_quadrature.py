@@ -27,15 +27,40 @@ def const_one():
     return Integrand(id="one", evaluator=lambda x: mpf(1), domain=(0, 1))
 
 
-def test_scheme_validation():
-    with pytest.raises(ValueError):
-        TanhSinh(2)
-    with pytest.raises(ValueError):
-        TanhSinh(16)
-    with pytest.raises(ValueError):
-        GaussLegendre(1)
-    with pytest.raises(ValueError):
-        GaussLegendre(5000)
+def test_node_functions_refuse_out_of_range_input(monkeypatch, p64):
+    # a refused level builds nothing: level 30 would mean about 2^30 nodes
+    monkeypatch.setattr(quadrature, "_TS_TABLES", {})
+    for level in (-1, quadrature.MAX_LEVEL + 1, 30):
+        with pytest.raises(ValueError):
+            tanh_sinh_nodes(level, p64)
+    for order in (quadrature.MIN_ORDER - 1, quadrature.MAX_ORDER + 1):
+        with pytest.raises(ValueError):
+            gauss_legendre_nodes(order, p64)
+    assert quadrature._TS_TABLES == {}
+
+
+# --- refinement caps ----------------------------------------------------------
+
+
+# ladder width -> (deepest tanh-sinh level, deepest eq05 Gauss-Legendre order)
+# the catalog reaches at reports of 109, 128, 256, 512, 1024 and 2048 bits
+DEEPEST_RUNGS = {
+    173: (6, 64),
+    192: (6, 128),
+    320: (7, 128),
+    576: (8, 256),
+    1088: (9, 512),
+    2112: (10, 1024),
+}
+
+
+@pytest.mark.parametrize("width", sorted(DEEPEST_RUNGS))
+def test_derived_caps_sit_above_the_deepest_rung(width):
+    level, order = DEEPEST_RUNGS[width]
+    assert level < quadrature.ts_level_cap(width) <= quadrature.MAX_LEVEL
+    cap = quadrature.gl_order_cap(width)
+    assert order < cap <= quadrature.MAX_ORDER
+    assert order in quadrature._gl_orders(cap) and quadrature._gl_orders(cap)[-1] == cap
 
 
 # --- tanh-sinh nodes --------------------------------------------------------
@@ -79,8 +104,8 @@ def test_nodes_grow_with_level(p64):
 def test_ts_table_built_only_to_the_converged_level(monkeypatch, p128):
     monkeypatch.setattr(quadrature, "_TS_TABLES", {})
     f = Integrand(id="lazy", evaluator=lambda x: 1 / (1 + x), domain=(0, 1))
-    r = integrate(f, TanhSinh(12), p128)
-    assert r.level_or_order < 12
+    r = integrate(f, TanhSinh(), p128)
+    assert r.level_or_order < quadrature.ts_level_cap(p128.guarded)
     assert len(quadrature._TS_TABLES[p128.guarded]) == r.level_or_order + 1
 
 
@@ -142,7 +167,7 @@ def test_cached_abscissae_equal_a_fresh_computation(bits):
 # --- 1D integration ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("scheme", [TanhSinh(10), GaussLegendre(64)])
+@pytest.mark.parametrize("scheme", [TanhSinh(), GaussLegendre()])
 def test_constant_integrand(scheme, p128):
     r = integrate(const_one(), scheme, p128)
     assert abs(r.value - 1) < ldexp(1, -120)
@@ -200,7 +225,7 @@ def test_tanh_sinh_error_decays_quadratically(p256):
 def test_gl_refuses_singular(p64):
     f = Integrand(id="sing", evaluator=lambda x: log(x), domain=(0, 1), singular_left=True)
     with pytest.raises(DomainError):
-        integrate(f, GaussLegendre(32), p64)
+        integrate(f, GaussLegendre(), p64)
 
 
 def test_dimension_mismatch(p64):
@@ -208,7 +233,7 @@ def test_dimension_mismatch(p64):
     with pytest.raises(ValueError):
         integrate(f2, TanhSinh(), p64)
     with pytest.raises(ValueError):
-        integrate_2d(const_one(), GaussLegendre(16), p64)
+        integrate_2d(const_one(), GaussLegendre(), p64)
 
 
 def test_dimension_follows_the_domain():
@@ -230,8 +255,8 @@ def test_nonconvergence_on_nonintegrable(p64):
         domain=(0, 1),
         singular_left=True,
     )
-    with pytest.raises(NonconvergenceError):
-        integrate(f, TanhSinh(4), p64)
+    with pytest.raises(NonconvergenceError, match=f"by level {quadrature.ts_level_cap(p64.guarded)} "):
+        integrate(f, TanhSinh(), p64)
 
 
 def test_domain_error_on_nonfinite(p64):
@@ -282,36 +307,29 @@ def test_gl_order_1_is_the_center_node():
     assert quadrature._gl_halfline(1, 160) == ((0, 2),)
 
 
-def test_gl_order_3_rule_and_ladder(p128):
-    # the 3-point rule is exact on x^2; its ladder is the 2-point rule, then
-    # order 3, which certifies an integrand both rungs integrate exactly
-    assert quadrature._gl_orders(3) == [2, 3]
+def test_gl_order_3_rule(p128):
+    # the odd rule keeps its center node, exactly 0 with weight 8/9
     nodes = gauss_legendre_nodes(3, p128)
+    assert len(nodes) == 3
     with workprec(128):
         assert nodes[1] == (0, mpf(8) / 9)
-    with workprec(200):
-        assert abs(sum(w * x * x for x, w in nodes) - mpf(2) / 3) <= ldexp(1, -126)
-    f = Integrand(id="x", evaluator=lambda x: x, domain=(0, 1))
-    r = integrate(f, GaussLegendre(3), p128)
-    assert r.value == mpf(1) / 2
-    assert r.level_or_order == 3
-    assert r.evaluations == 5
 
 
 def test_gl_order_3_integrates_x2(p128):
-    # both rungs of cap 3 are exact on x^2, so the ladder certifies 1/3
-    f = Integrand(id="x2", evaluator=lambda x: x * x, domain=(0, 1))
-    r = integrate(f, GaussLegendre(3), p128)
-    assert r.level_or_order == 3
-    with workprec(p128.bits):
-        assert abs(r.value - mpf(1) / 3) <= ldexp(1, -(p128.bits - 8))
+    # int_0^1 x^2 = 1/3 by the 3-point rule mapped from [-1, 1]
+    nodes = gauss_legendre_nodes(3, p128)
+    with workprec(200):
+        assert abs(sum(w * x * x for x, w in nodes) - mpf(2) / 3) <= ldexp(1, -126)
+        total = sum(w * ((1 + x) / 2) ** 2 for x, w in nodes) / 2
+        assert abs(total - mpf(1) / 3) <= ldexp(1, -(p128.bits - 8))
 
 
 def test_gl_order_2_integrates_x(p128):
-    # the 2-point rule is exact on x; its ladder still needs a coarser rung
-    f = Integrand(id="x", evaluator=lambda x: x, domain=(0, 1))
-    r = integrate(f, GaussLegendre(2), p128)
-    assert abs(r.value - mpf(1) / 2) <= ldexp(1, -(p128.bits - 8))
+    # int_0^1 x = 1/2 by the 2-point rule mapped from [-1, 1]
+    nodes = gauss_legendre_nodes(2, p128)
+    with workprec(200):
+        total = sum(w * (1 + x) / 2 for x, w in nodes) / 2
+        assert abs(total - mpf(1) / 2) <= ldexp(1, -(p128.bits - 8))
 
 
 # --- 2D tensor rule ---------------------------------------------------------
@@ -319,20 +337,24 @@ def test_gl_order_2_integrates_x(p128):
 
 def test_2d_constant(p64):
     f = Integrand(id="c2", evaluator=lambda x, y: mpf(1), domain=((0, 1), (0, 1)))
-    r = integrate_2d(f, GaussLegendre(32), p64)
+    r = integrate_2d(f, GaussLegendre(), p64)
     assert abs(r.value - 1) < ldexp(1, -50)
 
 
 def test_2d_xy_quarter(p64):
     f = Integrand(id="xy", evaluator=lambda x, y: x * y, domain=((0, 1), (0, 1)))
-    r = integrate_2d(f, GaussLegendre(32), p64)
+    r = integrate_2d(f, GaussLegendre(), p64)
     assert abs(r.value - mpf(1) / 4) < ldexp(1, -50)
 
 
 def test_2d_gl_order_2_xy_quarter(p128):
+    # one rung of the tensor rule: the 2-point rule on each axis is exact on xy
     f = Integrand(id="xy", evaluator=lambda x, y: x * y, domain=((0, 1), (0, 1)))
-    r = integrate_2d(f, GaussLegendre(2), p128)
-    assert abs(r.value - mpf(1) / 4) <= ldexp(1, -(p128.bits - 8))
+    with workprec(p128.guarded):
+        pts, halfw = quadrature._gl_axis((0, 1), quadrature._gl_halfline(2, p128.guarded))
+        S, n = quadrature._tensor_sum(f, pts, pts)
+        assert n == 4
+        assert abs(halfw * halfw * S - mpf(1) / 4) <= ldexp(1, -(p128.bits - 8))
 
 
 def test_2d_separable_matches_1d_product(p64):
@@ -343,9 +365,9 @@ def test_2d_separable_matches_1d_product(p64):
         evaluator=lambda x, y: (x * x / (1 + x)) * (1 / (1 + y * y)),
         domain=((0, 1), (0, 1)),
     )
-    rx = integrate(fx, GaussLegendre(64), p64)
-    ry = integrate(fy, GaussLegendre(64), p64)
-    r2 = integrate_2d(f2, GaussLegendre(64), p64)
+    rx = integrate(fx, GaussLegendre(), p64)
+    ry = integrate(fy, GaussLegendre(), p64)
+    r2 = integrate_2d(f2, GaussLegendre(), p64)
     with workprec(128):
         prod = rx.value * ry.value
         assert abs(r2.value - prod) <= ldexp(1, -56)
@@ -354,7 +376,7 @@ def test_2d_separable_matches_1d_product(p64):
 def test_2d_tanh_sinh_inner_is_refused(p64):
     f = Integrand(id="xpy", evaluator=lambda x, y: x + y, domain=((0, 1), (0, 1)))
     with pytest.raises(ValueError, match="Gauss-Legendre only"):
-        integrate_2d(f, TanhSinh(6), p64)
+        integrate_2d(f, TanhSinh(), p64)
 
 
 # --- the fixed-point kernel of a declared product form -----------------------
@@ -397,7 +419,7 @@ def test_product_sum_matches_the_cell_by_cell_sum(bits, order):
 GOLDEN = {
     "ts1d": (
         lambda x: x * x / (1 + x),
-        TanhSinh(12),
+        TanhSinh(),
         (262898319060176249625027356193081514685, -130),
         (5, -160),
         285,
@@ -405,7 +427,7 @@ GOLDEN = {
     ),
     "gl1d": (
         lambda x: 1 / (1 + x),
-        GaussLegendre(256),
+        GaussLegendre(),
         (235865763225513294137944142764154484399, -128),
         (1, -160),
         120,
@@ -413,7 +435,7 @@ GOLDEN = {
     ),
     "gl2d": (
         lambda x, y: 1 / (1 + x * y),
-        GaussLegendre(64),
+        GaussLegendre(),
         (1896479859329717027, -61),
         (567, -94),
         1344,
