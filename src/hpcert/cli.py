@@ -46,14 +46,15 @@ class Report:
 
 
 def _selected(pattern):
-    return [c for c in catalog() if fnmatch.fnmatchcase(c.id, pattern)]
+    checks = [c for c in catalog() if fnmatch.fnmatchcase(c.id, pattern)]
+    if not checks:
+        raise _UsageError(f"filter {pattern!r} matches no checks")
+    return checks
 
 
 def build_report(precision_bits, filter, tolerance_exponent, jobs, no_timestamp):
     """Run the checks whose ids match the glob `filter` and assemble the report."""
     checks = _selected(filter)
-    if not checks:
-        raise _UsageError(f"filter {filter!r} matches no checks")
     floor = precision_floor(checks, tolerance_exponent)
     if precision_bits < floor:
         raise _UsageError(f"precision {precision_bits} bits is below {floor}, the tolerance floor")
@@ -178,12 +179,11 @@ def main(argv=None):
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
 
-    if ns.list_only:
-        for c in _selected(ns.filter):
-            print(f"{c.id:<24} {c.ref:<22} {c.description}")
-        return EXIT_OK
-
     try:
+        if ns.list_only:
+            for c in _selected(ns.filter):
+                print(f"{c.id:<24} {c.ref:<22} {c.description}")
+            return EXIT_OK
         report = build_report(ns.precision_bits, ns.filter, ns.tolerance_exponent, ns.jobs, ns.no_timestamp)
     except _UsageError as exc:
         print(f"verify: error: {exc}", file=sys.stderr)

@@ -31,6 +31,15 @@ from .numeric import (
     BasisConstant,
     ClosedForm,
     Precision,
+    _atan_x,
+    _den,
+    _log1p,
+    _log1p_sq,
+    _log1p_x,
+    _log_x,
+    _one_px,
+    _one_px2,
+    _x_one_px2,
     cf_add,
     cf_mul_ln2,
     cf_scale,
@@ -96,24 +105,6 @@ def _ln2_here():
     return constant_value(LN2, mp.prec)
 
 
-# Most 1D integrands share ln(1+x^2), arctan x or ln x at the same tanh-sinh
-# abscissae.  A hit is the mpf the same call made at the same width, so the
-# memo is bit for bit the same as calling mpmath directly.
-_SHARED = {}  # (function, x, mp.prec) -> function(x)
-
-
-def _log1p_sq(x):
-    return log1p(x * x)
-
-
-def _shared(fn, x):
-    key = (fn, x._mpf_, mp.prec)
-    hit = _SHARED.get(key)
-    if hit is None:
-        hit = _SHARED[key] = fn(x)
-    return hit
-
-
 _register(
     Integrand(
         id="sigma_double",
@@ -127,42 +118,42 @@ _register(
 _register(
     Integrand(
         id="a_integrand",
-        evaluator=lambda x: x * x / ((1 + x * x) * (1 + x)),
+        evaluator=lambda x: x * x / _den(x),
         domain=(0, 1),
     )
 )
 _register(
     Integrand(
         id="b_integrand",
-        evaluator=lambda x: _shared(_log1p_sq, x) / ((1 + x * x) * (1 + x)),
+        evaluator=lambda x: _log1p_sq(x) / _den(x),
         domain=(0, 1),
     )
 )
 _register(
     Integrand(
         id="c_integrand",
-        evaluator=lambda x: -x * _shared(atan, x) / ((1 + x * x) * (1 + x)),
+        evaluator=lambda x: -x * _atan_x(x) / _den(x),
         domain=(0, 1),
     )
 )
 _register(
     Integrand(
         id="x_ln_1px2_over_1px2",
-        evaluator=lambda x: x * _shared(_log1p_sq, x) / (1 + x * x),
+        evaluator=lambda x: x * _log1p_sq(x) / _one_px2(x),
         domain=(0, 1),
     )
 )
 _register(
     Integrand(
         id="i1_integrand",
-        evaluator=lambda x: _shared(_log1p_sq, x) / (1 + x * x),
+        evaluator=lambda x: _log1p_sq(x) / _one_px2(x),
         domain=(0, 1),
     )
 )
 _register(
     Integrand(
         id="i1_minus_ln_x",
-        evaluator=lambda x: (_shared(_log1p_sq, x) - _shared(log, x)) / (1 + x * x),
+        evaluator=lambda x: (_log1p_sq(x) - _log_x(x)) / _one_px2(x),
         domain=(0, 1),
         singular_left=True,
     )
@@ -170,7 +161,7 @@ _register(
 _register(
     Integrand(
         id="neg_ln_x_over_1px2",
-        evaluator=lambda x: -_shared(log, x) / (1 + x * x),
+        evaluator=lambda x: -_log_x(x) / _one_px2(x),
         domain=(0, 1),
         singular_left=True,
     )
@@ -203,28 +194,28 @@ _register(
 _register(
     Integrand(
         id="i2_integrand",
-        evaluator=lambda x: _shared(_log1p_sq, x) / (1 + x),
+        evaluator=lambda x: _log1p_sq(x) / _one_px(x),
         domain=(0, 1),
     )
 )
 _register(
     Integrand(
         id="i3_integrand",
-        evaluator=lambda x: _shared(atan, x) / (1 + x),
+        evaluator=lambda x: _atan_x(x) / _one_px(x),
         domain=(0, 1),
     )
 )
 _register(
     Integrand(
         id="eq16_integrand",
-        evaluator=lambda x: _shared(atan, x) / (1 + x * x),
+        evaluator=lambda x: _atan_x(x) / _one_px2(x),
         domain=(0, 1),
     )
 )
 _register(
     Integrand(
         id="eq17_integrand",
-        evaluator=lambda x: x * _shared(atan, x) / (1 + x * x),
+        evaluator=lambda x: x * _atan_x(x) / _one_px2(x),
         domain=(0, 1),
     )
 )
@@ -234,14 +225,14 @@ def _middle_alpha(a):
     # ln(1+a^2)/(a(1+a^2)) with removable zero at a = 0
     if a == 0:
         return mpf(0)
-    return _shared(_log1p_sq, a) / (a * (1 + a * a))
+    return _log1p_sq(a) / _x_one_px2(a)
 
 
 def _middle_t(t):
     # ln(1+t)/(t(1+t)) -> 1 as t -> 0
     if t == 0:
         return mpf(1)
-    return log1p(t) / (t * (1 + t))
+    return _log1p_x(t) / (t * _one_px(t))
 
 
 _register(Integrand(id="middle_alpha", evaluator=_middle_alpha, domain=(0, 1)))
@@ -253,11 +244,10 @@ def _f_prime_closed(a):
     # d/da int_0^1 ln(1+a^2 x^2)/(1+x) dx, in closed form; -> 0 as a -> 0
     if a == 0:
         return mpf(0)
-    a2 = a * a
     return (
-        2 * a * _ln2_here() / (1 + a2)
-        + _shared(_log1p_sq, a) / (a * (1 + a2))
-        - 2 * _shared(atan, a) / (1 + a2)
+        2 * a * _ln2_here() / _one_px2(a)
+        + _log1p_sq(a) / _x_one_px2(a)
+        - 2 * _atan_x(a) / _one_px2(a)
     )
 
 
@@ -265,11 +255,10 @@ def _h_prime_closed(a):
     # d/da int_0^1 arctan(a x)/(1+x) dx, in closed form; -> 1 - ln2 as a -> 0
     if a == 0:
         return 1 - _ln2_here()
-    a2 = a * a
     return (
-        -_ln2_here() / (1 + a2)
-        + _shared(_log1p_sq, a) / (2 * (1 + a2))
-        + _shared(atan, a) / (a * (1 + a2))
+        -_ln2_here() / _one_px2(a)
+        + _log1p_sq(a) / (2 * _one_px2(a))
+        + _atan_x(a) / _x_one_px2(a)
     )
 
 
@@ -303,12 +292,12 @@ def _param_integrand(name, alpha_value, tag):
         a2 = alpha_value * alpha_value
 
         def f(x):
-            return log1p(a2 * x * x) / (1 + x)
+            return _log1p(a2 * x * x) / _one_px(x)
 
     else:
 
         def f(x):
-            return atan(alpha_value * x) / (1 + x)
+            return atan(alpha_value * x) / _one_px(x)
 
     return Integrand(id=f"{name}_at_{tag}", evaluator=f, domain=(0, 1))
 

@@ -9,6 +9,9 @@ Internal computation runs at ``bits + GUARD_BITS``.  Every public value is a
 plain `mpf` that `round_to` checks for finiteness and rounds once to
 ``bits`` at the boundary, which keeps every constant within 4 ulp of the true
 value without per-operation error analysis.
+
+The integrands in `identities` and `series` share one bit-exact memo of
+their common subexpressions per tanh-sinh abscissa, kept here below both.
 """
 
 from dataclasses import dataclass
@@ -16,7 +19,8 @@ from enum import Enum
 from fractions import Fraction
 import math
 
-from mpmath import mpf, isfinite, ldexp, mag, workprec
+from mpmath import atan, isfinite, ldexp, log, log1p, mag, mp, mpf, workprec
+from mpmath.libmp import fone, mpf_add, mpf_log, mpf_pos, round_nearest
 
 from .accel import crz_sum, crz_terms_for_bits
 from .errors import BasisError, DomainError
@@ -57,6 +61,53 @@ def ulp(x, bits):
     if x == 0:
         return ldexp(1, -bits)
     return ldexp(1, mag(x) - bits)
+
+
+# ---------------------------------------------------------------------------
+# Per-abscissa memo.  Most 1D integrands run on [0, 1] and meet the same
+# tanh-sinh abscissae, so each operation below runs once per (x, mp.prec) for
+# the life of the process.  A hit is the mpf the same expression made at the
+# same width, so the memo is bit for bit the same as evaluating directly.
+# ---------------------------------------------------------------------------
+
+_SHARED = {}  # (function, x, mp.prec) -> function(x)
+
+
+def _shared(fn):
+    """`fn`, evaluated once per mpf argument and width."""
+
+    def memo(x):
+        try:
+            key = (fn, x._mpf_, mp.prec)
+        except AttributeError:  # an interval or complex argument is not shared
+            return fn(x)
+        hit = _SHARED.get(key)
+        if hit is None:
+            hit = _SHARED[key] = fn(x)
+        return hit
+
+    return memo
+
+
+def _log1p(x):
+    """log1p(x) bit for bit: mpmath's own libmp calls, at its widths, without its wrapper."""
+    sign, man, exp, bc = v = x._mpf_
+    prec = mp.prec
+    w = prec + 10  # the wrapper's extra bits; 1 + x is then formed at 2w
+    if not man or exp + bc < -w or (sign and exp + bc > 0):  # 0, tiny, x <= -1, inf, nan
+        return log1p(x)
+    one_px = mpf_add(fone, v, 2 * w, round_nearest)
+    return mp.make_mpf(mpf_pos(mpf_log(one_px, w, round_nearest), prec, round_nearest))
+
+
+_one_px = _shared(lambda x: 1 + x)
+_one_px2 = _shared(lambda x: 1 + x * x)
+_den = _shared(lambda x: _one_px2(x) * _one_px(x))  # (1 + x*x) * (1 + x)
+_x_one_px2 = _shared(lambda x: x * _one_px2(x))  # x * (1 + x*x)
+_log1p_x = _shared(_log1p)
+_log1p_sq = _shared(lambda x: _log1p(x * x))
+_atan_x = _shared(atan)
+_log_x = _shared(log)
 
 
 class BasisConstant(Enum):

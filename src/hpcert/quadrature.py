@@ -204,13 +204,15 @@ def _ts_levels(bits, up_to_level):
             new = []
             while True:
                 et = exp(k * h)
-                ch = (et + 1 / et) / 2
-                sh = (et - 1 / et) / 2
+                inv = 1 / et
+                ch = (et + inv) / 2
+                sh = (et - inv) / 2
                 q = exp(-2 * piq * sh)
-                omega = piq * ch * 4 * q / ((1 + q) * (1 + q))
+                q1 = 1 + q
+                omega = piq * ch * 4 * q / (q1 * q1)
                 if h * omega < threshold:
                     break
-                new.append((2 * q / (1 + q), omega))
+                new.append((2 * q / q1, omega))
                 k += step
             levels.append(tuple(new))
     return levels

@@ -20,7 +20,7 @@ from mpmath import ldexp, mp, mpf, workprec
 
 from . import accel
 from .errors import PreconditionError
-from .numeric import BasisConstant, constant_value, round_to
+from .numeric import BasisConstant, _log1p_x, _one_px, constant_value, round_to
 from .quadrature import Integrand, TanhSinh, integrate
 
 
@@ -106,7 +106,7 @@ def _paired_alternating(first, last):
 def tail_integrand(n):
     """The integral route's integrand x^(2n)/(1+x) on [0, 1]."""
     e = 2 * n
-    return Integrand(id=f"tail_integral_n{n}", evaluator=lambda x: x**e / (1 + x), domain=(0, 1))
+    return Integrand(id=f"tail_integral_n{n}", evaluator=lambda x: x**e / _one_px(x), domain=(0, 1))
 
 
 def tail(n, route, p):
@@ -212,11 +212,10 @@ def ln1pt_over_t(p):
 
 def ln1pt_integrand():
     """ln(1+t)/t on [0, 1]; the t -> 0 endpoint is removable with limit 1."""
-    from mpmath import log1p
 
     def f(t):
         if t == 0:
             return mpf(1)
-        return log1p(t) / t
+        return _log1p_x(t) / t
 
     return Integrand(id="ln1p_t_over_t", evaluator=f, domain=(0, 1))

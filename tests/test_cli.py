@@ -107,6 +107,13 @@ def test_empty_filter_is_usage_error(capsys):
     assert "matches no checks" in err
 
 
+def test_list_with_empty_filter_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "--list", "--filter", "zzz*")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "matches no checks" in err
+
+
 def test_json_single_check_schema(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import atan, ldexp, log, log1p, mpf, workprec
+from mpmath import atan, cos, iv, ldexp, log, log1p, mp, mpf, sin, workprec
 
 from hpcert import (
     BasisConstant,
@@ -17,7 +17,7 @@ from hpcert import (
     run_catalog,
     run_check,
 )
-from hpcert import identities, quadrature
+from hpcert import identities, numeric, quadrature, series
 from hpcert.identities import (
     SIGMA_CF,
     CheckContext,
@@ -31,6 +31,7 @@ from hpcert.identities import (
     _quad_pipe,
     get_integrand,
 )
+from hpcert.numeric import constant_value
 from hpcert.quadrature import GaussLegendre, TanhSinh, integrate, integrate_2d
 from oracle_values import (
     A_VALUE,
@@ -318,12 +319,17 @@ def test_param_monotone_on_grid(p128):
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
-# --- the shared ln(1+x^2) / arctan x / ln x memo ------------------------------
+# --- the per-abscissa memo ----------------------------------------------------
 
 SHARED_DIRECT = [
-    (identities._log1p_sq, lambda x: log1p(x * x)),
-    (atan, atan),
-    (log, log),
+    (numeric._one_px, lambda x: 1 + x),
+    (numeric._one_px2, lambda x: 1 + x * x),
+    (numeric._den, lambda x: (1 + x * x) * (1 + x)),
+    (numeric._x_one_px2, lambda x: x * (1 + x * x)),
+    (numeric._log1p_x, log1p),
+    (numeric._log1p_sq, lambda x: log1p(x * x)),
+    (numeric._atan_x, atan),
+    (numeric._log_x, log),
 ]
 
 
@@ -336,16 +342,120 @@ SHARED_DIRECT = [
 def test_shared_memo_is_bit_identical_to_direct_calls(mantissa, exponent, bits):
     with workprec(bits):
         x = ldexp(mpf(mantissa), exponent)
-        for fn, direct in SHARED_DIRECT:
+        for memo, direct in SHARED_DIRECT:
             want = direct(x)._mpf_
-            assert identities._shared(fn, x)._mpf_ == want  # a miss
-            assert identities._shared(fn, x)._mpf_ == want  # a hit
+            assert memo(x)._mpf_ == want  # a miss
+            assert memo(x)._mpf_ == want  # a hit
 
 
 def test_shared_memo_never_crosses_precisions(monkeypatch):
-    monkeypatch.setattr(identities, "_SHARED", {})
+    monkeypatch.setattr(numeric, "_SHARED", {})
     x = mpf(3) / 8  # exact at every width, so only the width tells the calls apart
-    for fn, direct in SHARED_DIRECT:
+    for memo, direct in SHARED_DIRECT:
         for bits in (128, 256, 128):
             with workprec(bits):
-                assert identities._shared(fn, x)._mpf_ == direct(x)._mpf_
+                assert memo(x)._mpf_ == direct(x)._mpf_
+
+
+def test_shared_memo_evaluates_an_interval_as_written():
+    # only mpf arguments are shared, so the rational integrands still run on intervals
+    x = iv.mpf([0.25, 0.75])
+    for got, want in [
+        (get_integrand("a_integrand").evaluator(x), x * x / ((1 + x * x) * (1 + x))),
+        (series.tail_integrand(2).evaluator(x), x**4 / (1 + x)),
+    ]:
+        assert (got.a, got.b) == (want.a, want.b)
+
+
+LOG1P_BITS = [64, 192, 320, 576, 1088]
+
+
+def _assert_log1p_matches(x):
+    want, got = log1p(x), numeric._log1p(x)
+    # x <= -1 falls back to mpmath, whose value there is -inf or complex
+    assert getattr(got, "_mpf_", got) == getattr(want, "_mpf_", want), x
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), bits=st.sampled_from(LOG1P_BITS), negative=st.booleans())
+def test_log1p_kernel_is_bit_identical_to_mpmath(data, bits, negative):
+    # x = +-m 2^(e - bits) with m < 2^bits, from far below the fallback cut at
+    # |x| < 2^-(bits + 10) through (-1, 0) and [0, 1) to 2^(2 bits)
+    m = data.draw(st.integers(min_value=1, max_value=2**bits - 1))
+    e = data.draw(st.integers(min_value=-3 * bits, max_value=2 * bits))
+    with workprec(bits):
+        _assert_log1p_matches(ldexp(mpf(-m if negative else m), e - bits))
+
+
+@pytest.mark.parametrize("bits", LOG1P_BITS)
+def test_log1p_kernel_at_its_branch_points(bits):
+    w = bits + 10
+    with workprec(bits):
+        near_minus_one = -(1 - ldexp(1, -bits))
+        cut = [s * ldexp(1, k) for s in (1, -1) for k in (-w - 1, -w - 2)]  # mag -w and -w - 1
+        for x in [mpf(0), mpf(-1), mpf(-2), near_minus_one, *cut]:
+            _assert_log1p_matches(x)
+
+
+# --- each evaluator keeps its operation order -------------------------------
+
+
+def _pinned_forms():
+    """Every memo-backed evaluator against the expression it stands for, written out."""
+    ln2 = constant_value(BasisConstant.LN2, mp.prec)  # what the closed forms read at this width
+    forms = {
+        "a_integrand": lambda x: x * x / ((1 + x * x) * (1 + x)),
+        "b_integrand": lambda x: log1p(x * x) / ((1 + x * x) * (1 + x)),
+        "c_integrand": lambda x: -x * atan(x) / ((1 + x * x) * (1 + x)),
+        "x_ln_1px2_over_1px2": lambda x: x * log1p(x * x) / (1 + x * x),
+        "i1_integrand": lambda x: log1p(x * x) / (1 + x * x),
+        "i1_minus_ln_x": lambda x: (log1p(x * x) - log(x)) / (1 + x * x),
+        "neg_ln_x_over_1px2": lambda x: -log(x) / (1 + x * x),
+        "log_sin_half": lambda t: log(sin(t)),
+        "log_sin_full": lambda t: log(sin(t)),
+        "log_cos_half": lambda t: log(cos(t)),
+        "i2_integrand": lambda x: log1p(x * x) / (1 + x),
+        "i3_integrand": lambda x: atan(x) / (1 + x),
+        "eq16_integrand": lambda x: atan(x) / (1 + x * x),
+        "eq17_integrand": lambda x: x * atan(x) / (1 + x * x),
+        "middle_alpha": lambda a: log1p(a * a) / (a * (1 + a * a)),
+        "middle_t": lambda t: log1p(t) / (t * (1 + t)),
+        "ln1p_t_over_t": lambda t: log1p(t) / t,
+        "f_prime_closed": lambda a: (
+            2 * a * ln2 / (1 + a * a) + log1p(a * a) / (a * (1 + a * a)) - 2 * atan(a) / (1 + a * a)
+        ),
+        "h_prime_closed": lambda a: (
+            -ln2 / (1 + a * a) + log1p(a * a) / (2 * (1 + a * a)) + atan(a) / (a * (1 + a * a))
+        ),
+    }
+    for x0 in identities.EQ06_GRID:
+        x0n = mpf(x0.numerator) / x0.denominator
+        forms[f"eq06_inner_{x0.numerator}_{x0.denominator}"] = (
+            lambda x0n: lambda u: u * u / ((1 + u * u) * (u + x0n))
+        )(x0n)
+    evaluators = {i: f.evaluator for i, f in identities._REGISTRY.items() if f.dimension == 1}
+    assert forms.keys() == evaluators.keys()  # every registered 1D integrand is pinned
+    for n in (1, 2, 3, 5, 10, 20):
+        forms[f"tail_{n}"] = (lambda e: lambda x: x**e / (1 + x))(2 * n)
+        evaluators[f"tail_{n}"] = series.tail_integrand(n).evaluator
+    for a in (mpf(3) / 10, mpf(7) / 10, mpf(1)):
+        for side in (a + mpf(2) ** -40, a - mpf(2) ** -40):
+            a2 = side * side
+            forms[f"F_at_{side}"] = (lambda a2: lambda x: log1p(a2 * x * x) / (1 + x))(a2)
+            forms[f"H_at_{side}"] = (lambda s: lambda x: atan(s * x) / (1 + x))(side)
+            for name in ("F", "H"):
+                evaluators[f"{name}_at_{side}"] = _param_integrand(name, side, "pin").evaluator
+    return [(i, evaluators[i], forms[i]) for i in forms]
+
+
+@pytest.mark.parametrize("bits", [320, 1088])
+def test_evaluators_match_their_written_out_expressions(bits, monkeypatch):
+    monkeypatch.setattr(numeric, "_SHARED", {})
+    with workprec(bits):
+        nodes = [n for lev in (1, 2, 3) for n in quadrature._ts_abscissae((0, 1), bits, lev)]
+        xs = [x for xm, xp, _ in nodes for x in (xm, xp)]
+        pinned = _pinned_forms()
+        for pass_ in ("cold", "warm"):
+            for i, evaluator, form in pinned:
+                for x in xs:
+                    assert evaluator(x)._mpf_ == form(x)._mpf_, (pass_, i, x)
