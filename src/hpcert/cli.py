@@ -29,6 +29,7 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
+MAX_PRECISION_BITS = 2048  # the widest run the catalog is tested at (a `slow` test)
 
 
 class _UsageError(Exception):
@@ -58,6 +59,10 @@ def build_report(precision_bits, filter, tolerance_exponent, jobs, no_timestamp)
     floor = precision_floor(checks, tolerance_exponent)
     if precision_bits < floor:
         raise _UsageError(f"precision {precision_bits} bits is below {floor}, the tolerance floor")
+    if precision_bits > MAX_PRECISION_BITS:
+        raise _UsageError(
+            f"precision {precision_bits} bits is above {MAX_PRECISION_BITS}, the largest the catalog is tested at"
+        )
     started = EPOCH_TIMESTAMP if no_timestamp else time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     results = run_catalog(
         Precision(precision_bits),
@@ -111,7 +116,7 @@ def render_text(report, no_timestamp=False):
         f"identity verification @ {report.precision_bits} bits"
         + ("" if no_timestamp else f"  ({report.started_at})")
     ]
-    width = max(len(r.id) for r in report.checks)
+    width = max((len(r.id) for r in report.checks), default=0)
     for r in report.checks:
         status = "PASS" if r.passed else "FAIL"
         err = nstr(r.abs_error, 3)

@@ -271,7 +271,7 @@ for _x0 in EQ06_GRID:
     _register(
         Integrand(
             id=f"eq06_inner_{_x0.numerator}_{_x0.denominator}",
-            evaluator=(lambda x0n: lambda u: u * u / ((1 + u * u) * (u + x0n)))(
+            evaluator=(lambda x0n: lambda u: (u2 := u * u) / ((1 + u2) * (u + x0n)))(
                 mpf(_x0.numerator) / _x0.denominator
             ),
             domain=(0, _x0),

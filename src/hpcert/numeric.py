@@ -12,20 +12,36 @@ value without per-operation error analysis.
 
 The integrands in `identities` and `series` share one bit-exact memo of
 their common subexpressions per tanh-sinh abscissa, kept here below both.
+Importing this module points mpmath's pure-Python bit count at the C
+`int.bit_length`, which gives the same count on every int.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 import math
+import sys
 
-from mpmath import atan, isfinite, ldexp, log, log1p, mag, mp, mpf, workprec
-from mpmath.libmp import fone, mpf_add, mpf_log, mpf_pos, round_nearest
+from mpmath import atan, isfinite, ldexp, libmp, log, log1p, mag, mp, mpf, workprec
+from mpmath.libmp import fone, libintmath, mpf_add, mpf_log, mpf_pos, round_nearest
 
 from .accel import crz_sum, crz_terms_for_bits
 from .errors import BasisError, DomainError
 
 GUARD_BITS = 32
+
+
+def _bit_length(n):
+    """`libintmath.python_bitcount(n)` by the C `int.bit_length`: 0 for every n <= 0."""
+    return n.bit_length() if n > 0 else 0
+
+
+# Every libmp operation counts its mantissa's bits; the pure-Python backend
+# does it with bisect and math.log, at about 5x the cost of `_bit_length`.
+if libmp.BACKEND == "python" and hasattr(libintmath, "python_bitcount"):
+    for _name, _module in list(sys.modules.items()):
+        if _name.startswith("mpmath") and getattr(_module, "bitcount", None) is libintmath.python_bitcount:
+            _module.bitcount = _bit_length
 
 
 @dataclass(frozen=True, order=True)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from mpmath import exp, isfinite, ldexp, mp, mpf, pi, workprec
+from mpmath import exp, isfinite, ldexp, mp, mpc, mpf, pi, workprec
+from mpmath.libmp import fzero, mpf_add, mpf_mul
 
 from .errors import DomainError, NonconvergenceError
 from .numeric import GUARD_BITS, round_to
@@ -118,13 +119,48 @@ def _interval(domain):
     return a, b, (b - a) / 2, (a + b) / 2
 
 
-def _eval_checked(f, integrand, *xs):
-    y = f(*xs)
-    if not isfinite(y):
-        at = ", ".join(mp.nstr(x, 12) for x in xs)
-        where = f"x={at}" if len(xs) == 1 else f"({at})"
-        raise DomainError(f"integrand {integrand.id!r} returned non-finite value at {where}")
-    return y
+def _checked(y, integrand, xs):
+    """y, the integrand's value at the point xs, if it is real and finite; else a `DomainError`."""
+    real = not isinstance(y, (mpc, complex))
+    if real and isfinite(y):
+        return y
+    at = ", ".join(mp.nstr(x, 12) for x in xs)
+    where = f"x={at}" if len(xs) == 1 else f"({at})"
+    problem = "non-finite" if real else "non-real"
+    raise DomainError(f"integrand {integrand.id!r} returned {problem} value at {where}")
+
+
+def _pair_sum(integrand, pairs, S, a=None, b=None):
+    """S + sum of w * (f(x1) + f(x2)) over `pairs` of (x1, x2, w), and the evaluations made.
+
+    S and the result are raw libmp tuples, updated by the very libmp calls of
+    ``S += w * (f(x1) + f(x2))`` at the ambient precision and rounding; values
+    that are not both mpfs are added as that statement would, by Python's `+`.
+    On a singular end, x1 == a (x2 == b) contributes zero without an evaluation.
+    """
+    f = integrand.evaluator
+    skip_left, skip_right = integrand.singular_left, integrand.singular_right
+    prec, rnd = mp._prec_rounding
+    evals = 0
+    for x1, x2, w in pairs:
+        if skip_left and x1 == a:
+            y1 = mp.zero  # weight already below truncation noise
+        else:
+            y1 = f(x1)
+            evals += 1
+        if skip_right and x2 == b:
+            y2 = mp.zero
+        else:
+            y2 = f(x2)
+            evals += 1
+        try:
+            pair = mpf_add(y1._mpf_, y2._mpf_, prec, rnd)
+        except AttributeError:  # an int, a float, or a non-real value
+            pair = None
+        if pair is None or (not pair[1] and pair[2]):  # or inf or nan: man == 0, exp != 0
+            pair = mp.convert(_checked(y1, integrand, (x1,)) + _checked(y2, integrand, (x2,)))._mpf_
+        S = mpf_add(S, mpf_mul(w._mpf_, pair, prec, rnd), prec, rnd)
+    return S, evals
 
 
 def _refine(ladder, p, rule, cap):
@@ -259,23 +295,12 @@ def _ts_abscissae(domain, bits, lev):
 
 def _ts_ladder(integrand, cap, bits):
     a, b, halfw, mid = _interval(integrand.domain)
-    f = integrand.evaluator
-    S = (pi / 2) * _eval_checked(f, integrand, mid)
+    S = ((pi / 2) * _checked(integrand.evaluator(mid), integrand, (mid,)))._mpf_
     evals = 1
     for lev in range(1, cap + 1):
-        for xm, xp, omega in _ts_abscissae(integrand.domain, bits, lev):
-            if integrand.singular_left and xm == a:
-                fm = mpf(0)  # weight already below truncation noise
-            else:
-                fm = _eval_checked(f, integrand, xm)
-                evals += 1
-            if integrand.singular_right and xp == b:
-                fp = mpf(0)
-            else:
-                fp = _eval_checked(f, integrand, xp)
-                evals += 1
-            S += omega * (fm + fp)
-        yield lev, ldexp(halfw * S, -lev), evals
+        S, n = _pair_sum(integrand, _ts_abscissae(integrand.domain, bits, lev), S, a, b)
+        evals += n
+        yield lev, ldexp(halfw * mp.make_mpf(S), -lev), evals
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +396,13 @@ def _gl_axis(domain, half_nodes):
 
 
 def _gl_ladder(integrand, cap, bits):
-    f = integrand.evaluator
     evals = 0
     for order in _gl_orders(cap):
         pts, halfw = _gl_axis(integrand.domain, _gl_halfline(order, bits))
-        S = mpf(0)
-        for (xp, w), (xm, _) in zip(pts[::2], pts[1::2]):
-            S += w * (_eval_checked(f, integrand, xp) + _eval_checked(f, integrand, xm))
-        evals += len(pts)
-        yield order, halfw * S, evals
+        pairs = ((xp, xm, w) for (xp, w), (xm, _) in zip(pts[::2], pts[1::2]))
+        S, n = _pair_sum(integrand, pairs, fzero)
+        evals += n
+        yield order, halfw * mp.make_mpf(S), evals
 
 
 def integrate(f, s, p):
@@ -421,7 +444,7 @@ def _tensor_sum(integrand, ptsx, ptsy):
     for x, wx in ptsx:
         row = mpf(0)
         for y, wy in ptsy:
-            row += wy * _eval_checked(f, integrand, x, y)
+            row += wy * _checked(f(x, y), integrand, (x, y))
         S += wx * row
     return S, len(ptsx) * len(ptsy)
 
@@ -432,7 +455,7 @@ def _product_sum(integrand, ptsx, ptsy):
     W = mp.prec + 8 + max(len(ptsx), len(ptsy)).bit_length()
 
     def axis(pts):
-        return [(int(ldexp(w * _eval_checked(g, integrand, x), W)), int(ldexp(x, W))) for x, w in pts]
+        return [(int(ldexp(w * _checked(g(x), integrand, (x,)), W)), int(ldexp(x, W))) for x, w in pts]
 
     ay = axis(ptsy)
     S = sum(A * sum(B * h(U * V >> W, W) for B, V in ay) for A, U in axis(ptsx))

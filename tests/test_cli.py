@@ -63,6 +63,20 @@ def test_precision_below_the_tolerance_floor_is_usage_error(capsys):
     assert "109" in err
 
 
+def test_precision_above_the_ceiling_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "--precision-bits", "2049")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "precision 2049 bits is above 2048, the largest the catalog is tested at" in err
+
+
+def test_precision_at_the_ceiling_is_accepted(capsys):
+    # the whole catalog at 2048 bits is the `slow` test below; eq01 integrates nothing
+    code, out, _ = run_cli(capsys, "--precision-bits", "2048", "--filter", "eq01*", "--no-timestamp")
+    assert code == EXIT_OK
+    assert out.strip().endswith("1 passed, 0 failed")
+
+
 def test_full_catalog_passes_at_the_tolerance_floor(capsys):
     code, out, _ = run_cli(capsys, "--precision-bits", "109", "--no-timestamp")
     assert code == EXIT_OK
@@ -172,6 +186,13 @@ def test_render_json_empty_checks_is_valid():
     assert list(doc.keys()) == TOP_KEYS
     assert doc["checks"] == []
     assert doc["passed_count"] == 0 and doc["failed_count"] == 0
+
+
+def test_render_text_empty_checks():
+    from hpcert.cli import Report, render_text
+
+    report = Report(tool_version="0.0", precision_bits=128, started_at="1970-01-01T00:00:00Z")
+    assert render_text(report, no_timestamp=True) == "identity verification @ 128 bits\n0 passed, 0 failed\n"
 
 
 def test_golden_determinism(capsys):

@@ -1,9 +1,13 @@
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import exp, ldexp, mpf, sin, workprec
+from mpmath.libmp import BACKEND, libintmath
 
 from hpcert import (
     BasisConstant,
@@ -20,6 +24,7 @@ from hpcert import (
     eval_closed_form,
     ulp,
 )
+from hpcert import identities, numeric, quadrature
 from hpcert.accel import euler_sum
 from hpcert.numeric import round_to
 from oracle_values import CATALAN, LN2, PI, SIGMA, I3, assert_close, oracle
@@ -258,3 +263,60 @@ def test_assembly_identity_exact_rational():
     )
     lhs = cf_add(cf_add(cf_mul_ln2(a_cf), cf_scale(b_cf, Fraction(1, 2))), c_cf)
     assert lhs == cf_scale(sigma_cf, -1)
+
+
+# --- mpmath's bit count -----------------------------------------------------
+
+python_backend = pytest.mark.skipif(BACKEND != "python", reason="mpmath runs on another backend")
+
+
+def mpmath_modules_holding(fn):
+    modules = list(sys.modules.items())
+    return [m for name, m in modules if name.startswith("mpmath") and getattr(m, "bitcount", None) is fn]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(-(2**64), 2**50000)
+    | st.builds(lambda k, d: 2**k + d, st.integers(0, 5000), st.sampled_from([-1, 0, 1]))
+)
+@example(0)
+def test_installed_bitcount_equals_python_bitcount(n):
+    assert libintmath.bitcount(n) == libintmath.python_bitcount(n)
+
+
+@python_backend
+def test_no_mpmath_module_keeps_python_bitcount():
+    assert mpmath_modules_holding(libintmath.python_bitcount) == []
+    assert {"mpmath.libmp.libmpf", "mpmath.libmp.libintmath"} <= {
+        m.__name__ for m in mpmath_modules_holding(numeric._bit_length)
+    }
+    assert mpmath.libmp.BACKEND == "python"
+
+
+DIFFERENTIAL_CHECKS = ["app2_I2", "app1_logsine_funceq", "eq05_sigma_2d", "app3_H_derivative"]
+
+
+def result_fields(results):
+    return [
+        tuple(v._mpf_ if isinstance(v, mpf) else v for k, v in vars(r).items() if k != "elapsed_ms")
+        for r in results
+    ]
+
+
+@python_backend
+def test_catalog_is_bit_identical_with_python_bitcount_and_cold_caches(monkeypatch):
+    p = Precision(128)
+    default = result_fields(identities.run_catalog(p, ids=DIFFERENTIAL_CHECKS))
+    for module in mpmath_modules_holding(numeric._bit_length):
+        monkeypatch.setattr(module, "bitcount", libintmath.python_bitcount)
+    for module, cache in [
+        (quadrature, "_TS_TABLES"),
+        (quadrature, "_TS_ABSCISSAE"),
+        (quadrature, "_GL_TABLES"),
+        (numeric, "_SHARED"),
+        (numeric, "_RAW_CACHE"),
+    ]:
+        monkeypatch.setattr(module, cache, {})
+    assert mpmath_modules_holding(numeric._bit_length) == []
+    assert result_fields(identities.run_catalog(p, ids=DIFFERENTIAL_CHECKS)) == default

@@ -1,8 +1,9 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
-from mpmath import ldexp, log, mp, mpf, sin, workprec
+from mpmath import isfinite, ldexp, log, mp, mpf, pi, sin, workprec
 from mpmath.calculus.quadrature import GaussLegendre as MpmathGaussLegendre
 
 from hpcert import (
@@ -265,6 +266,89 @@ def test_domain_error_on_nonfinite(p64):
         integrate(f, TanhSinh(), p64)
 
 
+@pytest.mark.parametrize("value", [lambda x: log(x - 2), lambda x: complex(1, 1)])
+def test_non_real_values_are_a_domain_error_in_every_rule(value, p64):
+    # log(x - 2) is complex on [0, 1]: tanh-sinh used to die on an AttributeError,
+    # and both Gauss-Legendre rules returned the complex sum as the value
+    f = Integrand(id="cx", evaluator=value, domain=(0, 1))
+    f2 = Integrand(id="cx2", evaluator=lambda x, y: value(x * y), domain=((0, 1), (0, 1)))
+    for run in (
+        lambda: integrate(f, TanhSinh(), p64),
+        lambda: integrate(f, GaussLegendre(), p64),
+        lambda: integrate_2d(f2, GaussLegendre(), p64),
+    ):
+        with pytest.raises(DomainError, match="integrand 'cx2?' returned non-real value at "):
+            run()
+
+
+@pytest.mark.parametrize("left, right, named", [(0, "nan", "right"), ("inf", "-inf", "left")])
+def test_non_finite_value_names_its_point(left, right, named, p64):
+    # the raw ladder tests each pair's sum; a nan or inf in it is still traced to its point
+    first = {}
+
+    def f(x):
+        if x == 0.5:
+            return x
+        side = "left" if x < 0.5 else "right"
+        first.setdefault(side, x)
+        return mpf(left if side == "left" else right)
+
+    with pytest.raises(DomainError, match="'pole' returned non-finite value at x=") as exc:
+        integrate(Integrand(id="pole", evaluator=f, domain=(0, 1)), TanhSinh(), p64)
+    assert str(exc.value).endswith(f"x={mp.nstr(first[named], 12)}")
+
+
+def reference_ts_ladder(integrand, cap, bits):
+    """The tanh-sinh ladder in mpf operators, as written before it ran on raw libmp values."""
+    a, b, halfw, mid = quadrature._interval(integrand.domain)
+    f = integrand.evaluator
+    S = (pi / 2) * f(mid)
+    evals = 1
+    out = []
+    for lev in range(1, cap + 1):
+        for delta, omega in quadrature._ts_levels(bits, lev)[lev]:
+            xm, xp = a + halfw * delta, b - halfw * delta
+            if integrand.singular_left and xm == a:
+                fm = mpf(0)
+            else:
+                fm = f(xm)
+                evals += 1
+            if integrand.singular_right and xp == b:
+                fp = mpf(0)
+            else:
+                fp = f(xp)
+                evals += 1
+            assert isfinite(fm) and isfinite(fp)
+            S += omega * (fm + fp)
+        out.append((lev, ldexp(halfw * S, -lev)._mpf_, evals))
+    return out
+
+
+LADDER_CASES = {
+    "regular": get_integrand("i2_integrand").evaluator,
+    "int": lambda x: (int(8 * x) - 3) * 3**300 + 1,  # wider than the ladder: converted exactly
+    "float": lambda x: math.sqrt(float(x)) + 1e-17,  # float + float rounds to 53 bits
+    "mixed": lambda x: 1 if x < 0.5 else x * x,
+}
+
+
+@pytest.mark.parametrize("bits", [128, 320])
+@pytest.mark.parametrize(
+    "case", ["regular", "neg_ln_x_over_1px2", "log_sin_full", "shifted", "int", "float", "mixed"]
+)
+def test_ts_ladder_matches_the_mpf_operator_loop(case, bits):
+    if case in LADDER_CASES:
+        f = Integrand(id=case, evaluator=LADDER_CASES[case], domain=(0, 1))
+    elif case == "shifted":  # the abscissae next to 1 round to 1 itself, and are skipped
+        f = Integrand(id=case, evaluator=lambda x: log(x - 1), domain=(1, 2), singular_left=True)
+    else:
+        f = get_integrand(case)  # singular on the left, or at both ends
+    cap = 6
+    with workprec(bits):
+        got = [(lev, T._mpf_, evals) for lev, T, evals in quadrature._ts_ladder(f, cap, bits)]
+        assert got == reference_ts_ladder(f, cap, bits)
+
+
 # --- Gauss-Legendre degree exactness ----------------------------------------
 
 
@@ -457,3 +541,20 @@ def test_golden_results(path, p64, p128):
     assert r.error_estimate.man_exp == est
     assert r.evaluations == evals
     assert r.level_or_order == step
+
+
+@pytest.mark.parametrize("case", sorted(LADDER_CASES))
+def test_gl_ladder_matches_the_mpf_operator_loop(case):
+    f = Integrand(id=case, evaluator=LADDER_CASES[case], domain=(0, 1))
+    bits, cap = 128, 64
+    with workprec(bits):
+        got = [(order, T._mpf_, evals) for order, T, evals in quadrature._gl_ladder(f, cap, bits)]
+        want, evals = [], 0
+        for order in quadrature._gl_orders(cap):
+            pts, halfw = quadrature._gl_axis(f.domain, quadrature._gl_halfline(order, bits))
+            S = mpf(0)
+            for (xp, w), (xm, _) in zip(pts[::2], pts[1::2]):
+                S += w * (f.evaluator(xp) + f.evaluator(xm))
+            evals += len(pts)
+            want.append((order, (halfw * S)._mpf_, evals))
+    assert got == want
