@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
-from mpmath import atan, cos, ldexp, log, log1p, mp, mpf, sin, workprec
+from mpmath import atan, ldexp, log, log1p, mp, mpf, sin, workprec
+from mpmath.libmp import to_fixed
 
 from . import quadrature, series
 from .errors import CatalogError
@@ -32,6 +33,7 @@ from .numeric import (
     ClosedForm,
     Precision,
     _atan_x,
+    _cos_sin,
     _den,
     _log1p,
     _log1p_sq,
@@ -40,11 +42,13 @@ from .numeric import (
     _one_px,
     _one_px2,
     _x_one_px2,
+    atan_fixed,
     cf_add,
     cf_mul_ln2,
     cf_scale,
     constant_value,
     eval_closed_form,
+    log1p_fixed,
     round_to,
 )
 from .quadrature import GaussLegendre, Integrand, PiMultiple, TanhSinh, integrate, integrate_2d
@@ -169,7 +173,7 @@ _register(
 _register(
     Integrand(
         id="log_sin_half",
-        evaluator=lambda t: log(sin(t)),
+        evaluator=lambda t: log(_cos_sin(t)[1]),
         domain=(0, PiMultiple(F(1, 2))),
         singular_left=True,
     )
@@ -186,7 +190,7 @@ _register(
 _register(
     Integrand(
         id="log_cos_half",
-        evaluator=lambda t: log(cos(t)),
+        evaluator=lambda t: log(_cos_sin(t)[0]),  # shares each abscissa's cos/sin with log_sin_half
         domain=(0, PiMultiple(F(1, 2))),
         singular_right=True,
     )
@@ -265,6 +269,48 @@ def _h_prime_closed(a):
 _register(Integrand(id="f_prime_closed", evaluator=_f_prime_closed, domain=(0, 1)))
 _register(Integrand(id="h_prime_closed", evaluator=_h_prime_closed, domain=(0, 1)))
 
+
+# ---------------------------------------------------------------------------
+# Fixed-point kernels (`Integrand.fixed`) for the tanh-sinh ladder to sum in
+# integers: each is its evaluator at x = X / 2^W, scaled by 2^W, within
+# W/8 + 20 units, and each evaluator stays as written as the kernel's
+# reference.  The product a x is floored once, (a x)^2 within 3 units, the
+# log1p and arctan within W/8 + 16 (`numeric`), each quotient floored once;
+# eq06's u^2 is floored once, moving its value at most 1/x0 units.  The
+# families x^(2n)/(1 + x) of eq04 stay on mpf: that check's tolerance prints
+# 8 |T_k - T_{k-1}|, the ladder's own rounding noise.
+# ---------------------------------------------------------------------------
+
+
+def _f_kernel(alpha):
+    """ln(1 + a^2 x^2)/(1 + x) for a x < 3/2."""
+
+    def kernel(X, W):
+        AX = to_fixed(alpha._mpf_, W) * X >> W
+        return (log1p_fixed(AX * AX >> W, W) << W) // ((1 << W) + X)
+
+    return kernel
+
+
+def _h_kernel(alpha):
+    """arctan(a x)/(1 + x) for 0 <= a x < 2."""
+
+    def kernel(X, W):
+        return (atan_fixed(to_fixed(alpha._mpf_, W) * X >> W, W) << W) // ((1 << W) + X)
+
+    return kernel
+
+
+def _eq06_kernel(x0):
+    """u^2/((1 + u^2)(u + x0)) for u >= 0 and a rational x0 > 0."""
+
+    def kernel(X, W):
+        U2 = X * X >> W
+        return (U2 << 2 * W) // (((1 << W) + U2) * (X + (x0.numerator << W) // x0.denominator))
+
+    return kernel
+
+
 EQ06_GRID = (F(1, 4), F(1, 2), F(3, 4), F(1))
 
 for _x0 in EQ06_GRID:
@@ -275,6 +321,7 @@ for _x0 in EQ06_GRID:
                 mpf(_x0.numerator) / _x0.denominator
             ),
             domain=(0, _x0),
+            fixed=_eq06_kernel(_x0),
         )
     )
 
@@ -294,12 +341,14 @@ def _param_integrand(name, alpha_value, tag):
         def f(x):
             return _log1p(a2 * x * x) / _one_px(x)
 
+        kernel = _f_kernel(alpha_value)
     else:
 
         def f(x):
             return atan(alpha_value * x) / _one_px(x)
 
-    return Integrand(id=f"{name}_at_{tag}", evaluator=f, domain=(0, 1))
+        kernel = _h_kernel(alpha_value)
+    return Integrand(id=f"{name}_at_{tag}", evaluator=f, domain=(0, 1), fixed=kernel)
 
 
 def _fd_step(p):

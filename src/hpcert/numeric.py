@@ -23,7 +23,8 @@ import math
 import sys
 
 from mpmath import atan, isfinite, ldexp, libmp, log, log1p, mag, mp, mpf, workprec
-from mpmath.libmp import fone, libintmath, mpf_add, mpf_log, mpf_pos, round_nearest
+from mpmath.libmp import fone, libintmath, mpf_add, mpf_cos_sin, mpf_log, mpf_pos, round_nearest
+from mpmath.libmp.libelefun import atan_taylor, ln2_fixed, log_taylor_cached
 
 from .accel import crz_sum, crz_terms_for_bits
 from .errors import BasisError, DomainError
@@ -124,6 +125,38 @@ _log1p_x = _shared(_log1p)
 _log1p_sq = _shared(lambda x: _log1p(x * x))
 _atan_x = _shared(atan)
 _log_x = _shared(log)
+# (cos t, sin t), each rounded exactly as `cos` and `sin` round it
+_cos_sin = _shared(lambda t: [mp.make_mpf(v) for v in mpf_cos_sin(t._mpf_, *mp._prec_rounding)])
+
+
+# ---------------------------------------------------------------------------
+# Fixed-point elementary functions for the integrands' integer kernels: an
+# argument T stands for t = T / 2^W and a result for its value times 2^W.
+# Both run mpmath's own fixed-point Taylor series about its cached points
+# a = k 2^-9 (log) and k 2^-7 (atan), the ones `mpf_log` and `mpf_atan` use.
+# Each series term is floored once, |t - a| < 2^-7 leaves at most W/28 + 1
+# rounds of two terms, and the cached value is floored from 20 or more extra
+# bits, so a result is within W/8 + 16 units of 2^-W.  `log1p_fixed` runs at
+# W + s, s <= 2 for t < 3, up to 2500 bits, the widest `log_taylor_cached` serves.
+# ---------------------------------------------------------------------------
+
+
+def log1p_fixed(T, W):
+    """ln(1 + t) 2^W for t >= 0, as ln(2^-s (1 + t)) + s ln 2 with 2^-s (1 + t) in [1/2, 1).
+
+    That is the reduction `mpf_log` makes, so the two share their cached points;
+    like `mpf_log`, it returns the one exact value, ln 1 = 0, exactly.
+    """
+    if not T:
+        return 0
+    Y = (1 << W) + T
+    s = Y.bit_length() - W
+    return (log_taylor_cached(Y, W + s) + s * ln2_fixed(W + s)) >> s
+
+
+def atan_fixed(T, W):
+    """arctan(t) 2^W for 0 <= t < 2, the range `mpf_atan` hands `atan_taylor`."""
+    return atan_taylor(T, W)
 
 
 class BasisConstant(Enum):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -459,3 +460,86 @@ def test_evaluators_match_their_written_out_expressions(bits, monkeypatch):
             for i, evaluator, form in pinned:
                 for x in xs:
                     assert evaluator(x)._mpf_ == form(x)._mpf_, (pass_, i, x)
+
+
+# --- the fixed-point kernels ------------------------------------------------
+
+
+def kernel_cases(width):
+    """(integrand, exact reference) for every kernel a ladder at `width` bits sums.
+
+    The F/H integrands take a = 0.3, 0.7, 1 plus and minus the step, rounded
+    at `width` as `_param_grid_pipe` rounds them; the references are the same
+    families built and evaluated far wider, so they are exact to well below a unit.
+    """
+    h = _fd_step(Precision(width - 2 * numeric.GUARD_BITS))
+    grid = (Fraction(3, 10), Fraction(7, 10), Fraction(1))
+    with workprec(width):
+        alphas = [mpf(a.numerator) / a.denominator + s * h for a in grid for s in (1, -1)]
+    with workprec(width + 128):
+        cases = [(_param_integrand(n, a, "k"), _param_integrand(n, a, "ref")) for a in alphas for n in "FH"]
+    eq06 = [get_integrand(f"eq06_inner_{x0.numerator}_{x0.denominator}") for x0 in identities.EQ06_GRID]
+    return cases + [(f, f) for f in eq06]
+
+
+@pytest.mark.parametrize("width", [173, 320, 1088, 2112])
+def test_kernels_are_within_their_bound_of_the_evaluators(width):
+    W = width + quadrature.FIXED_EXTRA_BITS
+    bound = W / 8 + 20
+    for f, ref in kernel_cases(width):
+        nodes = [n for lev in (1, 2, 3) for n in quadrature._ts_fixed_nodes(f.domain, width, lev)]
+        Xs = [X for X1, X2, _ in nodes for X in (X1, X2)]
+        with workprec(W + 64):
+            for X in Xs:
+                exact = ref.evaluator(ldexp(mpf(X), -W)) * 2**W
+                assert abs(f.fixed(X, W) - exact) <= bound, (f.id, X)
+
+
+KERNEL_CHECKS = ["eq06_inner", "app2_F_derivative", "app3_H_derivative"]  # catalog order
+
+
+def result_fields(results):
+    return [
+        tuple(v._mpf_ if isinstance(v, mpf) else v for k, v in vars(r).items() if k != "elapsed_ms")
+        for r in results
+    ]
+
+
+def run_kernel_checks_on_and_off(bits, monkeypatch):
+    def mpf_only(f, scheme, p):
+        return quadrature.integrate(dataclasses.replace(f, fixed=None), scheme, p)
+
+    p = Precision(bits)
+    on = result_fields(run_catalog(p, ids=KERNEL_CHECKS))
+    with monkeypatch.context() as m:
+        m.setattr(identities, "integrate", mpf_only)
+        off = result_fields(run_catalog(p, ids=KERNEL_CHECKS))
+    assert [r[0] for r in on] == KERNEL_CHECKS
+    assert on == off
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_kernel_checks_are_field_for_field_the_mpf_results(bits, monkeypatch):
+    run_kernel_checks_on_and_off(bits, monkeypatch)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("bits", [1024, 2048])
+def test_kernel_checks_are_field_for_field_the_mpf_results_wide(bits, monkeypatch):
+    run_kernel_checks_on_and_off(bits, monkeypatch)
+
+
+# --- the log-sine pair's shared cos/sin ---------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mantissa=st.integers(min_value=1, max_value=2**400),
+    exponent=st.integers(min_value=-900, max_value=2),
+    bits=st.sampled_from([64, 192, 320, 1088]),
+)
+def test_cos_sin_memo_is_cos_and_sin_bit_for_bit(mantissa, exponent, bits):
+    with workprec(bits):
+        t = ldexp(mpf(mantissa), exponent - mantissa.bit_length())  # below 4, down to the tiny-t branch
+        c, s = numeric._cos_sin(t)
+        assert (c._mpf_, s._mpf_) == (cos(t)._mpf_, sin(t)._mpf_)

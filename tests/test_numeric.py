@@ -320,3 +320,54 @@ def test_catalog_is_bit_identical_with_python_bitcount_and_cold_caches(monkeypat
         monkeypatch.setattr(module, cache, {})
     assert mpmath_modules_holding(numeric._bit_length) == []
     assert result_fields(identities.run_catalog(p, ids=DIFFERENTIAL_CHECKS)) == default
+
+
+# --- fixed-point log1p and arctan ---------------------------------------------
+
+# W = ladder width + 16 at reports of 109, 256, 1024 and 2048 bits
+FIXED_WIDTHS = [189, 336, 1104, 2128]
+
+
+def fixed_error(got, exact_fn, T, W):
+    """|got - exact_fn(T / 2^W) 2^W|, in units of 2^-W."""
+    with workprec(W + 64):
+        return abs(got - exact_fn(ldexp(mpf(T), -W)) * 2**W)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), W=st.sampled_from(FIXED_WIDTHS))
+def test_fixed_log1p_and_atan_are_within_their_bound(data, W):
+    bound = W / 8 + 16
+    T = data.draw(st.integers(0, 3 << W) | st.integers(0, 1 << (W // 2)))
+    assert fixed_error(numeric.log1p_fixed(T, W), mpmath.log1p, T, W) <= bound
+    T = data.draw(st.integers(0, (2 << W) - 1) | st.integers(0, 1 << (W // 2)))
+    assert fixed_error(numeric.atan_fixed(T, W), mpmath.atan, T, W) <= bound
+
+
+@pytest.mark.parametrize("W", FIXED_WIDTHS)
+def test_fixed_log1p_and_atan_at_their_branch_points(W):
+    bound = W / 8 + 16
+    assert numeric.log1p_fixed(0, W) == numeric.atan_fixed(0, W) == 0  # so F(0) = H(0) = 0 exactly
+    one = 1 << W
+    # 1 + t = 1, 2 and 4 move the reduction's shift; arctan's cached points are k/128
+    for T in (0, 1, one - 1, one, one + 1, 3 * one - 1, 3 * one, 5 * one):
+        assert fixed_error(numeric.log1p_fixed(T, W), mpmath.log1p, T, W) <= bound, T
+    for T in (0, 1, (one >> 7) - 1, one >> 7, one - 1, one, (2 * one) - 1):
+        assert fixed_error(numeric.atan_fixed(T, W), mpmath.atan, T, W) <= bound, T
+
+
+def test_widest_fixed_kernel_fits_mpmath_taylor_caches():
+    # the widest ladder's kernels run at W = 2128; `log1p_fixed` widens it by up
+    # to 2 bits for 1 + t < 4, and `log_taylor_cached` serves only the widths
+    # whose cache step is at least as wide (below LOG_TAYLOR_PREC)
+    from mpmath.libmp import libelefun
+
+    from hpcert.cli import MAX_PRECISION_BITS
+
+    width = Precision(MAX_PRECISION_BITS).guarded + numeric.GUARD_BITS
+    W = width + quadrature.FIXED_EXTRA_BITS
+    assert W == 2128
+    for w in (W, W + 1, W + 2):
+        assert w <= libelefun.LOG_TAYLOR_PREC
+        assert w < len(libelefun.cache_prec_steps) and libelefun.cache_prec_steps[w] >= w
+    assert W < libelefun.ATAN_TAYLOR_PREC  # where `mpf_atan` itself still uses `atan_taylor`

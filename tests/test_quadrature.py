@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -20,7 +21,7 @@ from hpcert import (
     quadrature,
     tanh_sinh_nodes,
 )
-from hpcert.identities import _REGISTRY, get_integrand
+from hpcert.identities import _REGISTRY, _param_integrand, get_integrand
 from oracle_values import A1, LOGSINE, assert_close
 
 
@@ -492,6 +493,71 @@ def test_product_sum_matches_the_cell_by_cell_sum(bits, order):
         got, n_got = quadrature._product_sum(SIGMA, pts, pts)
         assert n_got == n_ref == order * order
         assert abs(got - ref) <= ldexp(1, -bits)
+
+
+# --- the fixed-point tanh-sinh ladder of a declared kernel ---------------------
+
+
+def kernel_integrands(bits):
+    """The three families that declare a kernel, at the widest arguments they meet."""
+    with workprec(bits):
+        above_one = 1 + ldexp(1, -(bits // 3))  # a x > 1 near x = 1: ln(1 + a^2 x^2) reduces by 2 ln2
+        return [
+            _param_integrand("F", above_one, "1+h"),
+            _param_integrand("H", above_one, "1+h"),
+            _param_integrand("F", mpf(3) / 10 - ldexp(1, -(bits // 3)), "0.3-h"),
+            get_integrand("eq06_inner_1_4"),
+            get_integrand("eq06_inner_3_4"),
+        ]
+
+
+# ladder width -> the last level compared: the deepest the catalog reaches at
+# 128 and 320 bits, and at 1088 bits two short of it (level 9), to keep the test short
+KERNEL_LADDER_CAPS = {128: 6, 320: 7, 1088: 7}
+
+
+@pytest.mark.parametrize("bits", sorted(KERNEL_LADDER_CAPS))
+def test_fixed_ladder_matches_the_mpf_ladder(bits):
+    # the integer sum is within 2^-(bits + 7) of the exact trapezoid sum; the mpf
+    # ladder rounds each of its additions to `bits`, and drifts by up to ~2^-(bits - 4)
+    cap = KERNEL_LADDER_CAPS[bits]
+    bound = ldexp(1, -(bits - 8))
+    for f in kernel_integrands(bits):
+        assert f.fixed is not None
+        plain = dataclasses.replace(f, fixed=None)
+        with workprec(bits):
+            got = list(quadrature._ts_fixed_ladder(f, cap, bits))
+            want = list(quadrature._ts_ladder(plain, cap, bits))
+            assert [(lev, n) for lev, _, n in got] == [(lev, n) for lev, _, n in want], f.id
+            for (lev, T, _), (_, T_mpf, _) in zip(got, want):
+                assert abs(T - T_mpf) <= bound, (f.id, lev)
+
+
+def test_integrate_sums_a_declared_kernel_on_the_same_steps(p256):
+    def never(x):
+        raise AssertionError("the mpf evaluator ran")
+
+    for f in kernel_integrands(p256.guarded):
+        got = integrate(dataclasses.replace(f, evaluator=never), TanhSinh(), p256)
+        want = integrate(dataclasses.replace(f, fixed=None), TanhSinh(), p256)
+        assert (got.evaluations, got.level_or_order) == (want.evaluations, want.level_or_order)
+        assert abs(got.value - want.value) <= ldexp(1, -(p256.bits - 1))
+
+
+def test_fixed_kernel_needs_a_bounded_1d_integrand(p64):
+    def never(*args):
+        raise AssertionError("evaluated")
+
+    for flag in ("singular_left", "singular_right"):
+        f = Integrand(id="k", evaluator=never, domain=(0, 1), fixed=never, **{flag: True})
+        for scheme in (TanhSinh(), GaussLegendre()):
+            with pytest.raises(ValueError, match="needs a bounded integrand, got singular flags on 'k'"):
+                integrate(f, scheme, p64)
+    f2 = Integrand(id="k2", evaluator=never, domain=((0, 1), (0, 1)), fixed=never)
+    with pytest.raises(ValueError, match="1D only, got one on 'k2'"):
+        integrate_2d(f2, GaussLegendre(), p64)
+    with pytest.raises(ValueError, match="needs a 1D integrand"):
+        integrate(f2, TanhSinh(), p64)
 
 
 # --- golden results, one integrand per refinement path ------------------------
