@@ -2,8 +2,8 @@
 
 All three kernels run at the ambient mpmath precision and take a coefficient
 callback ``coeff(k) -> mpf`` with c_k > 0.  Precondition checking and
-precision management belong to the callers (`hpcert.series`, the constant
-routines in `hpcert.numeric`); these functions are deliberately bare.
+precision management belong to the caller, `hpcert.series`; these functions
+are deliberately bare.
 """
 
 from mpmath import mpf, sqrt

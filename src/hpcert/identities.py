@@ -899,14 +899,12 @@ def run_catalog(p, ids=None, jobs=1, tolerance_exponent_override=None):
         checks = [c for c in CATALOG if c.id in wanted]
     if jobs > 1 and len(checks) > 1:
         import concurrent.futures
+        from itertools import repeat
 
         # fork starts every worker at the first submit, so start no idle ones
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(checks))) as pool:
-            futures = {
-                c.id: pool.submit(_run_by_id, c.id, p.bits, tolerance_exponent_override)
-                for c in checks
-            }
-            return [futures[c.id].result() for c in checks]
+            ids = [c.id for c in checks]
+            return list(pool.map(_run_by_id, ids, repeat(p.bits), repeat(tolerance_exponent_override)))
     ctx = CheckContext(p)
     return [
         run_check(c, p, ctx=ctx, tolerance_exponent_override=tolerance_exponent_override)

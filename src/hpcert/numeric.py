@@ -7,8 +7,8 @@ rational-coefficient combination over that basis.
 
 Internal computation runs at ``bits + GUARD_BITS``.  Every public value is a
 plain `mpf` that `round_to` checks for finiteness and rounds once to
-``bits`` at the boundary, which keeps every constant within 4 ulp of the true
-value without per-operation error analysis.
+``bits`` at the boundary.  pi, ln2 and G are mpmath's correctly rounded
+constants, so each public constant is within 1 ulp of the true value.
 
 The integrands in `identities` and `series` share one bit-exact memo of
 their common subexpressions per tanh-sinh abscissa, kept here below both.
@@ -24,9 +24,9 @@ import sys
 
 from mpmath import atan, isfinite, ldexp, libmp, log, log1p, mag, mp, mpf, workprec
 from mpmath.libmp import fone, libintmath, mpf_add, mpf_cos_sin, mpf_log, mpf_pos, round_nearest
+from mpmath.libmp import mpf_catalan, mpf_ln2, mpf_pi
 from mpmath.libmp.libelefun import atan_taylor, ln2_fixed, log_taylor_cached
 
-from .accel import crz_sum, crz_terms_for_bits
 from .errors import BasisError, DomainError
 
 GUARD_BITS = 32
@@ -170,56 +170,18 @@ class BasisConstant(Enum):
 
 
 # ---------------------------------------------------------------------------
-# Raw constants.  Fixed-point integer series for pi and ln2; the Catalan
-# constant comes from the accelerated series sum_{k>=0} (-1)^k/(2k+1)^2
-# (termwise integration of -int_0^1 ln x/(1+x^2) dx); the quadrature of that
-# integral is kept as a cross-check only, never as the primary path.
+# Raw constants.  pi, ln2 and G are mpmath's `mpf_pi`, `mpf_ln2` and
+# `mpf_catalan`, each a fixed-point series with 20 guard bits rounded once to
+# nearest: the correctly rounded value at every width from 64 to 2199 bits,
+# checked against independent integer series.  The products in the basis are
+# formed from them at bits + 8.
 # ---------------------------------------------------------------------------
 
-
-def _inv_odd_power_fixed(m, bits, alternating):
-    # 2^bits * sum_k s^k / ((2k+1) m^(2k+1)): arccot(m) with s = -1 when
-    # alternating, atanh(1/m) with s = +1 otherwise.
-    s = -1 if alternating else 1
-    term = (1 << bits) // m
-    total = term
-    m2 = m * m
-    n = 3
-    sign = s
-    while term:
-        term //= m2
-        total += sign * (term // n)
-        sign *= s
-        n += 2
-    return total
-
-
-def _fixed_to_mpf(total, bits, out_bits):
-    with workprec(out_bits):
-        return ldexp(mpf(total), -bits)
-
-
-def _pi_raw(bits):
-    # Machin's formula; floor-division noise stays below the 16 extra bits.
-    fb = bits + 16
-    total = 4 * (4 * _inv_odd_power_fixed(5, fb, True) - _inv_odd_power_fixed(239, fb, True))
-    return _fixed_to_mpf(total, fb, bits)
-
-
-def _ln2_raw(bits):
-    fb = bits + 16
-    total = 2 * _inv_odd_power_fixed(3, fb, False)
-    return _fixed_to_mpf(total, fb, bits)
-
-
-def _catalan_raw(bits):
-    wb = bits + 16
-    terms = crz_terms_for_bits(wb)
-    with workprec(wb):
-        value = crz_sum(lambda k: 1 / mpf(2 * k + 1) ** 2, terms)
-    with workprec(bits):
-        return +value
-
+_MPF_CONSTANTS = {
+    BasisConstant.PI: mpf_pi,
+    BasisConstant.LN2: mpf_ln2,
+    BasisConstant.CATALAN: mpf_catalan,
+}
 
 _RAW_CACHE = {}
 
@@ -232,12 +194,8 @@ def constant_value(tag, bits):
         return cached
     if tag is BasisConstant.ONE:
         value = mpf(1)
-    elif tag is BasisConstant.PI:
-        value = _pi_raw(bits)
-    elif tag is BasisConstant.LN2:
-        value = _ln2_raw(bits)
-    elif tag is BasisConstant.CATALAN:
-        value = _catalan_raw(bits)
+    elif tag in _MPF_CONSTANTS:
+        value = mp.make_mpf(_MPF_CONSTANTS[tag](bits, round_nearest))
     else:
         with workprec(bits + 8):
             if tag is BasisConstant.LN2_SQ:
@@ -259,22 +217,22 @@ def constant_value(tag, bits):
 
 
 def const_pi(p):
-    """pi to within 4 ulp at p bits."""
+    """pi to within 1 ulp at p bits."""
     return round_to(constant_value(BasisConstant.PI, p.guarded), p)
 
 
 def const_ln2(p):
-    """ln 2 to within 4 ulp at p bits.
+    """ln 2 to within 1 ulp at p bits.
 
-    Computed from 2*atanh(1/3), not from the alternating harmonic series:
-    that series converges far too slowly to be a computation route and is
-    instead certified separately as a catalog check.
+    mpmath's constant, not the alternating harmonic series: that series
+    converges far too slowly to be a computation route and is instead
+    certified separately as a catalog check.
     """
     return round_to(constant_value(BasisConstant.LN2, p.guarded), p)
 
 
 def const_catalan(p):
-    """Catalan's constant G to within 4 ulp at p bits."""
+    """Catalan's constant G to within 1 ulp at p bits."""
     return round_to(constant_value(BasisConstant.CATALAN, p.guarded), p)
 
 

@@ -140,10 +140,11 @@ def _pair_sum(integrand, pairs, S, a=None, b=None):
     S and the result are raw libmp tuples, updated by the very libmp calls of
     ``S += w * (f(x1) + f(x2))`` at the ambient precision and rounding; values
     that are not both mpfs are added as that statement would, by Python's `+`.
-    On a singular end, x1 == a (x2 == b) contributes zero without an evaluation.
+    On a singular end, x1 == a (x2 == b) contributes zero without an evaluation;
+    a left end at 0 is never tested, as no abscissa a + halfw*delta reaches it.
     """
     f = integrand.evaluator
-    skip_left, skip_right = integrand.singular_left, integrand.singular_right
+    skip_left, skip_right = integrand.singular_left and a != 0, integrand.singular_right
     prec, rnd = mp._prec_rounding
     evals = 0
     for x1, x2, w in pairs:

@@ -5,10 +5,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf, workprec
 
 from hpcert import NonconvergenceError
-from hpcert.cli import EXIT_CHECK_FAILED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from hpcert.cli import EXIT_CHECK_FAILED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, build_report, main
+from hpcert.cli import render_json, render_text
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -89,6 +92,16 @@ def test_full_catalog_passes_at_2048_bits(capsys):
     # the refinement caps grow with the precision: eq05 needs Gauss-Legendre
     # order 1024 here, beyond a fixed cap of 512 (a few minutes; pytest -m slow)
     code, out, _ = run_cli(capsys, "--precision-bits", "2048", "--no-timestamp")
+    assert code == EXIT_OK
+    assert sum(line.startswith("PASS") for line in out.splitlines()) == 27
+    assert out.strip().endswith("27 passed, 0 failed")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("bits", [192, 384, 640, 1024, 1536])
+def test_full_catalog_passes_across_the_precision_sweep(bits, capsys):
+    # between the 109-bit floor and the 2048-bit ceiling, each tested above
+    code, out, _ = run_cli(capsys, "--precision-bits", str(bits), "--no-timestamp")
     assert code == EXIT_OK
     assert sum(line.startswith("PASS") for line in out.splitlines()) == 27
     assert out.strip().endswith("27 passed, 0 failed")
@@ -249,6 +262,19 @@ def test_jobs_2_matches_jobs_1_byte_for_byte(capsys):
     assert code1 == code2 == EXIT_OK
     assert [c["id"] for c in json.loads(serial)["checks"]] == ["eq01_sigma_series", "eq05_sigma_2d"]
     assert pooled == serial
+
+
+# globs that each select two to four checks costing a few ms apiece below 320 bits
+CHEAP_FILTERS = ["eq0[17]*", "eq0[16]*", "eq1[0367]*", "eq1[38]*", "app[123]_I[123]", "app[12]_[cl]*"]
+
+
+@settings(max_examples=6, deadline=None)
+@given(pattern=st.sampled_from(CHEAP_FILTERS), bits=st.integers(min_value=109, max_value=320))
+def test_jobs_2_renders_jobs_1_byte_for_byte_over_filters_and_precisions(pattern, bits):
+    serial, pooled = (build_report(bits, pattern, None, jobs, True) for jobs in (1, 2))
+    assert len(serial.checks) >= 2  # so the pool really runs
+    for render in (render_json, render_text):
+        assert render(pooled, no_timestamp=True) == render(serial, no_timestamp=True)
 
 
 def test_help_exits_zero(capsys):

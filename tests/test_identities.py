@@ -232,10 +232,8 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 def test_run_catalog_pool_has_no_more_workers_than_checks(monkeypatch, p64):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import exp, ldexp, mpf, sin, workprec
-from mpmath.libmp import BACKEND, libintmath
+from mpmath.libmp import BACKEND, from_man_exp, libintmath
 
 from hpcert import (
     BasisConstant,
@@ -148,6 +148,70 @@ def test_constant_precision_doubling(tag):
     lo = constant_value(tag, p)
     hi = constant_value(tag, 2 * p)
     assert abs(lo - hi) <= ldexp(1, -(p - 4))
+
+
+# Integer oracles for 2^F x, each within 4F units of it and read from no mpmath
+# constant: Machin's formula, 2 atanh(1/3), and the Cohen-Rodriguez Villegas-
+# Zagier sum of sum_k (-1)^k/(2k+1)^2 with n >= F/2.5 + 4 terms, whose error
+# 2/(3 + sqrt 8)^n < 2^-F.
+
+
+def _inv_odd_powers(m, F, s):
+    """2^F sum_k s^k / ((2k+1) m^(2k+1)): arccot m for s = -1, atanh(1/m) for s = 1."""
+    power, total, sign, n = (1 << F) // m, 0, 1, 1
+    while power:
+        total += sign * (power // n)
+        power //= m * m
+        sign *= s
+        n += 2
+    return total
+
+
+def _catalan_crz(F):
+    n = 2 * F // 5 + 4
+    d_prev, d = 1, 3  # T_k(3), the Chebyshev polynomial at 3: d = T_n(3) on exit
+    for _ in range(n - 1):
+        d_prev, d = d, 6 * d - d_prev
+    b, c, total = -1, -d, 0
+    for k in range(n):
+        c = b - c
+        total += (c << F) // (2 * k + 1) ** 2
+        b, rem = divmod((k + n) * (k - n) * 2 * b, (2 * k + 1) * (k + 1))
+        assert rem == 0
+    return total // d
+
+
+CONSTANT_ORACLES = {
+    PI_T: lambda F: 4 * (4 * _inv_odd_powers(5, F, -1) - _inv_odd_powers(239, F, -1)),
+    LN2_T: lambda F: 2 * _inv_odd_powers(3, F, 1),
+    CATALAN_T: _catalan_crz,
+}
+
+CORRECTLY_ROUNDED_WIDTHS = [
+    # where 2 atanh(1/3), summed in fixed point with 16 guard bits, rounds ln2 one ulp low
+    *(1253, 1656, 1662, 1686, 1740, 1898),
+    # where a 256-, 512-, 1024- and 2048-bit run reads its constants
+    *(288, 320, 328, 544, 576, 584, 1056, 1088, 1096, 2080, 2112, 2120),
+    *(64, 65, 109, 141, 777, 1500, 2199),
+]
+
+
+@pytest.mark.parametrize("tag", list(CONSTANT_ORACLES))
+def test_constants_are_correctly_rounded(tag):
+    from hpcert.numeric import constant_value
+
+    wrong = []
+    for bits in CORRECTLY_ROUNDED_WIDTHS:
+        F = bits + 64
+        X = CONSTANT_ORACLES[tag](F)
+        shift = X.bit_length() - bits
+        half = 1 << (shift - 1)
+        # the oracle's error, under 4F units, must not reach across a tie
+        assert abs((X & (2 * half - 1)) - half) > 4 * F
+        want = from_man_exp((X + half) >> shift, shift - F)
+        if constant_value(tag, bits)._mpf_ != want:
+            wrong.append(bits)
+    assert wrong == []
 
 
 def test_basis_tags_distinct():
