@@ -20,10 +20,12 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Union
 
 from mpmath import atan, ldexp, log, log1p, mp, mpf, sin, workprec
 from mpmath.libmp import to_fixed
+from mpmath.libmp.libelefun import ln2_fixed
 
 from . import quadrature, series
 from .errors import CatalogError
@@ -33,11 +35,14 @@ from .numeric import (
     ClosedForm,
     Precision,
     _atan_x,
+    _atan_x_over_fixed,
     _cos_sin,
     _den,
     _log1p,
     _log1p_sq,
+    _log1p_sq_over_fixed,
     _log1p_x,
+    _log1p_x_over_fixed,
     _log_x,
     _one_px,
     _one_px2,
@@ -87,6 +92,93 @@ LN2_DIRECT_TERMS = 100_000
 
 
 # ---------------------------------------------------------------------------
+# Fixed-point kernels (`Integrand.fixed`) for the tanh-sinh ladder to sum in
+# integers: each is its evaluator at x = X / 2^W, scaled by 2^W, within
+# W/8 + 20 units, and each evaluator stays as written as the kernel's
+# reference.  The kernels on [0, 1] read ln(1 + x^2)/x^2, arctan(x)/x and
+# ln(1 + x)/x from `numeric`'s per-abscissa memo, each within q = W/128 + 3
+# units; a product with x or x^2 <= 1, one floor and the floored x^2 inside
+# the quotient leave ln(1 + x^2) within q + 3 and arctan x within q + 1.  A
+# kernel is a numerator over 1 + x, 1 + x^2 or their product, each quotient
+# floored once, with |f| <= 1: within its numerator's error plus 2, at most
+# 3q + 8 units (F'(a), whose numerator carries 2 arctan a).  The product
+# a x of F(a) and H(a) is floored once, (a x)^2 within 3 units, the log1p and
+# arctan within W/8 + 16 (`numeric`); eq06's u^2 is floored once, moving its
+# value at most 1/x0 units.  The families x^(2n)/(1 + x) of eq04 stay on mpf:
+# that check's tolerance prints 8 |T_k - T_{k-1}|, the ladder's own rounding
+# noise.  A kernel returns its evaluator's limit at X = 0.
+# ---------------------------------------------------------------------------
+
+
+def _log1p_sq_fixed(X, W):
+    """ln(1 + x^2) 2^W."""
+    return (X * X >> W) * _log1p_sq_over_fixed(X, W) >> W
+
+
+def _atan_x_fixed(X, W):
+    """arctan(x) 2^W."""
+    return X * _atan_x_over_fixed(X, W) >> W
+
+
+def _over_1px(N, X, W):
+    """(N / 2^W)/(1 + x), scaled by 2^W."""
+    return (N << W) // ((1 << W) + X)
+
+
+def _over_1px2(N, X, W):
+    """(N / 2^W)/(1 + x^2), scaled by 2^W."""
+    return (N << W) // ((1 << W) + (X * X >> W))
+
+
+def _over_den(N, X, W):
+    """(N / 2^W)/((1 + x^2)(1 + x)), scaled by 2^W."""
+    return (N << 2 * W) // (((1 << W) + (X * X >> W)) * ((1 << W) + X))
+
+
+def _f_kernel(alpha):
+    """ln(1 + a^2 x^2)/(1 + x) for a x < 3/2."""
+    alpha_at = cache(lambda W: to_fixed(alpha._mpf_, W))
+
+    def kernel(X, W):
+        AX = alpha_at(W) * X >> W
+        return _over_1px(log1p_fixed(AX * AX >> W, W), X, W)
+
+    return kernel
+
+
+def _h_kernel(alpha):
+    """arctan(a x)/(1 + x) for 0 <= a x < 2."""
+    alpha_at = cache(lambda W: to_fixed(alpha._mpf_, W))
+
+    def kernel(X, W):
+        return _over_1px(atan_fixed(alpha_at(W) * X >> W, W), X, W)
+
+    return kernel
+
+
+def _eq06_kernel(x0):
+    """u^2/((1 + u^2)(u + x0)) for u >= 0 and a rational x0 > 0."""
+
+    def kernel(X, W):
+        U2 = X * X >> W
+        return (U2 << 2 * W) // (((1 << W) + U2) * (X + (x0.numerator << W) // x0.denominator))
+
+    return kernel
+
+
+def _f_prime_kernel(X, W):
+    # (2 a ln2 + a ln(1 + a^2)/a^2 - 2 arctan a)/(1 + a^2)
+    N = (X * (2 * ln2_fixed(W) + _log1p_sq_over_fixed(X, W)) >> W) - 2 * _atan_x_fixed(X, W)
+    return _over_1px2(N, X, W)
+
+
+def _h_prime_kernel(X, W):
+    # (ln(1 + a^2)/2 - ln2 + arctan(a)/a)/(1 + a^2)
+    N = (_log1p_sq_fixed(X, W) >> 1) - ln2_fixed(W) + _atan_x_over_fixed(X, W)
+    return _over_1px2(N, X, W)
+
+
+# ---------------------------------------------------------------------------
 # Integrand registry.
 # ---------------------------------------------------------------------------
 
@@ -124,6 +216,7 @@ _register(
         id="a_integrand",
         evaluator=lambda x: x * x / _den(x),
         domain=(0, 1),
+        fixed=lambda X, W: _over_den(X * X >> W, X, W),
     )
 )
 _register(
@@ -131,6 +224,7 @@ _register(
         id="b_integrand",
         evaluator=lambda x: _log1p_sq(x) / _den(x),
         domain=(0, 1),
+        fixed=lambda X, W: _over_den(_log1p_sq_fixed(X, W), X, W),
     )
 )
 _register(
@@ -138,6 +232,7 @@ _register(
         id="c_integrand",
         evaluator=lambda x: -x * _atan_x(x) / _den(x),
         domain=(0, 1),
+        fixed=lambda X, W: -_over_den(X * _atan_x_fixed(X, W) >> W, X, W),
     )
 )
 _register(
@@ -145,6 +240,7 @@ _register(
         id="x_ln_1px2_over_1px2",
         evaluator=lambda x: x * _log1p_sq(x) / _one_px2(x),
         domain=(0, 1),
+        fixed=lambda X, W: _over_1px2(X * _log1p_sq_fixed(X, W) >> W, X, W),
     )
 )
 _register(
@@ -152,6 +248,7 @@ _register(
         id="i1_integrand",
         evaluator=lambda x: _log1p_sq(x) / _one_px2(x),
         domain=(0, 1),
+        fixed=lambda X, W: _over_1px2(_log1p_sq_fixed(X, W), X, W),
     )
 )
 _register(
@@ -200,6 +297,7 @@ _register(
         id="i2_integrand",
         evaluator=lambda x: _log1p_sq(x) / _one_px(x),
         domain=(0, 1),
+        fixed=lambda X, W: _over_1px(_log1p_sq_fixed(X, W), X, W),
     )
 )
 _register(
@@ -207,6 +305,7 @@ _register(
         id="i3_integrand",
         evaluator=lambda x: _atan_x(x) / _one_px(x),
         domain=(0, 1),
+        fixed=lambda X, W: _over_1px(_atan_x_fixed(X, W), X, W),
     )
 )
 _register(
@@ -214,6 +313,7 @@ _register(
         id="eq16_integrand",
         evaluator=lambda x: _atan_x(x) / _one_px2(x),
         domain=(0, 1),
+        fixed=lambda X, W: _over_1px2(_atan_x_fixed(X, W), X, W),
     )
 )
 _register(
@@ -221,6 +321,7 @@ _register(
         id="eq17_integrand",
         evaluator=lambda x: x * _atan_x(x) / _one_px2(x),
         domain=(0, 1),
+        fixed=lambda X, W: _over_1px2(X * _atan_x_fixed(X, W) >> W, X, W),
     )
 )
 
@@ -239,8 +340,22 @@ def _middle_t(t):
     return _log1p_x(t) / (t * _one_px(t))
 
 
-_register(Integrand(id="middle_alpha", evaluator=_middle_alpha, domain=(0, 1)))
-_register(Integrand(id="middle_t", evaluator=_middle_t, domain=(0, 1)))
+_register(
+    Integrand(
+        id="middle_alpha",
+        evaluator=_middle_alpha,
+        domain=(0, 1),
+        fixed=lambda X, W: _over_1px2(X * _log1p_sq_over_fixed(X, W) >> W, X, W),
+    )
+)
+_register(
+    Integrand(
+        id="middle_t",
+        evaluator=_middle_t,
+        domain=(0, 1),
+        fixed=lambda X, W: _over_1px(_log1p_x_over_fixed(X, W), X, W),
+    )
+)
 _register(series.ln1pt_integrand())
 
 
@@ -266,49 +381,8 @@ def _h_prime_closed(a):
     )
 
 
-_register(Integrand(id="f_prime_closed", evaluator=_f_prime_closed, domain=(0, 1)))
-_register(Integrand(id="h_prime_closed", evaluator=_h_prime_closed, domain=(0, 1)))
-
-
-# ---------------------------------------------------------------------------
-# Fixed-point kernels (`Integrand.fixed`) for the tanh-sinh ladder to sum in
-# integers: each is its evaluator at x = X / 2^W, scaled by 2^W, within
-# W/8 + 20 units, and each evaluator stays as written as the kernel's
-# reference.  The product a x is floored once, (a x)^2 within 3 units, the
-# log1p and arctan within W/8 + 16 (`numeric`), each quotient floored once;
-# eq06's u^2 is floored once, moving its value at most 1/x0 units.  The
-# families x^(2n)/(1 + x) of eq04 stay on mpf: that check's tolerance prints
-# 8 |T_k - T_{k-1}|, the ladder's own rounding noise.
-# ---------------------------------------------------------------------------
-
-
-def _f_kernel(alpha):
-    """ln(1 + a^2 x^2)/(1 + x) for a x < 3/2."""
-
-    def kernel(X, W):
-        AX = to_fixed(alpha._mpf_, W) * X >> W
-        return (log1p_fixed(AX * AX >> W, W) << W) // ((1 << W) + X)
-
-    return kernel
-
-
-def _h_kernel(alpha):
-    """arctan(a x)/(1 + x) for 0 <= a x < 2."""
-
-    def kernel(X, W):
-        return (atan_fixed(to_fixed(alpha._mpf_, W) * X >> W, W) << W) // ((1 << W) + X)
-
-    return kernel
-
-
-def _eq06_kernel(x0):
-    """u^2/((1 + u^2)(u + x0)) for u >= 0 and a rational x0 > 0."""
-
-    def kernel(X, W):
-        U2 = X * X >> W
-        return (U2 << 2 * W) // (((1 << W) + U2) * (X + (x0.numerator << W) // x0.denominator))
-
-    return kernel
+_register(Integrand(id="f_prime_closed", evaluator=_f_prime_closed, domain=(0, 1), fixed=_f_prime_kernel))
+_register(Integrand(id="h_prime_closed", evaluator=_h_prime_closed, domain=(0, 1), fixed=_h_prime_kernel))
 
 
 EQ06_GRID = (F(1, 4), F(1, 2), F(3, 4), F(1))

@@ -10,8 +10,10 @@ plain `mpf` that `round_to` checks for finiteness and rounds once to
 ``bits`` at the boundary.  pi, ln2 and G are mpmath's correctly rounded
 constants, so each public constant is within 1 ulp of the true value.
 
-The integrands in `identities` and `series` share one bit-exact memo of
-their common subexpressions per tanh-sinh abscissa, kept here below both.
+The integrands in `identities` and `series` share two memos per tanh-sinh
+abscissa, kept here below both: `_SHARED` holds their evaluators' common
+mpf subexpressions bit for bit, and `_SHARED_FIXED` the fixed-point
+ln(1+x^2)/x^2, arctan(x)/x and ln(1+x)/x that their integer kernels read.
 Importing this module points mpmath's pure-Python bit count at the C
 `int.bit_length`, which gives the same count on every int.
 """
@@ -157,6 +159,77 @@ def log1p_fixed(T, W):
 def atan_fixed(T, W):
     """arctan(t) 2^W for 0 <= t < 2, the range `mpf_atan` hands `atan_taylor`."""
     return atan_taylor(T, W)
+
+
+# ln(1 + u)/u and arctan(t)/t, for the integrands with a removable 0/0 at 0:
+# the two functions above divided by t would lose all accuracy as t -> 0.
+# From the first cached point past 0 on (u >= 2^-9, t >= 2^-7), each quotient
+# divides its function taken at W + s, s = 9 + 4 or 7 + 4, by its argument:
+# (W + s)/8 + 16 units of 2^-(W + s) over an argument of at least 2^(4 - s)
+# give (W + s)/128 + 1 units, plus 1 for the division.  Below that point each
+# sums its own series at W + 4 in powers v^2 < 2^-14, two terms a product as
+# `log_taylor_cached` does: every term floored once, at most W/28 + 2 rounds,
+# within W/20 + 8 units of 2^-(W + 4) before the final shift.  Both branches
+# are within W/128 + 3 units of 2^-W, and both give exactly 2^W at 0.
+
+QUOTIENT_GUARD = 4
+
+
+def _odd_series(V, W, sign):
+    """sum_k (sign v^2)^k/(2k + 1) 2^W for 0 <= v = V / 2^W < 2^-7."""
+    V2 = V * V >> W
+    V4 = V2 * V2 >> W
+    S0, S1, P, k = 1 << W, (1 << W) // 3, V4, 5
+    while P:
+        S0 += P // k
+        S1 += P // (k + 2)
+        P = P * V4 >> W
+        k += 4
+    return S0 + sign * (S1 * V2 >> W)
+
+
+def log1p_over_fixed(U, W):
+    """ln(1 + u)/u 2^W for 0 <= u < 3, and its limit 2^W at u = 0."""
+    g = QUOTIENT_GUARD
+    if U >> (W - 9):
+        s = 9 + g
+        return (log1p_fixed(U << s, W + s) << W) // (U << s)
+    # 2 atanh(v)/u = 2/(2 + u) sum_k v^2k/(2k + 1), with v = u/(2 + u) < 2^-10
+    Wg = W + g
+    D = (2 << Wg) + (U << g)
+    return (_odd_series((U << g + Wg) // D, Wg, 1) << Wg + 1) // D >> g
+
+
+def atan_over_fixed(T, W):
+    """arctan(t)/t 2^W for 0 <= t < 2, and its limit 2^W at t = 0."""
+    g = QUOTIENT_GUARD
+    if T >> (W - 7):
+        s = 7 + g
+        return (atan_fixed(T << s, W + s) << W) // (T << s)
+    return _odd_series(T << g, W + g, -1) >> g
+
+
+# The kernels' per-abscissa memo: each quotient runs once per node X of a
+# ladder at width W, as `_SHARED` runs each mpf subexpression once per x.
+_SHARED_FIXED = {}  # (function, X, W) -> function(X, W)
+
+
+def _shared_fixed(fn):
+    """`fn`, evaluated once per fixed-point abscissa X and width W."""
+
+    def memo(X, W):
+        key = (fn, X, W)
+        hit = _SHARED_FIXED.get(key)
+        if hit is None:
+            hit = _SHARED_FIXED[key] = fn(X, W)
+        return hit
+
+    return memo
+
+
+_log1p_sq_over_fixed = _shared_fixed(lambda X, W: log1p_over_fixed(X * X >> W, W))  # ln(1+x^2)/x^2
+_log1p_x_over_fixed = _shared_fixed(log1p_over_fixed)  # ln(1+x)/x
+_atan_x_over_fixed = _shared_fixed(atan_over_fixed)  # arctan(x)/x
 
 
 class BasisConstant(Enum):

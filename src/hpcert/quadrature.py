@@ -314,11 +314,17 @@ def _ts_ladder(integrand, cap, bits):
 # width `bits` it runs at W = bits + FIXED_EXTRA_BITS: each node's abscissae
 # (within 3 units) and weight (within 1) are floored to W bits once and cached,
 # every level is summed exactly in integers, and each T_k is rounded to mpf
-# once.  With |f|, |f'| <= 1 on the domain, the level-k weights of one side
-# summing to 2^k and fewer than 2^(k+3) nodes a side, T_k is within
-# halfw (2c + 24) 2^-W of the trapezoid sum on its exact nodes: below
-# 2^-(bits + 7) for halfw <= 1/2 at any W up to 2500.  The steps, the stop test
-# and the evaluation count are those of `_ts_ladder`.
+# once.  With |f| <= 1 and |f'| <= L on the domain, an evaluation is within
+# c + 3L units, a floored weight moves a term by at most 2 units, the level-k
+# weights of one side sum to 2^k and there are fewer than 2^(k+3) nodes a side:
+# T_k is within halfw (2c + 6L + 18) 2^-W of the trapezoid sum on its exact
+# nodes.  Every catalog kernel has |f| <= 1, and its L, sup |f'| (401 sample
+# points, pinned in the tests), is: middle_t 3/2, at 0; H(a) a, at most 1 + h;
+# i3, eq16 and middle_alpha 1; eq06 0.66; eq17 0.55; x ln(1 + x^2)/(1 + x^2)
+# 0.55; i1 0.51; ln(1 + t)/t 1/2; i2 and F(a) 0.44; F'(a) 0.39; a 0.36;
+# c 0.33; b 0.31; H'(a) 0.12.  So with L <= 3/2 and halfw <= 1/2 the bound is
+# below 2^-(bits + 7) at any W up to 2500.  The steps, the stop test and the
+# evaluation count are those of `_ts_ladder`.
 # ---------------------------------------------------------------------------
 
 FIXED_EXTRA_BITS = 16

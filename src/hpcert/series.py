@@ -20,7 +20,7 @@ from mpmath import ldexp, mp, mpf, workprec
 
 from . import accel
 from .errors import PreconditionError
-from .numeric import BasisConstant, _log1p_x, _one_px, constant_value, round_to
+from .numeric import BasisConstant, _log1p_x, _log1p_x_over_fixed, _one_px, constant_value, round_to
 from .quadrature import Integrand, TanhSinh, integrate
 
 
@@ -211,11 +211,14 @@ def ln1pt_over_t(p):
 
 
 def ln1pt_integrand():
-    """ln(1+t)/t on [0, 1]; the t -> 0 endpoint is removable with limit 1."""
+    """ln(1+t)/t on [0, 1]; the t -> 0 endpoint is removable with limit 1.
+
+    Its kernel is `numeric.log1p_over_fixed` read through the per-abscissa memo.
+    """
 
     def f(t):
         if t == 0:
             return mpf(1)
         return _log1p_x(t) / t
 
-    return Integrand(id="ln1p_t_over_t", evaluator=f, domain=(0, 1))
+    return Integrand(id="ln1p_t_over_t", evaluator=f, domain=(0, 1), fixed=_log1p_x_over_fixed)

@@ -39,6 +39,7 @@ P128 = Precision(128)
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_256 = ROOT / "perfbench" / "reference" / "cat256.json"
 REFERENCE_APP_256 = ROOT / "perfbench" / "reference" / "app256.json"
+REFERENCE_512 = ROOT / "perfbench" / "reference" / "cat512.json"
 REFERENCE_FIELDS = ("lhs", "rhs", "abs_error", "tolerance", "passed", "evaluations")
 
 QUADRATURE_CHECK_IDS = [
@@ -319,3 +320,10 @@ def test_appendix_report_after_a_warm_catalog_matches_its_reference(cat256):
     # the app* selection must still print the recorded report byte for byte
     report = build_report(256, "app*", None, 1, True)
     assert render_json(report, no_timestamp=True) == REFERENCE_APP_256.read_bytes()
+
+
+def test_512_bit_report_matches_its_reference():
+    # the one recorded reference the tests did not read: the kernels' integer
+    # arithmetic differs at every width, and 512 bits is the widest reference
+    report = build_report(512, "*", None, 1, True)
+    assert render_json(report, no_timestamp=True) == REFERENCE_512.read_bytes()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import atan, cos, iv, ldexp, log, log1p, mp, mpf, sin, workprec
+from mpmath.libmp import to_fixed
 
 from hpcert import (
     BasisConstant,
@@ -468,7 +469,8 @@ def kernel_cases(width):
 
     The F/H integrands take a = 0.3, 0.7, 1 plus and minus the step, rounded
     at `width` as `_param_grid_pipe` rounds them; the references are the same
-    families built and evaluated far wider, so they are exact to well below a unit.
+    families built and evaluated far wider, so they are exact to well below a
+    unit.  Every registered kernel is checked against its own evaluator, run wider.
     """
     h = _fd_step(Precision(width - 2 * numeric.GUARD_BITS))
     grid = (Fraction(3, 10), Fraction(7, 10), Fraction(1))
@@ -476,8 +478,21 @@ def kernel_cases(width):
         alphas = [mpf(a.numerator) / a.denominator + s * h for a in grid for s in (1, -1)]
     with workprec(width + 128):
         cases = [(_param_integrand(n, a, "k"), _param_integrand(n, a, "ref")) for a in alphas for n in "FH"]
-    eq06 = [get_integrand(f"eq06_inner_{x0.numerator}_{x0.denominator}") for x0 in identities.EQ06_GRID]
-    return cases + [(f, f) for f in eq06]
+    return cases + [(f, f) for f in identities._REGISTRY.values() if f.fixed]
+
+
+def test_every_bounded_registered_integrand_declares_a_kernel():
+    # only the log-singular integrands and the 2D one stay on mpf
+    plain = [f.id for f in identities._REGISTRY.values() if f.fixed is None]
+    assert plain == [
+        "sigma_double",
+        "i1_minus_ln_x",
+        "neg_ln_x_over_1px2",
+        "log_sin_half",
+        "log_sin_full",
+        "log_cos_half",
+    ]
+    assert all(f.dimension == 2 or f.singular_left or f.singular_right for f in map(get_integrand, plain))
 
 
 @pytest.mark.parametrize("width", [173, 320, 1088, 2112])
@@ -486,14 +501,54 @@ def test_kernels_are_within_their_bound_of_the_evaluators(width):
     bound = W / 8 + 20
     for f, ref in kernel_cases(width):
         nodes = [n for lev in (1, 2, 3) for n in quadrature._ts_fixed_nodes(f.domain, width, lev)]
-        Xs = [X for X1, X2, _ in nodes for X in (X1, X2)]
+        # X = 0 is the removable 0/0 of middle_alpha, middle_t, ln(1+t)/t, F' and H'
+        Xs = [X for X1, X2, _ in nodes for X in (X1, X2)] + [0, 1 << W]
         with workprec(W + 64):
             for X in Xs:
                 exact = ref.evaluator(ldexp(mpf(X), -W)) * 2**W
                 assert abs(f.fixed(X, W) - exact) <= bound, (f.id, X)
 
 
-KERNEL_CHECKS = ["eq06_inner", "app2_F_derivative", "app3_H_derivative"]  # catalog order
+def test_f_and_h_kernels_floor_a_once_per_width(monkeypatch):
+    with workprec(320):
+        a = mpf(7) / 10
+
+    def written_out(name, X, W):  # a floored on every call: the integers the kernels must keep
+        AX = to_fixed(a._mpf_, W) * X >> W
+        v = numeric.log1p_fixed(AX * AX >> W, W) if name == "F" else numeric.atan_fixed(AX, W)
+        return (v << W) // ((1 << W) + X)
+
+    points = [(X, W) for W in (189, 336) for X in (0, 1 << (W - 3), 3 << (W - 2), 1 << W)]
+    calls = []
+    monkeypatch.setattr(identities, "to_fixed", lambda *args: calls.append(args[1]) or to_fixed(*args))
+    for name in "FH":
+        kernel = _param_integrand(name, a, "once").fixed
+        assert [kernel(X, W) for X, W in points] == [written_out(name, X, W) for X, W in points]
+        assert calls == [189, 336]
+        calls.clear()
+
+
+# catalog order: every check that integrates a kernel
+KERNEL_CHECKS = [
+    "eq06_inner",
+    "eq08_A",
+    "eq09_B_split",
+    "eq10",
+    "app1_I1",
+    "app2_I2",
+    "app2_middle",
+    "app2_li2",
+    "eq13_B",
+    "eq14_C_split",
+    "app3_I3",
+    "eq16",
+    "eq17",
+    "eq18_C",
+    "app2_F_derivative",
+    "app2_F_reconstruct",
+    "app3_H_derivative",
+    "app3_H_reconstruct",
+]
 
 
 def result_fields(results):

@@ -378,7 +378,9 @@ def test_catalog_is_bit_identical_with_python_bitcount_and_cold_caches(monkeypat
         (quadrature, "_TS_TABLES"),
         (quadrature, "_TS_ABSCISSAE"),
         (quadrature, "_GL_TABLES"),
+        (quadrature, "_TS_FIXED"),
         (numeric, "_SHARED"),
+        (numeric, "_SHARED_FIXED"),
         (numeric, "_RAW_CACHE"),
     ]:
         monkeypatch.setattr(module, cache, {})
@@ -420,10 +422,44 @@ def test_fixed_log1p_and_atan_at_their_branch_points(W):
         assert fixed_error(numeric.atan_fixed(T, W), mpmath.atan, T, W) <= bound, T
 
 
+def quotient(fn):
+    """fn(t)/t, and its limit 1 at t = 0."""
+    return lambda t: fn(t) / t if t else mpf(1)
+
+
+def quotient_arguments(W, switch):
+    """Both branches, tiny arguments and the switch point 2^-switch, as X / 2^W."""
+    at = 1 << (W - switch)
+    tiny = st.integers(0, 1 << (W // 2))
+    return st.integers(0, 1 << W) | st.integers(0, at) | tiny | st.integers(at - 64, at + 64)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), W=st.sampled_from(FIXED_WIDTHS))
+def test_fixed_quotients_are_within_their_bound(data, W):
+    bound = W / 128 + 3
+    U = data.draw(quotient_arguments(W, 9) | st.integers(0, (3 << W) - 1))
+    assert fixed_error(numeric.log1p_over_fixed(U, W), quotient(mpmath.log1p), U, W) <= bound
+    T = data.draw(quotient_arguments(W, 7) | st.integers(0, (2 << W) - 1))
+    assert fixed_error(numeric.atan_over_fixed(T, W), quotient(mpmath.atan), T, W) <= bound
+
+
+@pytest.mark.parametrize("W", FIXED_WIDTHS)
+def test_fixed_quotients_at_their_branch_points(W):
+    bound = W / 128 + 3
+    assert numeric.log1p_over_fixed(0, W) == numeric.atan_over_fixed(0, W) == 1 << W  # the limits, exactly
+    one = 1 << W
+    for T in (1, (one >> 9) - 1, one >> 9, (one >> 9) + 1, one - 1, one, one + 1, 3 * one - 1):
+        assert fixed_error(numeric.log1p_over_fixed(T, W), quotient(mpmath.log1p), T, W) <= bound, T
+    for T in (1, (one >> 7) - 1, one >> 7, (one >> 7) + 1, one - 1, one, 2 * one - 1):
+        assert fixed_error(numeric.atan_over_fixed(T, W), quotient(mpmath.atan), T, W) <= bound, T
+
+
 def test_widest_fixed_kernel_fits_mpmath_taylor_caches():
     # the widest ladder's kernels run at W = 2128; `log1p_fixed` widens it by up
     # to 2 bits for 1 + t < 4, and `log_taylor_cached` serves only the widths
-    # whose cache step is at least as wide (below LOG_TAYLOR_PREC)
+    # whose cache step is at least as wide (below LOG_TAYLOR_PREC); the quotients
+    # call `log1p_fixed` at W + 13 (u < 3) and `atan_fixed` at W + 11
     from mpmath.libmp import libelefun
 
     from hpcert.cli import MAX_PRECISION_BITS
@@ -431,7 +467,10 @@ def test_widest_fixed_kernel_fits_mpmath_taylor_caches():
     width = Precision(MAX_PRECISION_BITS).guarded + numeric.GUARD_BITS
     W = width + quadrature.FIXED_EXTRA_BITS
     assert W == 2128
-    for w in (W, W + 1, W + 2):
+    widest_log = W + 9 + numeric.QUOTIENT_GUARD
+    widest_atan = W + 7 + numeric.QUOTIENT_GUARD
+    for w in range(W, widest_log + 3):
         assert w <= libelefun.LOG_TAYLOR_PREC
         assert w < len(libelefun.cache_prec_steps) and libelefun.cache_prec_steps[w] >= w
-    assert W < libelefun.ATAN_TAYLOR_PREC  # where `mpf_atan` itself still uses `atan_taylor`
+    assert widest_log + 2 == 2143
+    assert widest_atan < libelefun.ATAN_TAYLOR_PREC  # where `mpf_atan` itself still uses `atan_taylor`

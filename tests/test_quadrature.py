@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from mpmath import isfinite, ldexp, log, mp, mpf, pi, sin, workprec
+from mpmath import diff, isfinite, ldexp, log, mp, mpf, pi, sin, workprec
 from mpmath.calculus.quadrature import GaussLegendre as MpmathGaussLegendre
 
 from hpcert import (
@@ -18,6 +18,7 @@ from hpcert import (
     gauss_legendre_nodes,
     integrate,
     integrate_2d,
+    numeric,
     quadrature,
     tanh_sinh_nodes,
 )
@@ -499,16 +500,14 @@ def test_product_sum_matches_the_cell_by_cell_sum(bits, order):
 
 
 def kernel_integrands(bits):
-    """The three families that declare a kernel, at the widest arguments they meet."""
+    """Every registered kernel, and the F/H families at the widest arguments they meet."""
     with workprec(bits):
         above_one = 1 + ldexp(1, -(bits // 3))  # a x > 1 near x = 1: ln(1 + a^2 x^2) reduces by 2 ln2
         return [
             _param_integrand("F", above_one, "1+h"),
             _param_integrand("H", above_one, "1+h"),
             _param_integrand("F", mpf(3) / 10 - ldexp(1, -(bits // 3)), "0.3-h"),
-            get_integrand("eq06_inner_1_4"),
-            get_integrand("eq06_inner_3_4"),
-        ]
+        ] + [f for f in _REGISTRY.values() if f.fixed]
 
 
 # ladder width -> the last level compared: the deepest the catalog reaches at
@@ -531,6 +530,47 @@ def test_fixed_ladder_matches_the_mpf_ladder(bits):
             assert [(lev, n) for lev, _, n in got] == [(lev, n) for lev, _, n in want], f.id
             for (lev, T, _), (_, T_mpf, _) in zip(got, want):
                 assert abs(T - T_mpf) <= bound, (f.id, lev)
+
+
+# sup |f'| over the domain, as the bound comment of `_ts_fixed_ladder` states it
+KERNEL_LIPSCHITZ = {
+    "middle_t": 1.5,
+    "i3_integrand": 1,
+    "eq16_integrand": 1,
+    "middle_alpha": 1,
+    "eq06_inner": 0.66,
+    "eq17_integrand": 0.55,
+    "x_ln_1px2_over_1px2": 0.55,
+    "i1_integrand": 0.51,
+    "ln1p_t_over_t": 0.5,
+    "i2_integrand": 0.44,
+    "F_at": 0.44,
+    "f_prime_closed": 0.39,
+    "a_integrand": 0.36,
+    "c_integrand": 0.33,
+    "b_integrand": 0.31,
+    "h_prime_closed": 0.12,
+}
+
+
+def test_kernel_integrands_have_the_lipschitz_constants_the_ladder_bound_states(monkeypatch):
+    monkeypatch.setattr(numeric, "_SHARED", {})
+    with workprec(80):
+        h = ldexp(1, -36)  # the widest finite-difference step, at 109 bits
+        params = [
+            (_param_integrand(n, a + s * h, "lip"), a + s * h if n == "H" else KERNEL_LIPSCHITZ["F_at"])
+            for a in (mpf(3) / 10, mpf(7) / 10, mpf(1))
+            for s in (1, -1)
+            for n in "FH"
+        ]
+        registered = [f for f in _REGISTRY.values() if f.fixed]
+        family = {f.id: "eq06_inner" if f.id.startswith("eq06_inner") else f.id for f in registered}
+        for f, L in params + [(f, KERNEL_LIPSCHITZ[family[f.id]]) for f in registered]:
+            lo, hi, _, _ = quadrature._interval(f.domain)
+            xs = [lo + (hi - lo) * k / 400 for k in range(401)]
+            assert max(abs(f.evaluator(x)) for x in xs) <= 1, f.id
+            slopes = [diff(f.evaluator, x, direction=1 if x == lo else -1 if x == hi else 0) for x in xs]
+            assert max(map(abs, slopes)) <= L, f.id
 
 
 def test_integrate_sums_a_declared_kernel_on_the_same_steps(p256):
