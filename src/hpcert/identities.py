@@ -5,9 +5,12 @@ Each `IdentityCheck` compares two sides.  A side is either a pipeline
 exact `ClosedForm` over the seven-constant basis (zero for route-against-route
 comparisons).  Every quadrature a pipeline needs goes through
 `CheckContext.integrate`, which picks the catalog's rule and memoises the
-result per run.  `run_check` evaluates both sides at the requested precision
-and applies the check's tolerance policy; `run_catalog` executes a filtered
-selection in catalog order, optionally on a process pool.
+result per run.  Each bounded 1D integrand is declared once, as an expression
+over `numeric`'s operation contexts, which gives both its mpf evaluator and
+the integer kernel that the tanh-sinh ladder sums.  `run_check` evaluates both
+sides at the requested precision and applies the check's tolerance policy;
+`run_catalog` executes a filtered selection in catalog order, optionally on a
+process pool.
 
 The catalog order follows the derivation it certifies, so a rendered report
 reads as a walkthrough: the series value, its reduction to a double
@@ -20,12 +23,9 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Callable, Union
 
 from mpmath import atan, ldexp, log, log1p, mp, mpf, sin, workprec
-from mpmath.libmp import to_fixed
-from mpmath.libmp.libelefun import ln2_fixed
 
 from . import quadrature, series
 from .errors import CatalogError
@@ -34,29 +34,18 @@ from .numeric import (
     BasisConstant,
     ClosedForm,
     Precision,
-    _atan_x,
-    _atan_x_over_fixed,
     _cos_sin,
-    _den,
     _log1p,
-    _log1p_sq,
-    _log1p_sq_over_fixed,
-    _log1p_x,
-    _log1p_x_over_fixed,
     _log_x,
-    _one_px,
     _one_px2,
-    _x_one_px2,
-    atan_fixed,
     cf_add,
     cf_mul_ln2,
     cf_scale,
     constant_value,
     eval_closed_form,
-    log1p_fixed,
     round_to,
 )
-from .quadrature import GaussLegendre, Integrand, PiMultiple, TanhSinh, integrate, integrate_2d
+from .quadrature import GaussLegendre, Integrand, PiMultiple, TanhSinh, bounded, integrate, integrate_2d
 
 ONE = BasisConstant.ONE
 LN2 = BasisConstant.LN2
@@ -92,94 +81,17 @@ LN2_DIRECT_TERMS = 100_000
 
 
 # ---------------------------------------------------------------------------
-# Fixed-point kernels (`Integrand.fixed`) for the tanh-sinh ladder to sum in
-# integers: each is its evaluator at x = X / 2^W, scaled by 2^W, within
-# W/8 + 20 units, and each evaluator stays as written as the kernel's
-# reference.  The kernels on [0, 1] read ln(1 + x^2)/x^2, arctan(x)/x and
-# ln(1 + x)/x from `numeric`'s per-abscissa memo, each within q = W/128 + 3
-# units; a product with x or x^2 <= 1, one floor and the floored x^2 inside
-# the quotient leave ln(1 + x^2) within q + 3 and arctan x within q + 1.  A
-# kernel is a numerator over 1 + x, 1 + x^2 or their product, each quotient
-# floored once, with |f| <= 1: within its numerator's error plus 2, at most
-# 3q + 8 units (F'(a), whose numerator carries 2 arctan a).  The product
-# a x of F(a) and H(a) is floored once, (a x)^2 within 3 units, the log1p and
-# arctan within W/8 + 16 (`numeric`); eq06's u^2 is floored once, moving its
-# value at most 1/x0 units.  The families x^(2n)/(1 + x) of eq04 stay on mpf:
-# that check's tolerance prints 8 |T_k - T_{k-1}|, the ladder's own rounding
-# noise.  A kernel returns its evaluator's limit at X = 0.
-# ---------------------------------------------------------------------------
-
-
-def _log1p_sq_fixed(X, W):
-    """ln(1 + x^2) 2^W."""
-    return (X * X >> W) * _log1p_sq_over_fixed(X, W) >> W
-
-
-def _atan_x_fixed(X, W):
-    """arctan(x) 2^W."""
-    return X * _atan_x_over_fixed(X, W) >> W
-
-
-def _over_1px(N, X, W):
-    """(N / 2^W)/(1 + x), scaled by 2^W."""
-    return (N << W) // ((1 << W) + X)
-
-
-def _over_1px2(N, X, W):
-    """(N / 2^W)/(1 + x^2), scaled by 2^W."""
-    return (N << W) // ((1 << W) + (X * X >> W))
-
-
-def _over_den(N, X, W):
-    """(N / 2^W)/((1 + x^2)(1 + x)), scaled by 2^W."""
-    return (N << 2 * W) // (((1 << W) + (X * X >> W)) * ((1 << W) + X))
-
-
-def _f_kernel(alpha):
-    """ln(1 + a^2 x^2)/(1 + x) for a x < 3/2."""
-    alpha_at = cache(lambda W: to_fixed(alpha._mpf_, W))
-
-    def kernel(X, W):
-        AX = alpha_at(W) * X >> W
-        return _over_1px(log1p_fixed(AX * AX >> W, W), X, W)
-
-    return kernel
-
-
-def _h_kernel(alpha):
-    """arctan(a x)/(1 + x) for 0 <= a x < 2."""
-    alpha_at = cache(lambda W: to_fixed(alpha._mpf_, W))
-
-    def kernel(X, W):
-        return _over_1px(atan_fixed(alpha_at(W) * X >> W, W), X, W)
-
-    return kernel
-
-
-def _eq06_kernel(x0):
-    """u^2/((1 + u^2)(u + x0)) for u >= 0 and a rational x0 > 0."""
-
-    def kernel(X, W):
-        U2 = X * X >> W
-        return (U2 << 2 * W) // (((1 << W) + U2) * (X + (x0.numerator << W) // x0.denominator))
-
-    return kernel
-
-
-def _f_prime_kernel(X, W):
-    # (2 a ln2 + a ln(1 + a^2)/a^2 - 2 arctan a)/(1 + a^2)
-    N = (X * (2 * ln2_fixed(W) + _log1p_sq_over_fixed(X, W)) >> W) - 2 * _atan_x_fixed(X, W)
-    return _over_1px2(N, X, W)
-
-
-def _h_prime_kernel(X, W):
-    # (ln(1 + a^2)/2 - ln2 + arctan(a)/a)/(1 + a^2)
-    N = (_log1p_sq_fixed(X, W) >> 1) - ln2_fixed(W) + _atan_x_over_fixed(X, W)
-    return _over_1px2(N, X, W)
-
-
-# ---------------------------------------------------------------------------
-# Integrand registry.
+# Integrand registry.  Each bounded 1D integrand is one expression over a
+# `numeric` operation context (`quadrature.bounded`): run under `MP` it is
+# the evaluator, run under `fixed_context(W)` it is the integer kernel that the
+# tanh-sinh ladder sums.  A kernel is within the sum of its operations' units
+# of 2^-W (the table in `numeric`): W/8 + 20 for F(a), the ladder's
+# assumption, and at most 3q + 8, q = W/128 + 3, for those built on the
+# quotients ln(1 + u)/u and arctan(t)/t.  The quotients also carry the
+# removable 0/0 at x = 0 of middle_alpha, middle_t, ln(1 + t)/t, F' and H', so
+# every expression returns its limit there.  The log-singular integrands, the
+# 2D one and eq04's x^(2n)/(1 + x) keep an mpf evaluator: eq04's tolerance
+# prints 8 |T_k - T_{k-1}|, the mpf ladder's own rounding noise.
 # ---------------------------------------------------------------------------
 
 _REGISTRY = {}
@@ -211,50 +123,15 @@ _register(
         product=(lambda x: 1 / (1 + x), lambda T, W: -((T2 := T * T >> W) << W) // ((1 << W) + T2)),
     )
 )
-_register(
-    Integrand(
-        id="a_integrand",
-        evaluator=lambda x: x * x / _den(x),
-        domain=(0, 1),
-        fixed=lambda X, W: _over_den(X * X >> W, X, W),
-    )
-)
-_register(
-    Integrand(
-        id="b_integrand",
-        evaluator=lambda x: _log1p_sq(x) / _den(x),
-        domain=(0, 1),
-        fixed=lambda X, W: _over_den(_log1p_sq_fixed(X, W), X, W),
-    )
-)
-_register(
-    Integrand(
-        id="c_integrand",
-        evaluator=lambda x: -x * _atan_x(x) / _den(x),
-        domain=(0, 1),
-        fixed=lambda X, W: -_over_den(X * _atan_x_fixed(X, W) >> W, X, W),
-    )
-)
-_register(
-    Integrand(
-        id="x_ln_1px2_over_1px2",
-        evaluator=lambda x: x * _log1p_sq(x) / _one_px2(x),
-        domain=(0, 1),
-        fixed=lambda X, W: _over_1px2(X * _log1p_sq_fixed(X, W) >> W, X, W),
-    )
-)
-_register(
-    Integrand(
-        id="i1_integrand",
-        evaluator=lambda x: _log1p_sq(x) / _one_px2(x),
-        domain=(0, 1),
-        fixed=lambda X, W: _over_1px2(_log1p_sq_fixed(X, W), X, W),
-    )
-)
+_register(bounded("a_integrand", lambda c, x: c.div2(x2 := c.sq(x), c.one + x2, c.one + x)))
+_register(bounded("b_integrand", lambda c, x: c.div2(c.log1p_sq(x), c.one + c.sq(x), c.one + x)))
+_register(bounded("c_integrand", lambda c, x: -c.div2(c.mul(x, c.atan_x(x)), c.one + c.sq(x), c.one + x)))
+_register(bounded("x_ln_1px2_over_1px2", lambda c, x: c.div(c.mul(x, c.log1p_sq(x)), c.one + c.sq(x))))
+_register(bounded("i1_integrand", lambda c, x: c.div(c.log1p_sq(x), c.one + c.sq(x))))
 _register(
     Integrand(
         id="i1_minus_ln_x",
-        evaluator=lambda x: (_log1p_sq(x) - _log_x(x)) / _one_px2(x),
+        evaluator=lambda x: (_log1p(x * x) - _log_x(x)) / _one_px2(x),
         domain=(0, 1),
         singular_left=True,
     )
@@ -292,70 +169,13 @@ _register(
         singular_right=True,
     )
 )
-_register(
-    Integrand(
-        id="i2_integrand",
-        evaluator=lambda x: _log1p_sq(x) / _one_px(x),
-        domain=(0, 1),
-        fixed=lambda X, W: _over_1px(_log1p_sq_fixed(X, W), X, W),
-    )
-)
-_register(
-    Integrand(
-        id="i3_integrand",
-        evaluator=lambda x: _atan_x(x) / _one_px(x),
-        domain=(0, 1),
-        fixed=lambda X, W: _over_1px(_atan_x_fixed(X, W), X, W),
-    )
-)
-_register(
-    Integrand(
-        id="eq16_integrand",
-        evaluator=lambda x: _atan_x(x) / _one_px2(x),
-        domain=(0, 1),
-        fixed=lambda X, W: _over_1px2(_atan_x_fixed(X, W), X, W),
-    )
-)
-_register(
-    Integrand(
-        id="eq17_integrand",
-        evaluator=lambda x: x * _atan_x(x) / _one_px2(x),
-        domain=(0, 1),
-        fixed=lambda X, W: _over_1px2(X * _atan_x_fixed(X, W) >> W, X, W),
-    )
-)
-
-
-def _middle_alpha(a):
-    # ln(1+a^2)/(a(1+a^2)) with removable zero at a = 0
-    if a == 0:
-        return mpf(0)
-    return _log1p_sq(a) / _x_one_px2(a)
-
-
-def _middle_t(t):
-    # ln(1+t)/(t(1+t)) -> 1 as t -> 0
-    if t == 0:
-        return mpf(1)
-    return _log1p_x(t) / (t * _one_px(t))
-
-
-_register(
-    Integrand(
-        id="middle_alpha",
-        evaluator=_middle_alpha,
-        domain=(0, 1),
-        fixed=lambda X, W: _over_1px2(X * _log1p_sq_over_fixed(X, W) >> W, X, W),
-    )
-)
-_register(
-    Integrand(
-        id="middle_t",
-        evaluator=_middle_t,
-        domain=(0, 1),
-        fixed=lambda X, W: _over_1px(_log1p_x_over_fixed(X, W), X, W),
-    )
-)
+_register(bounded("i2_integrand", lambda c, x: c.div(c.log1p_sq(x), c.one + x)))
+_register(bounded("i3_integrand", lambda c, x: c.div(c.atan_x(x), c.one + x)))
+_register(bounded("eq16_integrand", lambda c, x: c.div(c.atan_x(x), c.one + c.sq(x))))
+_register(bounded("eq17_integrand", lambda c, x: c.div(c.mul(x, c.atan_x(x)), c.one + c.sq(x))))
+# ln(1 + a^2)/(a (1 + a^2)) and ln(1 + t)/(t (1 + t))
+_register(bounded("middle_alpha", lambda c, a: c.div(c.mul(a, c.log1p_sq_over(a)), c.one + c.sq(a))))
+_register(bounded("middle_t", lambda c, t: c.div(c.log1p_over(t), c.one + t)))
 _register(series.ln1pt_integrand())
 
 
@@ -363,39 +183,45 @@ def _f_prime_closed(a):
     # d/da int_0^1 ln(1+a^2 x^2)/(1+x) dx, in closed form; -> 0 as a -> 0
     if a == 0:
         return mpf(0)
-    return (
-        2 * a * _ln2_here() / _one_px2(a)
-        + _log1p_sq(a) / _x_one_px2(a)
-        - 2 * _atan_x(a) / _one_px2(a)
-    )
+    one_pa2 = _one_px2(a)
+    return 2 * a * _ln2_here() / one_pa2 + _log1p(a * a) / (a * one_pa2) - 2 * atan(a) / one_pa2
 
 
 def _h_prime_closed(a):
     # d/da int_0^1 arctan(a x)/(1+x) dx, in closed form; -> 1 - ln2 as a -> 0
     if a == 0:
         return 1 - _ln2_here()
-    return (
-        -_ln2_here() / _one_px2(a)
-        + _log1p_sq(a) / (2 * _one_px2(a))
-        + _atan_x(a) / _x_one_px2(a)
+    one_pa2 = _one_px2(a)
+    return -_ln2_here() / one_pa2 + _log1p(a * a) / (2 * one_pa2) + atan(a) / (a * one_pa2)
+
+
+# The same derivatives as integrands on [0, 1], arranged without a 0/0 at a = 0:
+# (a (2 ln2 + ln(1 + a^2)/a^2) - 2 arctan a)/(1 + a^2) and
+# (ln(1 + a^2)/2 - ln2 + arctan(a)/a)/(1 + a^2)
+_register(
+    bounded(
+        "f_prime_closed",
+        lambda c, a: c.div(c.mul(a, 2 * c.ln2 + c.log1p_sq_over(a)) - 2 * c.atan_x(a), c.one + c.sq(a)),
     )
-
-
-_register(Integrand(id="f_prime_closed", evaluator=_f_prime_closed, domain=(0, 1), fixed=_f_prime_kernel))
-_register(Integrand(id="h_prime_closed", evaluator=_h_prime_closed, domain=(0, 1), fixed=_h_prime_kernel))
+)
+_register(
+    bounded(
+        "h_prime_closed",
+        lambda c, a: c.div(c.div(c.log1p_sq(a), 2 * c.one) - c.ln2 + c.atan_over(a), c.one + c.sq(a)),
+    )
+)
 
 
 EQ06_GRID = (F(1, 4), F(1, 2), F(3, 4), F(1))
 
-for _x0 in EQ06_GRID:
+for _x0 in EQ06_GRID:  # u^2/((1 + u^2)(u + x0)) on [0, x0]; each x0 is dyadic, so exact in both contexts
     _register(
-        Integrand(
-            id=f"eq06_inner_{_x0.numerator}_{_x0.denominator}",
-            evaluator=(lambda x0n: lambda u: (u2 := u * u) / ((1 + u2) * (u + x0n)))(
+        bounded(
+            f"eq06_inner_{_x0.numerator}_{_x0.denominator}",
+            (lambda x0: lambda c, u: c.div2(u2 := c.sq(u), c.one + u2, u + c.const(x0)))(
                 mpf(_x0.numerator) / _x0.denominator
             ),
             domain=(0, _x0),
-            fixed=_eq06_kernel(_x0),
         )
     )
 
@@ -408,21 +234,11 @@ for _x0 in EQ06_GRID:
 # ---------------------------------------------------------------------------
 
 
-def _param_integrand(name, alpha_value, tag):
+def _param_integrand(name, a, tag):
+    # F for a x < 3/2 and H for 0 <= a x < 2, the ranges of `log1p_fixed` and `atan_fixed`
     if name == "F":
-        a2 = alpha_value * alpha_value
-
-        def f(x):
-            return _log1p(a2 * x * x) / _one_px(x)
-
-        kernel = _f_kernel(alpha_value)
-    else:
-
-        def f(x):
-            return atan(alpha_value * x) / _one_px(x)
-
-        kernel = _h_kernel(alpha_value)
-    return Integrand(id=f"{name}_at_{tag}", evaluator=f, domain=(0, 1), fixed=kernel)
+        return bounded(f"F_at_{tag}", lambda c, x: c.div(c.log1p(c.sq(c.mul(c.const(a), x))), c.one + x))
+    return bounded(f"H_at_{tag}", lambda c, x: c.div(c.atan(c.mul(c.const(a), x)), c.one + x))
 
 
 def _fd_step(p):

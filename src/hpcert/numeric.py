@@ -10,10 +10,14 @@ plain `mpf` that `round_to` checks for finiteness and rounds once to
 ``bits`` at the boundary.  pi, ln2 and G are mpmath's correctly rounded
 constants, so each public constant is within 1 ulp of the true value.
 
-The integrands in `identities` and `series` share two memos per tanh-sinh
-abscissa, kept here below both: `_SHARED` holds their evaluators' common
-mpf subexpressions bit for bit, and `_SHARED_FIXED` the fixed-point
-ln(1+x^2)/x^2, arctan(x)/x and ln(1+x)/x that their integer kernels read.
+Each bounded integrand in `identities` and `series` is written once, as an
+expression over the operation contexts kept here, below both: under `MP`
+(mpf at the ambient precision) it is the integrand's evaluator, and under
+`fixed_context(W)` (integers scaled by 2^W) it is the integer kernel that the
+tanh-sinh ladder sums.  Two memos per tanh-sinh abscissa sit beside them:
+`_SHARED` holds, bit for bit, the mpf subexpressions that two integrands on
+the mpf ladder share, and `_SHARED_FIXED` the fixed-point ln(1+x^2)/x^2,
+arctan(x)/x and ln(1+x)/x that the kernels read.
 Importing this module points mpmath's pure-Python bit count at the C
 `int.bit_length`, which gives the same count on every int.
 """
@@ -21,11 +25,13 @@ Importing this module points mpmath's pure-Python bit count at the C
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 import math
 import sys
+from types import SimpleNamespace
 
 from mpmath import atan, isfinite, ldexp, libmp, log, log1p, mag, mp, mpf, workprec
-from mpmath.libmp import fone, libintmath, mpf_add, mpf_cos_sin, mpf_log, mpf_pos, round_nearest
+from mpmath.libmp import fone, libintmath, mpf_add, mpf_cos_sin, mpf_log, mpf_pos, round_nearest, to_fixed
 from mpmath.libmp import mpf_catalan, mpf_ln2, mpf_pi
 from mpmath.libmp.libelefun import atan_taylor, ln2_fixed, log_taylor_cached
 
@@ -83,10 +89,12 @@ def ulp(x, bits):
 
 
 # ---------------------------------------------------------------------------
-# Per-abscissa memo.  Most 1D integrands run on [0, 1] and meet the same
-# tanh-sinh abscissae, so each operation below runs once per (x, mp.prec) for
-# the life of the process.  A hit is the mpf the same expression made at the
-# same width, so the memo is bit for bit the same as evaluating directly.
+# Per-abscissa memo.  The integrands that the mpf ladder sums meet the same
+# tanh-sinh abscissae, so each subexpression that two of them share runs once
+# per (x, mp.prec) for the life of the process: 1 + x in eq04's tails, 1 + x^2
+# and ln x in -ln(x)/(1 + x^2) and (ln(1 + x^2) - ln x)/(1 + x^2), cos and sin
+# in the log-sine pair.  A hit is the mpf the same expression made at the same
+# width, so the memo is bit for bit the same as evaluating directly.
 # ---------------------------------------------------------------------------
 
 _SHARED = {}  # (function, x, mp.prec) -> function(x)
@@ -121,11 +129,6 @@ def _log1p(x):
 
 _one_px = _shared(lambda x: 1 + x)
 _one_px2 = _shared(lambda x: 1 + x * x)
-_den = _shared(lambda x: _one_px2(x) * _one_px(x))  # (1 + x*x) * (1 + x)
-_x_one_px2 = _shared(lambda x: x * _one_px2(x))  # x * (1 + x*x)
-_log1p_x = _shared(_log1p)
-_log1p_sq = _shared(lambda x: _log1p(x * x))
-_atan_x = _shared(atan)
 _log_x = _shared(log)
 # (cos t, sin t), each rounded exactly as `cos` and `sin` round it
 _cos_sin = _shared(lambda t: [mp.make_mpf(v) for v in mpf_cos_sin(t._mpf_, *mp._prec_rounding)])
@@ -230,6 +233,90 @@ def _shared_fixed(fn):
 _log1p_sq_over_fixed = _shared_fixed(lambda X, W: log1p_over_fixed(X * X >> W, W))  # ln(1+x^2)/x^2
 _log1p_x_over_fixed = _shared_fixed(log1p_over_fixed)  # ln(1+x)/x
 _atan_x_over_fixed = _shared_fixed(atan_over_fixed)  # arctan(x)/x
+
+
+# ---------------------------------------------------------------------------
+# Operation contexts.  A bounded integrand is written once, as an expression
+# expr(c, x) over the operations below; sums and differences are Python's own
+# + and -, and a product with a small integer is exact in both contexts.
+# Under `MP` the operations are mpf arithmetic at the ambient precision, and
+# expr(MP, x) is the integrand's evaluator.  Under `fixed_context(W)` a value
+# v is an integer near v 2^W, and expr(fixed_context(W), X) is the integrand's
+# kernel, the `Integrand.fixed` that the integer tanh-sinh ladder sums.
+#
+# Each fixed operation adds at most these units of 2^-W to its result:
+#   one, and const of a dyadic rational that fits W bits     0
+#   ln2, const (floored once per width)                      1
+#   mul, sq, div, div2 (one floor each)                      1
+#   log1p, atan (`log1p_fixed`, `atan_fixed`)                W/8 + 16
+#   log1p_over, atan_over                                    q = W/128 + 3
+#   log1p_sq_over (x^2 floored inside it)                    q + 1
+#   log1p_sq = mul(sq(x), log1p_sq_over(x))                  q + 3
+#   atan_x = mul(x, atan_over(x))                            q + 1
+# and carries each operand's error times the size of its partial derivative.
+# So a kernel is within the sum over its operations of their units, each times
+# the size of the kernel's derivative with respect to that operation's value.
+# Every catalog kernel has |f| <= 1 over denominators of at least 1, so that
+# derivative is at most 1, but for the integer multiples (2 ln2, 2 arctan x)
+# and eq06's u^2 (1/x0 <= 4): F(a) is within W/8 + 20 units, H(a) W/8 + 19,
+# F'(a) 3q + 8, eq06 5, inside the W/8 + 20 that the ladder assumes.
+# ---------------------------------------------------------------------------
+
+
+class _MpContext:
+    """mpf arithmetic at the ambient precision: expr(MP, x) is an evaluator."""
+
+    one = 1
+    ln2 = property(lambda self: constant_value(BasisConstant.LN2, mp.prec))
+    const = staticmethod(lambda v: v)
+    mul = staticmethod(lambda a, b: a * b)
+    sq = staticmethod(lambda a: a * a)
+    div = staticmethod(lambda n, d: n / d)
+    div2 = staticmethod(lambda n, d1, d2: n / (d1 * d2))
+    log1p = staticmethod(_log1p)
+    atan = atan_x = staticmethod(atan)
+    log1p_sq = staticmethod(lambda x: _log1p(x * x))
+    # the quotients take their limit 1 at 0
+    log1p_over = staticmethod(lambda u: _log1p(u) / u if u else mpf(1))
+    log1p_sq_over = staticmethod(lambda x: _log1p(x2 := x * x) / x2 if x else mpf(1))
+    atan_over = staticmethod(lambda t: atan(t) / t if t else mpf(1))
+
+
+MP = _MpContext()
+
+
+@cache
+def fixed_context(W):
+    """Integers scaled by 2^W, built once per width: expr(fixed_context(W), X) is a kernel."""
+    consts = {}
+
+    def const(v):
+        """An mpf v, floored to W bits once per width."""
+        key = v._mpf_
+        hit = consts.get(key)
+        if hit is None:
+            hit = consts[key] = to_fixed(key, W)
+        return hit
+
+    def mul(A, B):
+        return A * B >> W
+
+    return SimpleNamespace(
+        one=1 << W,
+        ln2=ln2_fixed(W),
+        const=const,
+        mul=mul,
+        sq=lambda A: A * A >> W,
+        div=lambda N, D: (N << W) // D,
+        div2=lambda N, D1, D2: (N << 2 * W) // (D1 * D2),  # N/(D1 D2) with one floor
+        log1p=lambda U: log1p_fixed(U, W),
+        atan=lambda T: atan_fixed(T, W),
+        log1p_sq=lambda X: mul(X * X >> W, _log1p_sq_over_fixed(X, W)),
+        atan_x=lambda X: mul(X, _atan_x_over_fixed(X, W)),
+        log1p_over=lambda U: _log1p_x_over_fixed(U, W),
+        log1p_sq_over=lambda X: _log1p_sq_over_fixed(X, W),
+        atan_over=lambda T: _atan_x_over_fixed(T, W),
+    )
 
 
 class BasisConstant(Enum):

@@ -30,7 +30,7 @@ from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_mul, to_fixed
 from mpmath.libmp.libelefun import pi_fixed
 
 from .errors import DomainError, NonconvergenceError
-from .numeric import GUARD_BITS, round_to
+from .numeric import GUARD_BITS, MP, fixed_context, round_to
 
 MAX_LEVEL = 15
 MIN_ORDER, MAX_ORDER = 2, 4096
@@ -75,6 +75,14 @@ class Integrand:
     @property
     def dimension(self):
         return 2 if isinstance(self.domain[0], tuple) else 1
+
+
+def bounded(id, expr, domain=(0, 1)):
+    """A bounded 1D integrand written once, as expr(c, x) over a `numeric` context.
+
+    Its evaluator is expr(MP, x), and its kernel expr(fixed_context(W), X).
+    """
+    return Integrand(id, lambda x: expr(MP, x), domain, fixed=lambda X, W: expr(fixed_context(W), X))
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ The central quantity is the tail
     a_n = ln2 - (1/(n+1) + ... + 1/(2n)),
 
 which equals both the alternating tail sum_{k>=2n+1} (-1)^(k-1)/k and the
-integral of x^(2n)/(1+x) over [0,1].  All three routes are implemented and
-cross-validated; the harmonic route keeps its rational part exact so that
-the only rounding comes from the single ln2 subtraction.
+integral of x^(2n)/(1+x) over [0,1].  Two routes are implemented and
+cross-validated, the exact harmonic sum and the integral; the harmonic route
+keeps its rational part exact so that the only rounding comes from the single
+ln2 subtraction.
 """
 
 from dataclasses import dataclass
@@ -20,13 +21,12 @@ from mpmath import ldexp, mp, mpf, workprec
 
 from . import accel
 from .errors import PreconditionError
-from .numeric import BasisConstant, _log1p_x, _log1p_x_over_fixed, _one_px, constant_value, round_to
-from .quadrature import Integrand, TanhSinh, integrate
+from .numeric import BasisConstant, _one_px, constant_value, round_to
+from .quadrature import Integrand, TanhSinh, bounded, integrate
 
 
 class TailRoute(Enum):
     HARMONIC = "harmonic"
-    ALT_TAIL = "alt_tail"
     INTEGRAL = "integral"
 
 
@@ -35,9 +35,8 @@ class TailTerm:
     n: int
     value: mpf
     route: TailRoute
-    # ALT_TAIL: the absolute bound 1/(M+1) on |value - a_n|; INTEGRAL: the
-    # quadrature's |T_k - T_{k-1}| estimate, not a bound; HARMONIC: None, as
-    # its only error is the final rounding
+    # INTEGRAL: the quadrature's |T_k - T_{k-1}| estimate, not a bound;
+    # HARMONIC: None, as its only error is the final rounding
     error_bound: Optional[mpf] = None
 
 
@@ -64,12 +63,6 @@ class SeriesResult:
     value: mpf
     terms_used: int
     error_bound: Optional[mpf] = None
-
-
-# Truncation point of the explicit alternating-tail route.  This route exists
-# for cross-validation, not precision: its remainder bound 1/(M+1) is attached
-# to the result instead of being driven below the working precision.
-ALT_TAIL_EXTRA_TERMS = 20_000
 
 
 @lru_cache(maxsize=512)
@@ -116,12 +109,6 @@ def tail(n, route, p):
     g = p.guarded
     if route is TailRoute.HARMONIC:
         return TailTerm(n, round_to(_harmonic_tails([n], g)[0], p), route)
-    if route is TailRoute.ALT_TAIL:
-        m = 2 * n + ALT_TAIL_EXTRA_TERMS
-        with workprec(g):
-            s = _paired_alternating(2 * n + 1, m)
-            bound = mpf(1) / (m + 1)
-        return TailTerm(n, round_to(s, p), route, round_to(bound, p))
     if route is TailRoute.INTEGRAL:
         q = integrate(tail_integrand(n), TanhSinh(), p)
         return TailTerm(n, q.value, route, q.error_estimate)
@@ -211,14 +198,5 @@ def ln1pt_over_t(p):
 
 
 def ln1pt_integrand():
-    """ln(1+t)/t on [0, 1]; the t -> 0 endpoint is removable with limit 1.
-
-    Its kernel is `numeric.log1p_over_fixed` read through the per-abscissa memo.
-    """
-
-    def f(t):
-        if t == 0:
-            return mpf(1)
-        return _log1p_x(t) / t
-
-    return Integrand(id="ln1p_t_over_t", evaluator=f, domain=(0, 1), fixed=_log1p_x_over_fixed)
+    """ln(1+t)/t on [0, 1]; the t -> 0 endpoint is removable with limit 1."""
+    return bounded("ln1p_t_over_t", lambda c, t: c.log1p_over(t))

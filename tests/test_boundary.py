@@ -71,7 +71,7 @@ def _boundary_values(p):
 
 def test_boundary_values_are_mpfs_rounded_to_p(p128):
     values = _boundary_values(p128)
-    assert len(values) == 26
+    assert len(values) == 24
     for name, v in values.items():
         assert type(v) is mpf, name
         assert round_to(v, p128) == v, name

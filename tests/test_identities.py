@@ -324,11 +324,6 @@ def test_param_monotone_on_grid(p128):
 SHARED_DIRECT = [
     (numeric._one_px, lambda x: 1 + x),
     (numeric._one_px2, lambda x: 1 + x * x),
-    (numeric._den, lambda x: (1 + x * x) * (1 + x)),
-    (numeric._x_one_px2, lambda x: x * (1 + x * x)),
-    (numeric._log1p_x, log1p),
-    (numeric._log1p_sq, lambda x: log1p(x * x)),
-    (numeric._atan_x, atan),
     (numeric._log_x, log),
 ]
 
@@ -400,8 +395,14 @@ def test_log1p_kernel_at_its_branch_points(bits):
 # --- each evaluator keeps its operation order -------------------------------
 
 
+def _pinned_nodes(bits):
+    """Both abscissae of every tanh-sinh node on [0, 1] at levels 1-3."""
+    nodes = [n for lev in (1, 2, 3) for n in quadrature._ts_abscissae((0, 1), bits, lev)]
+    return [x for xm, xp, _ in nodes for x in (xm, xp)]
+
+
 def _pinned_forms():
-    """Every memo-backed evaluator against the expression it stands for, written out."""
+    """Every registered evaluator against the expression it stands for, written out."""
     ln2 = constant_value(BasisConstant.LN2, mp.prec)  # what the closed forms read at this width
     forms = {
         "a_integrand": lambda x: x * x / ((1 + x * x) * (1 + x)),
@@ -418,15 +419,11 @@ def _pinned_forms():
         "i3_integrand": lambda x: atan(x) / (1 + x),
         "eq16_integrand": lambda x: atan(x) / (1 + x * x),
         "eq17_integrand": lambda x: x * atan(x) / (1 + x * x),
-        "middle_alpha": lambda a: log1p(a * a) / (a * (1 + a * a)),
-        "middle_t": lambda t: log1p(t) / (t * (1 + t)),
+        "middle_alpha": lambda a: a * (log1p(a * a) / (a * a)) / (1 + a * a),
+        "middle_t": lambda t: log1p(t) / t / (1 + t),
         "ln1p_t_over_t": lambda t: log1p(t) / t,
-        "f_prime_closed": lambda a: (
-            2 * a * ln2 / (1 + a * a) + log1p(a * a) / (a * (1 + a * a)) - 2 * atan(a) / (1 + a * a)
-        ),
-        "h_prime_closed": lambda a: (
-            -ln2 / (1 + a * a) + log1p(a * a) / (2 * (1 + a * a)) + atan(a) / (a * (1 + a * a))
-        ),
+        "f_prime_closed": lambda a: (a * (2 * ln2 + log1p(a * a) / (a * a)) - 2 * atan(a)) / (1 + a * a),
+        "h_prime_closed": lambda a: (log1p(a * a) / 2 - ln2 + atan(a) / a) / (1 + a * a),
     }
     for x0 in identities.EQ06_GRID:
         x0n = mpf(x0.numerator) / x0.denominator
@@ -440,8 +437,7 @@ def _pinned_forms():
         evaluators[f"tail_{n}"] = series.tail_integrand(n).evaluator
     for a in (mpf(3) / 10, mpf(7) / 10, mpf(1)):
         for side in (a + mpf(2) ** -40, a - mpf(2) ** -40):
-            a2 = side * side
-            forms[f"F_at_{side}"] = (lambda a2: lambda x: log1p(a2 * x * x) / (1 + x))(a2)
+            forms[f"F_at_{side}"] = (lambda s: lambda x: log1p((s * x) * (s * x)) / (1 + x))(side)
             forms[f"H_at_{side}"] = (lambda s: lambda x: atan(s * x) / (1 + x))(side)
             for name in ("F", "H"):
                 evaluators[f"{name}_at_{side}"] = _param_integrand(name, side, "pin").evaluator
@@ -452,13 +448,56 @@ def _pinned_forms():
 def test_evaluators_match_their_written_out_expressions(bits, monkeypatch):
     monkeypatch.setattr(numeric, "_SHARED", {})
     with workprec(bits):
-        nodes = [n for lev in (1, 2, 3) for n in quadrature._ts_abscissae((0, 1), bits, lev)]
-        xs = [x for xm, xp, _ in nodes for x in (xm, xp)]
+        xs = _pinned_nodes(bits)
         pinned = _pinned_forms()
         for pass_ in ("cold", "warm"):
             for i, evaluator, form in pinned:
                 for x in xs:
                     assert evaluator(x)._mpf_ == form(x)._mpf_, (pass_, i, x)
+
+
+def _forms_before_one_expression():
+    """The forms re-pinned when each bounded integrand became one expression, as written before."""
+    ln2 = constant_value(BasisConstant.LN2, mp.prec)
+    forms = {
+        "middle_alpha": lambda a: log1p(a * a) / (a * (1 + a * a)),
+        "middle_t": lambda t: log1p(t) / (t * (1 + t)),
+        "f_prime_closed": lambda a: (
+            2 * a * ln2 / (1 + a * a) + log1p(a * a) / (a * (1 + a * a)) - 2 * atan(a) / (1 + a * a)
+        ),
+        "h_prime_closed": lambda a: (
+            -ln2 / (1 + a * a) + log1p(a * a) / (2 * (1 + a * a)) + atan(a) / (a * (1 + a * a))
+        ),
+    }
+    for a in (mpf(3) / 10, mpf(7) / 10, mpf(1)):
+        for side in (a + mpf(2) ** -40, a - mpf(2) ** -40):
+            forms[f"F_at_{side}"] = (lambda a2: lambda x: log1p(a2 * x * x) / (1 + x))(side * side)
+    return forms
+
+
+@pytest.mark.parametrize("bits", [320, 1088])
+def test_repinned_forms_are_within_4_ulps_of_their_old_forms(bits):
+    with workprec(bits):
+        xs = _pinned_nodes(bits)
+        new = {i: form for i, _, form in _pinned_forms()}
+        old = _forms_before_one_expression()
+        for i, form in old.items():
+            for x in xs:
+                # F'(a)'s terms 2a ln2, a and -2a cancel to 0.39a near 0: ulps of its largest term
+                scale = 2 * x if i == "f_prime_closed" else form(x)
+                assert abs(new[i](x) - form(x)) <= 4 * numeric.ulp(scale, bits), (i, x)
+
+
+@pytest.mark.parametrize("bits", [128, 320, 1088])
+def test_closed_derivatives_match_their_integrand_expressions(bits):
+    # `_f_prime_closed` and `_h_prime_closed`, compared with the finite differences,
+    # against the registered integrands' arrangement of the same derivatives
+    with workprec(bits):
+        for closed, integrand in ((_f_prime_closed, "f_prime_closed"), (_h_prime_closed, "h_prime_closed")):
+            expr = get_integrand(integrand).evaluator
+            for a in (ldexp(1, -40), mpf(3) / 10, mpf(7) / 10, mpf(1)):
+                want = closed(a)
+                assert abs(expr(a) - want) <= ldexp(abs(want), -(bits - 4)), (integrand, a)
 
 
 # --- the fixed-point kernels ------------------------------------------------
@@ -520,8 +559,9 @@ def test_f_and_h_kernels_floor_a_once_per_width(monkeypatch):
 
     points = [(X, W) for W in (189, 336) for X in (0, 1 << (W - 3), 3 << (W - 2), 1 << W)]
     calls = []
-    monkeypatch.setattr(identities, "to_fixed", lambda *args: calls.append(args[1]) or to_fixed(*args))
+    monkeypatch.setattr(numeric, "to_fixed", lambda *args: calls.append(args[1]) or to_fixed(*args))
     for name in "FH":
+        numeric.fixed_context.cache_clear()  # new contexts, whose `const` has floored nothing yet
         kernel = _param_integrand(name, a, "once").fixed
         assert [kernel(X, W) for X, W in points] == [written_out(name, X, W) for X, W in points]
         assert calls == [189, 336]

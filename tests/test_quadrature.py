@@ -22,7 +22,7 @@ from hpcert import (
     quadrature,
     tanh_sinh_nodes,
 )
-from hpcert.identities import _REGISTRY, _param_integrand, get_integrand
+from hpcert.identities import _REGISTRY, _fd_step, _param_integrand, get_integrand
 from oracle_values import A1, LOGSINE, assert_close
 
 
@@ -147,6 +147,29 @@ def test_tanh_sinh_nodes_are_pinned():
                     sign, man, e, _bc = v._mpf_
                     h.update(f"{sign},{int(man)},{e};".encode())
     assert h.hexdigest() == TS_NODES_SHA256
+
+
+# SHA-256 of every integer each fixed-point kernel returns on the level 1-3
+# nodes of its domain, plus X = 0 and X = 2^W, at W = 189 and 336: the
+# registered kernels, and the F/H families at a = 3/10, 7/10, 1 plus and minus
+# the finite-difference step.  Recorded from the hand-written kernels, so a
+# rewrite of how kernels are declared that moves a single integer shows here.
+KERNELS_SHA256 = "3655a8d369e11b1e360388747dedb6d6f826d2f921c99e3ebafd4a70d294db6f"
+
+
+def test_kernel_integers_are_pinned():
+    h = hashlib.sha256()
+    for width in (173, 320):
+        W = width + quadrature.FIXED_EXTRA_BITS
+        step = _fd_step(Precision(width - 2 * numeric.GUARD_BITS))
+        with workprec(width):
+            alphas = [mpf(a) / 10 + s * step for a in (3, 7, 10) for s in (1, -1)]
+        registered = sorted((f for f in _REGISTRY.values() if f.fixed), key=lambda f: f.id)
+        for f in registered + [_param_integrand(n, a, "pin") for a in alphas for n in "FH"]:
+            nodes = [n for lev in (1, 2, 3) for n in quadrature._ts_fixed_nodes(f.domain, width, lev)]
+            Xs = [X for X1, X2, _ in nodes for X in (X1, X2)] + [0, 1 << W]
+            h.update(f"{f.id}@{W}:{','.join(str(f.fixed(X, W)) for X in Xs)};".encode())
+    assert h.hexdigest() == KERNELS_SHA256
 
 
 DOMAINS_1D = sorted({f.domain for f in _REGISTRY.values() if f.dimension == 1}, key=repr)
