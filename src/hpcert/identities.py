@@ -5,9 +5,10 @@ Each `IdentityCheck` compares two sides.  A side is either a pipeline
 exact `ClosedForm` over the seven-constant basis (zero for route-against-route
 comparisons).  Every quadrature a pipeline needs goes through
 `CheckContext.integrate`, which picks the catalog's rule and memoises the
-result per run.  Each bounded 1D integrand is declared once, as an expression
-over `numeric`'s operation contexts, which gives both its mpf evaluator and
-the integer kernel that the tanh-sinh ladder sums.  `run_check` evaluates both
+result per run.  Each registered integrand is declared once, as expressions
+over `numeric`'s operation contexts: a 1D one is its mpf evaluator and, when
+bounded, the integer kernel that the tanh-sinh ladder sums; eq05's product
+form is its mpf g and integer h.  `run_check` evaluates both
 sides at the requested precision and applies the check's tolerance policy;
 `run_catalog` executes a filtered selection in catalog order, optionally on a
 process pool.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
-from mpmath import atan, ldexp, log, log1p, mp, mpf, sin, workprec
+from mpmath import atan, ldexp, log1p, mpf, workprec
 
 from . import quadrature, series
 from .errors import CatalogError
@@ -33,19 +34,16 @@ from .numeric import (
     GUARD_BITS,
     BasisConstant,
     ClosedForm,
+    MP,
     Precision,
-    _cos_sin,
     _log1p,
-    _log_x,
-    _one_px2,
     cf_add,
     cf_mul_ln2,
     cf_scale,
-    constant_value,
     eval_closed_form,
     round_to,
 )
-from .quadrature import GaussLegendre, Integrand, PiMultiple, TanhSinh, bounded, integrate, integrate_2d
+from .quadrature import GaussLegendre, Integrand, PiMultiple, TanhSinh, expression, integrate, integrate_2d
 
 ONE = BasisConstant.ONE
 LN2 = BasisConstant.LN2
@@ -81,17 +79,18 @@ LN2_DIRECT_TERMS = 100_000
 
 
 # ---------------------------------------------------------------------------
-# Integrand registry.  Each bounded 1D integrand is one expression over a
-# `numeric` operation context (`quadrature.bounded`): run under `MP` it is
-# the evaluator, run under `fixed_context(W)` it is the integer kernel that the
-# tanh-sinh ladder sums.  A kernel is within the sum of its operations' units
-# of 2^-W (the table in `numeric`): W/8 + 20 for F(a), the ladder's
-# assumption, and at most 3q + 8, q = W/128 + 3, for those built on the
-# quotients ln(1 + u)/u and arctan(t)/t.  The quotients also carry the
+# Integrand registry.  Each 1D integrand is one expression over a `numeric`
+# operation context (`quadrature.expression`): run under `MP` it is the
+# evaluator, and for a bounded one, run under `fixed_context(W)`, the integer
+# kernel that the tanh-sinh ladder sums.  A kernel is within the sum of its
+# operations' units of 2^-W (the table in `numeric`): W/8 + 20 for F(a), the
+# ladder's assumption, and at most 3q + 8, q = W/128 + 3, for those built on
+# the quotients ln(1 + u)/u and arctan(t)/t.  The quotients also carry the
 # removable 0/0 at x = 0 of middle_alpha, middle_t, ln(1 + t)/t, F' and H', so
-# every expression returns its limit there.  The log-singular integrands, the
-# 2D one and eq04's x^(2n)/(1 + x) keep an mpf evaluator: eq04's tolerance
-# prints 8 |T_k - T_{k-1}|, the mpf ladder's own rounding noise.
+# every expression returns its limit there.  The five log-singular integrands
+# run on the mpf ladder, reading ln x and (cos t, sin t) from `MP`'s memo.
+# eq04's x^(2n)/(1 + x) keeps a plain mpf evaluator: eq04's tolerance prints
+# 8 |T_k - T_{k-1}|, the mpf ladder's own rounding noise.
 # ---------------------------------------------------------------------------
 
 _REGISTRY = {}
@@ -109,73 +108,38 @@ def get_integrand(integrand_id):
         raise CatalogError(f"integrand {integrand_id!r} is not registered") from None
 
 
-def _ln2_here():
-    return constant_value(LN2, mp.prec)
-
-
 _register(
     Integrand(
         id="sigma_double",
         evaluator=lambda x, y: -(x * x * y * y)
         / ((1 + x * x * y * y) * (1 + x) * (1 + y)),
         domain=((0, 1), (0, 1)),
-        # h(t) = -t^2/(1+t^2) at t = T/2^W, scaled by 2^W and floored: within 2 units
-        product=(lambda x: 1 / (1 + x), lambda T, W: -((T2 := T * T >> W) << W) // ((1 << W) + T2)),
+        # g(x) = 1/(1 + x) and h(t) = -t^2/(1 + t^2): in integers, one floor for
+        # t^2 and one for the quotient, within 2 units
+        product=(lambda c, x: c.div(c.one, c.one + x), lambda c, t: c.div(-(t2 := c.sq(t)), c.one + t2)),
     )
 )
-_register(bounded("a_integrand", lambda c, x: c.div2(x2 := c.sq(x), c.one + x2, c.one + x)))
-_register(bounded("b_integrand", lambda c, x: c.div2(c.log1p_sq(x), c.one + c.sq(x), c.one + x)))
-_register(bounded("c_integrand", lambda c, x: -c.div2(c.mul(x, c.atan_x(x)), c.one + c.sq(x), c.one + x)))
-_register(bounded("x_ln_1px2_over_1px2", lambda c, x: c.div(c.mul(x, c.log1p_sq(x)), c.one + c.sq(x))))
-_register(bounded("i1_integrand", lambda c, x: c.div(c.log1p_sq(x), c.one + c.sq(x))))
+_register(expression("a_integrand", lambda c, x: c.div2(x2 := c.sq(x), c.one + x2, c.one + x)))
+_register(expression("b_integrand", lambda c, x: c.div2(c.log1p_sq(x), c.one + c.sq(x), c.one + x)))
+_register(expression("c_integrand", lambda c, x: -c.div2(c.mul(x, c.atan_x(x)), c.one + c.sq(x), c.one + x)))
+_register(expression("x_ln_1px2_over_1px2", lambda c, x: c.div(c.mul(x, c.log1p_sq(x)), c.one + c.sq(x))))
+_register(expression("i1_integrand", lambda c, x: c.div(c.log1p_sq(x), c.one + c.sq(x))))
+# the log-singular five: ln x at 0, ln sin t at 0 and pi, ln cos t at pi/2
 _register(
-    Integrand(
-        id="i1_minus_ln_x",
-        evaluator=lambda x: (_log1p(x * x) - _log_x(x)) / _one_px2(x),
-        domain=(0, 1),
-        singular_left=True,
-    )
+    expression("i1_minus_ln_x", lambda c, x: c.div(c.log1p_sq(x) - c.log_x(x), c.one + c.sq(x)), singular_left=True)
 )
-_register(
-    Integrand(
-        id="neg_ln_x_over_1px2",
-        evaluator=lambda x: -_log_x(x) / _one_px2(x),
-        domain=(0, 1),
-        singular_left=True,
-    )
-)
-_register(
-    Integrand(
-        id="log_sin_half",
-        evaluator=lambda t: log(_cos_sin(t)[1]),
-        domain=(0, PiMultiple(F(1, 2))),
-        singular_left=True,
-    )
-)
-_register(
-    Integrand(
-        id="log_sin_full",
-        evaluator=lambda t: log(sin(t)),
-        domain=(0, PiMultiple(F(1))),
-        singular_left=True,
-        singular_right=True,
-    )
-)
-_register(
-    Integrand(
-        id="log_cos_half",
-        evaluator=lambda t: log(_cos_sin(t)[0]),  # shares each abscissa's cos/sin with log_sin_half
-        domain=(0, PiMultiple(F(1, 2))),
-        singular_right=True,
-    )
-)
-_register(bounded("i2_integrand", lambda c, x: c.div(c.log1p_sq(x), c.one + x)))
-_register(bounded("i3_integrand", lambda c, x: c.div(c.atan_x(x), c.one + x)))
-_register(bounded("eq16_integrand", lambda c, x: c.div(c.atan_x(x), c.one + c.sq(x))))
-_register(bounded("eq17_integrand", lambda c, x: c.div(c.mul(x, c.atan_x(x)), c.one + c.sq(x))))
+_register(expression("neg_ln_x_over_1px2", lambda c, x: c.div(-c.log_x(x), c.one + c.sq(x)), singular_left=True))
+_TO_HALF_PI, _TO_PI = (0, PiMultiple(F(1, 2))), (0, PiMultiple(F(1)))
+_register(expression("log_sin_half", lambda c, t: c.log(c.sin(t)), _TO_HALF_PI, singular_left=True))
+_register(expression("log_sin_full", lambda c, t: c.log(c.sin(t)), _TO_PI, singular_left=True, singular_right=True))
+_register(expression("log_cos_half", lambda c, t: c.log(c.cos(t)), _TO_HALF_PI, singular_right=True))
+_register(expression("i2_integrand", lambda c, x: c.div(c.log1p_sq(x), c.one + x)))
+_register(expression("i3_integrand", lambda c, x: c.div(c.atan_x(x), c.one + x)))
+_register(expression("eq16_integrand", lambda c, x: c.div(c.atan_x(x), c.one + c.sq(x))))
+_register(expression("eq17_integrand", lambda c, x: c.div(c.mul(x, c.atan_x(x)), c.one + c.sq(x))))
 # ln(1 + a^2)/(a (1 + a^2)) and ln(1 + t)/(t (1 + t))
-_register(bounded("middle_alpha", lambda c, a: c.div(c.mul(a, c.log1p_sq_over(a)), c.one + c.sq(a))))
-_register(bounded("middle_t", lambda c, t: c.div(c.log1p_over(t), c.one + t)))
+_register(expression("middle_alpha", lambda c, a: c.div(c.mul(a, c.log1p_sq_over(a)), c.one + c.sq(a))))
+_register(expression("middle_t", lambda c, t: c.div(c.log1p_over(t), c.one + t)))
 _register(series.ln1pt_integrand())
 
 
@@ -183,29 +147,29 @@ def _f_prime_closed(a):
     # d/da int_0^1 ln(1+a^2 x^2)/(1+x) dx, in closed form; -> 0 as a -> 0
     if a == 0:
         return mpf(0)
-    one_pa2 = _one_px2(a)
-    return 2 * a * _ln2_here() / one_pa2 + _log1p(a * a) / (a * one_pa2) - 2 * atan(a) / one_pa2
+    one_pa2 = 1 + a * a
+    return 2 * a * MP.ln2 / one_pa2 + _log1p(a * a) / (a * one_pa2) - 2 * atan(a) / one_pa2
 
 
 def _h_prime_closed(a):
     # d/da int_0^1 arctan(a x)/(1+x) dx, in closed form; -> 1 - ln2 as a -> 0
     if a == 0:
-        return 1 - _ln2_here()
-    one_pa2 = _one_px2(a)
-    return -_ln2_here() / one_pa2 + _log1p(a * a) / (2 * one_pa2) + atan(a) / (a * one_pa2)
+        return 1 - MP.ln2
+    one_pa2 = 1 + a * a
+    return -MP.ln2 / one_pa2 + _log1p(a * a) / (2 * one_pa2) + atan(a) / (a * one_pa2)
 
 
 # The same derivatives as integrands on [0, 1], arranged without a 0/0 at a = 0:
 # (a (2 ln2 + ln(1 + a^2)/a^2) - 2 arctan a)/(1 + a^2) and
 # (ln(1 + a^2)/2 - ln2 + arctan(a)/a)/(1 + a^2)
 _register(
-    bounded(
+    expression(
         "f_prime_closed",
         lambda c, a: c.div(c.mul(a, 2 * c.ln2 + c.log1p_sq_over(a)) - 2 * c.atan_x(a), c.one + c.sq(a)),
     )
 )
 _register(
-    bounded(
+    expression(
         "h_prime_closed",
         lambda c, a: c.div(c.div(c.log1p_sq(a), 2 * c.one) - c.ln2 + c.atan_over(a), c.one + c.sq(a)),
     )
@@ -216,7 +180,7 @@ EQ06_GRID = (F(1, 4), F(1, 2), F(3, 4), F(1))
 
 for _x0 in EQ06_GRID:  # u^2/((1 + u^2)(u + x0)) on [0, x0]; each x0 is dyadic, so exact in both contexts
     _register(
-        bounded(
+        expression(
             f"eq06_inner_{_x0.numerator}_{_x0.denominator}",
             (lambda x0: lambda c, u: c.div2(u2 := c.sq(u), c.one + u2, u + c.const(x0)))(
                 mpf(_x0.numerator) / _x0.denominator
@@ -237,8 +201,8 @@ for _x0 in EQ06_GRID:  # u^2/((1 + u^2)(u + x0)) on [0, x0]; each x0 is dyadic, 
 def _param_integrand(name, a, tag):
     # F for a x < 3/2 and H for 0 <= a x < 2, the ranges of `log1p_fixed` and `atan_fixed`
     if name == "F":
-        return bounded(f"F_at_{tag}", lambda c, x: c.div(c.log1p(c.sq(c.mul(c.const(a), x))), c.one + x))
-    return bounded(f"H_at_{tag}", lambda c, x: c.div(c.atan(c.mul(c.const(a), x)), c.one + x))
+        return expression(f"F_at_{tag}", lambda c, x: c.div(c.log1p(c.sq(c.mul(c.const(a), x))), c.one + x))
+    return expression(f"H_at_{tag}", lambda c, x: c.div(c.atan(c.mul(c.const(a), x)), c.one + x))
 
 
 def _fd_step(p):
@@ -392,7 +356,7 @@ def _eq04_pipe(ctx):
 
 
 def _eq06_pipe(ctx):
-    ln2 = _ln2_here()
+    ln2 = MP.ln2
     dev, est, evals = mpf(0), mpf(0), 0
     for x0 in EQ06_GRID:
         q = ctx.integrate(get_integrand(f"eq06_inner_{x0.numerator}_{x0.denominator}"))

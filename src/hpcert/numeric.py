@@ -10,14 +10,14 @@ plain `mpf` that `round_to` checks for finiteness and rounds once to
 ``bits`` at the boundary.  pi, ln2 and G are mpmath's correctly rounded
 constants, so each public constant is within 1 ulp of the true value.
 
-Each bounded integrand in `identities` and `series` is written once, as an
-expression over the operation contexts kept here, below both: under `MP`
-(mpf at the ambient precision) it is the integrand's evaluator, and under
-`fixed_context(W)` (integers scaled by 2^W) it is the integer kernel that the
-tanh-sinh ladder sums.  Two memos per tanh-sinh abscissa sit beside them:
-`_SHARED` holds, bit for bit, the mpf subexpressions that two integrands on
-the mpf ladder share, and `_SHARED_FIXED` the fixed-point ln(1+x^2)/x^2,
-arctan(x)/x and ln(1+x)/x that the kernels read.
+Each 1D integrand in `identities` and `series` but eq04's tails is written
+once, as an expression over the operation contexts kept here, below both:
+under `MP` (mpf at the ambient precision) it is the integrand's evaluator, and
+under `fixed_context(W)` (integers scaled by 2^W) the integer kernel that the
+tanh-sinh ladder sums for a bounded one.  Each context owns its per-abscissa
+memo: `MP` keeps, bit for bit, the mpf ln x and (cos t, sin t) that two
+integrands on the mpf ladder share, and each `fixed_context(W)` the
+ln(1+x^2)/x^2, arctan(x)/x and ln(1+x)/x of its nodes X.
 Importing this module points mpmath's pure-Python bit count at the C
 `int.bit_length`, which gives the same count on every int.
 """
@@ -90,11 +90,11 @@ def ulp(x, bits):
 
 # ---------------------------------------------------------------------------
 # Per-abscissa memo.  The integrands that the mpf ladder sums meet the same
-# tanh-sinh abscissae, so each subexpression that two of them share runs once
-# per (x, mp.prec) for the life of the process: 1 + x in eq04's tails, 1 + x^2
-# and ln x in -ln(x)/(1 + x^2) and (ln(1 + x^2) - ln x)/(1 + x^2), cos and sin
-# in the log-sine pair.  A hit is the mpf the same expression made at the same
-# width, so the memo is bit for bit the same as evaluating directly.
+# tanh-sinh abscissae, so each value that two of them share runs once per
+# (x, mp.prec) for the life of the process: 1 + x in eq04's tails, ln x in
+# -ln(x)/(1 + x^2) and (ln(1 + x^2) - ln x)/(1 + x^2), cos and sin in the
+# log-sine pair.  A hit is the mpf the same expression made at the same width,
+# so the memo is bit for bit the same as evaluating directly.
 # ---------------------------------------------------------------------------
 
 _SHARED = {}  # (function, x, mp.prec) -> function(x)
@@ -128,10 +128,6 @@ def _log1p(x):
 
 
 _one_px = _shared(lambda x: 1 + x)
-_one_px2 = _shared(lambda x: 1 + x * x)
-_log_x = _shared(log)
-# (cos t, sin t), each rounded exactly as `cos` and `sin` round it
-_cos_sin = _shared(lambda t: [mp.make_mpf(v) for v in mpf_cos_sin(t._mpf_, *mp._prec_rounding)])
 
 
 # ---------------------------------------------------------------------------
@@ -212,37 +208,15 @@ def atan_over_fixed(T, W):
     return _odd_series(T << g, W + g, -1) >> g
 
 
-# The kernels' per-abscissa memo: each quotient runs once per node X of a
-# ladder at width W, as `_SHARED` runs each mpf subexpression once per x.
-_SHARED_FIXED = {}  # (function, X, W) -> function(X, W)
-
-
-def _shared_fixed(fn):
-    """`fn`, evaluated once per fixed-point abscissa X and width W."""
-
-    def memo(X, W):
-        key = (fn, X, W)
-        hit = _SHARED_FIXED.get(key)
-        if hit is None:
-            hit = _SHARED_FIXED[key] = fn(X, W)
-        return hit
-
-    return memo
-
-
-_log1p_sq_over_fixed = _shared_fixed(lambda X, W: log1p_over_fixed(X * X >> W, W))  # ln(1+x^2)/x^2
-_log1p_x_over_fixed = _shared_fixed(log1p_over_fixed)  # ln(1+x)/x
-_atan_x_over_fixed = _shared_fixed(atan_over_fixed)  # arctan(x)/x
-
-
 # ---------------------------------------------------------------------------
-# Operation contexts.  A bounded integrand is written once, as an expression
+# Operation contexts.  A 1D integrand is written once, as an expression
 # expr(c, x) over the operations below; sums and differences are Python's own
 # + and -, and a product with a small integer is exact in both contexts.
 # Under `MP` the operations are mpf arithmetic at the ambient precision, and
 # expr(MP, x) is the integrand's evaluator.  Under `fixed_context(W)` a value
 # v is an integer near v 2^W, and expr(fixed_context(W), X) is the integrand's
-# kernel, the `Integrand.fixed` that the integer tanh-sinh ladder sums.
+# kernel, which the integer tanh-sinh ladder sums.  A log-singular integrand
+# runs under `MP` only, the one context with log, sin and cos.
 #
 # Each fixed operation adds at most these units of 2^-W to its result:
 #   one, and const of a dyadic rational that fits W bits     0
@@ -280,6 +254,12 @@ class _MpContext:
     log1p_over = staticmethod(lambda u: _log1p(u) / u if u else mpf(1))
     log1p_sq_over = staticmethod(lambda x: _log1p(x2 := x * x) / x2 if x else mpf(1))
     atan_over = staticmethod(lambda t: atan(t) / t if t else mpf(1))
+    log_x = staticmethod(_shared(log))  # ln of an abscissa, shared by the ln-x pair
+    log = staticmethod(log)
+    # (cos t, sin t) of an abscissa, each rounded exactly as `cos` and `sin` round it
+    cos_sin = staticmethod(_shared(lambda t: [mp.make_mpf(v) for v in mpf_cos_sin(t._mpf_, *mp._prec_rounding)]))
+    cos = staticmethod(lambda t: MP.cos_sin(t)[0])
+    sin = staticmethod(lambda t: MP.cos_sin(t)[1])
 
 
 MP = _MpContext()
@@ -287,7 +267,11 @@ MP = _MpContext()
 
 @cache
 def fixed_context(W):
-    """Integers scaled by 2^W, built once per width: expr(fixed_context(W), X) is a kernel."""
+    """Integers scaled by 2^W, built once per width: expr(fixed_context(W), X) is a kernel.
+
+    Its quotients run once per node X of this width's ladders, as `MP` shares
+    each mpf ln x and (cos t, sin t) once per abscissa.
+    """
     consts = {}
 
     def const(v):
@@ -298,9 +282,23 @@ def fixed_context(W):
             hit = consts[key] = to_fixed(key, W)
         return hit
 
+    def per_node(fn):
+        memo = {}
+
+        def at(X):
+            hit = memo.get(X)
+            if hit is None:
+                hit = memo[X] = fn(X, W)
+            return hit
+
+        return at
+
     def mul(A, B):
         return A * B >> W
 
+    log1p_sq_over = per_node(lambda X, W: log1p_over_fixed(X * X >> W, W))  # ln(1+x^2)/x^2
+    log1p_over = per_node(log1p_over_fixed)  # ln(1+x)/x
+    atan_over = per_node(atan_over_fixed)  # arctan(x)/x
     return SimpleNamespace(
         one=1 << W,
         ln2=ln2_fixed(W),
@@ -311,11 +309,11 @@ def fixed_context(W):
         div2=lambda N, D1, D2: (N << 2 * W) // (D1 * D2),  # N/(D1 D2) with one floor
         log1p=lambda U: log1p_fixed(U, W),
         atan=lambda T: atan_fixed(T, W),
-        log1p_sq=lambda X: mul(X * X >> W, _log1p_sq_over_fixed(X, W)),
-        atan_x=lambda X: mul(X, _atan_x_over_fixed(X, W)),
-        log1p_over=lambda U: _log1p_x_over_fixed(U, W),
-        log1p_sq_over=lambda X: _log1p_sq_over_fixed(X, W),
-        atan_over=lambda T: _atan_x_over_fixed(T, W),
+        log1p_sq=lambda X: mul(X * X >> W, log1p_sq_over(X)),
+        atan_x=lambda X: mul(X, atan_over(X)),
+        log1p_over=log1p_over,
+        log1p_sq_over=log1p_sq_over,
+        atan_over=atan_over,
     )
 
 

@@ -11,8 +11,8 @@ cap, a function of the ladder's width, first raises `NonconvergenceError`.
 All three rules (1D tanh-sinh and Gauss-Legendre, 2D tensor Gauss-Legendre)
 run through one refinement driver, `_refine`.  Two declarations move a sum
 into fixed-point integers: a 2D integrand's product form has its rungs summed
-by `_product_sum`, and a 1D integrand's `fixed` kernel has its tanh-sinh
-levels summed by `_ts_fixed_ladder`.
+by `_product_sum`, and a bounded 1D integrand written as an expression has its
+tanh-sinh levels summed by `_ts_fixed_ladder`.
 
 Node tables are cached per precision, so repeated integrations share the
 (comparatively expensive) table setup.  Tanh-sinh levels are built on
@@ -23,6 +23,7 @@ table; a level never changes once built.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional
 
 from mpmath import exp, isfinite, ldexp, mp, mpc, mpf, pi, workprec
@@ -69,20 +70,22 @@ class Integrand:
     domain: tuple  # (a, b) in 1D, ((a, b), (c, d)) in 2D
     singular_left: bool = False
     singular_right: bool = False
-    product: Optional[tuple] = None  # 2D only: (g, h) with f = g(x) g(y) h(xy)
-    fixed: Optional[Callable] = None  # 1D only: (X, W) -> f(X / 2^W) 2^W, within W/8 + 20
+    product: Optional[tuple] = None  # 2D only: expressions (g, h) with f = g(x) g(y) h(xy)
+    expr: Optional[Callable] = None  # 1D only: expr(c, x) over a `numeric` context
 
     @property
     def dimension(self):
         return 2 if isinstance(self.domain[0], tuple) else 1
 
+    @property
+    def integer_ladder(self):
+        """Whether tanh-sinh sums this integrand's kernel, expr(fixed_context(W), X), in integers."""
+        return self.expr is not None and not (self.singular_left or self.singular_right)
 
-def bounded(id, expr, domain=(0, 1)):
-    """A bounded 1D integrand written once, as expr(c, x) over a `numeric` context.
 
-    Its evaluator is expr(MP, x), and its kernel expr(fixed_context(W), X).
-    """
-    return Integrand(id, lambda x: expr(MP, x), domain, fixed=lambda X, W: expr(fixed_context(W), X))
+def expression(id, expr, domain=(0, 1), **singular):
+    """A 1D integrand written once, as expr(c, x) over a `numeric` context; its evaluator is expr(MP, x)."""
+    return Integrand(id, partial(expr, MP), domain, expr=expr, **singular)
 
 
 @dataclass(frozen=True)
@@ -317,21 +320,23 @@ def _ts_ladder(integrand, cap, bits):
 
 
 # ---------------------------------------------------------------------------
-# Fixed-point tanh-sinh ladder, for a bounded 1D integrand that declares a
-# kernel fixed(X, W) within c = W/8 + 20 units of f(X / 2^W) 2^W.  At ladder
-# width `bits` it runs at W = bits + FIXED_EXTRA_BITS: each node's abscissae
-# (within 3 units) and weight (within 1) are floored to W bits once and cached,
-# every level is summed exactly in integers, and each T_k is rounded to mpf
-# once.  With |f| <= 1 and |f'| <= L on the domain, an evaluation is within
-# c + 3L units, a floored weight moves a term by at most 2 units, the level-k
-# weights of one side sum to 2^k and there are fewer than 2^(k+3) nodes a side:
-# T_k is within halfw (2c + 6L + 18) 2^-W of the trapezoid sum on its exact
-# nodes.  Every catalog kernel has |f| <= 1, and its L, sup |f'| (401 sample
-# points, pinned in the tests), is: middle_t 3/2, at 0; H(a) a, at most 1 + h;
-# i3, eq16 and middle_alpha 1; eq06 0.66; eq17 0.55; x ln(1 + x^2)/(1 + x^2)
-# 0.55; i1 0.51; ln(1 + t)/t 1/2; i2 and F(a) 0.44; F'(a) 0.39; a 0.36;
-# c 0.33; b 0.31; H'(a) 0.12.  So with L <= 3/2 and halfw <= 1/2 the bound is
-# below 2^-(bits + 7) at any W up to 2500.  The steps, the stop test and the
+# Fixed-point tanh-sinh ladder, for a bounded 1D expression, whose kernel
+# expr(fixed_context(W), X) is within c = W/8 + 20 units of f(X / 2^W) 2^W.
+# At ladder width `bits` it runs at W = bits + FIXED_EXTRA_BITS: each node's
+# abscissae (within 3 units) and weight (within 1) are floored to W bits once
+# and cached, every level is summed exactly in integers, and each T_k is
+# rounded to mpf once.  With |f| <= 1 and |f'| <= L on the domain, an
+# evaluation is within c + 3L units, a floored weight moves a term by at most
+# 2 units, the level-k weights of one side sum to 2^k and there are fewer than
+# 2^(k+3) nodes a side: T_k is within halfw (2c + 6L + 18) 2^-W of the
+# trapezoid sum on its exact nodes.  The bound covers the bounded kernels
+# only; the five log-singular expressions stay on `_ts_ladder`.  Every catalog
+# kernel has |f| <= 1, and its L, sup |f'| (401 sample points, pinned in the
+# tests), is: middle_t 3/2, at 0; H(a) a, at most 1 + h; i3, eq16 and
+# middle_alpha 1; eq06 0.66; eq17 0.55; x ln(1 + x^2)/(1 + x^2) 0.55; i1 0.51;
+# ln(1 + t)/t 1/2; i2 and F(a) 0.44; F'(a) 0.39; a 0.36; c 0.33; b 0.31;
+# H'(a) 0.12.  So with L <= 3/2 and halfw <= 1/2 the bound is below
+# 2^-(bits + 7) at any W up to 2500.  The steps, the stop test and the
 # evaluation count are those of `_ts_ladder`.
 # ---------------------------------------------------------------------------
 
@@ -363,14 +368,14 @@ def _ts_fixed_nodes(domain, bits, lev):
 
 def _ts_fixed_ladder(integrand, cap, bits):
     W = bits + FIXED_EXTRA_BITS
-    f = integrand.fixed
+    f = partial(integrand.expr, fixed_context(W))
     A, B, _ = _fixed_interval(integrand.domain, W)
     _sign, hman, hexp, _bc = _interval(integrand.domain)[2]._mpf_  # halfw, as `_ts_ladder` reads it
-    S = (pi_fixed(W) >> 1) * f((A + B) >> 1, W)
+    S = (pi_fixed(W) >> 1) * f((A + B) >> 1)
     evals = 1
     for lev in range(1, cap + 1):
         nodes = _ts_fixed_nodes(integrand.domain, bits, lev)
-        S += sum(w * (f(x1, W) + f(x2, W)) for x1, x2, w in nodes)
+        S += sum(w * (f(x1) + f(x2)) for x1, x2, w in nodes)
         evals += 2 * len(nodes)
         yield lev, mp.make_mpf(from_man_exp(S * hman, hexp - 2 * W - lev, *mp._prec_rounding)), evals
 
@@ -485,11 +490,9 @@ def integrate(f, s, p):
     """
     if f.dimension != 1:
         raise ValueError(f"integrate() needs a 1D integrand, got dimension {f.dimension}")
-    if f.fixed and (f.singular_left or f.singular_right):
-        raise ValueError(f"a fixed-point kernel needs a bounded integrand, got singular flags on {f.id!r}")
     if isinstance(s, TanhSinh):
         cap = ts_level_cap(p.guarded)
-        ladder = (_ts_fixed_ladder if f.fixed else _ts_ladder)(f, cap, p.guarded)
+        ladder = (_ts_fixed_ladder if f.integer_ladder else _ts_ladder)(f, cap, p.guarded)
         return _refine(ladder, p, f"tanh-sinh on {f.id!r}", f"level {cap}")
     if isinstance(s, GaussLegendre):
         if f.singular_left or f.singular_right:
@@ -503,7 +506,8 @@ def integrate(f, s, p):
 # ---------------------------------------------------------------------------
 # 2D tensor Gauss-Legendre rule over a rectangle (in practice: the unit square).
 #
-# A declared product (g, h) gives h(T, W) = h(T / 2^W) 2^W in integers, and
+# A declared product (g, h) is two expressions: g runs under `MP`, and h under
+# fixed_context(W), bound once per rung, as h(T) = h(T / 2^W) 2^W in integers.
 # `_product_sum` sums a rung at W = prec + 8 + bit_length(n): A_i = w_i g(x_i) 2^W
 # and U_i = x_i 2^W are truncated once per node, then sum_i A_i sum_j A_j
 # h(U_i U_j >> W) is exact.  For nodes in [-1, 1], |g| <= 1 (sum |A| <= 2) and h
@@ -528,12 +532,13 @@ def _product_sum(integrand, ptsx, ptsy):
     """`_tensor_sum` of an integrand with a product form, in fixed-point integers."""
     g, h = integrand.product
     W = mp.prec + 8 + max(len(ptsx), len(ptsy)).bit_length()
+    h = partial(h, fixed_context(W))
 
     def axis(pts):
-        return [(int(ldexp(w * _checked(g(x), integrand, (x,)), W)), int(ldexp(x, W))) for x, w in pts]
+        return [(int(ldexp(w * _checked(g(MP, x), integrand, (x,)), W)), int(ldexp(x, W))) for x, w in pts]
 
     ay = axis(ptsy)
-    S = sum(A * sum(B * h(U * V >> W, W) for B, V in ay) for A, U in axis(ptsx))
+    S = sum(A * sum(B * h(U * V >> W) for B, V in ay) for A, U in axis(ptsx))
     return ldexp(mpf(S), -3 * W), len(ptsx) * len(ptsy)
 
 
@@ -558,8 +563,8 @@ def integrate_2d(f, s, p):
         raise ValueError(f"the 2D tensor rule is Gauss-Legendre only, got {s!r}")
     if f.singular_left or f.singular_right:
         raise DomainError(f"2D tensor rule requires a smooth integrand, got flags on {f.id!r}")
-    if f.fixed:
-        raise ValueError(f"a fixed-point kernel is 1D only, got one on {f.id!r}")
+    if f.expr:
+        raise ValueError(f"an expression integrand is 1D only, got one on {f.id!r}")
     cap = gl_order_cap(p.guarded)
     ladder = _tensor_gl_ladder(f, cap, p.guarded)
     return _refine(ladder, p, f"2D Gauss-Legendre on {f.id!r}", f"order {cap}")

@@ -22,7 +22,7 @@ from mpmath import ldexp, mp, mpf, workprec
 from . import accel
 from .errors import PreconditionError
 from .numeric import BasisConstant, _one_px, constant_value, round_to
-from .quadrature import Integrand, TanhSinh, bounded, integrate
+from .quadrature import Integrand, TanhSinh, expression, integrate
 
 
 class TailRoute(Enum):
@@ -199,4 +199,4 @@ def ln1pt_over_t(p):
 
 def ln1pt_integrand():
     """ln(1+t)/t on [0, 1]; the t -> 0 endpoint is removable with limit 1."""
-    return bounded("ln1p_t_over_t", lambda c, t: c.log1p_over(t))
+    return expression("ln1p_t_over_t", lambda c, t: c.log1p_over(t))

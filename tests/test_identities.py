@@ -323,8 +323,7 @@ def test_param_monotone_on_grid(p128):
 
 SHARED_DIRECT = [
     (numeric._one_px, lambda x: 1 + x),
-    (numeric._one_px2, lambda x: 1 + x * x),
-    (numeric._log_x, log),
+    (numeric.MP.log_x, log),
 ]
 
 
@@ -517,21 +516,23 @@ def kernel_cases(width):
         alphas = [mpf(a.numerator) / a.denominator + s * h for a in grid for s in (1, -1)]
     with workprec(width + 128):
         cases = [(_param_integrand(n, a, "k"), _param_integrand(n, a, "ref")) for a in alphas for n in "FH"]
-    return cases + [(f, f) for f in identities._REGISTRY.values() if f.fixed]
+    return cases + [(f, f) for f in identities._REGISTRY.values() if f.integer_ladder]
 
 
 def test_every_bounded_registered_integrand_declares_a_kernel():
-    # only the log-singular integrands and the 2D one stay on mpf
-    plain = [f.id for f in identities._REGISTRY.values() if f.fixed is None]
-    assert plain == [
-        "sigma_double",
+    # every 1D integrand is an expression, and only the log-singular five stay on the mpf ladder
+    registered = identities._REGISTRY.values()
+    assert all(f.expr is not None for f in registered if f.dimension == 1)
+    mpf_ladder = [f.id for f in registered if f.dimension == 1 and not f.integer_ladder]
+    assert mpf_ladder == [
         "i1_minus_ln_x",
         "neg_ln_x_over_1px2",
         "log_sin_half",
         "log_sin_full",
         "log_cos_half",
     ]
-    assert all(f.dimension == 2 or f.singular_left or f.singular_right for f in map(get_integrand, plain))
+    assert all(f.singular_left or f.singular_right for f in map(get_integrand, mpf_ladder))
+    assert get_integrand("sigma_double").expr is None
 
 
 @pytest.mark.parametrize("width", [173, 320, 1088, 2112])
@@ -545,7 +546,7 @@ def test_kernels_are_within_their_bound_of_the_evaluators(width):
         with workprec(W + 64):
             for X in Xs:
                 exact = ref.evaluator(ldexp(mpf(X), -W)) * 2**W
-                assert abs(f.fixed(X, W) - exact) <= bound, (f.id, X)
+                assert abs(f.expr(numeric.fixed_context(W), X) - exact) <= bound, (f.id, X)
 
 
 def test_f_and_h_kernels_floor_a_once_per_width(monkeypatch):
@@ -562,8 +563,9 @@ def test_f_and_h_kernels_floor_a_once_per_width(monkeypatch):
     monkeypatch.setattr(numeric, "to_fixed", lambda *args: calls.append(args[1]) or to_fixed(*args))
     for name in "FH":
         numeric.fixed_context.cache_clear()  # new contexts, whose `const` has floored nothing yet
-        kernel = _param_integrand(name, a, "once").fixed
-        assert [kernel(X, W) for X, W in points] == [written_out(name, X, W) for X, W in points]
+        expr = _param_integrand(name, a, "once").expr
+        got = [expr(numeric.fixed_context(W), X) for X, W in points]
+        assert got == [written_out(name, X, W) for X, W in points]
         assert calls == [189, 336]
         calls.clear()
 
@@ -600,7 +602,7 @@ def result_fields(results):
 
 def run_kernel_checks_on_and_off(bits, monkeypatch):
     def mpf_only(f, scheme, p):
-        return quadrature.integrate(dataclasses.replace(f, fixed=None), scheme, p)
+        return quadrature.integrate(dataclasses.replace(f, expr=None), scheme, p)
 
     p = Precision(bits)
     on = result_fields(run_catalog(p, ids=KERNEL_CHECKS))
@@ -634,5 +636,5 @@ def test_kernel_checks_are_field_for_field_the_mpf_results_wide(bits, monkeypatc
 def test_cos_sin_memo_is_cos_and_sin_bit_for_bit(mantissa, exponent, bits):
     with workprec(bits):
         t = ldexp(mpf(mantissa), exponent - mantissa.bit_length())  # below 4, down to the tiny-t branch
-        c, s = numeric._cos_sin(t)
+        c, s = numeric.MP.cos(t), numeric.MP.sin(t)
         assert (c._mpf_, s._mpf_) == (cos(t)._mpf_, sin(t)._mpf_)

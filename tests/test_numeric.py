@@ -380,10 +380,10 @@ def test_catalog_is_bit_identical_with_python_bitcount_and_cold_caches(monkeypat
         (quadrature, "_GL_TABLES"),
         (quadrature, "_TS_FIXED"),
         (numeric, "_SHARED"),
-        (numeric, "_SHARED_FIXED"),
         (numeric, "_RAW_CACHE"),
     ]:
         monkeypatch.setattr(module, cache, {})
+    numeric.fixed_context.cache_clear()  # each width's constants and quotient memos
     assert mpmath_modules_holding(numeric._bit_length) == []
     assert result_fields(identities.run_catalog(p, ids=DIFFERENTIAL_CHECKS)) == default
 

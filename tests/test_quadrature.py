@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from mpmath import diff, isfinite, ldexp, log, mp, mpf, pi, sin, workprec
@@ -164,12 +165,37 @@ def test_kernel_integers_are_pinned():
         step = _fd_step(Precision(width - 2 * numeric.GUARD_BITS))
         with workprec(width):
             alphas = [mpf(a) / 10 + s * step for a in (3, 7, 10) for s in (1, -1)]
-        registered = sorted((f for f in _REGISTRY.values() if f.fixed), key=lambda f: f.id)
+        registered = sorted((f for f in _REGISTRY.values() if f.integer_ladder), key=lambda f: f.id)
         for f in registered + [_param_integrand(n, a, "pin") for a in alphas for n in "FH"]:
             nodes = [n for lev in (1, 2, 3) for n in quadrature._ts_fixed_nodes(f.domain, width, lev)]
             Xs = [X for X1, X2, _ in nodes for X in (X1, X2)] + [0, 1 << W]
-            h.update(f"{f.id}@{W}:{','.join(str(f.fixed(X, W)) for X in Xs)};".encode())
+            kernel = partial(f.expr, numeric.fixed_context(W))
+            h.update(f"{f.id}@{W}:{','.join(str(kernel(X)) for X in Xs)};".encode())
     assert h.hexdigest() == KERNELS_SHA256
+
+
+# SHA-256 of every integer sigma_double's product kernel h returns at the
+# arguments T = U_i U_j >> W that `_product_sum` forms on the Gauss-Legendre
+# rungs of orders 8, 16 and 32, at ladder widths 192 and 320.  Recorded from
+# the hand-written kernel h(T, W) = floor(-T^2 2^W / (2^W + T^2)), T^2 floored,
+# which the expression h under fixed_context(W) replaced.
+PRODUCT_KERNEL_SHA256 = "3aff67473bb57c3ad38904c006e7b0b981de65c819a38541dcf8af346c1ae040"
+
+
+def test_product_kernel_integers_are_pinned():
+    g, h = get_integrand("sigma_double").product
+    digest = hashlib.sha256()
+    for width in (192, 320):
+        for order in (8, 16, 32):
+            W = width + 8 + order.bit_length()  # as `_product_sum` sets it for this rung
+            with workprec(width):
+                pts, _ = quadrature._gl_axis((0, 1), quadrature._gl_halfline(order, width))
+                for x, _w in pts:
+                    assert g(numeric.MP, x)._mpf_ == (1 / (1 + x))._mpf_
+            Us = [int(ldexp(x, W)) for x, _w in pts]
+            values = [h(numeric.fixed_context(W), U * V >> W) for U in Us for V in Us]
+            digest.update(f"{order}@{W}:{','.join(map(str, values))};".encode())
+    assert digest.hexdigest() == PRODUCT_KERNEL_SHA256
 
 
 DOMAINS_1D = sorted({f.domain for f in _REGISTRY.values() if f.dimension == 1}, key=repr)
@@ -496,15 +522,16 @@ SIGMA = get_integrand("sigma_double")
 
 @pytest.mark.parametrize("bits", [64, 320])
 def test_sigma_product_form_matches_evaluator(bits):
-    # f(x, y) = g(x) g(y) h(xy), with h in integers scaled by 2^W
+    # f(x, y) = g(x) g(y) h(xy), with g in mpf and h in integers scaled by 2^W
     g, h = SIGMA.product
     W = bits + 8
     with workprec(bits):
         pts = [mpf(0), mpf(1) / 7, mpf(1) / 3, mpf(1) / 2, mpf("0.9"), mpf(1)]
         for x in pts:
             for y in pts:
-                H = ldexp(h(int(ldexp(x * y, W)), W), -W)
-                assert abs(g(x) * g(y) * H - SIGMA.evaluator(x, y)) <= ldexp(1, -(bits - 2))
+                H = ldexp(h(numeric.fixed_context(W), int(ldexp(x * y, W))), -W)
+                G = g(numeric.MP, x) * g(numeric.MP, y)
+                assert abs(G * H - SIGMA.evaluator(x, y)) <= ldexp(1, -(bits - 2))
 
 
 @pytest.mark.parametrize("bits, order", [(320, 8), (320, 16), (320, 64), (320, 128), (576, 256)])
@@ -530,7 +557,7 @@ def kernel_integrands(bits):
             _param_integrand("F", above_one, "1+h"),
             _param_integrand("H", above_one, "1+h"),
             _param_integrand("F", mpf(3) / 10 - ldexp(1, -(bits // 3)), "0.3-h"),
-        ] + [f for f in _REGISTRY.values() if f.fixed]
+        ] + [f for f in _REGISTRY.values() if f.integer_ladder]
 
 
 # ladder width -> the last level compared: the deepest the catalog reaches at
@@ -545,8 +572,8 @@ def test_fixed_ladder_matches_the_mpf_ladder(bits):
     cap = KERNEL_LADDER_CAPS[bits]
     bound = ldexp(1, -(bits - 8))
     for f in kernel_integrands(bits):
-        assert f.fixed is not None
-        plain = dataclasses.replace(f, fixed=None)
+        assert f.integer_ladder
+        plain = dataclasses.replace(f, expr=None)
         with workprec(bits):
             got = list(quadrature._ts_fixed_ladder(f, cap, bits))
             want = list(quadrature._ts_ladder(plain, cap, bits))
@@ -586,7 +613,7 @@ def test_kernel_integrands_have_the_lipschitz_constants_the_ladder_bound_states(
             for s in (1, -1)
             for n in "FH"
         ]
-        registered = [f for f in _REGISTRY.values() if f.fixed]
+        registered = [f for f in _REGISTRY.values() if f.integer_ladder]
         family = {f.id: "eq06_inner" if f.id.startswith("eq06_inner") else f.id for f in registered}
         for f, L in params + [(f, KERNEL_LIPSCHITZ[family[f.id]]) for f in registered]:
             lo, hi, _, _ = quadrature._interval(f.domain)
@@ -602,21 +629,43 @@ def test_integrate_sums_a_declared_kernel_on_the_same_steps(p256):
 
     for f in kernel_integrands(p256.guarded):
         got = integrate(dataclasses.replace(f, evaluator=never), TanhSinh(), p256)
-        want = integrate(dataclasses.replace(f, fixed=None), TanhSinh(), p256)
+        want = integrate(dataclasses.replace(f, expr=None), TanhSinh(), p256)
         assert (got.evaluations, got.level_or_order) == (want.evaluations, want.level_or_order)
         assert abs(got.value - want.value) <= ldexp(1, -(p256.bits - 1))
 
 
+def test_each_integer_ladder_looks_up_its_context_once(monkeypatch, p128):
+    # a 1D ladder binds its kernel once, and eq05 its h once per rung: no lookup per evaluation
+    calls = []
+    monkeypatch.setattr(quadrature, "fixed_context", lambda W: calls.append(W) or numeric.fixed_context(W))
+    r = integrate(get_integrand("i2_integrand"), TanhSinh(), p128)
+    assert r.evaluations > 100
+    assert calls == [p128.guarded + quadrature.FIXED_EXTRA_BITS]
+    calls.clear()
+    r = integrate_2d(get_integrand("sigma_double"), GaussLegendre(), p128)
+    assert calls == [p128.guarded + 8 + n.bit_length() for n in quadrature._gl_orders(r.level_or_order)]
+    assert len(calls) == 4  # orders 8, 16, 32 and 64
+
+
 def test_fixed_kernel_needs_a_bounded_1d_integrand(p64):
+    # a singular expression runs the mpf ladder and never calls its kernel
+    def neg_log(c, x):
+        if c is not numeric.MP:
+            raise AssertionError("the kernel ran")
+        return -c.log(x)
+
+    for flag in ("singular_left", "singular_right"):
+        f = quadrature.expression("k", neg_log, **{flag: True})
+        assert not f.integer_ladder
+        plain = Integrand(id="k", evaluator=lambda x: -log(x), domain=(0, 1), **{flag: True})
+        assert integrate(f, TanhSinh(), p64) == integrate(plain, TanhSinh(), p64)
+        with pytest.raises(DomainError, match="refuses singular integrand 'k'"):
+            integrate(f, GaussLegendre(), p64)
+
     def never(*args):
         raise AssertionError("evaluated")
 
-    for flag in ("singular_left", "singular_right"):
-        f = Integrand(id="k", evaluator=never, domain=(0, 1), fixed=never, **{flag: True})
-        for scheme in (TanhSinh(), GaussLegendre()):
-            with pytest.raises(ValueError, match="needs a bounded integrand, got singular flags on 'k'"):
-                integrate(f, scheme, p64)
-    f2 = Integrand(id="k2", evaluator=never, domain=((0, 1), (0, 1)), fixed=never)
+    f2 = Integrand(id="k2", evaluator=never, domain=((0, 1), (0, 1)), expr=never)
     with pytest.raises(ValueError, match="1D only, got one on 'k2'"):
         integrate_2d(f2, GaussLegendre(), p64)
     with pytest.raises(ValueError, match="needs a 1D integrand"):
