@@ -58,6 +58,11 @@ def build_report(precision_bits, filter, tolerance_exponent, jobs, no_timestamp)
     """Run the checks whose ids match the glob `filter` and assemble the report."""
     checks = _selected(filter)
     floor = precision_floor(checks, tolerance_exponent)
+    if floor > MAX_PRECISION_BITS:
+        raise _UsageError(
+            f"no accepted precision (at most {MAX_PRECISION_BITS} bits) meets 10^{tolerance_exponent}:"
+            f" its tolerance floor is {floor} bits"
+        )
     if precision_bits < floor:
         raise _UsageError(f"precision {precision_bits} bits is below {floor}, the tolerance floor")
     if precision_bits > MAX_PRECISION_BITS:

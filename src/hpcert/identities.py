@@ -1,15 +1,17 @@
 """The check catalog: one entry per certified identity, plus the runner.
 
-Each `IdentityCheck` compares two sides.  A side is either a pipeline
-(quadrature, accelerated series, or a rational combination of both) or an
-exact `ClosedForm` over the seven-constant basis (zero for route-against-route
-comparisons).  Every quadrature a pipeline needs goes through
-`CheckContext.integrate`, which picks the catalog's rule and memoises the
-result per run.  Each registered integrand is declared once, as expressions
-over `numeric`'s operation contexts: a 1D one is its mpf evaluator and, when
-bounded, the integer kernel that the tanh-sinh ladder sums; eq05's product
-form is its mpf g and integer h.  `run_check` evaluates both
-sides at the requested precision and applies the check's tolerance policy;
+Each `IdentityCheck` compares two sides.  A side is an exact `ClosedForm`
+over the seven-constant basis (zero for route-against-route comparisons), a
+registered integrand's id (its integral's value), or a pipeline ctx -> mpf
+(accelerated series, a rational combination of sides, or a deviation
+max |x - y| between routes).  Every quadrature goes through
+`CheckContext.integrate`, which picks the catalog's rule, memoises the result
+per run and records it for the current check.  Each registered integrand is
+declared once, as expressions over `numeric`'s operation contexts: a 1D one
+is its mpf evaluator and, when bounded, the integer kernel that the tanh-sinh
+ladder sums; eq05's product form is its mpf g and integer h.  `run_check`
+evaluates both sides at the requested precision, applies the check's
+tolerance policy and reads `evaluations` off the context's record;
 `run_catalog` executes a filtered selection in catalog order, optionally on a
 process pool.
 
@@ -237,20 +239,12 @@ class TolHalfBits:
 
 @dataclass(frozen=True)
 class QuadEstimate:
-    """Tolerance = 8 * (sum of the pipelines' own error estimates)."""
+    """Tolerance = 8 * the largest error estimate among the integrals the check read."""
 
 
 TolerancePolicy = Union[Tol, TolExact, TolHalfBits, QuadEstimate]
 
-
-@dataclass
-class Pipe:
-    value: mpf
-    est: mpf
-    evals: int
-
-
-Side = Union[ClosedForm, Callable]
+Side = Union[ClosedForm, str, Callable]
 
 
 @dataclass(frozen=True)
@@ -278,21 +272,29 @@ class CheckResult:
 
 
 class CheckContext:
-    """Shared per-run state: precision plus memoized pipeline results.
+    """Shared per-run state: precision, the quadrature memo, and the record of one check.
 
     Pipelines compose at the guarded precision `pg` (= p + guard bits) and
     the single rounding to the reporting precision happens when the
     `CheckResult` is built; rounding each intermediate to p would otherwise
     dominate the tightest tolerances.
+
+    The record is what the current check read: `read` maps every integrand it
+    integrated, memo hits included, to its `QuadResult`, and `terms` counts the
+    terms of the series it summed through a counted series pipeline.
+    `run_check` resets the record before each check and derives from it the
+    check's `evaluations` (terms plus each distinct integral's evaluations)
+    and its `QuadEstimate` tolerance.
     """
 
     def __init__(self, p):
         self.p = p
         self.pg = Precision(p.guarded)
         self._quad = {}
+        self.read, self.terms = {}, 0
 
     def integrate(self, f):
-        """Integrate `f` by the catalog's rule for its dimension, memoised on `f`."""
+        """Integrate `f` by the catalog's rule for its dimension, memoised on `f` and recorded."""
         hit = self._quad.get(f)
         if hit is None:
             if f.dimension == 2:
@@ -300,103 +302,75 @@ class CheckContext:
             else:
                 hit = integrate(f, TanhSinh(), self.pg)
             self._quad[f] = hit
+        self.read[f] = hit
         return hit
 
+    def value(self, integrand_id):
+        """The integral of the registered integrand `integrand_id`."""
+        return self.integrate(get_integrand(integrand_id)).value
 
-def _side_pipe(side, ctx):
-    """Evaluate one side of a check: a closed form or a pipeline."""
+
+def _side_value(side, ctx):
+    """One side of a check: a closed form, a registered integrand's integral, or a pipeline."""
     if isinstance(side, ClosedForm):
-        return Pipe(eval_closed_form(side, ctx.pg), mpf(0), 0)
+        return eval_closed_form(side, ctx.pg)
+    if isinstance(side, str):
+        return ctx.value(side)
     return side(ctx)
 
 
-def _quad_pipe(integrand_id):
-    def run(ctx):
-        q = ctx.integrate(get_integrand(integrand_id))
-        return Pipe(q.value, q.error_estimate, q.evaluations)
-
-    return run
-
-
 def _combo_pipe(weighted):
-    """Rational combination sum w_i * pipe_i with summed error estimates."""
-
-    def run(ctx):
-        v, e, n = mpf(0), mpf(0), 0
-        for w, sub in weighted:
-            pp = sub(ctx)
-            wf = mpf(w.numerator) / w.denominator
-            v += wf * pp.value
-            e += abs(wf) * pp.est
-            n += pp.evals
-        return Pipe(v, e, n)
-
-    return run
+    """Rational combination sum w_i * side_i."""
+    return lambda ctx: sum(mpf(w.numerator) / w.denominator * _side_value(s, ctx) for w, s in weighted)
 
 
 def _sigma_series_pipe(ctx):
     r = series.sigma_series(ctx.pg, series.Crz(30))
-    return Pipe(r.value, mpf(0), r.terms_used)
+    ctx.terms += r.terms_used
+    return r.value
 
 
 def _eq03_pipe(ctx):
     r = series.ln2_direct_partial(LN2_DIRECT_TERMS, ctx.pg)
-    return Pipe(r.value, r.error_bound, r.terms_used)
+    ctx.terms += r.terms_used
+    return r.value
 
 
 def _eq04_pipe(ctx):
-    dev, est, evals = mpf(0), mpf(0), 0
-    for n in (1, 2, 3, 5, 10, 20):
-        harm = series.tail(n, series.TailRoute.HARMONIC, ctx.pg)
-        q = ctx.integrate(series.tail_integrand(n))
-        dev = max(dev, abs(harm.value - q.value))
-        est = max(est, q.error_estimate)
-        evals += q.evaluations
-    return Pipe(dev, est, evals)
+    return max(
+        abs(series.tail(n, series.TailRoute.HARMONIC, ctx.pg).value - ctx.integrate(series.tail_integrand(n)).value)
+        for n in (1, 2, 3, 5, 10, 20)
+    )
 
 
 def _eq06_pipe(ctx):
     ln2 = MP.ln2
-    dev, est, evals = mpf(0), mpf(0), 0
+    dev = mpf(0)
     for x0 in EQ06_GRID:
-        q = ctx.integrate(get_integrand(f"eq06_inner_{x0.numerator}_{x0.denominator}"))
+        q = ctx.value(f"eq06_inner_{x0.numerator}_{x0.denominator}")
         x = mpf(x0.numerator) / x0.denominator
         x2 = x * x
         closed = x2 / (1 + x2) * ln2 + log1p(x2) / (2 * (1 + x2)) - x * atan(x) / (1 + x2)
-        dev = max(dev, abs(q.value - closed))
-        est = max(est, q.error_estimate)
-        evals += q.evaluations
-    return Pipe(dev, est, evals)
+        dev = max(dev, abs(q - closed))
+    return dev
 
 
 def _funceq_pipe(ctx):
-    full, half, cosh_ = (
-        ctx.integrate(get_integrand(i)) for i in ("log_sin_full", "log_sin_half", "log_cos_half")
-    )
-    dev = max(abs(full.value - 2 * half.value), abs(cosh_.value - half.value))
-    est = full.error_estimate + 2 * half.error_estimate + cosh_.error_estimate
-    return Pipe(dev, est, full.evaluations + half.evaluations + cosh_.evaluations)
+    v = ctx.value
+    return max(abs(v("log_sin_full") - 2 * v("log_sin_half")), abs(v("log_cos_half") - v("log_sin_half")))
 
 
 def _gap_pipe(a_id, b_id, w=1):
-    """|int a - w int b| with estimate e_a + w e_b; w is 1/2 or 1, so w*x is exact."""
-
-    def run(ctx):
-        a = ctx.integrate(get_integrand(a_id))
-        b = ctx.integrate(get_integrand(b_id))
-        dev = abs(a.value - w * b.value)
-        est = a.error_estimate + w * b.error_estimate
-        return Pipe(dev, est, a.evaluations + b.evaluations)
-
-    return run
+    """|int a - w int b|; w is 1/2 or 1, so w*x is exact."""
+    return lambda ctx: abs(ctx.value(a_id) - w * ctx.value(b_id))
 
 
 def _li2_pipe(ctx):
+    # the CRZ sum is called directly, so its terms are not counted
     s = series.ln1pt_over_t(ctx.pg)
-    q = ctx.integrate(get_integrand("ln1p_t_over_t"))
+    q = ctx.value("ln1p_t_over_t")
     cf = eval_closed_form(LI2_CF, ctx.pg)
-    dev = max(abs(s - q.value), abs(s - cf), abs(q.value - cf))
-    return Pipe(dev, q.error_estimate, q.evaluations)
+    return max(abs(s - q), abs(s - cf), abs(q - cf))
 
 
 def _param_grid_pipe(name):
@@ -408,17 +382,16 @@ def _param_grid_pipe(name):
         # handed the guarded precision so the difference quotient does not
         # amplify boundary rounding
         h = _fd_step(ctx.p)
-        dev, evals = mpf(0), 0
+        dev = mpf(0)
         for af in (F(3, 10), F(7, 10), F(1)):
             with workprec(ctx.pg.guarded):
                 a = mpf(af.numerator) / af.denominator
                 closed = derivative(a)
-                up = ctx.integrate(_param_integrand(name, a + h, f"{af}+h"))
-                dn = ctx.integrate(_param_integrand(name, a - h, f"{af}-h"))
-                fd = (up.value - dn.value) / (2 * h)
+                up = ctx.integrate(_param_integrand(name, a + h, f"{af}+h")).value
+                dn = ctx.integrate(_param_integrand(name, a - h, f"{af}-h")).value
+                fd = (up - dn) / (2 * h)
             dev = max(dev, abs(closed - fd))
-            evals += up.evaluations + dn.evaluations
-        return Pipe(dev, mpf(0), evals)
+        return dev
 
     return run
 
@@ -452,7 +425,7 @@ CATALOG = (
         id="eq05_sigma_2d",
         description="double integral of -x^2 y^2/((1+x^2 y^2)(1+x)(1+y)) equals the series value",
         ref="Eq. (5)",
-        lhs=_quad_pipe("sigma_double"),
+        lhs="sigma_double",
         rhs=_sigma_series_pipe,
         tolerance_policy=Tol(-20),
     ),
@@ -476,7 +449,7 @@ CATALOG = (
         id="eq08_A",
         description="int x^2/((1+x^2)(1+x)) = (3/4)ln2 - pi/8",
         ref="Eq. (8)",
-        lhs=_quad_pipe("a_integrand"),
+        lhs="a_integrand",
         rhs=A_CF,
         tolerance_policy=Tol(-40),
     ),
@@ -484,12 +457,12 @@ CATALOG = (
         id="eq09_B_split",
         description="B integral equals (I2 + I1 - int x ln(1+x^2)/(1+x^2))/2, all by quadrature",
         ref="Eq. (9)",
-        lhs=_quad_pipe("b_integrand"),
+        lhs="b_integrand",
         rhs=_combo_pipe(
             [
-                (F(1, 2), _quad_pipe("i2_integrand")),
-                (F(1, 2), _quad_pipe("i1_integrand")),
-                (F(-1, 2), _quad_pipe("x_ln_1px2_over_1px2")),
+                (F(1, 2), "i2_integrand"),
+                (F(1, 2), "i1_integrand"),
+                (F(-1, 2), "x_ln_1px2_over_1px2"),
             ]
         ),
         tolerance_policy=Tol(-40),
@@ -498,7 +471,7 @@ CATALOG = (
         id="eq10",
         description="int x ln(1+x^2)/(1+x^2) = (ln2)^2/4",
         ref="Eq. (10)",
-        lhs=_quad_pipe("x_ln_1px2_over_1px2"),
+        lhs="x_ln_1px2_over_1px2",
         rhs=EQ10_CF,
         tolerance_policy=Tol(-40),
     ),
@@ -506,7 +479,7 @@ CATALOG = (
         id="app1_I1",
         description="I1 = int ln(1+x^2)/(1+x^2) = (pi/2)ln2 - G",
         ref="Eq. (11) / Appendix 1",
-        lhs=_quad_pipe("i1_integrand"),
+        lhs="i1_integrand",
         rhs=I1_CF,
         tolerance_policy=Tol(-40),
     ),
@@ -514,7 +487,7 @@ CATALOG = (
         id="app1_I1_substitution",
         description="int (ln(1+x^2) - ln x)/(1+x^2) = (pi/2)ln2  (the I1 + G form)",
         ref="Appendix 1",
-        lhs=_quad_pipe("i1_minus_ln_x"),
+        lhs="i1_minus_ln_x",
         rhs=ClosedForm({PI_LN2: F(1, 2)}),
         tolerance_policy=Tol(-40),
     ),
@@ -522,7 +495,7 @@ CATALOG = (
         id="app1_catalan_integral",
         description="-int ln x/(1+x^2) = G, the integral representation behind I1",
         ref="Appendix 1",
-        lhs=_quad_pipe("neg_ln_x_over_1px2"),
+        lhs="neg_ln_x_over_1px2",
         rhs=CATALAN_CF,
         tolerance_policy=Tol(-40),
     ),
@@ -530,7 +503,7 @@ CATALOG = (
         id="app1_logsine",
         description="int_0^{pi/2} ln sin = -(pi/2)ln2 despite the endpoint singularity",
         ref="Appendix 1",
-        lhs=_quad_pipe("log_sin_half"),
+        lhs="log_sin_half",
         rhs=LOGSINE_CF,
         tolerance_policy=Tol(-40),
     ),
@@ -546,7 +519,7 @@ CATALOG = (
         id="app2_I2",
         description="I2 = int ln(1+x^2)/(1+x) = (3/4)(ln2)^2 - pi^2/48",
         ref="Eq. (12) / Appendix 2",
-        lhs=_quad_pipe("i2_integrand"),
+        lhs="i2_integrand",
         rhs=I2_CF,
         tolerance_policy=Tol(-40),
     ),
@@ -570,7 +543,7 @@ CATALOG = (
         id="eq13_B",
         description="B = ((ln2)^2/2 - pi^2/48 + (pi/2)ln2 - G)/2",
         ref="Eq. (13)",
-        lhs=_quad_pipe("b_integrand"),
+        lhs="b_integrand",
         rhs=B_CF,
         tolerance_policy=Tol(-40),
     ),
@@ -578,12 +551,12 @@ CATALOG = (
         id="eq14_C_split",
         description="C integral equals (I3 - int x arctan x/(1+x^2) - int arctan x/(1+x^2))/2",
         ref="Eq. (14)",
-        lhs=_quad_pipe("c_integrand"),
+        lhs="c_integrand",
         rhs=_combo_pipe(
             [
-                (F(1, 2), _quad_pipe("i3_integrand")),
-                (F(-1, 2), _quad_pipe("eq17_integrand")),
-                (F(-1, 2), _quad_pipe("eq16_integrand")),
+                (F(1, 2), "i3_integrand"),
+                (F(-1, 2), "eq17_integrand"),
+                (F(-1, 2), "eq16_integrand"),
             ]
         ),
         tolerance_policy=Tol(-40),
@@ -592,7 +565,7 @@ CATALOG = (
         id="app3_I3",
         description="I3 = int arctan x/(1+x) = (pi/8)ln2",
         ref="Eq. (15) / Appendix 3",
-        lhs=_quad_pipe("i3_integrand"),
+        lhs="i3_integrand",
         rhs=I3_CF,
         tolerance_policy=Tol(-40),
     ),
@@ -600,7 +573,7 @@ CATALOG = (
         id="eq16",
         description="int arctan x/(1+x^2) = pi^2/32",
         ref="Eq. (16)",
-        lhs=_quad_pipe("eq16_integrand"),
+        lhs="eq16_integrand",
         rhs=EQ16_CF,
         tolerance_policy=Tol(-40),
     ),
@@ -608,7 +581,7 @@ CATALOG = (
         id="eq17",
         description="int x arctan x/(1+x^2) = G/2 - (pi/8)ln2",
         ref="Eq. (17)",
-        lhs=_quad_pipe("eq17_integrand"),
+        lhs="eq17_integrand",
         rhs=EQ17_CF,
         tolerance_policy=Tol(-40),
     ),
@@ -616,7 +589,7 @@ CATALOG = (
         id="eq18_C",
         description="C = ((pi/4)ln2 - pi^2/32 - G/2)/2",
         ref="Eq. (18)",
-        lhs=_quad_pipe("c_integrand"),
+        lhs="c_integrand",
         rhs=C_CF,
         tolerance_policy=Tol(-40),
     ),
@@ -677,7 +650,7 @@ def precision_floor(checks, tolerance_exponent_override=None):
     exponents = []
     for c in checks:
         policy = c.tolerance_policy if override is None else Tol(override)
-        quad = any(callable(s) and s not in _SERIES_PIPES for s in (c.lhs, c.rhs))
+        quad = any(not isinstance(s, ClosedForm) and s not in _SERIES_PIPES for s in (c.lhs, c.rhs))
         if quad and isinstance(policy, Tol):
             exponents.append(policy.exponent)
     bits = math.ceil(-min(exponents, default=0) * math.log2(10))
@@ -689,7 +662,7 @@ def precision_floor(checks, tolerance_exponent_override=None):
 # ---------------------------------------------------------------------------
 
 
-def _resolve_tolerance(policy, p, est):
+def _resolve_tolerance(policy, p, read):
     if isinstance(policy, Tol):
         return mpf(10) ** policy.exponent
     if isinstance(policy, TolExact):
@@ -698,7 +671,7 @@ def _resolve_tolerance(policy, p, est):
     if isinstance(policy, TolHalfBits):
         return ldexp(1, -(p.bits // 2))
     if isinstance(policy, QuadEstimate):
-        return 8 * est
+        return 8 * max((q.error_estimate for q in read.values()), default=mpf(0))
     raise ValueError(f"unknown tolerance policy {policy!r}")
 
 
@@ -710,23 +683,24 @@ def run_check(check, p, ctx=None, tolerance_exponent_override=None):
     policy = check.tolerance_policy
     if tolerance_exponent_override is not None:
         policy = Tol(tolerance_exponent_override)
+    ctx.read, ctx.terms = {}, 0
     t0 = time.perf_counter()
     with workprec(p.guarded):
-        lhs = _side_pipe(check.lhs, ctx)
-        rhs = _side_pipe(check.rhs, ctx)
-        err = abs(lhs.value - rhs.value)
-        tol = _resolve_tolerance(policy, p, lhs.est + rhs.est)
+        lhs = _side_value(check.lhs, ctx)
+        rhs = _side_value(check.rhs, ctx)
+        err = abs(lhs - rhs)
+        tol = _resolve_tolerance(policy, p, ctx.read)
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
     return CheckResult(
         id=check.id,
         description=check.description,
         ref=check.ref,
-        lhs_value=round_to(lhs.value, p),
-        rhs_value=round_to(rhs.value, p),
+        lhs_value=round_to(lhs, p),
+        rhs_value=round_to(rhs, p),
         abs_error=round_to(err, p),
         tolerance=round_to(tol, p),
         passed=bool(err <= tol),
-        evaluations=lhs.evals + rhs.evals,
+        evaluations=ctx.terms + sum(q.evaluations for q in ctx.read.values()),
         elapsed_ms=elapsed_ms,
     )
 

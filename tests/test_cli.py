@@ -73,6 +73,16 @@ def test_precision_above_the_ceiling_is_usage_error(capsys):
     assert "precision 2049 bits is above 2048, the largest the catalog is tested at" in err
 
 
+def test_tolerance_floor_above_the_ceiling_is_usage_error(capsys):
+    # 10^-700 needs ceil(700 log2 10) - 24 = 2302 bits, which no accepted precision reaches
+    args = ["--filter", "eq08*", "--tolerance-exponent", "-700", "--precision-bits", "2048"]
+    code, out, err = run_cli(capsys, *args)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "no accepted precision (at most 2048 bits) meets 10^-700: its tolerance floor is 2302 bits" in err
+    assert "below" not in err
+
+
 def test_precision_at_the_ceiling_is_accepted(capsys):
     # the whole catalog at 2048 bits is the `slow` test below; eq01 integrates nothing
     code, out, _ = run_cli(capsys, "--precision-bits", "2048", "--filter", "eq01*", "--no-timestamp")

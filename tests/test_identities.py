@@ -21,6 +21,7 @@ from hpcert import (
 )
 from hpcert import identities, numeric, quadrature, series
 from hpcert.identities import (
+    LN2_DIRECT_TERMS,
     SIGMA_CF,
     CheckContext,
     IdentityCheck,
@@ -30,10 +31,9 @@ from hpcert.identities import (
     _fd_step,
     _h_prime_closed,
     _param_integrand,
-    _quad_pipe,
     get_integrand,
 )
-from hpcert.numeric import constant_value
+from hpcert.numeric import constant_value, round_to
 from hpcert.quadrature import GaussLegendre, TanhSinh, integrate, integrate_2d
 from oracle_values import (
     A_VALUE,
@@ -134,6 +134,59 @@ def test_eq05_rhs_is_the_series_value(p128):
     assert r.evaluations == ctx.integrate(get_integrand("sigma_double")).evaluations + 30
 
 
+# the series terms each check sums through a counted series pipeline
+SERIES_TERMS = {"eq01_sigma_series": 30, "eq03_ln2": LN2_DIRECT_TERMS, "eq05_sigma_2d": 30}
+
+
+class _ReadLog(CheckContext):
+    """A context that also lists every integral it hands out, in call order."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.log = []
+
+    def integrate(self, f):
+        q = super().integrate(f)
+        self.log.append((f, q))
+        return q
+
+
+def test_evaluations_are_series_terms_plus_each_distinct_integral_read(p128):
+    ctx = _ReadLog(p128)
+    for check in catalog():
+        start = len(ctx.log)
+        r = run_check(check, p128, ctx=ctx)
+        distinct = dict(ctx.log[start:])
+        assert r.evaluations == SERIES_TERMS.get(check.id, 0) + sum(q.evaluations for q in distinct.values()), check.id
+
+
+def test_evaluations_count_each_integral_once_and_only_the_counted_series(p128):
+    ctx = _ReadLog(p128)
+
+    def evals(integrand_id):
+        return ctx.integrate(get_integrand(integrand_id)).evaluations
+
+    funceq = run_check(by_id("app1_logsine_funceq"), p128, ctx=ctx)
+    assert [f.id for f, _ in ctx.log].count("log_sin_half") == 2
+    assert funceq.evaluations == evals("log_sin_full") + evals("log_sin_half") + evals("log_cos_half")
+    # app2_li2 sums its CRZ series directly: only the quadrature is counted
+    assert run_check(by_id("app2_li2"), p128, ctx=ctx).evaluations == evals("ln1p_t_over_t")
+    # a memo hit counts the integral it reads, as a fresh context would
+    run_check(by_id("eq09_B_split"), p128, ctx=ctx)
+    assert run_check(by_id("eq13_B"), p128, ctx=ctx).evaluations == run_check(by_id("eq13_B"), p128).evaluations
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_eq04_tolerance_is_eight_times_the_largest_tail_estimate(bits):
+    p = Precision(bits)
+    tails = [integrate(series.tail_integrand(n), TanhSinh(), Precision(p.guarded)) for n in (1, 2, 3, 5, 10, 20)]
+    est = max(q.error_estimate for q in tails)
+    assert est > 0
+    with workprec(p.guarded):
+        expected = 8 * est
+    assert run_check(by_id("eq04_tail_routes"), p).tolerance == round_to(expected, p)
+
+
 def test_eq05_double_integral_at_1024_bits():
     # certifies the 2D integral itself far beyond eq05's 30-term series check
     p = Precision(1024)
@@ -204,7 +257,7 @@ def test_catalog_error_on_unregistered():
         id="bogus",
         description="refers to a missing integrand",
         ref="-",
-        lhs=_quad_pipe("no_such_integrand"),
+        lhs="no_such_integrand",
         rhs=ClosedForm.zero(),
         tolerance_policy=Tol(-10),
     )
