@@ -2,7 +2,9 @@
 
 Report goes to stdout, diagnostics to stderr.  Exit codes: 0 all selected
 checks passed, 1 at least one failed, 2 usage error, 3 internal error
-(nonconvergence and friends).
+(nonconvergence and friends).  A stdout closed by its reader, as in
+``verify --list | head -1``, ends the `verify` command quietly by SIGPIPE,
+as it ends a C tool: no message, and no exit code of its own.
 
 JSON serializes every numeric value as a decimal string carrying as many
 digits as the working precision -- rounding through binary floats would
@@ -13,6 +15,7 @@ import argparse
 import fnmatch
 import gc
 import json
+import signal
 import sys
 import time
 from dataclasses import dataclass, field
@@ -215,6 +218,8 @@ def main(argv=None):
 
 
 def app():
+    if hasattr(signal, "SIGPIPE"):  # Python ignores it, so a closed stdout would raise
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     code = main()
     # the caches live until exit; frozen, they spare the final collection a walk over them
     gc.freeze()

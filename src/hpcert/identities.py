@@ -38,7 +38,6 @@ from .numeric import (
     ClosedForm,
     MP,
     Precision,
-    _log1p,
     cf_add,
     cf_mul_ln2,
     cf_scale,
@@ -150,7 +149,7 @@ def _f_prime_closed(a):
     if a == 0:
         return mpf(0)
     one_pa2 = 1 + a * a
-    return 2 * a * MP.ln2 / one_pa2 + _log1p(a * a) / (a * one_pa2) - 2 * atan(a) / one_pa2
+    return 2 * a * MP.ln2 / one_pa2 + log1p(a * a) / (a * one_pa2) - 2 * atan(a) / one_pa2
 
 
 def _h_prime_closed(a):
@@ -158,7 +157,7 @@ def _h_prime_closed(a):
     if a == 0:
         return 1 - MP.ln2
     one_pa2 = 1 + a * a
-    return -MP.ln2 / one_pa2 + _log1p(a * a) / (2 * one_pa2) + atan(a) / (a * one_pa2)
+    return -MP.ln2 / one_pa2 + log1p(a * a) / (2 * one_pa2) + atan(a) / (a * one_pa2)
 
 
 # The same derivatives as integrands on [0, 1], arranged without a 0/0 at a = 0:

@@ -16,8 +16,9 @@ under `MP` (mpf at the ambient precision) it is the integrand's evaluator, and
 under `fixed_context(W)` (integers scaled by 2^W) the integer kernel that the
 tanh-sinh ladder sums for a bounded one.  Each context owns its per-abscissa
 memo: `MP` keeps, bit for bit, the mpf ln x and (cos t, sin t) that two
-integrands on the mpf ladder share, and each `fixed_context(W)` the
-ln(1+x^2)/x^2, arctan(x)/x and ln(1+x)/x of its nodes X.
+log-singular integrands on the mpf ladder share, and each `fixed_context(W)`
+the ln(1+x^2)/x^2, arctan(x)/x and ln(1+x)/x of its nodes X.  `MP`'s
+logarithms of 1 + x are mpmath's own `log1p`.
 Importing this module points mpmath's pure-Python bit count at the C
 `int.bit_length`, which gives the same count on every int.
 """
@@ -31,7 +32,7 @@ import sys
 from types import SimpleNamespace
 
 from mpmath import atan, isfinite, ldexp, libmp, log, log1p, mag, mp, mpf, workprec
-from mpmath.libmp import fone, libintmath, mpf_add, mpf_cos_sin, mpf_log, mpf_pos, round_nearest, to_fixed
+from mpmath.libmp import libintmath, mpf_cos_sin, round_nearest, to_fixed
 from mpmath.libmp import mpf_catalan, mpf_ln2, mpf_pi
 from mpmath.libmp.libelefun import atan_taylor, ln2_fixed, log_taylor_cached
 
@@ -89,12 +90,12 @@ def ulp(x, bits):
 
 
 # ---------------------------------------------------------------------------
-# Per-abscissa memo.  The integrands that the mpf ladder sums meet the same
-# tanh-sinh abscissae, so each value that two of them share runs once per
-# (x, mp.prec) for the life of the process: 1 + x in eq04's tails, ln x in
-# -ln(x)/(1 + x^2) and (ln(1 + x^2) - ln x)/(1 + x^2), cos and sin in the
-# log-sine pair.  A hit is the mpf the same expression made at the same width,
-# so the memo is bit for bit the same as evaluating directly.
+# Per-abscissa memo.  The log-singular integrands that the mpf ladder sums meet
+# the same tanh-sinh abscissae, so each value that two of them share runs once
+# per (x, mp.prec) for the life of the process: ln x in -ln(x)/(1 + x^2) and
+# (ln(1 + x^2) - ln x)/(1 + x^2), cos and sin in the log-sine pair.  A hit is
+# the mpf the same expression made at the same width, so the memo is bit for
+# bit the same as evaluating directly.
 # ---------------------------------------------------------------------------
 
 _SHARED = {}  # (function, x, mp.prec) -> function(x)
@@ -114,20 +115,6 @@ def _shared(fn):
         return hit
 
     return memo
-
-
-def _log1p(x):
-    """log1p(x) bit for bit: mpmath's own libmp calls, at its widths, without its wrapper."""
-    sign, man, exp, bc = v = x._mpf_
-    prec = mp.prec
-    w = prec + 10  # the wrapper's extra bits; 1 + x is then formed at 2w
-    if not man or exp + bc < -w or (sign and exp + bc > 0):  # 0, tiny, x <= -1, inf, nan
-        return log1p(x)
-    one_px = mpf_add(fone, v, 2 * w, round_nearest)
-    return mp.make_mpf(mpf_pos(mpf_log(one_px, w, round_nearest), prec, round_nearest))
-
-
-_one_px = _shared(lambda x: 1 + x)
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +234,12 @@ class _MpContext:
     sq = staticmethod(lambda a: a * a)
     div = staticmethod(lambda n, d: n / d)
     div2 = staticmethod(lambda n, d1, d2: n / (d1 * d2))
-    log1p = staticmethod(_log1p)
+    log1p = staticmethod(log1p)
     atan = atan_x = staticmethod(atan)
-    log1p_sq = staticmethod(lambda x: _log1p(x * x))
+    log1p_sq = staticmethod(lambda x: log1p(x * x))
     # the quotients take their limit 1 at 0
-    log1p_over = staticmethod(lambda u: _log1p(u) / u if u else mpf(1))
-    log1p_sq_over = staticmethod(lambda x: _log1p(x2 := x * x) / x2 if x else mpf(1))
+    log1p_over = staticmethod(lambda u: log1p(u) / u if u else mpf(1))
+    log1p_sq_over = staticmethod(lambda x: log1p(x2 := x * x) / x2 if x else mpf(1))
     atan_over = staticmethod(lambda t: atan(t) / t if t else mpf(1))
     log_x = staticmethod(_shared(log))  # ln of an abscissa, shared by the ln-x pair
     log = staticmethod(log)

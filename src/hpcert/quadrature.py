@@ -27,7 +27,7 @@ from functools import partial
 from typing import Callable, Optional
 
 from mpmath import exp, isfinite, ldexp, mp, mpc, mpf, pi, workprec
-from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_mul, to_fixed
+from mpmath.libmp import from_man_exp, to_fixed
 from mpmath.libmp.libelefun import pi_fixed
 
 from .errors import DomainError, NonconvergenceError
@@ -148,15 +148,14 @@ def _checked(y, integrand, xs):
 def _pair_sum(integrand, pairs, S, a=None, b=None):
     """S + sum of w * (f(x1) + f(x2)) over `pairs` of (x1, x2, w), and the evaluations made.
 
-    S and the result are raw libmp tuples, updated by the very libmp calls of
-    ``S += w * (f(x1) + f(x2))`` at the ambient precision and rounding; values
-    that are not both mpfs are added as that statement would, by Python's `+`.
-    On a singular end, x1 == a (x2 == b) contributes zero without an evaluation;
-    a left end at 0 is never tested, as no abscissa a + halfw*delta reaches it.
+    The sum is ``S += w * (f(x1) + f(x2))`` at the ambient precision.  Each
+    pair is tested once: only a pair that is not a finite mpf has its two values
+    checked one by one, so a `DomainError` still names the point.  On a singular
+    end, x1 == a (x2 == b) contributes zero without an evaluation; a left end at
+    0 is never tested, as no abscissa a + halfw*delta reaches it.
     """
     f = integrand.evaluator
     skip_left, skip_right = integrand.singular_left and a != 0, integrand.singular_right
-    prec, rnd = mp._prec_rounding
     evals = 0
     for x1, x2, w in pairs:
         if skip_left and x1 == a:
@@ -169,13 +168,10 @@ def _pair_sum(integrand, pairs, S, a=None, b=None):
         else:
             y2 = f(x2)
             evals += 1
-        try:
-            pair = mpf_add(y1._mpf_, y2._mpf_, prec, rnd)
-        except AttributeError:  # an int, a float, or a non-real value
-            pair = None
-        if pair is None or (not pair[1] and pair[2]):  # or inf or nan: man == 0, exp != 0
-            pair = mp.convert(_checked(y1, integrand, (x1,)) + _checked(y2, integrand, (x2,)))._mpf_
-        S = mpf_add(S, mpf_mul(w._mpf_, pair, prec, rnd), prec, rnd)
+        pair = y1 + y2
+        if not (isinstance(pair, mpf) and isfinite(pair)):  # an int, a float, inf, nan or non-real
+            pair = _checked(y1, integrand, (x1,)) + _checked(y2, integrand, (x2,))
+        S += w * pair
     return S, evals
 
 
@@ -311,12 +307,12 @@ def _ts_abscissae(domain, bits, lev):
 
 def _ts_ladder(integrand, cap, bits):
     a, b, halfw, mid = _interval(integrand.domain)
-    S = ((pi / 2) * _checked(integrand.evaluator(mid), integrand, (mid,)))._mpf_
+    S = (pi / 2) * _checked(integrand.evaluator(mid), integrand, (mid,))
     evals = 1
     for lev in range(1, cap + 1):
         S, n = _pair_sum(integrand, _ts_abscissae(integrand.domain, bits, lev), S, a, b)
         evals += n
-        yield lev, ldexp(halfw * mp.make_mpf(S), -lev), evals
+        yield lev, ldexp(halfw * S, -lev), evals
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +473,9 @@ def _gl_ladder(integrand, cap, bits):
     for order in _gl_orders(cap):
         pts, halfw = _gl_axis(integrand.domain, _gl_halfline(order, bits))
         pairs = ((xp, xm, w) for (xp, w), (xm, _) in zip(pts[::2], pts[1::2]))
-        S, n = _pair_sum(integrand, pairs, fzero)
+        S, n = _pair_sum(integrand, pairs, mpf(0))
         evals += n
-        yield order, halfw * mp.make_mpf(S), evals
+        yield order, halfw * S, evals
 
 
 def integrate(f, s, p):

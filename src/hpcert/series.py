@@ -21,7 +21,7 @@ from mpmath import ldexp, mp, mpf, workprec
 
 from . import accel
 from .errors import PreconditionError
-from .numeric import BasisConstant, _one_px, constant_value, round_to
+from .numeric import BasisConstant, constant_value, round_to
 from .quadrature import Integrand, TanhSinh, expression, integrate
 
 
@@ -99,7 +99,7 @@ def _paired_alternating(first, last):
 def tail_integrand(n):
     """The integral route's integrand x^(2n)/(1+x) on [0, 1]."""
     e = 2 * n
-    return Integrand(id=f"tail_integral_n{n}", evaluator=lambda x: x**e / _one_px(x), domain=(0, 1))
+    return Integrand(id=f"tail_integral_n{n}", evaluator=lambda x: x**e / (1 + x), domain=(0, 1))
 
 
 def tail(n, route, p):

@@ -305,3 +305,22 @@ def test_cli_import_leaves_numpy_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_a_closed_stdout_ends_the_run_quietly():
+    # the pipe's reader has exited before the first write, as `head` may in `verify --list | head -1`
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hpcert.cli", "--list"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode != EXIT_INTERNAL

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import atan, cos, iv, ldexp, log, log1p, mp, mpf, sin, workprec
+from mpmath import atan, cos, iv, ldexp, log, log1p, mp, mpc, mpf, sin, workprec
 from mpmath.libmp import to_fixed
 
 from hpcert import (
@@ -375,7 +375,6 @@ def test_param_monotone_on_grid(p128):
 # --- the per-abscissa memo ----------------------------------------------------
 
 SHARED_DIRECT = [
-    (numeric._one_px, lambda x: 1 + x),
     (numeric.MP.log_x, log),
 ]
 
@@ -404,7 +403,7 @@ def test_shared_memo_never_crosses_precisions(monkeypatch):
                 assert memo(x)._mpf_ == direct(x)._mpf_
 
 
-def test_shared_memo_evaluates_an_interval_as_written():
+def test_shared_memo_evaluates_an_interval_as_written(monkeypatch):
     # only mpf arguments are shared, so the rational integrands still run on intervals
     x = iv.mpf([0.25, 0.75])
     for got, want in [
@@ -412,36 +411,11 @@ def test_shared_memo_evaluates_an_interval_as_written():
         (series.tail_integrand(2).evaluator(x), x**4 / (1 + x)),
     ]:
         assert (got.a, got.b) == (want.a, want.b)
-
-
-LOG1P_BITS = [64, 192, 320, 576, 1088]
-
-
-def _assert_log1p_matches(x):
-    want, got = log1p(x), numeric._log1p(x)
-    # x <= -1 falls back to mpmath, whose value there is -inf or complex
-    assert getattr(got, "_mpf_", got) == getattr(want, "_mpf_", want), x
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), bits=st.sampled_from(LOG1P_BITS), negative=st.booleans())
-def test_log1p_kernel_is_bit_identical_to_mpmath(data, bits, negative):
-    # x = +-m 2^(e - bits) with m < 2^bits, from far below the fallback cut at
-    # |x| < 2^-(bits + 10) through (-1, 0) and [0, 1) to 2^(2 bits)
-    m = data.draw(st.integers(min_value=1, max_value=2**bits - 1))
-    e = data.draw(st.integers(min_value=-3 * bits, max_value=2 * bits))
-    with workprec(bits):
-        _assert_log1p_matches(ldexp(mpf(-m if negative else m), e - bits))
-
-
-@pytest.mark.parametrize("bits", LOG1P_BITS)
-def test_log1p_kernel_at_its_branch_points(bits):
-    w = bits + 10
-    with workprec(bits):
-        near_minus_one = -(1 - ldexp(1, -bits))
-        cut = [s * ldexp(1, k) for s in (1, -1) for k in (-w - 1, -w - 2)]  # mag -w and -w - 1
-        for x in [mpf(0), mpf(-1), mpf(-2), near_minus_one, *cut]:
-            _assert_log1p_matches(x)
+    # and a memo handed a value that is not an mpf computes it as written, storing nothing
+    monkeypatch.setattr(numeric, "_SHARED", {})
+    z = mpc(3, 1)
+    assert numeric.MP.log_x(z) == log(z)
+    assert numeric._SHARED == {}
 
 
 # --- each evaluator keeps its operation order -------------------------------
