@@ -31,7 +31,7 @@ import math
 import sys
 from types import SimpleNamespace
 
-from mpmath import atan, isfinite, ldexp, libmp, log, log1p, mag, mp, mpf, workprec
+from mpmath import atan, cos, isfinite, ldexp, libmp, log, log1p, mag, mp, mpf, sin, workprec
 from mpmath.libmp import libintmath, mpf_cos_sin, round_nearest, to_fixed
 from mpmath.libmp import mpf_catalan, mpf_ln2, mpf_pi
 from mpmath.libmp.libelefun import atan_taylor, ln2_fixed, log_taylor_cached
@@ -95,26 +95,20 @@ def ulp(x, bits):
 # per (x, mp.prec) for the life of the process: ln x in -ln(x)/(1 + x^2) and
 # (ln(1 + x^2) - ln x)/(1 + x^2), cos and sin in the log-sine pair.  A hit is
 # the mpf the same expression made at the same width, so the memo is bit for
-# bit the same as evaluating directly.
+# bit the same as evaluating directly.  Only an mpf argument is shared: any
+# other (an interval, a complex) is evaluated as written and stored nowhere.
 # ---------------------------------------------------------------------------
 
-_SHARED = {}  # (function, x, mp.prec) -> function(x)
+
+@cache
+def _shared(fn, x, prec):
+    """fn of the mpf whose raw value is x, at the ambient width `prec`."""
+    return fn(mp.make_mpf(x))
 
 
-def _shared(fn):
-    """`fn`, evaluated once per mpf argument and width."""
-
-    def memo(x):
-        try:
-            key = (fn, x._mpf_, mp.prec)
-        except AttributeError:  # an interval or complex argument is not shared
-            return fn(x)
-        hit = _SHARED.get(key)
-        if hit is None:
-            hit = _SHARED[key] = fn(x)
-        return hit
-
-    return memo
+def _cos_sin(t):
+    """(cos t, sin t), each rounded exactly as `cos` and `sin` round it."""
+    return tuple(mp.make_mpf(v) for v in mpf_cos_sin(t._mpf_, *mp._prec_rounding))
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +235,11 @@ class _MpContext:
     log1p_over = staticmethod(lambda u: log1p(u) / u if u else mpf(1))
     log1p_sq_over = staticmethod(lambda x: log1p(x2 := x * x) / x2 if x else mpf(1))
     atan_over = staticmethod(lambda t: atan(t) / t if t else mpf(1))
-    log_x = staticmethod(_shared(log))  # ln of an abscissa, shared by the ln-x pair
     log = staticmethod(log)
-    # (cos t, sin t) of an abscissa, each rounded exactly as `cos` and `sin` round it
-    cos_sin = staticmethod(_shared(lambda t: [mp.make_mpf(v) for v in mpf_cos_sin(t._mpf_, *mp._prec_rounding)]))
-    cos = staticmethod(lambda t: MP.cos_sin(t)[0])
-    sin = staticmethod(lambda t: MP.cos_sin(t)[1])
+    # ln x of an abscissa, shared by the ln-x pair, and cos t and sin t, by the log-sine pair
+    log_x = staticmethod(lambda x: _shared(log, x._mpf_, mp.prec) if isinstance(x, mpf) else log(x))
+    cos = staticmethod(lambda t: _shared(_cos_sin, t._mpf_, mp.prec)[0] if isinstance(t, mpf) else cos(t))
+    sin = staticmethod(lambda t: _shared(_cos_sin, t._mpf_, mp.prec)[1] if isinstance(t, mpf) else sin(t))
 
 
 MP = _MpContext()
@@ -259,37 +252,18 @@ def fixed_context(W):
     Its quotients run once per node X of this width's ladders, as `MP` shares
     each mpf ln x and (cos t, sin t) once per abscissa.
     """
-    consts = {}
-
-    def const(v):
-        """An mpf v, floored to W bits once per width."""
-        key = v._mpf_
-        hit = consts.get(key)
-        if hit is None:
-            hit = consts[key] = to_fixed(key, W)
-        return hit
-
-    def per_node(fn):
-        memo = {}
-
-        def at(X):
-            hit = memo.get(X)
-            if hit is None:
-                hit = memo[X] = fn(X, W)
-            return hit
-
-        return at
+    floor = cache(lambda v: to_fixed(v, W))  # an mpf's raw value, floored once per width
 
     def mul(A, B):
         return A * B >> W
 
-    log1p_sq_over = per_node(lambda X, W: log1p_over_fixed(X * X >> W, W))  # ln(1+x^2)/x^2
-    log1p_over = per_node(log1p_over_fixed)  # ln(1+x)/x
-    atan_over = per_node(atan_over_fixed)  # arctan(x)/x
+    log1p_sq_over = cache(lambda X: log1p_over_fixed(X * X >> W, W))  # ln(1+x^2)/x^2
+    log1p_over = cache(lambda X: log1p_over_fixed(X, W))  # ln(1+x)/x
+    atan_over = cache(lambda X: atan_over_fixed(X, W))  # arctan(x)/x
     return SimpleNamespace(
         one=1 << W,
         ln2=ln2_fixed(W),
-        const=const,
+        const=lambda v: floor(v._mpf_),
         mul=mul,
         sq=lambda A: A * A >> W,
         div=lambda N, D: (N << W) // D,
@@ -328,37 +302,26 @@ _MPF_CONSTANTS = {
     BasisConstant.CATALAN: mpf_catalan,
 }
 
-_RAW_CACHE = {}
-
-
+@cache
 def constant_value(tag, bits):
-    """Raw basis-constant value at `bits` bits (cached; population idempotent)."""
-    key = (tag, bits)
-    cached = _RAW_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Raw basis-constant value at `bits` bits, computed once per process."""
     if tag is BasisConstant.ONE:
-        value = mpf(1)
-    elif tag in _MPF_CONSTANTS:
-        value = mp.make_mpf(_MPF_CONSTANTS[tag](bits, round_nearest))
-    else:
-        with workprec(bits + 8):
-            if tag is BasisConstant.LN2_SQ:
-                r = constant_value(BasisConstant.LN2, bits + 8)
-                value = r * r
-            elif tag is BasisConstant.PI_LN2:
-                value = constant_value(BasisConstant.PI, bits + 8) * constant_value(
-                    BasisConstant.LN2, bits + 8
-                )
-            elif tag is BasisConstant.PI_SQ:
-                r = constant_value(BasisConstant.PI, bits + 8)
-                value = r * r
-            else:
-                raise BasisError(f"unknown basis tag {tag!r}")
-        with workprec(bits):
-            value = +value
-    _RAW_CACHE[key] = value
-    return value
+        return mpf(1)
+    if tag in _MPF_CONSTANTS:
+        return mp.make_mpf(_MPF_CONSTANTS[tag](bits, round_nearest))
+    with workprec(bits + 8):
+        if tag is BasisConstant.LN2_SQ:
+            r = constant_value(BasisConstant.LN2, bits + 8)
+            value = r * r
+        elif tag is BasisConstant.PI_LN2:
+            value = constant_value(BasisConstant.PI, bits + 8) * constant_value(BasisConstant.LN2, bits + 8)
+        elif tag is BasisConstant.PI_SQ:
+            r = constant_value(BasisConstant.PI, bits + 8)
+            value = r * r
+        else:
+            raise BasisError(f"unknown basis tag {tag!r}")
+    with workprec(bits):
+        return +value
 
 
 def const_pi(p):

@@ -23,7 +23,7 @@ table; a level never changes once built.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional
 
 from mpmath import exp, isfinite, ldexp, mp, mpc, mpf, pi, workprec
@@ -291,18 +291,12 @@ def tanh_sinh_nodes(level, p):
         return neg + [center] + pos
 
 
-_TS_ABSCISSAE = {}  # (domain, bits, level) -> tuple[(a + halfw delta, b - halfw delta, omega), ...]
-
-
+@cache
 def _ts_abscissae(domain, bits, lev):
-    nodes = _ts_levels(bits, lev)[lev]  # read first, so the table grows exactly as before
-    key = (domain, bits, lev)
-    hit = _TS_ABSCISSAE.get(key)
-    if hit is None:
-        with workprec(bits):  # the width `_refine` runs the ladder at: a hit is its very mpf
-            a, b, halfw, _ = _interval(domain)
-            hit = _TS_ABSCISSAE[key] = tuple((a + halfw * d, b - halfw * d, w) for d, w in nodes)
-    return hit
+    nodes = _ts_levels(bits, lev)[lev]
+    with workprec(bits):  # the width `_refine` runs the ladder at: a hit is its very mpf
+        a, b, halfw, _ = _interval(domain)
+        return tuple((a + halfw * d, b - halfw * d, w) for d, w in nodes)
 
 
 def _ts_ladder(integrand, cap, bits):
@@ -338,8 +332,6 @@ def _ts_ladder(integrand, cap, bits):
 
 FIXED_EXTRA_BITS = 16
 
-_TS_FIXED = {}  # (domain, bits, lev) -> tuple[(X1, X2, Omega), ...] scaled by 2^(bits + FIXED_EXTRA_BITS)
-
 
 def _fixed_interval(domain, W):
     """(a, b, halfw) of a 1D domain, floored to W-bit fixed point."""
@@ -347,19 +339,16 @@ def _fixed_interval(domain, W):
         return tuple(to_fixed(v._mpf_, W) for v in _interval(domain)[:3])
 
 
+@cache
 def _ts_fixed_nodes(domain, bits, lev):
-    nodes = _ts_levels(bits, lev)[lev]
-    key = (domain, bits, lev)
-    hit = _TS_FIXED.get(key)
-    if hit is None:
-        W = bits + FIXED_EXTRA_BITS
-        A, B, H = _fixed_interval(domain, W)
-        fixed = []
-        for d, w in nodes:  # the table is wider than W, so each is floored once
-            HD = H * to_fixed(d._mpf_, W) >> W
-            fixed.append((A + HD, B - HD, to_fixed(w._mpf_, W)))
-        hit = _TS_FIXED[key] = tuple(fixed)
-    return hit
+    """Level lev's (X1, X2, Omega), scaled by 2^(bits + FIXED_EXTRA_BITS)."""
+    W = bits + FIXED_EXTRA_BITS
+    A, B, H = _fixed_interval(domain, W)
+    fixed = []
+    for d, w in _ts_levels(bits, lev)[lev]:  # the table is wider than W, so each is floored once
+        HD = H * to_fixed(d._mpf_, W) >> W
+        fixed.append((A + HD, B - HD, to_fixed(w._mpf_, W)))
+    return tuple(fixed)
 
 
 def _ts_fixed_ladder(integrand, cap, bits):
@@ -391,9 +380,6 @@ def _ts_fixed_ladder(integrand, cap, bits):
 # before the one rounding to gen_bits.
 # ---------------------------------------------------------------------------
 
-_GL_TABLES = {}  # (order, bits) -> tuple[(x, w), ...] for x >= 0
-
-
 def _gl_seed(n, k):
     # dx < 1e-12 leaves an error below float resolution up to MAX_ORDER
     x = math.cos(math.pi * (k - 0.25) / (n + 0.5))
@@ -417,11 +403,9 @@ def _gl_newton(n, X, w):
     return p1 * one_m // q, q, one_m
 
 
+@cache
 def _gl_halfline(order, bits):
-    key = (order, bits)
-    cached = _GL_TABLES.get(key)
-    if cached is not None:
-        return cached
+    """The n-point rule's (x, w) for x >= 0."""
     gen_bits = bits + 16
     W = gen_bits + 32 + 2 * order.bit_length()
     # an odd rule's center seed 0 stays exactly 0: P_n(0) = 0 in integers too
@@ -438,9 +422,7 @@ def _gl_halfline(order, bits):
             X -= D
         with workprec(gen_bits):
             out.append((ldexp(mpf(X), -W), ldexp(mpf((one_m << 2 * W + 1) // (q * q)), -W)))
-    table = tuple(out)
-    _GL_TABLES[key] = table
-    return table
+    return tuple(out)
 
 
 def gauss_legendre_nodes(order, p):

@@ -14,7 +14,7 @@ ln2 subtraction.
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import Optional, Union
 
 from mpmath import ldexp, mp, mpf, workprec
@@ -65,7 +65,7 @@ class SeriesResult:
     error_bound: Optional[mpf] = None
 
 
-@lru_cache(maxsize=512)
+@cache
 def harmonic_tail_fraction(n):
     """Exact rational sum 1/(n+1) + ... + 1/(2n)."""
     total = Fraction(0)

@@ -376,6 +376,8 @@ def test_param_monotone_on_grid(p128):
 
 SHARED_DIRECT = [
     (numeric.MP.log_x, log),
+    (numeric.MP.cos, cos),
+    (numeric.MP.sin, sin),
 ]
 
 
@@ -394,16 +396,17 @@ def test_shared_memo_is_bit_identical_to_direct_calls(mantissa, exponent, bits):
             assert memo(x)._mpf_ == want  # a hit
 
 
-def test_shared_memo_never_crosses_precisions(monkeypatch):
-    monkeypatch.setattr(numeric, "_SHARED", {})
+def test_shared_memo_never_crosses_precisions(cold_caches):
     x = mpf(3) / 8  # exact at every width, so only the width tells the calls apart
     for memo, direct in SHARED_DIRECT:
         for bits in (128, 256, 128):
             with workprec(bits):
                 assert memo(x)._mpf_ == direct(x)._mpf_
+    # ln x, and one (cos x, sin x) for both memos, once per width
+    assert numeric._shared.cache_info().misses == 4
 
 
-def test_shared_memo_evaluates_an_interval_as_written(monkeypatch):
+def test_shared_memo_evaluates_an_interval_as_written(cold_caches):
     # only mpf arguments are shared, so the rational integrands still run on intervals
     x = iv.mpf([0.25, 0.75])
     for got, want in [
@@ -412,10 +415,10 @@ def test_shared_memo_evaluates_an_interval_as_written(monkeypatch):
     ]:
         assert (got.a, got.b) == (want.a, want.b)
     # and a memo handed a value that is not an mpf computes it as written, storing nothing
-    monkeypatch.setattr(numeric, "_SHARED", {})
     z = mpc(3, 1)
-    assert numeric.MP.log_x(z) == log(z)
-    assert numeric._SHARED == {}
+    for memo, direct in SHARED_DIRECT:
+        assert memo(z) == direct(z)
+    assert numeric._shared.cache_info().currsize == 0
 
 
 # --- each evaluator keeps its operation order -------------------------------
@@ -471,8 +474,7 @@ def _pinned_forms():
 
 
 @pytest.mark.parametrize("bits", [320, 1088])
-def test_evaluators_match_their_written_out_expressions(bits, monkeypatch):
-    monkeypatch.setattr(numeric, "_SHARED", {})
+def test_evaluators_match_their_written_out_expressions(bits, cold_caches):
     with workprec(bits):
         xs = _pinned_nodes(bits)
         pinned = _pinned_forms()

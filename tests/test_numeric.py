@@ -369,21 +369,12 @@ def result_fields(results):
 
 
 @python_backend
-def test_catalog_is_bit_identical_with_python_bitcount_and_cold_caches(monkeypatch):
+def test_catalog_is_bit_identical_with_python_bitcount_and_cold_caches(request, monkeypatch):
     p = Precision(128)
     default = result_fields(identities.run_catalog(p, ids=DIFFERENTIAL_CHECKS))
     for module in mpmath_modules_holding(numeric._bit_length):
         monkeypatch.setattr(module, "bitcount", libintmath.python_bitcount)
-    for module, cache in [
-        (quadrature, "_TS_TABLES"),
-        (quadrature, "_TS_ABSCISSAE"),
-        (quadrature, "_GL_TABLES"),
-        (quadrature, "_TS_FIXED"),
-        (numeric, "_SHARED"),
-        (numeric, "_RAW_CACHE"),
-    ]:
-        monkeypatch.setattr(module, cache, {})
-    numeric.fixed_context.cache_clear()  # each width's constants and quotient memos
+    request.getfixturevalue("cold_caches")  # every node table, constant and memo rebuilt
     assert mpmath_modules_holding(numeric._bit_length) == []
     assert result_fields(identities.run_catalog(p, ids=DIFFERENTIAL_CHECKS)) == default
 

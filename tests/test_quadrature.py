@@ -31,9 +31,8 @@ def const_one():
     return Integrand(id="one", evaluator=lambda x: mpf(1), domain=(0, 1))
 
 
-def test_node_functions_refuse_out_of_range_input(monkeypatch, p64):
+def test_node_functions_refuse_out_of_range_input(cold_caches, p64):
     # a refused level builds nothing: level 30 would mean about 2^30 nodes
-    monkeypatch.setattr(quadrature, "_TS_TABLES", {})
     for level in (-1, quadrature.MAX_LEVEL + 1, 30):
         with pytest.raises(ValueError):
             tanh_sinh_nodes(level, p64)
@@ -105,23 +104,20 @@ def test_nodes_grow_with_level(p64):
     assert len(tanh_sinh_nodes(5, p64)) < len(tanh_sinh_nodes(6, p64))
 
 
-def test_ts_table_built_only_to_the_converged_level(monkeypatch, p128):
-    monkeypatch.setattr(quadrature, "_TS_TABLES", {})
+def test_ts_table_built_only_to_the_converged_level(cold_caches, p128):
     f = Integrand(id="lazy", evaluator=lambda x: 1 / (1 + x), domain=(0, 1))
     r = integrate(f, TanhSinh(), p128)
     assert r.level_or_order < quadrature.ts_level_cap(p128.guarded)
     assert len(quadrature._TS_TABLES[p128.guarded]) == r.level_or_order + 1
 
 
-def test_tanh_sinh_nodes_share_the_integrate_table(monkeypatch, p128):
-    monkeypatch.setattr(quadrature, "_TS_TABLES", {})
+def test_tanh_sinh_nodes_share_the_integrate_table(cold_caches, p128):
     tanh_sinh_nodes(6, p128)
     integrate(const_one(), TanhSinh(), p128)
     assert list(quadrature._TS_TABLES) == [p128.guarded]
 
 
-def test_ts_table_extended_lazily_matches_eager_build(monkeypatch):
-    monkeypatch.setattr(quadrature, "_TS_TABLES", {})
+def test_ts_table_extended_lazily_matches_eager_build(cold_caches):
     bits = 96
     quadrature._ts_levels(bits, 2)
     with workprec(53):  # levels are generated at their own width, not the caller's
@@ -438,6 +434,41 @@ def test_gl_nodes_match_mpmath(bits, degree):
             assert abs(w - rw) <= ldexp(1, -bits)
 
 
+def legendre_fixed(n, X, V):
+    """P_n(X / 2^V) 2^V by the three-term recurrence in integers, each step floored."""
+    p0, p1 = 1 << V, X
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((X * p1 >> V) * (2 * k - 1) - (k - 1) * p0) // k
+    return p1
+
+
+GL_BRACKETS = [(order, bits) for bits in (192, 320) for order in quadrature._gl_orders(128)] + [
+    (256, 576),
+    pytest.param(512, 1088, marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize("order, bits", GL_BRACKETS)
+def test_gl_nodes_bracket_a_root_of_p_n(order, bits):
+    # P_n changes sign across [x - 2^-gen_bits, x + 2^-gen_bits] about every stored
+    # positive node x, so a root of P_n lies within 2^-gen_bits of x.  P_n runs
+    # 64 bits past the builder's width W, where the recurrence carries ~n^2 units
+    # of 2^-(W + 64), and both ends must exceed n^2 units of 2^-W: each sign is
+    # then P_n's own with 2^64 to spare.
+    gen_bits = bits + 16
+    W = gen_bits + 32 + 2 * order.bit_length()
+    V = W + 64
+    half = quadrature._gl_halfline(order, bits)
+    assert len(half) == order // 2
+    for x, _ in half:
+        _sign, man, exp, _bc = x._mpf_
+        assert 0 < x < 1 and exp + V >= 0
+        X, step = man << (exp + V), 1 << (V - gen_bits)
+        lo, hi = (legendre_fixed(order, X + e, V) for e in (-step, step))
+        assert (lo < 0) != (hi < 0), x
+        assert min(abs(lo), abs(hi)) > order * order << 64, x
+
+
 def test_gl_order_1_is_the_center_node():
     assert quadrature._gl_halfline(1, 160) == ((0, 2),)
 
@@ -603,8 +634,7 @@ KERNEL_LIPSCHITZ = {
 }
 
 
-def test_kernel_integrands_have_the_lipschitz_constants_the_ladder_bound_states(monkeypatch):
-    monkeypatch.setattr(numeric, "_SHARED", {})
+def test_kernel_integrands_have_the_lipschitz_constants_the_ladder_bound_states(cold_caches):
     with workprec(80):
         h = ldexp(1, -36)  # the widest finite-difference step, at 109 bits
         params = [
