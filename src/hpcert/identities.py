@@ -1,10 +1,13 @@
 """The check catalog: one entry per certified identity, plus the runner.
 
-Each `IdentityCheck` compares two sides.  A side is an exact `ClosedForm`
-over the seven-constant basis (zero for route-against-route comparisons), a
-registered integrand's id (its integral's value), or a pipeline ctx -> mpf
-(accelerated series, a rational combination of sides, or a deviation
-max |x - y| between routes).  Every quadrature goes through
+Each `IdentityCheck` compares two sides, and every side is data: an exact
+`ClosedForm` over the seven-constant basis (zero for route-against-route
+comparisons), a registered integrand's id or an unregistered `Integrand` (its
+integral's value), a `Value` computed from the precision alone (a series or a
+closed value that no basis form writes), a `Combo` (a rational combination
+of sides), a `MaxGap` (the deviation max |x - y| between routes) or a
+`FiniteDifference` (a closed derivative against central differences of its
+family's integrals).  Every quadrature goes through
 `CheckContext.integrate`, which picks the catalog's rule, memoises the result
 per run and records it for the current check.  Each registered integrand is
 declared once, as expressions over `numeric`'s operation contexts: a 1D one
@@ -243,7 +246,40 @@ class QuadEstimate:
 
 TolerancePolicy = Union[Tol, TolExact, TolHalfBits, QuadEstimate]
 
-Side = Union[ClosedForm, str, Callable]
+
+@dataclass(frozen=True)
+class Value:
+    """fn(*args, pg): a value at the guarded precision that integrates nothing.
+
+    `fn` returns an mpf, or a `SeriesResult` whose terms the check counts.
+    """
+
+    fn: Callable
+    args: tuple = ()
+
+
+@dataclass(frozen=True)
+class Combo:
+    """The rational combination sum w * side over ((w, side), ...)."""
+
+    terms: tuple
+
+
+@dataclass(frozen=True)
+class MaxGap:
+    """The deviation max |x - y| over ((x, y), ...); each distinct side is evaluated once."""
+
+    pairs: tuple
+
+
+@dataclass(frozen=True)
+class FiniteDifference:
+    """Max |closed derivative - central finite difference| of family F or H over a in {0.3, 0.7, 1}."""
+
+    family: str
+
+
+Side = Union[ClosedForm, str, Integrand, Value, Combo, MaxGap, FiniteDifference]
 
 
 @dataclass(frozen=True)
@@ -273,17 +309,17 @@ class CheckResult:
 class CheckContext:
     """Shared per-run state: precision, the quadrature memo, and the record of one check.
 
-    Pipelines compose at the guarded precision `pg` (= p + guard bits) and
-    the single rounding to the reporting precision happens when the
+    Sides compose at the guarded precision `pg` (= p + guard bits) and the
+    single rounding to the reporting precision happens when the
     `CheckResult` is built; rounding each intermediate to p would otherwise
     dominate the tightest tolerances.
 
     The record is what the current check read: `read` maps every integrand it
     integrated, memo hits included, to its `QuadResult`, and `terms` counts the
-    terms of the series it summed through a counted series pipeline.
-    `run_check` resets the record before each check and derives from it the
-    check's `evaluations` (terms plus each distinct integral's evaluations)
-    and its `QuadEstimate` tolerance.
+    terms of the series it summed through a `Value` that returns a
+    `SeriesResult`.  `run_check` resets the record before each check and
+    derives from it the check's `evaluations` (terms plus each distinct
+    integral's evaluations) and its `QuadEstimate` tolerance.
     """
 
     def __init__(self, p):
@@ -304,95 +340,64 @@ class CheckContext:
         self.read[f] = hit
         return hit
 
-    def value(self, integrand_id):
-        """The integral of the registered integrand `integrand_id`."""
-        return self.integrate(get_integrand(integrand_id)).value
-
 
 def _side_value(side, ctx):
-    """One side of a check: a closed form, a registered integrand's integral, or a pipeline."""
+    """One side of a check, at the guarded precision."""
     if isinstance(side, ClosedForm):
         return eval_closed_form(side, ctx.pg)
     if isinstance(side, str):
-        return ctx.value(side)
-    return side(ctx)
+        return ctx.integrate(get_integrand(side)).value
+    if isinstance(side, Integrand):
+        return ctx.integrate(side).value
+    if isinstance(side, Value):
+        r = side.fn(*side.args, ctx.pg)
+        if isinstance(r, series.SeriesResult):
+            ctx.terms += r.terms_used
+            r = r.value
+        return r
+    if isinstance(side, Combo):
+        return sum(mpf(w.numerator) / w.denominator * _side_value(s, ctx) for w, s in side.terms)
+    if isinstance(side, MaxGap):
+        v = {s: _side_value(s, ctx) for s in dict.fromkeys(s for pair in side.pairs for s in pair)}
+        return max(abs(v[x] - v[y]) for x, y in side.pairs)
+    if isinstance(side, FiniteDifference):
+        return _finite_difference_gap(side.family, ctx)
+    raise CatalogError(f"{side!r} is not a check side")
 
 
-def _combo_pipe(weighted):
-    """Rational combination sum w_i * side_i."""
-    return lambda ctx: sum(mpf(w.numerator) / w.denominator * _side_value(s, ctx) for w, s in weighted)
-
-
-def _sigma_series_pipe(ctx):
-    r = series.sigma_series(ctx.pg, series.Crz(30))
-    ctx.terms += r.terms_used
-    return r.value
-
-
-def _eq03_pipe(ctx):
-    r = series.ln2_direct_partial(LN2_DIRECT_TERMS, ctx.pg)
-    ctx.terms += r.terms_used
-    return r.value
-
-
-def _eq04_pipe(ctx):
-    return max(
-        abs(series.tail(n, series.TailRoute.HARMONIC, ctx.pg).value - ctx.integrate(series.tail_integrand(n)).value)
-        for n in (1, 2, 3, 5, 10, 20)
-    )
-
-
-def _eq06_pipe(ctx):
-    ln2 = MP.ln2
+def _finite_difference_gap(family, ctx):
+    derivative = _f_prime_closed if family == "F" else _h_prime_closed
+    # step size keyed to the *reporting* precision; the quadratures are
+    # handed the guarded precision so the difference quotient does not
+    # amplify boundary rounding
+    h = _fd_step(ctx.p)
     dev = mpf(0)
-    for x0 in EQ06_GRID:
-        q = ctx.value(f"eq06_inner_{x0.numerator}_{x0.denominator}")
-        x = mpf(x0.numerator) / x0.denominator
-        x2 = x * x
-        closed = x2 / (1 + x2) * ln2 + log1p(x2) / (2 * (1 + x2)) - x * atan(x) / (1 + x2)
-        dev = max(dev, abs(q - closed))
+    for af in (F(3, 10), F(7, 10), F(1)):
+        with workprec(ctx.pg.guarded):
+            a = mpf(af.numerator) / af.denominator
+            closed = derivative(a)
+            up = ctx.integrate(_param_integrand(family, a + h, f"{af}+h")).value
+            dn = ctx.integrate(_param_integrand(family, a - h, f"{af}-h")).value
+            fd = (up - dn) / (2 * h)
+        dev = max(dev, abs(closed - fd))
     return dev
 
 
-def _funceq_pipe(ctx):
-    v = ctx.value
-    return max(abs(v("log_sin_full") - 2 * v("log_sin_half")), abs(v("log_cos_half") - v("log_sin_half")))
+def _harmonic_tail(n, p):
+    return series.tail(n, series.TailRoute.HARMONIC, p).value
 
 
-def _gap_pipe(a_id, b_id, w=1):
-    """|int a - w int b|; w is 1/2 or 1, so w*x is exact."""
-    return lambda ctx: abs(ctx.value(a_id) - w * ctx.value(b_id))
+def _eq06_closed(x0, p):
+    # the inner integral of Eq. (6) over [0, x0] in closed form
+    with workprec(p.bits):
+        x = mpf(x0.numerator) / x0.denominator
+        x2 = x * x
+        return x2 / (1 + x2) * MP.ln2 + log1p(x2) / (2 * (1 + x2)) - x * atan(x) / (1 + x2)
 
 
-def _li2_pipe(ctx):
-    # the CRZ sum is called directly, so its terms are not counted
-    s = series.ln1pt_over_t(ctx.pg)
-    q = ctx.value("ln1p_t_over_t")
-    cf = eval_closed_form(LI2_CF, ctx.pg)
-    return max(abs(s - q), abs(s - cf), abs(q - cf))
-
-
-def _param_grid_pipe(name):
-    """Max |closed derivative - central finite difference| over a in {0.3, 0.7, 1}."""
-    derivative = _f_prime_closed if name == "F" else _h_prime_closed
-
-    def run(ctx):
-        # step size keyed to the *reporting* precision; the quadratures are
-        # handed the guarded precision so the difference quotient does not
-        # amplify boundary rounding
-        h = _fd_step(ctx.p)
-        dev = mpf(0)
-        for af in (F(3, 10), F(7, 10), F(1)):
-            with workprec(ctx.pg.guarded):
-                a = mpf(af.numerator) / af.denominator
-                closed = derivative(a)
-                up = ctx.integrate(_param_integrand(name, a + h, f"{af}+h")).value
-                dn = ctx.integrate(_param_integrand(name, a - h, f"{af}-h")).value
-                fd = (up - dn) / (2 * h)
-            dev = max(dev, abs(closed - fd))
-        return dev
-
-    return run
+# each series is looked up at call time, so a wrapped module attribute sees the call
+_SIGMA_SERIES = Value(lambda p: series.sigma_series(p, series.Crz(30)))
+_LI2_SERIES = Value(lambda p: series.ln1pt_over_t(p))  # an mpf: its CRZ terms go uncounted
 
 
 CATALOG = (
@@ -400,7 +405,7 @@ CATALOG = (
         id="eq01_sigma_series",
         description="accelerated series sum (-1)^n a_n^2 equals G/2 + pi^2/48 - (7/8)(ln2)^2 - (pi/8)ln2",
         ref="Eq. (1)",
-        lhs=_sigma_series_pipe,
+        lhs=_SIGMA_SERIES,
         rhs=SIGMA_CF,
         tolerance_policy=Tol(-20),
     ),
@@ -408,7 +413,7 @@ CATALOG = (
         id="eq03_ln2",
         description=f"alternating harmonic partial sum of {LN2_DIRECT_TERMS} terms brackets ln2 within 1/(N+1)",
         ref="Eq. (3)",
-        lhs=_eq03_pipe,
+        lhs=Value(lambda p: series.ln2_direct_partial(LN2_DIRECT_TERMS, p)),
         rhs=LN2_CF,
         tolerance_policy=TolExact(F(1, LN2_DIRECT_TERMS + 1)),
     ),
@@ -416,7 +421,7 @@ CATALOG = (
         id="eq04_tail_routes",
         description="harmonic-tail route vs integral route for a_n, n in {1,2,3,5,10,20}",
         ref="Eqs. (2)-(4)",
-        lhs=_eq04_pipe,
+        lhs=MaxGap(tuple((Value(_harmonic_tail, (n,)), series.tail_integrand(n)) for n in (1, 2, 3, 5, 10, 20))),
         rhs=ZERO_CF,
         tolerance_policy=QuadEstimate(),
     ),
@@ -425,14 +430,16 @@ CATALOG = (
         description="double integral of -x^2 y^2/((1+x^2 y^2)(1+x)(1+y)) equals the series value",
         ref="Eq. (5)",
         lhs="sigma_double",
-        rhs=_sigma_series_pipe,
+        rhs=_SIGMA_SERIES,
         tolerance_policy=Tol(-20),
     ),
     IdentityCheck(
         id="eq06_inner",
         description="inner integral of u^2/((1+u^2)(u+x)) over [0,x] vs its closed form on a grid of x",
         ref="Eq. (6)",
-        lhs=_eq06_pipe,
+        lhs=MaxGap(
+            tuple((f"eq06_inner_{x.numerator}_{x.denominator}", Value(_eq06_closed, (x,))) for x in EQ06_GRID)
+        ),
         rhs=ZERO_CF,
         tolerance_policy=Tol(-40),
     ),
@@ -457,13 +464,7 @@ CATALOG = (
         description="B integral equals (I2 + I1 - int x ln(1+x^2)/(1+x^2))/2, all by quadrature",
         ref="Eq. (9)",
         lhs="b_integrand",
-        rhs=_combo_pipe(
-            [
-                (F(1, 2), "i2_integrand"),
-                (F(1, 2), "i1_integrand"),
-                (F(-1, 2), "x_ln_1px2_over_1px2"),
-            ]
-        ),
+        rhs=Combo(((F(1, 2), "i2_integrand"), (F(1, 2), "i1_integrand"), (F(-1, 2), "x_ln_1px2_over_1px2"))),
         tolerance_policy=Tol(-40),
     ),
     IdentityCheck(
@@ -510,7 +511,7 @@ CATALOG = (
         id="app1_logsine_funceq",
         description="functional equation: int_0^pi ln sin = 2 int_0^{pi/2} ln sin and cos/sin symmetry",
         ref="Appendix 1",
-        lhs=_funceq_pipe,
+        lhs=MaxGap((("log_sin_full", Combo(((F(2), "log_sin_half"),))), ("log_cos_half", "log_sin_half"))),
         rhs=ZERO_CF,
         tolerance_policy=Tol(-40),
     ),
@@ -526,7 +527,7 @@ CATALOG = (
         id="app2_middle",
         description="int ln(1+a^2)/(a(1+a^2)) da equals half of int ln(1+t)/(t(1+t)) dt",
         ref="Appendix 2",
-        lhs=_gap_pipe("middle_alpha", "middle_t", 0.5),
+        lhs=MaxGap((("middle_alpha", Combo(((F(1, 2), "middle_t"),))),)),
         rhs=ZERO_CF,
         tolerance_policy=Tol(-40),
     ),
@@ -534,7 +535,7 @@ CATALOG = (
         id="app2_li2",
         description="sum (-1)^(n-1)/n^2, int ln(1+t)/t, and pi^2/12 agree pairwise",
         ref="Appendix 2",
-        lhs=_li2_pipe,
+        lhs=MaxGap(((_LI2_SERIES, "ln1p_t_over_t"), (_LI2_SERIES, LI2_CF), ("ln1p_t_over_t", LI2_CF))),
         rhs=ZERO_CF,
         tolerance_policy=Tol(-40),
     ),
@@ -551,13 +552,7 @@ CATALOG = (
         description="C integral equals (I3 - int x arctan x/(1+x^2) - int arctan x/(1+x^2))/2",
         ref="Eq. (14)",
         lhs="c_integrand",
-        rhs=_combo_pipe(
-            [
-                (F(1, 2), "i3_integrand"),
-                (F(-1, 2), "eq17_integrand"),
-                (F(-1, 2), "eq16_integrand"),
-            ]
-        ),
+        rhs=Combo(((F(1, 2), "i3_integrand"), (F(-1, 2), "eq17_integrand"), (F(-1, 2), "eq16_integrand"))),
         tolerance_policy=Tol(-40),
     ),
     IdentityCheck(
@@ -596,7 +591,7 @@ CATALOG = (
         id="app2_F_derivative",
         description="closed F'(a) vs central finite differences at a in {0.3, 0.7, 1}",
         ref="Appendix 2",
-        lhs=_param_grid_pipe("F"),
+        lhs=FiniteDifference("F"),
         rhs=ZERO_CF,
         tolerance_policy=TolHalfBits(),
     ),
@@ -604,7 +599,7 @@ CATALOG = (
         id="app2_F_reconstruct",
         description="int_0^1 F' da reproduces F(1) = I2",
         ref="Appendix 2",
-        lhs=_gap_pipe("f_prime_closed", "i2_integrand"),
+        lhs=MaxGap((("f_prime_closed", "i2_integrand"),)),
         rhs=ZERO_CF,
         tolerance_policy=Tol(-35),
     ),
@@ -612,7 +607,7 @@ CATALOG = (
         id="app3_H_derivative",
         description="closed H'(a) vs central finite differences at a in {0.3, 0.7, 1}",
         ref="Appendix 3",
-        lhs=_param_grid_pipe("H"),
+        lhs=FiniteDifference("H"),
         rhs=ZERO_CF,
         tolerance_policy=TolHalfBits(),
     ),
@@ -620,7 +615,7 @@ CATALOG = (
         id="app3_H_reconstruct",
         description="int_0^1 H' da reproduces H(1) = I3",
         ref="Appendix 3",
-        lhs=_gap_pipe("h_prime_closed", "i3_integrand"),
+        lhs=MaxGap((("h_prime_closed", "i3_integrand"),)),
         rhs=ZERO_CF,
         tolerance_policy=Tol(-35),
     ),
@@ -636,20 +631,17 @@ def catalog():
     return CATALOG
 
 
-_SERIES_PIPES = (_sigma_series_pipe, _eq03_pipe)  # the pipelines that integrate nothing
-
-
 def precision_floor(checks, tolerance_exponent_override=None):
     """Least bits at which the checks' quadratures can meet their tightest `Tol`.
 
     Quadratures stop at 2^-(bits + GUARD_BITS - STOP_MARGIN), coarser than 10^E below
-    ceil(-E log2 10) - (GUARD_BITS - STOP_MARGIN) bits; closed forms and series have no floor.
+    ceil(-E log2 10) - (GUARD_BITS - STOP_MARGIN) bits; a `ClosedForm` or a `Value` has no floor.
     """
     override = tolerance_exponent_override
     exponents = []
     for c in checks:
         policy = c.tolerance_policy if override is None else Tol(override)
-        quad = any(not isinstance(s, ClosedForm) and s not in _SERIES_PIPES for s in (c.lhs, c.rhs))
+        quad = any(not isinstance(s, (ClosedForm, Value)) for s in (c.lhs, c.rhs))
         if quad and isinstance(policy, Tol):
             exponents.append(policy.exponent)
     bits = math.ceil(-min(exponents, default=0) * math.log2(10))

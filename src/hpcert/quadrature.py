@@ -274,8 +274,8 @@ def tanh_sinh_nodes(level, p):
     at p (keyed at p.guarded).  The list is symmetric about 0 and all weights
     are positive.
     """
-    if not 0 <= level <= MAX_LEVEL:
-        raise ValueError(f"level must lie in [0, {MAX_LEVEL}]")
+    if not isinstance(level, int) or not 0 <= level <= MAX_LEVEL:
+        raise ValueError(f"level must be an int in [0, {MAX_LEVEL}]")
     levels = _ts_levels(p.guarded, level)
     # descending delta is ascending t, a total order even where the rounded
     # abscissae collide at +-1
@@ -427,8 +427,8 @@ def _gl_halfline(order, bits):
 
 def gauss_legendre_nodes(order, p):
     """Full symmetric node/weight list of the n-point rule on [-1, 1]."""
-    if not MIN_ORDER <= order <= MAX_ORDER:
-        raise ValueError(f"order must lie in [{MIN_ORDER}, {MAX_ORDER}]")
+    if not isinstance(order, int) or not MIN_ORDER <= order <= MAX_ORDER:
+        raise ValueError(f"order must be an int in [{MIN_ORDER}, {MAX_ORDER}]")
     half = _gl_halfline(order, p.guarded)
     with workprec(p.bits):
         pos = [(+x, +w) for x, w in half if x != 0]

@@ -96,6 +96,11 @@ def _paired_alternating(first, last):
     return ldexp(mpf(s), -W)
 
 
+def _require_count(n, name):
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"{name} must be an int >= 1")
+
+
 def tail_integrand(n):
     """The integral route's integrand x^(2n)/(1+x) on [0, 1]."""
     e = 2 * n
@@ -104,8 +109,7 @@ def tail_integrand(n):
 
 def tail(n, route, p):
     """Compute a_n by the requested route at precision p."""
-    if n < 1:
-        raise ValueError("tail index must be >= 1")
+    _require_count(n, "tail index")
     g = p.guarded
     if route is TailRoute.HARMONIC:
         return TailTerm(n, round_to(_harmonic_tails([n], g)[0], p), route)
@@ -136,8 +140,7 @@ def sum_alternating(coeffs, m, p):
     decrease over the terms actually used.
     """
     terms = m.terms
-    if terms < 1:
-        raise ValueError("method needs terms >= 1")
+    _require_count(terms, "method terms")
     g = p.guarded
     if isinstance(m, Direct):
         with workprec(g):
@@ -165,6 +168,7 @@ def sigma_series(p, method):
     x^(2n)/(1+x)), so CRZ converges geometrically; 30 terms already give
     ~28 correct digits.  Returns the (negative) sum itself.
     """
+    _require_count(method.terms, "method terms")
     g = p.guarded
     vals = _harmonic_tails(range(1, method.terms + 2), g)
     with workprec(g):
@@ -180,6 +184,7 @@ def ln2_direct_partial(terms, p):
     Far too slow to *compute* ln2 with -- kept as the bracketing certificate
     that the accelerated constant agrees with the defining series.
     """
+    _require_count(terms, "terms")
     g = p.guarded
     with workprec(g):
         s = _paired_alternating(1, terms)

@@ -24,17 +24,22 @@ from hpcert.identities import (
     LN2_DIRECT_TERMS,
     SIGMA_CF,
     CheckContext,
+    Combo,
+    FiniteDifference,
     IdentityCheck,
+    MaxGap,
     Tol,
     TolExact,
+    Value,
     _f_prime_closed,
     _fd_step,
     _h_prime_closed,
     _param_integrand,
     get_integrand,
+    precision_floor,
 )
 from hpcert.numeric import constant_value, round_to
-from hpcert.quadrature import GaussLegendre, TanhSinh, integrate, integrate_2d
+from hpcert.quadrature import GaussLegendre, Integrand, TanhSinh, integrate, integrate_2d
 from oracle_values import (
     A_VALUE,
     B_VALUE,
@@ -86,13 +91,39 @@ def test_catalog_contents():
     assert SPEC_IDS <= set(ids)
 
 
+def _leaves(side):
+    """The sides under `side`, with every nested `Combo` and `MaxGap` opened."""
+    if isinstance(side, Combo):
+        return [leaf for _, s in side.terms for leaf in _leaves(s)]
+    if isinstance(side, MaxGap):
+        return [leaf for pair in side.pairs for s in pair for leaf in _leaves(s)]
+    return [side]
+
+
 def test_catalog_rhs_stays_in_basis():
+    forms = set()
     for c in catalog():
-        for side in (c.lhs, c.rhs):
-            if isinstance(side, ClosedForm):
-                assert all(coeff != 0 for _, coeff in side.items)
+        for leaf in _leaves(c.lhs) + _leaves(c.rhs):
+            # every leaf is data: no bare callable stands in for a side
+            assert isinstance(leaf, (ClosedForm, str, Integrand, Value, FiniteDifference)), (c.id, leaf)
+            if isinstance(leaf, str):
+                get_integrand(leaf)
+            if isinstance(leaf, ClosedForm):
+                forms.add(leaf)
+                assert all(coeff != 0 for _, coeff in leaf.items)
                 # constructing the form already rejects foreign tags; spot-check
-                assert len(side.items) <= 7
+                assert len(leaf.items) <= 7
+    assert identities.LI2_CF in forms  # nested in app2_li2's MaxGap
+
+
+def test_only_checks_that_integrate_nothing_have_no_precision_floor():
+    # a side that is neither a closed form nor a `Value` may integrate, so it has a floor
+    assert [c.id for c in catalog() if precision_floor([c], -40) < 64] == [
+        "eq01_sigma_series",
+        "eq03_ln2",
+        "eq07_assembly",
+    ]
+    assert precision_floor(catalog()) == 109
 
 
 def test_run_check_eq08(p128):
@@ -134,7 +165,7 @@ def test_eq05_rhs_is_the_series_value(p128):
     assert r.evaluations == ctx.integrate(get_integrand("sigma_double")).evaluations + 30
 
 
-# the series terms each check sums through a counted series pipeline
+# the series terms each check sums through a `Value` that returns a `SeriesResult`
 SERIES_TERMS = {"eq01_sigma_series": 30, "eq03_ln2": LN2_DIRECT_TERMS, "eq05_sigma_2d": 30}
 
 
@@ -535,7 +566,7 @@ def kernel_cases(width):
     """(integrand, exact reference) for every kernel a ladder at `width` bits sums.
 
     The F/H integrands take a = 0.3, 0.7, 1 plus and minus the step, rounded
-    at `width` as `_param_grid_pipe` rounds them; the references are the same
+    at `width` as `FiniteDifference` rounds them; the references are the same
     families built and evaluated far wider, so they are exact to well below a
     unit.  Every registered kernel is checked against its own evaluator, run wider.
     """

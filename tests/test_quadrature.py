@@ -32,14 +32,16 @@ def const_one():
 
 
 def test_node_functions_refuse_out_of_range_input(cold_caches, p64):
-    # a refused level builds nothing: level 30 would mean about 2^30 nodes
-    for level in (-1, quadrature.MAX_LEVEL + 1, 30):
+    # a refused level or order builds nothing: level 30 would mean about 2^30 nodes,
+    # and a float one would build its levels before failing on a slice
+    for level in (-1, quadrature.MAX_LEVEL + 1, 30, 2.0):
         with pytest.raises(ValueError):
             tanh_sinh_nodes(level, p64)
-    for order in (quadrature.MIN_ORDER - 1, quadrature.MAX_ORDER + 1):
+    for order in (quadrature.MIN_ORDER - 1, quadrature.MAX_ORDER + 1, 8.0):
         with pytest.raises(ValueError):
             gauss_legendre_nodes(order, p64)
     assert quadrature._TS_TABLES == {}
+    assert quadrature._gl_halfline.cache_info().currsize == 0
 
 
 # --- refinement caps ----------------------------------------------------------

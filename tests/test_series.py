@@ -59,8 +59,20 @@ def test_tail_strictly_decreasing(p128):
 
 
 def test_tail_rejects_bad_n(p64):
-    with pytest.raises(ValueError):
-        tail(0, TailRoute.HARMONIC, p64)
+    for n in (0, 1.5):
+        with pytest.raises(ValueError):
+            tail(n, TailRoute.HARMONIC, p64)
+
+
+@pytest.mark.parametrize("method", [Direct, Euler, Crz])
+def test_series_refuse_a_count_that_is_not_a_positive_int(method, p64):
+    for terms in (0, 2.5):
+        with pytest.raises(ValueError):
+            sum_alternating(lambda k: mpf(1) / (k + 1), method(terms), p64)
+        with pytest.raises(ValueError):
+            sigma_series(p64, method(terms))
+        with pytest.raises(ValueError):
+            ln2_direct_partial(terms, p64)
 
 
 def test_sigma_partial_frozen(p128):
