@@ -46,8 +46,14 @@ class Report:
     precision_bits: int
     started_at: str
     checks: list = field(default_factory=list)
-    passed_count: int = 0
-    failed_count: int = 0
+
+    @property
+    def passed_count(self):
+        return sum(1 for r in self.checks if r.passed)
+
+    @property
+    def failed_count(self):
+        return len(self.checks) - self.passed_count
 
 
 def _selected(pattern):
@@ -79,15 +85,7 @@ def build_report(precision_bits, filter, tolerance_exponent, jobs, no_timestamp)
         jobs=jobs,
         tolerance_exponent_override=tolerance_exponent,
     )
-    passed = sum(1 for r in results if r.passed)
-    return Report(
-        tool_version=__version__,
-        precision_bits=precision_bits,
-        started_at=started,
-        checks=results,
-        passed_count=passed,
-        failed_count=len(results) - passed,
-    )
+    return Report(tool_version=__version__, precision_bits=precision_bits, started_at=started, checks=results)
 
 
 def render_json(report, no_timestamp=False):

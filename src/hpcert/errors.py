@@ -6,16 +6,7 @@ class VerificationError(Exception):
 
 
 class NonconvergenceError(VerificationError):
-    """An iterative scheme exhausted its budget before meeting its target.
-
-    Carries the best value reached so the caller can still inspect it.
-    """
-
-    def __init__(self, message, value=None, error_estimate=None, evaluations=0):
-        super().__init__(message)
-        self.value = value
-        self.error_estimate = error_estimate
-        self.evaluations = evaluations
+    """An iterative scheme exhausted its budget before meeting its target."""
 
 
 class DomainError(VerificationError):

@@ -73,7 +73,7 @@ LOGSINE_CF = ClosedForm({PI_LN2: F(-1, 2)})
 LI2_CF = ClosedForm({PI_SQ: F(1, 12)})
 CATALAN_CF = ClosedForm({CATALAN: F(1)})
 LN2_CF = ClosedForm({LN2: F(1)})
-ZERO_CF = ClosedForm.zero()
+ZERO_CF = ClosedForm()
 # Eq. (7) as an exact rational identity: A ln2 + B/2 + C = -sigma.  The two
 # forms are equal coefficient by coefficient, so they evaluate to the same mpf.
 ASSEMBLY_CF = cf_add(cf_add(cf_mul_ln2(A_CF), cf_scale(B_CF, F(1, 2))), C_CF)
@@ -710,6 +710,8 @@ def run_catalog(p, ids=None, jobs=1, tolerance_exponent_override=None):
     report is deterministic either way.
     """
     checks = CATALOG
+    if isinstance(ids, str):
+        raise TypeError(f"ids must be a list of check ids, not the string {ids!r}")
     if ids is not None:
         wanted = set(ids)
         unknown = wanted - _BY_ID.keys()

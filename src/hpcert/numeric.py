@@ -31,8 +31,8 @@ import math
 import sys
 from types import SimpleNamespace
 
-from mpmath import atan, cos, isfinite, ldexp, libmp, log, log1p, mag, mp, mpf, sin, workprec
-from mpmath.libmp import libintmath, mpf_cos_sin, round_nearest, to_fixed
+from mpmath import atan, cos, cos_sin, isfinite, ldexp, libmp, log, log1p, mag, mp, mpf, sin, workprec
+from mpmath.libmp import libintmath, round_nearest, to_fixed
 from mpmath.libmp import mpf_catalan, mpf_ln2, mpf_pi
 from mpmath.libmp.libelefun import atan_taylor, ln2_fixed, log_taylor_cached
 
@@ -104,11 +104,6 @@ def ulp(x, bits):
 def _shared(fn, x, prec):
     """fn of the mpf whose raw value is x, at the ambient width `prec`."""
     return fn(mp.make_mpf(x))
-
-
-def _cos_sin(t):
-    """(cos t, sin t), each rounded exactly as `cos` and `sin` round it."""
-    return tuple(mp.make_mpf(v) for v in mpf_cos_sin(t._mpf_, *mp._prec_rounding))
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +231,11 @@ class _MpContext:
     log1p_sq_over = staticmethod(lambda x: log1p(x2 := x * x) / x2 if x else mpf(1))
     atan_over = staticmethod(lambda t: atan(t) / t if t else mpf(1))
     log = staticmethod(log)
-    # ln x of an abscissa, shared by the ln-x pair, and cos t and sin t, by the log-sine pair
+    # ln x of an abscissa, shared by the ln-x pair, and cos t and sin t, by the log-sine pair;
+    # `cos_sin` rounds each of the two as `cos` and `sin` do
     log_x = staticmethod(lambda x: _shared(log, x._mpf_, mp.prec) if isinstance(x, mpf) else log(x))
-    cos = staticmethod(lambda t: _shared(_cos_sin, t._mpf_, mp.prec)[0] if isinstance(t, mpf) else cos(t))
-    sin = staticmethod(lambda t: _shared(_cos_sin, t._mpf_, mp.prec)[1] if isinstance(t, mpf) else sin(t))
+    cos = staticmethod(lambda t: _shared(cos_sin, t._mpf_, mp.prec)[0] if isinstance(t, mpf) else cos(t))
+    sin = staticmethod(lambda t: _shared(cos_sin, t._mpf_, mp.prec)[1] if isinstance(t, mpf) else sin(t))
 
 
 MP = _MpContext()
@@ -301,6 +297,12 @@ _MPF_CONSTANTS = {
     BasisConstant.LN2: mpf_ln2,
     BasisConstant.CATALAN: mpf_catalan,
 }
+_PRODUCTS = {
+    BasisConstant.LN2_SQ: (BasisConstant.LN2, BasisConstant.LN2),
+    BasisConstant.PI_LN2: (BasisConstant.PI, BasisConstant.LN2),
+    BasisConstant.PI_SQ: (BasisConstant.PI, BasisConstant.PI),
+}
+
 
 @cache
 def constant_value(tag, bits):
@@ -309,17 +311,11 @@ def constant_value(tag, bits):
         return mpf(1)
     if tag in _MPF_CONSTANTS:
         return mp.make_mpf(_MPF_CONSTANTS[tag](bits, round_nearest))
+    if tag not in _PRODUCTS:
+        raise BasisError(f"unknown basis tag {tag!r}")
+    a, b = _PRODUCTS[tag]
     with workprec(bits + 8):
-        if tag is BasisConstant.LN2_SQ:
-            r = constant_value(BasisConstant.LN2, bits + 8)
-            value = r * r
-        elif tag is BasisConstant.PI_LN2:
-            value = constant_value(BasisConstant.PI, bits + 8) * constant_value(BasisConstant.LN2, bits + 8)
-        elif tag is BasisConstant.PI_SQ:
-            r = constant_value(BasisConstant.PI, bits + 8)
-            value = r * r
-        else:
-            raise BasisError(f"unknown basis tag {tag!r}")
+        value = constant_value(a, bits + 8) * constant_value(b, bits + 8)
     with workprec(bits):
         return +value
 
@@ -369,10 +365,6 @@ class ClosedForm:
             )
         )
         object.__setattr__(self, "items", items)
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     @property
     def coefficients(self):

@@ -27,7 +27,7 @@ from functools import cache, partial
 from typing import Callable, Optional
 
 from mpmath import exp, isfinite, ldexp, mp, mpc, mpf, pi, workprec
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import to_fixed
 from mpmath.libmp.libelefun import pi_fixed
 
 from .errors import DomainError, NonconvergenceError
@@ -44,14 +44,11 @@ class PiMultiple:
 
     coef: Fraction
 
-    def resolve(self):
-        c = Fraction(self.coef)
-        return pi * c.numerator / c.denominator
-
 
 def _endpoint_value(e):
     if isinstance(e, PiMultiple):
-        return e.resolve()
+        c = Fraction(e.coef)
+        return pi * c.numerator / c.denominator
     f = Fraction(e)
     return mpf(f.numerator) / f.denominator
 
@@ -194,10 +191,7 @@ def _refine(ladder, p, rule, cap):
         else:
             raise NonconvergenceError(
                 f"{rule} did not reach 2^-{p.bits - STOP_MARGIN} by {cap}"
-                f" (last difference {mp.nstr(est, 8)})",
-                value=T,
-                error_estimate=est,
-                evaluations=evals,
+                f" (last difference {mp.nstr(est, 8)})"
             )
     return QuadResult(
         value=round_to(T, p),
@@ -355,14 +349,15 @@ def _ts_fixed_ladder(integrand, cap, bits):
     W = bits + FIXED_EXTRA_BITS
     f = partial(integrand.expr, fixed_context(W))
     A, B, _ = _fixed_interval(integrand.domain, W)
-    _sign, hman, hexp, _bc = _interval(integrand.domain)[2]._mpf_  # halfw, as `_ts_ladder` reads it
+    sign, hman, hexp, _bc = _interval(integrand.domain)[2]._mpf_  # halfw, as `_ts_ladder` reads it
+    hman = -hman if sign else hman  # halfw < 0 on a domain (a, b) with b < a
     S = (pi_fixed(W) >> 1) * f((A + B) >> 1)
     evals = 1
     for lev in range(1, cap + 1):
         nodes = _ts_fixed_nodes(integrand.domain, bits, lev)
         S += sum(w * (f(x1) + f(x2)) for x1, x2, w in nodes)
         evals += 2 * len(nodes)
-        yield lev, mp.make_mpf(from_man_exp(S * hman, hexp - 2 * W - lev, *mp._prec_rounding)), evals
+        yield lev, ldexp(mpf(S * hman), hexp - 2 * W - lev), evals
 
 
 # ---------------------------------------------------------------------------

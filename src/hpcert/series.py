@@ -32,9 +32,7 @@ class TailRoute(Enum):
 
 @dataclass(frozen=True)
 class TailTerm:
-    n: int
     value: mpf
-    route: TailRoute
     # INTEGRAL: the quadrature's |T_k - T_{k-1}| estimate, not a bound;
     # HARMONIC: None, as its only error is the final rounding
     error_bound: Optional[mpf] = None
@@ -112,10 +110,10 @@ def tail(n, route, p):
     _require_count(n, "tail index")
     g = p.guarded
     if route is TailRoute.HARMONIC:
-        return TailTerm(n, round_to(_harmonic_tails([n], g)[0], p), route)
+        return TailTerm(round_to(_harmonic_tails([n], g)[0], p))
     if route is TailRoute.INTEGRAL:
         q = integrate(tail_integrand(n), TanhSinh(), p)
-        return TailTerm(n, q.value, route, q.error_estimate)
+        return TailTerm(q.value, q.error_estimate)
     raise ValueError(f"unknown tail route {route!r}")
 
 

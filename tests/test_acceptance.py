@@ -28,7 +28,7 @@ from hpcert import (
     sigma_series,
     tail,
 )
-from hpcert.cli import EPOCH_TIMESTAMP, Report, build_report, render_json
+from hpcert.cli import EPOCH_TIMESTAMP, Report, build_report, render_json, render_text
 from hpcert.identities import SIGMA_CF, CheckContext, _fd_step, get_integrand
 from hpcert.numeric import BasisConstant, constant_value
 from hpcert.quadrature import GaussLegendre
@@ -40,6 +40,7 @@ ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_256 = ROOT / "perfbench" / "reference" / "cat256.json"
 REFERENCE_APP_256 = ROOT / "perfbench" / "reference" / "app256.json"
 REFERENCE_512 = ROOT / "perfbench" / "reference" / "cat512.json"
+GOLDEN_TEXT_256 = ROOT / "tests" / "golden" / "cat256.txt"
 REFERENCE_FIELDS = ("lhs", "rhs", "abs_error", "tolerance", "passed", "evaluations")
 
 QUADRATURE_CHECK_IDS = [
@@ -300,9 +301,7 @@ def test_reports_match_the_recorded_reference(cat256):
     # the benchmark checks its runs against the same file; pinning it here
     # catches a digit change before a benchmark run does
     results, _ = cat256
-    checks = list(results.values())
-    passed = sum(r.passed for r in checks)
-    report = Report(__version__, P256.bits, EPOCH_TIMESTAMP, checks, passed, len(checks) - passed)
+    report = Report(__version__, P256.bits, EPOCH_TIMESTAMP, list(results.values()))
     rendered_bytes = render_json(report, no_timestamp=True)
     rendered = json.loads(rendered_bytes)["checks"]
     reference = json.loads(REFERENCE_256.read_text(encoding="utf-8"))["checks"]
@@ -312,6 +311,13 @@ def test_reports_match_the_recorded_reference(cat256):
             assert got[key] == want[key], f"{got['id']}.{key}: {got[key]} != {want[key]}"
     # descriptions, references, order and the header as well
     assert rendered_bytes == REFERENCE_256.read_bytes()
+
+
+def test_text_report_matches_its_golden(cat256):
+    # the default `verify --no-timestamp` report, recorded byte for byte
+    results, _ = cat256
+    report = Report(__version__, P256.bits, EPOCH_TIMESTAMP, list(results.values()))
+    assert render_text(report, no_timestamp=True) == GOLDEN_TEXT_256.read_text(encoding="utf-8")
 
 
 def test_appendix_report_after_a_warm_catalog_matches_its_reference(cat256):

@@ -289,7 +289,7 @@ def test_catalog_error_on_unregistered():
         description="refers to a missing integrand",
         ref="-",
         lhs="no_such_integrand",
-        rhs=ClosedForm.zero(),
+        rhs=ClosedForm(),
         tolerance_policy=Tol(-10),
     )
     with pytest.raises(CatalogError):
@@ -301,6 +301,9 @@ def test_run_catalog_selection_and_order(p128):
     assert [r.id for r in rs] == ["eq08_A", "eq10"]  # catalog order, not request order
     with pytest.raises(CatalogError):
         run_catalog(p128, ids=["nope"])
+    # a bare string would otherwise be read as a list of one-character ids
+    with pytest.raises(TypeError, match="list of check ids"):
+        run_catalog(p128, ids="eq01_sigma_series")
 
 
 class _RecordingPool:

@@ -241,7 +241,7 @@ def test_closed_form_rejects_non_basis_keys():
 
 def test_eval_closed_form_identity(p128):
     assert eval_closed_form(ClosedForm({ONE: 1}), p128) == 1
-    assert eval_closed_form(ClosedForm.zero(), p128) == 0
+    assert eval_closed_form(ClosedForm(), p128) == 0
 
 
 def test_eval_closed_form_sigma(p256):
@@ -260,8 +260,8 @@ def test_eval_closed_form_i3(p256):
 
 def test_cf_add_zero_and_scale_zero():
     x = ClosedForm({LN2_T: Fraction(3, 4), PI_T: Fraction(-1, 8)})
-    assert cf_add(x, ClosedForm.zero()) == x
-    assert cf_scale(x, 0) == ClosedForm.zero()
+    assert cf_add(x, ClosedForm()) == x
+    assert cf_scale(x, 0) == ClosedForm()
     assert cf_scale(x, 1) == x
 
 

@@ -666,6 +666,15 @@ def test_integrate_sums_a_declared_kernel_on_the_same_steps(p256):
         assert abs(got.value - want.value) <= ldexp(1, -(p256.bits - 1))
 
 
+def test_integrate_sums_a_declared_kernel_over_a_reversed_domain(p128):
+    # halfw < 0: the integer ladder keeps its sign, as the mpf ladder does
+    f = quadrature.expression("x_sq_from_1_to_0", lambda c, x: c.sq(x), domain=(1, 0))
+    got = integrate(f, TanhSinh(), p128)
+    want = integrate(dataclasses.replace(f, expr=None), TanhSinh(), p128)
+    assert want.value < 0
+    assert abs(got.value - want.value) <= ldexp(1, -(p128.bits - 1))
+
+
 def test_each_integer_ladder_looks_up_its_context_once(monkeypatch, p128):
     # a 1D ladder binds its kernel once, and eq05 its h once per rung: no lookup per evaluation
     calls = []

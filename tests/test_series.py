@@ -39,7 +39,6 @@ def test_tail_routes_agree(n, p128):
     harm = tail(n, TailRoute.HARMONIC, p128)
     quad = tail(n, TailRoute.INTEGRAL, p128)
     assert abs(harm.value - quad.value) <= 8 * quad.error_bound + ldexp(1, -120)
-    assert quad.route is TailRoute.INTEGRAL
 
 
 def test_tail_rational_bounds_up_to_64(p256):
