@@ -1,8 +1,12 @@
 """The `verify` command line: run the catalog, emit a text or JSON report.
 
 Report goes to stdout, diagnostics to stderr.  Exit codes: 0 all selected
-checks passed, 1 at least one failed, 2 usage error, 3 internal error
-(nonconvergence and friends).  A stdout closed by its reader, as in
+checks passed, 1 at least one failed, 2 usage error (argparse prints its
+usage line and the message; a filter or precision the catalog refuses prints
+the message alone), 3 internal error.  Exit 3 comes either with no report,
+the error's type and message on stderr, or with the full report, in which
+each check that could not be computed (a nonconvergence, a non-finite value)
+prints ERROR and counts as failed.  A stdout closed by its reader, as in
 ``verify --list | head -1``, ends the `verify` command quietly by SIGPIPE,
 as it ends a C tool: no message, and no exit code of its own.
 
@@ -23,7 +27,6 @@ from dataclasses import dataclass, field
 from mpmath import nstr
 
 from . import __version__
-from .errors import VerificationError
 from .identities import catalog, precision_floor, run_catalog
 from .numeric import Precision
 
@@ -91,6 +94,10 @@ def build_report(precision_bits, filter, tolerance_exponent, jobs, no_timestamp)
 def render_json(report, no_timestamp=False):
     """UTF-8 JSON bytes with a fixed key order and decimal-string numerics."""
     digits = Precision(report.precision_bits).decimal_digits
+
+    def number(v):  # a check that could not be computed has no values
+        return None if v is None else nstr(v, digits)
+
     checks = []
     for r in report.checks:
         checks.append(
@@ -98,15 +105,17 @@ def render_json(report, no_timestamp=False):
                 "id": r.id,
                 "description": r.description,
                 "paper_ref": r.ref,
-                "lhs": nstr(r.lhs_value, digits),
-                "rhs": nstr(r.rhs_value, digits),
-                "abs_error": nstr(r.abs_error, digits),
-                "tolerance": nstr(r.tolerance, digits),
+                "lhs": number(r.lhs_value),
+                "rhs": number(r.rhs_value),
+                "abs_error": number(r.abs_error),
+                "tolerance": number(r.tolerance),
                 "passed": r.passed,
                 "evaluations": r.evaluations,
                 "elapsed_ms": 0 if no_timestamp else r.elapsed_ms,
             }
         )
+        if r.error is not None:
+            checks[-1]["error"] = r.error
     doc = {
         "tool_version": report.tool_version,
         "precision_bits": report.precision_bits,
@@ -125,6 +134,9 @@ def render_text(report, no_timestamp=False):
     ]
     width = max((len(r.id) for r in report.checks), default=0)
     for r in report.checks:
+        if r.error is not None:
+            lines.append(f"ERROR {r.id:<{width}}  {r.error}  [{r.ref}]")
+            continue
         status = "PASS" if r.passed else "FAIL"
         err = nstr(r.abs_error, 3)
         tol = nstr(r.tolerance, 3)
@@ -154,13 +166,8 @@ def _positive_int(text):
     return n
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-
 def _build_parser():
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="verify",
         description="Recompute every identity in the catalog and certify it "
         "against its closed form.",
@@ -185,10 +192,7 @@ def main(argv=None):
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"verify: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:  # argparse --help
+    except SystemExit as exc:  # argparse's --help (0) and its usage errors (2)
         return int(exc.code or 0)
 
     try:
@@ -200,10 +204,7 @@ def main(argv=None):
     except _UsageError as exc:
         print(f"verify: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except VerificationError as exc:
-        print(f"verify: internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except Exception as exc:  # defensive: anything else is still "internal"
+    except Exception as exc:  # no report: an error outside any one check's computation
         print(f"verify: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
@@ -212,6 +213,8 @@ def main(argv=None):
         sys.stdout.buffer.flush()
     else:
         sys.stdout.write(render_text(report, no_timestamp=ns.no_timestamp))
+    if any(r.error is not None for r in report.checks):
+        return EXIT_INTERNAL
     return EXIT_OK if report.failed_count == 0 else EXIT_CHECK_FAILED
 
 

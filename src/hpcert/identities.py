@@ -14,9 +14,10 @@ declared once, as expressions over `numeric`'s operation contexts: a 1D one
 is its mpf evaluator and, when bounded, the integer kernel that the tanh-sinh
 ladder sums; eq05's product form is its mpf g and integer h.  `run_check`
 evaluates both sides at the requested precision, applies the check's
-tolerance policy and reads `evaluations` off the context's record;
-`run_catalog` executes a filtered selection in catalog order, optionally on a
-process pool.
+tolerance policy and reads `evaluations` off the context's record; a
+nonconvergence or a domain error in one check becomes that check's `error`,
+and the other checks still run.  `run_catalog` executes a filtered selection
+in catalog order, optionally on a process pool.
 
 The catalog order follows the derivation it certifies, so a rendered report
 reads as a walkthrough: the series value, its reduction to a double
@@ -29,12 +30,12 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 from mpmath import atan, ldexp, log1p, mpf, workprec
 
 from . import quadrature, series
-from .errors import CatalogError
+from .errors import CatalogError, DomainError, NonconvergenceError
 from .numeric import (
     GUARD_BITS,
     BasisConstant,
@@ -148,22 +149,19 @@ _register(series.ln1pt_integrand())
 
 
 def _f_prime_closed(a):
-    # d/da int_0^1 ln(1+a^2 x^2)/(1+x) dx, in closed form; -> 0 as a -> 0
-    if a == 0:
-        return mpf(0)
+    # d/da int_0^1 ln(1+a^2 x^2)/(1+x) dx, in closed form, for a > 0
     one_pa2 = 1 + a * a
     return 2 * a * MP.ln2 / one_pa2 + log1p(a * a) / (a * one_pa2) - 2 * atan(a) / one_pa2
 
 
 def _h_prime_closed(a):
-    # d/da int_0^1 arctan(a x)/(1+x) dx, in closed form; -> 1 - ln2 as a -> 0
-    if a == 0:
-        return 1 - MP.ln2
+    # d/da int_0^1 arctan(a x)/(1+x) dx, in closed form, for a > 0
     one_pa2 = 1 + a * a
     return -MP.ln2 / one_pa2 + log1p(a * a) / (2 * one_pa2) + atan(a) / (a * one_pa2)
 
 
-# The same derivatives as integrands on [0, 1], arranged without a 0/0 at a = 0:
+# The same derivatives as integrands on [0, 1], arranged without a 0/0 at a = 0,
+# where they take their limits 0 and 1 - ln2:
 # (a (2 ln2 + ln(1 + a^2)/a^2) - 2 arctan a)/(1 + a^2) and
 # (ln(1 + a^2)/2 - ln2 + arctan(a)/a)/(1 + a^2)
 _register(
@@ -202,11 +200,17 @@ for _x0 in EQ06_GRID:  # u^2/((1 + u^2)(u + x0)) on [0, x0]; each x0 is dyadic, 
 # ---------------------------------------------------------------------------
 
 
-def _param_integrand(name, a, tag):
-    # F for a x < 3/2 and H for 0 <= a x < 2, the ranges of `log1p_fixed` and `atan_fixed`
-    if name == "F":
-        return expression(f"F_at_{tag}", lambda c, x: c.div(c.log1p(c.sq(c.mul(c.const(a), x))), c.one + x))
-    return expression(f"H_at_{tag}", lambda c, x: c.div(c.atan(c.mul(c.const(a), x)), c.one + x))
+# family -> (its integrand's expression at a, its closed derivative); F holds for
+# a x < 3/2 and H for 0 <= a x < 2, the ranges of `log1p_fixed` and `atan_fixed`
+_FAMILIES = {
+    "F": (lambda a: lambda c, x: c.div(c.log1p(c.sq(c.mul(c.const(a), x))), c.one + x), _f_prime_closed),
+    "H": (lambda a: lambda c, x: c.div(c.atan(c.mul(c.const(a), x)), c.one + x), _h_prime_closed),
+}
+
+
+def _param_integrand(family, a, tag):
+    """The integrand of F(a) or H(a), its id keyed by `tag`."""
+    return expression(f"{family}_at_{tag}", _FAMILIES[family][0](a))
 
 
 def _fd_step(p):
@@ -278,6 +282,10 @@ class FiniteDifference:
 
     family: str
 
+    def __post_init__(self):
+        if self.family not in _FAMILIES:
+            raise CatalogError(f"{self.family!r} is not a parameter family: not one of {sorted(_FAMILIES)}")
+
 
 Side = Union[ClosedForm, str, Integrand, Value, Combo, MaxGap, FiniteDifference]
 
@@ -294,16 +302,20 @@ class IdentityCheck:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's verdict.  A check that could not be computed has `error`
+    set to "<Type>: <message>", no values, and `passed` False."""
+
     id: str
     description: str
     ref: str
-    lhs_value: mpf
-    rhs_value: mpf
-    abs_error: mpf
-    tolerance: mpf
+    lhs_value: Optional[mpf]
+    rhs_value: Optional[mpf]
+    abs_error: Optional[mpf]
+    tolerance: Optional[mpf]
     passed: bool
     evaluations: int
     elapsed_ms: int
+    error: Optional[str] = None
 
 
 class CheckContext:
@@ -366,7 +378,7 @@ def _side_value(side, ctx):
 
 
 def _finite_difference_gap(family, ctx):
-    derivative = _f_prime_closed if family == "F" else _h_prime_closed
+    derivative = _FAMILIES[family][1]
     # step size keyed to the *reporting* precision; the quadratures are
     # handed the guarded precision so the difference quotient does not
     # amplify boundary rounding
@@ -676,24 +688,19 @@ def run_check(check, p, ctx=None, tolerance_exponent_override=None):
         policy = Tol(tolerance_exponent_override)
     ctx.read, ctx.terms = {}, 0
     t0 = time.perf_counter()
-    with workprec(p.guarded):
-        lhs = _side_value(check.lhs, ctx)
-        rhs = _side_value(check.rhs, ctx)
-        err = abs(lhs - rhs)
-        tol = _resolve_tolerance(policy, p, ctx.read)
+    try:
+        with workprec(p.guarded):
+            lhs = _side_value(check.lhs, ctx)
+            rhs = _side_value(check.rhs, ctx)
+            err = abs(lhs - rhs)
+            tol = _resolve_tolerance(policy, p, ctx.read)
+        # lhs_value, rhs_value, abs_error, tolerance and passed
+        verdict, error = [round_to(v, p) for v in (lhs, rhs, err, tol)] + [bool(err <= tol)], None
+    except (NonconvergenceError, DomainError) as exc:  # this check only: the others still report
+        verdict, error = [None] * 4 + [False], f"{type(exc).__name__}: {exc}"
+    evaluations = ctx.terms + sum(q.evaluations for q in ctx.read.values())
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
-    return CheckResult(
-        id=check.id,
-        description=check.description,
-        ref=check.ref,
-        lhs_value=round_to(lhs, p),
-        rhs_value=round_to(rhs, p),
-        abs_error=round_to(err, p),
-        tolerance=round_to(tol, p),
-        passed=bool(err <= tol),
-        evaluations=ctx.terms + sum(q.evaluations for q in ctx.read.values()),
-        elapsed_ms=elapsed_ms,
-    )
+    return CheckResult(check.id, check.description, check.ref, *verdict, evaluations, elapsed_ms, error)
 
 
 def _run_by_id(check_id, bits, tolerance_exponent_override):

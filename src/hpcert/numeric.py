@@ -31,9 +31,8 @@ import math
 import sys
 from types import SimpleNamespace
 
-from mpmath import atan, cos, cos_sin, isfinite, ldexp, libmp, log, log1p, mag, mp, mpf, sin, workprec
-from mpmath.libmp import libintmath, round_nearest, to_fixed
-from mpmath.libmp import mpf_catalan, mpf_ln2, mpf_pi
+from mpmath import atan, catalan, cos, cos_sin, isfinite, ldexp, libmp, ln2, log, log1p, mag, mp, mpf, pi, sin, workprec
+from mpmath.libmp import libintmath, to_fixed
 from mpmath.libmp.libelefun import atan_taylor, ln2_fixed, log_taylor_cached
 
 from .errors import BasisError, DomainError
@@ -285,18 +284,14 @@ class BasisConstant(Enum):
 
 
 # ---------------------------------------------------------------------------
-# Raw constants.  pi, ln2 and G are mpmath's `mpf_pi`, `mpf_ln2` and
-# `mpf_catalan`, each a fixed-point series with 20 guard bits rounded once to
-# nearest: the correctly rounded value at every width from 64 to 2199 bits,
-# checked against independent integer series.  The products in the basis are
-# formed from them at bits + 8.
+# Raw constants.  pi, ln2 and G are mpmath's constants `pi`, `ln2` and
+# `catalan`: +c at a width is a fixed-point series with 20 guard bits rounded
+# once to nearest, the correctly rounded value at every width from 64 to 2199
+# bits, checked against independent integer series.  The products in the
+# basis are formed from them at bits + 8.
 # ---------------------------------------------------------------------------
 
-_MPF_CONSTANTS = {
-    BasisConstant.PI: mpf_pi,
-    BasisConstant.LN2: mpf_ln2,
-    BasisConstant.CATALAN: mpf_catalan,
-}
+_MPF_CONSTANTS = {BasisConstant.PI: pi, BasisConstant.LN2: ln2, BasisConstant.CATALAN: catalan}
 _PRODUCTS = {
     BasisConstant.LN2_SQ: (BasisConstant.LN2, BasisConstant.LN2),
     BasisConstant.PI_LN2: (BasisConstant.PI, BasisConstant.LN2),
@@ -310,12 +305,13 @@ def constant_value(tag, bits):
     if tag is BasisConstant.ONE:
         return mpf(1)
     if tag in _MPF_CONSTANTS:
-        return mp.make_mpf(_MPF_CONSTANTS[tag](bits, round_nearest))
-    if tag not in _PRODUCTS:
+        value = _MPF_CONSTANTS[tag]
+    elif tag in _PRODUCTS:
+        a, b = _PRODUCTS[tag]
+        with workprec(bits + 8):
+            value = constant_value(a, bits + 8) * constant_value(b, bits + 8)
+    else:
         raise BasisError(f"unknown basis tag {tag!r}")
-    a, b = _PRODUCTS[tag]
-    with workprec(bits + 8):
-        value = constant_value(a, bits + 8) * constant_value(b, bits + 8)
     with workprec(bits):
         return +value
 

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf, workprec
 
-from hpcert import NonconvergenceError
+from hpcert import NonconvergenceError, identities
 from hpcert.cli import EXIT_CHECK_FAILED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, build_report, main
 from hpcert.cli import render_json, render_text
 
@@ -133,9 +135,12 @@ def test_series_only_checks_have_no_precision_floor(capsys):
 
 
 def test_unknown_flag_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "--frobnicate")
+    code, out, err = run_cli(capsys, "--frobnicate")
     assert code == EXIT_USAGE
-    assert "error" in err
+    assert out == ""
+    # argparse's own report: its usage line, then the message
+    assert err.startswith("usage: verify ")
+    assert err.endswith("verify: error: unrecognized arguments: --frobnicate\n")
 
 
 def test_empty_filter_is_usage_error(capsys):
@@ -252,7 +257,39 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "--filter", "eq08*")
     assert code == EXIT_INTERNAL
     assert out == ""
-    assert "internal error" in err
+    assert err == "verify: internal error: NonconvergenceError: stuck\n"
+
+
+def test_a_check_that_cannot_be_computed_prints_error_and_the_rest_report(capsys, monkeypatch):
+    def stuck(*args):
+        raise NonconvergenceError("injected")
+
+    f = identities.get_integrand("neg_ln_x_over_1px2")
+    monkeypatch.setitem(identities._REGISTRY, f.id, dataclasses.replace(f, expr=stuck, evaluator=stuck))
+    args = ["--precision-bits", "128", "--no-timestamp"]
+    code, text, err = run_cli(capsys, *args)
+    assert code == EXIT_INTERNAL
+    assert err == ""
+    lines = text.splitlines()
+    assert [line.split()[0] for line in lines[1:-1]].count("PASS") == 26
+    assert "ERROR app1_catalan_integral  NonconvergenceError: injected  [Appendix 1]" in lines
+    assert lines[-1] == "26 passed, 1 failed"
+
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == EXIT_INTERNAL
+    doc = json.loads(out)
+    assert (doc["passed_count"], doc["failed_count"]) == (26, 1)
+    errored = [c for c in doc["checks"] if "error" in c]
+    assert [c["id"] for c in errored] == ["app1_catalan_integral"]
+    assert list(errored[0]) == CHECK_KEYS + ["error"]
+    assert [errored[0][k] for k in ("lhs", "rhs", "abs_error", "tolerance", "passed")] == [None] * 4 + [False]
+    assert errored[0]["error"] == "NonconvergenceError: injected"
+    assert all(list(c) == CHECK_KEYS for c in doc["checks"] if "error" not in c)
+
+    # a spawned worker would import the registry afresh and not see the patch
+    if multiprocessing.get_start_method() == "fork":
+        assert run_cli(capsys, *args, "--jobs", "2") == (EXIT_INTERNAL, text, "")
+        assert run_cli(capsys, *args, "--format", "json", "--jobs", "2") == (EXIT_INTERNAL, out, "")
 
 
 def test_jobs_process_pool(capsys):

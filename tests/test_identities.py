@@ -12,6 +12,7 @@ from hpcert import (
     BasisConstant,
     CatalogError,
     ClosedForm,
+    NonconvergenceError,
     Precision,
     catalog,
     cf_add,
@@ -294,6 +295,40 @@ def test_catalog_error_on_unregistered():
     )
     with pytest.raises(CatalogError):
         run_check(bogus, Precision(64))
+
+
+def test_a_finite_difference_of_an_unknown_family_is_a_catalog_error():
+    assert FiniteDifference("F").family == "F"
+    with pytest.raises(CatalogError, match="'G' is not a parameter family"):
+        FiniteDifference("G")
+
+
+def stuck(*args):  # an expression (c, x) or an evaluator (x)
+    raise NonconvergenceError("injected")
+
+
+@pytest.mark.parametrize(
+    "integrand_id, check_id, read_first",
+    [
+        ("neg_ln_x_over_1px2", "app1_catalan_integral", ()),
+        # the funceq check reads both log-sine integrals before ln cos
+        ("log_cos_half", "app1_logsine_funceq", ("log_sin_full", "log_sin_half")),
+    ],
+)
+def test_a_check_that_cannot_be_computed_errors_alone(integrand_id, check_id, read_first, p128, monkeypatch):
+    clean = run_catalog(p128)
+    f = get_integrand(integrand_id)
+    monkeypatch.setitem(identities._REGISTRY, integrand_id, dataclasses.replace(f, expr=stuck, evaluator=stuck))
+    results = run_catalog(p128)
+    ctx = CheckContext(p128)
+    read = sum(ctx.integrate(get_integrand(i)).evaluations for i in read_first)
+    errored = dict(lhs_value=None, rhs_value=None, abs_error=None, tolerance=None, passed=False, evaluations=read)
+    errored["error"] = "NonconvergenceError: injected"
+    assert [r.id for r in results] == [c.id for c in clean]
+    for r, c in zip(results, clean):
+        want = dataclasses.replace(c, elapsed_ms=r.elapsed_ms, **(errored if c.id == check_id else {}))
+        assert r == want, c.id
+    assert clean[[c.id for c in clean].index(check_id)].error is None
 
 
 def test_run_catalog_selection_and_order(p128):

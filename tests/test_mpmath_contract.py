@@ -12,7 +12,6 @@ import ast
 import math
 import random
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -57,11 +56,6 @@ def pi_fixed_is_the_floor():
         assert pi_fixed(W) == X >> 64, W
 
 
-def correctly_rounded(*tags):
-    for tag in tags:
-        test_numeric.test_constants_are_correctly_rounded(tag)
-
-
 def fixed_log_and_atan():
     # `log1p_fixed` reads `log_taylor_cached` and `ln2_fixed`, `atan_fixed` is `atan_taylor`
     for W in test_numeric.FIXED_WIDTHS:
@@ -78,10 +72,6 @@ def bit_count():
 
 CONTRACTS = {
     "to_fixed": to_fixed_floors,
-    "round_nearest": partial(correctly_rounded, *test_numeric.CONSTANT_ORACLES),
-    "mpf_pi": partial(correctly_rounded, BasisConstant.PI),
-    "mpf_ln2": partial(correctly_rounded, BasisConstant.LN2),
-    "mpf_catalan": partial(correctly_rounded, BasisConstant.CATALAN),
     "atan_taylor": fixed_log_and_atan,
     "ln2_fixed": fixed_log_and_atan,
     "log_taylor_cached": fixed_log_and_atan,
