@@ -2,13 +2,14 @@
 
 Report goes to stdout, diagnostics to stderr.  Exit codes: 0 all selected
 checks passed, 1 at least one failed, 2 usage error (argparse prints its
-usage line and the message; a filter or precision the catalog refuses prints
-the message alone), 3 internal error.  Exit 3 comes either with no report,
-the error's type and message on stderr, or with the full report, in which
-each check that could not be computed (a nonconvergence, a non-finite value)
-prints ERROR and counts as failed.  A stdout closed by its reader, as in
-``verify --list | head -1``, ends the `verify` command quietly by SIGPIPE,
-as it ends a C tool: no message, and no exit code of its own.
+usage line and the message, for a bad option or value and for a filter or
+precision the catalog refuses alike), 3 internal error.  Exit 3 comes
+either with no report, the error's type and message on stderr, or with the
+full report, in which each check that could not be computed (a
+nonconvergence, a non-finite value) prints ERROR and counts as failed.  A
+stdout closed by its reader, as in ``verify --list | head -1``, ends the
+`verify` command quietly by SIGPIPE, as it ends a C tool: no message, and
+no exit code of its own.
 
 JSON serializes every numeric value as a decimal string carrying as many
 digits as the working precision -- rounding through binary floats would
@@ -39,15 +40,11 @@ EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
 MAX_PRECISION_BITS = 2048  # the widest run the catalog is tested at (a `slow` test)
 
 
-class _UsageError(Exception):
-    pass
-
-
 @dataclass
 class Report:
     tool_version: str
     precision_bits: int
-    started_at: str
+    started_at: str | None  # None: untimed, rendered with the epoch and no elapsed times
     checks: list = field(default_factory=list)
 
     @property
@@ -59,40 +56,36 @@ class Report:
         return len(self.checks) - self.passed_count
 
 
-def _selected(pattern):
-    checks = [c for c in catalog() if fnmatch.fnmatchcase(c.id, pattern)]
-    if not checks:
-        raise _UsageError(f"filter {pattern!r} matches no checks")
-    return checks
+def _matching(pattern):
+    return [c for c in catalog() if fnmatch.fnmatchcase(c.id, pattern)]
 
 
-def build_report(precision_bits, filter, tolerance_exponent, jobs, no_timestamp):
-    """Run the checks whose ids match the glob `filter` and assemble the report."""
-    checks = _selected(filter)
+def _refusal(checks, precision_bits, tolerance_exponent):
+    """Why the catalog will not run `checks` at `precision_bits`, or None."""
     floor = precision_floor(checks, tolerance_exponent)
     if floor > MAX_PRECISION_BITS:
-        raise _UsageError(
+        return (
             f"no accepted precision (at most {MAX_PRECISION_BITS} bits) meets 10^{tolerance_exponent}:"
             f" its tolerance floor is {floor} bits"
         )
     if precision_bits < floor:
-        raise _UsageError(f"precision {precision_bits} bits is below {floor}, the tolerance floor")
+        return f"precision {precision_bits} bits is below {floor}, the tolerance floor"
     if precision_bits > MAX_PRECISION_BITS:
-        raise _UsageError(
-            f"precision {precision_bits} bits is above {MAX_PRECISION_BITS}, the largest the catalog is tested at"
-        )
-    started = EPOCH_TIMESTAMP if no_timestamp else time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    results = run_catalog(
-        Precision(precision_bits),
-        ids=[c.id for c in checks],
-        jobs=jobs,
-        tolerance_exponent_override=tolerance_exponent,
-    )
+        return f"precision {precision_bits} bits is above {MAX_PRECISION_BITS}, the largest the catalog is tested at"
+    return None
+
+
+def build_report(precision_bits, filter, tolerance_exponent, jobs, no_timestamp):
+    """Run the checks whose ids match the glob `filter` and assemble the report; untimed with `no_timestamp`."""
+    started = None if no_timestamp else time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    ids = [c.id for c in _matching(filter)]
+    results = run_catalog(Precision(precision_bits), ids=ids, jobs=jobs, tolerance_exponent_override=tolerance_exponent)
     return Report(tool_version=__version__, precision_bits=precision_bits, started_at=started, checks=results)
 
 
-def render_json(report, no_timestamp=False):
+def render_json(report):
     """UTF-8 JSON bytes with a fixed key order and decimal-string numerics."""
+    untimed = report.started_at is None
     digits = Precision(report.precision_bits).decimal_digits
 
     def number(v):  # a check that could not be computed has no values
@@ -111,7 +104,7 @@ def render_json(report, no_timestamp=False):
                 "tolerance": number(r.tolerance),
                 "passed": r.passed,
                 "evaluations": r.evaluations,
-                "elapsed_ms": 0 if no_timestamp else r.elapsed_ms,
+                "elapsed_ms": 0 if untimed else r.elapsed_ms,
             }
         )
         if r.error is not None:
@@ -119,7 +112,7 @@ def render_json(report, no_timestamp=False):
     doc = {
         "tool_version": report.tool_version,
         "precision_bits": report.precision_bits,
-        "started_at": report.started_at,
+        "started_at": EPOCH_TIMESTAMP if untimed else report.started_at,
         "checks": checks,
         "passed_count": report.passed_count,
         "failed_count": report.failed_count,
@@ -127,11 +120,9 @@ def render_json(report, no_timestamp=False):
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
-def render_text(report, no_timestamp=False):
-    lines = [
-        f"identity verification @ {report.precision_bits} bits"
-        + ("" if no_timestamp else f"  ({report.started_at})")
-    ]
+def render_text(report):
+    untimed = report.started_at is None
+    lines = [f"identity verification @ {report.precision_bits} bits" + ("" if untimed else f"  ({report.started_at})")]
     width = max((len(r.id) for r in report.checks), default=0)
     for r in report.checks:
         if r.error is not None:
@@ -140,7 +131,7 @@ def render_text(report, no_timestamp=False):
         status = "PASS" if r.passed else "FAIL"
         err = nstr(r.abs_error, 3)
         tol = nstr(r.tolerance, 3)
-        ms = "     -" if no_timestamp else f"{r.elapsed_ms:6d}"
+        ms = "     -" if untimed else f"{r.elapsed_ms:6d}"
         lines.append(
             f"{status}  {r.id:<{width}}  err={err:<12} tol={tol:<12} "
             f"evals={r.evaluations:<7d} ms={ms}  [{r.ref}]"
@@ -149,30 +140,13 @@ def render_text(report, no_timestamp=False):
     return "\n".join(lines) + "\n"
 
 
-def _positive_bits(text):
-    try:
-        return Precision(int(text)).bits
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _positive_int(text):
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if n < 1:
-        raise argparse.ArgumentTypeError("value must be >= 1")
-    return n
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="verify",
         description="Recompute every identity in the catalog and certify it "
         "against its closed form.",
     )
-    parser.add_argument("--precision-bits", type=_positive_bits, default=256, metavar="N")
+    parser.add_argument("--precision-bits", type=int, default=256, metavar="N")
     parser.add_argument("--filter", default="*", metavar="GLOB", help="glob over check ids")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument(
@@ -182,7 +156,7 @@ def _build_parser():
         metavar="E",
         help="override every tolerance with 10^E",
     )
-    parser.add_argument("--jobs", type=_positive_int, default=1, metavar="K")
+    parser.add_argument("--jobs", type=int, default=1, metavar="K")
     parser.add_argument("--list", action="store_true", dest="list_only")
     parser.add_argument("--no-timestamp", action="store_true")
     return parser
@@ -192,27 +166,36 @@ def main(argv=None):
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse's --help (0) and its usage errors (2)
+        checks = _matching(ns.filter)
+        if ns.jobs < 1:
+            parser.error("argument --jobs: value must be >= 1")
+        try:
+            Precision(ns.precision_bits)
+        except ValueError as exc:
+            parser.error(f"argument --precision-bits: {exc}")
+        if not checks:
+            parser.error(f"filter {ns.filter!r} matches no checks")
+        refusal = None if ns.list_only else _refusal(checks, ns.precision_bits, ns.tolerance_exponent)
+        if refusal:
+            parser.error(refusal)
+    except SystemExit as exc:  # argparse's --help (0) and every usage error (2)
         return int(exc.code or 0)
 
+    if ns.list_only:
+        for c in checks:
+            print(f"{c.id:<24} {c.ref:<22} {c.description}")
+        return EXIT_OK
     try:
-        if ns.list_only:
-            for c in _selected(ns.filter):
-                print(f"{c.id:<24} {c.ref:<22} {c.description}")
-            return EXIT_OK
         report = build_report(ns.precision_bits, ns.filter, ns.tolerance_exponent, ns.jobs, ns.no_timestamp)
-    except _UsageError as exc:
-        print(f"verify: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception as exc:  # no report: an error outside any one check's computation
         print(f"verify: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
     if ns.format == "json":
-        sys.stdout.buffer.write(render_json(report, no_timestamp=ns.no_timestamp))
+        sys.stdout.buffer.write(render_json(report))
         sys.stdout.buffer.flush()
     else:
-        sys.stdout.write(render_text(report, no_timestamp=ns.no_timestamp))
+        sys.stdout.write(render_text(report))
     if any(r.error is not None for r in report.checks):
         return EXIT_INTERNAL
     return EXIT_OK if report.failed_count == 0 else EXIT_CHECK_FAILED

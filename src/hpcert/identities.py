@@ -48,7 +48,7 @@ from .numeric import (
     eval_closed_form,
     round_to,
 )
-from .quadrature import GaussLegendre, Integrand, PiMultiple, TanhSinh, expression, integrate, integrate_2d
+from .quadrature import GaussLegendre, Integrand, PiMultiple, TanhSinh, expression, integrate, integrate_2d, product
 
 ONE = BasisConstant.ONE
 LN2 = BasisConstant.LN2
@@ -113,16 +113,10 @@ def get_integrand(integrand_id):
         raise CatalogError(f"integrand {integrand_id!r} is not registered") from None
 
 
+# sigma's integrand -x^2 y^2/((1 + x^2 y^2)(1 + x)(1 + y)) = g(x) g(y) h(xy), with g(x) = 1/(1 + x)
+# and h(t) = -t^2/(1 + t^2): in integers, one floor for t^2 and one for the quotient, within 2 units
 _register(
-    Integrand(
-        id="sigma_double",
-        evaluator=lambda x, y: -(x * x * y * y)
-        / ((1 + x * x * y * y) * (1 + x) * (1 + y)),
-        domain=((0, 1), (0, 1)),
-        # g(x) = 1/(1 + x) and h(t) = -t^2/(1 + t^2): in integers, one floor for
-        # t^2 and one for the quotient, within 2 units
-        product=(lambda c, x: c.div(c.one, c.one + x), lambda c, t: c.div(-(t2 := c.sq(t)), c.one + t2)),
-    )
+    product("sigma_double", lambda c, x: c.div(c.one, c.one + x), lambda c, t: c.div(-(t2 := c.sq(t)), c.one + t2))
 )
 _register(expression("a_integrand", lambda c, x: c.div2(x2 := c.sq(x), c.one + x2, c.one + x)))
 _register(expression("b_integrand", lambda c, x: c.div2(c.log1p_sq(x), c.one + c.sq(x), c.one + x)))

@@ -85,6 +85,11 @@ def expression(id, expr, domain=(0, 1), **singular):
     return Integrand(id, partial(expr, MP), domain, expr=expr, **singular)
 
 
+def product(id, g, h, domain=((0, 1), (0, 1))):
+    """A 2D integrand g(x) g(y) h(xy), g and h each an expression; its evaluator is that product under `MP`."""
+    return Integrand(id, lambda x, y: g(MP, x) * g(MP, y) * h(MP, x * y), domain, product=(g, h))
+
+
 @dataclass(frozen=True)
 class TanhSinh:
     """Tanh-sinh levels 1, 2, ... up to `ts_level_cap` of the ladder width."""

@@ -28,7 +28,7 @@ from hpcert import (
     sigma_series,
     tail,
 )
-from hpcert.cli import EPOCH_TIMESTAMP, Report, build_report, render_json, render_text
+from hpcert.cli import Report, build_report, render_json, render_text
 from hpcert.identities import SIGMA_CF, CheckContext, _fd_step, get_integrand
 from hpcert.numeric import BasisConstant, constant_value
 from hpcert.quadrature import GaussLegendre
@@ -301,8 +301,8 @@ def test_reports_match_the_recorded_reference(cat256):
     # the benchmark checks its runs against the same file; pinning it here
     # catches a digit change before a benchmark run does
     results, _ = cat256
-    report = Report(__version__, P256.bits, EPOCH_TIMESTAMP, list(results.values()))
-    rendered_bytes = render_json(report, no_timestamp=True)
+    report = Report(__version__, P256.bits, None, list(results.values()))
+    rendered_bytes = render_json(report)
     rendered = json.loads(rendered_bytes)["checks"]
     reference = json.loads(REFERENCE_256.read_text(encoding="utf-8"))["checks"]
     assert [c["id"] for c in rendered] == [c["id"] for c in reference]
@@ -316,8 +316,8 @@ def test_reports_match_the_recorded_reference(cat256):
 def test_text_report_matches_its_golden(cat256):
     # the default `verify --no-timestamp` report, recorded byte for byte
     results, _ = cat256
-    report = Report(__version__, P256.bits, EPOCH_TIMESTAMP, list(results.values()))
-    assert render_text(report, no_timestamp=True) == GOLDEN_TEXT_256.read_text(encoding="utf-8")
+    report = Report(__version__, P256.bits, None, list(results.values()))
+    assert render_text(report) == GOLDEN_TEXT_256.read_text(encoding="utf-8")
 
 
 def test_appendix_report_after_a_warm_catalog_matches_its_reference(cat256):
@@ -325,11 +325,11 @@ def test_appendix_report_after_a_warm_catalog_matches_its_reference(cat256):
     # process-wide; after the cat256 fixture has filled them, a fresh run of
     # the app* selection must still print the recorded report byte for byte
     report = build_report(256, "app*", None, 1, True)
-    assert render_json(report, no_timestamp=True) == REFERENCE_APP_256.read_bytes()
+    assert render_json(report) == REFERENCE_APP_256.read_bytes()
 
 
 def test_512_bit_report_matches_its_reference():
     # the one recorded reference the tests did not read: the kernels' integer
     # arithmetic differs at every width, and 512 bits is the widest reference
     report = build_report(512, "*", None, 1, True)
-    assert render_json(report, no_timestamp=True) == REFERENCE_512.read_bytes()
+    assert render_json(report) == REFERENCE_512.read_bytes()

@@ -156,6 +156,38 @@ def test_list_with_empty_filter_is_usage_error(capsys):
     assert "matches no checks" in err
 
 
+USAGE_ERRORS = {
+    "unknown-flag": (["--frobnicate"], "unrecognized arguments: --frobnicate"),
+    "bits-below-64": (
+        ["--precision-bits", "63"],
+        "argument --precision-bits: precision must be an integer >= 64 bits, got 63",
+    ),
+    "bits-not-int": (["--precision-bits", "abc"], "argument --precision-bits: invalid int value: 'abc'"),
+    "jobs-0": (["--jobs", "0"], "argument --jobs: value must be >= 1"),
+    "jobs-not-int": (["--jobs", "x"], "argument --jobs: invalid int value: 'x'"),
+    "empty-filter": (["--filter", "zzz*"], "filter 'zzz*' matches no checks"),
+    "list-empty-filter": (["--list", "--filter", "zzz*"], "filter 'zzz*' matches no checks"),
+    "below-floor": (["--precision-bits", "108"], "precision 108 bits is below 109, the tolerance floor"),
+    "above-ceiling": (
+        ["--precision-bits", "2049"],
+        "precision 2049 bits is above 2048, the largest the catalog is tested at",
+    ),
+    "floor-above-ceiling": (
+        ["--filter", "eq08*", "--tolerance-exponent", "-700"],
+        "no accepted precision (at most 2048 bits) meets 10^-700: its tolerance floor is 2302 bits",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_every_usage_error_prints_the_usage_line_and_one_error_line(argv, message, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("usage: verify ")
+    assert err.endswith(f"\nverify: error: {message}\n")
+    assert err.count("verify: error:") == 1
+
+
 def test_json_single_check_schema(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -190,10 +222,10 @@ def test_json_round_trip(capsys):
     from hpcert.cli import build_report, render_json
 
     report = build_report(128, "eq1[06]*", tolerance_exponent=None, jobs=1, no_timestamp=True)
-    doc = json.loads(render_json(report, no_timestamp=True))
+    doc = json.loads(render_json(report))
     assert doc["tool_version"] == report.tool_version
     assert doc["precision_bits"] == report.precision_bits
-    assert doc["started_at"] == report.started_at
+    assert report.started_at is None and doc["started_at"] == "1970-01-01T00:00:00Z"
     assert doc["passed_count"] == report.passed_count
     assert doc["failed_count"] == report.failed_count
     assert [c["id"] for c in doc["checks"]] == [r.id for r in report.checks]
@@ -207,11 +239,10 @@ def test_json_round_trip(capsys):
 def test_render_json_empty_checks_is_valid():
     from hpcert.cli import Report, render_json
 
-    report = Report(
-        tool_version="0.0", precision_bits=128, started_at="1970-01-01T00:00:00Z"
-    )
+    report = Report(tool_version="0.0", precision_bits=128, started_at="2026-01-02T03:04:05Z")
     doc = json.loads(render_json(report))
     assert list(doc.keys()) == TOP_KEYS
+    assert doc["started_at"] == "2026-01-02T03:04:05Z"
     assert doc["checks"] == []
     assert doc["passed_count"] == 0 and doc["failed_count"] == 0
 
@@ -219,8 +250,8 @@ def test_render_json_empty_checks_is_valid():
 def test_render_text_empty_checks():
     from hpcert.cli import Report, render_text
 
-    report = Report(tool_version="0.0", precision_bits=128, started_at="1970-01-01T00:00:00Z")
-    assert render_text(report, no_timestamp=True) == "identity verification @ 128 bits\n0 passed, 0 failed\n"
+    report = Report(tool_version="0.0", precision_bits=128, started_at=None)
+    assert render_text(report) == "identity verification @ 128 bits\n0 passed, 0 failed\n"
 
 
 def test_golden_determinism(capsys):
@@ -321,7 +352,7 @@ def test_jobs_2_renders_jobs_1_byte_for_byte_over_filters_and_precisions(pattern
     serial, pooled = (build_report(bits, pattern, None, jobs, True) for jobs in (1, 2))
     assert len(serial.checks) >= 2  # so the pool really runs
     for render in (render_json, render_text):
-        assert render(pooled, no_timestamp=True) == render(serial, no_timestamp=True)
+        assert render(pooled) == render(serial)
 
 
 def test_help_exits_zero(capsys):

@@ -1,14 +1,18 @@
-"""The mutation sweep in tier-1: scaling one input by (1 + 2^-k) fails exactly the checks that read it.
+"""The mutation sweep: scaling one input by (1 + 2^-k) fails exactly the checks that read it.
 
-Each check's readers come from one baseline pass, off `CheckContext.read`;
-G's are the checks with G in a closed form.  Only the readers run under a
-mutation, and every mutation is undone by `monkeypatch`.  A check that passes
-under a mutation of its own input shows the power it states: the bits its
-tolerance certifies, or a fact that the mutation leaves true.
+Tier-1 runs every case at 128 and 256 bits; `slow` runs it at 1024 bits too,
+where each case expects its 256-bit outcome.
+
+Each input's readers come from one baseline pass per width, made when a case
+at that width first asks, off `CheckContext.read`; G's are the checks with G
+in a closed form.  Only the readers run under a mutation, and every mutation
+is undone by `monkeypatch`.  A check that passes under a mutation of its own
+input shows the power it states: the bits its tolerance certifies, or a fact
+that the mutation leaves true.
 """
 
 import dataclasses
-from functools import partial
+from functools import cache, partial
 
 import pytest
 from mpmath import ldexp
@@ -17,7 +21,7 @@ from hpcert import BasisConstant, ClosedForm, Precision, identities, numeric
 from hpcert.identities import CATALOG, CheckContext, Combo, MaxGap, run_catalog, run_check
 
 EPS = ldexp(1, -100)
-WIDTHS = [128, 256]
+WIDTHS = [128, 256, pytest.param(1024, marks=pytest.mark.slow)]
 
 # each registered 1D integrand -> the checks that read it, and so the ones its scaling fails
 READERS = {
@@ -52,18 +56,16 @@ CATALAN_FAILS = {"app1_I1", "app1_catalan_integral", "eq13_B", "eq17", "eq18_C"}
 CATALAN_PASSES = {"eq01_sigma_series", "eq07_assembly"}
 
 
-@pytest.fixture(scope="module")
-def readers():
-    """bits -> integrand id -> the ids of the checks that read it, with every check passing."""
+@cache
+def readers(bits):
+    """Integrand id -> the ids of the checks that read it at `bits`, with every check passing."""
+    p = Precision(bits)
+    ctx = CheckContext(p)
     out = {}
-    for bits in WIDTHS:
-        p = Precision(bits)
-        ctx = CheckContext(p)
-        out[bits] = {}
-        for check in CATALOG:
-            assert run_check(check, p, ctx).passed, check.id
-            for f in ctx.read:
-                out[bits].setdefault(f.id, set()).add(check.id)
+    for check in CATALOG:
+        assert run_check(check, p, ctx).passed, check.id
+        for f in ctx.read:
+            out.setdefault(f.id, set()).add(check.id)
     return out
 
 
@@ -93,20 +95,20 @@ def test_the_sweep_covers_every_registered_1d_integrand():
 
 @pytest.mark.parametrize("bits", WIDTHS)
 @pytest.mark.parametrize("integrand_id", list(READERS))
-def test_a_scaled_integrand_fails_exactly_its_readers(integrand_id, bits, readers, monkeypatch):
-    read_by = readers[bits][integrand_id]
+def test_a_scaled_integrand_fails_exactly_its_readers(integrand_id, bits, monkeypatch):
+    read_by = readers(bits)[integrand_id]
     assert read_by == READERS[integrand_id]
     monkeypatch.setitem(identities._REGISTRY, integrand_id, scaled(identities.get_integrand(integrand_id)))
     assert failing(Precision(bits), read_by) == read_by
 
 
-@pytest.mark.parametrize("bits, fails", [(128, False), (256, True)])
+@pytest.mark.parametrize("bits, fails", [(128, False), (256, True), pytest.param(1024, True, marks=pytest.mark.slow)])
 @pytest.mark.parametrize("family", list(FAMILY_READERS))
-def test_a_scaled_family_fails_its_derivative_check_above_its_stated_power(family, bits, fails, readers, monkeypatch):
+def test_a_scaled_family_fails_its_derivative_check_above_its_stated_power(family, bits, fails, monkeypatch):
     # the scaling moves the finite difference by about 2^-100 F'(a); TolHalfBits
     # is 2^-64 at 128 bits, so there the check's stated power, bits/2, lets it pass
     check = FAMILY_READERS[family]
-    assert {c for k, ids in readers[bits].items() if k.startswith(f"{family}_at_") for c in ids} == {check}
+    assert {c for k, ids in readers(bits).items() if k.startswith(f"{family}_at_") for c in ids} == {check}
     expr, derivative = identities._FAMILIES[family]
     monkeypatch.setitem(identities._FAMILIES, family, (lambda a: scaled_expr(expr(a)), derivative))
     assert failing(Precision(bits), {check}) == ({check} if fails else set())
@@ -114,10 +116,10 @@ def test_a_scaled_family_fails_its_derivative_check_above_its_stated_power(famil
 
 @pytest.mark.parametrize("bits", WIDTHS)
 @pytest.mark.parametrize("k, fails", [(70, False), (60, True)])
-def test_a_scaled_sigma_g_fails_eq05_above_its_stated_power(k, fails, bits, readers, monkeypatch):
+def test_a_scaled_sigma_g_fails_eq05_above_its_stated_power(k, fails, bits, monkeypatch):
     # f = g(x) g(y) h(xy): g times (1 + 2^-k) moves sigma by about 2^-(k - 1) sigma;
     # eq05 compares at Tol(-20), about 2^-66
-    assert readers[bits]["sigma_double"] == {"eq05_sigma_2d"}
+    assert readers(bits)["sigma_double"] == {"eq05_sigma_2d"}
     f = identities.get_integrand("sigma_double")
     g, h = f.product
     monkeypatch.setitem(
@@ -160,7 +162,12 @@ def test_a_scaled_catalan_fails_its_readers_but_two(bits, cold_caches, monkeypat
 
 
 @pytest.mark.parametrize(
-    "bits, errored", [(128, {"app1_logsine_funceq"}), (256, {"app1_logsine", "app1_logsine_funceq"})]
+    "bits, errored",
+    [
+        (128, {"app1_logsine_funceq"}),
+        (256, {"app1_logsine", "app1_logsine_funceq"}),
+        pytest.param(1024, {"app1_logsine", "app1_logsine_funceq"}, marks=pytest.mark.slow),
+    ],
 )
 def test_cos_and_sin_swapped_error_the_log_sine_checks_and_spare_the_rest(bits, errored, monkeypatch):
     # ln sin of a swapped sin is ln cos, non-real past pi/2, so `log_sin_full` cannot

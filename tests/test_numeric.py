@@ -465,3 +465,12 @@ def test_widest_fixed_kernel_fits_mpmath_taylor_caches():
         assert w < len(libelefun.cache_prec_steps) and libelefun.cache_prec_steps[w] >= w
     assert widest_log + 2 == 2143
     assert widest_atan < libelefun.ATAN_TAYLOR_PREC  # where `mpf_atan` itself still uses `atan_taylor`
+
+
+def test_the_two_operation_contexts_offer_the_same_operations():
+    # a bounded expression runs under both; log, ln x, cos and sin are `MP`'s alone, as
+    # only the log-singular integrands use them and those run on the mpf ladder
+    mp_only = {"log", "log_x", "cos", "sin"}
+    mp_ops = {name for name in dir(numeric.MP) if not name.startswith("_")}
+    fixed_ops = set(vars(numeric.fixed_context(128)))
+    assert mp_ops == fixed_ops | mp_only and not fixed_ops & mp_only
