@@ -41,8 +41,6 @@ from .series import (
     Direct,
     Euler,
     SeriesResult,
-    TailRoute,
-    TailTerm,
     ln1pt_over_t,
     sigma_series,
     sum_alternating,

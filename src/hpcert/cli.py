@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from mpmath import nstr
 
 from . import __version__
-from .identities import catalog, precision_floor, run_catalog
+from .identities import MAX_PRECISION_BITS, catalog, precision_floor, run_catalog
 from .numeric import Precision
 
 EXIT_OK = 0
@@ -37,7 +37,6 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
-MAX_PRECISION_BITS = 2048  # the widest run the catalog is tested at (a `slow` test)
 
 
 @dataclass

@@ -2,22 +2,25 @@
 
 Each `IdentityCheck` compares two sides, and every side is data: an exact
 `ClosedForm` over the seven-constant basis (zero for route-against-route
-comparisons), a registered integrand's id or an unregistered `Integrand` (its
-integral's value), a `Value` computed from the precision alone (a series or a
-closed value that no basis form writes), a `Combo` (a rational combination
-of sides), a `MaxGap` (the deviation max |x - y| between routes) or a
-`FiniteDifference` (a closed derivative against central differences of its
-family's integrals).  Every quadrature goes through
-`CheckContext.integrate`, which picks the catalog's rule, memoises the result
-per run and records it for the current check.  Each registered integrand is
-declared once, as expressions over `numeric`'s operation contexts: a 1D one
-is its mpf evaluator and, when bounded, the integer kernel that the tanh-sinh
-ladder sums; eq05's product form is its mpf g and integer h.  `run_check`
-evaluates both sides at the requested precision, applies the check's
-tolerance policy and reads `evaluations` off the context's record; a
-nonconvergence or a domain error in one check becomes that check's `error`,
-and the other checks still run.  `run_catalog` executes a filtered selection
-in catalog order, optionally on a process pool.
+comparisons), a registered integrand's id (its integral's value), a `Value`
+computed from the precision alone (a series or a closed value that no basis
+form writes), a `Combo` (a rational combination of sides), a `MaxGap` (the
+deviation max |x - y| between routes) or a `FiniteDifference` (a closed
+derivative against central differences of its family's integrals).  Every
+quadrature goes through `CheckContext.integrate`, which picks the catalog's
+rule, memoises the result per run and records it for the current check.
+
+Every integral the catalog reads is registered here, under the id a side
+names it by.  Each is declared once, as expressions over `numeric`'s
+operation contexts: a 1D one is its mpf evaluator and, when bounded, the
+integer kernel that the tanh-sinh ladder sums; eq05's product form is its mpf
+g and integer h.  eq04's six tails alone are plain mpf evaluators.
+`run_check` refuses a precision above `MAX_PRECISION_BITS`, then evaluates
+both sides at the requested precision, applies the check's tolerance policy
+and reads `evaluations` off the context's record; a nonconvergence or a
+domain error in one check becomes that check's `error`, and the other checks
+still run.  `run_catalog` executes a filtered selection in catalog order,
+optionally on a process pool.
 
 The catalog order follows the derivation it certifies, so a rendered report
 reads as a walkthrough: the series value, its reduction to a double
@@ -30,6 +33,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional, Union
 
 from mpmath import atan, ldexp, log1p, mpf, workprec
@@ -94,8 +98,8 @@ LN2_DIRECT_TERMS = 100_000
 # removable 0/0 at x = 0 of middle_alpha, middle_t, ln(1 + t)/t, F' and H', so
 # every expression returns its limit there.  The five log-singular integrands
 # run on the mpf ladder, reading ln x and (cos t, sin t) from `MP`'s memo.
-# eq04's x^(2n)/(1 + x) keeps a plain mpf evaluator: eq04's tolerance prints
-# 8 |T_k - T_{k-1}|, the mpf ladder's own rounding noise.
+# eq04's tails x^(2n)/(1 + x) are plain mpf evaluators, on that ladder too:
+# eq04's tolerance prints 8 |T_k - T_{k-1}|, the mpf ladder's own rounding noise.
 # ---------------------------------------------------------------------------
 
 _REGISTRY = {}
@@ -139,7 +143,12 @@ _register(expression("eq17_integrand", lambda c, x: c.div(c.mul(x, c.atan_x(x)),
 # ln(1 + a^2)/(a (1 + a^2)) and ln(1 + t)/(t (1 + t))
 _register(expression("middle_alpha", lambda c, a: c.div(c.mul(a, c.log1p_sq_over(a)), c.one + c.sq(a))))
 _register(expression("middle_t", lambda c, t: c.div(c.log1p_over(t), c.one + t)))
-_register(series.ln1pt_integrand())
+_register(expression("ln1p_t_over_t", lambda c, t: c.log1p_over(t)))  # Li2(-1)'s integral route
+
+EQ04_TAILS = (1, 2, 3, 5, 10, 20)
+
+for _n in EQ04_TAILS:  # a_n's integral route
+    _register(Integrand(f"tail_integral_n{_n}", (lambda e: lambda x: x**e / (1 + x))(2 * _n), (0, 1)))
 
 
 def _f_prime_closed(a):
@@ -247,13 +256,12 @@ TolerancePolicy = Union[Tol, TolExact, TolHalfBits, QuadEstimate]
 
 @dataclass(frozen=True)
 class Value:
-    """fn(*args, pg): a value at the guarded precision that integrates nothing.
+    """fn(pg): a value at the guarded precision that integrates nothing.
 
     `fn` returns an mpf, or a `SeriesResult` whose terms the check counts.
     """
 
     fn: Callable
-    args: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -281,7 +289,7 @@ class FiniteDifference:
             raise CatalogError(f"{self.family!r} is not a parameter family: not one of {sorted(_FAMILIES)}")
 
 
-Side = Union[ClosedForm, str, Integrand, Value, Combo, MaxGap, FiniteDifference]
+Side = Union[ClosedForm, str, Value, Combo, MaxGap, FiniteDifference]
 
 
 @dataclass(frozen=True)
@@ -353,10 +361,8 @@ def _side_value(side, ctx):
         return eval_closed_form(side, ctx.pg)
     if isinstance(side, str):
         return ctx.integrate(get_integrand(side)).value
-    if isinstance(side, Integrand):
-        return ctx.integrate(side).value
     if isinstance(side, Value):
-        r = side.fn(*side.args, ctx.pg)
+        r = side.fn(ctx.pg)
         if isinstance(r, series.SeriesResult):
             ctx.terms += r.terms_used
             r = r.value
@@ -389,8 +395,8 @@ def _finite_difference_gap(family, ctx):
     return dev
 
 
-def _harmonic_tail(n, p):
-    return series.tail(n, series.TailRoute.HARMONIC, p).value
+def _harmonic_tail(n, p):  # looks `series.tail` up at call time, so a wrapped attribute sees the call
+    return series.tail(n, p)
 
 
 def _eq06_closed(x0, p):
@@ -427,7 +433,7 @@ CATALOG = (
         id="eq04_tail_routes",
         description="harmonic-tail route vs integral route for a_n, n in {1,2,3,5,10,20}",
         ref="Eqs. (2)-(4)",
-        lhs=MaxGap(tuple((Value(_harmonic_tail, (n,)), series.tail_integrand(n)) for n in (1, 2, 3, 5, 10, 20))),
+        lhs=MaxGap(tuple((Value(partial(_harmonic_tail, n)), f"tail_integral_n{n}") for n in EQ04_TAILS)),
         rhs=ZERO_CF,
         tolerance_policy=QuadEstimate(),
     ),
@@ -444,7 +450,7 @@ CATALOG = (
         description="inner integral of u^2/((1+u^2)(u+x)) over [0,x] vs its closed form on a grid of x",
         ref="Eq. (6)",
         lhs=MaxGap(
-            tuple((f"eq06_inner_{x.numerator}_{x.denominator}", Value(_eq06_closed, (x,))) for x in EQ06_GRID)
+            tuple((f"eq06_inner_{x.numerator}_{x.denominator}", Value(partial(_eq06_closed, x))) for x in EQ06_GRID)
         ),
         rhs=ZERO_CF,
         tolerance_policy=Tol(-40),
@@ -637,6 +643,11 @@ def catalog():
     return CATALOG
 
 
+# the widest run the catalog is tested at (a `slow` test); the kernels of a wider
+# ladder outrun the widths mpmath's Taylor caches serve
+MAX_PRECISION_BITS = 2048
+
+
 def precision_floor(checks, tolerance_exponent_override=None):
     """Least bits at which the checks' quadratures can meet their tightest `Tol`.
 
@@ -674,6 +685,8 @@ def _resolve_tolerance(policy, p, read):
 
 def run_check(check, p, ctx=None, tolerance_exponent_override=None):
     """Evaluate one check at precision p and apply its tolerance policy."""
+    if p.bits > MAX_PRECISION_BITS:
+        raise ValueError(f"precision {p.bits} bits is above {MAX_PRECISION_BITS}, the catalog's ceiling")
     ctx = ctx or CheckContext(p)
     if ctx.p != p:
         raise ValueError(f"context precision {ctx.p.bits} differs from the check's {p.bits}")

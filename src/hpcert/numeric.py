@@ -3,15 +3,16 @@
 Everything the verifier certifies against lives here: `Precision` (an
 explicit mantissa size), the seven-constant basis
 {1, ln2, (ln2)^2, pi, pi*ln2, pi^2, G}, and `ClosedForm` -- an exact
-rational-coefficient combination over that basis.
+rational-coefficient combination over that basis, which refuses a float
+coefficient with a `TypeError`.
 
 Internal computation runs at ``bits + GUARD_BITS``.  Every public value is a
 plain `mpf` that `round_to` checks for finiteness and rounds once to
 ``bits`` at the boundary.  pi, ln2 and G are mpmath's correctly rounded
 constants, so each public constant is within 1 ulp of the true value.
 
-Each 1D integrand in `identities` and `series` but eq04's tails is written
-once, as an expression over the operation contexts kept here, below both:
+Each 1D integrand registered in `identities` but eq04's tails is written
+once, as an expression over the operation contexts kept here, below it:
 under `MP` (mpf at the ambient precision) it is the integrand's evaluator, and
 under `fixed_context(W)` (integers scaled by 2^W) the integer kernel that the
 tanh-sinh ladder sums for a bounded one.  Each context owns its per-abscissa
@@ -343,6 +344,13 @@ def const_catalan(p):
 _TAG_ORDER = {tag: i for i, tag in enumerate(BasisConstant)}
 
 
+def _exact(v):
+    """v as a Fraction; a float would make the form silently inexact, so it is a TypeError."""
+    if isinstance(v, float):
+        raise TypeError(f"closed-form coefficient {v!r} is a float, not an exact rational")
+    return Fraction(v)
+
+
 @dataclass(frozen=True)
 class ClosedForm:
     """Immutable map BasisConstant -> Fraction; absent key means zero."""
@@ -354,12 +362,8 @@ class ClosedForm:
         for tag in mapping:
             if not isinstance(tag, BasisConstant):
                 raise BasisError(f"{tag!r} is not a basis constant")
-        items = tuple(
-            sorted(
-                ((tag, Fraction(v)) for tag, v in mapping.items() if Fraction(v) != 0),
-                key=lambda kv: _TAG_ORDER[kv[0]],
-            )
-        )
+        exact = {tag: _exact(v) for tag, v in mapping.items()}
+        items = tuple(sorted(((tag, v) for tag, v in exact.items() if v), key=lambda kv: _TAG_ORDER[kv[0]]))
         object.__setattr__(self, "items", items)
 
     @property
@@ -388,7 +392,7 @@ def cf_add(a, b):
 
 def cf_scale(a, r):
     """Exact rational scaling of a closed form."""
-    r = Fraction(r)
+    r = _exact(r)
     return ClosedForm({tag: v * r for tag, v in a.items})
 
 

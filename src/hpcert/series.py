@@ -5,14 +5,14 @@ The central quantity is the tail
     a_n = ln2 - (1/(n+1) + ... + 1/(2n)),
 
 which equals both the alternating tail sum_{k>=2n+1} (-1)^(k-1)/k and the
-integral of x^(2n)/(1+x) over [0,1].  Two routes are implemented and
-cross-validated, the exact harmonic sum and the integral; the harmonic route
-keeps its rational part exact so that the only rounding comes from the single
-ln2 subtraction.
+integral of x^(2n)/(1+x) over [0,1].  This module sums series only: `tail`
+is the exact harmonic route, whose rational part stays exact so that the only
+rounding comes from the single ln2 subtraction.  The integral route, like
+every integral a check reads, is an integrand registered in `identities`
+(`tail_integral_n{n}`), and eq04 compares the two.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import cache
 from typing import Optional, Union
@@ -22,20 +22,6 @@ from mpmath import ldexp, mp, mpf, workprec
 from . import accel
 from .errors import PreconditionError
 from .numeric import BasisConstant, constant_value, round_to
-from .quadrature import Integrand, TanhSinh, expression, integrate
-
-
-class TailRoute(Enum):
-    HARMONIC = "harmonic"
-    INTEGRAL = "integral"
-
-
-@dataclass(frozen=True)
-class TailTerm:
-    value: mpf
-    # INTEGRAL: the quadrature's |T_k - T_{k-1}| estimate, not a bound;
-    # HARMONIC: None, as its only error is the final rounding
-    error_bound: Optional[mpf] = None
 
 
 @dataclass(frozen=True)
@@ -99,22 +85,10 @@ def _require_count(n, name):
         raise ValueError(f"{name} must be an int >= 1")
 
 
-def tail_integrand(n):
-    """The integral route's integrand x^(2n)/(1+x) on [0, 1]."""
-    e = 2 * n
-    return Integrand(id=f"tail_integral_n{n}", evaluator=lambda x: x**e / (1 + x), domain=(0, 1))
-
-
-def tail(n, route, p):
-    """Compute a_n by the requested route at precision p."""
+def tail(n, p):
+    """The harmonic a_n = ln2 - (1/(n+1) + ... + 1/(2n)) at precision p."""
     _require_count(n, "tail index")
-    g = p.guarded
-    if route is TailRoute.HARMONIC:
-        return TailTerm(round_to(_harmonic_tails([n], g)[0], p))
-    if route is TailRoute.INTEGRAL:
-        q = integrate(tail_integrand(n), TanhSinh(), p)
-        return TailTerm(q.value, q.error_estimate)
-    raise ValueError(f"unknown tail route {route!r}")
+    return round_to(_harmonic_tails([n], p.guarded)[0], p)
 
 
 def _scan_coefficients(coeff, count):
@@ -193,13 +167,8 @@ def ln2_direct_partial(terms, p):
 def ln1pt_over_t(p):
     """The dilogarithm-at-minus-one value  sum (-1)^(n-1)/n^2  = int_0^1 ln(1+t)/t dt.
 
-    Accelerated series route; the quadrature route is exposed separately via
-    `ln1pt_integrand` so the two can be cross-checked.
+    The accelerated series route; app2_li2 compares it with the integral of
+    the integrand `ln1p_t_over_t` registered in `identities`.
     """
     n = accel.crz_terms_for_bits(p.guarded + 16)
     return sum_alternating(lambda k: mpf(1) / (k + 1) ** 2, Crz(n), p).value
-
-
-def ln1pt_integrand():
-    """ln(1+t)/t on [0, 1]; the t -> 0 endpoint is removable with limit 1."""
-    return expression("ln1p_t_over_t", lambda c, t: c.log1p_over(t))

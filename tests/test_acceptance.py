@@ -20,7 +20,6 @@ from hpcert import (
     Crz,
     Euler,
     Precision,
-    TailRoute,
     eval_closed_form,
     gauss_legendre_nodes,
     integrate_2d,
@@ -31,7 +30,7 @@ from hpcert import (
 from hpcert.cli import Report, build_report, render_json, render_text
 from hpcert.identities import SIGMA_CF, CheckContext, _fd_step, get_integrand
 from hpcert.numeric import BasisConstant, constant_value
-from hpcert.quadrature import GaussLegendre
+from hpcert.quadrature import GaussLegendre, TanhSinh, integrate
 
 P256 = Precision(256)
 P128 = Precision(128)
@@ -193,16 +192,15 @@ def test_criterion_4_logsine_suite(cat256):
 def test_criterion_5_tail_identity():
     worst = mpf(0)
     for n in (1, 2, 3, 5, 10, 20):
-        harm = tail(n, TailRoute.HARMONIC, P256)
-        quad = tail(n, TailRoute.INTEGRAL, P256)
+        quad = integrate(get_integrand(f"tail_integral_n{n}"), TanhSinh(), P256)
         with workprec(300):
-            diff = abs(harm.value - quad.value)
+            diff = abs(tail(n, P256) - quad.value)
             worst = max(worst, diff)
-        assert diff <= 8 * quad.error_bound + ldexp(1, -250)
+        assert diff <= 8 * quad.error_estimate + ldexp(1, -250)
     bounds_ok = True
     with workprec(300):
         for n in range(1, 65):
-            a_n = tail(n, TailRoute.HARMONIC, P256).value
+            a_n = tail(n, P256)
             lo = Fraction(1, 2 * n + 1) - Fraction(1, 2 * n + 2)
             hi = Fraction(1, 2 * n + 1)
             if not (mpf(lo.numerator) / lo.denominator < a_n < mpf(hi.numerator) / hi.denominator):

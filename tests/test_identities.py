@@ -20,7 +20,7 @@ from hpcert import (
     run_catalog,
     run_check,
 )
-from hpcert import identities, numeric, quadrature, series
+from hpcert import identities, numeric, quadrature
 from hpcert.identities import (
     LN2_DIRECT_TERMS,
     SIGMA_CF,
@@ -40,7 +40,7 @@ from hpcert.identities import (
     precision_floor,
 )
 from hpcert.numeric import constant_value, round_to
-from hpcert.quadrature import GaussLegendre, Integrand, TanhSinh, integrate, integrate_2d
+from hpcert.quadrature import GaussLegendre, TanhSinh, integrate, integrate_2d
 from oracle_values import (
     A_VALUE,
     B_VALUE,
@@ -106,7 +106,7 @@ def test_catalog_rhs_stays_in_basis():
     for c in catalog():
         for leaf in _leaves(c.lhs) + _leaves(c.rhs):
             # every leaf is data: no bare callable stands in for a side
-            assert isinstance(leaf, (ClosedForm, str, Integrand, Value, FiniteDifference)), (c.id, leaf)
+            assert isinstance(leaf, (ClosedForm, str, Value, FiniteDifference)), (c.id, leaf)
             if isinstance(leaf, str):
                 get_integrand(leaf)
             if isinstance(leaf, ClosedForm):
@@ -211,7 +211,9 @@ def test_evaluations_count_each_integral_once_and_only_the_counted_series(p128):
 @pytest.mark.parametrize("bits", [128, 256])
 def test_eq04_tolerance_is_eight_times_the_largest_tail_estimate(bits):
     p = Precision(bits)
-    tails = [integrate(series.tail_integrand(n), TanhSinh(), Precision(p.guarded)) for n in (1, 2, 3, 5, 10, 20)]
+    tails = [
+        integrate(get_integrand(f"tail_integral_n{n}"), TanhSinh(), Precision(p.guarded)) for n in identities.EQ04_TAILS
+    ]
     est = max(q.error_estimate for q in tails)
     assert est > 0
     with workprec(p.guarded):
@@ -375,6 +377,16 @@ def test_run_check_refuses_a_context_at_another_precision(p64, p128):
         run_check(by_id("eq07_assembly"), p128, ctx=CheckContext(p64))
 
 
+def test_run_check_refuses_a_precision_above_the_ceiling_before_it_computes(monkeypatch):
+    # the widest kernels would outrun mpmath's Taylor caches: at 2440 bits app1_I1
+    # used to end the whole run inside mpmath with "negative shift count"
+    assert identities.MAX_PRECISION_BITS == 2048
+    monkeypatch.setattr(identities, "_side_value", lambda *args: pytest.fail("computed a side"))
+    for bits in (identities.MAX_PRECISION_BITS + 1, 2440):
+        with pytest.raises(ValueError, match=f"precision {bits} bits is above 2048"):
+            run_catalog(Precision(bits), ids=["app1_I1"])
+
+
 def test_tolerance_override(p128):
     r = run_check(by_id("eq03_ln2"), p128, tolerance_exponent_override=-10)
     assert not r.passed
@@ -480,7 +492,7 @@ def test_shared_memo_evaluates_an_interval_as_written(cold_caches):
     x = iv.mpf([0.25, 0.75])
     for got, want in [
         (get_integrand("a_integrand").evaluator(x), x * x / ((1 + x * x) * (1 + x))),
-        (series.tail_integrand(2).evaluator(x), x**4 / (1 + x)),
+        (get_integrand("tail_integral_n2").evaluator(x), x**4 / (1 + x)),
     ]:
         assert (got.a, got.b) == (want.a, want.b)
     # and a memo handed a value that is not an mpf computes it as written, storing nothing
@@ -523,6 +535,8 @@ def _pinned_forms():
         "f_prime_closed": lambda a: (a * (2 * ln2 + log1p(a * a) / (a * a)) - 2 * atan(a)) / (1 + a * a),
         "h_prime_closed": lambda a: (log1p(a * a) / 2 - ln2 + atan(a) / a) / (1 + a * a),
     }
+    for n in identities.EQ04_TAILS:
+        forms[f"tail_integral_n{n}"] = (lambda e: lambda x: x**e / (1 + x))(2 * n)
     for x0 in identities.EQ06_GRID:
         x0n = mpf(x0.numerator) / x0.denominator
         forms[f"eq06_inner_{x0.numerator}_{x0.denominator}"] = (
@@ -530,9 +544,6 @@ def _pinned_forms():
         )(x0n)
     evaluators = {i: f.evaluator for i, f in identities._REGISTRY.items() if f.dimension == 1}
     assert forms.keys() == evaluators.keys()  # every registered 1D integrand is pinned
-    for n in (1, 2, 3, 5, 10, 20):
-        forms[f"tail_{n}"] = (lambda e: lambda x: x**e / (1 + x))(2 * n)
-        evaluators[f"tail_{n}"] = series.tail_integrand(n).evaluator
     for a in (mpf(3) / 10, mpf(7) / 10, mpf(1)):
         for side in (a + mpf(2) ** -40, a - mpf(2) ** -40):
             forms[f"F_at_{side}"] = (lambda s: lambda x: log1p((s * x) * (s * x)) / (1 + x))(side)
@@ -618,10 +629,13 @@ def kernel_cases(width):
 
 
 def test_every_bounded_registered_integrand_declares_a_kernel():
-    # every 1D integrand is an expression, and only the log-singular five stay on the mpf ladder
-    registered = identities._REGISTRY.values()
-    assert all(f.expr is not None for f in registered if f.dimension == 1)
-    mpf_ladder = [f.id for f in registered if f.dimension == 1 and not f.integer_ladder]
+    # every 1D integrand but eq04's tails is an expression, and only the log-singular
+    # five of those stay on the mpf ladder; the tails are plain mpf evaluators
+    tails = [f"tail_integral_n{n}" for n in identities.EQ04_TAILS]
+    registered = [f for f in identities._REGISTRY.values() if f.dimension == 1 and f.id not in tails]
+    assert all(get_integrand(i).expr is None for i in tails)
+    assert all(f.expr is not None for f in registered)
+    mpf_ladder = [f.id for f in registered if not f.integer_ladder]
     assert mpf_ladder == [
         "i1_minus_ln_x",
         "neg_ln_x_over_1px2",

@@ -239,6 +239,15 @@ def test_closed_form_rejects_non_basis_keys():
         ClosedForm({"pi": 1})
 
 
+def test_closed_form_and_cf_scale_refuse_a_float_coefficient():
+    # 0.1 as a Fraction is 3602879701896397/2^55: a silently inexact closed form
+    for make in (lambda: ClosedForm({PI_T: 0.1}), lambda: cf_scale(ClosedForm({PI_T: 1}), 0.1)):
+        with pytest.raises(TypeError, match="float"):
+            make()
+    # ints and Fractions are exact, and stay accepted
+    assert cf_scale(ClosedForm({PI_T: 1}), Fraction(1, 10)) == ClosedForm({PI_T: Fraction(1, 10)})
+
+
 def test_eval_closed_form_identity(p128):
     assert eval_closed_form(ClosedForm({ONE: 1}), p128) == 1
     assert eval_closed_form(ClosedForm(), p128) == 0

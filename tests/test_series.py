@@ -11,14 +11,14 @@ from hpcert import (
     Euler,
     PreconditionError,
     Precision,
-    TailRoute,
     ln1pt_over_t,
     sigma_series,
     sum_alternating,
     tail,
     ulp,
 )
-from hpcert.series import _paired_alternating, harmonic_tail_fraction, ln1pt_integrand, ln2_direct_partial
+from hpcert.identities import get_integrand
+from hpcert.series import _paired_alternating, harmonic_tail_fraction, ln2_direct_partial
 from hpcert.quadrature import TanhSinh, integrate
 from oracle_values import A1, A2, LN2, PI2_12, SIGMA, SIGMA_PARTIAL_1, SIGMA_PARTIAL_2, assert_close, oracle
 
@@ -30,15 +30,14 @@ def test_harmonic_tail_fraction():
 
 
 def test_tail_harmonic_frozen(p128):
-    assert_close(tail(1, TailRoute.HARMONIC, p128).value, A1, mpf(10) ** -35)
-    assert_close(tail(2, TailRoute.HARMONIC, p128).value, A2, mpf(10) ** -35)
+    assert_close(tail(1, p128), A1, mpf(10) ** -35)
+    assert_close(tail(2, p128), A2, mpf(10) ** -35)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 20])
 def test_tail_routes_agree(n, p128):
-    harm = tail(n, TailRoute.HARMONIC, p128)
-    quad = tail(n, TailRoute.INTEGRAL, p128)
-    assert abs(harm.value - quad.value) <= 8 * quad.error_bound + ldexp(1, -120)
+    quad = integrate(get_integrand(f"tail_integral_n{n}"), TanhSinh(), p128)
+    assert abs(tail(n, p128) - quad.value) <= 8 * quad.error_estimate + ldexp(1, -120)
 
 
 def test_tail_rational_bounds_up_to_64(p256):
@@ -46,21 +45,21 @@ def test_tail_rational_bounds_up_to_64(p256):
     # 256-bit comparison is decisive
     with workprec(300):
         for n in range(1, 65):
-            a_n = tail(n, TailRoute.HARMONIC, p256).value
+            a_n = tail(n, p256)
             lo = Fraction(1, 2 * n + 1) - Fraction(1, 2 * n + 2)
             hi = Fraction(1, 2 * n + 1)
             assert mpf(lo.numerator) / lo.denominator < a_n < mpf(hi.numerator) / hi.denominator
 
 
 def test_tail_strictly_decreasing(p128):
-    values = [tail(n, TailRoute.HARMONIC, p128).value for n in range(1, 30)]
+    values = [tail(n, p128) for n in range(1, 30)]
     assert all(a > b > 0 for a, b in zip(values, values[1:]))
 
 
 def test_tail_rejects_bad_n(p64):
     for n in (0, 1.5):
         with pytest.raises(ValueError):
-            tail(n, TailRoute.HARMONIC, p64)
+            tail(n, p64)
 
 
 @pytest.mark.parametrize("method", [Direct, Euler, Crz])
@@ -181,7 +180,7 @@ def test_paired_alternating_matches_the_exact_sum(first, last):
 def test_ln1pt_over_t_series_and_quadrature(p128):
     v = ln1pt_over_t(p128)
     assert abs(v - oracle(PI2_12)) <= 4 * ulp(v, 128)
-    q = integrate(ln1pt_integrand(), TanhSinh(), p128)
+    q = integrate(get_integrand("ln1p_t_over_t"), TanhSinh(), p128)
     assert abs(q.value - v) <= 8 * q.error_estimate + ldexp(1, -124)
 
 
