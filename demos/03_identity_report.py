@@ -10,10 +10,10 @@ import time
 
 from mpmath import nstr
 
-from hpcert import Precision, catalog, run_catalog
+from hpcert import CATALOG, Precision, run_catalog
 
-print(f"{len(catalog())} checks in the catalog:\n")
-for c in catalog():
+print(f"{len(CATALOG)} checks in the catalog:\n")
+for c in CATALOG:
     print(f"  {c.id:<24} [{c.ref}]")
 
 p = Precision(256)

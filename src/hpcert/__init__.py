@@ -36,7 +36,6 @@ from .quadrature import (
     tanh_sinh_nodes,
 )
 from .series import (
-    AccelMethod,
     Crz,
     Direct,
     Euler,
@@ -47,9 +46,9 @@ from .series import (
     tail,
 )
 from .identities import (
+    CATALOG,
     CheckResult,
     IdentityCheck,
-    catalog,
     run_catalog,
     run_check,
 )

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from mpmath import nstr
 
 from . import __version__
-from .identities import MAX_PRECISION_BITS, catalog, precision_floor, run_catalog
+from .identities import CATALOG, precision_refusal, run_catalog
 from .numeric import Precision
 
 EXIT_OK = 0
@@ -41,7 +41,6 @@ EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
 
 @dataclass
 class Report:
-    tool_version: str
     precision_bits: int
     started_at: str | None  # None: untimed, rendered with the epoch and no elapsed times
     checks: list = field(default_factory=list)
@@ -56,22 +55,7 @@ class Report:
 
 
 def _matching(pattern):
-    return [c for c in catalog() if fnmatch.fnmatchcase(c.id, pattern)]
-
-
-def _refusal(checks, precision_bits, tolerance_exponent):
-    """Why the catalog will not run `checks` at `precision_bits`, or None."""
-    floor = precision_floor(checks, tolerance_exponent)
-    if floor > MAX_PRECISION_BITS:
-        return (
-            f"no accepted precision (at most {MAX_PRECISION_BITS} bits) meets 10^{tolerance_exponent}:"
-            f" its tolerance floor is {floor} bits"
-        )
-    if precision_bits < floor:
-        return f"precision {precision_bits} bits is below {floor}, the tolerance floor"
-    if precision_bits > MAX_PRECISION_BITS:
-        return f"precision {precision_bits} bits is above {MAX_PRECISION_BITS}, the largest the catalog is tested at"
-    return None
+    return [c for c in CATALOG if fnmatch.fnmatchcase(c.id, pattern)]
 
 
 def build_report(precision_bits, filter, tolerance_exponent, jobs, no_timestamp):
@@ -79,7 +63,7 @@ def build_report(precision_bits, filter, tolerance_exponent, jobs, no_timestamp)
     started = None if no_timestamp else time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     ids = [c.id for c in _matching(filter)]
     results = run_catalog(Precision(precision_bits), ids=ids, jobs=jobs, tolerance_exponent_override=tolerance_exponent)
-    return Report(tool_version=__version__, precision_bits=precision_bits, started_at=started, checks=results)
+    return Report(precision_bits=precision_bits, started_at=started, checks=results)
 
 
 def render_json(report):
@@ -109,7 +93,7 @@ def render_json(report):
         if r.error is not None:
             checks[-1]["error"] = r.error
     doc = {
-        "tool_version": report.tool_version,
+        "tool_version": __version__,
         "precision_bits": report.precision_bits,
         "started_at": EPOCH_TIMESTAMP if untimed else report.started_at,
         "checks": checks,
@@ -174,7 +158,7 @@ def main(argv=None):
             parser.error(f"argument --precision-bits: {exc}")
         if not checks:
             parser.error(f"filter {ns.filter!r} matches no checks")
-        refusal = None if ns.list_only else _refusal(checks, ns.precision_bits, ns.tolerance_exponent)
+        refusal = None if ns.list_only else precision_refusal(checks, ns.precision_bits, ns.tolerance_exponent)
         if refusal:
             parser.error(refusal)
     except SystemExit as exc:  # argparse's --help (0) and every usage error (2)

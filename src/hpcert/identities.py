@@ -15,7 +15,7 @@ names it by.  Each is declared once, as expressions over `numeric`'s
 operation contexts: a 1D one is its mpf evaluator and, when bounded, the
 integer kernel that the tanh-sinh ladder sums; eq05's product form is its mpf
 g and integer h.  eq04's six tails alone are plain mpf evaluators.
-`run_check` refuses a precision above `MAX_PRECISION_BITS`, then evaluates
+`run_check` refuses a precision that `precision_refusal` refuses, then evaluates
 both sides at the requested precision, applies the check's tolerance policy
 and reads `evaluations` off the context's record; a nonconvergence or a
 domain error in one check becomes that check's `error`, and the other checks
@@ -638,11 +638,6 @@ if len(_BY_ID) != len(CATALOG):
     raise CatalogError("catalog ids are not unique")
 
 
-def catalog():
-    """The full ordered check catalog."""
-    return CATALOG
-
-
 # the widest run the catalog is tested at (a `slow` test); the kernels of a wider
 # ladder outrun the widths mpmath's Taylor caches serve
 MAX_PRECISION_BITS = 2048
@@ -665,6 +660,21 @@ def precision_floor(checks, tolerance_exponent_override=None):
     return bits - (GUARD_BITS - quadrature.STOP_MARGIN)
 
 
+def precision_refusal(checks, bits, tolerance_exponent_override=None):
+    """Why the catalog will not run `checks` at `bits`, or None: the one gate of `run_check` and `verify`."""
+    floor = precision_floor(checks, tolerance_exponent_override)
+    if floor > MAX_PRECISION_BITS:
+        return (
+            f"no accepted precision (at most {MAX_PRECISION_BITS} bits) meets 10^{tolerance_exponent_override}:"
+            f" its tolerance floor is {floor} bits"
+        )
+    if bits < floor:
+        return f"precision {bits} bits is below {floor}, the tolerance floor"
+    if bits > MAX_PRECISION_BITS:
+        return f"precision {bits} bits is above {MAX_PRECISION_BITS}, the largest the catalog is tested at"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Execution.
 # ---------------------------------------------------------------------------
@@ -684,9 +694,9 @@ def _resolve_tolerance(policy, p, read):
 
 
 def run_check(check, p, ctx=None, tolerance_exponent_override=None):
-    """Evaluate one check at precision p and apply its tolerance policy."""
-    if p.bits > MAX_PRECISION_BITS:
-        raise ValueError(f"precision {p.bits} bits is above {MAX_PRECISION_BITS}, the catalog's ceiling")
+    """Evaluate one check at precision p and apply its tolerance policy; a refused precision is a `ValueError`."""
+    if refusal := precision_refusal([check], p.bits, tolerance_exponent_override):
+        raise ValueError(refusal)
     ctx = ctx or CheckContext(p)
     if ctx.p != p:
         raise ValueError(f"context precision {ctx.p.bits} differs from the check's {p.bits}")
@@ -721,7 +731,8 @@ def run_catalog(p, ids=None, jobs=1, tolerance_exponent_override=None):
 
     With jobs > 1 the checks fan out to a process pool (each worker builds
     its own caches); results are still aggregated in catalog order, so the
-    report is deterministic either way.
+    report is deterministic either way.  A precision that `precision_refusal`
+    refuses for the selection is a `ValueError` before any check runs.
     """
     checks = CATALOG
     if isinstance(ids, str):
@@ -732,6 +743,8 @@ def run_catalog(p, ids=None, jobs=1, tolerance_exponent_override=None):
         if unknown:
             raise CatalogError(f"unknown check ids: {sorted(unknown)}")
         checks = [c for c in CATALOG if c.id in wanted]
+    if refusal := precision_refusal(checks, p.bits, tolerance_exponent_override):
+        raise ValueError(refusal)
     if jobs > 1 and len(checks) > 1:
         import concurrent.futures
         from itertools import repeat

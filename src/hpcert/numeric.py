@@ -370,12 +370,6 @@ class ClosedForm:
     def coefficients(self):
         return dict(self.items)
 
-    def coefficient(self, tag):
-        for t, v in self.items:
-            if t is tag:
-                return v
-        return Fraction(0)
-
     def __str__(self):
         if not self.items:
             return "0"

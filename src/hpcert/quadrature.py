@@ -9,7 +9,8 @@ difference falls below ``2^-(bits - STOP_MARGIN)``; reaching the refinement
 cap, a function of the ladder's width, first raises `NonconvergenceError`.
 
 All three rules (1D tanh-sinh and Gauss-Legendre, 2D tensor Gauss-Legendre)
-run through one refinement driver, `_refine`.  Two declarations move a sum
+run through one refinement driver, `_refine`, and both Gauss-Legendre rules
+through one ladder, `_gl_ladder`.  Two declarations move a sum
 into fixed-point integers: a 2D integrand's product form has its rungs summed
 by `_product_sum`, and a bounded 1D integrand written as an expression has its
 tanh-sinh levels summed by `_ts_fixed_ladder`.
@@ -85,9 +86,9 @@ def expression(id, expr, domain=(0, 1), **singular):
     return Integrand(id, partial(expr, MP), domain, expr=expr, **singular)
 
 
-def product(id, g, h, domain=((0, 1), (0, 1))):
-    """A 2D integrand g(x) g(y) h(xy), g and h each an expression; its evaluator is that product under `MP`."""
-    return Integrand(id, lambda x, y: g(MP, x) * g(MP, y) * h(MP, x * y), domain, product=(g, h))
+def product(id, g, h):
+    """g(x) g(y) h(xy) on the unit square, g and h each an expression; its evaluator is that product under `MP`."""
+    return Integrand(id, lambda x, y: g(MP, x) * g(MP, y) * h(MP, x * y), ((0, 1), (0, 1)), product=(g, h))
 
 
 @dataclass(frozen=True)
@@ -450,14 +451,24 @@ def _gl_axis(domain, half_nodes):
     return pts, halfw
 
 
+def _line_sum(integrand, pts):
+    """sum w f(x) over an even rule's points, pair by pair through `_pair_sum`, and its evaluations."""
+    return _pair_sum(integrand, ((xp, xm, w) for (xp, w), (xm, _) in zip(pts[::2], pts[1::2])), mpf(0))
+
+
 def _gl_ladder(integrand, cap, bits):
+    """Gauss-Legendre rungs 8, 16, ..., cap on each axis of a 1D interval or a 2D rectangle."""
+    if integrand.dimension == 1:
+        domains, gl_sum = (integrand.domain,), _line_sum
+    else:
+        domains, gl_sum = integrand.domain, _product_sum if integrand.product else _tensor_sum
     evals = 0
     for order in _gl_orders(cap):
-        pts, halfw = _gl_axis(integrand.domain, _gl_halfline(order, bits))
-        pairs = ((xp, xm, w) for (xp, w), (xm, _) in zip(pts[::2], pts[1::2]))
-        S, n = _pair_sum(integrand, pairs, mpf(0))
+        half = _gl_halfline(order, bits)
+        axes = [_gl_axis(domain, half) for domain in domains]
+        S, n = gl_sum(integrand, *(pts for pts, _ in axes))
         evals += n
-        yield order, halfw * S, evals
+        yield order, math.prod(halfw for _, halfw in axes) * S, evals
 
 
 def integrate(f, s, p):
@@ -482,7 +493,9 @@ def integrate(f, s, p):
 
 
 # ---------------------------------------------------------------------------
-# 2D tensor Gauss-Legendre rule over a rectangle (in practice: the unit square).
+# 2D tensor Gauss-Legendre rule over a rectangle (in practice: the unit square):
+# `_gl_ladder` sums each rung with `_tensor_sum`, or `_product_sum` for a
+# declared product.
 #
 # A declared product (g, h) is two expressions: g runs under `MP`, and h under
 # fixed_context(W), bound once per rung, as h(T) = h(T / 2^W) 2^W in integers.
@@ -520,19 +533,6 @@ def _product_sum(integrand, ptsx, ptsy):
     return ldexp(mpf(S), -3 * W), len(ptsx) * len(ptsy)
 
 
-def _tensor_gl_ladder(integrand, cap, bits):
-    domx, domy = integrand.domain
-    tensor_sum = _product_sum if integrand.product else _tensor_sum
-    evals = 0
-    for order in _gl_orders(cap):
-        half = _gl_halfline(order, bits)
-        ptsx, halfx = _gl_axis(domx, half)
-        ptsy, halfy = _gl_axis(domy, half)
-        S, n = tensor_sum(integrand, ptsx, ptsy)
-        evals += n
-        yield order, halfx * halfy * S, evals
-
-
 def integrate_2d(f, s, p):
     """Integrate a 2D integrand with the tensor product of the Gauss-Legendre rule."""
     if f.dimension != 2:
@@ -544,5 +544,5 @@ def integrate_2d(f, s, p):
     if f.expr:
         raise ValueError(f"an expression integrand is 1D only, got one on {f.id!r}")
     cap = gl_order_cap(p.guarded)
-    ladder = _tensor_gl_ladder(f, cap, p.guarded)
+    ladder = _gl_ladder(f, cap, p.guarded)
     return _refine(ladder, p, f"2D Gauss-Legendre on {f.id!r}", f"order {cap}")

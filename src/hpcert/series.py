@@ -15,7 +15,7 @@ every integral a check reads, is an integrand registered in `identities`
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Optional, Union
+from typing import Optional
 
 from mpmath import ldexp, mp, mpf, workprec
 
@@ -37,9 +37,6 @@ class Euler:
 @dataclass(frozen=True)
 class Crz:
     terms: int
-
-
-AccelMethod = Union[Direct, Euler, Crz]
 
 
 @dataclass(frozen=True)
@@ -65,8 +62,8 @@ def _harmonic_tails(ns, g):
         return [ln2 - mpf(f.numerator) / f.denominator for f in map(harmonic_tail_fraction, ns)]
 
 
-def _paired_alternating(first, last):
-    """sum_{k=first}^{last} (-1)^(k-first)/k at the ambient precision, first odd.
+def _paired_alternating(last):
+    """sum_{k=1}^{last} (-1)^(k-1)/k at the ambient precision.
 
     Terms pair up as 1/k - 1/(k+1) = 1/(k(k+1)), which avoids cancellation.
     Each is floored at W = prec + 2 bit_length(last) + 8 bits, so the at most
@@ -74,8 +71,8 @@ def _paired_alternating(first, last):
     """
     W = mp.prec + 2 * last.bit_length() + 8
     one = 1 << W
-    s = sum(one // (k * (k + 1)) for k in range(first, last, 2))
-    if (last - first) % 2 == 0:  # odd leftover term
+    s = sum(one // (k * (k + 1)) for k in range(1, last, 2))
+    if last % 2:  # odd leftover term
         s += one // last
     return ldexp(mpf(s), -W)
 
@@ -159,7 +156,7 @@ def ln2_direct_partial(terms, p):
     _require_count(terms, "terms")
     g = p.guarded
     with workprec(g):
-        s = _paired_alternating(1, terms)
+        s = _paired_alternating(terms)
         bound = mpf(1) / (terms + 1)
     return SeriesResult(round_to(s, p), terms, round_to(bound, p))
 

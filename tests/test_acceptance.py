@@ -16,7 +16,6 @@ import pytest
 from mpmath import ldexp, mpf, workprec
 
 from hpcert import (
-    __version__,
     Crz,
     Euler,
     Precision,
@@ -299,7 +298,7 @@ def test_reports_match_the_recorded_reference(cat256):
     # the benchmark checks its runs against the same file; pinning it here
     # catches a digit change before a benchmark run does
     results, _ = cat256
-    report = Report(__version__, P256.bits, None, list(results.values()))
+    report = Report(P256.bits, None, list(results.values()))
     rendered_bytes = render_json(report)
     rendered = json.loads(rendered_bytes)["checks"]
     reference = json.loads(REFERENCE_256.read_text(encoding="utf-8"))["checks"]
@@ -314,7 +313,7 @@ def test_reports_match_the_recorded_reference(cat256):
 def test_text_report_matches_its_golden(cat256):
     # the default `verify --no-timestamp` report, recorded byte for byte
     results, _ = cat256
-    report = Report(__version__, P256.bits, None, list(results.values()))
+    report = Report(P256.bits, None, list(results.values()))
     assert render_text(report) == GOLDEN_TEXT_256.read_text(encoding="utf-8")
 
 

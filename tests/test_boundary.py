@@ -7,6 +7,7 @@ rounding is never farther from the input) is tested in test_numeric.py.
 from mpmath import mpf
 
 from hpcert import (
+    CATALOG,
     BasisConstant,
     ClosedForm,
     Crz,
@@ -15,7 +16,6 @@ from hpcert import (
     GaussLegendre,
     Integrand,
     TanhSinh,
-    catalog,
     const_catalan,
     const_ln2,
     const_pi,
@@ -57,7 +57,7 @@ def _boundary_values(p):
     out["const_catalan"] = const_catalan(p)
     cf = ClosedForm({BasisConstant.PI_LN2: 1, BasisConstant.CATALAN: -1})
     out["eval_closed_form"] = eval_closed_form(cf, p)
-    check = next(c for c in catalog() if c.id == "eq08_A")
+    check = next(c for c in CATALOG if c.id == "eq08_A")
     r = run_check(check, p)
     for field in ("lhs_value", "rhs_value", "abs_error", "tolerance"):
         out[f"run_check {field}"] = getattr(r, field)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf, workprec
 
-from hpcert import NonconvergenceError, identities
+from hpcert import NonconvergenceError, __version__, identities
 from hpcert.cli import EXIT_CHECK_FAILED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, build_report, main
 from hpcert.cli import render_json, render_text
 
@@ -223,7 +223,7 @@ def test_json_round_trip(capsys):
 
     report = build_report(128, "eq1[06]*", tolerance_exponent=None, jobs=1, no_timestamp=True)
     doc = json.loads(render_json(report))
-    assert doc["tool_version"] == report.tool_version
+    assert doc["tool_version"] == __version__
     assert doc["precision_bits"] == report.precision_bits
     assert report.started_at is None and doc["started_at"] == "1970-01-01T00:00:00Z"
     assert doc["passed_count"] == report.passed_count
@@ -239,7 +239,7 @@ def test_json_round_trip(capsys):
 def test_render_json_empty_checks_is_valid():
     from hpcert.cli import Report, render_json
 
-    report = Report(tool_version="0.0", precision_bits=128, started_at="2026-01-02T03:04:05Z")
+    report = Report(precision_bits=128, started_at="2026-01-02T03:04:05Z")
     doc = json.loads(render_json(report))
     assert list(doc.keys()) == TOP_KEYS
     assert doc["started_at"] == "2026-01-02T03:04:05Z"
@@ -250,7 +250,7 @@ def test_render_json_empty_checks_is_valid():
 def test_render_text_empty_checks():
     from hpcert.cli import Report, render_text
 
-    report = Report(tool_version="0.0", precision_bits=128, started_at=None)
+    report = Report(precision_bits=128, started_at=None)
     assert render_text(report) == "identity verification @ 128 bits\n0 passed, 0 failed\n"
 
 

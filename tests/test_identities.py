@@ -9,12 +9,12 @@ from mpmath import atan, cos, iv, ldexp, log, log1p, mp, mpc, mpf, sin, workprec
 from mpmath.libmp import to_fixed
 
 from hpcert import (
+    CATALOG,
     BasisConstant,
     CatalogError,
     ClosedForm,
     NonconvergenceError,
     Precision,
-    catalog,
     cf_add,
     eval_closed_form,
     run_catalog,
@@ -81,11 +81,11 @@ SPEC_IDS = {
 
 
 def by_id(cid):
-    return {c.id: c for c in catalog()}[cid]
+    return {c.id: c for c in CATALOG}[cid]
 
 
 def test_catalog_contents():
-    checks = catalog()
+    checks = CATALOG
     ids = [c.id for c in checks]
     assert len(ids) == len(set(ids))
     assert len(checks) >= 21
@@ -103,7 +103,7 @@ def _leaves(side):
 
 def test_catalog_rhs_stays_in_basis():
     forms = set()
-    for c in catalog():
+    for c in CATALOG:
         for leaf in _leaves(c.lhs) + _leaves(c.rhs):
             # every leaf is data: no bare callable stands in for a side
             assert isinstance(leaf, (ClosedForm, str, Value, FiniteDifference)), (c.id, leaf)
@@ -119,12 +119,12 @@ def test_catalog_rhs_stays_in_basis():
 
 def test_only_checks_that_integrate_nothing_have_no_precision_floor():
     # a side that is neither a closed form nor a `Value` may integrate, so it has a floor
-    assert [c.id for c in catalog() if precision_floor([c], -40) < 64] == [
+    assert [c.id for c in CATALOG if precision_floor([c], -40) < 64] == [
         "eq01_sigma_series",
         "eq03_ln2",
         "eq07_assembly",
     ]
-    assert precision_floor(catalog()) == 109
+    assert precision_floor(CATALOG) == 109
 
 
 def test_run_check_eq08(p128):
@@ -185,7 +185,7 @@ class _ReadLog(CheckContext):
 
 def test_evaluations_are_series_terms_plus_each_distinct_integral_read(p128):
     ctx = _ReadLog(p128)
-    for check in catalog():
+    for check in CATALOG:
         start = len(ctx.log)
         r = run_check(check, p128, ctx=ctx)
         distinct = dict(ctx.log[start:])
@@ -385,6 +385,20 @@ def test_run_check_refuses_a_precision_above_the_ceiling_before_it_computes(monk
     for bits in (identities.MAX_PRECISION_BITS + 1, 2440):
         with pytest.raises(ValueError, match=f"precision {bits} bits is above 2048"):
             run_catalog(Precision(bits), ids=["app1_I1"])
+
+
+def test_run_check_and_run_catalog_refuse_a_precision_below_the_floor_before_they_compute(monkeypatch):
+    # below 109 bits the Tol(-40) checks' quadratures stop short of 10^-40: at 96
+    # bits eq06_inner and eq14_C_split used to report FAIL, though both hold
+    monkeypatch.setattr(identities, "_side_value", lambda *args: pytest.fail("computed a side"))
+    below = "precision 96 bits is below 109, the tolerance floor"
+    for jobs in (1, 2):
+        with pytest.raises(ValueError, match=below):
+            run_catalog(Precision(96), jobs=jobs)
+    with pytest.raises(ValueError, match=below):
+        run_check(by_id("eq06_inner"), Precision(96))
+    with pytest.raises(ValueError, match="no accepted precision"):
+        run_check(by_id("eq08_A"), Precision(256), tolerance_exponent_override=-700)
 
 
 def test_tolerance_override(p128):

@@ -8,17 +8,20 @@ at that width first asks, off `CheckContext.read`; G's are the checks with G
 in a closed form.  Only the readers run under a mutation, and every mutation
 is undone by `monkeypatch`.  A check that passes under a mutation of its own
 input shows the power it states: the bits its tolerance certifies, or a fact
-that the mutation leaves true.
+that the mutation leaves true.  A closed form's coefficients are scaled one at
+a time, each in one occurrence, and only that check runs.
 """
 
 import dataclasses
+from fractions import Fraction
 from functools import cache, partial
 
 import pytest
 from mpmath import ldexp
 
-from hpcert import BasisConstant, ClosedForm, Precision, identities, numeric
-from hpcert.identities import CATALOG, CheckContext, Combo, MaxGap, run_catalog, run_check
+from hpcert import BasisConstant, ClosedForm, Precision, eval_closed_form, identities, numeric, quadrature
+from hpcert.identities import CATALOG, SIGMA_CF, CheckContext, Combo, MaxGap, run_catalog, run_check
+from hpcert.quadrature import Integrand, PiMultiple, TanhSinh, integrate
 
 EPS = ldexp(1, -100)
 WIDTHS = [128, 256, pytest.param(1024, marks=pytest.mark.slow)]
@@ -131,16 +134,21 @@ def test_a_scaled_sigma_g_fails_eq05_above_its_stated_power(k, fails, bits, monk
     assert failing(Precision(bits), {"eq05_sigma_2d"}) == ({"eq05_sigma_2d"} if fails else set())
 
 
-def closed_forms(side):
-    if isinstance(side, ClosedForm):
-        yield side
-    elif isinstance(side, Combo):
-        for _, s in side.terms:
-            yield from closed_forms(s)
-    elif isinstance(side, MaxGap):
-        for pair in side.pairs:
-            for s in pair:
-                yield from closed_forms(s)
+def closed_forms(node):
+    """(form, put) for each closed form in a side or a tuple of sides, walking `Combo` and `MaxGap`.
+
+    put(new) is the node with that one occurrence of the form replaced by new.
+    """
+    if isinstance(node, ClosedForm):
+        yield node, lambda new: new
+    elif isinstance(node, tuple):
+        for i, item in enumerate(node):
+            for cf, put in closed_forms(item):
+                yield cf, lambda new, i=i, put=put: node[:i] + (put(new),) + node[i + 1 :]
+    elif isinstance(node, (Combo, MaxGap)):
+        name = "terms" if isinstance(node, Combo) else "pairs"
+        for cf, put in closed_forms(getattr(node, name)):
+            yield cf, lambda new, put=put: dataclasses.replace(node, **{name: put(new)})
 
 
 class _ScaledConstant:
@@ -157,11 +165,67 @@ class _ScaledConstant:
 def test_a_scaled_catalan_fails_its_readers_but_two(bits, cold_caches, monkeypatch):
     tag = BasisConstant.CATALAN
     read_by = {
-        c.id for c in CATALOG if any(cf.coefficient(tag) for side in (c.lhs, c.rhs) for cf in closed_forms(side))
+        c.id for c in CATALOG if any(tag in cf.coefficients for side in (c.lhs, c.rhs) for cf, _ in closed_forms(side))
     }
     assert read_by == CATALAN_FAILS | CATALAN_PASSES
     monkeypatch.setitem(numeric._MPF_CONSTANTS, tag, _ScaledConstant(numeric._MPF_CONSTANTS[tag]))
     assert failing(Precision(bits), read_by) == CATALAN_FAILS
+
+
+def coefficient_mutants():
+    """(check id, tag, the check with that one coefficient scaled by exactly 1 + 2^-100).
+
+    One mutant per coefficient of each occurrence of a closed form on each side.
+    """
+    for check in CATALOG:
+        for name in ("lhs", "rhs"):
+            for cf, put in closed_forms(getattr(check, name)):
+                for tag, v in cf.items:
+                    mutant = ClosedForm({**cf.coefficients, tag: v * (1 + Fraction(1, 2**100))})
+                    yield check.id, tag, dataclasses.replace(check, **{name: put(mutant)})
+
+
+# the stated power of five mutants: eq01 compares at Tol(-20), about 66 bits,
+# and eq03's partial sum brackets ln2 only within 1/100001
+COEFFICIENT_PASSES = {("eq01_sigma_series", tag) for tag in SIGMA_CF.coefficients} | {("eq03_ln2", BasisConstant.LN2)}
+
+
+@pytest.mark.parametrize("bits", WIDTHS)
+def test_a_scaled_coefficient_fails_its_check_but_five(bits):
+    p = Precision(bits)
+    mutants = list(coefficient_mutants())
+    assert len(mutants) == 36
+    ctx = CheckContext(p)
+    assert {(cid, tag) for cid, tag, check in mutants if run_check(check, p, ctx).passed} == COEFFICIENT_PASSES
+
+
+# int_0^{pi/4} ln cos and ln sin: there the two differ, by G
+QUARTER = (0, PiMultiple(Fraction(1, 4)))
+QUARTER_CF = {
+    "log_cos_half": ClosedForm({BasisConstant.CATALAN: Fraction(1, 2), BasisConstant.PI_LN2: Fraction(-1, 4)}),
+    "log_sin_half": ClosedForm({BasisConstant.CATALAN: Fraction(-1, 2), BasisConstant.PI_LN2: Fraction(-1, 4)}),
+}
+
+
+def quarter_misses(p):
+    """The log-sine integrands whose registered evaluator, integrated over [0, pi/4], misses its closed form.
+
+    Built as an `Integrand`, not through `expression`: an expression with no
+    singular flag goes to the integer ladder, whose context has no log, cos or sin.
+    """
+    misses = set()
+    for fid, cf in QUARTER_CF.items():
+        f = identities.get_integrand(fid)
+        quarter = Integrand(f"{fid}_quarter", f.evaluator, QUARTER, singular_left=f.singular_left)
+        r = integrate(quarter, TanhSinh(), p)
+        if abs(r.value - eval_closed_form(cf, p)) > ldexp(1, -(p.bits - quadrature.STOP_MARGIN)):
+            misses.add(fid)
+    return misses
+
+
+@pytest.mark.parametrize("bits", WIDTHS)
+def test_the_log_sine_evaluators_meet_their_quarter_interval_closed_forms(bits):
+    assert quarter_misses(Precision(bits)) == set()
 
 
 @pytest.mark.parametrize(
@@ -186,6 +250,8 @@ def test_cos_and_sin_swapped_error_the_log_sine_checks_and_spare_the_rest(bits, 
     assert all(r.error.startswith("DomainError: ") and not r.passed for r in results if r.error)
     assert all(r.passed for r in results if not r.error)
     assert len(results) == len(CATALOG)
+    # ln cos and ln sin differ on [0, pi/4], so there both swapped evaluators miss by G
+    assert quarter_misses(Precision(bits)) == {"log_cos_half", "log_sin_half"}
 
 
 @pytest.mark.parametrize("bits", WIDTHS)
@@ -202,3 +268,5 @@ def test_log_cos_half_written_as_ln_sin_passes_every_check(bits, monkeypatch):
     results = run_catalog(Precision(bits))
     assert all(r.passed for r in results)
     assert {r.id: r.abs_error for r in results}["app1_logsine_funceq"] == 0
+    # the catalog misses the fault, but on [0, pi/4] ln sin is not ln cos
+    assert quarter_misses(Precision(bits)) == {"log_cos_half"}

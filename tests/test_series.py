@@ -165,14 +165,14 @@ def test_ln2_direct_partial_brackets(p128):
     assert r.value < ln2  # even term count: partial sits below the limit
 
 
-@pytest.mark.parametrize("first, last", [(1, 1000), (1, 1001), (41, 20040)])
-def test_paired_alternating_matches_the_exact_sum(first, last):
+@pytest.mark.parametrize("last", [1000, 1001], ids=lambda last: f"1-{last}")
+def test_paired_alternating_matches_the_exact_sum(last):
     # within 2^-(bits + 8) of the exact sum before its one rounding to bits
-    L = math.lcm(*range(first, last + 1))
-    exact = Fraction(sum((-1) ** (k - first) * (L // k) for k in range(first, last + 1)), L)
+    L = math.lcm(*range(1, last + 1))
+    exact = Fraction(sum((-1) ** (k - 1) * (L // k) for k in range(1, last + 1)), L)
     for bits in (128, 320):
         with workprec(bits):
-            man, exp = _paired_alternating(first, last).man_exp
+            man, exp = _paired_alternating(last).man_exp
         got = man * Fraction(2) ** exp
         assert abs(got - exact) <= Fraction(1, 2 ** (bits + 8)) + exact / 2**bits
 
