@@ -15,7 +15,7 @@ import sys
 
 from mpmath import mpf, nstr, workprec
 
-from hpcert import Precision, run_catalog
+from hpcert import CATALOG, Precision, run_catalog
 from hpcert.identities import get_integrand
 
 p = Precision(256)
@@ -32,7 +32,7 @@ with workprec(p.bits):
 print("\nCertifying against central finite differences (h = 2^-85) and")
 print("reconstructing the endpoint from the derivative:")
 ids = ["app2_F_derivative", "app2_F_reconstruct", "app3_H_derivative", "app3_H_reconstruct"]
-results = run_catalog(p, ids=ids)
+results = run_catalog(p, [c for c in CATALOG if c.id in ids])
 for r in results:
     status = "PASS" if r.passed else "FAIL"
     print(

@@ -23,12 +23,12 @@ import json
 import signal
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from mpmath import nstr
 
 from . import __version__
-from .identities import CATALOG, precision_refusal, run_catalog
+from .identities import CATALOG, Tol, precision_refusal, run_catalog
 from .numeric import Precision
 
 EXIT_OK = 0
@@ -54,15 +54,10 @@ class Report:
         return len(self.checks) - self.passed_count
 
 
-def _matching(pattern):
-    return [c for c in CATALOG if fnmatch.fnmatchcase(c.id, pattern)]
-
-
-def build_report(precision_bits, filter, tolerance_exponent, jobs, no_timestamp):
-    """Run the checks whose ids match the glob `filter` and assemble the report; untimed with `no_timestamp`."""
+def build_report(precision_bits, checks, jobs, no_timestamp):
+    """Run `checks` and assemble the report; untimed with `no_timestamp`."""
     started = None if no_timestamp else time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    ids = [c.id for c in _matching(filter)]
-    results = run_catalog(Precision(precision_bits), ids=ids, jobs=jobs, tolerance_exponent_override=tolerance_exponent)
+    results = run_catalog(Precision(precision_bits), checks, jobs=jobs)
     return Report(precision_bits=precision_bits, started_at=started, checks=results)
 
 
@@ -149,7 +144,7 @@ def main(argv=None):
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        checks = _matching(ns.filter)
+        checks = [c for c in CATALOG if fnmatch.fnmatchcase(c.id, ns.filter)]
         if ns.jobs < 1:
             parser.error("argument --jobs: value must be >= 1")
         try:
@@ -158,7 +153,9 @@ def main(argv=None):
             parser.error(f"argument --precision-bits: {exc}")
         if not checks:
             parser.error(f"filter {ns.filter!r} matches no checks")
-        refusal = None if ns.list_only else precision_refusal(checks, ns.precision_bits, ns.tolerance_exponent)
+        if ns.tolerance_exponent is not None:  # the override is each selected check's own policy
+            checks = [replace(c, tolerance_policy=Tol(ns.tolerance_exponent)) for c in checks]
+        refusal = None if ns.list_only else precision_refusal(checks, ns.precision_bits)
         if refusal:
             parser.error(refusal)
     except SystemExit as exc:  # argparse's --help (0) and every usage error (2)
@@ -169,7 +166,7 @@ def main(argv=None):
             print(f"{c.id:<24} {c.ref:<22} {c.description}")
         return EXIT_OK
     try:
-        report = build_report(ns.precision_bits, ns.filter, ns.tolerance_exponent, ns.jobs, ns.no_timestamp)
+        report = build_report(ns.precision_bits, checks, ns.jobs, ns.no_timestamp)
     except Exception as exc:  # no report: an error outside any one check's computation
         print(f"verify: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

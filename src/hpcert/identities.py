@@ -19,8 +19,9 @@ g and integer h.  eq04's six tails alone are plain mpf evaluators.
 both sides at the requested precision, applies the check's tolerance policy
 and reads `evaluations` off the context's record; a nonconvergence or a
 domain error in one check becomes that check's `error`, and the other checks
-still run.  `run_catalog` executes a filtered selection in catalog order,
-optionally on a process pool.
+still run.  `run_catalog` runs the checks it is handed, in their order,
+optionally on a process pool, so every check pickles: each function a side
+holds is defined at module level.
 
 The catalog order follows the derivation it certifies, so a rendered report
 reads as a walkthrough: the series value, its reduction to a double
@@ -408,8 +409,16 @@ def _eq06_closed(x0, p):
 
 
 # each series is looked up at call time, so a wrapped module attribute sees the call
-_SIGMA_SERIES = Value(lambda p: series.sigma_series(p, series.Crz(30)))
-_LI2_SERIES = Value(lambda p: series.ln1pt_over_t(p))  # an mpf: its CRZ terms go uncounted
+def _sigma_series(p):
+    return series.sigma_series(p, series.Crz(30))
+
+
+def _ln2_partial(p):
+    return series.ln2_direct_partial(LN2_DIRECT_TERMS, p)
+
+
+def _li2_series(p):  # an mpf: its CRZ terms go uncounted
+    return series.ln1pt_over_t(p)
 
 
 CATALOG = (
@@ -417,7 +426,7 @@ CATALOG = (
         id="eq01_sigma_series",
         description="accelerated series sum (-1)^n a_n^2 equals G/2 + pi^2/48 - (7/8)(ln2)^2 - (pi/8)ln2",
         ref="Eq. (1)",
-        lhs=_SIGMA_SERIES,
+        lhs=Value(_sigma_series),
         rhs=SIGMA_CF,
         tolerance_policy=Tol(-20),
     ),
@@ -425,7 +434,7 @@ CATALOG = (
         id="eq03_ln2",
         description=f"alternating harmonic partial sum of {LN2_DIRECT_TERMS} terms brackets ln2 within 1/(N+1)",
         ref="Eq. (3)",
-        lhs=Value(lambda p: series.ln2_direct_partial(LN2_DIRECT_TERMS, p)),
+        lhs=Value(_ln2_partial),
         rhs=LN2_CF,
         tolerance_policy=TolExact(F(1, LN2_DIRECT_TERMS + 1)),
     ),
@@ -442,7 +451,7 @@ CATALOG = (
         description="double integral of -x^2 y^2/((1+x^2 y^2)(1+x)(1+y)) equals the series value",
         ref="Eq. (5)",
         lhs="sigma_double",
-        rhs=_SIGMA_SERIES,
+        rhs=Value(_sigma_series),
         tolerance_policy=Tol(-20),
     ),
     IdentityCheck(
@@ -547,7 +556,9 @@ CATALOG = (
         id="app2_li2",
         description="sum (-1)^(n-1)/n^2, int ln(1+t)/t, and pi^2/12 agree pairwise",
         ref="Appendix 2",
-        lhs=MaxGap(((_LI2_SERIES, "ln1p_t_over_t"), (_LI2_SERIES, LI2_CF), ("ln1p_t_over_t", LI2_CF))),
+        lhs=MaxGap(
+            ((Value(_li2_series), "ln1p_t_over_t"), (Value(_li2_series), LI2_CF), ("ln1p_t_over_t", LI2_CF))
+        ),
         rhs=ZERO_CF,
         tolerance_policy=Tol(-40),
     ),
@@ -633,8 +644,7 @@ CATALOG = (
     ),
 )
 
-_BY_ID = {c.id: c for c in CATALOG}
-if len(_BY_ID) != len(CATALOG):
+if len({c.id for c in CATALOG}) != len(CATALOG):
     raise CatalogError("catalog ids are not unique")
 
 
@@ -643,30 +653,30 @@ if len(_BY_ID) != len(CATALOG):
 MAX_PRECISION_BITS = 2048
 
 
-def precision_floor(checks, tolerance_exponent_override=None):
+def _quadrature_tol_exponents(checks):
+    for c in checks:
+        quad = any(not isinstance(s, (ClosedForm, Value)) for s in (c.lhs, c.rhs))
+        if quad and isinstance(c.tolerance_policy, Tol):
+            yield c.tolerance_policy.exponent
+
+
+def precision_floor(checks):
     """Least bits at which the checks' quadratures can meet their tightest `Tol`.
 
     Quadratures stop at 2^-(bits + GUARD_BITS - STOP_MARGIN), coarser than 10^E below
     ceil(-E log2 10) - (GUARD_BITS - STOP_MARGIN) bits; a `ClosedForm` or a `Value` has no floor.
     """
-    override = tolerance_exponent_override
-    exponents = []
-    for c in checks:
-        policy = c.tolerance_policy if override is None else Tol(override)
-        quad = any(not isinstance(s, (ClosedForm, Value)) for s in (c.lhs, c.rhs))
-        if quad and isinstance(policy, Tol):
-            exponents.append(policy.exponent)
-    bits = math.ceil(-min(exponents, default=0) * math.log2(10))
+    bits = math.ceil(-min(_quadrature_tol_exponents(checks), default=0) * math.log2(10))
     return bits - (GUARD_BITS - quadrature.STOP_MARGIN)
 
 
-def precision_refusal(checks, bits, tolerance_exponent_override=None):
+def precision_refusal(checks, bits):
     """Why the catalog will not run `checks` at `bits`, or None: the one gate of `run_check` and `verify`."""
-    floor = precision_floor(checks, tolerance_exponent_override)
+    floor = precision_floor(checks)
     if floor > MAX_PRECISION_BITS:
         return (
-            f"no accepted precision (at most {MAX_PRECISION_BITS} bits) meets 10^{tolerance_exponent_override}:"
-            f" its tolerance floor is {floor} bits"
+            f"no accepted precision (at most {MAX_PRECISION_BITS} bits) meets"
+            f" 10^{min(_quadrature_tol_exponents(checks))}: its tolerance floor is {floor} bits"
         )
     if bits < floor:
         return f"precision {bits} bits is below {floor}, the tolerance floor"
@@ -693,16 +703,13 @@ def _resolve_tolerance(policy, p, read):
     raise ValueError(f"unknown tolerance policy {policy!r}")
 
 
-def run_check(check, p, ctx=None, tolerance_exponent_override=None):
+def run_check(check, p, ctx=None):
     """Evaluate one check at precision p and apply its tolerance policy; a refused precision is a `ValueError`."""
-    if refusal := precision_refusal([check], p.bits, tolerance_exponent_override):
+    if refusal := precision_refusal([check], p.bits):
         raise ValueError(refusal)
     ctx = ctx or CheckContext(p)
     if ctx.p != p:
         raise ValueError(f"context precision {ctx.p.bits} differs from the check's {p.bits}")
-    policy = check.tolerance_policy
-    if tolerance_exponent_override is not None:
-        policy = Tol(tolerance_exponent_override)
     ctx.read, ctx.terms = {}, 0
     t0 = time.perf_counter()
     try:
@@ -710,7 +717,7 @@ def run_check(check, p, ctx=None, tolerance_exponent_override=None):
             lhs = _side_value(check.lhs, ctx)
             rhs = _side_value(check.rhs, ctx)
             err = abs(lhs - rhs)
-            tol = _resolve_tolerance(policy, p, ctx.read)
+            tol = _resolve_tolerance(check.tolerance_policy, p, ctx.read)
         # lhs_value, rhs_value, abs_error, tolerance and passed
         verdict, error = [round_to(v, p) for v in (lhs, rhs, err, tol)] + [bool(err <= tol)], None
     except (NonconvergenceError, DomainError) as exc:  # this check only: the others still report
@@ -720,30 +727,16 @@ def run_check(check, p, ctx=None, tolerance_exponent_override=None):
     return CheckResult(check.id, check.description, check.ref, *verdict, evaluations, elapsed_ms, error)
 
 
-def _run_by_id(check_id, bits, tolerance_exponent_override):
-    return run_check(
-        _BY_ID[check_id], Precision(bits), tolerance_exponent_override=tolerance_exponent_override
-    )
+def run_catalog(p, checks=CATALOG, jobs=1):
+    """Run `checks`, a sequence of `IdentityCheck`s, in their order.
 
-
-def run_catalog(p, ids=None, jobs=1, tolerance_exponent_override=None):
-    """Run a selection of catalog checks in catalog order.
-
-    With jobs > 1 the checks fan out to a process pool (each worker builds
-    its own caches); results are still aggregated in catalog order, so the
-    report is deterministic either way.  A precision that `precision_refusal`
-    refuses for the selection is a `ValueError` before any check runs.
+    With jobs > 1 the checks themselves are pickled to a process pool (each
+    worker builds its own caches); results still come back in the order
+    given, so the report is deterministic either way.  A precision that
+    `precision_refusal` refuses for the checks is a `ValueError` before any
+    check runs.
     """
-    checks = CATALOG
-    if isinstance(ids, str):
-        raise TypeError(f"ids must be a list of check ids, not the string {ids!r}")
-    if ids is not None:
-        wanted = set(ids)
-        unknown = wanted - _BY_ID.keys()
-        if unknown:
-            raise CatalogError(f"unknown check ids: {sorted(unknown)}")
-        checks = [c for c in CATALOG if c.id in wanted]
-    if refusal := precision_refusal(checks, p.bits, tolerance_exponent_override):
+    if refusal := precision_refusal(checks, p.bits):
         raise ValueError(refusal)
     if jobs > 1 and len(checks) > 1:
         import concurrent.futures
@@ -751,10 +744,6 @@ def run_catalog(p, ids=None, jobs=1, tolerance_exponent_override=None):
 
         # fork starts every worker at the first submit, so start no idle ones
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(checks))) as pool:
-            ids = [c.id for c in checks]
-            return list(pool.map(_run_by_id, ids, repeat(p.bits), repeat(tolerance_exponent_override)))
+            return list(pool.map(run_check, checks, repeat(p)))
     ctx = CheckContext(p)
-    return [
-        run_check(c, p, ctx=ctx, tolerance_exponent_override=tolerance_exponent_override)
-        for c in checks
-    ]
+    return [run_check(c, p, ctx=ctx) for c in checks]

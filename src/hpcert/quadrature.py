@@ -82,7 +82,14 @@ class Integrand:
 
 
 def expression(id, expr, domain=(0, 1), **singular):
-    """A 1D integrand written once, as expr(c, x) over a `numeric` context; its evaluator is expr(MP, x)."""
+    """A 1D integrand written once, as expr(c, x) over a `numeric` context; its evaluator is expr(MP, x).
+
+    With no singular flag the expression also runs on the integer ladder, as
+    expr(fixed_context(W), X), so it may use only the operations that context
+    offers.  Integers have no logarithm: an integrand that needs `log`,
+    `log_x`, `cos` or `sin` is declared singular, or built as a plain
+    `Integrand` from its evaluator.
+    """
     return Integrand(id, partial(expr, MP), domain, expr=expr, **singular)
 
 

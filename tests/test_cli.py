@@ -1,4 +1,5 @@
 import dataclasses
+import fnmatch
 import json
 import multiprocessing
 import os
@@ -14,6 +15,7 @@ from mpmath import mpf, workprec
 from hpcert import NonconvergenceError, __version__, identities
 from hpcert.cli import EXIT_CHECK_FAILED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, build_report, main
 from hpcert.cli import render_json, render_text
+from hpcert.identities import CATALOG, Tol
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -221,7 +223,7 @@ def test_json_sigma_lhs_digits(capsys):
 def test_json_round_trip(capsys):
     from hpcert.cli import build_report, render_json
 
-    report = build_report(128, "eq1[06]*", tolerance_exponent=None, jobs=1, no_timestamp=True)
+    report = build_report(128, selected("eq1[06]*"), jobs=1, no_timestamp=True)
     doc = json.loads(render_json(report))
     assert doc["tool_version"] == __version__
     assert doc["precision_bits"] == report.precision_bits
@@ -346,10 +348,24 @@ def test_jobs_2_matches_jobs_1_byte_for_byte(capsys):
 CHEAP_FILTERS = ["eq0[17]*", "eq0[16]*", "eq1[0367]*", "eq1[38]*", "app[123]_I[123]", "app[12]_[cl]*"]
 
 
+def selected(pattern, exponent=None):
+    """The checks `verify --filter pattern` runs, each policy replaced as `--tolerance-exponent` does."""
+    checks = [c for c in CATALOG if fnmatch.fnmatchcase(c.id, pattern)]
+    if exponent is None:
+        return checks
+    return [dataclasses.replace(c, tolerance_policy=Tol(exponent)) for c in checks]
+
+
 @settings(max_examples=6, deadline=None)
-@given(pattern=st.sampled_from(CHEAP_FILTERS), bits=st.integers(min_value=109, max_value=320))
-def test_jobs_2_renders_jobs_1_byte_for_byte_over_filters_and_precisions(pattern, bits):
-    serial, pooled = (build_report(bits, pattern, None, jobs, True) for jobs in (1, 2))
+@given(
+    pattern=st.sampled_from(CHEAP_FILTERS),
+    bits=st.integers(min_value=109, max_value=320),
+    exponent=st.sampled_from([None, -10]),
+)
+def test_jobs_2_renders_jobs_1_byte_for_byte_over_filters_and_precisions(pattern, bits, exponent):
+    # the override reaches each worker only inside the checks the pool is handed
+    checks = selected(pattern, exponent)
+    serial, pooled = (build_report(bits, checks, jobs, True) for jobs in (1, 2))
     assert len(serial.checks) >= 2  # so the pool really runs
     for render in (render_json, render_text):
         assert render(pooled) == render(serial)

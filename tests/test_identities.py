@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,14 @@ def test_catalog_contents():
     assert SPEC_IDS <= set(ids)
 
 
+def test_every_check_round_trips_through_pickle():
+    # `run_catalog` ships the checks themselves to its pool; a `functools.partial`
+    # compares by identity, so each round trip is compared through its own pickle
+    for check in CATALOG:
+        blob = pickle.dumps(check)
+        assert pickle.dumps(pickle.loads(blob)) == blob, check.id
+
+
 def _leaves(side):
     """The sides under `side`, with every nested `Combo` and `MaxGap` opened."""
     if isinstance(side, Combo):
@@ -119,7 +128,8 @@ def test_catalog_rhs_stays_in_basis():
 
 def test_only_checks_that_integrate_nothing_have_no_precision_floor():
     # a side that is neither a closed form nor a `Value` may integrate, so it has a floor
-    assert [c.id for c in CATALOG if precision_floor([c], -40) < 64] == [
+    tightened = [dataclasses.replace(c, tolerance_policy=Tol(-40)) for c in CATALOG]
+    assert [c.id for c in tightened if precision_floor([c]) < 64] == [
         "eq01_sigma_series",
         "eq03_ln2",
         "eq07_assembly",
@@ -252,7 +262,7 @@ def test_eq07_exact_assembly(p64):
 
 
 def test_eq07_tolerance_override_keeps_zero_error(p64):
-    r = run_check(by_id("eq07_assembly"), p64, tolerance_exponent_override=-10)
+    r = run_check(dataclasses.replace(by_id("eq07_assembly"), tolerance_policy=Tol(-10)), p64)
     assert r.passed
     assert r.abs_error == 0
 
@@ -334,13 +344,8 @@ def test_a_check_that_cannot_be_computed_errors_alone(integrand_id, check_id, re
 
 
 def test_run_catalog_selection_and_order(p128):
-    rs = run_catalog(p128, ids=["eq10", "eq08_A"])
-    assert [r.id for r in rs] == ["eq08_A", "eq10"]  # catalog order, not request order
-    with pytest.raises(CatalogError):
-        run_catalog(p128, ids=["nope"])
-    # a bare string would otherwise be read as a list of one-character ids
-    with pytest.raises(TypeError, match="list of check ids"):
-        run_catalog(p128, ids="eq01_sigma_series")
+    rs = run_catalog(p128, [by_id("eq10"), by_id("eq08_A")])
+    assert [r.id for r in rs] == ["eq10", "eq08_A"]  # the order handed in
 
 
 class _RecordingPool:
@@ -365,10 +370,11 @@ def test_run_catalog_pool_has_no_more_workers_than_checks(monkeypatch, p64):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     ids = ["eq01_sigma_series", "eq07_assembly"]
-    pooled = run_catalog(p64, ids=ids, jobs=64)
+    checks = [by_id(i) for i in ids]
+    pooled = run_catalog(p64, checks, jobs=64)
     assert _RecordingPool.sizes == [2]
     assert [r.id for r in pooled] == ids
-    run_catalog(p64, ids=ids, jobs=1)
+    run_catalog(p64, checks, jobs=1)
     assert _RecordingPool.sizes == [2]
 
 
@@ -384,7 +390,7 @@ def test_run_check_refuses_a_precision_above_the_ceiling_before_it_computes(monk
     monkeypatch.setattr(identities, "_side_value", lambda *args: pytest.fail("computed a side"))
     for bits in (identities.MAX_PRECISION_BITS + 1, 2440):
         with pytest.raises(ValueError, match=f"precision {bits} bits is above 2048"):
-            run_catalog(Precision(bits), ids=["app1_I1"])
+            run_catalog(Precision(bits), [by_id("app1_I1")])
 
 
 def test_run_check_and_run_catalog_refuse_a_precision_below_the_floor_before_they_compute(monkeypatch):
@@ -398,11 +404,11 @@ def test_run_check_and_run_catalog_refuse_a_precision_below_the_floor_before_the
     with pytest.raises(ValueError, match=below):
         run_check(by_id("eq06_inner"), Precision(96))
     with pytest.raises(ValueError, match="no accepted precision"):
-        run_check(by_id("eq08_A"), Precision(256), tolerance_exponent_override=-700)
+        run_check(dataclasses.replace(by_id("eq08_A"), tolerance_policy=Tol(-700)), Precision(256))
 
 
 def test_tolerance_override(p128):
-    r = run_check(by_id("eq03_ln2"), p128, tolerance_exponent_override=-10)
+    r = run_check(dataclasses.replace(by_id("eq03_ln2"), tolerance_policy=Tol(-10)), p128)
     assert not r.passed
     with workprec(200):
         assert abs(r.tolerance - mpf(10) ** -10) <= ldexp(1, -150)
@@ -731,10 +737,11 @@ def run_kernel_checks_on_and_off(bits, monkeypatch):
         return quadrature.integrate(dataclasses.replace(f, expr=None), scheme, p)
 
     p = Precision(bits)
-    on = result_fields(run_catalog(p, ids=KERNEL_CHECKS))
+    checks = [by_id(i) for i in KERNEL_CHECKS]
+    on = result_fields(run_catalog(p, checks))
     with monkeypatch.context() as m:
         m.setattr(identities, "integrate", mpf_only)
-        off = result_fields(run_catalog(p, ids=KERNEL_CHECKS))
+        off = result_fields(run_catalog(p, checks))
     assert [r[0] for r in on] == KERNEL_CHECKS
     assert on == off
 

@@ -379,12 +379,13 @@ def result_fields(results):
 @python_backend
 def test_catalog_is_bit_identical_with_python_bitcount_and_cold_caches(request, monkeypatch):
     p = Precision(128)
-    default = result_fields(identities.run_catalog(p, ids=DIFFERENTIAL_CHECKS))
+    checks = [c for c in identities.CATALOG if c.id in DIFFERENTIAL_CHECKS]
+    default = result_fields(identities.run_catalog(p, checks))
     for module in mpmath_modules_holding(numeric._bit_length):
         monkeypatch.setattr(module, "bitcount", libintmath.python_bitcount)
     request.getfixturevalue("cold_caches")  # every node table, constant and memo rebuilt
     assert mpmath_modules_holding(numeric._bit_length) == []
-    assert result_fields(identities.run_catalog(p, ids=DIFFERENTIAL_CHECKS)) == default
+    assert result_fields(identities.run_catalog(p, checks)) == default
 
 
 # --- fixed-point log1p and arctan ---------------------------------------------
