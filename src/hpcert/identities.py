@@ -3,12 +3,13 @@
 Each `IdentityCheck` compares two sides, and every side is data: an exact
 `ClosedForm` over the seven-constant basis (zero for route-against-route
 comparisons), a registered integrand's id (its integral's value), a `Value`
-computed from the precision alone (a series or a closed value that no basis
-form writes), a `Combo` (a rational combination of sides), a `MaxGap` (the
-deviation max |x - y| between routes) or a `FiniteDifference` (a closed
-derivative against central differences of its family's integrals).  Every
-quadrature goes through `CheckContext.integrate`, which picks the catalog's
-rule, memoises the result per run and records it for the current check.
+computed from its arguments and the precision (a series or a closed value
+that no basis form writes), a `Combo` (a rational combination of sides), a
+`MaxGap` (the deviation max |x - y| between routes) or a `FiniteDifference`
+(a closed derivative against central differences of its family's integrals).
+Every quadrature goes through `CheckContext.integrate`, which picks the
+catalog's rule, memoises the result per run and records it for the current
+check.
 
 Every integral the catalog reads is registered here, under the id a side
 names it by.  Each is declared once, as expressions over `numeric`'s
@@ -20,8 +21,9 @@ both sides at the requested precision, applies the check's tolerance policy
 and reads `evaluations` off the context's record; a nonconvergence or a
 domain error in one check becomes that check's `error`, and the other checks
 still run.  `run_catalog` runs the checks it is handed, in their order,
-optionally on a process pool, so every check pickles: each function a side
-holds is defined at module level.
+optionally on a process pool, so every check pickles and equals its pickled
+copy: each function a side holds is defined at module level, and each
+argument a `Value` binds is a plain value.
 
 The catalog order follows the derivation it certifies, so a rendered report
 reads as a walkthrough: the series value, its reduction to a double
@@ -34,7 +36,6 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Optional, Union
 
 from mpmath import atan, ldexp, log1p, mpf, workprec
@@ -151,6 +152,9 @@ EQ04_TAILS = (1, 2, 3, 5, 10, 20)
 for _n in EQ04_TAILS:  # a_n's integral route
     _register(Integrand(f"tail_integral_n{_n}", (lambda e: lambda x: x**e / (1 + x))(2 * _n), (0, 1)))
 
+# a_n's harmonic route, ln2 - (1/(n+1) + ... + 1/(2n)), exact over {1, ln2}
+HARMONIC_TAIL_CF = {n: ClosedForm({LN2: F(1), ONE: -series.harmonic_tail_fraction(n)}) for n in EQ04_TAILS}
+
 
 def _f_prime_closed(a):
     # d/da int_0^1 ln(1+a^2 x^2)/(1+x) dx, in closed form, for a > 0
@@ -257,12 +261,15 @@ TolerancePolicy = Union[Tol, TolExact, TolHalfBits, QuadEstimate]
 
 @dataclass(frozen=True)
 class Value:
-    """fn(pg): a value at the guarded precision that integrates nothing.
+    """fn(*args, pg): a value at the guarded precision that integrates nothing.
 
-    `fn` returns an mpf, or a `SeriesResult` whose terms the check counts.
+    `fn` is a module-level function and `args` plain values, so a `Value`
+    compares, hashes and pickles by value.  `fn` returns an mpf, or a
+    `SeriesResult` whose terms the check counts.
     """
 
     fn: Callable
+    args: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -363,7 +370,7 @@ def _side_value(side, ctx):
     if isinstance(side, str):
         return ctx.integrate(get_integrand(side)).value
     if isinstance(side, Value):
-        r = side.fn(ctx.pg)
+        r = side.fn(*side.args, ctx.pg)
         if isinstance(r, series.SeriesResult):
             ctx.terms += r.terms_used
             r = r.value
@@ -394,10 +401,6 @@ def _finite_difference_gap(family, ctx):
             fd = (up - dn) / (2 * h)
         dev = max(dev, abs(closed - fd))
     return dev
-
-
-def _harmonic_tail(n, p):  # looks `series.tail` up at call time, so a wrapped attribute sees the call
-    return series.tail(n, p)
 
 
 def _eq06_closed(x0, p):
@@ -442,7 +445,7 @@ CATALOG = (
         id="eq04_tail_routes",
         description="harmonic-tail route vs integral route for a_n, n in {1,2,3,5,10,20}",
         ref="Eqs. (2)-(4)",
-        lhs=MaxGap(tuple((Value(partial(_harmonic_tail, n)), f"tail_integral_n{n}") for n in EQ04_TAILS)),
+        lhs=MaxGap(tuple((HARMONIC_TAIL_CF[n], f"tail_integral_n{n}") for n in EQ04_TAILS)),
         rhs=ZERO_CF,
         tolerance_policy=QuadEstimate(),
     ),
@@ -458,9 +461,7 @@ CATALOG = (
         id="eq06_inner",
         description="inner integral of u^2/((1+u^2)(u+x)) over [0,x] vs its closed form on a grid of x",
         ref="Eq. (6)",
-        lhs=MaxGap(
-            tuple((f"eq06_inner_{x.numerator}_{x.denominator}", Value(partial(_eq06_closed, x))) for x in EQ06_GRID)
-        ),
+        lhs=MaxGap(tuple((f"eq06_inner_{x.numerator}_{x.denominator}", Value(_eq06_closed, (x,))) for x in EQ06_GRID)),
         rhs=ZERO_CF,
         tolerance_policy=Tol(-40),
     ),
@@ -728,7 +729,7 @@ def run_check(check, p, ctx=None):
 
 
 def run_catalog(p, checks=CATALOG, jobs=1):
-    """Run `checks`, a sequence of `IdentityCheck`s, in their order.
+    """Run `checks`, an iterable of `IdentityCheck`s, in their order.
 
     With jobs > 1 the checks themselves are pickled to a process pool (each
     worker builds its own caches); results still come back in the order
@@ -736,6 +737,7 @@ def run_catalog(p, checks=CATALOG, jobs=1):
     `precision_refusal` refuses for the checks is a `ValueError` before any
     check runs.
     """
+    checks = tuple(checks)
     if refusal := precision_refusal(checks, p.bits):
         raise ValueError(refusal)
     if jobs > 1 and len(checks) > 1:

@@ -285,14 +285,17 @@ class BasisConstant(Enum):
 
 
 # ---------------------------------------------------------------------------
-# Raw constants.  pi, ln2 and G are mpmath's constants `pi`, `ln2` and
-# `catalan`: +c at a width is a fixed-point series with 20 guard bits rounded
-# once to nearest, the correctly rounded value at every width from 64 to 2199
-# bits, checked against independent integer series.  The products in the
-# basis are formed from them at bits + 8.
+# Raw constants.  1 is mpmath's `mp.one`, +1 being mpf(1) at every width.
+# pi, ln2 and G are mpmath's constants `pi`, `ln2` and `catalan`: +c at a
+# width is a fixed-point series with 20 guard bits rounded once to nearest,
+# the correctly rounded value at every width from 64 to 2199 bits, checked
+# against independent integer series.  The products in the basis are formed
+# from them at bits + 8.
 # ---------------------------------------------------------------------------
 
-_MPF_CONSTANTS = {BasisConstant.PI: pi, BasisConstant.LN2: ln2, BasisConstant.CATALAN: catalan}
+_MPF_CONSTANTS = {
+    BasisConstant.ONE: mp.one, BasisConstant.PI: pi, BasisConstant.LN2: ln2, BasisConstant.CATALAN: catalan
+}
 _PRODUCTS = {
     BasisConstant.LN2_SQ: (BasisConstant.LN2, BasisConstant.LN2),
     BasisConstant.PI_LN2: (BasisConstant.PI, BasisConstant.LN2),
@@ -303,8 +306,6 @@ _PRODUCTS = {
 @cache
 def constant_value(tag, bits):
     """Raw basis-constant value at `bits` bits, computed once per process."""
-    if tag is BasisConstant.ONE:
-        return mpf(1)
     if tag in _MPF_CONSTANTS:
         value = _MPF_CONSTANTS[tag]
     elif tag in _PRODUCTS:
@@ -369,11 +370,6 @@ class ClosedForm:
     @property
     def coefficients(self):
         return dict(self.items)
-
-    def __str__(self):
-        if not self.items:
-            return "0"
-        return " + ".join(f"({v})*{t.value}" for t, v in self.items)
 
 
 def cf_add(a, b):

@@ -21,7 +21,7 @@ from hpcert import (
     run_catalog,
     run_check,
 )
-from hpcert import identities, numeric, quadrature
+from hpcert import identities, numeric, quadrature, series
 from hpcert.identities import (
     LN2_DIRECT_TERMS,
     SIGMA_CF,
@@ -94,11 +94,11 @@ def test_catalog_contents():
 
 
 def test_every_check_round_trips_through_pickle():
-    # `run_catalog` ships the checks themselves to its pool; a `functools.partial`
-    # compares by identity, so each round trip is compared through its own pickle
+    # `run_catalog` ships the checks themselves to its pool, and a check is plain value data
     for check in CATALOG:
-        blob = pickle.dumps(check)
-        assert pickle.dumps(pickle.loads(blob)) == blob, check.id
+        copy = pickle.loads(pickle.dumps(check))
+        assert copy == check, check.id
+        assert hash(copy) == hash(check), check.id
 
 
 def _leaves(side):
@@ -231,6 +231,17 @@ def test_eq04_tolerance_is_eight_times_the_largest_tail_estimate(bits):
     assert run_check(by_id("eq04_tail_routes"), p).tolerance == round_to(expected, p)
 
 
+@pytest.mark.parametrize("bits", [141, 160, 288, 544, 1056, 2080])
+def test_eq04_harmonic_forms_are_series_tail_bit_for_bit(bits):
+    # the guarded widths of 109, 128, 256, 512, 1024 and 2048 bits, at which the catalog evaluates them
+    q = Precision(bits)
+    pairs = by_id("eq04_tail_routes").lhs.pairs
+    assert [integrand for _, integrand in pairs] == [f"tail_integral_n{n}" for n in identities.EQ04_TAILS]
+    for (cf, _), n in zip(pairs, identities.EQ04_TAILS):
+        assert isinstance(cf, ClosedForm)
+        assert eval_closed_form(cf, q)._mpf_ == series.tail(n, q)._mpf_, n
+
+
 def test_eq05_double_integral_at_1024_bits():
     # certifies the 2D integral itself far beyond eq05's 30-term series check
     p = Precision(1024)
@@ -346,6 +357,16 @@ def test_a_check_that_cannot_be_computed_errors_alone(integrand_id, check_id, re
 def test_run_catalog_selection_and_order(p128):
     rs = run_catalog(p128, [by_id("eq10"), by_id("eq08_A")])
     assert [r.id for r in rs] == ["eq10", "eq08_A"]  # the order handed in
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_catalog_runs_checks_handed_as_an_iterator(jobs, p128):
+    # the precision gate reads the checks before they run, so an iterator must not be spent by it
+    ids = ["eq07_assembly", "eq10"]
+    listed = result_fields(run_catalog(p128, [by_id(i) for i in ids], jobs=jobs))
+    assert [r[0] for r in listed] == ids
+    assert result_fields(run_catalog(p128, (c for c in CATALOG if c.id in ids), jobs=jobs)) == listed
+    assert result_fields(run_catalog(p128, filter(lambda c: c.id in ids, CATALOG), jobs=jobs)) == listed
 
 
 class _RecordingPool:

@@ -194,7 +194,7 @@ COEFFICIENT_PASSES = {("eq01_sigma_series", tag) for tag in SIGMA_CF.coefficient
 def test_a_scaled_coefficient_fails_its_check_but_five(bits):
     p = Precision(bits)
     mutants = list(coefficient_mutants())
-    assert len(mutants) == 36
+    assert len(mutants) == 48  # eq04's six harmonic forms give 12 of them
     ctx = CheckContext(p)
     assert {(cid, tag) for cid, tag, check in mutants if run_check(check, p, ctx).passed} == COEFFICIENT_PASSES
 
