@@ -13,9 +13,9 @@ check.
 
 Every integral the catalog reads is registered here, under the id a side
 names it by.  Each is declared once, as expressions over `numeric`'s
-operation contexts: a 1D one is its mpf evaluator and, when bounded, the
-integer kernel that the tanh-sinh ladder sums; eq05's product form is its mpf
-g and integer h.  eq04's six tails alone are plain mpf evaluators.
+operation contexts: a 1D one is its mpf evaluator and, when bounded or
+written g + h ln x, the integer kernel that the tanh-sinh ladder sums; eq05's
+product form is its mpf g and integer h.  eq04's six tails alone are plain mpf evaluators.
 `run_check` refuses a precision that `precision_refusal` refuses, then evaluates
 both sides at the requested precision, applies the check's tolerance policy
 and reads `evaluations` off the context's record; a nonconvergence or a
@@ -54,7 +54,8 @@ from .numeric import (
     eval_closed_form,
     round_to,
 )
-from .quadrature import GaussLegendre, Integrand, PiMultiple, TanhSinh, expression, integrate, integrate_2d, product
+from .quadrature import GaussLegendre, Integrand, PiMultiple, TanhSinh, expression, integrate, integrate_2d
+from .quadrature import product, with_ln_x
 
 ONE = BasisConstant.ONE
 LN2 = BasisConstant.LN2
@@ -98,8 +99,10 @@ LN2_DIRECT_TERMS = 100_000
 # ladder's assumption, and at most 3q + 8, q = W/128 + 3, for those built on
 # the quotients ln(1 + u)/u and arctan(t)/t.  The quotients also carry the
 # removable 0/0 at x = 0 of middle_alpha, middle_t, ln(1 + t)/t, F' and H', so
-# every expression returns its limit there.  The five log-singular integrands
-# run on the mpf ladder, reading ln x and (cos t, sin t) from `MP`'s memo.
+# every expression returns its limit there.  Each of the ln-x pair is
+# f = g + h ln x, two bounded expressions (`quadrature.with_ln_x`), whose kernel
+# reads ln x from the integer ladder's column beside each node.  The three
+# log-sine integrands run on the mpf ladder, reading (cos t, sin t) from `MP`'s memo.
 # eq04's tails x^(2n)/(1 + x) are plain mpf evaluators, on that ladder too:
 # eq04's tolerance prints 8 |T_k - T_{k-1}|, the mpf ladder's own rounding noise.
 # ---------------------------------------------------------------------------
@@ -129,11 +132,16 @@ _register(expression("b_integrand", lambda c, x: c.div2(c.log1p_sq(x), c.one + c
 _register(expression("c_integrand", lambda c, x: -c.div2(c.mul(x, c.atan_x(x)), c.one + c.sq(x), c.one + x)))
 _register(expression("x_ln_1px2_over_1px2", lambda c, x: c.div(c.mul(x, c.log1p_sq(x)), c.one + c.sq(x))))
 _register(expression("i1_integrand", lambda c, x: c.div(c.log1p_sq(x), c.one + c.sq(x))))
-# the log-singular five: ln x at 0, ln sin t at 0 and pi, ln cos t at pi/2
-_register(
-    expression("i1_minus_ln_x", lambda c, x: c.div(c.log1p_sq(x) - c.log_x(x), c.one + c.sq(x)), singular_left=True)
-)
-_register(expression("neg_ln_x_over_1px2", lambda c, x: c.div(-c.log_x(x), c.one + c.sq(x)), singular_left=True))
+
+
+def _minus_1_over_1px2(c, x):  # the ln-x pair's h
+    return c.div(-c.one, c.one + c.sq(x))
+
+
+# the ln-x pair, g + h ln x: (ln(1 + x^2) - ln x)/(1 + x^2), whose g is i1's, and -ln x/(1 + x^2)
+_register(with_ln_x("i1_minus_ln_x", get_integrand("i1_integrand").expr, _minus_1_over_1px2))
+_register(with_ln_x("neg_ln_x_over_1px2", lambda c, x: 0, _minus_1_over_1px2))
+# the log-sine three: ln sin t at 0 and pi, ln cos t at pi/2
 _TO_HALF_PI, _TO_PI = (0, PiMultiple(F(1, 2))), (0, PiMultiple(F(1)))
 _register(expression("log_sin_half", lambda c, t: c.log(c.sin(t)), _TO_HALF_PI, singular_left=True))
 _register(expression("log_sin_full", lambda c, t: c.log(c.sin(t)), _TO_PI, singular_left=True, singular_right=True))

@@ -12,12 +12,13 @@ plain `mpf` that `round_to` checks for finiteness and rounds once to
 constants, so each public constant is within 1 ulp of the true value.
 
 Each 1D integrand registered in `identities` but eq04's tails is written
-once, as an expression over the operation contexts kept here, below it:
-under `MP` (mpf at the ambient precision) it is the integrand's evaluator, and
-under `fixed_context(W)` (integers scaled by 2^W) the integer kernel that the
-tanh-sinh ladder sums for a bounded one.  Each context owns its per-abscissa
-memo: `MP` keeps, bit for bit, the mpf ln x and (cos t, sin t) that two
-log-singular integrands on the mpf ladder share, and each `fixed_context(W)`
+once, as expressions over the operation contexts kept here, below it:
+under `MP` (mpf at the ambient precision) they give the integrand's evaluator,
+and under `fixed_context(W)` (integers scaled by 2^W) the integer kernel that
+the tanh-sinh ladder sums for a bounded one, or for the ln-x pair's bounded
+g and h in f = g + h ln x.  Each context owns its
+per-abscissa memo: `MP` keeps, bit for bit, the mpf (cos t, sin t) that two
+log-sine integrands on the mpf ladder share, and each `fixed_context(W)`
 the ln(1+x^2)/x^2, arctan(x)/x and ln(1+x)/x of its nodes X.  `MP`'s
 logarithms of 1 + x are mpmath's own `log1p`.
 Importing this module points mpmath's pure-Python bit count at the C
@@ -90,13 +91,12 @@ def ulp(x, bits):
 
 
 # ---------------------------------------------------------------------------
-# Per-abscissa memo.  The log-singular integrands that the mpf ladder sums meet
-# the same tanh-sinh abscissae, so each value that two of them share runs once
-# per (x, mp.prec) for the life of the process: ln x in -ln(x)/(1 + x^2) and
-# (ln(1 + x^2) - ln x)/(1 + x^2), cos and sin in the log-sine pair.  A hit is
-# the mpf the same expression made at the same width, so the memo is bit for
-# bit the same as evaluating directly.  Only an mpf argument is shared: any
-# other (an interval, a complex) is evaluated as written and stored nowhere.
+# Per-abscissa memo.  The log-sine integrands that the mpf ladder sums meet the
+# same tanh-sinh abscissae on [0, pi/2], so the (cos t, sin t) they share runs
+# once per (t, mp.prec) for the life of the process.  A hit is the mpf the same
+# call made at the same width, so the memo is bit for bit the same as
+# evaluating directly.  Only an mpf argument is shared: any other (an interval,
+# a complex) is evaluated as written and stored nowhere.
 # ---------------------------------------------------------------------------
 
 
@@ -191,8 +191,9 @@ def atan_over_fixed(T, W):
 # Under `MP` the operations are mpf arithmetic at the ambient precision, and
 # expr(MP, x) is the integrand's evaluator.  Under `fixed_context(W)` a value
 # v is an integer near v 2^W, and expr(fixed_context(W), X) is the integrand's
-# kernel, which the integer tanh-sinh ladder sums.  A log-singular integrand
-# runs under `MP` only, the one context with log, sin and cos.
+# kernel, which the integer tanh-sinh ladder sums.  A log-sine integrand runs
+# under `MP` only, the one context with log, sin and cos; the ln-x pair's g and h
+# are bounded, and the ladder hands ln x beside each node.
 #
 # Each fixed operation adds at most these units of 2^-W to its result:
 #   one, and const of a dyadic rational that fits W bits     0
@@ -231,9 +232,8 @@ class _MpContext:
     log1p_sq_over = staticmethod(lambda x: log1p(x2 := x * x) / x2 if x else mpf(1))
     atan_over = staticmethod(lambda t: atan(t) / t if t else mpf(1))
     log = staticmethod(log)
-    # ln x of an abscissa, shared by the ln-x pair, and cos t and sin t, by the log-sine pair;
-    # `cos_sin` rounds each of the two as `cos` and `sin` do
-    log_x = staticmethod(lambda x: _shared(log, x._mpf_, mp.prec) if isinstance(x, mpf) else log(x))
+    # cos t and sin t of an abscissa, shared by the log-sine pair; `cos_sin` rounds
+    # each of the two as `cos` and `sin` do
     cos = staticmethod(lambda t: _shared(cos_sin, t._mpf_, mp.prec)[0] if isinstance(t, mpf) else cos(t))
     sin = staticmethod(lambda t: _shared(cos_sin, t._mpf_, mp.prec)[1] if isinstance(t, mpf) else sin(t))
 
@@ -246,7 +246,7 @@ def fixed_context(W):
     """Integers scaled by 2^W, built once per width: expr(fixed_context(W), X) is a kernel.
 
     Its quotients run once per node X of this width's ladders, as `MP` shares
-    each mpf ln x and (cos t, sin t) once per abscissa.
+    each mpf (cos t, sin t) once per abscissa.
     """
     floor = cache(lambda v: to_fixed(v, W))  # an mpf's raw value, floored once per width
 

@@ -12,8 +12,9 @@ All three rules (1D tanh-sinh and Gauss-Legendre, 2D tensor Gauss-Legendre)
 run through one refinement driver, `_refine`, and both Gauss-Legendre rules
 through one ladder, `_gl_ladder`.  Two declarations move a sum
 into fixed-point integers: a 2D integrand's product form has its rungs summed
-by `_product_sum`, and a bounded 1D integrand written as an expression has its
-tanh-sinh levels summed by `_ts_fixed_ladder`.
+by `_product_sum`, and a bounded 1D integrand written as an expression, or one
+written g + h ln x on [0, 1], has its tanh-sinh levels summed by
+`_ts_fixed_ladder`.
 
 Node tables are cached per precision, so repeated integrations share the
 (comparatively expensive) table setup.  Tanh-sinh levels are built on
@@ -27,12 +28,12 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, Optional
 
-from mpmath import exp, isfinite, ldexp, mp, mpc, mpf, pi, workprec
+from mpmath import exp, isfinite, ldexp, log, mp, mpc, mpf, pi, workprec
 from mpmath.libmp import to_fixed
 from mpmath.libmp.libelefun import pi_fixed
 
 from .errors import DomainError, NonconvergenceError
-from .numeric import GUARD_BITS, MP, fixed_context, round_to
+from .numeric import GUARD_BITS, MP, fixed_context, log1p_over_fixed, round_to
 
 MAX_LEVEL = 15
 MIN_ORDER, MAX_ORDER = 2, 4096
@@ -70,6 +71,7 @@ class Integrand:
     singular_right: bool = False
     product: Optional[tuple] = None  # 2D only: expressions (g, h) with f = g(x) g(y) h(xy)
     expr: Optional[Callable] = None  # 1D only: expr(c, x) over a `numeric` context
+    ln_x: Optional[tuple] = None  # 1D only: expressions (g, h) with f = g(x) + h(x) ln x
 
     @property
     def dimension(self):
@@ -77,8 +79,8 @@ class Integrand:
 
     @property
     def integer_ladder(self):
-        """Whether tanh-sinh sums this integrand's kernel, expr(fixed_context(W), X), in integers."""
-        return self.expr is not None and not (self.singular_left or self.singular_right)
+        """Whether tanh-sinh sums this integrand's kernel in integers: its ln-x form, or a bounded expression."""
+        return self.ln_x is not None or (self.expr is not None and not (self.singular_left or self.singular_right))
 
 
 def expression(id, expr, domain=(0, 1), **singular):
@@ -86,11 +88,16 @@ def expression(id, expr, domain=(0, 1), **singular):
 
     With no singular flag the expression also runs on the integer ladder, as
     expr(fixed_context(W), X), so it may use only the operations that context
-    offers.  Integers have no logarithm: an integrand that needs `log`,
-    `log_x`, `cos` or `sin` is declared singular, or built as a plain
-    `Integrand` from its evaluator.
+    offers.  Integers have no logarithm: an integrand that needs `log`, `cos`
+    or `sin` is declared singular, or built as a plain `Integrand` from its
+    evaluator, and one that is g + h ln x is built by `with_ln_x`.
     """
     return Integrand(id, partial(expr, MP), domain, expr=expr, **singular)
+
+
+def with_ln_x(id, g, h):
+    """g(x) + h(x) ln x on [0, 1], g and h each a bounded expression; its evaluator is that sum under `MP`."""
+    return Integrand(id, lambda x: g(MP, x) + h(MP, x) * log(x), (0, 1), singular_left=True, ln_x=(g, h))
 
 
 def product(id, g, h):
@@ -218,11 +225,12 @@ def _refine(ladder, p, rule, cap):
 # Tanh-sinh node tables.
 #
 # Transformation x = tanh((pi/2) sinh t) on the trapezoid grid t = k*2^-level.
-# Each positive-t node is stored as (delta, omega) with delta = 1 - tanh(u)
-# computed stably as 2q/(1+q) for q = e^(-2u), and
+# Each positive-t node is stored as (delta, omega, ln q) with delta = 1 - tanh(u)
+# computed stably as 2q/(1+q) for q = e^(-2u), u = (pi/2) sinh t, and
 # omega = (pi/2) cosh(t) / cosh(u)^2.  Keeping delta rather than the abscissa
 # is what lets a singular evaluator see the true distance to the endpoint
 # instead of a catastrophically rounded one; delta falls strictly with t.
+# ln q = -2u, formed on the way to q, gives the ln-x column its logarithms.
 #
 # Tables are cumulative: level k holds only the nodes new at step 2^-k, so
 # the trapezoid sums refine incrementally.  Levels are built on demand: a
@@ -235,7 +243,7 @@ def _refine(ladder, p, rule, cap):
 # share [0, 1].
 # ---------------------------------------------------------------------------
 
-_TS_TABLES = {}  # bits -> list per level of tuple[(delta, omega), ...]
+_TS_TABLES = {}  # bits -> list per level of tuple[(delta, omega, ln q), ...]
 
 
 def _ts_gen_bits(bits):
@@ -262,12 +270,13 @@ def _ts_levels(bits, up_to_level):
                 inv = 1 / et
                 ch = (et + inv) / 2
                 sh = (et - inv) / 2
-                q = exp(-2 * piq * sh)
+                ln_q = -2 * piq * sh
+                q = exp(ln_q)
                 q1 = 1 + q
                 omega = piq * ch * 4 * q / (q1 * q1)
                 if h * omega < threshold:
                     break
-                new.append((2 * q / q1, omega))
+                new.append((2 * q / q1, omega, ln_q))
                 k += step
             levels.append(tuple(new))
     return levels
@@ -289,11 +298,11 @@ def tanh_sinh_nodes(level, p):
     nodes = [n for lev in levels[1 : level + 1] for n in lev]
     nodes.sort(key=lambda n: n[0], reverse=True)
     with workprec(_ts_gen_bits(p.guarded)):
-        xs = [1 - delta for delta, _ in nodes]
+        xs = [1 - delta for delta, _, _ in nodes]
     with workprec(p.bits):
         h = ldexp(1, -level)
         center = (mpf(0), +(h * pi / 2))
-        pos = [(+x, +(h * omega)) for x, (_, omega) in zip(xs, nodes)]
+        pos = [(+x, +(h * omega)) for x, (_, omega, _) in zip(xs, nodes)]
         neg = [(-x, w) for x, w in reversed(pos)]
         return neg + [center] + pos
 
@@ -303,7 +312,7 @@ def _ts_abscissae(domain, bits, lev):
     nodes = _ts_levels(bits, lev)[lev]
     with workprec(bits):  # the width `_refine` runs the ladder at: a hit is its very mpf
         a, b, halfw, _ = _interval(domain)
-        return tuple((a + halfw * d, b - halfw * d, w) for d, w in nodes)
+        return tuple((a + halfw * d, b - halfw * d, w) for d, w, _ in nodes)
 
 
 def _ts_ladder(integrand, cap, bits):
@@ -326,8 +335,9 @@ def _ts_ladder(integrand, cap, bits):
 # evaluation is within c + 3L units, a floored weight moves a term by at most
 # 2 units, the level-k weights of one side sum to 2^k and there are fewer than
 # 2^(k+3) nodes a side: T_k is within halfw (2c + 6L + 18) 2^-W of the
-# trapezoid sum on its exact nodes.  The bound covers the bounded kernels
-# only; the five log-singular expressions stay on `_ts_ladder`.  Every catalog
+# trapezoid sum on its exact nodes.  The bound covers the bounded kernels;
+# the ln-x pair's is below, and the three log-sine expressions stay on
+# `_ts_ladder`.  Every catalog
 # kernel has |f| <= 1, and its L, sup |f'| (401 sample points, pinned in the
 # tests), is: middle_t 3/2, at 0; H(a) a, at most 1 + h; i3, eq16 and
 # middle_alpha 1; eq06 0.66; eq17 0.55; x ln(1 + x^2)/(1 + x^2) 0.55; i1 0.51;
@@ -335,6 +345,24 @@ def _ts_ladder(integrand, cap, bits):
 # H'(a) 0.12.  So with L <= 3/2 and halfw <= 1/2 the bound is below
 # 2^-(bits + 7) at any W up to 2500.  The steps, the stop test and the
 # evaluation count are those of `_ts_ladder`.
+#
+# The ln-x pair, f = g + h ln x on [0, 1] (`with_ln_x`), sums the kernel
+# g(X) + h(X) L, where L is ln x 2^W, cached beside each abscissa by
+# `_ts_ln_x_nodes` for a domain (0, b) only.  On such a domain the node's
+# abscissae are x2 = b/(1 + q) and x1 = q x2, so L2 = ln b - ln(1 + q) and
+# L1 = L2 + ln q, with ln q from the table: ln x1 never comes from X1, which
+# floors to 0 on the innermost nodes (delta reaches 2^-351 at W = 336).
+# q = delta/(2 - delta) is floored to Q within 2 units, ln(1 + q) is
+# Q `log1p_over_fixed`(Q) within q + 3 (q = W/128 + 3, as in `numeric`), and
+# ln b and ln q are floored once, so L is within q + 7 units.  With |g|, |h| <= 1,
+# kernels within cg and ch units, |g'| <= Lg and |h'| <= Lh, an evaluation is
+# within cg + 3Lg + 1 + (q + 7) + (ch + 3Lh) |ln x| units (the 1 is the floor
+# of h L).  The catalog's h is -1/(1 + x^2): ch = 2, Lh = 0.65; its g is i1's
+# kernel (cg = q + 5, Lg = 0.51) or 0.  So an evaluation is within
+# E + 4 |ln x|, E = 2q + 15, and as |ln x| <= l = (W + 20) ln 2 on every node,
+# |f| <= 1 + l: a floored weight moves a term by at most 2 + 2l units, and
+# T_k is within halfw (2E + 24 l + 18) 2^-W, below 2^-(bits + 1) at any W up
+# to 2500.  The pair's g and h constants are pinned in the tests.
 # ---------------------------------------------------------------------------
 
 FIXED_EXTRA_BITS = 16
@@ -352,22 +380,47 @@ def _ts_fixed_nodes(domain, bits, lev):
     W = bits + FIXED_EXTRA_BITS
     A, B, H = _fixed_interval(domain, W)
     fixed = []
-    for d, w in _ts_levels(bits, lev)[lev]:  # the table is wider than W, so each is floored once
+    for d, w, _ in _ts_levels(bits, lev)[lev]:  # the table is wider than W, so each is floored once
         HD = H * to_fixed(d._mpf_, W) >> W
         fixed.append((A + HD, B - HD, to_fixed(w._mpf_, W)))
     return tuple(fixed)
 
 
+@cache
+def _ts_ln_x_nodes(domain, bits, lev):
+    """Level lev's ((X1, L1), (X2, L2), Omega) on a domain (0, b): `_ts_fixed_nodes` with L = ln x 2^W beside X."""
+    if domain[0] != 0:
+        raise ValueError(f"a ln x column needs a domain whose left end is 0, got {domain!r}")
+    W = bits + FIXED_EXTRA_BITS
+    table = _ts_levels(bits, lev)[lev]
+    with workprec(W + 8):  # x2 = b/(1 + q) and x1 = q x2, with q = delta/(2 - delta)
+        ln_b = to_fixed(log(_interval(domain)[1])._mpf_, W)
+        Qs = [to_fixed((d / (2 - d))._mpf_, W) for d, _, _ in table]
+    L2s = [ln_b - (Q * log1p_over_fixed(Q, W) >> W) for Q in Qs]
+    return tuple(
+        ((X1, L2 + to_fixed(ln_q._mpf_, W)), (X2, L2), w)
+        for (X1, X2, w), L2, (_, _, ln_q) in zip(_ts_fixed_nodes(domain, bits, lev), L2s, table)
+    )
+
+
 def _ts_fixed_ladder(integrand, cap, bits):
     W = bits + FIXED_EXTRA_BITS
-    f = partial(integrand.expr, fixed_context(W))
+    c = fixed_context(W)
     A, B, _ = _fixed_interval(integrand.domain, W)
     sign, hman, hexp, _bc = _interval(integrand.domain)[2]._mpf_  # halfw, as `_ts_ladder` reads it
     hman = -hman if sign else hman  # halfw < 0 on a domain (a, b) with b < a
-    S = (pi_fixed(W) >> 1) * f((A + B) >> 1)
+    if integrand.ln_x:  # each abscissa comes with its ln x, as (X, L); the centre is x = halfw
+        g, h = integrand.ln_x
+        f = lambda XL: g(c, XL[0]) + c.mul(h(c, XL[0]), XL[1])
+        with workprec(W + 8):
+            center = ((A + B) >> 1, to_fixed(log(_interval(integrand.domain)[2])._mpf_, W))
+        level_nodes = _ts_ln_x_nodes
+    else:
+        f, level_nodes, center = partial(integrand.expr, c), _ts_fixed_nodes, (A + B) >> 1
+    S = (pi_fixed(W) >> 1) * f(center)
     evals = 1
     for lev in range(1, cap + 1):
-        nodes = _ts_fixed_nodes(integrand.domain, bits, lev)
+        nodes = level_nodes(integrand.domain, bits, lev)
         S += sum(w * (f(x1) + f(x2)) for x1, x2, w in nodes)
         evals += 2 * len(nodes)
         yield lev, ldexp(mpf(S * hman), hexp - 2 * W - lev), evals

@@ -15,6 +15,7 @@ CACHES = {
     "numeric.fixed_context",  # each width's context, and with it its own memos
     "quadrature._ts_abscissae",
     "quadrature._ts_fixed_nodes",
+    "quadrature._ts_ln_x_nodes",  # the ln-x pair's nodes, each abscissa with its ln x
     "quadrature._gl_halfline",
     "series.harmonic_tail_fraction",
 }

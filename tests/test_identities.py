@@ -341,7 +341,8 @@ def stuck(*args):  # an expression (c, x) or an evaluator (x)
 def test_a_check_that_cannot_be_computed_errors_alone(integrand_id, check_id, read_first, p128, monkeypatch):
     clean = run_catalog(p128)
     f = get_integrand(integrand_id)
-    monkeypatch.setitem(identities._REGISTRY, integrand_id, dataclasses.replace(f, expr=stuck, evaluator=stuck))
+    stuck_f = dataclasses.replace(f, ln_x=(stuck, stuck)) if f.ln_x else dataclasses.replace(f, expr=stuck)
+    monkeypatch.setitem(identities._REGISTRY, integrand_id, dataclasses.replace(stuck_f, evaluator=stuck))
     results = run_catalog(p128)
     ctx = CheckContext(p128)
     read = sum(ctx.integrate(get_integrand(i)).evaluations for i in read_first)
@@ -497,7 +498,6 @@ def test_param_monotone_on_grid(p128):
 # --- the per-abscissa memo ----------------------------------------------------
 
 SHARED_DIRECT = [
-    (numeric.MP.log_x, log),
     (numeric.MP.cos, cos),
     (numeric.MP.sin, sin),
 ]
@@ -524,8 +524,8 @@ def test_shared_memo_never_crosses_precisions(cold_caches):
         for bits in (128, 256, 128):
             with workprec(bits):
                 assert memo(x)._mpf_ == direct(x)._mpf_
-    # ln x, and one (cos x, sin x) for both memos, once per width
-    assert numeric._shared.cache_info().misses == 4
+    # one (cos x, sin x) for both memos, once per width
+    assert numeric._shared.cache_info().misses == 2
 
 
 def test_shared_memo_evaluates_an_interval_as_written(cold_caches):
@@ -561,8 +561,8 @@ def _pinned_forms():
         "c_integrand": lambda x: -x * atan(x) / ((1 + x * x) * (1 + x)),
         "x_ln_1px2_over_1px2": lambda x: x * log1p(x * x) / (1 + x * x),
         "i1_integrand": lambda x: log1p(x * x) / (1 + x * x),
-        "i1_minus_ln_x": lambda x: (log1p(x * x) - log(x)) / (1 + x * x),
-        "neg_ln_x_over_1px2": lambda x: -log(x) / (1 + x * x),
+        "i1_minus_ln_x": lambda x: log1p(x * x) / (1 + x * x) + -1 / (1 + x * x) * log(x),
+        "neg_ln_x_over_1px2": lambda x: -1 / (1 + x * x) * log(x),
         "log_sin_half": lambda t: log(sin(t)),
         "log_sin_full": lambda t: log(sin(t)),
         "log_cos_half": lambda t: log(cos(t)),
@@ -666,24 +666,20 @@ def kernel_cases(width):
         alphas = [mpf(a.numerator) / a.denominator + s * h for a in grid for s in (1, -1)]
     with workprec(width + 128):
         cases = [(_param_integrand(n, a, "k"), _param_integrand(n, a, "ref")) for a in alphas for n in "FH"]
-    return cases + [(f, f) for f in identities._REGISTRY.values() if f.integer_ladder]
+    return cases + [(f, f) for f in identities._REGISTRY.values() if f.expr and f.integer_ladder]
 
 
 def test_every_bounded_registered_integrand_declares_a_kernel():
-    # every 1D integrand but eq04's tails is an expression, and only the log-singular
-    # five of those stay on the mpf ladder; the tails are plain mpf evaluators
+    # every 1D integrand but eq04's tails is an expression or the ln-x pair's g + h ln x,
+    # and only the log-sine three stay on the mpf ladder; the tails are plain mpf evaluators
     tails = [f"tail_integral_n{n}" for n in identities.EQ04_TAILS]
     registered = [f for f in identities._REGISTRY.values() if f.dimension == 1 and f.id not in tails]
-    assert all(get_integrand(i).expr is None for i in tails)
-    assert all(f.expr is not None for f in registered)
+    assert all(get_integrand(i).expr is None and get_integrand(i).ln_x is None for i in tails)
+    assert all((f.expr is None) != (f.ln_x is None) for f in registered)
+    assert [f.id for f in registered if f.ln_x] == ["i1_minus_ln_x", "neg_ln_x_over_1px2"]
+    assert all(f.integer_ladder for f in registered if f.ln_x)
     mpf_ladder = [f.id for f in registered if not f.integer_ladder]
-    assert mpf_ladder == [
-        "i1_minus_ln_x",
-        "neg_ln_x_over_1px2",
-        "log_sin_half",
-        "log_sin_full",
-        "log_cos_half",
-    ]
+    assert mpf_ladder == ["log_sin_half", "log_sin_full", "log_cos_half"]
     assert all(f.singular_left or f.singular_right for f in map(get_integrand, mpf_ladder))
     assert get_integrand("sigma_double").expr is None
 
@@ -730,6 +726,8 @@ KERNEL_CHECKS = [
     "eq09_B_split",
     "eq10",
     "app1_I1",
+    "app1_I1_substitution",
+    "app1_catalan_integral",
     "app2_I2",
     "app2_middle",
     "app2_li2",
@@ -755,7 +753,7 @@ def result_fields(results):
 
 def run_kernel_checks_on_and_off(bits, monkeypatch):
     def mpf_only(f, scheme, p):
-        return quadrature.integrate(dataclasses.replace(f, expr=None), scheme, p)
+        return quadrature.integrate(dataclasses.replace(f, expr=None, ln_x=None), scheme, p)
 
     p = Precision(bits)
     checks = [by_id(i) for i in KERNEL_CHECKS]

@@ -88,7 +88,9 @@ def scaled_expr(expr, eps=EPS):
 
 
 def scaled(f):
-    """The registered integrand f times (1 + 2^-100): its expression, or its plain evaluator."""
+    """The registered integrand f times (1 + 2^-100): its expression, its g and h, or its plain evaluator."""
+    if f.ln_x:
+        return quadrature.with_ln_x(f.id, *map(scaled_expr, f.ln_x))
     if f.expr is None:
         return dataclasses.replace(f, evaluator=lambda x: (y := f.evaluator(x)) + y * EPS)
     expr = scaled_expr(f.expr)

@@ -477,9 +477,9 @@ def test_widest_fixed_kernel_fits_mpmath_taylor_caches():
 
 
 def test_the_two_operation_contexts_offer_the_same_operations():
-    # a bounded expression runs under both; log, ln x, cos and sin are `MP`'s alone, as
-    # only the log-singular integrands use them and those run on the mpf ladder
-    mp_only = {"log", "log_x", "cos", "sin"}
+    # a bounded expression runs under both; log, cos and sin are `MP`'s alone, as
+    # only the log-sine integrands use them and those run on the mpf ladder
+    mp_only = {"log", "cos", "sin"}
     mp_ops = {name for name in dir(numeric.MP) if not name.startswith("_")}
     fixed_ops = set(vars(numeric.fixed_context(128)))
     assert mp_ops == fixed_ops | mp_only and not fixed_ops & mp_only

@@ -163,13 +163,41 @@ def test_kernel_integers_are_pinned():
         step = _fd_step(Precision(width - 2 * numeric.GUARD_BITS))
         with workprec(width):
             alphas = [mpf(a) / 10 + s * step for a in (3, 7, 10) for s in (1, -1)]
-        registered = sorted((f for f in _REGISTRY.values() if f.integer_ladder), key=lambda f: f.id)
+        registered = sorted((f for f in _REGISTRY.values() if f.expr and f.integer_ladder), key=lambda f: f.id)
         for f in registered + [_param_integrand(n, a, "pin") for a in alphas for n in "FH"]:
             nodes = [n for lev in (1, 2, 3) for n in quadrature._ts_fixed_nodes(f.domain, width, lev)]
             Xs = [X for X1, X2, _ in nodes for X in (X1, X2)] + [0, 1 << W]
             kernel = partial(f.expr, numeric.fixed_context(W))
             h.update(f"{f.id}@{W}:{','.join(str(kernel(X)) for X in Xs)};".encode())
     assert h.hexdigest() == KERNELS_SHA256
+
+
+LN_X_PAIR = ("i1_minus_ln_x", "neg_ln_x_over_1px2")
+
+
+def ln_x_kernel(f, W):
+    """The pair's kernel g(X) + h(X) L at an abscissa with its ln x, (X, L), as `_ts_fixed_ladder` sums it."""
+    c, (g, h) = numeric.fixed_context(W), f.ln_x
+    return lambda XL: g(c, XL[0]) + c.mul(h(c, XL[0]), XL[1])
+
+
+# SHA-256 of the ln-x column and of every integer the pair's kernels return on
+# it, at each (X, L) of the level 1-3 nodes of [0, 1] at W = 189 and 336.
+# Recorded when the pair moved onto the integer ladder.
+LN_X_KERNELS_SHA256 = "3f8350464e5615ff2bc8323d0e1916f64fb3e4654fe55a0da5a2ad3a3650788e"
+
+
+def test_ln_x_kernel_integers_are_pinned():
+    h = hashlib.sha256()
+    for width in (173, 320):
+        W = width + quadrature.FIXED_EXTRA_BITS
+        nodes = [n for lev in (1, 2, 3) for n in quadrature._ts_ln_x_nodes((0, 1), width, lev)]
+        column = [XL for XL1, XL2, _ in nodes for XL in (XL1, XL2)]
+        h.update(f"column@{W}:{','.join(f'{X}:{L}' for X, L in column)};".encode())
+        for name in LN_X_PAIR:
+            kernel = ln_x_kernel(get_integrand(name), W)
+            h.update(f"{name}@{W}:{','.join(str(kernel(XL)) for XL in column)};".encode())
+    assert h.hexdigest() == LN_X_KERNELS_SHA256
 
 
 # SHA-256 of every integer sigma_double's product kernel h returns at the
@@ -210,7 +238,7 @@ def test_cached_abscissae_equal_a_fresh_computation(bits):
             a, b, halfw, _ = quadrature._interval(domain)
             for lev in range(1, 9):
                 cached = quadrature._ts_abscissae(domain, key, lev)
-                fresh = [(a + halfw * d, b - halfw * d, w) for d, w in quadrature._TS_TABLES[key][lev]]
+                fresh = [(a + halfw * d, b - halfw * d, w) for d, w, _ in quadrature._TS_TABLES[key][lev]]
                 assert [[v._mpf_ for v in n] for n in cached] == [[v._mpf_ for v in n] for n in fresh]
 
 
@@ -355,7 +383,7 @@ def reference_ts_ladder(integrand, cap, bits):
     evals = 1
     out = []
     for lev in range(1, cap + 1):
-        for delta, omega in quadrature._ts_levels(bits, lev)[lev]:
+        for delta, omega, _ in quadrature._ts_levels(bits, lev)[lev]:
             xm, xp = a + halfw * delta, b - halfw * delta
             if integrand.singular_left and xm == a:
                 fm = mpf(0)
@@ -596,7 +624,7 @@ def test_product_sum_matches_the_cell_by_cell_sum(bits, order):
 
 
 def kernel_integrands(bits):
-    """Every registered kernel, and the F/H families at the widest arguments they meet."""
+    """Every registered kernel, the ln-x pair's among them, and the F/H families at the widest arguments they meet."""
     with workprec(bits):
         above_one = 1 + ldexp(1, -(bits // 3))  # a x > 1 near x = 1: ln(1 + a^2 x^2) reduces by 2 ln2
         return [
@@ -619,7 +647,7 @@ def test_fixed_ladder_matches_the_mpf_ladder(bits):
     bound = ldexp(1, -(bits - 8))
     for f in kernel_integrands(bits):
         assert f.integer_ladder
-        plain = dataclasses.replace(f, expr=None)
+        plain = dataclasses.replace(f, expr=None, ln_x=None)
         with workprec(bits):
             got = list(quadrature._ts_fixed_ladder(f, cap, bits))
             want = list(quadrature._ts_ladder(plain, cap, bits))
@@ -658,7 +686,7 @@ def test_kernel_integrands_have_the_lipschitz_constants_the_ladder_bound_states(
             for s in (1, -1)
             for n in "FH"
         ]
-        registered = [f for f in _REGISTRY.values() if f.integer_ladder]
+        registered = [f for f in _REGISTRY.values() if f.expr and f.integer_ladder]
         family = {f.id: "eq06_inner" if f.id.startswith("eq06_inner") else f.id for f in registered}
         for f, L in params + [(f, KERNEL_LIPSCHITZ[family[f.id]]) for f in registered]:
             lo, hi, _, _ = quadrature._interval(f.domain)
@@ -668,13 +696,77 @@ def test_kernel_integrands_have_the_lipschitz_constants_the_ladder_bound_states(
             assert max(map(abs, slopes)) <= L, f.id
 
 
+# the ln-x pair's g and h: sup |g'| and sup |h'|, as the bound comment of `_ts_fixed_ladder` states them
+LN_X_LIPSCHITZ = {"i1_minus_ln_x": (0.51, 0.65), "neg_ln_x_over_1px2": (0, 0.65)}
+
+
+def test_ln_x_pair_has_the_g_and_h_constants_the_ladder_bound_states():
+    assert set(LN_X_LIPSCHITZ) == {f.id for f in _REGISTRY.values() if f.ln_x}
+    with workprec(80):
+        xs = [mpf(k) / 400 for k in range(401)]
+        for name, constants in LN_X_LIPSCHITZ.items():
+            for part, L in zip(get_integrand(name).ln_x, constants):
+                fn = partial(part, numeric.MP)
+                assert max(abs(fn(x)) for x in xs) <= 1, name
+                slopes = [diff(fn, x, direction=1 if x == 0 else -1 if x == 1 else 0) for x in xs]
+                assert max(map(abs, slopes)) <= L, name
+
+
+@pytest.mark.parametrize("width, deepest", [(320, 7), (1088, 9)])
+def test_ln_x_column_and_kernels_are_within_their_bounds(width, deepest):
+    # every node of levels 1-3, and the innermost nodes of the deepest level the
+    # catalog reaches at this width, where X1 floors to 0 and ln x1 comes from the table's ln q
+    W = width + quadrature.FIXED_EXTRA_BITS
+    q = W / 128 + 3
+    kernels = {name: ln_x_kernel(get_integrand(name), W) for name in LN_X_PAIR}
+    nodes = [(lev, n) for lev in (1, 2, 3) for n in range(len(quadrature._ts_ln_x_nodes((0, 1), width, lev)))]
+    nodes += [(deepest, n) for n in range(len(quadrature._ts_ln_x_nodes((0, 1), width, deepest)))][-8:]
+    floored_to_0 = 0
+    with workprec(W + 128):
+        for lev, n in nodes:
+            XL1, XL2, _ = quadrature._ts_ln_x_nodes((0, 1), width, lev)[n]
+            d, _, _ = quadrature._ts_levels(width, lev)[lev][n]
+            floored_to_0 += XL1[0] == 0
+            for (X, L), x in ((XL1, d / 2), (XL2, 1 - d / 2)):
+                ln_x = log(x)
+                assert abs(ln_x) <= (W + 20) * mp.ln2, (lev, n)
+                assert abs(L - ln_x * 2**W) <= q + 7, (lev, n, x)
+                for name, kernel in kernels.items():
+                    exact = get_integrand(name).evaluator(x) * 2**W
+                    assert abs(kernel((X, L)) - exact) <= 2 * q + 15 + 4 * abs(ln_x), (name, lev, n)
+    assert floored_to_0 >= 4
+
+
+@pytest.mark.parametrize(
+    "bits", [109, 128, 256, 512, pytest.param(1024, marks=pytest.mark.slow), pytest.param(2048, marks=pytest.mark.slow)]
+)
+def test_ln_x_pair_integer_ladder_gives_the_mpf_ladders_result(bits):
+    # at the width the catalog integrates at: the same value, evaluations and level
+    pg = Precision(Precision(bits).guarded)
+    for name in LN_X_PAIR:
+        f = get_integrand(name)
+        got = integrate(f, TanhSinh(), pg)
+        want = integrate(dataclasses.replace(f, ln_x=None), TanhSinh(), pg)
+        assert (got.value._mpf_, got.evaluations, got.level_or_order) == (
+            want.value._mpf_,
+            want.evaluations,
+            want.level_or_order,
+        ), name
+
+
+def test_ln_x_column_refuses_a_domain_whose_left_end_is_not_0(p64):
+    f = dataclasses.replace(get_integrand("neg_ln_x_over_1px2"), id="shifted", domain=(1, 2))
+    with pytest.raises(ValueError, match="left end is 0, got \\(1, 2\\)"):
+        integrate(f, TanhSinh(), p64)
+
+
 def test_integrate_sums_a_declared_kernel_on_the_same_steps(p256):
     def never(x):
         raise AssertionError("the mpf evaluator ran")
 
     for f in kernel_integrands(p256.guarded):
         got = integrate(dataclasses.replace(f, evaluator=never), TanhSinh(), p256)
-        want = integrate(dataclasses.replace(f, expr=None), TanhSinh(), p256)
+        want = integrate(dataclasses.replace(f, expr=None, ln_x=None), TanhSinh(), p256)
         assert (got.evaluations, got.level_or_order) == (want.evaluations, want.level_or_order)
         assert abs(got.value - want.value) <= ldexp(1, -(p256.bits - 1))
 
