@@ -14,8 +14,9 @@ check.
 Every integral the catalog reads is registered here, under the id a side
 names it by.  Each is declared once, as expressions over `numeric`'s
 operation contexts: a 1D one is its mpf evaluator and, when bounded or
-written g + h ln x, the integer kernel that the tanh-sinh ladder sums; eq05's
-product form is its mpf g and integer h.  eq04's six tails alone are plain mpf evaluators.
+written g + h ln x + k ln(b - x), the integer kernel that the tanh-sinh ladder
+sums; eq05's product form is its mpf g and integer h.  eq04's six tails alone
+are plain mpf evaluators.
 `run_check` refuses a precision that `precision_refusal` refuses, then evaluates
 both sides at the requested precision, applies the check's tolerance policy
 and reads `evaluations` off the context's record; a nonconvergence or a
@@ -99,12 +100,13 @@ LN2_DIRECT_TERMS = 100_000
 # ladder's assumption, and at most 3q + 8, q = W/128 + 3, for those built on
 # the quotients ln(1 + u)/u and arctan(t)/t.  The quotients also carry the
 # removable 0/0 at x = 0 of middle_alpha, middle_t, ln(1 + t)/t, F' and H', so
-# every expression returns its limit there.  Each of the ln-x pair is
-# f = g + h ln x, two bounded expressions (`quadrature.with_ln_x`), whose kernel
-# reads ln x from the integer ladder's column beside each node.  The three
-# log-sine integrands run on the mpf ladder, reading (cos t, sin t) from `MP`'s memo.
-# eq04's tails x^(2n)/(1 + x) are plain mpf evaluators, on that ladder too:
-# eq04's tolerance prints 8 |T_k - T_{k-1}|, the mpf ladder's own rounding noise.
+# every expression returns its limit there.  The ln-x pair and the three
+# log-sine integrands are f = g + h ln x + k ln(b - x), bounded expressions
+# (`quadrature.with_ln_x`), whose kernel reads ln x and ln(b - x) from the
+# integer ladder's column beside each node; the log-sine g are logarithms of
+# quotients bounded away from 0, from `numeric`'s sin(t)/t and cos t.  eq04's
+# tails x^(2n)/(1 + x) alone are plain mpf evaluators, on the mpf ladder:
+# eq04's tolerance prints 8 |T_k - T_{k-1}|, that ladder's own rounding noise.
 # ---------------------------------------------------------------------------
 
 _REGISTRY = {}
@@ -141,11 +143,31 @@ def _minus_1_over_1px2(c, x):  # the ln-x pair's h
 # the ln-x pair, g + h ln x: (ln(1 + x^2) - ln x)/(1 + x^2), whose g is i1's, and -ln x/(1 + x^2)
 _register(with_ln_x("i1_minus_ln_x", get_integrand("i1_integrand").expr, _minus_1_over_1px2))
 _register(with_ln_x("neg_ln_x_over_1px2", lambda c, x: 0, _minus_1_over_1px2))
-# the log-sine three: ln sin t at 0 and pi, ln cos t at pi/2
+
+
+def _one(c, x):  # the coefficient of each log-sine logarithm
+    return c.one
+
+
+def _ln_sin_over_t(c, t):  # ln(sin t / t)
+    return c.log(c.sin_over(t))
+
+
+def _ln_sin_over_t_pi_minus_t(c, t):  # ln(sin t / (t (pi - t))), sin t being sin(pi - t) from the nearer end
+    s = c.pi - t
+    return c.log(c.div(c.sin_over(min(t, s)), max(t, s)))
+
+
+def _ln_cos_over_half_pi_minus_t(c, t):  # ln(cos t / (pi/2 - t)), with the cosine of t itself
+    return c.log(c.div(2 * c.cos(t), c.pi - 2 * t))
+
+
+# the log-sine three: ln sin t = ln t + ln(sin t / t) on (0, pi/2);
+# ln t + ln(pi - t) + ln(sin t / (t (pi - t))) on (0, pi); ln(pi/2 - t) + ln(cos t / (pi/2 - t))
 _TO_HALF_PI, _TO_PI = (0, PiMultiple(F(1, 2))), (0, PiMultiple(F(1)))
-_register(expression("log_sin_half", lambda c, t: c.log(c.sin(t)), _TO_HALF_PI, singular_left=True))
-_register(expression("log_sin_full", lambda c, t: c.log(c.sin(t)), _TO_PI, singular_left=True, singular_right=True))
-_register(expression("log_cos_half", lambda c, t: c.log(c.cos(t)), _TO_HALF_PI, singular_right=True))
+_register(with_ln_x("log_sin_half", _ln_sin_over_t, _one, domain=_TO_HALF_PI))
+_register(with_ln_x("log_sin_full", _ln_sin_over_t_pi_minus_t, _one, _one, domain=_TO_PI))
+_register(with_ln_x("log_cos_half", _ln_cos_over_half_pi_minus_t, k=_one, domain=_TO_HALF_PI))
 _register(expression("i2_integrand", lambda c, x: c.div(c.log1p_sq(x), c.one + x)))
 _register(expression("i3_integrand", lambda c, x: c.div(c.atan_x(x), c.one + x)))
 _register(expression("eq16_integrand", lambda c, x: c.div(c.atan_x(x), c.one + c.sq(x))))

@@ -15,12 +15,11 @@ Each 1D integrand registered in `identities` but eq04's tails is written
 once, as expressions over the operation contexts kept here, below it:
 under `MP` (mpf at the ambient precision) they give the integrand's evaluator,
 and under `fixed_context(W)` (integers scaled by 2^W) the integer kernel that
-the tanh-sinh ladder sums for a bounded one, or for the ln-x pair's bounded
-g and h in f = g + h ln x.  Each context owns its
-per-abscissa memo: `MP` keeps, bit for bit, the mpf (cos t, sin t) that two
-log-sine integrands on the mpf ladder share, and each `fixed_context(W)`
-the ln(1+x^2)/x^2, arctan(x)/x and ln(1+x)/x of its nodes X.  `MP`'s
-logarithms of 1 + x are mpmath's own `log1p`.
+the tanh-sinh ladder sums for a bounded one, or for the bounded g, h and k of
+one with a logarithmic end, f = g + h ln x + k ln(b - x).  `MP`'s functions
+are mpmath's own; each `fixed_context(W)` keeps a per-node memo of the
+ln(1+x^2)/x^2, arctan(x)/x and ln(1+x)/x of its nodes X, and of the
+(cos x, sin x) that the log-sine kernels share.
 Importing this module points mpmath's pure-Python bit count at the C
 `int.bit_length`, which gives the same count on every int.
 """
@@ -28,14 +27,14 @@ Importing this module points mpmath's pure-Python bit count at the C
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 import math
 import sys
 from types import SimpleNamespace
 
-from mpmath import atan, catalan, cos, cos_sin, isfinite, ldexp, libmp, ln2, log, log1p, mag, mp, mpf, pi, sin, workprec
+from mpmath import atan, catalan, cos, isfinite, ldexp, libmp, ln2, log, log1p, mag, mp, mpf, pi, sin, workprec
 from mpmath.libmp import libintmath, to_fixed
-from mpmath.libmp.libelefun import atan_taylor, ln2_fixed, log_taylor_cached
+from mpmath.libmp.libelefun import atan_taylor, cos_sin_fixed, ln2_fixed, log_taylor_cached, pi_fixed
 
 from .errors import BasisError, DomainError
 
@@ -88,22 +87,6 @@ def ulp(x, bits):
     if x == 0:
         return ldexp(1, -bits)
     return ldexp(1, mag(x) - bits)
-
-
-# ---------------------------------------------------------------------------
-# Per-abscissa memo.  The log-sine integrands that the mpf ladder sums meet the
-# same tanh-sinh abscissae on [0, pi/2], so the (cos t, sin t) they share runs
-# once per (t, mp.prec) for the life of the process.  A hit is the mpf the same
-# call made at the same width, so the memo is bit for bit the same as
-# evaluating directly.  Only an mpf argument is shared: any other (an interval,
-# a complex) is evaluated as written and stored nowhere.
-# ---------------------------------------------------------------------------
-
-
-@cache
-def _shared(fn, x, prec):
-    """fn of the mpf whose raw value is x, at the ambient width `prec`."""
-    return fn(mp.make_mpf(x))
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +167,49 @@ def atan_over_fixed(T, W):
     return _odd_series(T << g, W + g, -1) >> g
 
 
+# The log-sine kernels' functions.  mpmath's `cos_sin_fixed` gives (cos t,
+# sin t) within 32 units; `cos_sin_wide` runs it at W + SIN_GUARD, so that
+# sin(t)/t, divided from the first point the quotients divide at, t = 2^-7,
+# keeps the same W/128 + 3 units of 2^-W: 32 units of 2^-(W + 11) over t >= 2^-7
+# give 2, plus 1 for the division.  Below 2^-7, sin(t)/t sums its own
+# series at W + 4 in powers of t^2 < 2^-14, each term floored twice, at most
+# W/14 + 2 terms.  `log_fixed` reduces y to 2^s y in [1/2, 1), as `log1p_fixed`
+# does, at W + 4: within W/128 + 3 units for 1/4 <= y < 2, where |s| <= 2.
+
+SIN_GUARD = 7 + QUOTIENT_GUARD
+
+
+def cos_sin_wide(T, W):
+    """(cos t, sin t) 2^(W + SIN_GUARD) for t >= 0."""
+    return cos_sin_fixed(T << SIN_GUARD, W + SIN_GUARD)
+
+
+def sin_over_fixed(T, W, cos_sin=cos_sin_wide):
+    """sin(t)/t 2^W for 0 <= t < 2, and its limit 2^W at t = 0; from t = 2^-7 on it divides `cos_sin`(T, W)'s sine."""
+    if T >> (W - 7):
+        return (cos_sin(T, W)[1] << W) // (T << SIN_GUARD)
+    g = QUOTIENT_GUARD
+    Wg = W + g
+    V = T << g
+    V2 = V * V >> Wg
+    S, P, k = 0, 1 << Wg, 1
+    while P:  # (-t^2)^j / (2j + 1)!
+        S += P
+        k += 2
+        P = -(P * V2 >> Wg) // ((k - 1) * k)
+    return S >> g
+
+
+def log_fixed(Y, W):
+    """ln(y) 2^W for y > 0, as ln(2^s y) - s ln 2 with 2^s y in [1/2, 1); a `DomainError` for y <= 0."""
+    if Y <= 0:
+        raise DomainError(f"logarithm of a value that is not positive, {Y} 2^-{W}")
+    g = QUOTIENT_GUARD
+    s = W - Y.bit_length()
+    Z = Y << (g + s) if g + s >= 0 else Y >> -(g + s)
+    return (log_taylor_cached(Z, W + g) - s * ln2_fixed(W + g)) >> g
+
+
 # ---------------------------------------------------------------------------
 # Operation contexts.  A 1D integrand is written once, as an expression
 # expr(c, x) over the operations below; sums and differences are Python's own
@@ -191,16 +217,17 @@ def atan_over_fixed(T, W):
 # Under `MP` the operations are mpf arithmetic at the ambient precision, and
 # expr(MP, x) is the integrand's evaluator.  Under `fixed_context(W)` a value
 # v is an integer near v 2^W, and expr(fixed_context(W), X) is the integrand's
-# kernel, which the integer tanh-sinh ladder sums.  A log-sine integrand runs
-# under `MP` only, the one context with log, sin and cos; the ln-x pair's g and h
-# are bounded, and the ladder hands ln x beside each node.
+# kernel, which the integer tanh-sinh ladder sums.  An integrand with a
+# logarithmic end is g + h ln x + k ln(b - x) (`quadrature.with_ln_x`): its g, h
+# and k are bounded, and the ladder hands ln x and ln(b - x) beside each node.
 #
 # Each fixed operation adds at most these units of 2^-W to its result:
 #   one, and const of a dyadic rational that fits W bits     0
-#   ln2, const (floored once per width)                      1
+#   ln2, pi, const (floored once per width)                  1
 #   mul, sq, div, div2 (one floor each)                      1
+#   cos, sin (`cos_sin_wide`, floored to W)                  2
 #   log1p, atan (`log1p_fixed`, `atan_fixed`)                W/8 + 16
-#   log1p_over, atan_over                                    q = W/128 + 3
+#   log1p_over, atan_over, sin_over, log (1/4 <= y < 2)      q = W/128 + 3
 #   log1p_sq_over (x^2 floored inside it)                    q + 1
 #   log1p_sq = mul(sq(x), log1p_sq_over(x))                  q + 3
 #   atan_x = mul(x, atan_over(x))                            q + 1
@@ -231,11 +258,13 @@ class _MpContext:
     log1p_over = staticmethod(lambda u: log1p(u) / u if u else mpf(1))
     log1p_sq_over = staticmethod(lambda x: log1p(x2 := x * x) / x2 if x else mpf(1))
     atan_over = staticmethod(lambda t: atan(t) / t if t else mpf(1))
+    pi = property(lambda self: constant_value(BasisConstant.PI, mp.prec))
     log = staticmethod(log)
-    # cos t and sin t of an abscissa, shared by the log-sine pair; `cos_sin` rounds
-    # each of the two as `cos` and `sin` do
-    cos = staticmethod(lambda t: _shared(cos_sin, t._mpf_, mp.prec)[0] if isinstance(t, mpf) else cos(t))
-    sin = staticmethod(lambda t: _shared(cos_sin, t._mpf_, mp.prec)[1] if isinstance(t, mpf) else sin(t))
+    cos = staticmethod(cos)
+    sin = staticmethod(sin)
+
+    def sin_over(self, t):
+        return self.sin(t) / t if t else mpf(1)
 
 
 MP = _MpContext()
@@ -245,8 +274,8 @@ MP = _MpContext()
 def fixed_context(W):
     """Integers scaled by 2^W, built once per width: expr(fixed_context(W), X) is a kernel.
 
-    Its quotients run once per node X of this width's ladders, as `MP` shares
-    each mpf (cos t, sin t) once per abscissa.
+    Its quotients, and the pair (cos t, sin t) that sin, cos and sin(t)/t read,
+    run once per node X of this width's ladders.
     """
     floor = cache(lambda v: to_fixed(v, W))  # an mpf's raw value, floored once per width
 
@@ -256,9 +285,11 @@ def fixed_context(W):
     log1p_sq_over = cache(lambda X: log1p_over_fixed(X * X >> W, W))  # ln(1+x^2)/x^2
     log1p_over = cache(lambda X: log1p_over_fixed(X, W))  # ln(1+x)/x
     atan_over = cache(lambda X: atan_over_fixed(X, W))  # arctan(x)/x
+    cos_sin = cache(cos_sin_wide)  # (cos x, sin x) 2^(W + SIN_GUARD); W is this context's alone
     return SimpleNamespace(
         one=1 << W,
         ln2=ln2_fixed(W),
+        pi=pi_fixed(W),
         const=lambda v: floor(v._mpf_),
         mul=mul,
         sq=lambda A: A * A >> W,
@@ -271,6 +302,11 @@ def fixed_context(W):
         log1p_over=log1p_over,
         log1p_sq_over=log1p_sq_over,
         atan_over=atan_over,
+        # ln sin t on (0, pi) has the same g at a node's x1 and, next, at its x2: the last logarithm is kept
+        log=lru_cache(maxsize=1)(lambda Y: log_fixed(Y, W)),
+        cos=lambda X: cos_sin(X, W)[0] >> SIN_GUARD,
+        sin=lambda X: cos_sin(X, W)[1] >> SIN_GUARD,
+        sin_over=lambda X: sin_over_fixed(X, W, cos_sin),
     )
 
 

@@ -13,8 +13,9 @@ run through one refinement driver, `_refine`, and both Gauss-Legendre rules
 through one ladder, `_gl_ladder`.  Two declarations move a sum
 into fixed-point integers: a 2D integrand's product form has its rungs summed
 by `_product_sum`, and a bounded 1D integrand written as an expression, or one
-written g + h ln x on [0, 1], has its tanh-sinh levels summed by
-`_ts_fixed_ladder`.
+written g + h ln x + k ln(b - x) on (0, b), has its tanh-sinh levels summed by
+`_ts_fixed_ladder`.  Only an integrand with a plain evaluator is summed in mpf,
+by `_ts_ladder`.
 
 Node tables are cached per precision, so repeated integrations share the
 (comparatively expensive) table setup.  Tanh-sinh levels are built on
@@ -71,7 +72,7 @@ class Integrand:
     singular_right: bool = False
     product: Optional[tuple] = None  # 2D only: expressions (g, h) with f = g(x) g(y) h(xy)
     expr: Optional[Callable] = None  # 1D only: expr(c, x) over a `numeric` context
-    ln_x: Optional[tuple] = None  # 1D only: expressions (g, h) with f = g(x) + h(x) ln x
+    ln_x: Optional[tuple] = None  # 1D only: (g, h, k) with f = g(x) + h(x) ln x + k(x) ln(b - x), see `with_ln_x`
 
     @property
     def dimension(self):
@@ -79,25 +80,35 @@ class Integrand:
 
     @property
     def integer_ladder(self):
-        """Whether tanh-sinh sums this integrand's kernel in integers: its ln-x form, or a bounded expression."""
-        return self.ln_x is not None or (self.expr is not None and not (self.singular_left or self.singular_right))
+        """Whether tanh-sinh sums this integrand's kernel in integers: a bounded expression, or its ln-x form."""
+        return self.expr is not None or self.ln_x is not None
 
 
-def expression(id, expr, domain=(0, 1), **singular):
-    """A 1D integrand written once, as expr(c, x) over a `numeric` context; its evaluator is expr(MP, x).
+def expression(id, expr, domain=(0, 1)):
+    """A bounded 1D integrand written once, as expr(c, x) over a `numeric` context; its evaluator is expr(MP, x).
 
-    With no singular flag the expression also runs on the integer ladder, as
-    expr(fixed_context(W), X), so it may use only the operations that context
-    offers.  Integers have no logarithm: an integrand that needs `log`, `cos`
-    or `sin` is declared singular, or built as a plain `Integrand` from its
-    evaluator, and one that is g + h ln x is built by `with_ln_x`.
+    The integer ladder sums it as expr(fixed_context(W), X).  One with a
+    logarithmic end is written g + h ln x + k ln(b - x) and built by `with_ln_x`.
     """
-    return Integrand(id, partial(expr, MP), domain, expr=expr, **singular)
+    return Integrand(id, partial(expr, MP), domain, expr=expr)
 
 
-def with_ln_x(id, g, h):
-    """g(x) + h(x) ln x on [0, 1], g and h each a bounded expression; its evaluator is that sum under `MP`."""
-    return Integrand(id, lambda x: g(MP, x) + h(MP, x) * log(x), (0, 1), singular_left=True, ln_x=(g, h))
+def with_ln_x(id, g, h=None, k=None, domain=(0, 1)):
+    """g(x) + h(x) ln x + k(x) ln(b - x) on (0, b), g, h and k each a bounded expression.
+
+    An absent h or k is no such term.  The integrand is singular at each end
+    with a logarithm, and its evaluator is the sum under `MP`.
+    """
+
+    def evaluator(x):
+        y = g(MP, x)
+        if h:
+            y += h(MP, x) * log(x)
+        if k:
+            y += k(MP, x) * log(_endpoint_value(domain[1]) - x)
+        return y
+
+    return Integrand(id, evaluator, domain, singular_left=bool(h), singular_right=bool(k), ln_x=(g, h, k))
 
 
 def product(id, g, h):
@@ -228,9 +239,10 @@ def _refine(ladder, p, rule, cap):
 # Each positive-t node is stored as (delta, omega, ln q) with delta = 1 - tanh(u)
 # computed stably as 2q/(1+q) for q = e^(-2u), u = (pi/2) sinh t, and
 # omega = (pi/2) cosh(t) / cosh(u)^2.  Keeping delta rather than the abscissa
-# is what lets a singular evaluator see the true distance to the endpoint
-# instead of a catastrophically rounded one; delta falls strictly with t.
-# ln q = -2u, formed on the way to q, gives the ln-x column its logarithms.
+# keeps the true distance to an endpoint: an evaluator sees it in an abscissa
+# halfw delta next to 0, though an mpf b - halfw delta next to b rounds it to
+# ulp(b); delta falls strictly with t.  ln q = -2u, formed on the way to q,
+# gives the ln-x column its logarithms of the distance to either end.
 #
 # Tables are cumulative: level k holds only the nodes new at step 2^-k, so
 # the trapezoid sums refine incrementally.  Levels are built on demand: a
@@ -336,8 +348,7 @@ def _ts_ladder(integrand, cap, bits):
 # 2 units, the level-k weights of one side sum to 2^k and there are fewer than
 # 2^(k+3) nodes a side: T_k is within halfw (2c + 6L + 18) 2^-W of the
 # trapezoid sum on its exact nodes.  The bound covers the bounded kernels;
-# the ln-x pair's is below, and the three log-sine expressions stay on
-# `_ts_ladder`.  Every catalog
+# those of the integrands with a logarithmic end are below.  Every catalog
 # kernel has |f| <= 1, and its L, sup |f'| (401 sample points, pinned in the
 # tests), is: middle_t 3/2, at 0; H(a) a, at most 1 + h; i3, eq16 and
 # middle_alpha 1; eq06 0.66; eq17 0.55; x ln(1 + x^2)/(1 + x^2) 0.55; i1 0.51;
@@ -346,23 +357,45 @@ def _ts_ladder(integrand, cap, bits):
 # 2^-(bits + 7) at any W up to 2500.  The steps, the stop test and the
 # evaluation count are those of `_ts_ladder`.
 #
-# The ln-x pair, f = g + h ln x on [0, 1] (`with_ln_x`), sums the kernel
-# g(X) + h(X) L, where L is ln x 2^W, cached beside each abscissa by
-# `_ts_ln_x_nodes` for a domain (0, b) only.  On such a domain the node's
-# abscissae are x2 = b/(1 + q) and x1 = q x2, so L2 = ln b - ln(1 + q) and
-# L1 = L2 + ln q, with ln q from the table: ln x1 never comes from X1, which
+# An integrand with a logarithmic end, f = g + h ln x + k ln(b - x) on (0, b)
+# (`with_ln_x`), sums the kernel g(X) + h(X) L + k(X) M, where L and M are
+# ln x 2^W and ln(b - x) 2^W, cached beside each abscissa by `_ts_ln_x_nodes`.
+# A node's abscissae are x2 = b/(1 + q) and x1 = q x2 = b - x2, so
+# L2 = ln b - ln(1 + q), L1 = L2 + ln q, and each abscissa's M is its mirror's
+# L: the distance to either end is carried, not formed (Mori & Sugihara,
+# J. Comput. Appl. Math. 127, 2001), and no logarithm comes from X1, which
 # floors to 0 on the innermost nodes (delta reaches 2^-351 at W = 336).
 # q = delta/(2 - delta) is floored to Q within 2 units, ln(1 + q) is
 # Q `log1p_over_fixed`(Q) within q + 3 (q = W/128 + 3, as in `numeric`), and
-# ln b and ln q are floored once, so L is within q + 7 units.  With |g|, |h| <= 1,
-# kernels within cg and ch units, |g'| <= Lg and |h'| <= Lh, an evaluation is
-# within cg + 3Lg + 1 + (q + 7) + (ch + 3Lh) |ln x| units (the 1 is the floor
-# of h L).  The catalog's h is -1/(1 + x^2): ch = 2, Lh = 0.65; its g is i1's
-# kernel (cg = q + 5, Lg = 0.51) or 0.  So an evaluation is within
-# E + 4 |ln x|, E = 2q + 15, and as |ln x| <= l = (W + 20) ln 2 on every node,
-# |f| <= 1 + l: a floored weight moves a term by at most 2 + 2l units, and
-# T_k is within halfw (2E + 24 l + 18) 2^-W, below 2^-(bits + 1) at any W up
-# to 2500.  The pair's g and h constants are pinned in the tests.
+# ln b and ln q are floored once, so L and M are within q + 7 units.  ln q and
+# ln(1 + q) are the level's alone (`_ts_ln_q_column`): each domain adds its ln b.
+# On a singular right end the ladder skips each node whose mpf abscissa
+# b - halfw delta, at the ladder's width, is b (`_ts_right_skips`), as
+# `_pair_sum` does: its x2 adds 0 and is not counted.  A node kept has
+# b - x2 >= 2^-bits, 2^16 units.
+#
+# The ln-x pair on [0, 1] has no k.  With |g|, |h| <= 1, kernels within cg and
+# ch units, |g'| <= Lg and |h'| <= Lh, an evaluation is within
+# cg + 3Lg + 1 + (q + 7) + (ch + 3Lh) |ln x| units (the 1 is the floor of h L).
+# The catalog's h is -1/(1 + x^2): ch = 2, Lh = 0.65; its g is i1's kernel
+# (cg = q + 5, Lg = 0.51) or 0.  So an evaluation is within E + 4 |ln x|,
+# E = 2q + 15, and as |ln x| <= l = (W + 20) ln 2 on every node, |f| <= 1 + l:
+# a floored weight moves a term by at most 2 + 2l units, and T_k is within
+# halfw (2E + 24 l + 18) 2^-W, below 2^-(bits + 1) at any W up to 2500.
+#
+# The log-sine three have each h and k 1 or absent, and g = ln y, y in [1/pi, 1]:
+# ln(sin t / t); ln(sin t / (t (pi - t))), from sin(u)/u at the nearer end u;
+# and ln(cos t / (pi/2 - t)), from the cosine of X itself, never the sine of its
+# distance to pi/2, so that `app1_logsine_funceq` compares two sums and not one
+# sum with itself.  With |g| <= 1.15 and |g'| <= 0.64 (pinned in the tests),
+# an evaluation is within E = 5q + 20 units, L and M included; ln cos t's
+# quotient divides a cosine within 2 units by pi - 2X, and adds 4/(b - x).
+# A node's weight is at most (b - x) h pi cosh t / halfw, and a node's t at
+# most asinh(l/pi), so that term adds at most 8l units to T_k.  As
+# |ln x1| + |ln x2| <= l + 1.15, a floored weight moves a node's two terms by
+# at most 2l + 5 units: T_k is within halfw (2E + 16l + 40) + 8l units of the
+# trapezoid sum on its exact nodes, before its one rounding to mpf, and below
+# 2^-bits at any W up to 2500.
 # ---------------------------------------------------------------------------
 
 FIXED_EXTRA_BITS = 16
@@ -387,20 +420,56 @@ def _ts_fixed_nodes(domain, bits, lev):
 
 
 @cache
+def _ts_ln_q_column(bits, lev):
+    """Level lev's (ln q, ln(1 + q)) 2^W: the part of the ln x column that no domain changes."""
+    W = bits + FIXED_EXTRA_BITS
+    table = _ts_levels(bits, lev)[lev]
+    with workprec(W + 8):  # q = delta/(2 - delta)
+        Qs = [to_fixed((d / (2 - d))._mpf_, W) for d, _, _ in table]
+    return tuple((to_fixed(ln_q._mpf_, W), Q * log1p_over_fixed(Q, W) >> W) for Q, (_, _, ln_q) in zip(Qs, table))
+
+
+@cache
 def _ts_ln_x_nodes(domain, bits, lev):
-    """Level lev's ((X1, L1), (X2, L2), Omega) on a domain (0, b): `_ts_fixed_nodes` with L = ln x 2^W beside X."""
+    """Level lev's ((X1, L1, L2), (X2, L2, L1), Omega) on (0, b): `_ts_fixed_nodes`, each X with ln x and ln(b - x)."""
     if domain[0] != 0:
         raise ValueError(f"a ln x column needs a domain whose left end is 0, got {domain!r}")
     W = bits + FIXED_EXTRA_BITS
-    table = _ts_levels(bits, lev)[lev]
-    with workprec(W + 8):  # x2 = b/(1 + q) and x1 = q x2, with q = delta/(2 - delta)
+    with workprec(W + 8):  # x2 = b/(1 + q) and x1 = q x2 = b - x2
         ln_b = to_fixed(log(_interval(domain)[1])._mpf_, W)
-        Qs = [to_fixed((d / (2 - d))._mpf_, W) for d, _, _ in table]
-    L2s = [ln_b - (Q * log1p_over_fixed(Q, W) >> W) for Q in Qs]
-    return tuple(
-        ((X1, L2 + to_fixed(ln_q._mpf_, W)), (X2, L2), w)
-        for (X1, X2, w), L2, (_, _, ln_q) in zip(_ts_fixed_nodes(domain, bits, lev), L2s, table)
-    )
+    nodes = []
+    for (X1, X2, w), (ln_q, ln_1pq) in zip(_ts_fixed_nodes(domain, bits, lev), _ts_ln_q_column(bits, lev)):
+        L2 = ln_b - ln_1pq
+        L1 = L2 + ln_q
+        nodes.append(((X1, L1, L2), (X2, L2, L1), w))
+    return tuple(nodes)
+
+
+def _ts_right_skips(domain, bits, lev):
+    """How many of level lev's last nodes `_pair_sum` skips on a singular right end: b - halfw delta is b there."""
+    table = _ts_levels(bits, lev)[lev]
+    with workprec(bits):  # x2 as `_ts_abscissae` forms it, which grows towards b as delta falls
+        _, b, halfw, _ = _interval(domain)
+        n = 0
+        while n < len(table) and b - halfw * table[-1 - n][0] == b:
+            n += 1
+    return n
+
+
+def _ln_x_kernel(ln_x, c):
+    """The kernel of a form (g, h, k) under context c: g(X) + h(X) L + k(X) M at a node (X, L, M)."""
+    g, h, k = ln_x
+
+    def f(node):
+        X, L, M = node
+        y = g(c, X)
+        if h:
+            y += c.mul(h(c, X), L)
+        if k:
+            y += c.mul(k(c, X), M)
+        return y
+
+    return f
 
 
 def _ts_fixed_ladder(integrand, cap, bits):
@@ -409,11 +478,11 @@ def _ts_fixed_ladder(integrand, cap, bits):
     A, B, _ = _fixed_interval(integrand.domain, W)
     sign, hman, hexp, _bc = _interval(integrand.domain)[2]._mpf_  # halfw, as `_ts_ladder` reads it
     hman = -hman if sign else hman  # halfw < 0 on a domain (a, b) with b < a
-    if integrand.ln_x:  # each abscissa comes with its ln x, as (X, L); the centre is x = halfw
-        g, h = integrand.ln_x
-        f = lambda XL: g(c, XL[0]) + c.mul(h(c, XL[0]), XL[1])
+    if integrand.ln_x:  # each abscissa comes with its ln x and ln(b - x); the centre is x = halfw
+        f = _ln_x_kernel(integrand.ln_x, c)
         with workprec(W + 8):
-            center = ((A + B) >> 1, to_fixed(log(_interval(integrand.domain)[2])._mpf_, W))
+            ln_halfw = to_fixed(log(_interval(integrand.domain)[2])._mpf_, W)
+        center = ((A + B) >> 1, ln_halfw, ln_halfw)
         level_nodes = _ts_ln_x_nodes
     else:
         f, level_nodes, center = partial(integrand.expr, c), _ts_fixed_nodes, (A + B) >> 1
@@ -421,8 +490,9 @@ def _ts_fixed_ladder(integrand, cap, bits):
     evals = 1
     for lev in range(1, cap + 1):
         nodes = level_nodes(integrand.domain, bits, lev)
-        S += sum(w * (f(x1) + f(x2)) for x1, x2, w in nodes)
-        evals += 2 * len(nodes)
+        kept = len(nodes) - (_ts_right_skips(integrand.domain, bits, lev) if integrand.singular_right else 0)
+        S += sum(w * (f(x1) + f(x2)) for x1, x2, w in nodes[:kept]) + sum(w * f(x1) for x1, _, w in nodes[kept:])
+        evals += len(nodes) + kept
         yield lev, ldexp(mpf(S * hman), hexp - 2 * W - lev), evals
 
 

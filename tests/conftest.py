@@ -11,11 +11,11 @@ from hpcert import Precision, quadrature
 # later must be named here, and so cleared, before any test passes.
 CACHES = {
     "numeric.constant_value",
-    "numeric._shared",
     "numeric.fixed_context",  # each width's context, and with it its own memos
     "quadrature._ts_abscissae",
     "quadrature._ts_fixed_nodes",
-    "quadrature._ts_ln_x_nodes",  # the ln-x pair's nodes, each abscissa with its ln x
+    "quadrature._ts_ln_q_column",  # each level's ln q and ln(1 + q), the part no domain changes
+    "quadrature._ts_ln_x_nodes",  # each abscissa with its ln x and ln(b - x), per domain
     "quadrature._gl_halfline",
     "series.harmonic_tail_fraction",
 }

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import atan, cos, iv, ldexp, log, log1p, mp, mpc, mpf, sin, workprec
+from mpmath import atan, cos, ldexp, log, log1p, mp, mpf, sin, workprec
 from mpmath.libmp import to_fixed
 
 from hpcert import (
@@ -341,7 +341,7 @@ def stuck(*args):  # an expression (c, x) or an evaluator (x)
 def test_a_check_that_cannot_be_computed_errors_alone(integrand_id, check_id, read_first, p128, monkeypatch):
     clean = run_catalog(p128)
     f = get_integrand(integrand_id)
-    stuck_f = dataclasses.replace(f, ln_x=(stuck, stuck)) if f.ln_x else dataclasses.replace(f, expr=stuck)
+    stuck_f = dataclasses.replace(f, ln_x=(stuck,) * 3) if f.ln_x else dataclasses.replace(f, expr=stuck)
     monkeypatch.setitem(identities._REGISTRY, integrand_id, dataclasses.replace(stuck_f, evaluator=stuck))
     results = run_catalog(p128)
     ctx = CheckContext(p128)
@@ -495,54 +495,6 @@ def test_param_monotone_on_grid(p128):
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
-# --- the per-abscissa memo ----------------------------------------------------
-
-SHARED_DIRECT = [
-    (numeric.MP.cos, cos),
-    (numeric.MP.sin, sin),
-]
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    mantissa=st.integers(min_value=1, max_value=2**400),
-    exponent=st.integers(min_value=-520, max_value=8),
-    bits=st.sampled_from([64, 192, 320, 576]),
-)
-def test_shared_memo_is_bit_identical_to_direct_calls(mantissa, exponent, bits):
-    with workprec(bits):
-        x = ldexp(mpf(mantissa), exponent)
-        for memo, direct in SHARED_DIRECT:
-            want = direct(x)._mpf_
-            assert memo(x)._mpf_ == want  # a miss
-            assert memo(x)._mpf_ == want  # a hit
-
-
-def test_shared_memo_never_crosses_precisions(cold_caches):
-    x = mpf(3) / 8  # exact at every width, so only the width tells the calls apart
-    for memo, direct in SHARED_DIRECT:
-        for bits in (128, 256, 128):
-            with workprec(bits):
-                assert memo(x)._mpf_ == direct(x)._mpf_
-    # one (cos x, sin x) for both memos, once per width
-    assert numeric._shared.cache_info().misses == 2
-
-
-def test_shared_memo_evaluates_an_interval_as_written(cold_caches):
-    # only mpf arguments are shared, so the rational integrands still run on intervals
-    x = iv.mpf([0.25, 0.75])
-    for got, want in [
-        (get_integrand("a_integrand").evaluator(x), x * x / ((1 + x * x) * (1 + x))),
-        (get_integrand("tail_integral_n2").evaluator(x), x**4 / (1 + x)),
-    ]:
-        assert (got.a, got.b) == (want.a, want.b)
-    # and a memo handed a value that is not an mpf computes it as written, storing nothing
-    z = mpc(3, 1)
-    for memo, direct in SHARED_DIRECT:
-        assert memo(z) == direct(z)
-    assert numeric._shared.cache_info().currsize == 0
-
-
 # --- each evaluator keeps its operation order -------------------------------
 
 
@@ -555,6 +507,7 @@ def _pinned_nodes(bits):
 def _pinned_forms():
     """Every registered evaluator against the expression it stands for, written out."""
     ln2 = constant_value(BasisConstant.LN2, mp.prec)  # what the closed forms read at this width
+    pi = constant_value(BasisConstant.PI, mp.prec)  # and the log-sine kernels, and their ends pi/2 and pi
     forms = {
         "a_integrand": lambda x: x * x / ((1 + x * x) * (1 + x)),
         "b_integrand": lambda x: log1p(x * x) / ((1 + x * x) * (1 + x)),
@@ -563,9 +516,11 @@ def _pinned_forms():
         "i1_integrand": lambda x: log1p(x * x) / (1 + x * x),
         "i1_minus_ln_x": lambda x: log1p(x * x) / (1 + x * x) + -1 / (1 + x * x) * log(x),
         "neg_ln_x_over_1px2": lambda x: -1 / (1 + x * x) * log(x),
-        "log_sin_half": lambda t: log(sin(t)),
-        "log_sin_full": lambda t: log(sin(t)),
-        "log_cos_half": lambda t: log(cos(t)),
+        "log_sin_half": lambda t: log(sin(t) / t) + log(t),
+        "log_sin_full": lambda t: (
+            log(sin(min(t, pi - t)) / min(t, pi - t) / max(t, pi - t)) + log(t) + log(pi - t)
+        ),
+        "log_cos_half": lambda t: log(2 * cos(t) / (pi - 2 * t)) + log(pi / 2 - t),
         "i2_integrand": lambda x: log1p(x * x) / (1 + x),
         "i3_integrand": lambda x: atan(x) / (1 + x),
         "eq16_integrand": lambda x: atan(x) / (1 + x * x),
@@ -621,6 +576,9 @@ def _forms_before_one_expression():
     for a in (mpf(3) / 10, mpf(7) / 10, mpf(1)):
         for side in (a + mpf(2) ** -40, a - mpf(2) ** -40):
             forms[f"F_at_{side}"] = (lambda a2: lambda x: log1p(a2 * x * x) / (1 + x))(side * side)
+    # and when the log-sine three became g + h ln x + k ln(b - x)
+    forms.update({"log_sin_half": lambda t: log(sin(t)), "log_sin_full": lambda t: log(sin(t))})
+    forms["log_cos_half"] = lambda t: log(cos(t))
     return forms
 
 
@@ -632,8 +590,10 @@ def test_repinned_forms_are_within_4_ulps_of_their_old_forms(bits):
         old = _forms_before_one_expression()
         for i, form in old.items():
             for x in xs:
-                # F'(a)'s terms 2a ln2, a and -2a cancel to 0.39a near 0: ulps of its largest term
-                scale = 2 * x if i == "f_prime_closed" else form(x)
+                # F'(a)'s terms 2a ln2, a and -2a cancel to 0.39a near 0, and a log-sine
+                # integrand's logarithms, each up to 1.2 in size, to ln cos t = -t^2/2 near
+                # 0 or ln sin t = -0.17 at 1: ulps of the largest term
+                scale = 2 * x if i == "f_prime_closed" else max(abs(form(x)), 1.2) if i.startswith("log_") else form(x)
                 assert abs(new[i](x) - form(x)) <= 4 * numeric.ulp(scale, bits), (i, x)
 
 
@@ -670,17 +630,17 @@ def kernel_cases(width):
 
 
 def test_every_bounded_registered_integrand_declares_a_kernel():
-    # every 1D integrand but eq04's tails is an expression or the ln-x pair's g + h ln x,
-    # and only the log-sine three stay on the mpf ladder; the tails are plain mpf evaluators
+    # every 1D integrand but eq04's tails is an expression or g + h ln x + k ln(b - x),
+    # and only the tails, plain mpf evaluators, stay on the mpf ladder
     tails = [f"tail_integral_n{n}" for n in identities.EQ04_TAILS]
     registered = [f for f in identities._REGISTRY.values() if f.dimension == 1 and f.id not in tails]
     assert all(get_integrand(i).expr is None and get_integrand(i).ln_x is None for i in tails)
     assert all((f.expr is None) != (f.ln_x is None) for f in registered)
-    assert [f.id for f in registered if f.ln_x] == ["i1_minus_ln_x", "neg_ln_x_over_1px2"]
-    assert all(f.integer_ladder for f in registered if f.ln_x)
-    mpf_ladder = [f.id for f in registered if not f.integer_ladder]
-    assert mpf_ladder == ["log_sin_half", "log_sin_full", "log_cos_half"]
-    assert all(f.singular_left or f.singular_right for f in map(get_integrand, mpf_ladder))
+    with_logs = ["i1_minus_ln_x", "neg_ln_x_over_1px2", "log_sin_half", "log_sin_full", "log_cos_half"]
+    assert [f.id for f in registered if f.ln_x] == with_logs
+    assert all(f.integer_ladder for f in registered)
+    mpf_ladder = [f.id for f in identities._REGISTRY.values() if f.dimension == 1 and not f.integer_ladder]
+    assert mpf_ladder == tails
     assert get_integrand("sigma_double").expr is None
 
 
@@ -728,6 +688,8 @@ KERNEL_CHECKS = [
     "app1_I1",
     "app1_I1_substitution",
     "app1_catalan_integral",
+    "app1_logsine",
+    "app1_logsine_funceq",
     "app2_I2",
     "app2_middle",
     "app2_li2",
@@ -776,7 +738,7 @@ def test_kernel_checks_are_field_for_field_the_mpf_results_wide(bits, monkeypatc
     run_kernel_checks_on_and_off(bits, monkeypatch)
 
 
-# --- the log-sine pair's shared cos/sin ---------------------------------------
+# --- MP's cos and sin are mpmath's own ----------------------------------------
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,11 +15,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from mpmath import ldexp, mpf, workprec
+from mpmath import cos, ldexp, mpf, sin, workprec
 from mpmath.libmp import BACKEND, to_fixed
-from mpmath.libmp.libelefun import pi_fixed
+from mpmath.libmp.libelefun import cos_sin_fixed, pi_fixed
 
-from hpcert import BasisConstant
+from hpcert import BasisConstant, numeric
 
 import test_numeric
 
@@ -57,11 +57,27 @@ def pi_fixed_is_the_floor():
 
 
 def fixed_log_and_atan():
-    # `log1p_fixed` reads `log_taylor_cached` and `ln2_fixed`, `atan_fixed` is `atan_taylor`
+    # `log1p_fixed` and `log_fixed` read `log_taylor_cached` and `ln2_fixed`, `atan_fixed` is `atan_taylor`
     for W in test_numeric.FIXED_WIDTHS:
         test_numeric.test_fixed_log1p_and_atan_at_their_branch_points(W)
         test_numeric.test_fixed_quotients_at_their_branch_points(W)
+        test_numeric.test_fixed_sin_over_and_log_at_their_branch_points(W)
     test_numeric.test_widest_fixed_kernel_fits_mpmath_taylor_caches()
+
+
+def cos_sin_within_32_units():
+    # `cos_sin_wide` reads (cos t, sin t) at W + SIN_GUARD, for 0 <= t < 13/8 in the
+    # log-sine kernels; 16 units is the most seen, at the widths below 400 bits
+    rng = random.Random(2)
+    for W in test_numeric.FIXED_WIDTHS:
+        P = W + numeric.SIN_GUARD
+        top = (13 << P) >> 3
+        Ts = [0, 1, top] + [rng.randrange(top) for _ in range(40)] + [rng.randrange(1 << (P - 40)) for _ in range(10)]
+        for T in Ts:
+            c, s = cos_sin_fixed(T, P)
+            with workprec(P + 64):
+                t = ldexp(mpf(T), -P)
+                assert abs(c - cos(t) * 2**P) <= 32 and abs(s - sin(t) * 2**P) <= 32, (W, T)
 
 
 def bit_count():
@@ -76,6 +92,7 @@ CONTRACTS = {
     "ln2_fixed": fixed_log_and_atan,
     "log_taylor_cached": fixed_log_and_atan,
     "pi_fixed": pi_fixed_is_the_floor,
+    "cos_sin_fixed": cos_sin_within_32_units,
     "libintmath": bit_count,
 }
 

@@ -18,6 +18,7 @@ from functools import cache, partial
 
 import pytest
 from mpmath import ldexp
+from mpmath.libmp.libelefun import cos_sin_fixed
 
 from hpcert import BasisConstant, ClosedForm, Precision, eval_closed_form, identities, numeric, quadrature
 from hpcert.identities import CATALOG, SIGMA_CF, CheckContext, Combo, MaxGap, run_catalog, run_check
@@ -88,9 +89,9 @@ def scaled_expr(expr, eps=EPS):
 
 
 def scaled(f):
-    """The registered integrand f times (1 + 2^-100): its expression, its g and h, or its plain evaluator."""
+    """The registered integrand f times (1 + 2^-100): its expression, its g, h and k, or its plain evaluator."""
     if f.ln_x:
-        return quadrature.with_ln_x(f.id, *map(scaled_expr, f.ln_x))
+        return quadrature.with_ln_x(f.id, *(e and scaled_expr(e) for e in f.ln_x), domain=f.domain)
     if f.expr is None:
         return dataclasses.replace(f, evaluator=lambda x: (y := f.evaluator(x)) + y * EPS)
     expr = scaled_expr(f.expr)
@@ -212,8 +213,8 @@ QUARTER_CF = {
 def quarter_misses(p):
     """The log-sine integrands whose registered evaluator, integrated over [0, pi/4], misses its closed form.
 
-    Built as an `Integrand`, not through `expression`: an expression with no
-    singular flag goes to the integer ladder, whose context has no log, cos or sin.
+    Built as an `Integrand` from the evaluator, which the mpf ladder sums: each
+    kernel's logarithms are those of the ends of its own domain.
     """
     misses = set()
     for fid, cf in QUARTER_CF.items():
@@ -233,20 +234,21 @@ def test_the_log_sine_evaluators_meet_their_quarter_interval_closed_forms(bits):
 @pytest.mark.parametrize(
     "bits, errored",
     [
-        (128, {"app1_logsine_funceq"}),
+        (128, {"app1_logsine", "app1_logsine_funceq"}),
         (256, {"app1_logsine", "app1_logsine_funceq"}),
         pytest.param(1024, {"app1_logsine", "app1_logsine_funceq"}, marks=pytest.mark.slow),
     ],
 )
-def test_cos_and_sin_swapped_error_the_log_sine_checks_and_spare_the_rest(bits, errored, monkeypatch):
-    # ln sin of a swapped sin is ln cos, non-real past pi/2, so `log_sin_full` cannot
-    # be computed.  At 128 bits `app1_logsine` still passes with its integrand now
-    # ln cos, as int_0^{pi/2} ln cos = int_0^{pi/2} ln sin: that check cannot see
-    # this fault.  At 256 bits the ladder (320 bits wide) meets a node of
-    # `log_sin_half` that rounds to pi/2, where cos is negative at that width.
+def test_cos_and_sin_swapped_error_the_log_sine_checks_and_spare_the_rest(bits, errored, cold_caches, monkeypatch):
+    # swapped in both contexts: `MP`'s cos and sin, whose sin(t)/t reads its sin,
+    # and the integer kernels' (cos t, sin t), made afresh on cold caches.
+    # `log_sin_half`'s kernel is then ln t + ln(cos t / t) from t = 2^-7 on, and
+    # meets cos t = 0 at the abscissa floored next to pi/2, at 128 bits too;
+    # `log_sin_full`'s meets it at pi/2.  Each logarithm of 0 is a `DomainError`.
     cos, sin = vars(numeric._MpContext)["cos"], vars(numeric._MpContext)["sin"]  # the staticmethods
     monkeypatch.setattr(numeric._MpContext, "cos", sin)
     monkeypatch.setattr(numeric._MpContext, "sin", cos)
+    monkeypatch.setattr(numeric, "cos_sin_fixed", lambda x, prec: cos_sin_fixed(x, prec)[::-1])
     results = run_catalog(Precision(bits))
     assert {r.id for r in results if r.error} == errored
     assert all(r.error.startswith("DomainError: ") and not r.passed for r in results if r.error)
@@ -260,12 +262,11 @@ def test_cos_and_sin_swapped_error_the_log_sine_checks_and_spare_the_rest(bits, 
 def test_log_cos_half_written_as_ln_sin_passes_every_check(bits, monkeypatch):
     # a stated blind spot: int_0^{pi/2} ln cos = int_0^{pi/2} ln sin, and the one
     # reader of `log_cos_half`, app1_logsine_funceq, compares it with `log_sin_half`
-    # on the same domain, so ln sin there (same flags) gives that gap exactly 0
-    def ln_sin(c, t):
-        return c.log(c.sin(t))
-
+    # on the same domain, so ln sin there (same flags) gives that gap exactly 0:
+    # the right-end nodes that `log_cos_half` skips are where ln sin is 0
+    ln_sin = identities.get_integrand("log_sin_half")
     f = identities.get_integrand("log_cos_half")
-    mutant = dataclasses.replace(f, expr=ln_sin, evaluator=partial(ln_sin, numeric.MP))
+    mutant = dataclasses.replace(f, ln_x=ln_sin.ln_x, evaluator=ln_sin.evaluator)
     monkeypatch.setitem(identities._REGISTRY, f.id, mutant)
     results = run_catalog(Precision(bits))
     assert all(r.passed for r in results)

@@ -477,9 +477,37 @@ def test_widest_fixed_kernel_fits_mpmath_taylor_caches():
 
 
 def test_the_two_operation_contexts_offer_the_same_operations():
-    # a bounded expression runs under both; log, cos and sin are `MP`'s alone, as
-    # only the log-sine integrands use them and those run on the mpf ladder
-    mp_only = {"log", "cos", "sin"}
+    # every expression runs under both, the log-sine kernels' log, cos and sin included
     mp_ops = {name for name in dir(numeric.MP) if not name.startswith("_")}
-    fixed_ops = set(vars(numeric.fixed_context(128)))
-    assert mp_ops == fixed_ops | mp_only and not fixed_ops & mp_only
+    assert mp_ops == set(vars(numeric.fixed_context(128)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), W=st.sampled_from(FIXED_WIDTHS))
+def test_fixed_cos_sin_and_log_are_within_their_bound(data, W):
+    # the log-sine kernels' arguments: t in [0, pi/2] (and a little past it, as X is
+    # floored near pi/2), and the logarithm's 1/4 <= y < 2
+    q = W / 128 + 3
+    c = numeric.fixed_context(W)
+    T = data.draw(quotient_arguments(W, 7) | st.integers(0, 13 << (W - 3)))
+    assert fixed_error(c.cos(T), mpmath.cos, T, W) <= 2
+    assert fixed_error(c.sin(T), mpmath.sin, T, W) <= 2
+    assert fixed_error(c.sin_over(T), quotient(mpmath.sin), T, W) <= q
+    assert fixed_error(numeric.sin_over_fixed(T, W), quotient(mpmath.sin), T, W) <= q
+    Y = data.draw(st.integers(1 << (W - 2), (2 << W) - 1))
+    assert fixed_error(c.log(Y), mpmath.log, Y, W) <= q
+
+
+@pytest.mark.parametrize("W", FIXED_WIDTHS)
+def test_fixed_sin_over_and_log_at_their_branch_points(W):
+    q = W / 128 + 3
+    assert numeric.sin_over_fixed(0, W) == 1 << W  # the limit, exactly
+    one = 1 << W
+    for T in (1, (one >> 7) - 1, one >> 7, (one >> 7) + 1, one, 3 * one // 2, 2 * one - 1):
+        assert fixed_error(numeric.sin_over_fixed(T, W), quotient(mpmath.sin), T, W) <= q, T
+    # 2^s y in [1/2, 1) moves the reduction's shift at y = 1/2, 1 and 2
+    for Y in (one >> 2, (one >> 1) - 1, one >> 1, one - 1, one, one + 1, 2 * one - 1):
+        assert fixed_error(numeric.log_fixed(Y, W), mpmath.log, Y, W) <= q, Y
+    for Y in (0, -1):
+        with pytest.raises(DomainError, match="logarithm of a value that is not positive"):
+            numeric.log_fixed(Y, W)

@@ -176,9 +176,8 @@ LN_X_PAIR = ("i1_minus_ln_x", "neg_ln_x_over_1px2")
 
 
 def ln_x_kernel(f, W):
-    """The pair's kernel g(X) + h(X) L at an abscissa with its ln x, (X, L), as `_ts_fixed_ladder` sums it."""
-    c, (g, h) = numeric.fixed_context(W), f.ln_x
-    return lambda XL: g(c, XL[0]) + c.mul(h(c, XL[0]), XL[1])
+    """The kernel g(X) + h(X) L + k(X) M at an abscissa with its ln x and ln(b - x), (X, L, M), as summed."""
+    return quadrature._ln_x_kernel(f.ln_x, numeric.fixed_context(W))
 
 
 # SHA-256 of the ln-x column and of every integer the pair's kernels return on
@@ -193,11 +192,35 @@ def test_ln_x_kernel_integers_are_pinned():
         W = width + quadrature.FIXED_EXTRA_BITS
         nodes = [n for lev in (1, 2, 3) for n in quadrature._ts_ln_x_nodes((0, 1), width, lev)]
         column = [XL for XL1, XL2, _ in nodes for XL in (XL1, XL2)]
-        h.update(f"column@{W}:{','.join(f'{X}:{L}' for X, L in column)};".encode())
+        h.update(f"column@{W}:{','.join(f'{X}:{L}' for X, L, _ in column)};".encode())
         for name in LN_X_PAIR:
             kernel = ln_x_kernel(get_integrand(name), W)
             h.update(f"{name}@{W}:{','.join(str(kernel(XL)) for XL in column)};".encode())
     assert h.hexdigest() == LN_X_KERNELS_SHA256
+
+
+# SHA-256 of the ln x and ln(b - x) column on (0, pi/2) and (0, pi), and of every
+# integer the log-sine kernels return on their domain's column, at each (X, L, M)
+# of the level 1-3 nodes that the ladder evaluates (no x2 its right-end skip
+# leaves out) at W = 189 and 336.  Recorded when the three moved onto the integer ladder.
+LOG_SINE_KERNELS_SHA256 = "39175bfddbb73f9b71a0fe72796cabb9230f87d425f56a3351cb1eef33097ea2"
+
+
+def test_log_sine_kernel_integers_are_pinned():
+    h = hashlib.sha256()
+    for width in (173, 320):
+        W = width + quadrature.FIXED_EXTRA_BITS
+        for name in LOG_SINE:
+            f = get_integrand(name)
+            column = []
+            for lev in (1, 2, 3):
+                nodes = quadrature._ts_ln_x_nodes(f.domain, width, lev)
+                kept = len(nodes) - (quadrature._ts_right_skips(f.domain, width, lev) if f.singular_right else 0)
+                column += [XLM for n, (XLM1, XLM2, _) in enumerate(nodes) for XLM in (XLM1, XLM2)[: 1 + (n < kept)]]
+            kernel = ln_x_kernel(f, W)
+            h.update(f"column@{W}:{','.join(f'{X}:{L}:{M}' for X, L, M in column)};".encode())
+            h.update(f"{name}@{W}:{','.join(str(kernel(XLM)) for XLM in column)};".encode())
+    assert h.hexdigest() == LOG_SINE_KERNELS_SHA256
 
 
 # SHA-256 of every integer sigma_double's product kernel h returns at the
@@ -644,10 +667,14 @@ def test_fixed_ladder_matches_the_mpf_ladder(bits):
     # the integer sum is within 2^-(bits + 7) of the exact trapezoid sum; the mpf
     # ladder rounds each of its additions to `bits`, and drifts by up to ~2^-(bits - 4)
     cap = KERNEL_LADDER_CAPS[bits]
-    bound = ldexp(1, -(bits - 8))
     for f in kernel_integrands(bits):
         assert f.integer_ladder
         plain = dataclasses.replace(f, expr=None, ln_x=None)
+        # next to a singular right end the mpf evaluator reads b - x off an abscissa
+        # rounded to `bits`, up to ulp(b) from the node, and its weight ~ (b - x) h pi cosh t
+        # carries ulp(b)/(b - x) into T_k: up to 335 units of 2^-bits at 1088 bits (level 1),
+        # where the integer ladder, reading b - x from the table, is within 4 (the test below)
+        bound = ldexp(1, -(bits - (12 if f.singular_right else 8)))
         with workprec(bits):
             got = list(quadrature._ts_fixed_ladder(f, cap, bits))
             want = list(quadrature._ts_ladder(plain, cap, bits))
@@ -701,10 +728,11 @@ LN_X_LIPSCHITZ = {"i1_minus_ln_x": (0.51, 0.65), "neg_ln_x_over_1px2": (0, 0.65)
 
 
 def test_ln_x_pair_has_the_g_and_h_constants_the_ladder_bound_states():
-    assert set(LN_X_LIPSCHITZ) == {f.id for f in _REGISTRY.values() if f.ln_x}
+    assert set(LN_X_LIPSCHITZ) == {f.id for f in _REGISTRY.values() if f.ln_x and f.domain == (0, 1)}
     with workprec(80):
         xs = [mpf(k) / 400 for k in range(401)]
         for name, constants in LN_X_LIPSCHITZ.items():
+            assert get_integrand(name).ln_x[2] is None
             for part, L in zip(get_integrand(name).ln_x, constants):
                 fn = partial(part, numeric.MP)
                 assert max(abs(fn(x)) for x in xs) <= 1, name
@@ -727,13 +755,14 @@ def test_ln_x_column_and_kernels_are_within_their_bounds(width, deepest):
             XL1, XL2, _ = quadrature._ts_ln_x_nodes((0, 1), width, lev)[n]
             d, _, _ = quadrature._ts_levels(width, lev)[lev][n]
             floored_to_0 += XL1[0] == 0
-            for (X, L), x in ((XL1, d / 2), (XL2, 1 - d / 2)):
+            for (X, L, M), x, r in ((XL1, d / 2, 1 - d / 2), (XL2, 1 - d / 2, d / 2)):  # r = 1 - x, not rounded
                 ln_x = log(x)
                 assert abs(ln_x) <= (W + 20) * mp.ln2, (lev, n)
                 assert abs(L - ln_x * 2**W) <= q + 7, (lev, n, x)
+                assert abs(M - log(r) * 2**W) <= q + 7, (lev, n, x)  # ln(b - x), which the pair has no k for
                 for name, kernel in kernels.items():
                     exact = get_integrand(name).evaluator(x) * 2**W
-                    assert abs(kernel((X, L)) - exact) <= 2 * q + 15 + 4 * abs(ln_x), (name, lev, n)
+                    assert abs(kernel((X, L, M)) - exact) <= 2 * q + 15 + 4 * abs(ln_x), (name, lev, n)
     assert floored_to_0 >= 4
 
 
@@ -741,9 +770,13 @@ def test_ln_x_column_and_kernels_are_within_their_bounds(width, deepest):
     "bits", [109, 128, 256, 512, pytest.param(1024, marks=pytest.mark.slow), pytest.param(2048, marks=pytest.mark.slow)]
 )
 def test_ln_x_pair_integer_ladder_gives_the_mpf_ladders_result(bits):
+    assert_integer_ladders_give_the_mpf_ladders_results(LN_X_PAIR, bits)
+
+
+def assert_integer_ladders_give_the_mpf_ladders_results(names, bits):
     # at the width the catalog integrates at: the same value, evaluations and level
     pg = Precision(Precision(bits).guarded)
-    for name in LN_X_PAIR:
+    for name in names:
         f = get_integrand(name)
         got = integrate(f, TanhSinh(), pg)
         want = integrate(dataclasses.replace(f, ln_x=None), TanhSinh(), pg)
@@ -752,6 +785,108 @@ def test_ln_x_pair_integer_ladder_gives_the_mpf_ladders_result(bits):
             want.evaluations,
             want.level_or_order,
         ), name
+
+
+LOG_SINE = ("log_sin_half", "log_sin_full", "log_cos_half")
+
+
+@pytest.mark.parametrize(
+    "bits", [109, 128, 256, 512, pytest.param(1024, marks=pytest.mark.slow), pytest.param(2048, marks=pytest.mark.slow)]
+)
+def test_log_sine_integer_ladder_gives_the_mpf_ladders_result(bits):
+    # the right-end skip included: `log_sin_full` and `log_cos_half` make 640
+    # evaluations each at 256 bits, `log_sin_half` 647
+    assert_integer_ladders_give_the_mpf_ladders_results(LOG_SINE, bits)
+
+
+# ln sin x and ln cos x from x and the distance r = b - x, which an abscissa
+# next to b, rounded even 128 bits wider, would lose
+LOG_SINE_EXACT = {
+    "log_sin_half": lambda x, r: log(sin(x)),
+    "log_sin_full": lambda x, r: log(sin(min(x, r))),
+    "log_cos_half": lambda x, r: log(sin(r)),
+}
+
+
+# sup |g| and sup |g'| of each log-sine integrand's g, as the bound comment of
+# `_ts_fixed_ladder` states them; each h and k is 1
+LOG_SINE_G = {"log_sin_half": (0.46, 0.64), "log_sin_full": (1.15, 0.32), "log_cos_half": (0.46, 0.64)}
+
+
+def test_log_sine_g_has_the_constants_the_ladder_bound_states():
+    assert set(LOG_SINE_G) == {f.id for f in _REGISTRY.values() if f.ln_x and f.domain != (0, 1)}
+    W = 336
+    for name, (M, L) in LOG_SINE_G.items():
+        f = get_integrand(name)
+        g, h, k = f.ln_x
+        for part in (h, k):
+            assert part is None or (part(numeric.MP, 0), part(numeric.fixed_context(W), 0)) == (1, 1 << W)
+        with workprec(80):
+            lo, hi, _, _ = quadrature._interval(f.domain)
+            # ln cos t's g is 0/0 at pi/2 itself, where the ladder never evaluates it
+            xs = [lo + (hi - lo) * k / 400 for k in range(400)] + [hi - (hi - lo) / 10**6]
+            fn = partial(g, numeric.MP)
+            assert max(abs(fn(x)) for x in xs) <= M, name
+            assert max(abs(diff(fn, x, direction=1 if x == lo else 0)) for x in xs) <= L, name
+
+
+def log_sine_nodes(f, width, deepest):
+    """(level, index) of each node of levels 1-3, and the deepest level's 8 innermost and 4 next to its skip."""
+    nodes = [(lev, n) for lev in (1, 2, 3) for n in range(len(quadrature._ts_ln_x_nodes(f.domain, width, lev)))]
+    count = len(quadrature._ts_ln_x_nodes(f.domain, width, deepest))
+    kept = count - quadrature._ts_right_skips(f.domain, width, deepest)
+    return nodes + [(deepest, n) for n in sorted({*range(count - 8, count), *range(kept - 4, kept)})]
+
+
+@pytest.mark.parametrize("width, deepest", [(320, 7), (1088, 9)])
+def test_log_sine_kernels_are_within_their_bounds(width, deepest):
+    # each log-sine kernel against its integrand 128 bits wider, on each abscissa
+    # the ladder evaluates: not an x2 that the right-end skip leaves out
+    W = width + quadrature.FIXED_EXTRA_BITS
+    q = W / 128 + 3
+    floored_to_0 = skipped = 0
+    for name in LOG_SINE:
+        f = get_integrand(name)
+        kernel, exact = ln_x_kernel(f, W), LOG_SINE_EXACT[name]
+        with workprec(W + 128):
+            _, b, halfw, _ = quadrature._interval(f.domain)
+            for lev, n in log_sine_nodes(f, width, deepest):
+                nodes = quadrature._ts_ln_x_nodes(f.domain, width, lev)
+                kept = len(nodes) - (quadrature._ts_right_skips(f.domain, width, lev) if f.singular_right else 0)
+                node1, node2, _ = nodes[n]
+                d, _, _ = quadrature._ts_levels(width, lev)[lev][n]
+                evaluated = [(node1, halfw * d, b - halfw * d), (node2, b - halfw * d, halfw * d)][: 1 + (n < kept)]
+                skipped += n >= kept
+                floored_to_0 += node1[0] == 0
+                for (X, L, M), x, r in evaluated:
+                    assert abs(L - log(x) * 2**W) <= q + 7, (name, lev, n)
+                    assert abs(M - log(r) * 2**W) <= q + 7, (name, lev, n)
+                    # ln cos t's quotient divides by pi/2 - x: 4/(b - x) units more
+                    bound = 5 * q + 20 + (4 / r if name == "log_cos_half" else 0)
+                    assert abs(kernel((X, L, M)) - exact(x, r) * 2**W) <= bound, (name, lev, n)
+    assert floored_to_0 >= 8 and skipped >= 8
+
+
+@pytest.mark.parametrize("width, cap", [(320, 7), (1088, 3)])
+def test_log_sine_integer_ladder_is_within_its_bound_of_the_exact_trapezoid_sums(width, cap):
+    # T_k before its one rounding to mpf, against the trapezoid sum on the table's
+    # nodes with the same right-end skip, summed 128 bits wider
+    W = width + quadrature.FIXED_EXTRA_BITS
+    q, l = W / 128 + 3, (W + 20) * math.log(2)
+    for name in LOG_SINE:
+        f, exact = get_integrand(name), LOG_SINE_EXACT[name]
+        with workprec(W + 128):
+            _, b, halfw, mid = quadrature._interval(f.domain)
+            bound = ldexp(halfw * (2 * (5 * q + 20) + 16 * l + 40) + 8 * l, -W)
+            got = [T for _, T, _ in quadrature._ts_fixed_ladder(f, cap, width)]
+            S = pi / 2 * exact(mid, mid)
+            for lev in range(1, cap + 1):
+                table = quadrature._ts_levels(width, lev)[lev]
+                kept = len(table) - (quadrature._ts_right_skips(f.domain, width, lev) if f.singular_right else 0)
+                for n, (d, w, _) in enumerate(table):
+                    x1, x2 = halfw * d, b - halfw * d
+                    S += w * (exact(x1, x2) + (exact(x2, x1) if n < kept else 0))
+                assert abs(got[lev - 1] - ldexp(halfw * S, -lev)) <= bound, (name, lev)
 
 
 def test_ln_x_column_refuses_a_domain_whose_left_end_is_not_0(p64):
@@ -794,17 +929,19 @@ def test_each_integer_ladder_looks_up_its_context_once(monkeypatch, p128):
 
 
 def test_fixed_kernel_needs_a_bounded_1d_integrand(p64):
-    # a singular expression runs the mpf ladder and never calls its kernel
-    def neg_log(c, x):
-        if c is not numeric.MP:
-            raise AssertionError("the kernel ran")
-        return -c.log(x)
+    # an expression is bounded and takes no singular flag; a logarithmic end is
+    # declared through `with_ln_x`, which marks that end singular, so that
+    # Gauss-Legendre refuses it while tanh-sinh sums it on the integer ladder
+    with pytest.raises(TypeError, match="singular_left"):
+        quadrature.expression("k", lambda c, x: x, singular_left=True)
 
-    for flag in ("singular_left", "singular_right"):
-        f = quadrature.expression("k", neg_log, **{flag: True})
-        assert not f.integer_ladder
-        plain = Integrand(id="k", evaluator=lambda x: -log(x), domain=(0, 1), **{flag: True})
-        assert integrate(f, TanhSinh(), p64) == integrate(plain, TanhSinh(), p64)
+    def minus_one(c, x):
+        return -c.one
+
+    for logs, flag in (((minus_one, None), "singular_left"), ((None, minus_one), "singular_right")):
+        f = quadrature.with_ln_x("k", lambda c, x: 0, *logs)
+        assert f.integer_ladder and getattr(f, flag) and f.singular_left + f.singular_right == 1
+        assert abs(integrate(f, TanhSinh(), p64).value - 1) <= ldexp(1, -56)  # -int_0^1 ln x = 1
         with pytest.raises(DomainError, match="refuses singular integrand 'k'"):
             integrate(f, GaussLegendre(), p64)
 
