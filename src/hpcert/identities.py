@@ -12,11 +12,10 @@ catalog's rule, memoises the result per run and records it for the current
 check.
 
 Every integral the catalog reads is registered here, under the id a side
-names it by.  Each is declared once, as expressions over `numeric`'s
-operation contexts: a 1D one is its mpf evaluator and, when bounded or
-written g + h ln x + k ln(b - x), the integer kernel that the tanh-sinh ladder
-sums; eq05's product form is its mpf g and integer h.  eq04's six tails alone
-are plain mpf evaluators.
+names it by.  Each but eq04's six tails, plain mpf evaluators, declares one
+`form` of expressions over `numeric`'s operation contexts: g + h ln x +
+k ln(b - x) in 1D, whose kernel the tanh-sinh ladder sums in integers, and
+eq05's g(x) g(y) h(xy), its g in mpf and its h in integers.
 `run_check` refuses a precision that `precision_refusal` refuses, then evaluates
 both sides at the requested precision, applies the check's tolerance policy
 and reads `evaluations` off the context's record; a nonconvergence or a
@@ -55,8 +54,7 @@ from .numeric import (
     eval_closed_form,
     round_to,
 )
-from .quadrature import GaussLegendre, Integrand, PiMultiple, TanhSinh, expression, integrate, integrate_2d
-from .quadrature import product, with_ln_x
+from .quadrature import GaussLegendre, Integrand, PiMultiple, TanhSinh, expression, integrate, integrate_2d, product
 
 ONE = BasisConstant.ONE
 LN2 = BasisConstant.LN2
@@ -92,21 +90,21 @@ LN2_DIRECT_TERMS = 100_000
 
 
 # ---------------------------------------------------------------------------
-# Integrand registry.  Each 1D integrand is one expression over a `numeric`
-# operation context (`quadrature.expression`): run under `MP` it is the
-# evaluator, and for a bounded one, run under `fixed_context(W)`, the integer
-# kernel that the tanh-sinh ladder sums.  A kernel is within the sum of its
-# operations' units of 2^-W (the table in `numeric`): W/8 + 20 for F(a), the
-# ladder's assumption, and at most 3q + 8, q = W/128 + 3, for those built on
-# the quotients ln(1 + u)/u and arctan(t)/t.  The quotients also carry the
-# removable 0/0 at x = 0 of middle_alpha, middle_t, ln(1 + t)/t, F' and H', so
-# every expression returns its limit there.  The ln-x pair and the three
-# log-sine integrands are f = g + h ln x + k ln(b - x), bounded expressions
-# (`quadrature.with_ln_x`), whose kernel reads ln x and ln(b - x) from the
-# integer ladder's column beside each node; the log-sine g are logarithms of
-# quotients bounded away from 0, from `numeric`'s sin(t)/t and cos t.  eq04's
-# tails x^(2n)/(1 + x) alone are plain mpf evaluators, on the mpf ladder:
-# eq04's tolerance prints 8 |T_k - T_{k-1}|, that ladder's own rounding noise.
+# Integrand registry.  Each 1D integrand but eq04's tails is a form
+# g + h ln x + k ln(b - x) of bounded expressions over a `numeric` operation
+# context (`quadrature.expression`): under `MP` it is the evaluator, and under
+# `fixed_context(W)` the integer kernel that the tanh-sinh ladder sums.  A
+# kernel is within the sum of its operations' units of 2^-W (the table in
+# `numeric`): W/8 + 20 for F(a), the ladder's assumption, and at most 3q + 8,
+# q = W/128 + 3, for those built on the quotients ln(1 + u)/u and arctan(t)/t.
+# The quotients also carry the removable 0/0 at x = 0 of middle_alpha, middle_t,
+# ln(1 + t)/t, F' and H', so every expression returns its limit there.  Only
+# the ln-x pair and the three log-sine integrands have an h or a k, whose
+# kernel reads ln x and ln(b - x) from the integer ladder's column beside each
+# node; the log-sine g are logarithms of quotients bounded away from 0, from
+# `numeric`'s sin(t)/t and cos t.  eq04's tails x^(2n)/(1 + x) are plain mpf
+# evaluators, on the mpf ladder: eq04's tolerance prints 8 |T_k - T_{k-1}|,
+# that ladder's own rounding noise.
 # ---------------------------------------------------------------------------
 
 _REGISTRY = {}
@@ -141,8 +139,8 @@ def _minus_1_over_1px2(c, x):  # the ln-x pair's h
 
 
 # the ln-x pair, g + h ln x: (ln(1 + x^2) - ln x)/(1 + x^2), whose g is i1's, and -ln x/(1 + x^2)
-_register(with_ln_x("i1_minus_ln_x", get_integrand("i1_integrand").expr, _minus_1_over_1px2))
-_register(with_ln_x("neg_ln_x_over_1px2", lambda c, x: 0, _minus_1_over_1px2))
+_register(expression("i1_minus_ln_x", get_integrand("i1_integrand").form[0], h=_minus_1_over_1px2))
+_register(expression("neg_ln_x_over_1px2", lambda c, x: 0, h=_minus_1_over_1px2))
 
 
 def _one(c, x):  # the coefficient of each log-sine logarithm
@@ -165,9 +163,9 @@ def _ln_cos_over_half_pi_minus_t(c, t):  # ln(cos t / (pi/2 - t)), with the cosi
 # the log-sine three: ln sin t = ln t + ln(sin t / t) on (0, pi/2);
 # ln t + ln(pi - t) + ln(sin t / (t (pi - t))) on (0, pi); ln(pi/2 - t) + ln(cos t / (pi/2 - t))
 _TO_HALF_PI, _TO_PI = (0, PiMultiple(F(1, 2))), (0, PiMultiple(F(1)))
-_register(with_ln_x("log_sin_half", _ln_sin_over_t, _one, domain=_TO_HALF_PI))
-_register(with_ln_x("log_sin_full", _ln_sin_over_t_pi_minus_t, _one, _one, domain=_TO_PI))
-_register(with_ln_x("log_cos_half", _ln_cos_over_half_pi_minus_t, k=_one, domain=_TO_HALF_PI))
+_register(expression("log_sin_half", _ln_sin_over_t, h=_one, domain=_TO_HALF_PI))
+_register(expression("log_sin_full", _ln_sin_over_t_pi_minus_t, h=_one, k=_one, domain=_TO_PI))
+_register(expression("log_cos_half", _ln_cos_over_half_pi_minus_t, k=_one, domain=_TO_HALF_PI))
 _register(expression("i2_integrand", lambda c, x: c.div(c.log1p_sq(x), c.one + x)))
 _register(expression("i3_integrand", lambda c, x: c.div(c.atan_x(x), c.one + x)))
 _register(expression("eq16_integrand", lambda c, x: c.div(c.atan_x(x), c.one + c.sq(x))))

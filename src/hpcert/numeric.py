@@ -12,14 +12,13 @@ plain `mpf` that `round_to` checks for finiteness and rounds once to
 constants, so each public constant is within 1 ulp of the true value.
 
 Each 1D integrand registered in `identities` but eq04's tails is written
-once, as expressions over the operation contexts kept here, below it:
-under `MP` (mpf at the ambient precision) they give the integrand's evaluator,
-and under `fixed_context(W)` (integers scaled by 2^W) the integer kernel that
-the tanh-sinh ladder sums for a bounded one, or for the bounded g, h and k of
-one with a logarithmic end, f = g + h ln x + k ln(b - x).  `MP`'s functions
-are mpmath's own; each `fixed_context(W)` keeps a per-node memo of the
-ln(1+x^2)/x^2, arctan(x)/x and ln(1+x)/x of its nodes X, and of the
-(cos x, sin x) that the log-sine kernels share.
+once, as a form f = g + h ln x + k ln(b - x) of bounded expressions over the
+operation contexts kept here, below it: under `MP` (mpf at the ambient
+precision) they give the integrand's evaluator, and under `fixed_context(W)`
+(integers scaled by 2^W) the integer kernel that the tanh-sinh ladder sums.
+`MP`'s functions are mpmath's own; each `fixed_context(W)` keeps a per-node
+memo of the ln(1+x^2)/x^2, arctan(x)/x and ln(1+x)/x of its nodes X, and of
+the (cos x, sin x) that the log-sine kernels share.
 Importing this module points mpmath's pure-Python bit count at the C
 `int.bit_length`, which gives the same count on every int.
 """
@@ -211,15 +210,15 @@ def log_fixed(Y, W):
 
 
 # ---------------------------------------------------------------------------
-# Operation contexts.  A 1D integrand is written once, as an expression
-# expr(c, x) over the operations below; sums and differences are Python's own
-# + and -, and a product with a small integer is exact in both contexts.
-# Under `MP` the operations are mpf arithmetic at the ambient precision, and
-# expr(MP, x) is the integrand's evaluator.  Under `fixed_context(W)` a value
-# v is an integer near v 2^W, and expr(fixed_context(W), X) is the integrand's
-# kernel, which the integer tanh-sinh ladder sums.  An integrand with a
-# logarithmic end is g + h ln x + k ln(b - x) (`quadrature.with_ln_x`): its g, h
-# and k are bounded, and the ladder hands ln x and ln(b - x) beside each node.
+# Operation contexts.  A 1D integrand is written once, as a form
+# g + h ln x + k ln(b - x) (`quadrature.expression`) of bounded expressions
+# g(c, x), h(c, x) and k(c, x) over the operations below; sums and differences
+# are Python's own + and -, and a product with a small integer is exact in both
+# contexts.  Under `MP` the operations are mpf arithmetic at the ambient
+# precision, and the form is the integrand's evaluator.  Under
+# `fixed_context(W)` a value v is an integer near v 2^W, and the form is the
+# integrand's kernel, which the integer tanh-sinh ladder sums, handed ln x and
+# ln(b - x) beside each node.
 #
 # Each fixed operation adds at most these units of 2^-W to its result:
 #   one, and const of a dyadic rational that fits W bits     0

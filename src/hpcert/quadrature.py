@@ -10,12 +10,11 @@ cap, a function of the ladder's width, first raises `NonconvergenceError`.
 
 All three rules (1D tanh-sinh and Gauss-Legendre, 2D tensor Gauss-Legendre)
 run through one refinement driver, `_refine`, and both Gauss-Legendre rules
-through one ladder, `_gl_ladder`.  Two declarations move a sum
-into fixed-point integers: a 2D integrand's product form has its rungs summed
-by `_product_sum`, and a bounded 1D integrand written as an expression, or one
-written g + h ln x + k ln(b - x) on (0, b), has its tanh-sinh levels summed by
-`_ts_fixed_ladder`.  Only an integrand with a plain evaluator is summed in mpf,
-by `_ts_ladder`.
+through one ladder, `_gl_ladder`.  An integrand's declared `form` moves its
+sum into fixed-point integers: g + h ln x + k ln(b - x) has its tanh-sinh
+levels summed by `_ts_fixed_ladder`, and g(x) g(y) h(xy) its Gauss-Legendre
+rungs by `_product_sum`.  Only an integrand with a plain evaluator is summed in
+mpf, by `_ts_ladder`.
 
 Node tables are cached per precision, so repeated integrations share the
 (comparatively expensive) table setup.  Tanh-sinh levels are built on
@@ -62,7 +61,9 @@ class Integrand:
 
     The evaluator is a pure function defined on the *open* domain; an
     endpoint whose singular flag is False must also evaluate finite at the
-    closed endpoint (removable singularities must return their limit).
+    closed endpoint (removable singularities must return their limit).  A
+    `form` is refused when it is built if its shape is not its domain's, or if
+    it has a logarithm on a domain whose left end is not 0.
     """
 
     id: str
@@ -70,34 +71,28 @@ class Integrand:
     domain: tuple  # (a, b) in 1D, ((a, b), (c, d)) in 2D
     singular_left: bool = False
     singular_right: bool = False
-    product: Optional[tuple] = None  # 2D only: expressions (g, h) with f = g(x) g(y) h(xy)
-    expr: Optional[Callable] = None  # 1D only: expr(c, x) over a `numeric` context
-    ln_x: Optional[tuple] = None  # 1D only: (g, h, k) with f = g(x) + h(x) ln x + k(x) ln(b - x), see `with_ln_x`
+    # expressions over a `numeric` context: (g, h, k) in 1D, f = g(x) + h(x) ln x + k(x) ln(b - x),
+    # an absent h or k no such term (`expression`); (g, h) in 2D, f = g(x) g(y) h(xy) (`product`)
+    form: Optional[tuple] = None
+
+    def __post_init__(self):
+        parts = 3 if self.dimension == 1 else 2
+        if self.form is not None and len(self.form) != parts:
+            raise ValueError(f"a {self.dimension}D form has {parts} parts, got {len(self.form)} on {self.id!r}")
+        if self.form and parts == 3 and any(self.form[1:]) and self.domain[0] != 0:
+            raise ValueError(f"a form with a logarithm needs a domain whose left end is 0, got {self.domain!r}")
 
     @property
     def dimension(self):
         return 2 if isinstance(self.domain[0], tuple) else 1
 
-    @property
-    def integer_ladder(self):
-        """Whether tanh-sinh sums this integrand's kernel in integers: a bounded expression, or its ln-x form."""
-        return self.expr is not None or self.ln_x is not None
 
+def expression(id, g, *, h=None, k=None, domain=(0, 1)):
+    """g(x) + h(x) ln x + k(x) ln(b - x) on (a, b), g, h and k each a bounded expression over a `numeric` context.
 
-def expression(id, expr, domain=(0, 1)):
-    """A bounded 1D integrand written once, as expr(c, x) over a `numeric` context; its evaluator is expr(MP, x).
-
-    The integer ladder sums it as expr(fixed_context(W), X).  One with a
-    logarithmic end is written g + h ln x + k ln(b - x) and built by `with_ln_x`.
-    """
-    return Integrand(id, partial(expr, MP), domain, expr=expr)
-
-
-def with_ln_x(id, g, h=None, k=None, domain=(0, 1)):
-    """g(x) + h(x) ln x + k(x) ln(b - x) on (0, b), g, h and k each a bounded expression.
-
-    An absent h or k is no such term.  The integrand is singular at each end
-    with a logarithm, and its evaluator is the sum under `MP`.
+    An absent h or k is no such term; with either, a is 0 and the integrand is
+    singular at that end.  Its evaluator is the sum under `MP`, and the integer
+    ladder sums it under fixed_context(W).
     """
 
     def evaluator(x):
@@ -108,12 +103,12 @@ def with_ln_x(id, g, h=None, k=None, domain=(0, 1)):
             y += k(MP, x) * log(_endpoint_value(domain[1]) - x)
         return y
 
-    return Integrand(id, evaluator, domain, singular_left=bool(h), singular_right=bool(k), ln_x=(g, h, k))
+    return Integrand(id, evaluator, domain, singular_left=bool(h), singular_right=bool(k), form=(g, h, k))
 
 
 def product(id, g, h):
     """g(x) g(y) h(xy) on the unit square, g and h each an expression; its evaluator is that product under `MP`."""
-    return Integrand(id, lambda x, y: g(MP, x) * g(MP, y) * h(MP, x * y), ((0, 1), (0, 1)), product=(g, h))
+    return Integrand(id, lambda x, y: g(MP, x) * g(MP, y) * h(MP, x * y), ((0, 1), (0, 1)), form=(g, h))
 
 
 @dataclass(frozen=True)
@@ -338,8 +333,8 @@ def _ts_ladder(integrand, cap, bits):
 
 
 # ---------------------------------------------------------------------------
-# Fixed-point tanh-sinh ladder, for a bounded 1D expression, whose kernel
-# expr(fixed_context(W), X) is within c = W/8 + 20 units of f(X / 2^W) 2^W.
+# Fixed-point tanh-sinh ladder, for a 1D form (g, h, k).  With no h or k, its
+# kernel g(fixed_context(W), X) is within c = W/8 + 20 units of f(X / 2^W) 2^W.
 # At ladder width `bits` it runs at W = bits + FIXED_EXTRA_BITS: each node's
 # abscissae (within 3 units) and weight (within 1) are floored to W bits once
 # and cached, every level is summed exactly in integers, and each T_k is
@@ -357,9 +352,9 @@ def _ts_ladder(integrand, cap, bits):
 # 2^-(bits + 7) at any W up to 2500.  The steps, the stop test and the
 # evaluation count are those of `_ts_ladder`.
 #
-# An integrand with a logarithmic end, f = g + h ln x + k ln(b - x) on (0, b)
-# (`with_ln_x`), sums the kernel g(X) + h(X) L + k(X) M, where L and M are
-# ln x 2^W and ln(b - x) 2^W, cached beside each abscissa by `_ts_ln_x_nodes`.
+# A form with h or k, f = g + h ln x + k ln(b - x) on (0, b), sums the kernel
+# g(X) + h(X) L + k(X) M, where L and M are ln x 2^W and ln(b - x) 2^W, cached
+# beside each abscissa by `_ts_ln_x_nodes`.
 # A node's abscissae are x2 = b/(1 + q) and x1 = q x2 = b - x2, so
 # L2 = ln b - ln(1 + q), L1 = L2 + ln q, and each abscissa's M is its mirror's
 # L: the distance to either end is carried, not formed (Mori & Sugihara,
@@ -432,8 +427,6 @@ def _ts_ln_q_column(bits, lev):
 @cache
 def _ts_ln_x_nodes(domain, bits, lev):
     """Level lev's ((X1, L1, L2), (X2, L2, L1), Omega) on (0, b): `_ts_fixed_nodes`, each X with ln x and ln(b - x)."""
-    if domain[0] != 0:
-        raise ValueError(f"a ln x column needs a domain whose left end is 0, got {domain!r}")
     W = bits + FIXED_EXTRA_BITS
     with workprec(W + 8):  # x2 = b/(1 + q) and x1 = q x2 = b - x2
         ln_b = to_fixed(log(_interval(domain)[1])._mpf_, W)
@@ -456,9 +449,8 @@ def _ts_right_skips(domain, bits, lev):
     return n
 
 
-def _ln_x_kernel(ln_x, c):
+def _ln_x_kernel(g, h, k, c):
     """The kernel of a form (g, h, k) under context c: g(X) + h(X) L + k(X) M at a node (X, L, M)."""
-    g, h, k = ln_x
 
     def f(node):
         X, L, M = node
@@ -478,14 +470,15 @@ def _ts_fixed_ladder(integrand, cap, bits):
     A, B, _ = _fixed_interval(integrand.domain, W)
     sign, hman, hexp, _bc = _interval(integrand.domain)[2]._mpf_  # halfw, as `_ts_ladder` reads it
     hman = -hman if sign else hman  # halfw < 0 on a domain (a, b) with b < a
-    if integrand.ln_x:  # each abscissa comes with its ln x and ln(b - x); the centre is x = halfw
-        f = _ln_x_kernel(integrand.ln_x, c)
+    g, h, k = integrand.form
+    if h or k:  # each abscissa comes with its ln x and ln(b - x); the centre is x = halfw
+        f = _ln_x_kernel(g, h, k, c)
         with workprec(W + 8):
             ln_halfw = to_fixed(log(_interval(integrand.domain)[2])._mpf_, W)
         center = ((A + B) >> 1, ln_halfw, ln_halfw)
         level_nodes = _ts_ln_x_nodes
     else:
-        f, level_nodes, center = partial(integrand.expr, c), _ts_fixed_nodes, (A + B) >> 1
+        f, level_nodes, center = partial(g, c), _ts_fixed_nodes, (A + B) >> 1
     S = (pi_fixed(W) >> 1) * f(center)
     evals = 1
     for lev in range(1, cap + 1):
@@ -591,7 +584,7 @@ def _gl_ladder(integrand, cap, bits):
     if integrand.dimension == 1:
         domains, gl_sum = (integrand.domain,), _line_sum
     else:
-        domains, gl_sum = integrand.domain, _product_sum if integrand.product else _tensor_sum
+        domains, gl_sum = integrand.domain, _product_sum if integrand.form else _tensor_sum
     evals = 0
     for order in _gl_orders(cap):
         half = _gl_halfline(order, bits)
@@ -611,7 +604,7 @@ def integrate(f, s, p):
         raise ValueError(f"integrate() needs a 1D integrand, got dimension {f.dimension}")
     if isinstance(s, TanhSinh):
         cap = ts_level_cap(p.guarded)
-        ladder = (_ts_fixed_ladder if f.integer_ladder else _ts_ladder)(f, cap, p.guarded)
+        ladder = (_ts_fixed_ladder if f.form else _ts_ladder)(f, cap, p.guarded)
         return _refine(ladder, p, f"tanh-sinh on {f.id!r}", f"level {cap}")
     if isinstance(s, GaussLegendre):
         if f.singular_left or f.singular_right:
@@ -624,10 +617,9 @@ def integrate(f, s, p):
 
 # ---------------------------------------------------------------------------
 # 2D tensor Gauss-Legendre rule over a rectangle (in practice: the unit square):
-# `_gl_ladder` sums each rung with `_tensor_sum`, or `_product_sum` for a
-# declared product.
+# `_gl_ladder` sums each rung with `_tensor_sum`, or `_product_sum` for a form.
 #
-# A declared product (g, h) is two expressions: g runs under `MP`, and h under
+# A 2D form (g, h) is two expressions: g runs under `MP`, and h under
 # fixed_context(W), bound once per rung, as h(T) = h(T / 2^W) 2^W in integers.
 # `_product_sum` sums a rung at W = prec + 8 + bit_length(n): A_i = w_i g(x_i) 2^W
 # and U_i = x_i 2^W are truncated once per node, then sum_i A_i sum_j A_j
@@ -651,7 +643,7 @@ def _tensor_sum(integrand, ptsx, ptsy):
 
 def _product_sum(integrand, ptsx, ptsy):
     """`_tensor_sum` of an integrand with a product form, in fixed-point integers."""
-    g, h = integrand.product
+    g, h = integrand.form
     W = mp.prec + 8 + max(len(ptsx), len(ptsy)).bit_length()
     h = partial(h, fixed_context(W))
 
@@ -671,8 +663,6 @@ def integrate_2d(f, s, p):
         raise ValueError(f"the 2D tensor rule is Gauss-Legendre only, got {s!r}")
     if f.singular_left or f.singular_right:
         raise DomainError(f"2D tensor rule requires a smooth integrand, got flags on {f.id!r}")
-    if f.expr:
-        raise ValueError(f"an expression integrand is 1D only, got one on {f.id!r}")
     cap = gl_order_cap(p.guarded)
     ladder = _gl_ladder(f, cap, p.guarded)
     return _refine(ladder, p, f"2D Gauss-Legendre on {f.id!r}", f"order {cap}")

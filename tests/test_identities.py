@@ -341,8 +341,7 @@ def stuck(*args):  # an expression (c, x) or an evaluator (x)
 def test_a_check_that_cannot_be_computed_errors_alone(integrand_id, check_id, read_first, p128, monkeypatch):
     clean = run_catalog(p128)
     f = get_integrand(integrand_id)
-    stuck_f = dataclasses.replace(f, ln_x=(stuck,) * 3) if f.ln_x else dataclasses.replace(f, expr=stuck)
-    monkeypatch.setitem(identities._REGISTRY, integrand_id, dataclasses.replace(stuck_f, evaluator=stuck))
+    monkeypatch.setitem(identities._REGISTRY, integrand_id, dataclasses.replace(f, form=(stuck,) * 3, evaluator=stuck))
     results = run_catalog(p128)
     ctx = CheckContext(p128)
     read = sum(ctx.integrate(get_integrand(i)).evaluations for i in read_first)
@@ -626,22 +625,23 @@ def kernel_cases(width):
         alphas = [mpf(a.numerator) / a.denominator + s * h for a in grid for s in (1, -1)]
     with workprec(width + 128):
         cases = [(_param_integrand(n, a, "k"), _param_integrand(n, a, "ref")) for a in alphas for n in "FH"]
-    return cases + [(f, f) for f in identities._REGISTRY.values() if f.expr and f.integer_ladder]
+    bounded = [f for f in identities._REGISTRY.values() if f.dimension == 1 and f.form and not any(f.form[1:])]
+    return cases + [(f, f) for f in bounded]
 
 
 def test_every_bounded_registered_integrand_declares_a_kernel():
-    # every 1D integrand but eq04's tails is an expression or g + h ln x + k ln(b - x),
-    # and only the tails, plain mpf evaluators, stay on the mpf ladder
+    # every 1D integrand but eq04's tails declares a form g + h ln x + k ln(b - x),
+    # which the integer ladder sums, and only the tails, plain mpf evaluators, stay on
+    # the mpf ladder; eq05's sigma_double declares its pair (g, h)
     tails = [f"tail_integral_n{n}" for n in identities.EQ04_TAILS]
     registered = [f for f in identities._REGISTRY.values() if f.dimension == 1 and f.id not in tails]
-    assert all(get_integrand(i).expr is None and get_integrand(i).ln_x is None for i in tails)
-    assert all((f.expr is None) != (f.ln_x is None) for f in registered)
+    assert all(get_integrand(i).form is None for i in tails)
+    assert all(f.form is not None and len(f.form) == 3 and f.form[0] for f in registered)
     with_logs = ["i1_minus_ln_x", "neg_ln_x_over_1px2", "log_sin_half", "log_sin_full", "log_cos_half"]
-    assert [f.id for f in registered if f.ln_x] == with_logs
-    assert all(f.integer_ladder for f in registered)
-    mpf_ladder = [f.id for f in identities._REGISTRY.values() if f.dimension == 1 and not f.integer_ladder]
+    assert [f.id for f in registered if any(f.form[1:])] == with_logs
+    mpf_ladder = [f.id for f in identities._REGISTRY.values() if f.dimension == 1 and f.form is None]
     assert mpf_ladder == tails
-    assert get_integrand("sigma_double").expr is None
+    assert len(get_integrand("sigma_double").form) == 2
 
 
 @pytest.mark.parametrize("width", [173, 320, 1088, 2112])
@@ -655,7 +655,7 @@ def test_kernels_are_within_their_bound_of_the_evaluators(width):
         with workprec(W + 64):
             for X in Xs:
                 exact = ref.evaluator(ldexp(mpf(X), -W)) * 2**W
-                assert abs(f.expr(numeric.fixed_context(W), X) - exact) <= bound, (f.id, X)
+                assert abs(f.form[0](numeric.fixed_context(W), X) - exact) <= bound, (f.id, X)
 
 
 def test_f_and_h_kernels_floor_a_once_per_width(monkeypatch):
@@ -672,7 +672,7 @@ def test_f_and_h_kernels_floor_a_once_per_width(monkeypatch):
     monkeypatch.setattr(numeric, "to_fixed", lambda *args: calls.append(args[1]) or to_fixed(*args))
     for name in "FH":
         numeric.fixed_context.cache_clear()  # new contexts, whose `const` has floored nothing yet
-        expr = _param_integrand(name, a, "once").expr
+        expr = _param_integrand(name, a, "once").form[0]
         got = [expr(numeric.fixed_context(W), X) for X, W in points]
         assert got == [written_out(name, X, W) for X, W in points]
         assert calls == [189, 336]
@@ -715,7 +715,7 @@ def result_fields(results):
 
 def run_kernel_checks_on_and_off(bits, monkeypatch):
     def mpf_only(f, scheme, p):
-        return quadrature.integrate(dataclasses.replace(f, expr=None, ln_x=None), scheme, p)
+        return quadrature.integrate(dataclasses.replace(f, form=None), scheme, p)
 
     p = Precision(bits)
     checks = [by_id(i) for i in KERNEL_CHECKS]

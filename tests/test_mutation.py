@@ -14,7 +14,7 @@ a time, each in one occurrence, and only that check runs.
 
 import dataclasses
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 
 import pytest
 from mpmath import ldexp
@@ -89,13 +89,11 @@ def scaled_expr(expr, eps=EPS):
 
 
 def scaled(f):
-    """The registered integrand f times (1 + 2^-100): its expression, its g, h and k, or its plain evaluator."""
-    if f.ln_x:
-        return quadrature.with_ln_x(f.id, *(e and scaled_expr(e) for e in f.ln_x), domain=f.domain)
-    if f.expr is None:
+    """The registered 1D integrand f times (1 + 2^-100): its form's g, h and k, or its plain evaluator."""
+    if f.form is None:
         return dataclasses.replace(f, evaluator=lambda x: (y := f.evaluator(x)) + y * EPS)
-    expr = scaled_expr(f.expr)
-    return dataclasses.replace(f, expr=expr, evaluator=partial(expr, numeric.MP))
+    g, h, k = (e and scaled_expr(e) for e in f.form)
+    return quadrature.expression(f.id, g, h=h, k=k, domain=f.domain)
 
 
 def test_the_sweep_covers_every_registered_1d_integrand():
@@ -130,10 +128,8 @@ def test_a_scaled_sigma_g_fails_eq05_above_its_stated_power(k, fails, bits, monk
     # eq05 compares at Tol(-20), about 2^-66
     assert readers(bits)["sigma_double"] == {"eq05_sigma_2d"}
     f = identities.get_integrand("sigma_double")
-    g, h = f.product
-    monkeypatch.setitem(
-        identities._REGISTRY, f.id, dataclasses.replace(f, product=(scaled_expr(g, ldexp(1, -k)), h))
-    )
+    g, h = f.form
+    monkeypatch.setitem(identities._REGISTRY, f.id, dataclasses.replace(f, form=(scaled_expr(g, ldexp(1, -k)), h)))
     assert failing(Precision(bits), {"eq05_sigma_2d"}) == ({"eq05_sigma_2d"} if fails else set())
 
 
@@ -266,7 +262,7 @@ def test_log_cos_half_written_as_ln_sin_passes_every_check(bits, monkeypatch):
     # the right-end nodes that `log_cos_half` skips are where ln sin is 0
     ln_sin = identities.get_integrand("log_sin_half")
     f = identities.get_integrand("log_cos_half")
-    mutant = dataclasses.replace(f, ln_x=ln_sin.ln_x, evaluator=ln_sin.evaluator)
+    mutant = dataclasses.replace(f, form=ln_sin.form, evaluator=ln_sin.evaluator)
     monkeypatch.setitem(identities._REGISTRY, f.id, mutant)
     results = run_catalog(Precision(bits))
     assert all(r.passed for r in results)

@@ -156,6 +156,16 @@ def test_tanh_sinh_nodes_are_pinned():
 KERNELS_SHA256 = "3655a8d369e11b1e360388747dedb6d6f826d2f921c99e3ebafd4a70d294db6f"
 
 
+def bounded_forms():
+    """The registered 1D forms (g, None, None): each g a bounded kernel, in registration order."""
+    return [f for f in _REGISTRY.values() if f.dimension == 1 and f.form and not any(f.form[1:])]
+
+
+def log_forms():
+    """The registered 1D forms with an h or a k: g + h ln x + k ln(b - x)."""
+    return [f for f in _REGISTRY.values() if f.dimension == 1 and f.form and any(f.form[1:])]
+
+
 def test_kernel_integers_are_pinned():
     h = hashlib.sha256()
     for width in (173, 320):
@@ -163,11 +173,11 @@ def test_kernel_integers_are_pinned():
         step = _fd_step(Precision(width - 2 * numeric.GUARD_BITS))
         with workprec(width):
             alphas = [mpf(a) / 10 + s * step for a in (3, 7, 10) for s in (1, -1)]
-        registered = sorted((f for f in _REGISTRY.values() if f.expr and f.integer_ladder), key=lambda f: f.id)
+        registered = sorted(bounded_forms(), key=lambda f: f.id)
         for f in registered + [_param_integrand(n, a, "pin") for a in alphas for n in "FH"]:
             nodes = [n for lev in (1, 2, 3) for n in quadrature._ts_fixed_nodes(f.domain, width, lev)]
             Xs = [X for X1, X2, _ in nodes for X in (X1, X2)] + [0, 1 << W]
-            kernel = partial(f.expr, numeric.fixed_context(W))
+            kernel = partial(f.form[0], numeric.fixed_context(W))
             h.update(f"{f.id}@{W}:{','.join(str(kernel(X)) for X in Xs)};".encode())
     assert h.hexdigest() == KERNELS_SHA256
 
@@ -177,7 +187,7 @@ LN_X_PAIR = ("i1_minus_ln_x", "neg_ln_x_over_1px2")
 
 def ln_x_kernel(f, W):
     """The kernel g(X) + h(X) L + k(X) M at an abscissa with its ln x and ln(b - x), (X, L, M), as summed."""
-    return quadrature._ln_x_kernel(f.ln_x, numeric.fixed_context(W))
+    return quadrature._ln_x_kernel(*f.form, numeric.fixed_context(W))
 
 
 # SHA-256 of the ln-x column and of every integer the pair's kernels return on
@@ -232,7 +242,7 @@ PRODUCT_KERNEL_SHA256 = "3aff67473bb57c3ad38904c006e7b0b981de65c819a38541dcf8af3
 
 
 def test_product_kernel_integers_are_pinned():
-    g, h = get_integrand("sigma_double").product
+    g, h = get_integrand("sigma_double").form
     digest = hashlib.sha256()
     for width in (192, 320):
         for order in (8, 16, 32):
@@ -620,7 +630,7 @@ def test_sigma_evaluator_matches_its_written_out_integrand(bits):
 @pytest.mark.parametrize("bits", [64, 320])
 def test_sigma_product_form_matches_evaluator(bits):
     # f(x, y) = g(x) g(y) h(xy), with g in mpf and h in integers scaled by 2^W
-    g, h = SIGMA.product
+    g, h = SIGMA.form
     W = bits + 8
     with workprec(bits):
         pts = [mpf(0), mpf(1) / 7, mpf(1) / 3, mpf(1) / 2, mpf("0.9"), mpf(1)]
@@ -654,7 +664,7 @@ def kernel_integrands(bits):
             _param_integrand("F", above_one, "1+h"),
             _param_integrand("H", above_one, "1+h"),
             _param_integrand("F", mpf(3) / 10 - ldexp(1, -(bits // 3)), "0.3-h"),
-        ] + [f for f in _REGISTRY.values() if f.integer_ladder]
+        ] + [f for f in _REGISTRY.values() if f.dimension == 1 and f.form]
 
 
 # ladder width -> the last level compared: the deepest the catalog reaches at
@@ -668,8 +678,8 @@ def test_fixed_ladder_matches_the_mpf_ladder(bits):
     # ladder rounds each of its additions to `bits`, and drifts by up to ~2^-(bits - 4)
     cap = KERNEL_LADDER_CAPS[bits]
     for f in kernel_integrands(bits):
-        assert f.integer_ladder
-        plain = dataclasses.replace(f, expr=None, ln_x=None)
+        assert f.form
+        plain = dataclasses.replace(f, form=None)
         # next to a singular right end the mpf evaluator reads b - x off an abscissa
         # rounded to `bits`, up to ulp(b) from the node, and its weight ~ (b - x) h pi cosh t
         # carries ulp(b)/(b - x) into T_k: up to 335 units of 2^-bits at 1088 bits (level 1),
@@ -713,7 +723,7 @@ def test_kernel_integrands_have_the_lipschitz_constants_the_ladder_bound_states(
             for s in (1, -1)
             for n in "FH"
         ]
-        registered = [f for f in _REGISTRY.values() if f.expr and f.integer_ladder]
+        registered = bounded_forms()
         family = {f.id: "eq06_inner" if f.id.startswith("eq06_inner") else f.id for f in registered}
         for f, L in params + [(f, KERNEL_LIPSCHITZ[family[f.id]]) for f in registered]:
             lo, hi, _, _ = quadrature._interval(f.domain)
@@ -728,12 +738,12 @@ LN_X_LIPSCHITZ = {"i1_minus_ln_x": (0.51, 0.65), "neg_ln_x_over_1px2": (0, 0.65)
 
 
 def test_ln_x_pair_has_the_g_and_h_constants_the_ladder_bound_states():
-    assert set(LN_X_LIPSCHITZ) == {f.id for f in _REGISTRY.values() if f.ln_x and f.domain == (0, 1)}
+    assert set(LN_X_LIPSCHITZ) == {f.id for f in log_forms() if f.domain == (0, 1)}
     with workprec(80):
         xs = [mpf(k) / 400 for k in range(401)]
         for name, constants in LN_X_LIPSCHITZ.items():
-            assert get_integrand(name).ln_x[2] is None
-            for part, L in zip(get_integrand(name).ln_x, constants):
+            assert get_integrand(name).form[2] is None
+            for part, L in zip(get_integrand(name).form, constants):
                 fn = partial(part, numeric.MP)
                 assert max(abs(fn(x)) for x in xs) <= 1, name
                 slopes = [diff(fn, x, direction=1 if x == 0 else -1 if x == 1 else 0) for x in xs]
@@ -779,7 +789,7 @@ def assert_integer_ladders_give_the_mpf_ladders_results(names, bits):
     for name in names:
         f = get_integrand(name)
         got = integrate(f, TanhSinh(), pg)
-        want = integrate(dataclasses.replace(f, ln_x=None), TanhSinh(), pg)
+        want = integrate(dataclasses.replace(f, form=None), TanhSinh(), pg)
         assert (got.value._mpf_, got.evaluations, got.level_or_order) == (
             want.value._mpf_,
             want.evaluations,
@@ -814,11 +824,11 @@ LOG_SINE_G = {"log_sin_half": (0.46, 0.64), "log_sin_full": (1.15, 0.32), "log_c
 
 
 def test_log_sine_g_has_the_constants_the_ladder_bound_states():
-    assert set(LOG_SINE_G) == {f.id for f in _REGISTRY.values() if f.ln_x and f.domain != (0, 1)}
+    assert set(LOG_SINE_G) == {f.id for f in log_forms() if f.domain != (0, 1)}
     W = 336
     for name, (M, L) in LOG_SINE_G.items():
         f = get_integrand(name)
-        g, h, k = f.ln_x
+        g, h, k = f.form
         for part in (h, k):
             assert part is None or (part(numeric.MP, 0), part(numeric.fixed_context(W), 0)) == (1, 1 << W)
         with workprec(80):
@@ -889,19 +899,13 @@ def test_log_sine_integer_ladder_is_within_its_bound_of_the_exact_trapezoid_sums
                 assert abs(got[lev - 1] - ldexp(halfw * S, -lev)) <= bound, (name, lev)
 
 
-def test_ln_x_column_refuses_a_domain_whose_left_end_is_not_0(p64):
-    f = dataclasses.replace(get_integrand("neg_ln_x_over_1px2"), id="shifted", domain=(1, 2))
-    with pytest.raises(ValueError, match="left end is 0, got \\(1, 2\\)"):
-        integrate(f, TanhSinh(), p64)
-
-
 def test_integrate_sums_a_declared_kernel_on_the_same_steps(p256):
     def never(x):
         raise AssertionError("the mpf evaluator ran")
 
     for f in kernel_integrands(p256.guarded):
         got = integrate(dataclasses.replace(f, evaluator=never), TanhSinh(), p256)
-        want = integrate(dataclasses.replace(f, expr=None, ln_x=None), TanhSinh(), p256)
+        want = integrate(dataclasses.replace(f, form=None), TanhSinh(), p256)
         assert (got.evaluations, got.level_or_order) == (want.evaluations, want.level_or_order)
         assert abs(got.value - want.value) <= ldexp(1, -(p256.bits - 1))
 
@@ -910,7 +914,7 @@ def test_integrate_sums_a_declared_kernel_over_a_reversed_domain(p128):
     # halfw < 0: the integer ladder keeps its sign, as the mpf ladder does
     f = quadrature.expression("x_sq_from_1_to_0", lambda c, x: c.sq(x), domain=(1, 0))
     got = integrate(f, TanhSinh(), p128)
-    want = integrate(dataclasses.replace(f, expr=None), TanhSinh(), p128)
+    want = integrate(dataclasses.replace(f, form=None), TanhSinh(), p128)
     assert want.value < 0
     assert abs(got.value - want.value) <= ldexp(1, -(p128.bits - 1))
 
@@ -930,17 +934,21 @@ def test_each_integer_ladder_looks_up_its_context_once(monkeypatch, p128):
 
 def test_fixed_kernel_needs_a_bounded_1d_integrand(p64):
     # an expression is bounded and takes no singular flag; a logarithmic end is
-    # declared through `with_ln_x`, which marks that end singular, so that
+    # declared through its h or k, which marks that end singular, so that
     # Gauss-Legendre refuses it while tanh-sinh sums it on the integer ladder
     with pytest.raises(TypeError, match="singular_left"):
         quadrature.expression("k", lambda c, x: x, singular_left=True)
+    # h, k and the domain are keyword-only: a third positional argument, as in an
+    # old call expression(id, g, domain), is refused, not read as h
+    with pytest.raises(TypeError, match="positional"):
+        quadrature.expression("k", lambda c, x: x, (0, 2))
 
     def minus_one(c, x):
         return -c.one
 
-    for logs, flag in (((minus_one, None), "singular_left"), ((None, minus_one), "singular_right")):
-        f = quadrature.with_ln_x("k", lambda c, x: 0, *logs)
-        assert f.integer_ladder and getattr(f, flag) and f.singular_left + f.singular_right == 1
+    for logs, flag in (({"h": minus_one}, "singular_left"), ({"k": minus_one}, "singular_right")):
+        f = quadrature.expression("k", lambda c, x: 0, **logs)
+        assert f.form and getattr(f, flag) and f.singular_left + f.singular_right == 1
         assert abs(integrate(f, TanhSinh(), p64).value - 1) <= ldexp(1, -56)  # -int_0^1 ln x = 1
         with pytest.raises(DomainError, match="refuses singular integrand 'k'"):
             integrate(f, GaussLegendre(), p64)
@@ -948,11 +956,26 @@ def test_fixed_kernel_needs_a_bounded_1d_integrand(p64):
     def never(*args):
         raise AssertionError("evaluated")
 
-    f2 = Integrand(id="k2", evaluator=never, domain=((0, 1), (0, 1)), expr=never)
-    with pytest.raises(ValueError, match="1D only, got one on 'k2'"):
-        integrate_2d(f2, GaussLegendre(), p64)
+    f2 = Integrand(id="k2", evaluator=never, domain=((0, 1), (0, 1)))
     with pytest.raises(ValueError, match="needs a 1D integrand"):
         integrate(f2, TanhSinh(), p64)
+
+
+def test_a_bad_form_is_refused_where_it_is_declared():
+    # a logarithm needs a left end at 0, and a form has its domain's shape: both
+    # are refused when the integrand is built, by `dataclasses.replace` too
+    def minus_one(c, x):
+        return -c.one
+
+    with pytest.raises(ValueError, match="left end is 0, got \\(1, 2\\)"):
+        quadrature.expression("k", lambda c, x: 0, h=minus_one, domain=(1, 2))
+    with pytest.raises(ValueError, match="left end is 0, got \\(1, 2\\)"):
+        dataclasses.replace(get_integrand("neg_ln_x_over_1px2"), id="shifted", domain=(1, 2))
+    with pytest.raises(ValueError, match="a 2D form has 2 parts, got 3 on 'k2'"):
+        Integrand(id="k2", evaluator=lambda x, y: x * y, domain=((0, 1), (0, 1)), form=(minus_one,) * 3)
+    with pytest.raises(ValueError, match="a 1D form has 3 parts, got 2 on 'k1'"):
+        Integrand(id="k1", evaluator=lambda x: x, domain=(0, 1), form=(minus_one,) * 2)
+    assert quadrature.expression("k", minus_one, domain=(1, 2)).domain == (1, 2)  # a bounded form may sit anywhere
 
 
 # --- golden results, one integrand per refinement path ------------------------
