@@ -10,9 +10,10 @@ from fractions import Fraction
 from mpmath import log, nstr, sin, workprec
 
 from hpcert import (
+    BasisConstant,
+    ClosedForm,
     GaussLegendre,
     Integrand,
-    PiMultiple,
     Precision,
     TanhSinh,
     integrate,
@@ -41,7 +42,7 @@ print("\nln(sin t) on [0, pi/2] -- integrable singularity at t=0, flagged singul
 g = Integrand(
     id="demo_logsine",
     evaluator=lambda t: log(sin(t)),
-    domain=(0, PiMultiple(Fraction(1, 2))),
+    domain=(0, ClosedForm({BasisConstant.PI: Fraction(1, 2)})),
     singular_left=True,
 )
 r = integrate(g, TanhSinh(), p)

@@ -27,7 +27,6 @@ from .numeric import (
 from .quadrature import (
     GaussLegendre,
     Integrand,
-    PiMultiple,
     QuadResult,
     TanhSinh,
     gauss_legendre_nodes,

@@ -54,7 +54,7 @@ from .numeric import (
     eval_closed_form,
     round_to,
 )
-from .quadrature import GaussLegendre, Integrand, PiMultiple, TanhSinh, expression, integrate, integrate_2d, product
+from .quadrature import GaussLegendre, Integrand, TanhSinh, expression, integrate, integrate_2d, product
 
 ONE = BasisConstant.ONE
 LN2 = BasisConstant.LN2
@@ -162,7 +162,7 @@ def _ln_cos_over_half_pi_minus_t(c, t):  # ln(cos t / (pi/2 - t)), with the cosi
 
 # the log-sine three: ln sin t = ln t + ln(sin t / t) on (0, pi/2);
 # ln t + ln(pi - t) + ln(sin t / (t (pi - t))) on (0, pi); ln(pi/2 - t) + ln(cos t / (pi/2 - t))
-_TO_HALF_PI, _TO_PI = (0, PiMultiple(F(1, 2))), (0, PiMultiple(F(1)))
+_TO_HALF_PI, _TO_PI = (0, ClosedForm({PI: F(1, 2)})), (0, ClosedForm({PI: F(1)}))
 _register(expression("log_sin_half", _ln_sin_over_t, h=_one, domain=_TO_HALF_PI))
 _register(expression("log_sin_full", _ln_sin_over_t_pi_minus_t, h=_one, k=_one, domain=_TO_PI))
 _register(expression("log_cos_half", _ln_cos_over_half_pi_minus_t, k=_one, domain=_TO_HALF_PI))

@@ -8,7 +8,9 @@ inner rule of the 2D tensor rule.  Both report ``error_estimate =
 difference falls below ``2^-(bits - STOP_MARGIN)``; reaching the refinement
 cap, a function of the ladder's width, first raises `NonconvergenceError`.
 
-All three rules (1D tanh-sinh and Gauss-Legendre, 2D tensor Gauss-Legendre)
+A domain end is a rational or a `ClosedForm`, and a 2D integrand lives on a
+square.  Both rules hand over a level or rung as mirrored pairs (x1, x2, w);
+all three rules (1D tanh-sinh and Gauss-Legendre, 2D tensor Gauss-Legendre)
 run through one refinement driver, `_refine`, and both Gauss-Legendre rules
 through one ladder, `_gl_ladder`.  An integrand's declared `form` moves its
 sum into fixed-point integers: g + h ln x + k ln(b - x) has its tanh-sinh
@@ -33,42 +35,39 @@ from mpmath.libmp import to_fixed
 from mpmath.libmp.libelefun import pi_fixed
 
 from .errors import DomainError, NonconvergenceError
-from .numeric import GUARD_BITS, MP, fixed_context, log1p_over_fixed, round_to
+from .numeric import GUARD_BITS, MP, ClosedForm, constant_value, fixed_context, log1p_over_fixed, round_to
 
 MAX_LEVEL = 15
 MIN_ORDER, MAX_ORDER = 2, 4096
 STOP_MARGIN = 8  # a ladder stops once |T_k - T_{k-1}| <= 2^-(bits - STOP_MARGIN)
 
 
-@dataclass(frozen=True)
-class PiMultiple:
-    """An interval endpoint of the form (rational) * pi, e.g. pi/2."""
-
-    coef: Fraction
-
-
 def _endpoint_value(e):
-    if isinstance(e, PiMultiple):
-        c = Fraction(e.coef)
-        return pi * c.numerator / c.denominator
+    """A domain end, a rational or a `ClosedForm`, at the ambient precision: c pi is pi * n / d."""
+    if isinstance(e, ClosedForm):
+        return sum(constant_value(tag, mp.prec) * c.numerator / c.denominator for tag, c in e.items)
     f = Fraction(e)
     return mpf(f.numerator) / f.denominator
 
 
 @dataclass(frozen=True)
 class Integrand:
-    """A registered integrand over a finite interval or square.
+    """A registered integrand over a finite interval (a, b) or a square (a, b)^2.
 
-    The evaluator is a pure function defined on the *open* domain; an
-    endpoint whose singular flag is False must also evaluate finite at the
-    closed endpoint (removable singularities must return their limit).  A
-    `form` is refused when it is built if its shape is not its domain's, or if
-    it has a logarithm on a domain whose left end is not 0.
+    Each end is a rational or a `ClosedForm`.  The evaluator is a pure
+    function defined on the *open* domain; an endpoint whose singular flag is
+    False must also evaluate finite at the closed endpoint (removable
+    singularities must return their limit).  A plain evaluator singular at b,
+    or at an a other than 0, sees abscissae whose distance to that end is
+    rounded to the ulp of the end; a form with k on (0, b) carries it exactly.
+    Refused when built: a 2D integrand off a square or with a singular flag,
+    and a form whose shape is not its domain's, whose flags are not those of
+    its logarithms, or with a logarithm on a domain whose left end is not 0.
     """
 
     id: str
     evaluator: Callable
-    domain: tuple  # (a, b) in 1D, ((a, b), (c, d)) in 2D
+    domain: tuple  # (a, b) in 1D, ((a, b), (a, b)) in 2D
     singular_left: bool = False
     singular_right: bool = False
     # expressions over a `numeric` context: (g, h, k) in 1D, f = g(x) + h(x) ln x + k(x) ln(b - x),
@@ -76,11 +75,17 @@ class Integrand:
     form: Optional[tuple] = None
 
     def __post_init__(self):
+        if self.dimension == 2 and (self.domain[0] != self.domain[1] or self.singular_left or self.singular_right):
+            raise ValueError(f"a 2D integrand is smooth on a square, got {self.domain!r} on {self.id!r}")
         parts = 3 if self.dimension == 1 else 2
         if self.form is not None and len(self.form) != parts:
             raise ValueError(f"a {self.dimension}D form has {parts} parts, got {len(self.form)} on {self.id!r}")
-        if self.form and parts == 3 and any(self.form[1:]) and self.domain[0] != 0:
-            raise ValueError(f"a form with a logarithm needs a domain whose left end is 0, got {self.domain!r}")
+        if self.form and parts == 3:
+            _g, h, k = self.form
+            if (self.singular_left, self.singular_right) != (bool(h), bool(k)):
+                raise ValueError(f"a form is singular where it has a logarithm, got other flags on {self.id!r}")
+            if (h or k) and self.domain[0] != 0:
+                raise ValueError(f"a form with a logarithm needs a domain whose left end is 0, got {self.domain!r}")
 
     @property
     def dimension(self):
@@ -168,7 +173,7 @@ def _checked(y, integrand, xs):
     raise DomainError(f"integrand {integrand.id!r} returned {problem} value at {where}")
 
 
-def _pair_sum(integrand, pairs, S, a=None, b=None):
+def _pair_sum(integrand, pairs, S=0, a=None, b=None):
     """S + sum of w * (f(x1) + f(x2)) over `pairs` of (x1, x2, w), and the evaluations made.
 
     The sum is ``S += w * (f(x1) + f(x2))`` at the ambient precision.  Each
@@ -566,32 +571,23 @@ def _gl_orders(cap):
 
 
 def _gl_axis(domain, half_nodes):
-    """An even rule's points mid + halfw x, mid - halfw x, pair by pair, with their weights."""
+    """An even rule's mirrored pairs (mid + halfw x, mid - halfw x, w) on a 1D domain."""
     _a, _b, halfw, mid = _interval(domain)
-    pts = []
-    for x, w in half_nodes:
-        pts.extend(((mid + halfw * x, w), (mid - halfw * x, w)))
-    return pts, halfw
-
-
-def _line_sum(integrand, pts):
-    """sum w f(x) over an even rule's points, pair by pair through `_pair_sum`, and its evaluations."""
-    return _pair_sum(integrand, ((xp, xm, w) for (xp, w), (xm, _) in zip(pts[::2], pts[1::2])), mpf(0))
+    return [(mid + halfw * x, mid - halfw * x, w) for x, w in half_nodes]
 
 
 def _gl_ladder(integrand, cap, bits):
-    """Gauss-Legendre rungs 8, 16, ..., cap on each axis of a 1D interval or a 2D rectangle."""
+    """Gauss-Legendre rungs 8, 16, ..., cap on a 1D interval, or on the one axis of a square, built once per rung."""
     if integrand.dimension == 1:
-        domains, gl_sum = (integrand.domain,), _line_sum
+        domain, gl_sum = integrand.domain, _pair_sum
     else:
-        domains, gl_sum = integrand.domain, _product_sum if integrand.form else _tensor_sum
+        domain, gl_sum = integrand.domain[0], _product_sum if integrand.form else _tensor_sum
+    scale = math.prod([_interval(domain)[2]] * integrand.dimension)  # halfw once per dimension
     evals = 0
     for order in _gl_orders(cap):
-        half = _gl_halfline(order, bits)
-        axes = [_gl_axis(domain, half) for domain in domains]
-        S, n = gl_sum(integrand, *(pts for pts, _ in axes))
+        S, n = gl_sum(integrand, _gl_axis(domain, _gl_halfline(order, bits)))
         evals += n
-        yield order, math.prod(halfw for _, halfw in axes) * S, evals
+        yield order, scale * S, evals
 
 
 def integrate(f, s, p):
@@ -616,43 +612,43 @@ def integrate(f, s, p):
 
 
 # ---------------------------------------------------------------------------
-# 2D tensor Gauss-Legendre rule over a rectangle (in practice: the unit square):
-# `_gl_ladder` sums each rung with `_tensor_sum`, or `_product_sum` for a form.
+# 2D tensor Gauss-Legendre rule on a square: `_gl_ladder` builds its one axis
+# per rung, whose points x1, x2 of each pair in turn `_tensor_sum` sums, or
+# `_product_sum` for a form.
 #
 # A 2D form (g, h) is two expressions: g runs under `MP`, and h under
 # fixed_context(W), bound once per rung, as h(T) = h(T / 2^W) 2^W in integers.
-# `_product_sum` sums a rung at W = prec + 8 + bit_length(n): A_i = w_i g(x_i) 2^W
-# and U_i = x_i 2^W are truncated once per node, then sum_i A_i sum_j A_j
-# h(U_i U_j >> W) is exact.  For nodes in [-1, 1], |g| <= 1 (sum |A| <= 2) and h
-# within 8 units with |h|, |h'| <= 1, each h is within 3 + 8 units and the sum
-# within 4n + 44, i.e. (n + 11) 2^-W <= 2^-(prec + 4) after the factor 1/4.
+# `_product_sum` sums a rung of n points at W = prec + 8 + bit_length(n):
+# A_i = w_i g(x_i) 2^W and U_i = x_i 2^W are truncated once per node, so g runs
+# once per node, then sum_i A_i sum_j A_j h(U_i U_j >> W) is exact.  For nodes
+# in [-1, 1], |g| <= 1 (sum |A| <= 2) and h within 8 units with |h|, |h'| <= 1,
+# each h is within 3 + 8 units and the sum within 4n + 44, i.e.
+# (n + 11) 2^-W <= 2^-(prec + 4) after the factor 1/4.
 # ---------------------------------------------------------------------------
 
 
-def _tensor_sum(integrand, ptsx, ptsy):
-    """sum_x wx * sum_y wy * f(x, y) over (point, weight) lists, and its evaluations."""
+def _tensor_sum(integrand, pairs):
+    """sum_x wx * sum_y wy * f(x, y) over the points of one axis on both, and its evaluations."""
     f = integrand.evaluator
+    pts = [(x, w) for x1, x2, w in pairs for x in (x1, x2)]
     S = mpf(0)
-    for x, wx in ptsx:
+    for x, wx in pts:
         row = mpf(0)
-        for y, wy in ptsy:
+        for y, wy in pts:
             row += wy * _checked(f(x, y), integrand, (x, y))
         S += wx * row
-    return S, len(ptsx) * len(ptsy)
+    return S, len(pts) ** 2
 
 
-def _product_sum(integrand, ptsx, ptsy):
+def _product_sum(integrand, pairs):
     """`_tensor_sum` of an integrand with a product form, in fixed-point integers."""
     g, h = integrand.form
-    W = mp.prec + 8 + max(len(ptsx), len(ptsy)).bit_length()
+    pts = [(x, w) for x1, x2, w in pairs for x in (x1, x2)]
+    W = mp.prec + 8 + len(pts).bit_length()
     h = partial(h, fixed_context(W))
-
-    def axis(pts):
-        return [(int(ldexp(w * _checked(g(MP, x), integrand, (x,)), W)), int(ldexp(x, W))) for x, w in pts]
-
-    ay = axis(ptsy)
-    S = sum(A * sum(B * h(U * V >> W) for B, V in ay) for A, U in axis(ptsx))
-    return ldexp(mpf(S), -3 * W), len(ptsx) * len(ptsy)
+    axis = [(int(ldexp(w * _checked(g(MP, x), integrand, (x,)), W)), int(ldexp(x, W))) for x, w in pts]
+    S = sum(A * sum(B * h(U * V >> W) for B, V in axis) for A, U in axis)
+    return ldexp(mpf(S), -3 * W), len(pts) ** 2
 
 
 def integrate_2d(f, s, p):
@@ -661,8 +657,6 @@ def integrate_2d(f, s, p):
         raise ValueError(f"integrate_2d() needs a 2D integrand, got dimension {f.dimension}")
     if not isinstance(s, GaussLegendre):
         raise ValueError(f"the 2D tensor rule is Gauss-Legendre only, got {s!r}")
-    if f.singular_left or f.singular_right:
-        raise DomainError(f"2D tensor rule requires a smooth integrand, got flags on {f.id!r}")
     cap = gl_order_cap(p.guarded)
     ladder = _gl_ladder(f, cap, p.guarded)
     return _refine(ladder, p, f"2D Gauss-Legendre on {f.id!r}", f"order {cap}")

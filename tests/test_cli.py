@@ -298,7 +298,7 @@ def test_a_check_that_cannot_be_computed_prints_error_and_the_rest_report(capsys
         raise NonconvergenceError("injected")
 
     f = identities.get_integrand("neg_ln_x_over_1px2")
-    monkeypatch.setitem(identities._REGISTRY, f.id, dataclasses.replace(f, form=(stuck,) * 3, evaluator=stuck))
+    monkeypatch.setitem(identities._REGISTRY, f.id, dataclasses.replace(f, form=(stuck, *f.form[1:]), evaluator=stuck))
     args = ["--precision-bits", "128", "--no-timestamp"]
     code, text, err = run_cli(capsys, *args)
     assert code == EXIT_INTERNAL

@@ -22,7 +22,7 @@ from mpmath.libmp.libelefun import cos_sin_fixed
 
 from hpcert import BasisConstant, ClosedForm, Precision, eval_closed_form, identities, numeric, quadrature
 from hpcert.identities import CATALOG, SIGMA_CF, CheckContext, Combo, MaxGap, run_catalog, run_check
-from hpcert.quadrature import Integrand, PiMultiple, TanhSinh, integrate
+from hpcert.quadrature import Integrand, TanhSinh, integrate
 
 EPS = ldexp(1, -100)
 WIDTHS = [128, 256, pytest.param(1024, marks=pytest.mark.slow)]
@@ -199,7 +199,7 @@ def test_a_scaled_coefficient_fails_its_check_but_five(bits):
 
 
 # int_0^{pi/4} ln cos and ln sin: there the two differ, by G
-QUARTER = (0, PiMultiple(Fraction(1, 4)))
+QUARTER = (0, ClosedForm({BasisConstant.PI: Fraction(1, 4)}))
 QUARTER_CF = {
     "log_cos_half": ClosedForm({BasisConstant.CATALAN: Fraction(1, 2), BasisConstant.PI_LN2: Fraction(-1, 4)}),
     "log_sin_half": ClosedForm({BasisConstant.CATALAN: Fraction(-1, 2), BasisConstant.PI_LN2: Fraction(-1, 4)}),
@@ -258,11 +258,13 @@ def test_cos_and_sin_swapped_error_the_log_sine_checks_and_spare_the_rest(bits, 
 def test_log_cos_half_written_as_ln_sin_passes_every_check(bits, monkeypatch):
     # a stated blind spot: int_0^{pi/2} ln cos = int_0^{pi/2} ln sin, and the one
     # reader of `log_cos_half`, app1_logsine_funceq, compares it with `log_sin_half`
-    # on the same domain, so ln sin there (same flags) gives that gap exactly 0:
-    # the right-end nodes that `log_cos_half` skips are where ln sin is 0
+    # on the same domain, so ln sin there gives that gap exactly 0.  A form is
+    # singular where it has a logarithm, so ln sin brings its flags along
     ln_sin = identities.get_integrand("log_sin_half")
     f = identities.get_integrand("log_cos_half")
-    mutant = dataclasses.replace(f, form=ln_sin.form, evaluator=ln_sin.evaluator)
+    mutant = dataclasses.replace(
+        f, form=ln_sin.form, evaluator=ln_sin.evaluator, singular_left=True, singular_right=False
+    )
     monkeypatch.setitem(identities._REGISTRY, f.id, mutant)
     results = run_catalog(Precision(bits))
     assert all(r.passed for r in results)

@@ -5,15 +5,16 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from mpmath import diff, isfinite, ldexp, log, mp, mpf, pi, sin, workprec
+from mpmath import diff, exp, isfinite, ldexp, log, mp, mpf, pi, sin, workprec
 from mpmath.calculus.quadrature import GaussLegendre as MpmathGaussLegendre
 
 from hpcert import (
+    BasisConstant,
+    ClosedForm,
     DomainError,
     GaussLegendre,
     Integrand,
     NonconvergenceError,
-    PiMultiple,
     Precision,
     TanhSinh,
     gauss_legendre_nodes,
@@ -25,6 +26,8 @@ from hpcert import (
 )
 from hpcert.identities import _REGISTRY, _fd_step, _param_integrand, get_integrand
 from oracle_values import A1, LOGSINE, assert_close
+
+HALF_PI = ClosedForm({BasisConstant.PI: Fraction(1, 2)})
 
 
 def const_one():
@@ -248,7 +251,8 @@ def test_product_kernel_integers_are_pinned():
         for order in (8, 16, 32):
             W = width + 8 + order.bit_length()  # as `_product_sum` sets it for this rung
             with workprec(width):
-                pts, _ = quadrature._gl_axis((0, 1), quadrature._gl_halfline(order, width))
+                pairs = quadrature._gl_axis((0, 1), quadrature._gl_halfline(order, width))
+                pts = [(x, w) for x1, x2, w in pairs for x in (x1, x2)]
                 for x, _w in pts:
                     assert g(numeric.MP, x)._mpf_ == (1 / (1 + x))._mpf_
             Us = [int(ldexp(x, W)) for x, _w in pts]
@@ -262,10 +266,10 @@ DOMAINS_1D = sorted({f.domain for f in _REGISTRY.values() if f.dimension == 1}, 
 
 @pytest.mark.parametrize("bits", [128, 256])
 def test_cached_abscissae_equal_a_fresh_computation(bits):
-    # every registered 1D domain (the PiMultiple ones and eq06's (0, x0)
-    # among them) at the table key and width the catalog integrates at
+    # every registered 1D domain (the two that end at a multiple of pi and
+    # eq06's (0, x0) among them) at the table key and width the catalog integrates at
     key = Precision(bits).guarded
-    assert {(0, PiMultiple(Fraction(1, 2))), (0, Fraction(1, 4))} <= set(DOMAINS_1D)
+    assert {(0, HALF_PI), (0, Fraction(1, 4))} <= set(DOMAINS_1D)
     with workprec(key):
         for domain in DOMAINS_1D:
             a, b, halfw, _ = quadrature._interval(domain)
@@ -297,12 +301,24 @@ def test_logsine_left_singular(p256):
     f = Integrand(
         id="logsine_test",
         evaluator=lambda t: log(sin(t)),
-        domain=(0, PiMultiple(Fraction(1, 2))),
+        domain=(0, HALF_PI),
         singular_left=True,
     )
     r = integrate(f, TanhSinh(), p256)
     assert_close(r.value, LOGSINE, mpf(10) ** -40)
     assert r.level_or_order <= 12
+
+
+@pytest.mark.parametrize("width", [173, 320, 1088, 2112])
+def test_a_pi_multiple_end_is_pi_times_its_rational(width):
+    with workprec(width):
+        assert quadrature._endpoint_value(HALF_PI)._mpf_ == (pi / 2)._mpf_
+
+
+def test_an_end_may_be_any_closed_form(p128):
+    # int_0^{ln 2} e^x dx = 1
+    f = Integrand(id="exp", evaluator=exp, domain=(0, ClosedForm({BasisConstant.LN2: Fraction(1)})))
+    assert abs(integrate(f, TanhSinh(), p128).value - 1) <= ldexp(1, -(p128.bits - 8))
 
 
 def test_determinism(p128):
@@ -355,7 +371,7 @@ def test_dimension_follows_the_domain():
         else:
             assert f.dimension == 1
             assert len(f.domain) == 2 and not any(isinstance(e, tuple) for e in f.domain)
-    assert isinstance(get_integrand("log_sin_full").domain[1], PiMultiple)
+    assert get_integrand("log_sin_full").domain[1] == ClosedForm({BasisConstant.PI: 1})
     assert get_integrand("log_sin_full").dimension == 1
 
 
@@ -580,8 +596,9 @@ def test_2d_gl_order_2_xy_quarter(p128):
     # one rung of the tensor rule: the 2-point rule on each axis is exact on xy
     f = Integrand(id="xy", evaluator=lambda x, y: x * y, domain=((0, 1), (0, 1)))
     with workprec(p128.guarded):
-        pts, halfw = quadrature._gl_axis((0, 1), quadrature._gl_halfline(2, p128.guarded))
-        S, n = quadrature._tensor_sum(f, pts, pts)
+        pairs = quadrature._gl_axis((0, 1), quadrature._gl_halfline(2, p128.guarded))
+        halfw = quadrature._interval((0, 1))[2]
+        S, n = quadrature._tensor_sum(f, pairs)
         assert n == 4
         assert abs(halfw * halfw * S - mpf(1) / 4) <= ldexp(1, -(p128.bits - 8))
 
@@ -602,6 +619,16 @@ def test_2d_separable_matches_1d_product(p64):
         assert abs(r2.value - prod) <= ldexp(1, -56)
 
 
+def test_a_2d_integrand_is_smooth_on_a_square():
+    # refused where it is declared, by `dataclasses.replace` too, not when it is integrated
+    xy = Integrand(id="xy", evaluator=lambda x, y: x * y, domain=((0, 1), (0, 1)))
+    for changes in ({"domain": ((0, 1), (0, 2))}, {"singular_left": True}):
+        with pytest.raises(ValueError, match="a 2D integrand is smooth on a square, got .* on 'xy'"):
+            Integrand(**{**dataclasses.asdict(xy), **changes})
+        with pytest.raises(ValueError, match="a 2D integrand is smooth on a square"):
+            dataclasses.replace(get_integrand("sigma_double"), **changes)
+
+
 def test_2d_tanh_sinh_inner_is_refused(p64):
     f = Integrand(id="xpy", evaluator=lambda x, y: x + y, domain=((0, 1), (0, 1)))
     with pytest.raises(ValueError, match="Gauss-Legendre only"):
@@ -619,8 +646,8 @@ def test_sigma_evaluator_matches_its_written_out_integrand(bits):
     # eq05's integrand as the paper writes it; g(x) g(y) h(xy) and this form round
     # 10 and 12 times, and differ by at most 5 ulps on this grid at these widths
     with workprec(bits):
-        pts, _ = quadrature._gl_axis((0, 1), quadrature._gl_halfline(32, bits))
-        xs = [mpf(0), mpf(1)] + [x for x, _w in pts]
+        pairs = quadrature._gl_axis((0, 1), quadrature._gl_halfline(32, bits))
+        xs = [mpf(0), mpf(1)] + [x for x1, x2, _w in pairs for x in (x1, x2)]
         for x in xs:
             for y in xs:
                 form = -(x * x * y * y) / ((1 + x * x * y * y) * (1 + x) * (1 + y))
@@ -641,14 +668,32 @@ def test_sigma_product_form_matches_evaluator(bits):
                 assert abs(G * H - SIGMA.evaluator(x, y)) <= ldexp(1, -(bits - 2))
 
 
+def test_product_sum_evaluates_g_once_per_node():
+    g, h = SIGMA.form
+    calls = []
+
+    def counted(c, x):
+        calls.append(x)
+        return g(c, x)
+
+    f = dataclasses.replace(SIGMA, form=(counted, h))
+    with workprec(320):
+        quadrature._product_sum(f, quadrature._gl_axis((0, 1), quadrature._gl_halfline(32, 320)))
+    assert len(calls) == len(set(calls)) == 32
+    calls.clear()
+    r = integrate_2d(f, GaussLegendre(), Precision(224))  # a ladder at width 288 reaches order 128
+    assert r.level_or_order == 128
+    assert len(calls) == sum(quadrature._gl_orders(128)) == 248
+
+
 @pytest.mark.parametrize("bits, order", [(320, 8), (320, 16), (320, 64), (320, 128), (576, 256)])
 def test_product_sum_matches_the_cell_by_cell_sum(bits, order):
     # the integer rung is within 2^-(bits + 4) of the exact sum of its rounded
     # inputs; the mpf reference drifts by about 2^-(bits + 2) at these orders
     with workprec(bits):
-        pts, _ = quadrature._gl_axis((0, 1), quadrature._gl_halfline(order, bits))
-        ref, n_ref = quadrature._tensor_sum(SIGMA, pts, pts)
-        got, n_got = quadrature._product_sum(SIGMA, pts, pts)
+        pairs = quadrature._gl_axis((0, 1), quadrature._gl_halfline(order, bits))
+        ref, n_ref = quadrature._tensor_sum(SIGMA, pairs)
+        got, n_got = quadrature._product_sum(SIGMA, pairs)
         assert n_got == n_ref == order * order
         assert abs(got - ref) <= ldexp(1, -bits)
 
@@ -978,6 +1023,15 @@ def test_a_bad_form_is_refused_where_it_is_declared():
     assert quadrature.expression("k", minus_one, domain=(1, 2)).domain == (1, 2)  # a bounded form may sit anywhere
 
 
+def test_a_form_is_singular_exactly_where_it_has_a_logarithm():
+    # a flag that disagreed with k made the integer ladder stop skipping the
+    # right-end nodes; one that disagreed with h built every Gauss-Legendre rung
+    # before a `NonconvergenceError`
+    for fid, flag in (("log_sin_full", "singular_right"), ("neg_ln_x_over_1px2", "singular_left")):
+        with pytest.raises(ValueError, match=f"singular where it has a logarithm, got other flags on '{fid}'"):
+            dataclasses.replace(get_integrand(fid), **{flag: False})
+
+
 # --- golden results, one integrand per refinement path ------------------------
 #
 # Mantissa/exponent pairs of the value and error estimate, evaluation counts
@@ -1034,11 +1088,12 @@ def test_gl_ladder_matches_the_mpf_operator_loop(case):
     with workprec(bits):
         got = [(order, T._mpf_, evals) for order, T, evals in quadrature._gl_ladder(f, cap, bits)]
         want, evals = [], 0
+        halfw = quadrature._interval(f.domain)[2]
         for order in quadrature._gl_orders(cap):
-            pts, halfw = quadrature._gl_axis(f.domain, quadrature._gl_halfline(order, bits))
+            pairs = quadrature._gl_axis(f.domain, quadrature._gl_halfline(order, bits))
             S = mpf(0)
-            for (xp, w), (xm, _) in zip(pts[::2], pts[1::2]):
+            for xp, xm, w in pairs:
                 S += w * (f.evaluator(xp) + f.evaluator(xm))
-            evals += len(pts)
+            evals += 2 * len(pairs)
             want.append((order, (halfw * S)._mpf_, evals))
     assert got == want
