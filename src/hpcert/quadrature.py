@@ -35,11 +35,19 @@ from mpmath.libmp import to_fixed
 from mpmath.libmp.libelefun import pi_fixed
 
 from .errors import DomainError, NonconvergenceError
-from .numeric import GUARD_BITS, MP, ClosedForm, constant_value, fixed_context, log1p_over_fixed, round_to
+from .numeric import (
+    GUARD_BITS, MP, BasisConstant, ClosedForm, constant_value, fixed_context, log1p_over_fixed, round_to
+)
 
 MAX_LEVEL = 15
 MIN_ORDER, MAX_ORDER = 2, 4096
 STOP_MARGIN = 8  # a ladder stops once |T_k - T_{k-1}| <= 2^-(bits - STOP_MARGIN)
+
+
+def _rational_end(e):
+    """A domain end, a `ClosedForm` of no term but 1 as its rational: one interval, one spelling and one cache key."""
+    rational = isinstance(e, ClosedForm) and e.coefficients.keys() <= {BasisConstant.ONE}
+    return e.coefficients.get(BasisConstant.ONE, Fraction(0)) if rational else e
 
 
 def _endpoint_value(e):
@@ -75,6 +83,8 @@ class Integrand:
     form: Optional[tuple] = None
 
     def __post_init__(self):
+        ends = tuple(tuple(map(_rational_end, e)) if isinstance(e, tuple) else _rational_end(e) for e in self.domain)
+        object.__setattr__(self, "domain", ends)
         if self.dimension == 2 and (self.domain[0] != self.domain[1] or self.singular_left or self.singular_right):
             raise ValueError(f"a 2D integrand is smooth on a square, got {self.domain!r} on {self.id!r}")
         parts = 3 if self.dimension == 1 else 2
@@ -497,8 +507,10 @@ def _ts_fixed_ladder(integrand, cap, bits):
 # ---------------------------------------------------------------------------
 # Gauss-Legendre nodes: each positive root of P_n is seeded in float64 by
 # Newton on the three-term recurrence from the asymptotic guess
-# cos(pi (k - 1/4) / (n + 1/2)), then polished by Newton on P_n and P_n'
-# evaluated in integers scaled by 2^w, doubling w each step up to W.
+# cos(pi (k - 1/4) / (n + 1/2)), then polished on P_n and P_n' in integers
+# scaled by 2^w: by Halley steps, (1 - x^2) P_n'' = 2x P_n' - n(n + 1) P_n, at
+# widths up to W, each a third of the next plus 16 bits as a step about triples
+# the good bits, then by Newton at W.  The widths set only the cost.
 #
 # Error bound: the recurrence is stable on |x| <= 1, so P_n and P_{n-1} carry
 # at most ~n^2 units of 2^-W, and so does the Newton correction, as
@@ -537,16 +549,21 @@ def _gl_halfline(order, bits):
     """The n-point rule's (x, w) for x >= 0."""
     gen_bits = bits + 16
     W = gen_bits + 32 + 2 * order.bit_length()
+    widths = [W]  # Halley widths W, W // 3 + 16, ..., each above the seed's 53 bits
+    while widths[-1] // 3 + 16 > 53:
+        widths.append(widths[-1] // 3 + 16)
     # an odd rule's center seed 0 stays exactly 0: P_n(0) = 0 in integers too
     seeds = [0.0] * (order % 2) + [_gl_seed(order, k) for k in range(order // 2, 0, -1)]
     out = []
     for x in seeds:
         w, X = 53, int(math.ldexp(x, 53))
+        for v in reversed(widths):  # x - u / (1 - u P_n'' / 2 P_n'), u = P_n / P_n'
+            X, w = X << (v - w), v
+            D, _q, one_m = _gl_newton(order, X, w)
+            X -= (D << w) // ((1 << w) - D * (2 * X - order * (order + 1) * D) // (2 * one_m))
         while True:
-            X <<= min(w, W - w)
-            w = min(2 * w, W)
-            D, q, one_m = _gl_newton(order, X, w)
-            if w == W and abs(D) < 4 * order * order:
+            D, q, one_m = _gl_newton(order, X, W)
+            if abs(D) < 4 * order * order:
                 break
             X -= D
         with workprec(gen_bits):
@@ -620,10 +637,13 @@ def integrate(f, s, p):
 # fixed_context(W), bound once per rung, as h(T) = h(T / 2^W) 2^W in integers.
 # `_product_sum` sums a rung of n points at W = prec + 8 + bit_length(n):
 # A_i = w_i g(x_i) 2^W and U_i = x_i 2^W are truncated once per node, so g runs
-# once per node, then sum_i A_i sum_j A_j h(U_i U_j >> W) is exact.  For nodes
-# in [-1, 1], |g| <= 1 (sum |A| <= 2) and h within 8 units with |h|, |h'| <= 1,
-# each h is within 3 + 8 units and the sum within 4n + 44, i.e.
-# (n + 11) 2^-W <= 2^-(prec + 4) after the factor 1/4.
+# once per node, then S = sum_i A_i sum_j A_j h(U_i U_j >> W) is exact.  As
+# h_ij = h_ji bit for bit, S is summed sum_i A_i (2 sum_{j<i} A_j h_ij + A_i h_ii)
+# over one triangle, n(n + 1)/2 calls of h, though the evaluations counted are
+# the rule's n^2 cells, its size.  For nodes in [-1, 1], |g| <= 1
+# (sum |A| <= 2) and h within 8 units with |h|, |h'| <= 1, each h is within
+# 3 + 8 units and the sum within 4n + 44, i.e. (n + 11) 2^-W <= 2^-(prec + 4)
+# after the factor 1/4.
 # ---------------------------------------------------------------------------
 
 
@@ -641,13 +661,15 @@ def _tensor_sum(integrand, pairs):
 
 
 def _product_sum(integrand, pairs):
-    """`_tensor_sum` of an integrand with a product form, in fixed-point integers."""
+    """`_tensor_sum` of an integrand with a product form, in fixed-point integers, over one triangle of its cells."""
     g, h = integrand.form
     pts = [(x, w) for x1, x2, w in pairs for x in (x1, x2)]
     W = mp.prec + 8 + len(pts).bit_length()
     h = partial(h, fixed_context(W))
     axis = [(int(ldexp(w * _checked(g(MP, x), integrand, (x,)), W)), int(ldexp(x, W))) for x, w in pts]
-    S = sum(A * sum(B * h(U * V >> W) for B, V in axis) for A, U in axis)
+    S = 0
+    for i, (A, U) in enumerate(axis):  # twice the cells left of the diagonal, then the diagonal's
+        S += A * (2 * sum(B * h(U * V >> W) for B, V in axis[:i]) + A * h(U * U >> W))
     return ldexp(mpf(S), -3 * W), len(pts) ** 2
 
 

@@ -548,6 +548,31 @@ def test_gl_nodes_bracket_a_root_of_p_n(order, bits):
         assert min(abs(lo), abs(hi)) > order * order << 64, x
 
 
+# SHA-256 of the exact sign, mantissa and exponent of every Gauss-Legendre node
+# and weight `_gl_halfline` builds, at each width for each order.  Recorded from
+# the Newton builder that doubled its width each step, before the Halley steps:
+# a change to how the roots are polished that moves a single bit shows here.
+GL_TABLES = [
+    ((*range(2, 65), 128, 256), (96, 173, 192, 320), "95c0c89afcc001293a4f44251f8114ec0969573ec54ae0c845b916b770230625"),
+    pytest.param(
+        (512, 1024), (576, 1088, 2112), "4d643896dc3fc8f4978898db1bd2625a6f6aab0d066887eee5bdaa9238a3a041",
+        marks=pytest.mark.slow,
+    ),
+]
+
+
+@pytest.mark.parametrize("orders, widths, sha256", GL_TABLES)
+def test_gl_tables_are_pinned(orders, widths, sha256):
+    h = hashlib.sha256()
+    for width in widths:
+        for order in orders:
+            for x, w in quadrature._gl_halfline(order, width):
+                for v in (x, w):
+                    sign, man, e, _bc = v._mpf_
+                    h.update(f"{sign},{int(man)},{e};".encode())
+    assert h.hexdigest() == sha256
+
+
 def test_gl_order_1_is_the_center_node():
     assert quadrature._gl_halfline(1, 160) == ((0, 2),)
 
@@ -629,6 +654,20 @@ def test_a_2d_integrand_is_smooth_on_a_square():
             dataclasses.replace(get_integrand("sigma_double"), **changes)
 
 
+def test_a_closed_form_end_of_no_term_but_1_is_its_rational(cold_caches, p128):
+    # one interval, one spelling: (0, 1) and (0, ClosedForm({ONE: 1})) make one
+    # square, and their integrals share each level's floored nodes
+    one = ClosedForm({BasisConstant.ONE: Fraction(1)})
+    xy = Integrand(id="xy", evaluator=lambda x, y: x * y, domain=((0, 1), (0, one)))
+    assert xy.domain == ((0, 1), (0, 1))
+    assert dataclasses.replace(get_integrand("sigma_double"), domain=((0, one), (ClosedForm(), 1))).domain == xy.domain
+    f = quadrature.expression("x_sq", lambda c, x: c.sq(x))
+    results = [integrate(dataclasses.replace(f, domain=d), TanhSinh(), p128) for d in ((0, 1), (0, one))]
+    assert results[0] == results[1]
+    assert quadrature._ts_fixed_nodes.cache_info().currsize == results[0].level_or_order
+    assert dataclasses.replace(f, domain=(0, HALF_PI)).domain == (0, HALF_PI)  # a multiple of pi stays a form
+
+
 def test_2d_tanh_sinh_inner_is_refused(p64):
     f = Integrand(id="xpy", evaluator=lambda x, y: x + y, domain=((0, 1), (0, 1)))
     with pytest.raises(ValueError, match="Gauss-Legendre only"):
@@ -696,6 +735,33 @@ def test_product_sum_matches_the_cell_by_cell_sum(bits, order):
         got, n_got = quadrature._product_sum(SIGMA, pairs)
         assert n_got == n_ref == order * order
         assert abs(got - ref) <= ldexp(1, -bits)
+
+
+def square_sum(integrand, pairs):
+    """`_product_sum`'s integer S, summed here cell by cell over the whole square of its axis."""
+    g, h = integrand.form
+    pts = [(x, w) for x1, x2, w in pairs for x in (x1, x2)]
+    W = mp.prec + 8 + len(pts).bit_length()
+    h = partial(h, numeric.fixed_context(W))
+    axis = [(int(ldexp(w * g(numeric.MP, x), W)), int(ldexp(x, W))) for x, w in pts]
+    return sum(A * B * h(U * V >> W) for A, U in axis for B, V in axis)
+
+
+TRIANGLES = [(order, 320) for order in (8, 16, 32, 64, 128, 256)] + [pytest.param(512, 1088, marks=pytest.mark.slow)]
+
+
+@pytest.mark.parametrize("order, bits", TRIANGLES)
+def test_product_sum_over_one_triangle_is_the_square_sum(monkeypatch, order, bits):
+    # h(U_i U_j >> W) = h(U_j U_i >> W), so the triangle's integer is the square's
+    # exactly, not merely within a bound; the rule's size stays n^2 evaluations
+    with workprec(bits):
+        pairs = quadrature._gl_axis((0, 1), quadrature._gl_halfline(order, bits))
+        sums = []  # the integer S, read as `_product_sum` hands it to mpf
+        monkeypatch.setattr(quadrature, "mpf", lambda S: sums.append(S) or mpf(S))
+        _value, n = quadrature._product_sum(SIGMA, pairs)
+        monkeypatch.undo()
+        assert sums == [square_sum(SIGMA, pairs)]
+        assert n == order * order
 
 
 # --- the fixed-point tanh-sinh ladder of a declared kernel ---------------------
