@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
+from itertools import chain, repeat
 from typing import Callable, Optional
 
 from mpmath import exp, isfinite, ldexp, log, mp, mpc, mpf, pi, workprec
@@ -505,34 +506,24 @@ def _ts_fixed_ladder(integrand, cap, bits):
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Legendre nodes: each positive root of P_n is seeded in float64 by
-# Newton on the three-term recurrence from the asymptotic guess
-# cos(pi (k - 1/4) / (n + 1/2)), then polished on P_n and P_n' in integers
-# scaled by 2^w: by Halley steps, (1 - x^2) P_n'' = 2x P_n' - n(n + 1) P_n, at
-# widths up to W, each a third of the next plus 16 bits as a step about triples
-# the good bits, then by Newton at W.  The widths set only the cost.
+# Gauss-Legendre nodes: each positive root of P_n starts from the asymptotic
+# guess cos(pi (k - 1/4) / (n + 1/2)), taken at 53 bits, and takes Halley steps
+# on P_n and P_n' in integers scaled by 2^w, (1 - x^2) P_n'' = 2x P_n' - n(n + 1)
+# P_n, at widths W, W // 3 + 16, ..., lowest first, as a step about triples the
+# good bits.  The lowest, the floor, is 2 bit_length(n) + 16 bits and at least
+# 32: one step from the guess reaches about that many, its unit stays far below
+# 1 - x_1 ~ 2.9 / n^2 so the largest root cannot round onto its neighbour, and
+# 32 keeps the widths above the fixed point 24 of w -> w // 3 + 16.  The widths
+# set only the cost.
 #
 # Error bound: the recurrence is stable on |x| <= 1, so P_n and P_{n-1} carry
-# at most ~n^2 units of 2^-W, and so does the Newton correction, as
-# |P_n'| >= 1 at every root.  Newton stops once its correction at width W is
-# below 4 n^2 units, leaving x good to ~4 n^2 2^-W.  As 1 - x^2 >= ~(2.4/n)^2,
-# the weight 2 (1 - x^2) / (n P_{n-1} - n x P_n)^2 from that last evaluation
-# is good to ~4 n^4 2^-W = 2^-(gen_bits + 30 - 2 bit_length(n)) relative,
-# before the one rounding to gen_bits.
+# at most ~n^2 units of 2^-W, and so does the Newton correction P_n / P_n', as
+# |P_n'| >= 1 at every root.  The steps at W stop once that correction is below
+# 4 n^2 units, leaving x good to ~4 n^2 2^-W.  As 1 - x^2 >= ~(2.4/n)^2, the
+# weight 2 (1 - x^2) / (n P_{n-1} - n x P_n)^2 from that last evaluation is
+# good to ~4 n^4 2^-W = 2^-(gen_bits + 30 - 2 bit_length(n)) relative, before
+# the one rounding to gen_bits.
 # ---------------------------------------------------------------------------
-
-def _gl_seed(n, k):
-    # dx < 1e-12 leaves an error below float resolution up to MAX_ORDER
-    x = math.cos(math.pi * (k - 0.25) / (n + 0.5))
-    while True:
-        p0, p1 = 1.0, x
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dx = p1 * (1 - x * x) / (n * (p0 - x * p1))
-        x -= dx
-        if abs(dx) < 1e-12:
-            return x
-
 
 def _gl_newton(n, X, w):
     """(P_n / P_n', (1 - x^2) P_n', 1 - x^2) at x = X / 2^w, scaled by 2^w."""
@@ -549,23 +540,21 @@ def _gl_halfline(order, bits):
     """The n-point rule's (x, w) for x >= 0."""
     gen_bits = bits + 16
     W = gen_bits + 32 + 2 * order.bit_length()
-    widths = [W]  # Halley widths W, W // 3 + 16, ..., each above the seed's 53 bits
-    while widths[-1] // 3 + 16 > 53:
-        widths.append(widths[-1] // 3 + 16)
-    # an odd rule's center seed 0 stays exactly 0: P_n(0) = 0 in integers too
-    seeds = [0.0] * (order % 2) + [_gl_seed(order, k) for k in range(order // 2, 0, -1)]
+    floor = max(32, 2 * order.bit_length() + 16)
+    widths = [W]
+    while widths[-1] > floor:
+        widths.append(max(widths[-1] // 3 + 16, floor))
+    # an odd rule's center guess 0 stays exactly 0: P_n(0) = 0 in integers too
+    guesses = [0.0] * (order % 2) + [math.cos(math.pi * (k - 0.25) / (order + 0.5)) for k in range(order // 2, 0, -1)]
     out = []
-    for x in seeds:
+    for x in guesses:
         w, X = 53, int(math.ldexp(x, 53))
-        for v in reversed(widths):  # x - u / (1 - u P_n'' / 2 P_n'), u = P_n / P_n'
-            X, w = X << (v - w), v
-            D, _q, one_m = _gl_newton(order, X, w)
-            X -= (D << w) // ((1 << w) - D * (2 * X - order * (order + 1) * D) // (2 * one_m))
-        while True:
-            D, q, one_m = _gl_newton(order, X, W)
-            if abs(D) < 4 * order * order:
+        for v in chain(reversed(widths), repeat(W)):  # x - u / (1 - u P_n'' / 2 P_n'), u = P_n / P_n'
+            X, w = X << v >> w, v
+            D, q, one_m = _gl_newton(order, X, w)
+            if w == W and abs(D) < 4 * order * order:
                 break
-            X -= D
+            X -= (D << w) // ((1 << w) - D * (2 * X - order * (order + 1) * D) // (2 * one_m))
         with workprec(gen_bits):
             out.append((ldexp(mpf(X), -W), ldexp(mpf((one_m << 2 * W + 1) // (q * q)), -W)))
     return tuple(out)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 from functools import partial
@@ -524,6 +525,8 @@ def legendre_fixed(n, X, V):
 GL_BRACKETS = [(order, bits) for bits in (192, 320) for order in quadrature._gl_orders(128)] + [
     (256, 576),
     pytest.param(512, 1088, marks=pytest.mark.slow),
+    pytest.param(1024, 2112, marks=pytest.mark.slow),
+    pytest.param(4096, 64, marks=pytest.mark.slow),
 ]
 
 
@@ -550,12 +553,17 @@ def test_gl_nodes_bracket_a_root_of_p_n(order, bits):
 
 # SHA-256 of the exact sign, mantissa and exponent of every Gauss-Legendre node
 # and weight `_gl_halfline` builds, at each width for each order.  Recorded from
-# the Newton builder that doubled its width each step, before the Halley steps:
-# a change to how the roots are polished that moves a single bit shows here.
+# the Newton builder that doubled its width each step, before the Halley steps,
+# except orders 2048 and 4096, recorded from the Halley builder with a float64
+# seed: a change to how the roots are polished that moves a single bit shows here.
 GL_TABLES = [
     ((*range(2, 65), 128, 256), (96, 173, 192, 320), "95c0c89afcc001293a4f44251f8114ec0969573ec54ae0c845b916b770230625"),
     pytest.param(
         (512, 1024), (576, 1088, 2112), "4d643896dc3fc8f4978898db1bd2625a6f6aab0d066887eee5bdaa9238a3a041",
+        marks=pytest.mark.slow,
+    ),
+    pytest.param(
+        (2048, 4096), (64,), "9a99b734ac4456e022b1d27a533b323210f1071619961d75de8e9d50c044ece7",
         marks=pytest.mark.slow,
     ),
 ]
@@ -571,6 +579,22 @@ def test_gl_tables_are_pinned(orders, widths, sha256):
                     sign, man, e, _bc = v._mpf_
                     h.update(f"{sign},{int(man)},{e};".encode())
     assert h.hexdigest() == sha256
+
+
+@pytest.mark.parametrize("width", (96, 173, 192, 320))
+def test_gl_roots_take_at_most_two_evaluations_at_full_width(monkeypatch, width):
+    # each root ends at the builder's width W: one Halley step, then the evaluation
+    # that confirms it and gives the weight.  A root's evaluations at W follow its
+    # last one at a lower width, so each run of W in the call log is one root's.
+    widths = []
+    newton = quadrature._gl_newton
+    monkeypatch.setattr(quadrature, "_gl_newton", lambda n, X, w: widths.append(w) or newton(n, X, w))
+    for order in (*range(2, 65), 128, 256):
+        W = width + 16 + 32 + 2 * order.bit_length()
+        widths.clear()
+        quadrature._gl_halfline.__wrapped__(order, width)
+        runs = [len(list(run)) for at_w, run in itertools.groupby(widths, key=lambda w: w == W) if at_w]
+        assert len(runs) == (order + 1) // 2 and max(runs) <= 2, order
 
 
 def test_gl_order_1_is_the_center_node():
