@@ -677,8 +677,8 @@ if len({c.id for c in CATALOG}) != len(CATALOG):
     raise CatalogError("catalog ids are not unique")
 
 
-# the widest run the catalog is tested at (a `slow` test); the kernels of a wider
-# ladder outrun the widths mpmath's Taylor caches serve
+# the widest run the catalog is tested at (a `slow` test); a wider one could
+# spend hours in eq05's tensor rule
 MAX_PRECISION_BITS = 2048
 
 

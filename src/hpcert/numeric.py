@@ -27,13 +27,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import accumulate
 import math
 import sys
 from types import SimpleNamespace
 
 from mpmath import atan, catalan, cos, isfinite, ldexp, libmp, ln2, log, log1p, mag, mp, mpf, pi, sin, workprec
 from mpmath.libmp import libintmath, to_fixed
-from mpmath.libmp.libelefun import atan_taylor, cos_sin_fixed, ln2_fixed, log_taylor_cached, pi_fixed
+from mpmath.libmp.libelefun import cos_sin_fixed, ln2_fixed, pi_fixed
 
 from .errors import BasisError, DomainError
 
@@ -91,58 +92,115 @@ def ulp(x, bits):
 # ---------------------------------------------------------------------------
 # Fixed-point elementary functions for the integrands' integer kernels: an
 # argument T stands for t = T / 2^W and a result for its value times 2^W.
-# Both run mpmath's own fixed-point Taylor series about its cached points
-# a = k 2^-9 (log) and k 2^-7 (atan), the ones `mpf_log` and `mpf_atan` use.
-# Each series term is floored once, |t - a| < 2^-7 leaves at most W/28 + 1
-# rounds of two terms, and the cached value is floored from 20 or more extra
-# bits, so a result is within W/8 + 16 units of 2^-W.  `log1p_fixed` runs at
-# W + s, s <= 2 for t < 3, up to 2500 bits, the widest `log_taylor_cached` serves.
+# Both take mpmath's own fixed-point Taylor step, floor for floor, about the
+# points a = k 2^-9 (log) and k 2^-7 (atan) that `mpf_log` and `mpf_atan` use,
+# but read a's value from the tables below, not from mpmath's caches.  Each
+# series term is floored once, |t - a| < 2^-7 leaves at most W/28 + 1 rounds
+# of two terms, and the value at a is floored once, so a result is within
+# W/8 + 16 units of 2^-W.  `log1p_fixed` runs at W + s, s <= 2 for t < 3.
+#
+# The tables, floor(ln(k/512) 2^P) for k = 256 ... 511 and floor(arctan(k/128)
+# 2^P) for k = 0 ... 255, are built once per band of 64 precisions P, at
+# F = 64 (P // 64 + 2) bits, along k: from -ln 2 by steps 2 atanh(1/(2k + 1)),
+# from 0 by steps arctan(128/(16384 + k(k + 1))), each an `_odd_series` in a
+# v <= 2^-7 floored once: within F/20 + 10 units of 2^-F, twice that for the
+# log's 2 atanh.  The 255 steps and ln 2 leave under 255 (F/10 + 20) + 1 units,
+# 2^16 at F = 2240 (the band of the widest kernel precision, 2143), far below
+# the 2^64 or more in one unit of 2^-P: an entry is the exact floor unless its
+# value lies within 2^-(F - 17) of a multiple of 2^-P, which the tests rule
+# out at every P from 189 to 2143.
 # ---------------------------------------------------------------------------
 
 
-def log1p_fixed(T, W):
-    """ln(1 + t) 2^W for t >= 0, as ln(2^-s (1 + t)) + s ln 2 with 2^-s (1 + t) in [1/2, 1).
+def _odd_series(V0, V, W, sign):
+    """v0 sum_k (sign v^2)^k/(2k + 1) 2^W for v0 = V0 / 2^W and 0 <= v = V / 2^W <= 2^-7.
 
-    That is the reduction `mpf_log` makes, so the two share their cached points;
-    like `mpf_log`, it returns the one exact value, ln 1 = 0, exactly.
+    With V0 = V, the floors of `log_taylor_cached` (atanh v) or `atan_taylor` (arctan v), in order.
     """
-    if not T:
-        return 0
-    Y = (1 << W) + T
-    s = Y.bit_length() - W
-    return (log_taylor_cached(Y, W + s) + s * ln2_fixed(W + s)) >> s
-
-
-def atan_fixed(T, W):
-    """arctan(t) 2^W for 0 <= t < 2, the range `mpf_atan` hands `atan_taylor`."""
-    return atan_taylor(T, W)
-
-
-# ln(1 + u)/u and arctan(t)/t, for the integrands with a removable 0/0 at 0:
-# the two functions above divided by t would lose all accuracy as t -> 0.
-# From the first cached point past 0 on (u >= 2^-9, t >= 2^-7), each quotient
-# divides its function taken at W + s, s = 9 + 4 or 7 + 4, by its argument:
-# (W + s)/8 + 16 units of 2^-(W + s) over an argument of at least 2^(4 - s)
-# give (W + s)/128 + 1 units, plus 1 for the division.  Below that point each
-# sums its own series at W + 4 in powers v^2 < 2^-14, two terms a product as
-# `log_taylor_cached` does: every term floored once, at most W/28 + 2 rounds,
-# within W/20 + 8 units of 2^-(W + 4) before the final shift.  Both branches
-# are within W/128 + 3 units of 2^-W, and both give exactly 2^W at 0.
-
-QUOTIENT_GUARD = 4
-
-
-def _odd_series(V, W, sign):
-    """sum_k (sign v^2)^k/(2k + 1) 2^W for 0 <= v = V / 2^W < 2^-7."""
     V2 = V * V >> W
     V4 = V2 * V2 >> W
-    S0, S1, P, k = 1 << W, (1 << W) // 3, V4, 5
+    S0, S1, P, k = V0, V0 // 3, V0 * V4 >> W, 5
     while P:
         S0 += P // k
         S1 += P // (k + 2)
         P = P * V4 >> W
         k += 4
     return S0 + sign * (S1 * V2 >> W)
+
+
+@cache
+def _log_band(b):
+    """ln(k/512) 2^F for k = 256 ... 511, at F = 64 (b + 2)."""
+    F = (b + 2) << 6
+    steps = ((1 << F) // (2 * k + 1) for k in range(256, 511))
+    return F, list(accumulate((_odd_series(V, V, F, 1) << 1 for V in steps), initial=-ln2_fixed(F)))
+
+
+@cache
+def _atan_band(b):
+    """arctan(k/128) 2^F for k = 0 ... 255, at F = 64 (b + 2)."""
+    F = (b + 2) << 6
+    steps = ((1 << F + 7) // (16384 + k * (k + 1)) for k in range(255))
+    return F, list(accumulate((_odd_series(V, V, F, -1) for V in steps), initial=0))
+
+
+@cache
+def _log_points(P):
+    """floor(ln(k/512) 2^P) for k = 256 ... 511."""
+    F, points = _log_band(P >> 6)
+    return tuple(L >> F - P for L in points)
+
+
+@cache
+def _atan_points(P):
+    """floor(arctan(k/128) 2^P) for k = 0 ... 255."""
+    F, points = _atan_band(P >> 6)
+    return tuple(A >> F - P for A in points)
+
+
+def _log_taylor(Y, P):
+    """ln(y) 2^P for y = Y / 2^P in [1/2, 1): `log_taylor_cached`'s step about a = k/512."""
+    k = Y >> (P - 9)
+    A = k << (P - 9)
+    U = ((Y - A) << P) // A
+    V = (U << P) // ((2 << P) + U)
+    return _log_points(P)[k - 256] + (_odd_series(V, V, P, 1) << 1)
+
+
+def log1p_fixed(T, W):
+    """ln(1 + t) 2^W for t >= 0, as ln(2^-s (1 + t)) + s ln 2 with 2^-s (1 + t) in [1/2, 1).
+
+    That is the reduction `mpf_log` makes, so the two share their points;
+    like `mpf_log`, it returns the one exact value, ln 1 = 0, exactly.
+    """
+    if not T:
+        return 0
+    Y = (1 << W) + T
+    s = Y.bit_length() - W
+    return (_log_taylor(Y, W + s) + s * ln2_fixed(W + s)) >> s
+
+
+def atan_fixed(T, W):
+    """arctan(t) 2^W for 0 <= t < 2, the range `mpf_atan` hands `atan_taylor`: its step about a = k/128."""
+    k = T >> (W - 7)
+    A = k << (W - 7)
+    D = T - A
+    V = (D << W) // ((A * A >> W) + (A * D >> W) + (1 << W))
+    return _atan_points(W)[k] + _odd_series(V, V, W, -1)
+
+
+# ln(1 + u)/u and arctan(t)/t, for the integrands with a removable 0/0 at 0:
+# the two functions above divided by t would lose all accuracy as t -> 0.
+# From the first point past 0 on (u >= 2^-9, t >= 2^-7), each quotient
+# divides its function taken at W + s, s = 9 + 4 or 7 + 4, by its argument:
+# (W + s)/8 + 16 units of 2^-(W + s) over an argument of at least 2^(4 - s)
+# give (W + s)/128 + 1 units, plus 1 for the division.  Below that point each
+# sums its own `_odd_series` at W + 4 in powers v^2 < 2^-14: every term floored
+# once, at most W/28 + 2 rounds, within W/20 + 8 units of 2^-(W + 4) before
+# the final shift.  Both branches are within W/128 + 3 units of 2^-W, and
+# both give exactly 2^W at 0.
+
+QUOTIENT_GUARD = 4
 
 
 def log1p_over_fixed(U, W):
@@ -154,7 +212,7 @@ def log1p_over_fixed(U, W):
     # 2 atanh(v)/u = 2/(2 + u) sum_k v^2k/(2k + 1), with v = u/(2 + u) < 2^-10
     Wg = W + g
     D = (2 << Wg) + (U << g)
-    return (_odd_series((U << g + Wg) // D, Wg, 1) << Wg + 1) // D >> g
+    return (_odd_series(1 << Wg, (U << g + Wg) // D, Wg, 1) << Wg + 1) // D >> g
 
 
 def atan_over_fixed(T, W):
@@ -163,7 +221,7 @@ def atan_over_fixed(T, W):
     if T >> (W - 7):
         s = 7 + g
         return (atan_fixed(T << s, W + s) << W) // (T << s)
-    return _odd_series(T << g, W + g, -1) >> g
+    return _odd_series(1 << W + g, T << g, W + g, -1) >> g
 
 
 # The log-sine kernels' functions.  mpmath's `cos_sin_fixed` gives (cos t,
@@ -206,7 +264,7 @@ def log_fixed(Y, W):
     g = QUOTIENT_GUARD
     s = W - Y.bit_length()
     Z = Y << (g + s) if g + s >= 0 else Y >> -(g + s)
-    return (log_taylor_cached(Z, W + g) - s * ln2_fixed(W + g)) >> g
+    return (_log_taylor(Z, W + g) - s * ln2_fixed(W + g)) >> g
 
 
 # ---------------------------------------------------------------------------

@@ -513,8 +513,8 @@ def _ts_fixed_ladder(integrand, cap, bits):
 # good bits.  The lowest, the floor, is 2 bit_length(n) + 16 bits and at least
 # 32: one step from the guess reaches about that many, its unit stays far below
 # 1 - x_1 ~ 2.9 / n^2 so the largest root cannot round onto its neighbour, and
-# 32 keeps the widths above the fixed point 24 of w -> w // 3 + 16.  The widths
-# set only the cost.
+# 32 keeps the widths above the fixed point 24 of w -> w // 3 + 16.  The floor
+# is dropped if the next width is within 8 bits; the widths set only the cost.
 #
 # Error bound: the recurrence is stable on |x| <= 1, so P_n and P_{n-1} carry
 # at most ~n^2 units of 2^-W, and so does the Newton correction P_n / P_n', as
@@ -544,6 +544,8 @@ def _gl_halfline(order, bits):
     widths = [W]
     while widths[-1] > floor:
         widths.append(max(widths[-1] // 3 + 16, floor))
+    if widths[-2] - floor <= 8:
+        widths.pop()
     # an odd rule's center guess 0 stays exactly 0: P_n(0) = 0 in integers too
     guesses = [0.0] * (order % 2) + [math.cos(math.pi * (k - 0.25) / (order + 0.5)) for k in range(order // 2, 0, -1)]
     out = []

@@ -12,6 +12,10 @@ from hpcert import Precision, quadrature
 CACHES = {
     "numeric.constant_value",
     "numeric.fixed_context",  # each width's context, and with it its own memos
+    "numeric._log_band",  # the Taylor steps' points, once per band of 64 precisions
+    "numeric._atan_band",
+    "numeric._log_points",  # and shifted to each precision
+    "numeric._atan_points",
     "quadrature._ts_abscissae",
     "quadrature._ts_fixed_nodes",
     "quadrature._ts_ln_q_column",  # each level's ln q and ln(1 + q), the part no domain changes

@@ -39,7 +39,8 @@ ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_256 = ROOT / "perfbench" / "reference" / "cat256.json"
 REFERENCE_APP_256 = ROOT / "perfbench" / "reference" / "app256.json"
 REFERENCE_512 = ROOT / "perfbench" / "reference" / "cat512.json"
-GOLDEN_TEXT_256 = ROOT / "tests" / "golden" / "cat256.txt"
+GOLDEN = ROOT / "tests" / "golden"
+GOLDEN_TEXT_256 = GOLDEN / "cat256.txt"
 REFERENCE_FIELDS = ("lhs", "rhs", "abs_error", "tolerance", "passed", "evaluations")
 
 QUADRATURE_CHECK_IDS = [
@@ -331,3 +332,17 @@ def test_512_bit_report_matches_its_reference():
     # arithmetic differs at every width, and 512 bits is the widest reference
     report = build_report(512, CATALOG, 1, True)
     assert render_json(report) == REFERENCE_512.read_bytes()
+
+
+# full-catalog goldens at the tolerance floor and at 1024 and 2048 bits, where
+# the kernels run at their narrowest and widest widths
+def test_109_bit_report_matches_its_golden():
+    report = build_report(109, CATALOG, 1, True)
+    assert render_json(report) == (GOLDEN / "cat109.json").read_bytes()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("bits, jobs", [(1024, 1), (1024, 2), (2048, 1)])
+def test_wide_report_matches_its_golden(bits, jobs):
+    report = build_report(bits, CATALOG, jobs, True)
+    assert render_json(report) == (GOLDEN / f"cat{bits}.json").read_bytes()

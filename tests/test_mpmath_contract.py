@@ -57,12 +57,13 @@ def pi_fixed_is_the_floor():
 
 
 def fixed_log_and_atan():
-    # `log1p_fixed` and `log_fixed` read `log_taylor_cached` and `ln2_fixed`, `atan_fixed` is `atan_taylor`
+    # `log1p_fixed` and `log_fixed` add multiples of `ln2_fixed`, and the table of ln(k/512) starts from it
     for W in test_numeric.FIXED_WIDTHS:
+        test_numeric.test_log_points_are_exact_floors(W)
         test_numeric.test_fixed_log1p_and_atan_at_their_branch_points(W)
         test_numeric.test_fixed_quotients_at_their_branch_points(W)
         test_numeric.test_fixed_sin_over_and_log_at_their_branch_points(W)
-    test_numeric.test_widest_fixed_kernel_fits_mpmath_taylor_caches()
+    test_numeric.test_point_tables_serve_the_widest_kernel_widths()
 
 
 def cos_sin_within_32_units():
@@ -88,9 +89,7 @@ def bit_count():
 
 CONTRACTS = {
     "to_fixed": to_fixed_floors,
-    "atan_taylor": fixed_log_and_atan,
     "ln2_fixed": fixed_log_and_atan,
-    "log_taylor_cached": fixed_log_and_atan,
     "pi_fixed": pi_fixed_is_the_floor,
     "cos_sin_fixed": cos_sin_within_32_units,
     "libintmath": bit_count,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import exp, ldexp, mpf, sin, workprec
-from mpmath.libmp import BACKEND, from_man_exp, libintmath
+from mpmath.libmp import BACKEND, from_man_exp, libintmath, to_fixed
 
 from hpcert import (
     BasisConstant,
@@ -455,25 +455,66 @@ def test_fixed_quotients_at_their_branch_points(W):
         assert fixed_error(numeric.atan_over_fixed(T, W), quotient(mpmath.atan), T, W) <= bound, T
 
 
-def test_widest_fixed_kernel_fits_mpmath_taylor_caches():
-    # the widest ladder's kernels run at W = 2128; `log1p_fixed` widens it by up
-    # to 2 bits for 1 + t < 4, and `log_taylor_cached` serves only the widths
-    # whose cache step is at least as wide (below LOG_TAYLOR_PREC); the quotients
-    # call `log1p_fixed` at W + 13 (u < 3) and `atan_fixed` at W + 11
-    from mpmath.libmp import libelefun
+# the kernels' widest precisions, at W = 2128 for a 2048-bit report: `log1p_fixed`
+# widens W by up to 2 bits for 1 + t < 4, and the quotients call `log1p_fixed`
+# at W + 13 (u < 3) and `atan_fixed` at W + 11
+WIDEST_LOG, WIDEST_ATAN = 2143, 2139
+# the (P, k) where mpmath's cached ln(k/512), shifted to the precision P, is one
+# unit above the floor, at P = 256 and 2043 to 2048 alone: its cache keeps only
+# 20 to 25 bits more there
+MPMATH_POINT_ABOVE_FLOOR = (
+    {(256, 378), (2047, 264)} | {(P, 484) for P in range(2043, 2049)} | {(2048, k) for k in (264, 325, 348, 459)}
+)
 
+
+def point_floor(fn, x, P):
+    """floor(fn(x) 2^P), from fn taken 64 bits wider; its low 64 bits must leave the floor decisive."""
+    with workprec(P + 64):
+        X = to_fixed(fn(x)._mpf_, P + 64)  # within 2 units of floor(fn(x) 2^(P + 64))
+    assert 2 < X & ((1 << 64) - 1) < (1 << 64) - 2, (x, P)
+    return X >> 64
+
+
+@pytest.mark.parametrize("P", FIXED_WIDTHS + [WIDEST_LOG])
+def test_log_points_are_exact_floors(P):
+    assert numeric._log_points(P) == tuple(point_floor(mpmath.log, mpf(k) / 512, P) for k in range(256, 512))
+
+
+@pytest.mark.parametrize("P", FIXED_WIDTHS + [WIDEST_ATAN])
+def test_atan_points_are_exact_floors(P):
+    # arctan 0 = 0 exactly
+    assert numeric._atan_points(P) == (0,) + tuple(point_floor(mpmath.atan, mpf(k) / 128, P) for k in range(1, 256))
+
+
+def test_point_tables_equal_mpmath_cached_points_at_every_kernel_precision():
+    # mpmath's Taylor step at a point returns that point's cached value, shifted to P
+    from mpmath.libmp.libelefun import atan_taylor, log_taylor_cached
+
+    for P in range(189, WIDEST_LOG + 1):
+        ours = numeric._log_points.__wrapped__(P)  # uncached: some 2,000 precisions
+        for k in range(256, 512):
+            theirs = log_taylor_cached(k << (P - 9), P)
+            if (P, k) in MPMATH_POINT_ABOVE_FLOOR:
+                assert theirs == ours[k - 256] + 1 == point_floor(mpmath.log, mpf(k) / 512, P) + 1, (P, k)
+            else:
+                assert theirs == ours[k - 256], (P, k)
+        if P <= WIDEST_ATAN:
+            assert numeric._atan_points.__wrapped__(P) == tuple(atan_taylor(k << (P - 7), P) for k in range(256)), P
+
+
+def test_point_tables_serve_the_widest_kernel_widths():
+    # each width's tables come from its band's, built at least 64 bits wider
     from hpcert.identities import MAX_PRECISION_BITS
 
     width = Precision(MAX_PRECISION_BITS).guarded + numeric.GUARD_BITS
     W = width + quadrature.FIXED_EXTRA_BITS
     assert W == 2128
-    widest_log = W + 9 + numeric.QUOTIENT_GUARD
-    widest_atan = W + 7 + numeric.QUOTIENT_GUARD
-    for w in range(W, widest_log + 3):
-        assert w <= libelefun.LOG_TAYLOR_PREC
-        assert w < len(libelefun.cache_prec_steps) and libelefun.cache_prec_steps[w] >= w
-    assert widest_log + 2 == 2143
-    assert widest_atan < libelefun.ATAN_TAYLOR_PREC  # where `mpf_atan` itself still uses `atan_taylor`
+    assert W + 9 + numeric.QUOTIENT_GUARD + 2 == WIDEST_LOG
+    assert W + 7 + numeric.QUOTIENT_GUARD == WIDEST_ATAN
+    for P in range(W, WIDEST_LOG + 1):
+        for band, points in ((numeric._log_band, numeric._log_points), (numeric._atan_band, numeric._atan_points)):
+            F, wide = band(P >> 6)
+            assert F >= P + 64 and len(wide) == len(points(P)) == 256
 
 
 def test_the_two_operation_contexts_offer_the_same_operations():
