@@ -20,6 +20,7 @@ from hpcert import (
     integrate_2d,
     tanh_sinh_nodes,
 )
+from hpcert.quadrature import product
 
 p = Precision(128)
 
@@ -49,8 +50,8 @@ r = integrate(g, TanhSinh(), p)
 print(f"  value {nstr(r.value, 35)}   (closed form is -(pi/2)ln2)")
 print(f"  error estimate {nstr(r.error_estimate, 3)} after level {r.level_or_order}")
 
-print("\nGauss-Legendre tensor rule on a smooth 2D integrand:")
-h = Integrand(id="demo_2d", evaluator=lambda x, y: 1 / (1 + x * y), domain=((0, 1), (0, 1)))
+print("\nGauss-Legendre tensor rule on a smooth 2D integrand, the product form g(x) g(y) h(xy):")
+h = product("demo_2d", lambda c, x: c.one, lambda c, t: c.div(c.one, c.one + t))
 r = integrate_2d(h, GaussLegendre(), p)
 print(f"  int int 1/(1+xy) = {nstr(r.value, 35)}   (equals pi^2/12)")
 print(f"  final order {r.level_or_order}, {r.evaluations} evaluations")

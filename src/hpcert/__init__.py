@@ -22,7 +22,6 @@ from .numeric import (
     const_ln2,
     const_pi,
     eval_closed_form,
-    ulp,
 )
 from .quadrature import (
     GaussLegendre,
@@ -36,13 +35,10 @@ from .quadrature import (
 )
 from .series import (
     Crz,
-    Direct,
-    Euler,
     SeriesResult,
     ln1pt_over_t,
     sigma_series,
     sum_alternating,
-    tail,
 )
 from .identities import (
     CATALOG,

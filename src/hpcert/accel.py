@@ -1,9 +1,9 @@
-"""Summation kernels for alternating series  sum_{k>=0} (-1)^k c_k.
+"""The summation kernel for alternating series  sum_{k>=0} (-1)^k c_k.
 
-All three kernels run at the ambient mpmath precision and take a coefficient
+`crz_sum` runs at the ambient mpmath precision and takes a coefficient
 callback ``coeff(k) -> mpf`` with c_k > 0.  Precondition checking and
-precision management belong to the caller, `hpcert.series`; these functions
-are deliberately bare.
+precision management belong to the caller, `hpcert.series`; the kernel is
+deliberately bare.
 """
 
 from mpmath import mpf, sqrt
@@ -37,35 +37,3 @@ def crz_sum(coeff, n):
         b = (k + n) * (k - n) * b / ((k + mpf(1) / 2) * (k + 1))
     return s / d
 
-
-def euler_sum(coeff, m):
-    """Euler transform: sum_j (forward difference)^j c_0 / 2^(j+1).
-
-    Uses the first m coefficients; the difference table is O(m^2) operations.
-    Convergence is roughly 2^-m for totally monotone coefficients, an
-    independent (and slower) cross-check for `crz_sum`.
-    """
-    row = [coeff(k) for k in range(m)]
-    s = mpf(0)
-    p2 = mpf(1) / 2
-    for _ in range(m):
-        s += row[0] * p2
-        p2 /= 2
-        row = [row[i] - row[i + 1] for i in range(len(row) - 1)]
-        if not row:
-            break
-    return s
-
-
-def direct_sum(coeff, m):
-    """Plain partial sum of m terms; returns (value, remainder_bound).
-
-    The bound is the classic alternating-series remainder: the first
-    unsummed coefficient.
-    """
-    s = mpf(0)
-    sign = 1
-    for k in range(m):
-        s += sign * coeff(k)
-        sign = -sign
-    return s, coeff(m)

@@ -32,7 +32,7 @@ import math
 import sys
 from types import SimpleNamespace
 
-from mpmath import atan, catalan, cos, isfinite, ldexp, libmp, ln2, log, log1p, mag, mp, mpf, pi, sin, workprec
+from mpmath import atan, catalan, cos, isfinite, libmp, ln2, log, log1p, mp, mpf, pi, sin, workprec
 from mpmath.libmp import libintmath, to_fixed
 from mpmath.libmp.libelefun import cos_sin_fixed, ln2_fixed, pi_fixed
 
@@ -80,13 +80,6 @@ def round_to(x, p):
         raise DomainError(f"non-finite value {x!r} cannot cross the module boundary")
     with workprec(p.bits):
         return +x
-
-
-def ulp(x, bits):
-    """Unit in the last place of x at a mantissa of `bits` bits."""
-    if x == 0:
-        return ldexp(1, -bits)
-    return ldexp(1, mag(x) - bits)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,12 @@ A domain end is a rational or a `ClosedForm`, and a 2D integrand lives on a
 square.  Both rules hand over a level or rung as mirrored pairs (x1, x2, w);
 all three rules (1D tanh-sinh and Gauss-Legendre, 2D tensor Gauss-Legendre)
 run through one refinement driver, `_refine`, and both Gauss-Legendre rules
-through one ladder, `_gl_ladder`.  An integrand's declared `form` moves its
-sum into fixed-point integers: g + h ln x + k ln(b - x) has its tanh-sinh
-levels summed by `_ts_fixed_ladder`, and g(x) g(y) h(xy) its Gauss-Legendre
-rungs by `_product_sum`.  Only an integrand with a plain evaluator is summed in
-mpf, by `_ts_ladder`.
+through one ladder, `_gl_ladder`.  A 1D integrand's declared `form`,
+g + h ln x + k ln(b - x), moves its tanh-sinh levels into fixed-point integers,
+summed by `_ts_fixed_ladder`; without one they are summed in mpf by
+`_ts_ladder`, as 1D Gauss-Legendre rungs are by `_pair_sum`.  A 2D integrand
+is always a product form g(x) g(y) h(xy), whose rungs `_product_sum` sums in
+integers.
 
 Node tables are cached per precision, so repeated integrations share the
 (comparatively expensive) table setup.  Tanh-sinh levels are built on
@@ -69,9 +70,10 @@ class Integrand:
     singularities must return their limit).  A plain evaluator singular at b,
     or at an a other than 0, sees abscissae whose distance to that end is
     rounded to the ulp of the end; a form with k on (0, b) carries it exactly.
-    Refused when built: a 2D integrand off a square or with a singular flag,
-    and a form whose shape is not its domain's, whose flags are not those of
-    its logarithms, or with a logarithm on a domain whose left end is not 0.
+    Refused when built: a 2D integrand off a square, with a singular flag or
+    without a product form, and a form whose shape is not its domain's, whose
+    flags are not those of its logarithms, or with a logarithm on a domain
+    whose left end is not 0.
     """
 
     id: str
@@ -91,6 +93,8 @@ class Integrand:
         parts = 3 if self.dimension == 1 else 2
         if self.form is not None and len(self.form) != parts:
             raise ValueError(f"a {self.dimension}D form has {parts} parts, got {len(self.form)} on {self.id!r}")
+        if self.form is None and parts == 2:
+            raise ValueError(f"a 2D integrand is a product form, got none on {self.id!r}")
         if self.form and parts == 3:
             _g, h, k = self.form
             if (self.singular_left, self.singular_right) != (bool(h), bool(k)):
@@ -589,7 +593,7 @@ def _gl_ladder(integrand, cap, bits):
     if integrand.dimension == 1:
         domain, gl_sum = integrand.domain, _pair_sum
     else:
-        domain, gl_sum = integrand.domain[0], _product_sum if integrand.form else _tensor_sum
+        domain, gl_sum = integrand.domain[0], _product_sum
     scale = math.prod([_interval(domain)[2]] * integrand.dimension)  # halfw once per dimension
     evals = 0
     for order in _gl_orders(cap):
@@ -621,11 +625,12 @@ def integrate(f, s, p):
 
 # ---------------------------------------------------------------------------
 # 2D tensor Gauss-Legendre rule on a square: `_gl_ladder` builds its one axis
-# per rung, whose points x1, x2 of each pair in turn `_tensor_sum` sums, or
-# `_product_sum` for a form.
+# per rung, and `_product_sum` sums the rung's cells, every point x1, x2 of each
+# pair against every other, in integers.
 #
-# A 2D form (g, h) is two expressions: g runs under `MP`, and h under
-# fixed_context(W), bound once per rung, as h(T) = h(T / 2^W) 2^W in integers.
+# A 2D integrand is a form (g, h) of two expressions: g runs under `MP`, and h
+# under fixed_context(W), bound once per rung, as h(T) = h(T / 2^W) 2^W in
+# integers.
 # `_product_sum` sums a rung of n points at W = prec + 8 + bit_length(n):
 # A_i = w_i g(x_i) 2^W and U_i = x_i 2^W are truncated once per node, so g runs
 # once per node, then S = sum_i A_i sum_j A_j h(U_i U_j >> W) is exact.  As
@@ -638,21 +643,8 @@ def integrate(f, s, p):
 # ---------------------------------------------------------------------------
 
 
-def _tensor_sum(integrand, pairs):
-    """sum_x wx * sum_y wy * f(x, y) over the points of one axis on both, and its evaluations."""
-    f = integrand.evaluator
-    pts = [(x, w) for x1, x2, w in pairs for x in (x1, x2)]
-    S = mpf(0)
-    for x, wx in pts:
-        row = mpf(0)
-        for y, wy in pts:
-            row += wy * _checked(f(x, y), integrand, (x, y))
-        S += wx * row
-    return S, len(pts) ** 2
-
-
 def _product_sum(integrand, pairs):
-    """`_tensor_sum` of an integrand with a product form, in fixed-point integers, over one triangle of its cells."""
+    """sum_x wx sum_y wy g(x) g(y) h(xy) on one axis's points, in integers on one triangle, and its n^2 evaluations."""
     g, h = integrand.form
     pts = [(x, w) for x1, x2, w in pairs for x in (x1, x2)]
     W = mp.prec + 8 + len(pts).bit_length()

@@ -5,11 +5,12 @@ The central quantity is the tail
     a_n = ln2 - (1/(n+1) + ... + 1/(2n)),
 
 which equals both the alternating tail sum_{k>=2n+1} (-1)^(k-1)/k and the
-integral of x^(2n)/(1+x) over [0,1].  This module sums series only: `tail`
-is the exact harmonic route, whose rational part stays exact so that the only
-rounding comes from the single ln2 subtraction.  The integral route, like
-every integral a check reads, is an integrand registered in `identities`
-(`tail_integral_n{n}`), and eq04 compares the two.
+integral of x^(2n)/(1+x) over [0,1].  This module sums series only.  Every
+accelerated sum runs through one method, CRZ; the one plain partial sum is
+`ln2_direct_partial`, eq03's bracket.  The harmonic route keeps the rational
+part of a_n exact, so that the only rounding is the single ln2 subtraction.
+The integral route, like every integral a check reads, is an integrand
+registered in `identities` (`tail_integral_n{n}`), and eq04 compares the two.
 """
 
 from dataclasses import dataclass
@@ -22,16 +23,6 @@ from mpmath import ldexp, mp, mpf, workprec
 from . import accel
 from .errors import PreconditionError
 from .numeric import BasisConstant, constant_value, round_to
-
-
-@dataclass(frozen=True)
-class Direct:
-    terms: int
-
-
-@dataclass(frozen=True)
-class Euler:
-    terms: int
 
 
 @dataclass(frozen=True)
@@ -82,12 +73,6 @@ def _require_count(n, name):
         raise ValueError(f"{name} must be an int >= 1")
 
 
-def tail(n, p):
-    """The harmonic a_n = ln2 - (1/(n+1) + ... + 1/(2n)) at precision p."""
-    _require_count(n, "tail index")
-    return round_to(_harmonic_tails([n], p.guarded)[0], p)
-
-
 def _scan_coefficients(coeff, count):
     """Evaluate and check positivity + (non-strict) monotone decrease."""
     vals = [coeff(k) for k in range(count)]
@@ -100,34 +85,20 @@ def _scan_coefficients(coeff, count):
 
 
 def sum_alternating(coeffs, m, p):
-    """Sum  sum_{k>=0} (-1)^k coeffs(k)  by the chosen method.
+    """Sum  sum_{k>=0} (-1)^k coeffs(k)  by CRZ, the one method, without a computed bound.
 
-    DIRECT attaches the alternating-series remainder bound.  EULER and CRZ
-    return accelerated values without a computed bound; CRZ additionally
-    assumes the coefficients are totally monotone (a moment sequence), which
-    is documented rather than checked -- the scan only covers positivity and
-    decrease over the terms actually used.
+    CRZ assumes the coefficients are totally monotone (a moment sequence),
+    which is documented rather than checked -- the scan only covers positivity
+    and decrease over the terms actually used.
     """
+    if not isinstance(m, Crz):
+        raise ValueError(f"unknown acceleration method {m!r}")
     terms = m.terms
     _require_count(terms, "method terms")
-    g = p.guarded
-    if isinstance(m, Direct):
-        with workprec(g):
-            vals = _scan_coefficients(coeffs, terms + 1)
-            s, bound = accel.direct_sum(lambda k: vals[k], terms)
-        return SeriesResult(round_to(s, p), terms, round_to(bound, p))
-    if isinstance(m, Euler):
-        # the difference table cancels ~1 bit per column; widen the guard
-        with workprec(g + terms):
-            vals = _scan_coefficients(coeffs, terms)
-            s = accel.euler_sum(lambda k: vals[k], terms)
-        return SeriesResult(round_to(s, p), terms)
-    if isinstance(m, Crz):
-        with workprec(g + 16):
-            vals = _scan_coefficients(coeffs, terms)
-            s = accel.crz_sum(lambda k: vals[k], terms)
-        return SeriesResult(round_to(s, p), terms)
-    raise ValueError(f"unknown acceleration method {m!r}")
+    with workprec(p.guarded + 16):
+        vals = _scan_coefficients(coeffs, terms)
+        s = accel.crz_sum(lambda k: vals[k], terms)
+    return SeriesResult(round_to(s, p), terms)
 
 
 def sigma_series(p, method):
@@ -139,12 +110,12 @@ def sigma_series(p, method):
     """
     _require_count(method.terms, "method terms")
     g = p.guarded
-    vals = _harmonic_tails(range(1, method.terms + 2), g)
+    vals = _harmonic_tails(range(1, method.terms + 1), g)
     with workprec(g):
         sq = [v * v for v in vals]  # sq[k] = a_{k+1}^2
     result = sum_alternating(lambda k: sq[k], method, p)
     with workprec(p.bits):  # exact: the value is already rounded to p.bits
-        return SeriesResult(-result.value, result.terms_used, result.error_bound)
+        return SeriesResult(-result.value, result.terms_used)
 
 
 def ln2_direct_partial(terms, p):

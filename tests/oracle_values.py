@@ -1,12 +1,18 @@
-"""Frozen reference values for the test suite.
+"""Frozen reference values for the test suite, and the references the tests share.
 
 Every decimal below was produced by an oracle independent of the code under
 test (mpmath's own constants plus exact closed-form arithmetic at 70 digits,
 cross-checked against accelerated-series and antiderivative computations)
 and then frozen.  Tests compare engine output against these strings.
+
+Below them: `ulp`, the Euler transform, an accelerator independent of CRZ, and
+`tail`, the harmonic a_n read from the very code `sigma_series` sums.
 """
 
-from mpmath import mpf, workprec
+from mpmath import ldexp, mag, mpf, workprec
+
+from hpcert import series
+from hpcert.numeric import round_to
 
 PI = "3.141592653589793238462643383279502884197169399375105820974944592307816406286208998628"
 LN2 = "0.6931471805599453094172321214581765680755001343602552541206800094933936219696947156059"
@@ -50,3 +56,40 @@ def assert_close(value, frozen, tol):
     """|value - oracle(frozen)| <= tol, with a readable failure message."""
     diff = abs(value - oracle(frozen))
     assert diff <= tol, f"|{value} - {frozen}| = {diff} > {tol}"
+
+
+def ulp(x, bits):
+    """Unit in the last place of x at a mantissa of `bits` bits."""
+    if x == 0:
+        return ldexp(1, -bits)
+    return ldexp(1, mag(x) - bits)
+
+
+def euler_sum(coeff, m):
+    """Euler transform of sum_k (-1)^k c_k: sum_j (forward difference)^j c_0 / 2^(j+1), at the ambient precision.
+
+    Uses the first m coefficients; the difference table is O(m^2) operations.
+    Convergence is roughly 2^-m for totally monotone coefficients, an
+    independent (and slower) cross-check for CRZ.  The table cancels about a
+    bit per column, so run it about m bits above the target.
+    """
+    row = [coeff(k) for k in range(m)]
+    s = mpf(0)
+    p2 = mpf(1) / 2
+    for _ in range(m):
+        s += row[0] * p2
+        p2 /= 2
+        row = [row[i] - row[i + 1] for i in range(len(row) - 1)]
+    return s
+
+
+def tail(n, p):
+    """The harmonic a_n = ln2 - (1/(n+1) + ... + 1/(2n)) at precision p, as `sigma_series` forms it."""
+    return round_to(series._harmonic_tails([n], p.guarded)[0], p)
+
+
+def sigma_by_euler(terms, p):
+    """sigma = sum_{n>=1} (-1)^n a_n^2 by the Euler transform of its first `terms` coefficients, rounded to p."""
+    with workprec(p.guarded + terms):
+        sq = [a * a for a in series._harmonic_tails(range(1, terms + 1), p.guarded)]
+        return -round_to(euler_sum(lambda k: sq[k], terms), p)

@@ -13,7 +13,6 @@ HOOKS = [
     (identities, "run_check"),
     (identities, "run_catalog"),
     (identities.CheckContext, "integrate"),
-    (series, "tail"),
     (series, "ln2_direct_partial"),
     (series, "sigma_series"),
     (series, "ln1pt_over_t"),

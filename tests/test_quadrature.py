@@ -26,13 +26,18 @@ from hpcert import (
     tanh_sinh_nodes,
 )
 from hpcert.identities import _REGISTRY, _fd_step, _param_integrand, get_integrand
-from oracle_values import A1, LOGSINE, assert_close
+from oracle_values import A1, LOGSINE, assert_close, ulp
 
 HALF_PI = ClosedForm({BasisConstant.PI: Fraction(1, 2)})
 
 
 def const_one():
     return Integrand(id="one", evaluator=lambda x: mpf(1), domain=(0, 1))
+
+
+def xy(id="xy"):
+    """x y on the unit square: the product form g(x) g(y) h(xy) with g(x) = x and h = 1."""
+    return quadrature.product(id, lambda c, x: x, lambda c, t: c.one)
 
 
 def test_node_functions_refuse_out_of_range_input(cold_caches, p64):
@@ -357,7 +362,7 @@ def test_gl_refuses_singular(p64):
 
 
 def test_dimension_mismatch(p64):
-    f2 = Integrand(id="2d", evaluator=lambda x, y: x * y, domain=((0, 1), (0, 1)))
+    f2 = xy("2d")
     with pytest.raises(ValueError):
         integrate(f2, TanhSinh(), p64)
     with pytest.raises(ValueError):
@@ -398,7 +403,7 @@ def test_non_real_values_are_a_domain_error_in_every_rule(value, p64):
     # log(x - 2) is complex on [0, 1]: tanh-sinh used to die on an AttributeError,
     # and both Gauss-Legendre rules returned the complex sum as the value
     f = Integrand(id="cx", evaluator=value, domain=(0, 1))
-    f2 = Integrand(id="cx2", evaluator=lambda x, y: value(x * y), domain=((0, 1), (0, 1)))
+    f2 = quadrature.product("cx2", lambda c, x: value(x), lambda c, t: c.one)
     for run in (
         lambda: integrate(f, TanhSinh(), p64),
         lambda: integrate(f, GaussLegendre(), p64),
@@ -551,6 +556,41 @@ def test_gl_nodes_bracket_a_root_of_p_n(order, bits):
         assert min(abs(lo), abs(hi)) > order * order << 64, x
 
 
+def gl_weight(n, x):
+    """2 (1 - x^2) / (n (P_{n-1}(x) - x P_n(x)))^2, the n-point weight at a root x, at the ambient precision."""
+    p0, p1 = mpf(1), x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return 2 * (1 - x * x) / (n * (p0 - x * p1)) ** 2
+
+
+GL_WEIGHTS = [
+    ((*range(2, 65), 128), 320),
+    pytest.param((*range(2, 65), 128), 96, marks=pytest.mark.slow),
+    pytest.param((*range(2, 65), 128), 173, marks=pytest.mark.slow),
+    pytest.param((256,), 576, marks=pytest.mark.slow),
+    pytest.param((512,), 1088, marks=pytest.mark.slow),
+    pytest.param((1024,), 2112, marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize("orders, bits", GL_WEIGHTS)
+def test_gl_weights_bracket_the_weight_at_a_root(orders, bits):
+    # a root of P_n lies within 2^-gen_bits of each stored node x (the test above),
+    # so its weight lies between the weights at x - 2^-gen_bits and x + 2^-gen_bits
+    # wherever the weight is monotone, and within far below a unit of them at the
+    # even weight's peak, x = 0.  Evaluated at 2 gen_bits + 64, where both ends are
+    # exact, the stored weight, rounded once to gen_bits, is within one unit at
+    # gen_bits of that interval: the rounding's half unit, and the rest to spare.
+    gen_bits = bits + 16
+    for order in orders:
+        for x, w in quadrature._gl_halfline(order, bits):
+            with workprec(2 * gen_bits + 64):
+                ends = [gl_weight(order, x + e) for e in (-ldexp(1, -gen_bits), ldexp(1, -gen_bits))]
+                unit = ulp(w, gen_bits)
+                assert min(ends) - unit <= w <= max(ends) + unit, (order, x)
+
+
 # SHA-256 of the exact sign, mantissa and exponent of every Gauss-Legendre node
 # and weight `_gl_halfline` builds, at each width for each order.  Recorded from
 # the Newton builder that doubled its width each step, before the Halley steps,
@@ -629,51 +669,63 @@ def test_gl_order_2_integrates_x(p128):
 # --- 2D tensor rule ---------------------------------------------------------
 
 
+def tensor_sum(integrand, pairs):
+    """`_product_sum`'s reference: sum_x wx * sum_y wy * f(x, y) in mpf, cell by cell; and its evaluations."""
+    f = integrand.evaluator
+    pts = [(x, w) for x1, x2, w in pairs for x in (x1, x2)]
+    S = mpf(0)
+    for x, wx in pts:
+        row = mpf(0)
+        for y, wy in pts:
+            row += wy * f(x, y)
+        S += wx * row
+    return S, len(pts) ** 2
+
+
 def test_2d_constant(p64):
-    f = Integrand(id="c2", evaluator=lambda x, y: mpf(1), domain=((0, 1), (0, 1)))
+    f = quadrature.product("c2", lambda c, x: c.one, lambda c, t: c.one)
     r = integrate_2d(f, GaussLegendre(), p64)
     assert abs(r.value - 1) < ldexp(1, -50)
 
 
 def test_2d_xy_quarter(p64):
-    f = Integrand(id="xy", evaluator=lambda x, y: x * y, domain=((0, 1), (0, 1)))
-    r = integrate_2d(f, GaussLegendre(), p64)
+    r = integrate_2d(xy(), GaussLegendre(), p64)
     assert abs(r.value - mpf(1) / 4) < ldexp(1, -50)
 
 
 def test_2d_gl_order_2_xy_quarter(p128):
     # one rung of the tensor rule: the 2-point rule on each axis is exact on xy
-    f = Integrand(id="xy", evaluator=lambda x, y: x * y, domain=((0, 1), (0, 1)))
     with workprec(p128.guarded):
         pairs = quadrature._gl_axis((0, 1), quadrature._gl_halfline(2, p128.guarded))
         halfw = quadrature._interval((0, 1))[2]
-        S, n = quadrature._tensor_sum(f, pairs)
-        assert n == 4
-        assert abs(halfw * halfw * S - mpf(1) / 4) <= ldexp(1, -(p128.bits - 8))
+        for S, n in (tensor_sum(xy(), pairs), quadrature._product_sum(xy(), pairs)):
+            assert n == 4
+            assert abs(halfw * halfw * S - mpf(1) / 4) <= ldexp(1, -(p128.bits - 8))
 
 
 def test_2d_separable_matches_1d_product(p64):
+    # g(x) g(y) with h = 1 is the square of g's 1D integral
     fx = Integrand(id="fx", evaluator=lambda x: x * x / (1 + x), domain=(0, 1))
-    fy = Integrand(id="fy", evaluator=lambda y: 1 / (1 + y * y), domain=(0, 1))
-    f2 = Integrand(
-        id="fxy",
-        evaluator=lambda x, y: (x * x / (1 + x)) * (1 / (1 + y * y)),
-        domain=((0, 1), (0, 1)),
-    )
+    f2 = quadrature.product("fxy", lambda c, x: c.div(c.sq(x), c.one + x), lambda c, t: c.one)
     rx = integrate(fx, GaussLegendre(), p64)
-    ry = integrate(fy, GaussLegendre(), p64)
     r2 = integrate_2d(f2, GaussLegendre(), p64)
     with workprec(128):
-        prod = rx.value * ry.value
-        assert abs(r2.value - prod) <= ldexp(1, -56)
+        assert abs(r2.value - rx.value**2) <= ldexp(1, -56)
+
+
+def test_a_2d_integrand_is_a_product_form():
+    # refused where it is declared, by `dataclasses.replace` too, not when it is integrated
+    with pytest.raises(ValueError, match="a 2D integrand is a product form, got none on 'xy'"):
+        Integrand(id="xy", evaluator=lambda x, y: x * y, domain=((0, 1), (0, 1)))
+    with pytest.raises(ValueError, match="a 2D integrand is a product form, got none on 'sigma_double'"):
+        dataclasses.replace(get_integrand("sigma_double"), form=None)
 
 
 def test_a_2d_integrand_is_smooth_on_a_square():
     # refused where it is declared, by `dataclasses.replace` too, not when it is integrated
-    xy = Integrand(id="xy", evaluator=lambda x, y: x * y, domain=((0, 1), (0, 1)))
     for changes in ({"domain": ((0, 1), (0, 2))}, {"singular_left": True}):
         with pytest.raises(ValueError, match="a 2D integrand is smooth on a square, got .* on 'xy'"):
-            Integrand(**{**dataclasses.asdict(xy), **changes})
+            dataclasses.replace(xy(), **changes)
         with pytest.raises(ValueError, match="a 2D integrand is smooth on a square"):
             dataclasses.replace(get_integrand("sigma_double"), **changes)
 
@@ -682,9 +734,10 @@ def test_a_closed_form_end_of_no_term_but_1_is_its_rational(cold_caches, p128):
     # one interval, one spelling: (0, 1) and (0, ClosedForm({ONE: 1})) make one
     # square, and their integrals share each level's floored nodes
     one = ClosedForm({BasisConstant.ONE: Fraction(1)})
-    xy = Integrand(id="xy", evaluator=lambda x, y: x * y, domain=((0, 1), (0, one)))
-    assert xy.domain == ((0, 1), (0, 1))
-    assert dataclasses.replace(get_integrand("sigma_double"), domain=((0, one), (ClosedForm(), 1))).domain == xy.domain
+    xy_square = dataclasses.replace(xy(), domain=((0, 1), (0, one)))
+    assert xy_square.domain == ((0, 1), (0, 1))
+    sigma_square = dataclasses.replace(get_integrand("sigma_double"), domain=((0, one), (ClosedForm(), 1)))
+    assert sigma_square.domain == xy_square.domain
     f = quadrature.expression("x_sq", lambda c, x: c.sq(x))
     results = [integrate(dataclasses.replace(f, domain=d), TanhSinh(), p128) for d in ((0, 1), (0, one))]
     assert results[0] == results[1]
@@ -693,9 +746,8 @@ def test_a_closed_form_end_of_no_term_but_1_is_its_rational(cold_caches, p128):
 
 
 def test_2d_tanh_sinh_inner_is_refused(p64):
-    f = Integrand(id="xpy", evaluator=lambda x, y: x + y, domain=((0, 1), (0, 1)))
     with pytest.raises(ValueError, match="Gauss-Legendre only"):
-        integrate_2d(f, TanhSinh(), p64)
+        integrate_2d(xy(), TanhSinh(), p64)
 
 
 # --- the fixed-point kernel of a declared product form -----------------------
@@ -714,7 +766,7 @@ def test_sigma_evaluator_matches_its_written_out_integrand(bits):
         for x in xs:
             for y in xs:
                 form = -(x * x * y * y) / ((1 + x * x * y * y) * (1 + x) * (1 + y))
-                assert abs(SIGMA.evaluator(x, y) - form) <= 8 * numeric.ulp(form, bits), (x, y)
+                assert abs(SIGMA.evaluator(x, y) - form) <= 8 * ulp(form, bits), (x, y)
 
 
 @pytest.mark.parametrize("bits", [64, 320])
@@ -755,7 +807,7 @@ def test_product_sum_matches_the_cell_by_cell_sum(bits, order):
     # inputs; the mpf reference drifts by about 2^-(bits + 2) at these orders
     with workprec(bits):
         pairs = quadrature._gl_axis((0, 1), quadrature._gl_halfline(order, bits))
-        ref, n_ref = quadrature._tensor_sum(SIGMA, pairs)
+        ref, n_ref = tensor_sum(SIGMA, pairs)
         got, n_got = quadrature._product_sum(SIGMA, pairs)
         assert n_got == n_ref == order * order
         assert abs(got - ref) <= ldexp(1, -bits)
@@ -1091,7 +1143,7 @@ def test_fixed_kernel_needs_a_bounded_1d_integrand(p64):
     def never(*args):
         raise AssertionError("evaluated")
 
-    f2 = Integrand(id="k2", evaluator=never, domain=((0, 1), (0, 1)))
+    f2 = quadrature.product("k2", never, never)
     with pytest.raises(ValueError, match="needs a 1D integrand"):
         integrate(f2, TanhSinh(), p64)
 
@@ -1145,11 +1197,11 @@ GOLDEN = {
         120,
         64,
     ),
-    "gl2d": (
-        lambda x, y: 1 / (1 + x * y),
+    "gl2d": (  # 1/(1 + xy) as a product form: g = 1, h(t) = 1/(1 + t)
+        (lambda c, x: c.one, lambda c, t: c.div(c.one, c.one + t)),
         GaussLegendre(),
         (1896479859329717027, -61),
-        (567, -94),
+        (2267, -96),
         1344,
         32,
     ),
@@ -1160,8 +1212,7 @@ GOLDEN = {
 def test_golden_results(path, p64, p128):
     fn, scheme, value, est, evals, step = GOLDEN[path]
     if path.endswith("2d"):
-        f = Integrand(id=path, evaluator=fn, domain=((0, 1), (0, 1)))
-        r = integrate_2d(f, scheme, p64)
+        r = integrate_2d(quadrature.product(path, *fn), scheme, p64)
     else:
         f = Integrand(id=path, evaluator=fn, domain=(0, 1))
         r = integrate(f, scheme, p128)
