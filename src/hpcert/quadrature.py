@@ -29,12 +29,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from typing import Callable, Optional
 
-from mpmath import exp, isfinite, ldexp, log, mp, mpc, mpf, pi, workprec
-from mpmath.libmp import to_fixed
-from mpmath.libmp.libelefun import pi_fixed
+from mpmath import isfinite, ldexp, log, mp, mpc, mpf, pi, workprec
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+from mpmath.libmp.libelefun import exp_basecase, ln2_fixed, pi_fixed
 
 from .errors import DomainError, NonconvergenceError
 from .numeric import (
@@ -268,6 +268,17 @@ def _refine(ladder, p, rule, cap):
 # weight h*omega drops below 2^-(bits+32).  Each domain's abscissae at a level
 # are computed once and cached beside the table, since most catalog integrals
 # share [0, 1].
+#
+# A level is built in integers, in units of 2^-F, F = gen + b + lev + 18 for gen =
+# `_ts_gen_bits`(bits) of bit length b, and each entry rounded once to nearest at gen
+# bits.  pi e^t 2^F and pi e^-t 2^F step by e^(+-step h) 2^F, so a node takes one
+# exponential: L = 2u 2^F = m ln2 2^F + r, q = 2^-m e^-r, and e^-r is e^(-j/256) from
+# a table built by steps times `exp_basecase` (within c = 32 units) of the rest;
+# delta = 2q/(1+q), omega = pi cosh(t) delta (1 - delta/2).  A step adds at most
+# (c + 1) pi e^t units to the error of pi e^t 2^F, and c pi + 1 to that of pi e^-t 2^F;
+# over fewer than 2^(lev+3) steps (t < 8 below 4600 bits), L < gen 2^F on a
+# kept node is within (L + pi) 2^(lev+9) + 2^(lev+3) units, r adds m < 2 gen and
+# the table 2^13: q, delta and omega are within 2^(b+lev+10) units, 2^-(gen+8).
 # ---------------------------------------------------------------------------
 
 _TS_TABLES = {}  # bits -> list per level of tuple[(delta, omega, ln q), ...]
@@ -280,32 +291,30 @@ def _ts_gen_bits(bits):
 def _ts_levels(bits, up_to_level):
     # level 0 contributes only the center node
     levels = _TS_TABLES.setdefault(bits, [()])
-    if len(levels) > up_to_level:
-        return levels
-    threshold = ldexp(1, -(bits + 32))
-    with workprec(_ts_gen_bits(bits)):
-        piq = pi / 2
-        while len(levels) <= up_to_level:
-            lev = len(levels)
-            h = ldexp(1, -lev)
-            # level 1 takes every multiple of 1/2; deeper levels add the odd
-            # multiples of their step
-            k, step = 1, 1 if lev == 1 else 2
-            new = []
-            while True:
-                et = exp(k * h)
-                inv = 1 / et
-                ch = (et + inv) / 2
-                sh = (et - inv) / 2
-                ln_q = -2 * piq * sh
-                q = exp(ln_q)
-                q1 = 1 + q
-                omega = piq * ch * 4 * q / (q1 * q1)
-                if h * omega < threshold:
-                    break
-                new.append((2 * q / q1, omega, ln_q))
-                k += step
-            levels.append(tuple(new))
+    gen = _ts_gen_bits(bits)
+    entry = lambda man, e: mp.make_mpf(from_man_exp(man, e, gen, round_nearest))  # gen bits, not the ambient width
+    while len(levels) <= up_to_level:
+        lev = len(levels)
+        F = gen + gen.bit_length() + lev + 18
+        ONE, PI, LN2 = 1 << F, pi_fixed(F), ln2_fixed(F)
+        T = list(accumulate(repeat(exp_basecase(-(ONE >> 8), F), LN2 >> (F - 8)), lambda a, d: a * d >> F, initial=ONE))
+        # level 1 takes every multiple of 1/2; deeper levels add the odd multiples of their step
+        h, step = ONE >> lev, ONE >> (lev - (lev > 1))
+        up, down = exp_basecase(step, F), exp_basecase(-step, F)
+        P, P_inv = PI * exp_basecase(h, F) >> F, PI * exp_basecase(-h, F) >> F  # pi e^t 2^F, pi e^-t 2^F
+        new = []
+        while True:
+            L = (P - P_inv) >> 1
+            m, r = divmod(L, LN2)
+            j = r >> (F - 8)
+            Q = T[j] * exp_basecase((j << (F - 8)) - r, F) >> F  # q 2^(F+m)
+            D = (Q << (F + 1)) // (ONE + (Q >> m))  # delta 2^(F+m)
+            W = (((P + P_inv) >> 1) * D >> F) * (ONE - (D >> (m + 1))) >> F  # omega 2^(F+m)
+            if not W >> (F + m + lev - bits - 32):  # h omega < 2^-(bits+32)
+                break
+            new.append((entry(D, -(F + m)), entry(W, -(F + m)), entry(-L, -F)))
+            P, P_inv = P * up >> F, P_inv * down >> F
+        levels.append(tuple(new))
     return levels
 
 

@@ -130,14 +130,19 @@ def test_tanh_sinh_nodes_share_the_integrate_table(cold_caches, p128):
 
 def test_ts_table_extended_lazily_matches_eager_build(cold_caches):
     bits = 96
-    quadrature._ts_levels(bits, 2)
+    gen = quadrature._ts_gen_bits(bits)
     with workprec(53):  # levels are generated at their own width, not the caller's
-        for lev in range(3, 8):
+        for lev in range(2, 8):
             quadrature._ts_levels(bits, lev)
     lazy = quadrature._TS_TABLES.pop(bits)
-    eager = quadrature._ts_levels(bits, 7)
+    with workprec(gen + 64):
+        eager = quadrature._ts_levels(bits, 7)
     assert len(lazy) == len(eager) == 8
     assert lazy == eager
+    # every entry is rounded to gen bits: neither cut to a narrower ambient width nor left wider
+    for level in eager[1:]:
+        assert max(v._mpf_[3] for node in level for v in node) == gen
+        assert all(v._mpf_[3] <= gen for node in level for v in node)
 
 
 # SHA-256 of the exact sign, mantissa and exponent of every node and weight at
@@ -283,6 +288,80 @@ def test_cached_abscissae_equal_a_fresh_computation(bits):
                 cached = quadrature._ts_abscissae(domain, key, lev)
                 fresh = [(a + halfw * d, b - halfw * d, w) for d, w, _ in quadrature._TS_TABLES[key][lev]]
                 assert [[v._mpf_ for v in n] for n in cached] == [[v._mpf_ for v in n] for n in fresh]
+
+
+def reference_ts_levels(bits, up_to_level, prec=None):
+    """Levels 0 to up_to_level of the tanh-sinh table at width `bits`, formed in mpf at `prec` bits.
+
+    The mpf construction `_ts_levels` replaced, kept as the reference: at the default
+    `prec`, `_ts_gen_bits`(bits), each entry is within about 2^-(gen - 12) of
+    the truth, relative; 64 bits wider, within about 2^-(gen + 48).
+    """
+    levels = [()]
+    threshold = ldexp(1, -(bits + 32))
+    with workprec(prec or quadrature._ts_gen_bits(bits)):
+        piq = pi / 2
+        while len(levels) <= up_to_level:
+            lev = len(levels)
+            h = ldexp(1, -lev)
+            k, step = 1, 1 if lev == 1 else 2
+            new = []
+            while True:
+                et = exp(k * h)
+                inv = 1 / et
+                ch = (et + inv) / 2
+                sh = (et - inv) / 2
+                ln_q = -2 * piq * sh
+                q = exp(ln_q)
+                q1 = 1 + q
+                omega = piq * ch * 4 * q / (q1 * q1)
+                if h * omega < threshold:
+                    break
+                new.append((2 * q / q1, omega, ln_q))
+                k += step
+            levels.append(tuple(new))
+    return levels
+
+
+def ts_table_consumers(width, top):
+    """What each reader of the table at `width` makes of levels 1 to top: an entry moved for any of them shows here."""
+    q = quadrature
+    for fn in (q._ts_abscissae, q._ts_fixed_nodes, q._ts_ln_q_column, q._ts_ln_x_nodes):
+        fn.cache_clear()
+    log_domains = {f.domain for f in log_forms()}
+    seen = [[(x._mpf_, w._mpf_) for x, w in tanh_sinh_nodes(top, Precision(width - numeric.GUARD_BITS))]]
+    for lev in range(1, top + 1):
+        with workprec(width):  # a weight is the table's own entry, which `_pair_sum` multiplies at this width
+            seen.append([(x1._mpf_, x2._mpf_, (+w)._mpf_) for x1, x2, w in q._ts_abscissae((0, 1), width, lev)])
+        seen.append(q._ts_ln_q_column(width, lev))
+        for domain in DOMAINS_1D:  # [0, 1], [0, pi/2], [0, pi] and eq06's [0, x0] among them
+            seen.append((q._ts_fixed_nodes(domain, width, lev), q._ts_right_skips(domain, width, lev)))
+            if domain in log_domains:
+                seen.append(q._ts_ln_x_nodes(domain, width, lev))
+    return seen
+
+
+TS_REFERENCE_WIDTHS = [173, 192, 320, *(pytest.param(w, marks=pytest.mark.slow) for w in (576, 1088, 2112))]
+
+
+@pytest.mark.parametrize("width", TS_REFERENCE_WIDTHS)
+def test_ts_table_matches_the_mpf_reference(cold_caches, width):
+    # to one level past the deepest the catalog reaches at this width
+    top = DEEPEST_RUNGS[width][0] + 1
+    gen = quadrature._ts_gen_bits(width)
+    built = quadrature._ts_levels(width, top)
+    reference, wide = reference_ts_levels(width, top), reference_ts_levels(width, top, gen + 64)
+    with workprec(gen + 64):
+        for lev in range(1, top + 1):
+            assert len(built[lev]) == len(reference[lev]), lev
+            for n, (node, exact) in enumerate(zip(built[lev], wide[lev])):
+                for v, x in zip(node, exact):
+                    # within 2^-(gen+8) before the rounding, and half a unit of v's last of gen bits
+                    _sign, _man, e, bc = v._mpf_
+                    assert abs(v - x) <= abs(x) * ldexp(1, -(gen + 8)) + ldexp(1, e + bc - gen - 1), (lev, n)
+    got = ts_table_consumers(width, top)
+    quadrature._TS_TABLES[width] = reference
+    assert ts_table_consumers(width, top) == got
 
 
 # --- 1D integration ---------------------------------------------------------
