@@ -15,7 +15,7 @@ import time
 from mpmath import nstr, workprec
 
 from hpcert import (
-    BasisConstant, ClosedForm, Crz, GaussLegendre, Precision, eval_closed_form, integrate_2d, sigma_series
+    BasisConstant, ClosedForm, GaussLegendre, Precision, eval_closed_form, integrate_2d, sigma_series
 )
 from hpcert.identities import SIGMA_CF, get_integrand
 from hpcert.series import harmonic_tail_fraction
@@ -38,7 +38,7 @@ with workprec(p.bits):
 
 print("\nRoute 1: CRZ-accelerated summation, 30 terms")
 t0 = time.perf_counter()
-s_series = sigma_series(p, Crz(30)).value
+s_series = sigma_series(p, 30).value
 print(f"  {nstr(s_series, 40)}   ({time.perf_counter() - t0:.3f}s)")
 
 print("\nRoute 2: tensor Gauss-Legendre on -x^2 y^2/((1+x^2 y^2)(1+x)(1+y)) over the unit square")

@@ -39,12 +39,11 @@ print(f"  value {nstr(r.value, 35)}")
 print(f"  error estimate {nstr(r.error_estimate, 3)} after level {r.level_or_order}, "
       f"{r.evaluations} evaluations")
 
-print("\nln(sin t) on [0, pi/2] -- integrable singularity at t=0, flagged singular_left:")
+print("\nln(sin t) on [0, pi/2] -- integrable singularity at t=0, which is never evaluated:")
 g = Integrand(
     id="demo_logsine",
     evaluator=lambda t: log(sin(t)),
     domain=(0, ClosedForm({BasisConstant.PI: Fraction(1, 2)})),
-    singular_left=True,
 )
 r = integrate(g, TanhSinh(), p)
 print(f"  value {nstr(r.value, 35)}   (closed form is -(pi/2)ln2)")

@@ -34,7 +34,6 @@ from .quadrature import (
     tanh_sinh_nodes,
 )
 from .series import (
-    Crz,
     SeriesResult,
     ln1pt_over_t,
     sigma_series,

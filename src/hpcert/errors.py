@@ -10,8 +10,8 @@ class NonconvergenceError(VerificationError):
 
 
 class DomainError(VerificationError):
-    """An evaluator returned a non-finite value at a point that was not
-    flagged singular, or a scheme refused an integrand it cannot handle."""
+    """An evaluator returned a non-real or non-finite value at a point it
+    was evaluated at, or a scheme refused an integrand it cannot handle."""
 
 
 class PreconditionError(VerificationError):

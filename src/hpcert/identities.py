@@ -441,7 +441,7 @@ def _eq06_closed(x0, p):
 
 # each series is looked up at call time, so a wrapped module attribute sees the call
 def _sigma_series(p):
-    return series.sigma_series(p, series.Crz(30))
+    return series.sigma_series(p, 30)
 
 
 def _ln2_partial(p):

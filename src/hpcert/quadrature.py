@@ -14,8 +14,9 @@ all three rules (1D tanh-sinh and Gauss-Legendre, 2D tensor Gauss-Legendre)
 run through one refinement driver, `_refine`, and both Gauss-Legendre rules
 through one ladder, `_gl_ladder`.  A 1D integrand's declared `form`,
 g + h ln x + k ln(b - x), moves its tanh-sinh levels into fixed-point integers,
-summed by `_ts_fixed_ladder`; without one they are summed in mpf by
-`_ts_ladder`, as 1D Gauss-Legendre rungs are by `_pair_sum`.  A 2D integrand
+summed by `_ts_fixed_ladder`; its logarithms are the only singular ends.  A
+plain evaluator is bounded, and its tanh-sinh levels, like 1D Gauss-Legendre
+rungs, are summed in mpf by `_pair_sum`.  A 2D integrand
 is always a product form g(x) g(y) h(xy), whose rungs `_product_sum` sums in
 integers.
 
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate, chain, repeat
+from numbers import Rational
 from typing import Callable, Optional
 
 from mpmath import isfinite, ldexp, log, mp, mpc, mpf, pi, workprec
@@ -47,17 +49,33 @@ STOP_MARGIN = 8  # a ladder stops once |T_k - T_{k-1}| <= 2^-(bits - STOP_MARGIN
 
 
 def _rational_end(e):
-    """A domain end, a `ClosedForm` of no term but 1 as its rational: one interval, one spelling and one cache key."""
+    """A domain end, a `ClosedForm` of no term but 1 as its rational: one interval, one spelling and one cache key.
+
+    Any other end is a `TypeError`: a float's binary value would stand in for
+    the decimal written, which is why `ClosedForm` refuses a float coefficient.
+    """
+    if not isinstance(e, (Rational, ClosedForm)):
+        raise TypeError(f"a domain end is a rational or a ClosedForm, got {e!r}")
     rational = isinstance(e, ClosedForm) and e.coefficients.keys() <= {BasisConstant.ONE}
     return e.coefficients.get(BasisConstant.ONE, Fraction(0)) if rational else e
+
+
+def _positive(e):
+    """Whether a domain end is above 0.
+
+    Every basis constant is, so a `ClosedForm` is weighed only if it has a term below 0.
+    """
+    if isinstance(e, ClosedForm) and any(c < 0 for _, c in e.items):
+        with workprec(64):
+            return _endpoint_value(e) > 0
+    return isinstance(e, ClosedForm) or e > 0
 
 
 def _endpoint_value(e):
     """A domain end, a rational or a `ClosedForm`, at the ambient precision: c pi is pi * n / d."""
     if isinstance(e, ClosedForm):
         return sum(constant_value(tag, mp.prec) * c.numerator / c.denominator for tag, c in e.items)
-    f = Fraction(e)
-    return mpf(f.numerator) / f.denominator
+    return mpf(e.numerator) / e.denominator
 
 
 @dataclass(frozen=True)
@@ -65,22 +83,19 @@ class Integrand:
     """A registered integrand over a finite interval (a, b) or a square (a, b)^2.
 
     Each end is a rational or a `ClosedForm`.  The evaluator is a pure
-    function defined on the *open* domain; an endpoint whose singular flag is
-    False must also evaluate finite at the closed endpoint (removable
-    singularities must return their limit).  A plain evaluator singular at b,
-    or at an a other than 0, sees abscissae whose distance to that end is
-    rounded to the ulp of the end; a form with k on (0, b) carries it exactly.
-    Refused when built: a 2D integrand off a square, with a singular flag or
-    without a product form, and a form whose shape is not its domain's, whose
-    flags are not those of its logarithms, or with a logarithm on a domain
-    whose left end is not 0.
+    function, finite on the closed domain but at a left end 0, which no rule
+    evaluates; a removable singularity returns its limit.  A logarithmic end is
+    a 1D form's h (ln x, at a = 0) or k (ln(b - x)), whose integer ladder
+    carries the distance to that end exactly, and `singular_left` and
+    `singular_right` say where it has them.  Refused when built: a 2D
+    integrand off a square or without a product form, and a form whose shape
+    is not its domain's, or with a logarithm on a domain other than (0, b),
+    b > 0.
     """
 
     id: str
     evaluator: Callable
     domain: tuple  # (a, b) in 1D, ((a, b), (a, b)) in 2D
-    singular_left: bool = False
-    singular_right: bool = False
     # expressions over a `numeric` context: (g, h, k) in 1D, f = g(x) + h(x) ln x + k(x) ln(b - x),
     # an absent h or k no such term (`expression`); (g, h) in 2D, f = g(x) g(y) h(xy) (`product`)
     form: Optional[tuple] = None
@@ -88,31 +103,37 @@ class Integrand:
     def __post_init__(self):
         ends = tuple(tuple(map(_rational_end, e)) if isinstance(e, tuple) else _rational_end(e) for e in self.domain)
         object.__setattr__(self, "domain", ends)
-        if self.dimension == 2 and (self.domain[0] != self.domain[1] or self.singular_left or self.singular_right):
+        if self.dimension == 2 and self.domain[0] != self.domain[1]:
             raise ValueError(f"a 2D integrand is smooth on a square, got {self.domain!r} on {self.id!r}")
         parts = 3 if self.dimension == 1 else 2
         if self.form is not None and len(self.form) != parts:
             raise ValueError(f"a {self.dimension}D form has {parts} parts, got {len(self.form)} on {self.id!r}")
         if self.form is None and parts == 2:
             raise ValueError(f"a 2D integrand is a product form, got none on {self.id!r}")
-        if self.form and parts == 3:
-            _g, h, k = self.form
-            if (self.singular_left, self.singular_right) != (bool(h), bool(k)):
-                raise ValueError(f"a form is singular where it has a logarithm, got other flags on {self.id!r}")
-            if (h or k) and self.domain[0] != 0:
-                raise ValueError(f"a form with a logarithm needs a domain whose left end is 0, got {self.domain!r}")
+        if (self.singular_left or self.singular_right) and (self.domain[0] != 0 or not _positive(self.domain[1])):
+            raise ValueError(f"a form with a logarithm needs a domain (0, b) with b > 0, got {self.domain!r}")
 
     @property
     def dimension(self):
         return 2 if isinstance(self.domain[0], tuple) else 1
 
+    @property
+    def singular_left(self):
+        """Whether a 1D form has h, ln x's coefficient."""
+        return self.dimension == 1 and bool(self.form and self.form[1])
+
+    @property
+    def singular_right(self):
+        """Whether a 1D form has k, ln(b - x)'s coefficient."""
+        return self.dimension == 1 and bool(self.form and self.form[2])
+
 
 def expression(id, g, *, h=None, k=None, domain=(0, 1)):
     """g(x) + h(x) ln x + k(x) ln(b - x) on (a, b), g, h and k each a bounded expression over a `numeric` context.
 
-    An absent h or k is no such term; with either, a is 0 and the integrand is
-    singular at that end.  Its evaluator is the sum under `MP`, and the integer
-    ladder sums it under fixed_context(W).
+    An absent h or k is no such term; with either, a is 0, b > 0 and the
+    integrand is singular at that end.  Its evaluator is the sum under `MP`,
+    and the integer ladder sums it under fixed_context(W).
     """
 
     def evaluator(x):
@@ -123,7 +144,7 @@ def expression(id, g, *, h=None, k=None, domain=(0, 1)):
             y += k(MP, x) * log(_endpoint_value(domain[1]) - x)
         return y
 
-    return Integrand(id, evaluator, domain, singular_left=bool(h), singular_right=bool(k), form=(g, h, k))
+    return Integrand(id, evaluator, domain, form=(g, h, k))
 
 
 def product(id, g, h):
@@ -188,34 +209,21 @@ def _checked(y, integrand, xs):
     raise DomainError(f"integrand {integrand.id!r} returned {problem} value at {where}")
 
 
-def _pair_sum(integrand, pairs, S=0, a=None, b=None):
+def _pair_sum(integrand, pairs, S=0):
     """S + sum of w * (f(x1) + f(x2)) over `pairs` of (x1, x2, w), and the evaluations made.
 
     The sum is ``S += w * (f(x1) + f(x2))`` at the ambient precision.  Each
     pair is tested once: only a pair that is not a finite mpf has its two values
-    checked one by one, so a `DomainError` still names the point.  On a singular
-    end, x1 == a (x2 == b) contributes zero without an evaluation; a left end at
-    0 is never tested, as no abscissa a + halfw*delta reaches it.
+    checked one by one, so a `DomainError` still names the point.
     """
     f = integrand.evaluator
-    skip_left, skip_right = integrand.singular_left and a != 0, integrand.singular_right
-    evals = 0
     for x1, x2, w in pairs:
-        if skip_left and x1 == a:
-            y1 = mp.zero  # weight already below truncation noise
-        else:
-            y1 = f(x1)
-            evals += 1
-        if skip_right and x2 == b:
-            y2 = mp.zero
-        else:
-            y2 = f(x2)
-            evals += 1
+        y1, y2 = f(x1), f(x2)
         pair = y1 + y2
         if not (isinstance(pair, mpf) and isfinite(pair)):  # an int, a float, inf, nan or non-real
             pair = _checked(y1, integrand, (x1,)) + _checked(y2, integrand, (x2,))
         S += w * pair
-    return S, evals
+    return S, 2 * len(pairs)
 
 
 def _refine(ladder, p, rule, cap):
@@ -352,11 +360,11 @@ def _ts_abscissae(domain, bits, lev):
 
 
 def _ts_ladder(integrand, cap, bits):
-    a, b, halfw, mid = _interval(integrand.domain)
+    _a, _b, halfw, mid = _interval(integrand.domain)
     S = (pi / 2) * _checked(integrand.evaluator(mid), integrand, (mid,))
     evals = 1
     for lev in range(1, cap + 1):
-        S, n = _pair_sum(integrand, _ts_abscissae(integrand.domain, bits, lev), S, a, b)
+        S, n = _pair_sum(integrand, _ts_abscissae(integrand.domain, bits, lev), S)
         evals += n
         yield lev, ldexp(halfw * S, -lev), evals
 
@@ -394,9 +402,8 @@ def _ts_ladder(integrand, cap, bits):
 # ln b and ln q are floored once, so L and M are within q + 7 units.  ln q and
 # ln(1 + q) are the level's alone (`_ts_ln_q_column`): each domain adds its ln b.
 # On a singular right end the ladder skips each node whose mpf abscissa
-# b - halfw delta, at the ladder's width, is b (`_ts_right_skips`), as
-# `_pair_sum` does: its x2 adds 0 and is not counted.  A node kept has
-# b - x2 >= 2^-bits, 2^16 units.
+# b - halfw delta, at the ladder's width, is b (`_ts_right_skips`): its x2
+# adds 0 and is not counted.  A node kept has b - x2 >= 2^-bits, 2^16 units.
 #
 # The ln-x pair on [0, 1] has no k.  With |g|, |h| <= 1, kernels within cg and
 # ch units, |g'| <= Lg and |h'| <= Lh, an evaluation is within
@@ -468,7 +475,7 @@ def _ts_ln_x_nodes(domain, bits, lev):
 
 
 def _ts_right_skips(domain, bits, lev):
-    """How many of level lev's last nodes `_pair_sum` skips on a singular right end: b - halfw delta is b there."""
+    """How many of level lev's last nodes a form with k skips: b - halfw delta is b there, ln(b - x) has no value."""
     table = _ts_levels(bits, lev)[lev]
     with workprec(bits):  # x2 as `_ts_abscissae` forms it, which grows towards b as delta falls
         _, b, halfw, _ = _interval(domain)
@@ -512,7 +519,7 @@ def _ts_fixed_ladder(integrand, cap, bits):
     evals = 1
     for lev in range(1, cap + 1):
         nodes = level_nodes(integrand.domain, bits, lev)
-        kept = len(nodes) - (_ts_right_skips(integrand.domain, bits, lev) if integrand.singular_right else 0)
+        kept = len(nodes) - (_ts_right_skips(integrand.domain, bits, lev) if k else 0)
         S += sum(w * (f(x1) + f(x2)) for x1, x2, w in nodes[:kept]) + sum(w * f(x1) for x1, _, w in nodes[kept:])
         evals += len(nodes) + kept
         yield lev, ldexp(mpf(S * hman), hexp - 2 * W - lev), evals

@@ -26,11 +26,6 @@ from .numeric import BasisConstant, constant_value, round_to
 
 
 @dataclass(frozen=True)
-class Crz:
-    terms: int
-
-
-@dataclass(frozen=True)
 class SeriesResult:
     value: mpf
     terms_used: int
@@ -84,36 +79,33 @@ def _scan_coefficients(coeff, count):
     return vals
 
 
-def sum_alternating(coeffs, m, p):
-    """Sum  sum_{k>=0} (-1)^k coeffs(k)  by CRZ, the one method, without a computed bound.
+def sum_alternating(coeffs, terms, p):
+    """Sum  sum_{k>=0} (-1)^k coeffs(k)  by CRZ, the one method, on `terms` terms, without a computed bound.
 
     CRZ assumes the coefficients are totally monotone (a moment sequence),
     which is documented rather than checked -- the scan only covers positivity
     and decrease over the terms actually used.
     """
-    if not isinstance(m, Crz):
-        raise ValueError(f"unknown acceleration method {m!r}")
-    terms = m.terms
-    _require_count(terms, "method terms")
+    _require_count(terms, "terms")
     with workprec(p.guarded + 16):
         vals = _scan_coefficients(coeffs, terms)
         s = accel.crz_sum(lambda k: vals[k], terms)
     return SeriesResult(round_to(s, p), terms)
 
 
-def sigma_series(p, method):
+def sigma_series(p, terms):
     """The full alternating tail-square sum  sum_{n>=1} (-1)^n a_n^2.
 
     a_{k+1}^2 is a moment sequence (a_n is itself a moment integral of
     x^(2n)/(1+x)), so CRZ converges geometrically; 30 terms already give
     ~28 correct digits.  Returns the (negative) sum itself.
     """
-    _require_count(method.terms, "method terms")
+    _require_count(terms, "terms")
     g = p.guarded
-    vals = _harmonic_tails(range(1, method.terms + 1), g)
+    vals = _harmonic_tails(range(1, terms + 1), g)
     with workprec(g):
         sq = [v * v for v in vals]  # sq[k] = a_{k+1}^2
-    result = sum_alternating(lambda k: sq[k], method, p)
+    result = sum_alternating(lambda k: sq[k], terms, p)
     with workprec(p.bits):  # exact: the value is already rounded to p.bits
         return SeriesResult(-result.value, result.terms_used)
 
@@ -139,4 +131,4 @@ def ln1pt_over_t(p):
     the integrand `ln1p_t_over_t` registered in `identities`.
     """
     n = accel.crz_terms_for_bits(p.guarded + 16)
-    return sum_alternating(lambda k: mpf(1) / (k + 1) ** 2, Crz(n), p).value
+    return sum_alternating(lambda k: mpf(1) / (k + 1) ** 2, n, p).value

@@ -5,13 +5,15 @@ test (mpmath's own constants plus exact closed-form arithmetic at 70 digits,
 cross-checked against accelerated-series and antiderivative computations)
 and then frozen.  Tests compare engine output against these strings.
 
-Below them: `ulp`, the Euler transform, an accelerator independent of CRZ, and
-`tail`, the harmonic a_n read from the very code `sigma_series` sums.
+Below them: `ulp`, the Euler transform, an accelerator independent of CRZ,
+`tail`, the harmonic a_n read from the very code `sigma_series` sums, and the
+tanh-sinh ladder in mpf operators with the right-end skip of a form with k,
+which the integer ladders are compared with.
 """
 
-from mpmath import ldexp, mag, mpf, workprec
+from mpmath import isfinite, ldexp, mag, mpf, pi, workprec
 
-from hpcert import series
+from hpcert import quadrature, series
 from hpcert.numeric import round_to
 
 PI = "3.141592653589793238462643383279502884197169399375105820974944592307816406286208998628"
@@ -93,3 +95,36 @@ def sigma_by_euler(terms, p):
     with workprec(p.guarded + terms):
         sq = [a * a for a in series._harmonic_tails(range(1, terms + 1), p.guarded)]
         return -round_to(euler_sum(lambda k: sq[k], terms), p)
+
+
+def reference_ts_ladder(integrand, cap, bits):
+    """The tanh-sinh ladder in mpf operators, node by node from the table, each value checked finite.
+
+    Yields (level, T_k, evaluations) as `quadrature._ts_ladder` does, and on a
+    form with k skips each node whose x2 = b - halfw delta is b, as the integer
+    ladder does: ln(b - x) has no value there.  A form's left end is 0, which
+    no abscissa halfw delta reaches.
+    """
+    a, b, halfw, mid = quadrature._interval(integrand.domain)
+    f = integrand.evaluator
+    S = (pi / 2) * f(mid)
+    evals = 1
+    for lev in range(1, cap + 1):
+        for delta, omega, _ in quadrature._ts_levels(bits, lev)[lev]:
+            xm, xp = a + halfw * delta, b - halfw * delta
+            fm = f(xm)
+            evals += 1
+            if integrand.singular_right and xp == b:
+                fp = mpf(0)
+            else:
+                fp = f(xp)
+                evals += 1
+            assert isfinite(fm) and isfinite(fp)
+            S += omega * (fm + fp)
+        yield lev, ldexp(halfw * S, -lev), evals
+
+
+def reference_integrate(integrand, p):
+    """A 1D integral by tanh-sinh at precision p, as `integrate` runs it, on `reference_ts_ladder`."""
+    cap = quadrature.ts_level_cap(p.guarded)
+    return quadrature._refine(reference_ts_ladder(integrand, cap, p.guarded), p, integrand.id, f"level {cap}")

@@ -17,7 +17,6 @@ from mpmath import ldexp, mpf, workprec
 
 from hpcert import (
     CATALOG,
-    Crz,
     Precision,
     eval_closed_form,
     gauss_legendre_nodes,
@@ -100,7 +99,7 @@ def cat128():
 
 def test_criterion_1_sigma_series_closed_form():
     t0 = time.perf_counter()
-    s = sigma_series(P256, Crz(30))
+    s = sigma_series(P256, 30)
     elapsed = time.perf_counter() - t0
     closed = eval_closed_form(SIGMA_CF, P256)
     with workprec(300):
@@ -116,7 +115,7 @@ def test_criterion_1_sigma_series_closed_form():
 
 def test_criterion_2_sigma_triple_route():
     t0 = time.perf_counter()
-    s_series = sigma_series(P256, Crz(30)).value
+    s_series = sigma_series(P256, 30).value
     s_double = integrate_2d(get_integrand("sigma_double"), GaussLegendre(), P256).value
     s_closed = eval_closed_form(SIGMA_CF, P256)
     elapsed = time.perf_counter() - t0
@@ -281,7 +280,7 @@ def test_criterion_8_property_suites(cat256, cat128):
                 if abs(total - exact) > (order + k + 1) * ldexp(1, -120):
                     gl_ok = False
     # (c) CRZ vs Euler on sigma at matched budgets
-    crz = sigma_series(P256, Crz(60)).value
+    crz = sigma_series(P256, 60).value
     eul = sigma_by_euler(60, P256)
     with workprec(300):
         accel_diff = abs(crz - eul)

@@ -10,7 +10,6 @@ from hpcert import (
     CATALOG,
     BasisConstant,
     ClosedForm,
-    Crz,
     GaussLegendre,
     Integrand,
     TanhSinh,
@@ -40,7 +39,7 @@ def _boundary_values(p):
     ):
         out[f"{name} value"] = q.value
         out[f"{name} error_estimate"] = q.error_estimate
-    out["sigma_series value"] = sigma_series(p, Crz(10)).value
+    out["sigma_series value"] = sigma_series(p, 10).value
     r = ln2_direct_partial(1000, p)
     out["ln2_direct_partial value"] = r.value
     out["ln2_direct_partial error_bound"] = r.error_bound

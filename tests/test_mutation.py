@@ -209,13 +209,14 @@ QUARTER_CF = {
 def quarter_misses(p):
     """The log-sine integrands whose registered evaluator, integrated over [0, pi/4], misses its closed form.
 
-    Built as an `Integrand` from the evaluator, which the mpf ladder sums: each
-    kernel's logarithms are those of the ends of its own domain.
+    Built as a plain `Integrand` from the evaluator, which the mpf ladder sums:
+    each kernel's logarithms are those of the ends of its own domain, and the
+    quarter's left end, 0, is never an abscissa.
     """
     misses = set()
     for fid, cf in QUARTER_CF.items():
         f = identities.get_integrand(fid)
-        quarter = Integrand(f"{fid}_quarter", f.evaluator, QUARTER, singular_left=f.singular_left)
+        quarter = Integrand(f"{fid}_quarter", f.evaluator, QUARTER)
         r = integrate(quarter, TanhSinh(), p)
         if abs(r.value - eval_closed_form(cf, p)) > ldexp(1, -(p.bits - quadrature.STOP_MARGIN)):
             misses.add(fid)
@@ -259,12 +260,10 @@ def test_log_cos_half_written_as_ln_sin_passes_every_check(bits, monkeypatch):
     # a stated blind spot: int_0^{pi/2} ln cos = int_0^{pi/2} ln sin, and the one
     # reader of `log_cos_half`, app1_logsine_funceq, compares it with `log_sin_half`
     # on the same domain, so ln sin there gives that gap exactly 0.  A form is
-    # singular where it has a logarithm, so ln sin brings its flags along
+    # singular where it has a logarithm, so ln sin's form brings its ends along
     ln_sin = identities.get_integrand("log_sin_half")
     f = identities.get_integrand("log_cos_half")
-    mutant = dataclasses.replace(
-        f, form=ln_sin.form, evaluator=ln_sin.evaluator, singular_left=True, singular_right=False
-    )
+    mutant = dataclasses.replace(f, form=ln_sin.form, evaluator=ln_sin.evaluator)
     monkeypatch.setitem(identities._REGISTRY, f.id, mutant)
     results = run_catalog(Precision(bits))
     assert all(r.passed for r in results)

@@ -2,11 +2,12 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
 from fractions import Fraction
 from functools import partial
 
 import pytest
-from mpmath import diff, exp, isfinite, ldexp, log, mp, mpf, pi, sin, workprec
+from mpmath import diff, exp, ldexp, log, mp, mpf, pi, sin, workprec
 from mpmath.calculus.quadrature import GaussLegendre as MpmathGaussLegendre
 
 from hpcert import (
@@ -26,7 +27,7 @@ from hpcert import (
     tanh_sinh_nodes,
 )
 from hpcert.identities import _REGISTRY, _fd_step, _param_integrand, get_integrand
-from oracle_values import A1, LOGSINE, assert_close, ulp
+from oracle_values import A1, LOGSINE, assert_close, reference_integrate, reference_ts_ladder, ulp
 
 HALF_PI = ClosedForm({BasisConstant.PI: Fraction(1, 2)})
 
@@ -383,12 +384,8 @@ def test_x2_over_1px_value(p256):
 
 
 def test_logsine_left_singular(p256):
-    f = Integrand(
-        id="logsine_test",
-        evaluator=lambda t: log(sin(t)),
-        domain=(0, HALF_PI),
-        singular_left=True,
-    )
+    # a plain evaluator: its singular left end is 0, which no abscissa reaches
+    f = Integrand(id="logsine_test", evaluator=lambda t: log(sin(t)), domain=(0, HALF_PI))
     r = integrate(f, TanhSinh(), p256)
     assert_close(r.value, LOGSINE, mpf(10) ** -40)
     assert r.level_or_order <= 12
@@ -435,8 +432,9 @@ def test_tanh_sinh_error_decays_quadratically(p256):
 
 
 def test_gl_refuses_singular(p64):
-    f = Integrand(id="sing", evaluator=lambda x: log(x), domain=(0, 1), singular_left=True)
-    with pytest.raises(DomainError):
+    # ln x, declared as a form with h, which makes its left end singular
+    f = quadrature.expression("sing", lambda c, x: 0, h=lambda c, x: c.one)
+    with pytest.raises(DomainError, match="refuses singular integrand 'sing'"):
         integrate(f, GaussLegendre(), p64)
 
 
@@ -461,12 +459,8 @@ def test_dimension_follows_the_domain():
 
 
 def test_nonconvergence_on_nonintegrable(p64):
-    f = Integrand(
-        id="one_over_x",
-        evaluator=lambda x: 1 / x,
-        domain=(0, 1),
-        singular_left=True,
-    )
+    # a plain evaluator: 0, where 1/x has its pole, is never an abscissa
+    f = Integrand(id="one_over_x", evaluator=lambda x: 1 / x, domain=(0, 1))
     with pytest.raises(NonconvergenceError, match=f"by level {quadrature.ts_level_cap(p64.guarded)} "):
         integrate(f, TanhSinh(), p64)
 
@@ -509,32 +503,6 @@ def test_non_finite_value_names_its_point(left, right, named, p64):
     assert str(exc.value).endswith(f"x={mp.nstr(first[named], 12)}")
 
 
-def reference_ts_ladder(integrand, cap, bits):
-    """The tanh-sinh ladder in mpf operators, node by node from the table, each value checked finite."""
-    a, b, halfw, mid = quadrature._interval(integrand.domain)
-    f = integrand.evaluator
-    S = (pi / 2) * f(mid)
-    evals = 1
-    out = []
-    for lev in range(1, cap + 1):
-        for delta, omega, _ in quadrature._ts_levels(bits, lev)[lev]:
-            xm, xp = a + halfw * delta, b - halfw * delta
-            if integrand.singular_left and xm == a:
-                fm = mpf(0)
-            else:
-                fm = f(xm)
-                evals += 1
-            if integrand.singular_right and xp == b:
-                fp = mpf(0)
-            else:
-                fp = f(xp)
-                evals += 1
-            assert isfinite(fm) and isfinite(fp)
-            S += omega * (fm + fp)
-        out.append((lev, ldexp(halfw * S, -lev)._mpf_, evals))
-    return out
-
-
 LADDER_CASES = {
     "regular": get_integrand("i2_integrand").evaluator,
     "int": lambda x: (int(8 * x) - 3) * 3**300 + 1,  # wider than the ladder: converted exactly
@@ -544,20 +512,25 @@ LADDER_CASES = {
 
 
 @pytest.mark.parametrize("bits", [128, 320])
-@pytest.mark.parametrize(
-    "case", ["regular", "neg_ln_x_over_1px2", "log_sin_full", "shifted", "int", "float", "mixed"]
-)
+@pytest.mark.parametrize("case", ["regular", "neg_ln_x_over_1px2", "int", "float", "mixed"])
 def test_ts_ladder_matches_the_mpf_operator_loop(case, bits):
-    if case in LADDER_CASES:
-        f = Integrand(id=case, evaluator=LADDER_CASES[case], domain=(0, 1))
-    elif case == "shifted":  # the abscissae next to 1 round to 1 itself, and are skipped
-        f = Integrand(id=case, evaluator=lambda x: log(x - 1), domain=(1, 2), singular_left=True)
-    else:
-        f = get_integrand(case)  # singular on the left, or at both ends
+    # -ln x/(1 + x^2) as a plain evaluator: singular at 0, which no abscissa reaches
+    evaluator = LADDER_CASES[case] if case in LADDER_CASES else get_integrand(case).evaluator
+    f = Integrand(id=case, evaluator=evaluator, domain=(0, 1))
     cap = 6
     with workprec(bits):
         got = [(lev, T._mpf_, evals) for lev, T, evals in quadrature._ts_ladder(f, cap, bits)]
-        assert got == reference_ts_ladder(f, cap, bits)
+        assert got == [(lev, T._mpf_, evals) for lev, T, evals in reference_ts_ladder(f, cap, bits)]
+
+
+@pytest.mark.parametrize("evaluator, domain", [(lambda x: log(1 - x), (0, 1)), (lambda x: log(x - 1), (1, 2))])
+def test_a_plain_evaluator_non_finite_at_an_end_the_ladder_reaches_is_a_domain_error(evaluator, domain, p64):
+    # the mpf abscissae next to b, or to an a other than 0, round to that end itself;
+    # a plain evaluator is bounded on its closed domain, so ln 0 there names the point
+    f = Integrand(id="end", evaluator=evaluator, domain=domain)
+    with pytest.raises(DomainError, match="integrand 'end' returned non-finite value at ") as exc:
+        integrate(f, TanhSinh(), p64)
+    assert str(exc.value).endswith("x=1.0")
 
 
 # --- Gauss-Legendre degree exactness ----------------------------------------
@@ -802,11 +775,20 @@ def test_a_2d_integrand_is_a_product_form():
 
 def test_a_2d_integrand_is_smooth_on_a_square():
     # refused where it is declared, by `dataclasses.replace` too, not when it is integrated
-    for changes in ({"domain": ((0, 1), (0, 2))}, {"singular_left": True}):
-        with pytest.raises(ValueError, match="a 2D integrand is smooth on a square, got .* on 'xy'"):
-            dataclasses.replace(xy(), **changes)
-        with pytest.raises(ValueError, match="a 2D integrand is smooth on a square"):
-            dataclasses.replace(get_integrand("sigma_double"), **changes)
+    with pytest.raises(ValueError, match="a 2D integrand is smooth on a square, got .* on 'xy'"):
+        dataclasses.replace(xy(), domain=((0, 1), (0, 2)))
+    with pytest.raises(ValueError, match="a 2D integrand is smooth on a square"):
+        dataclasses.replace(get_integrand("sigma_double"), domain=((0, 1), (0, 2)))
+
+
+@pytest.mark.parametrize("end", [0.1, "1/3"])
+def test_a_domain_end_is_a_rational_or_a_closed_form(end):
+    # a float would stand for its binary value, not the decimal written, and a
+    # string would be parsed: each is refused when built, in 1D and in 2D
+    with pytest.raises(TypeError, match=f"a domain end is a rational or a ClosedForm, got {end!r}"):
+        Integrand(id="x", evaluator=lambda x: x, domain=(0, end))
+    with pytest.raises(TypeError, match=f"a domain end is a rational or a ClosedForm, got {end!r}"):
+        dataclasses.replace(xy(), domain=((0, end), (0, end)))
 
 
 def test_a_closed_form_end_of_no_term_but_1_is_its_rational(cold_caches, p128):
@@ -941,11 +923,11 @@ KERNEL_LADDER_CAPS = {128: 6, 320: 7, 1088: 7}
 @pytest.mark.parametrize("bits", sorted(KERNEL_LADDER_CAPS))
 def test_fixed_ladder_matches_the_mpf_ladder(bits):
     # the integer sum is within 2^-(bits + 7) of the exact trapezoid sum; the mpf
-    # ladder rounds each of its additions to `bits`, and drifts by up to ~2^-(bits - 4)
+    # ladder, with the form's right-end skip, rounds each of its additions to `bits`,
+    # and drifts by up to ~2^-(bits - 4)
     cap = KERNEL_LADDER_CAPS[bits]
     for f in kernel_integrands(bits):
         assert f.form
-        plain = dataclasses.replace(f, form=None)
         # next to a singular right end the mpf evaluator reads b - x off an abscissa
         # rounded to `bits`, up to ulp(b) from the node, and its weight ~ (b - x) h pi cosh t
         # carries ulp(b)/(b - x) into T_k: up to 335 units of 2^-bits at 1088 bits (level 1),
@@ -953,7 +935,7 @@ def test_fixed_ladder_matches_the_mpf_ladder(bits):
         bound = ldexp(1, -(bits - (12 if f.singular_right else 8)))
         with workprec(bits):
             got = list(quadrature._ts_fixed_ladder(f, cap, bits))
-            want = list(quadrature._ts_ladder(plain, cap, bits))
+            want = list(reference_ts_ladder(f, cap, bits))
             assert [(lev, n) for lev, _, n in got] == [(lev, n) for lev, _, n in want], f.id
             for (lev, T, _), (_, T_mpf, _) in zip(got, want):
                 assert abs(T - T_mpf) <= bound, (f.id, lev)
@@ -1055,7 +1037,7 @@ def assert_integer_ladders_give_the_mpf_ladders_results(names, bits):
     for name in names:
         f = get_integrand(name)
         got = integrate(f, TanhSinh(), pg)
-        want = integrate(dataclasses.replace(f, form=None), TanhSinh(), pg)
+        want = reference_integrate(f, pg)
         assert (got.value._mpf_, got.evaluations, got.level_or_order) == (
             want.value._mpf_,
             want.evaluations,
@@ -1171,7 +1153,7 @@ def test_integrate_sums_a_declared_kernel_on_the_same_steps(p256):
 
     for f in kernel_integrands(p256.guarded):
         got = integrate(dataclasses.replace(f, evaluator=never), TanhSinh(), p256)
-        want = integrate(dataclasses.replace(f, form=None), TanhSinh(), p256)
+        want = reference_integrate(f, p256)
         assert (got.evaluations, got.level_or_order) == (want.evaluations, want.level_or_order)
         assert abs(got.value - want.value) <= ldexp(1, -(p256.bits - 1))
 
@@ -1228,15 +1210,23 @@ def test_fixed_kernel_needs_a_bounded_1d_integrand(p64):
 
 
 def test_a_bad_form_is_refused_where_it_is_declared():
-    # a logarithm needs a left end at 0, and a form has its domain's shape: both
-    # are refused when the integrand is built, by `dataclasses.replace` too
+    # a logarithm needs a domain (0, b) with b > 0, and a form has its domain's
+    # shape: both are refused when the integrand is built, by `dataclasses.replace` too
     def minus_one(c, x):
         return -c.one
 
-    with pytest.raises(ValueError, match="left end is 0, got \\(1, 2\\)"):
+    with pytest.raises(ValueError, match="a domain \\(0, b\\) with b > 0, got \\(1, 2\\)"):
         quadrature.expression("k", lambda c, x: 0, h=minus_one, domain=(1, 2))
-    with pytest.raises(ValueError, match="left end is 0, got \\(1, 2\\)"):
+    with pytest.raises(ValueError, match="a domain \\(0, b\\) with b > 0, got \\(1, 2\\)"):
         dataclasses.replace(get_integrand("neg_ln_x_over_1px2"), id="shifted", domain=(1, 2))
+    # ln x of a negative x: the ladder took ln b of a complex mpc
+    pi_minus = [ClosedForm({BasisConstant.ONE: -n, BasisConstant.PI: 1}) for n in (4, 3)]  # pi - 4 and pi - 3
+    for b in (-1, Fraction(0), ClosedForm({BasisConstant.PI: Fraction(-1, 2)}), pi_minus[0]):
+        with pytest.raises(ValueError, match=f"a domain \\(0, b\\) with b > 0, got \\(0, {re.escape(repr(b))}\\)"):
+            quadrature.expression("neg", lambda c, x: 0, h=minus_one, domain=(0, b))
+    with pytest.raises(ValueError, match="with b > 0, got \\(0, -1\\)"):
+        dataclasses.replace(get_integrand("log_cos_half"), domain=(0, -1))
+    assert quadrature.expression("k", minus_one, k=minus_one, domain=(0, pi_minus[1])).singular_right
     with pytest.raises(ValueError, match="a 2D form has 2 parts, got 3 on 'k2'"):
         Integrand(id="k2", evaluator=lambda x, y: x * y, domain=((0, 1), (0, 1)), form=(minus_one,) * 3)
     with pytest.raises(ValueError, match="a 1D form has 3 parts, got 2 on 'k1'"):
@@ -1245,11 +1235,17 @@ def test_a_bad_form_is_refused_where_it_is_declared():
 
 
 def test_a_form_is_singular_exactly_where_it_has_a_logarithm():
-    # a flag that disagreed with k made the integer ladder stop skipping the
-    # right-end nodes; one that disagreed with h built every Gauss-Legendre rung
-    # before a `NonconvergenceError`
+    # the flags are read off the form, and set nowhere: a flag that disagreed with
+    # k would stop the integer ladder skipping the right-end nodes, and one that
+    # disagreed with h would build every Gauss-Legendre rung before a `NonconvergenceError`
+    for f in _REGISTRY.values():
+        logs = (bool(f.form[1]), bool(f.form[2])) if f.dimension == 1 and f.form else (False, False)
+        assert (f.singular_left, f.singular_right) == logs, f.id
+    assert {f.id for f in _REGISTRY.values() if f.singular_left or f.singular_right} == {f.id for f in log_forms()}
+    with pytest.raises(TypeError, match="singular_left"):
+        Integrand(id="ln", evaluator=log, domain=(0, 1), singular_left=True)
     for fid, flag in (("log_sin_full", "singular_right"), ("neg_ln_x_over_1px2", "singular_left")):
-        with pytest.raises(ValueError, match=f"singular where it has a logarithm, got other flags on '{fid}'"):
+        with pytest.raises(TypeError, match=flag):
             dataclasses.replace(get_integrand(fid), **{flag: False})
 
 

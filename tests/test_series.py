@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 from mpmath import ldexp, mpf, workprec
 
-from hpcert import Crz, PreconditionError, Precision, ln1pt_over_t, sigma_series, sum_alternating
+from hpcert import PreconditionError, Precision, ln1pt_over_t, sigma_series, sum_alternating
 from hpcert.identities import get_integrand
 from hpcert.series import _paired_alternating, harmonic_tail_fraction, ln2_direct_partial
 from hpcert.quadrature import TanhSinh, integrate
@@ -48,22 +48,26 @@ def test_tail_strictly_decreasing(p128):
     assert all(a > b > 0 for a, b in zip(values, values[1:]))
 
 
-@pytest.mark.parametrize("method", [Crz])
-def test_series_refuse_a_count_that_is_not_a_positive_int(method, p64):
+def test_series_refuse_a_count_that_is_not_a_positive_int(p64):
     for terms in (0, 2.5):
         with pytest.raises(ValueError):
-            sum_alternating(lambda k: mpf(1) / (k + 1), method(terms), p64)
+            sum_alternating(lambda k: mpf(1) / (k + 1), terms, p64)
         with pytest.raises(ValueError):
-            sigma_series(p64, method(terms))
+            sigma_series(p64, terms)
         with pytest.raises(ValueError):
             ln2_direct_partial(terms, p64)
 
 
 def test_crz_is_the_one_method(p64):
-    # a method of another type, even one with a positive count of terms, is refused
-    for method in (None, SimpleNamespace(terms=10)):
-        with pytest.raises(ValueError, match="unknown acceleration method"):
-            sum_alternating(lambda k: mpf(1) / (k + 1), method, p64)
+    # CRZ takes a count of terms and nothing else: an object that carries one,
+    # as the method objects did, is refused, and the count is the terms used
+    for terms in (None, "10", SimpleNamespace(terms=10)):
+        with pytest.raises(ValueError, match="terms must be an int >= 1"):
+            sum_alternating(lambda k: mpf(1) / (k + 1), terms, p64)
+        with pytest.raises(ValueError, match="terms must be an int >= 1"):
+            sigma_series(p64, terms)
+    assert sum_alternating(lambda k: mpf(1) / (k + 1), 10, p64).terms_used == 10
+    assert sigma_series(p64, 10).terms_used == 10
 
 
 def sigma_partials(count, p):
@@ -83,7 +87,7 @@ def test_sigma_partial_frozen(p128):
 
 
 def test_sigma_partials_bracket_full_sum(p128):
-    full = sigma_series(p128, Crz(40)).value
+    full = sigma_series(p128, 40).value
     partials, bounds = sigma_partials(50, p128)
     for N in range(1, 50):
         lo, hi = sorted((partials[N - 1], partials[N]))
@@ -94,36 +98,36 @@ def test_sigma_partials_bracket_full_sum(p128):
 
 def test_sum_alternating_rejects_increasing(p64):
     with pytest.raises(PreconditionError):
-        sum_alternating(lambda k: mpf(1 + k), Crz(10), p64)
+        sum_alternating(lambda k: mpf(1 + k), 10, p64)
     with pytest.raises(PreconditionError):
-        sum_alternating(lambda k: mpf(0), Crz(3), p64)
+        sum_alternating(lambda k: mpf(0), 3, p64)
 
 
 def test_crz_pi2_over_12(p128):
-    r = sum_alternating(lambda k: mpf(1) / (k + 1) ** 2, Crz(20), p128)
+    r = sum_alternating(lambda k: mpf(1) / (k + 1) ** 2, 20, p128)
     assert_close(r.value, PI2_12, mpf(10) ** -15)
 
 
 def test_crz_ln2(p128):
-    r = sum_alternating(lambda k: mpf(1) / (k + 1), Crz(40), p128)
+    r = sum_alternating(lambda k: mpf(1) / (k + 1), 40, p128)
     assert_close(r.value, LN2, mpf(10) ** -30)
 
 
 @pytest.mark.parametrize("n", [10, 20, 30])
 def test_crz_self_consistency(n, p128):
     coeff = lambda k: mpf(1) / (k + 1) ** 2
-    a = sum_alternating(coeff, Crz(n), p128).value
-    b = sum_alternating(coeff, Crz(n + 5), p128).value
+    a = sum_alternating(coeff, n, p128).value
+    b = sum_alternating(coeff, n + 5, p128).value
     assert abs(a - b) <= mpf("5.8") ** -n * coeff(0)
 
 
 def test_sigma_crz_matches_frozen(p256):
-    r = sigma_series(p256, Crz(30))
+    r = sigma_series(p256, 30)
     assert_close(r.value, SIGMA, mpf(10) ** -20)
 
 
 def test_sigma_euler_vs_crz_matched_budget(p256):
-    crz = sigma_series(p256, Crz(60)).value
+    crz = sigma_series(p256, 60).value
     eul = sigma_by_euler(60, p256)
     assert abs(crz - eul) <= mpf(10) ** -15
 
@@ -137,7 +141,7 @@ def test_accelerators_on_random_moment_sequences(p64):
     for _ in range(8):
         pts = [(mpf(rng.randint(1, 99)) / 100, mpf(rng.randint(1, 9))) for _ in range(4)]
         coeff = lambda k: sum(w * t**k for t, w in pts)
-        crz = sum_alternating(coeff, Crz(40), p)
+        crz = sum_alternating(coeff, 40, p)
         with workprec(200):
             eul = euler_sum(coeff, 60)
             exact = sum(w / (1 + t) for t, w in pts)
