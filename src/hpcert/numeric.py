@@ -92,16 +92,17 @@ def round_to(x, p):
 # of two terms, and the value at a is floored once, so a result is within
 # W/8 + 16 units of 2^-W.  `log1p_fixed` runs at W + s, s <= 2 for t < 3.
 #
-# The tables, floor(ln(k/512) 2^P) for k = 256 ... 511 and floor(arctan(k/128)
-# 2^P) for k = 0 ... 255, are built once per band of 64 precisions P, at
+# The tables, ln(k/512) 2^F for k = 256 ... 511 and arctan(k/128) 2^F for
+# k = 0 ... 255, are built once per band of 64 precisions P, at
 # F = 64 (P // 64 + 2) bits, along k: from -ln 2 by steps 2 atanh(1/(2k + 1)),
 # from 0 by steps arctan(128/(16384 + k(k + 1))), each an `_odd_series` in a
 # v <= 2^-7 floored once: within F/20 + 10 units of 2^-F, twice that for the
 # log's 2 atanh.  The 255 steps and ln 2 leave under 255 (F/10 + 20) + 1 units,
 # 2^16 at F = 2240 (the band of the widest kernel precision, 2143), far below
-# the 2^64 or more in one unit of 2^-P: an entry is the exact floor unless its
-# value lies within 2^-(F - 17) of a multiple of 2^-P, which the tests rule
-# out at every P from 189 to 2143.
+# the 2^64 or more in one unit of 2^-P.  A step at P reads its point from P's
+# band as entry >> (F - P): the exact floor of the point's value times 2^P
+# unless that value lies within 2^-(F - 17) of a multiple of 2^-P, which the
+# tests rule out at every P from 189 to 2143.
 # ---------------------------------------------------------------------------
 
 
@@ -137,27 +138,14 @@ def _atan_band(b):
     return F, list(accumulate((_odd_series(V, V, F, -1) for V in steps), initial=0))
 
 
-@cache
-def _log_points(P):
-    """floor(ln(k/512) 2^P) for k = 256 ... 511."""
-    F, points = _log_band(P >> 6)
-    return tuple(L >> F - P for L in points)
-
-
-@cache
-def _atan_points(P):
-    """floor(arctan(k/128) 2^P) for k = 0 ... 255."""
-    F, points = _atan_band(P >> 6)
-    return tuple(A >> F - P for A in points)
-
-
 def _log_taylor(Y, P):
     """ln(y) 2^P for y = Y / 2^P in [1/2, 1): `log_taylor_cached`'s step about a = k/512."""
     k = Y >> (P - 9)
     A = k << (P - 9)
     U = ((Y - A) << P) // A
     V = (U << P) // ((2 << P) + U)
-    return _log_points(P)[k - 256] + (_odd_series(V, V, P, 1) << 1)
+    F, points = _log_band(P >> 6)
+    return (points[k - 256] >> F - P) + (_odd_series(V, V, P, 1) << 1)
 
 
 def log1p_fixed(T, W):
@@ -179,7 +167,8 @@ def atan_fixed(T, W):
     A = k << (W - 7)
     D = T - A
     V = (D << W) // ((A * A >> W) + (A * D >> W) + (1 << W))
-    return _atan_points(W)[k] + _odd_series(V, V, W, -1)
+    F, points = _atan_band(W >> 6)
+    return (points[k] >> F - W) + _odd_series(V, V, W, -1)
 
 
 # ln(1 + u)/u and arctan(t)/t, for the integrands with a removable 0/0 at 0:

@@ -90,7 +90,8 @@ class Integrand:
     `singular_right` say where it has them.  Refused when built: a 2D
     integrand off a square or without a product form, and a form whose shape
     is not its domain's, or with a logarithm on a domain other than (0, b),
-    b > 0.
+    b > 0.  A form's evaluator is built by `expression` or `product`, so
+    `dataclasses.replace(f, form=...)` does not update it.
     """
 
     id: str
@@ -128,22 +129,34 @@ class Integrand:
         return self.dimension == 1 and bool(self.form and self.form[2])
 
 
+def _ln_x_kernel(g, h, k, c):
+    """A form (g, h, k)'s sum g(X) + h(X) L + k(X) M under context c, at a node (X, L, M).
+
+    Under `MP`, at (x, ln x, ln(b - x)), it is the form's evaluator; under
+    fixed_context(W), at a node of `_ts_ln_x_nodes`, the integer ladder's kernel.
+    """
+
+    def f(node):
+        X, L, M = node
+        y = g(c, X)
+        if h:
+            y += c.mul(h(c, X), L)
+        if k:
+            y += c.mul(k(c, X), M)
+        return y
+
+    return f
+
+
 def expression(id, g, *, h=None, k=None, domain=(0, 1)):
     """g(x) + h(x) ln x + k(x) ln(b - x) on (a, b), g, h and k each a bounded expression over a `numeric` context.
 
     An absent h or k is no such term; with either, a is 0, b > 0 and the
-    integrand is singular at that end.  Its evaluator is the sum under `MP`,
-    and the integer ladder sums it under fixed_context(W).
+    integrand is singular at that end.  Its evaluator is `_ln_x_kernel` under
+    `MP`, and the integer ladder sums the same kernel under fixed_context(W).
     """
-
-    def evaluator(x):
-        y = g(MP, x)
-        if h:
-            y += h(MP, x) * log(x)
-        if k:
-            y += k(MP, x) * log(_endpoint_value(domain[1]) - x)
-        return y
-
+    f = _ln_x_kernel(g, h, k, MP)
+    evaluator = lambda x: f((x, h and log(x), k and log(_endpoint_value(domain[1]) - x)))
     return Integrand(id, evaluator, domain, form=(g, h, k))
 
 
@@ -334,7 +347,7 @@ def tanh_sinh_nodes(level, p):
     at p (keyed at p.guarded).  The list is symmetric about 0 and all weights
     are positive.
     """
-    if not isinstance(level, int) or not 0 <= level <= MAX_LEVEL:
+    if not isinstance(level, int) or isinstance(level, bool) or not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"level must be an int in [0, {MAX_LEVEL}]")
     levels = _ts_levels(p.guarded, level)
     # descending delta is ascending t, a total order even where the rounded
@@ -483,21 +496,6 @@ def _ts_right_skips(domain, bits, lev):
         while n < len(table) and b - halfw * table[-1 - n][0] == b:
             n += 1
     return n
-
-
-def _ln_x_kernel(g, h, k, c):
-    """The kernel of a form (g, h, k) under context c: g(X) + h(X) L + k(X) M at a node (X, L, M)."""
-
-    def f(node):
-        X, L, M = node
-        y = g(c, X)
-        if h:
-            y += c.mul(h(c, X), L)
-        if k:
-            y += c.mul(k(c, X), M)
-        return y
-
-    return f
 
 
 def _ts_fixed_ladder(integrand, cap, bits):

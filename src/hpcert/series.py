@@ -64,7 +64,7 @@ def _paired_alternating(last):
 
 
 def _require_count(n, name):
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"{name} must be an int >= 1")
 
 

@@ -129,7 +129,7 @@ def test_a_scaled_sigma_g_fails_eq05_above_its_stated_power(k, fails, bits, monk
     assert readers(bits)["sigma_double"] == {"eq05_sigma_2d"}
     f = identities.get_integrand("sigma_double")
     g, h = f.form
-    monkeypatch.setitem(identities._REGISTRY, f.id, dataclasses.replace(f, form=(scaled_expr(g, ldexp(1, -k)), h)))
+    monkeypatch.setitem(identities._REGISTRY, f.id, quadrature.product(f.id, scaled_expr(g, ldexp(1, -k)), h))
     assert failing(Precision(bits), {"eq05_sigma_2d"}) == ({"eq05_sigma_2d"} if fails else set())
 
 

@@ -466,15 +466,26 @@ def point_floor(fn, x, P):
     return X >> 64
 
 
+def band_points(band, P):
+    """A band's table shifted to the precision P: entry >> (F - P), as a Taylor step at P reads its point."""
+    F, wide = band(P >> 6)
+    return tuple(v >> F - P for v in wide)
+
+
 @pytest.mark.parametrize("P", FIXED_WIDTHS + [WIDEST_LOG])
 def test_log_points_are_exact_floors(P):
-    assert numeric._log_points(P) == tuple(point_floor(mpmath.log, mpf(k) / 512, P) for k in range(256, 512))
+    # a step about its own point a = k/512 adds 0 to a's value: the point the kernel reads
+    read = tuple(numeric._log_taylor(k << (P - 9), P) for k in range(256, 512))
+    assert read == band_points(numeric._log_band, P)
+    assert read == tuple(point_floor(mpmath.log, mpf(k) / 512, P) for k in range(256, 512))
 
 
 @pytest.mark.parametrize("P", FIXED_WIDTHS + [WIDEST_ATAN])
 def test_atan_points_are_exact_floors(P):
+    read = tuple(numeric.atan_fixed(k << (P - 7), P) for k in range(256))  # about a = k/128, as above
+    assert read == band_points(numeric._atan_band, P)
     # arctan 0 = 0 exactly
-    assert numeric._atan_points(P) == (0,) + tuple(point_floor(mpmath.atan, mpf(k) / 128, P) for k in range(1, 256))
+    assert read == (0,) + tuple(point_floor(mpmath.atan, mpf(k) / 128, P) for k in range(1, 256))
 
 
 def test_point_tables_equal_mpmath_cached_points_at_every_kernel_precision():
@@ -482,7 +493,7 @@ def test_point_tables_equal_mpmath_cached_points_at_every_kernel_precision():
     from mpmath.libmp.libelefun import atan_taylor, log_taylor_cached
 
     for P in range(189, WIDEST_LOG + 1):
-        ours = numeric._log_points.__wrapped__(P)  # uncached: some 2,000 precisions
+        ours = band_points(numeric._log_band, P)
         for k in range(256, 512):
             theirs = log_taylor_cached(k << (P - 9), P)
             if (P, k) in MPMATH_POINT_ABOVE_FLOOR:
@@ -490,11 +501,11 @@ def test_point_tables_equal_mpmath_cached_points_at_every_kernel_precision():
             else:
                 assert theirs == ours[k - 256], (P, k)
         if P <= WIDEST_ATAN:
-            assert numeric._atan_points.__wrapped__(P) == tuple(atan_taylor(k << (P - 7), P) for k in range(256)), P
+            assert band_points(numeric._atan_band, P) == tuple(atan_taylor(k << (P - 7), P) for k in range(256)), P
 
 
 def test_point_tables_serve_the_widest_kernel_widths():
-    # each width's tables come from its band's, built at least 64 bits wider
+    # each width's points come from its band's table of 256, built at least 64 bits wider
     from hpcert.identities import MAX_PRECISION_BITS
 
     width = Precision(MAX_PRECISION_BITS).guarded + numeric.GUARD_BITS
@@ -503,9 +514,9 @@ def test_point_tables_serve_the_widest_kernel_widths():
     assert W + 9 + numeric.QUOTIENT_GUARD + 2 == WIDEST_LOG
     assert W + 7 + numeric.QUOTIENT_GUARD == WIDEST_ATAN
     for P in range(W, WIDEST_LOG + 1):
-        for band, points in ((numeric._log_band, numeric._log_points), (numeric._atan_band, numeric._atan_points)):
+        for band in (numeric._log_band, numeric._atan_band):
             F, wide = band(P >> 6)
-            assert F >= P + 64 and len(wide) == len(points(P)) == 256
+            assert F >= P + 64 and len(wide) == 256
 
 
 def test_the_two_operation_contexts_offer_the_same_operations():

@@ -43,8 +43,8 @@ def xy(id="xy"):
 
 def test_node_functions_refuse_out_of_range_input(cold_caches, p64):
     # a refused level or order builds nothing: level 30 would mean about 2^30 nodes,
-    # and a float one would build its levels before failing on a slice
-    for level in (-1, quadrature.MAX_LEVEL + 1, 30, 2.0):
+    # a float one would build its levels before failing on a slice, and True would be level 1
+    for level in (-1, quadrature.MAX_LEVEL + 1, 30, 2.0, True):
         with pytest.raises(ValueError):
             tanh_sinh_nodes(level, p64)
     for order in (quadrature.MIN_ORDER - 1, quadrature.MAX_ORDER + 1, 8.0):

@@ -49,7 +49,7 @@ def test_tail_strictly_decreasing(p128):
 
 
 def test_series_refuse_a_count_that_is_not_a_positive_int(p64):
-    for terms in (0, 2.5):
+    for terms in (0, 2.5, True):  # a bool is an int, but not a count
         with pytest.raises(ValueError):
             sum_alternating(lambda k: mpf(1) / (k + 1), terms, p64)
         with pytest.raises(ValueError):
